@@ -26,6 +26,11 @@ def check_checkout() -> None:
         raise SystemExit(2)
 
 
+def spec() -> dict:
+    """``BENCHMARK.json``: the workloads, and every metric's name, unit and bound."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
 def child_env() -> dict[str, str]:
     """Environment for spawned Python processes: ``src`` on the path."""
     env = dict(os.environ)
