@@ -27,95 +27,71 @@ Quickstart::
     print(f"Opt speedup over cuDNN-MM: {opt.speedup_over(mm):.2f}x")
 """
 
-from .baselines import SCHEMES, NetworkTiming, compare_schemes, time_network
-from .core import (
-    LayoutThresholds,
-    autotune_pooling,
-    calibrate,
-    fuse_softmax,
-    plan_optimal,
-    plan_single_layout,
-    plan_with_heuristic,
-    preferred_conv_layout,
-    preferred_pool_layout,
-    thresholds_for,
-)
-from .analysis import crossovers, sweep_conv, sweep_pool, sweep_softmax
-from .framework import (
-    Net,
-    NetworkDef,
-    Trainer,
-    build_net,
-    format_netdef,
-    parse_netdef,
-    train,
-)
-from .gpusim import (
-    TITAN_BLACK,
-    TITAN_X,
-    DeviceSpec,
-    SimStats,
-    SimulationContext,
-    SimulationEngine,
-    default_context,
-    get_device,
-    global_sim_stats,
-    simulate,
-)
-from .layers import ConvSpec, FCSpec, PoolSpec, SoftmaxSpec
-from .networks import CONV_LAYERS, POOL_LAYERS, build_network
-from .tensors import CHWN, NCHW, DataLayout, Tensor4D, TensorDesc, transform
+from importlib import import_module
+
+#: public name -> the subpackage that defines it.  Resolved on first
+#: access (PEP 562), so ``import repro.obs`` or ``import repro.cli`` pays
+#: only for the submodules it actually uses.
+_EXPORTS = {
+    name: submodule
+    for submodule, names in {
+        "baselines": ("SCHEMES", "NetworkTiming", "compare_schemes", "time_network"),
+        "core": (
+            "LayoutThresholds",
+            "autotune_pooling",
+            "calibrate",
+            "fuse_softmax",
+            "plan_optimal",
+            "plan_single_layout",
+            "plan_with_heuristic",
+            "preferred_conv_layout",
+            "preferred_pool_layout",
+            "thresholds_for",
+        ),
+        "analysis": ("crossovers", "sweep_conv", "sweep_pool", "sweep_softmax"),
+        "framework": (
+            "Net",
+            "NetworkDef",
+            "Trainer",
+            "build_net",
+            "format_netdef",
+            "parse_netdef",
+            "train",
+        ),
+        "gpusim": (
+            "TITAN_BLACK",
+            "TITAN_X",
+            "DeviceSpec",
+            "SimStats",
+            "SimulationContext",
+            "SimulationEngine",
+            "default_context",
+            "get_device",
+            "global_sim_stats",
+            "simulate",
+        ),
+        "layers": ("ConvSpec", "FCSpec", "PoolSpec", "SoftmaxSpec"),
+        "networks": ("CONV_LAYERS", "POOL_LAYERS", "build_network"),
+        "tensors": ("CHWN", "NCHW", "DataLayout", "Tensor4D", "TensorDesc", "transform"),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CHWN",
-    "CONV_LAYERS",
-    "ConvSpec",
-    "DataLayout",
-    "DeviceSpec",
-    "FCSpec",
-    "LayoutThresholds",
-    "NCHW",
-    "Net",
-    "NetworkDef",
-    "NetworkTiming",
-    "POOL_LAYERS",
-    "PoolSpec",
-    "SCHEMES",
-    "SimStats",
-    "SimulationContext",
-    "SimulationEngine",
-    "SoftmaxSpec",
-    "TITAN_BLACK",
-    "TITAN_X",
-    "Tensor4D",
-    "TensorDesc",
-    "__version__",
-    "autotune_pooling",
-    "build_net",
-    "build_network",
-    "calibrate",
-    "compare_schemes",
-    "default_context",
-    "format_netdef",
-    "fuse_softmax",
-    "get_device",
-    "global_sim_stats",
-    "parse_netdef",
-    "plan_optimal",
-    "plan_single_layout",
-    "plan_with_heuristic",
-    "preferred_conv_layout",
-    "preferred_pool_layout",
-    "simulate",
-    "thresholds_for",
-    "time_network",
-    "train",
-    "Trainer",
-    "transform",
-    "sweep_conv",
-    "sweep_pool",
-    "sweep_softmax",
-    "crossovers",
-]
+__all__ = ["__version__", *_EXPORTS]

@@ -54,10 +54,9 @@ from __future__ import annotations
 import atexit
 import os
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future
 from math import ceil
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..obs.metrics import MetricsRegistry, global_registry, reset_global_registry
 from ..obs.tracer import (
@@ -77,6 +76,9 @@ from .kernel import ComposedKernel, KernelModel
 from .parallel import DEFAULT_MIN_CHUNK, resolve_jobs
 from .session import SimStats, SimulationContext, _kind_of, structural_key
 from .timing import KernelStats
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "adaptive_chunk_size",
@@ -335,6 +337,10 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
         _POOL.shutdown(wait=False, cancel_futures=True)
         _POOL = None
     if _POOL is None:
+        # Imported here: concurrent.futures.process pulls in multiprocessing,
+        # which serial commands never need.
+        from concurrent.futures import ProcessPoolExecutor
+
         _POOL = ProcessPoolExecutor(max_workers=workers)
         _POOL_WORKERS = workers
     return _POOL
@@ -469,6 +475,8 @@ def map_chunks(
         "exec:pool", "exec.pool", cells=len(cells), chunks=len(chunks), jobs=jobs_n
     ):
         pool = _get_pool(jobs_n)
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
             futures: list[Future[ChunkShipment]] = [
                 pool.submit(

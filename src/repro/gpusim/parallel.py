@@ -30,7 +30,7 @@ serial loop).
 from __future__ import annotations
 
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from math import ceil
 from typing import Any, Callable, Sequence, TypeVar
 
@@ -173,6 +173,8 @@ def parallel_map(
     chunks = chunk_items(items, jobs, chunk_size)
     tracer = active_tracer()
     out: list[Any] = []
+    from concurrent.futures import ProcessPoolExecutor  # off the serial path
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
         futures: list[Future[ChunkResult]] = [
             pool.submit(

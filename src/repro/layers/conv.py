@@ -14,7 +14,6 @@ in any storage layout.
 from __future__ import annotations
 
 import numpy as np
-from scipy import fft as sfft
 
 from ..tensors.layout import DataLayout, NCHW
 from ..tensors.tensor import Tensor4D, TensorDesc
@@ -125,12 +124,13 @@ def _conv_fft_one_group(x: np.ndarray, weights: np.ndarray, spec: ConvSpec) -> n
     ``repro.layers.conv_kernels.FFTUnsupportedError``).  Filters are padded
     to the input size — the memory overhead the paper highlights.
     """
+    from scipy import fft as sfft  # the only SciPy user; kept off start-up
+
     _check_shapes(x, weights, spec)
     if spec.stride != 1:
         raise ValueError("FFT convolution requires stride 1")
     xp = _pad(np.asarray(x, dtype=np.float64), spec.pad)
     hp, wp = xp.shape[2], xp.shape[3]
-    fh, fw = spec.fh, spec.fw
     fft_h = sfft.next_fast_len(hp)
     fft_w = sfft.next_fast_len(wp)
     xf = sfft.rfft2(xp, s=(fft_h, fft_w))  # (N, Ci, fh?, ...)
@@ -141,7 +141,6 @@ def _conv_fft_one_group(x: np.ndarray, weights: np.ndarray, spec: ConvSpec) -> n
     # Valid cross-correlation region starts at (0, 0); frequency-domain
     # conjugation shifts the kernel anchor, so no offset is needed.
     out = full[:, :, : spec.out_h, : spec.out_w]
-    del fh, fw
     return np.ascontiguousarray(out, dtype=_F)
 
 

@@ -16,14 +16,34 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import ceil, log2
-
-from scipy.fft import next_fast_len
 
 from ..gpusim.device import DeviceSpec
 from ..gpusim.kernel import ComposedKernel, KernelModel, LaunchConfig, MemoryProfile
 from .base import ConvSpec
 from .gemm import GemmKernel, gemm_shape_efficiency
+
+
+@cache
+def next_fast_len(target: int) -> int:
+    """Smallest 11-smooth integer >= ``target``: the padded FFT extent.
+
+    cuDNN and pocketfft (SciPy's complex default) run fastest on lengths
+    whose only prime factors are 2, 3, 5, 7 and 11, so the modelled FFT
+    kernels pad each plane up to the next such length.
+    """
+    if target < 1:
+        raise ValueError(f"FFT length must be positive (got {target})")
+    n = target
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 class ConvUnsupportedError(RuntimeError):

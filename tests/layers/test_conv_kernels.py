@@ -14,9 +14,28 @@ from repro.layers import (
     Im2colKernel,
     make_conv_kernel,
 )
+from repro.layers.conv_kernels import next_fast_len
 from repro.networks import CONV_LAYERS
 
 CV7 = CONV_LAYERS["CV7"]
+
+#: Table-1 layer -> FFT geometry (pad_h, pad_w, tiles), untiled then tiled;
+#: None where cuDNN's FFT modes reject the layer (stride 2).  CV9 pads 226
+#: to 231 = 3*7*11, which a 5-smooth rule would round to 240.
+FFT_GEOMETRY = {
+    "CV1": ((28, 28, 1), (32, 32, 1)),
+    "CV2": ((14, 14, 1), (32, 32, 1)),
+    "CV3": ((24, 24, 1), (32, 32, 1)),
+    "CV4": ((12, 12, 1), (32, 32, 1)),
+    "CV5": (None, None),
+    "CV6": (None, None),
+    "CV7": ((15, 15, 1), (32, 32, 1)),
+    "CV8": ((15, 15, 1), (32, 32, 1)),
+    "CV9": ((231, 231, 1), (32, 32, 64)),
+    "CV10": ((60, 60, 1), (32, 32, 4)),
+    "CV11": ((30, 30, 1), (32, 32, 1)),
+    "CV12": ((16, 16, 1), (32, 32, 1)),
+}
 
 
 class TestDirectConv:
@@ -115,6 +134,29 @@ class TestFFT:
         spec = ConvSpec(n=1, ci=1, h=64, w=64, co=1, fh=33, fw=33)
         with pytest.raises(ConvUnsupportedError, match="tile"):
             FFTConvNCHW(spec, tiled=True)
+
+    def test_next_fast_len_matches_scipy(self):
+        """The padding rule equals SciPy's complex-transform default; SciPy
+        is the oracle here and is never imported by the model."""
+        from scipy import fft as sfft
+
+        for target in range(1, 65_537):
+            assert next_fast_len(target) == sfft.next_fast_len(target), target
+
+    def test_next_fast_len_rejects_non_positive(self):
+        with pytest.raises(ValueError):
+            next_fast_len(0)
+
+    @pytest.mark.parametrize("name", sorted(FFT_GEOMETRY))
+    @pytest.mark.parametrize("tiled", [False, True])
+    def test_table1_geometry_is_frozen(self, name, tiled):
+        expected = FFT_GEOMETRY[name][tiled]
+        if expected is None:
+            with pytest.raises(ConvUnsupportedError):
+                FFTConvNCHW(CONV_LAYERS[name], tiled=tiled)
+            return
+        g = FFTConvNCHW(CONV_LAYERS[name], tiled=tiled).geometry
+        assert (g.pad_h, g.pad_w, g.tiles) == expected
 
 
 class TestNHWC:

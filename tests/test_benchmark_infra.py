@@ -1,5 +1,7 @@
-"""The benchmark harness's own infrastructure (figutil) and determinism."""
+"""The benchmark harness's own infrastructure (figutil, the tracked
+performance trajectory) and determinism."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -70,6 +72,28 @@ class TestFigureTable:
         text = t.render()
         assert "demo" in text and "a note" in text
         assert "1.000" in text and "b" in text
+
+
+class TestTrajectory:
+    """``benchmarks/trajectory.jsonl``: one line of medians per change, with
+    every end-to-end metric of every workload ``BENCHMARK.json`` declares."""
+
+    ROOT = Path(__file__).parent.parent
+
+    def test_lines_cover_the_declared_benchmark(self):
+        spec = json.loads((self.ROOT / "BENCHMARK.json").read_text())
+        metrics = {m["name"] for m in spec["end_to_end"]}
+        lines = (self.ROOT / "benchmarks" / "trajectory.jsonl").read_text().splitlines()
+        entries = [json.loads(line) for line in lines]
+        assert entries
+        prs = [e["pr"] for e in entries]
+        assert prs == sorted(set(prs))
+        for entry in entries:
+            assert "commit" in entry
+            for workload in spec["workloads"]:
+                medians = entry[workload["name"]]
+                assert set(medians) == metrics
+                assert all(v > 0 for v in medians.values())
 
 
 class TestDeterminism:
