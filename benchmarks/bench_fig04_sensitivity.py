@@ -11,9 +11,7 @@ from dataclasses import replace
 from figutil import FigureTable, bench_arg_parser
 
 from repro.gpusim import SimulationContext, default_context
-from repro.gpusim.batch import batched_eval_enabled
 from repro.gpusim.exec import evaluate_cells, map_chunks
-from repro.gpusim.parallel import parallel_map
 from repro.layers import DirectConvCHWN, Im2colGemmNCHW
 from repro.networks import CONV_LAYERS
 
@@ -21,16 +19,9 @@ N_VALUES = (1, 3, 16, 32, 64, 128, 256, 384, 512)
 C_VALUES = (16, 32, 64, 128, 256)
 
 
-def _gflops_pair(context: SimulationContext, spec) -> tuple[float, float]:
-    """Scalar reference: one sweep point, two kernel evaluations."""
-    g_c = context.run(DirectConvCHWN(spec), check_memory=False).achieved_gflops
-    g_m = context.run(Im2colGemmNCHW(spec), check_memory=False).achieved_gflops
-    return g_c, g_m
-
-
 def _gflops_chunk(context: SimulationContext, specs) -> list[tuple[float, float]]:
-    """Batched ``_gflops_pair``: both layouts of every point in one
-    memoized vectorized evaluation."""
+    """CHWN (cuda-convnet) and NCHW (cuDNN) GFLOPS of every sweep point,
+    both layouts in one memoized vectorized evaluation."""
     models = []
     for spec in specs:
         models.append(DirectConvCHWN(spec))
@@ -47,14 +38,6 @@ def _gflops_chunk(context: SimulationContext, specs) -> list[tuple[float, float]
     return pairs
 
 
-def _gflops_pairs(
-    ctx: SimulationContext, specs, jobs: int | str
-) -> list[tuple[float, float]]:
-    if batched_eval_enabled():
-        return map_chunks(_gflops_chunk, specs, ctx, jobs=jobs)
-    return parallel_map(_gflops_pair, specs, ctx, jobs=jobs)
-
-
 def build_figure(
     device, jobs: int | str = 1, context: SimulationContext | None = None
 ) -> tuple[FigureTable, FigureTable]:
@@ -65,7 +48,8 @@ def build_figure(
         "Fig. 4a: CONV7 GFLOPS vs batch size N",
         ["N", "convnet_gflops", "cudnn_gflops", "winner"],
     )
-    n_pairs = _gflops_pairs(ctx, [replace(base, n=n) for n in N_VALUES], jobs)
+    n_specs = [replace(base, n=n) for n in N_VALUES]
+    n_pairs = map_chunks(_gflops_chunk, n_specs, ctx, jobs=jobs)
     for n, (g_c, g_m) in zip(N_VALUES, n_pairs):
         fig4a.add(n, g_c, g_m, "CHWN" if g_c > g_m else "NCHW")
 
@@ -73,7 +57,8 @@ def build_figure(
         "Fig. 4b: CONV7 GFLOPS vs channel count C (N=64)",
         ["C", "convnet_gflops", "cudnn_gflops", "winner"],
     )
-    c_pairs = _gflops_pairs(ctx, [replace(base, ci=c) for c in C_VALUES], jobs)
+    c_specs = [replace(base, ci=c) for c in C_VALUES]
+    c_pairs = map_chunks(_gflops_chunk, c_specs, ctx, jobs=jobs)
     for c, (g_c, g_m) in zip(C_VALUES, c_pairs):
         fig4b.add(c, g_c, g_m, "CHWN" if g_c > g_m else "NCHW")
     fig4b.note("paper: crossover at C = 32 (Ct); 4a crossover N in (64, 128]")

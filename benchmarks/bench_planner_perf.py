@@ -1,36 +1,42 @@
 """Batched candidate-evaluator performance: vectorized analytic models.
 
-Two measurements, both checked for bit-identical results before any timing
-is reported:
+The scalar legs run :func:`scalar_evaluate_cells`, a bench-local oracle
+that evaluates one model at a time through ``context.run`` (the model's
+definition).  Two measurements, both checked for bit-identical results
+before any timing is reported:
 
 * **micro** — a sweep-shaped candidate grid (direct CHWN + im2col NCHW
   convolutions plus the three Fig. 6 pooling layouts, across batch and
-  channel axes) evaluated one ``context.run`` call at a time vs one
-  ``evaluate_models`` call, seven interleaved timed passes each (fresh
-  context per pass, so the scalar structural cache never warms); every
-  :class:`KernelStats` field must match exactly, and the batched path must
-  clear 5x the scalar candidates/sec on the cleanest of the seven
-  rounds (the ``--check`` gate);
+  channel axes) evaluated by the scalar oracle vs one ``evaluate_models``
+  call, seven interleaved timed passes each (fresh context per pass, so
+  the scalar structural cache never warms); every :class:`KernelStats`
+  field must match exactly, and the batched path must clear 5x the
+  scalar candidates/sec on the cleanest of the seven rounds (the
+  ``--check`` gate);
 * **end-to-end** — the Fig. 4 sensitivity grid and the Fig. 6 pooling
-  figure built with batching off (serial scalar evaluation) vs through
-  the sweep execution engine: memoized-serial (fresh contexts), the warm
-  worker pool at ``--jobs``, and a warm shared-context rebuild (the
-  steady state of a long-lived session).  Rendered tables are compared
-  byte for byte across every mode, and the scalar/serial passes are
-  interleaved over rounds with the cleanest round reported, like the
-  micro benchmark.
+  figure built with the scalar oracle patched over the figures'
+  ``evaluate_cells`` (serial scalar evaluation) vs through the sweep
+  execution engine: memoized-serial (fresh contexts), the warm worker
+  pool at ``--jobs``, and a warm shared-context rebuild (the steady state
+  of a long-lived session).  Rendered tables are compared byte for byte
+  across every mode, and the scalar/serial passes are interleaved over
+  rounds with the cleanest round reported, like the micro benchmark.
 
-Emits ``BENCH_planner.json`` (CI uploads it as an artifact); with
-``--check`` the exit status is nonzero on a sub-5x micro speedup *or* an
-end-to-end memoized-serial run slower than the scalar path.
+Both measurements also report the median and interquartile range of the
+per-round ratios beside the cleanest round.  Emits ``BENCH_planner.json``
+(CI uploads it as an artifact); with ``--check`` the exit status is
+nonzero on a sub-5x micro speedup *or* an end-to-end memoized-serial run
+slower than the scalar path (both on the cleanest round).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 
 from figutil import bench_arg_parser
@@ -39,9 +45,8 @@ import bench_fig04_sensitivity as fig04
 import bench_fig06_pooling_layouts as fig06
 
 from repro.gpusim import SimulationContext, TITAN_BLACK
-from repro.gpusim.batch import evaluate_models, set_batched_eval
-from repro.gpusim.exec import shutdown_pool
-from repro.gpusim.parallel import resolve_jobs
+from repro.gpusim.batch import _scalar_eval, evaluate_models
+from repro.gpusim.exec import resolve_jobs, shutdown_pool
 from repro.layers import DirectConvCHWN, Im2colGemmNCHW, make_pool_kernel
 from repro.layers.base import PoolSpec
 from repro.networks import CONV_LAYERS
@@ -54,6 +59,29 @@ SPEEDUP_GATE = 5.0
 E2E_REPEATS = 5
 #: memoized-serial must at least match the scalar path end to end
 E2E_GATE = 1.0
+
+
+def scalar_evaluate_cells(context, models, check_memory=None):
+    """Scalar oracle for ``evaluate_cells``: one ``context.run`` per model,
+    no memo probe, no batch."""
+    return [_scalar_eval(context, m, check_memory) for m in models]
+
+
+@contextmanager
+def scalar_figures():
+    """Serve the figure builders' ``evaluate_cells`` with the oracle."""
+    saved = fig04.evaluate_cells, fig06.evaluate_cells
+    fig04.evaluate_cells = fig06.evaluate_cells = scalar_evaluate_cells
+    try:
+        yield
+    finally:
+        fig04.evaluate_cells, fig06.evaluate_cells = saved
+
+
+def round_spread(rounds: list[float]) -> tuple[float, float]:
+    """(median, interquartile range) of the per-round ratios."""
+    q1, median, q3 = statistics.quantiles(rounds, n=4, method="inclusive")
+    return median, q3 - q1
 
 
 def micro_models():
@@ -80,7 +108,7 @@ def run_micro(device) -> dict:
 
     def scalar_pass():
         ctx = SimulationContext(device, check_memory=False)
-        return [ctx.run(m, check_memory=False) for m in models]
+        return scalar_evaluate_cells(ctx, models, check_memory=False)
 
     def batched_pass():
         ctx = SimulationContext(device, check_memory=False)
@@ -110,8 +138,11 @@ def run_micro(device) -> dict:
         scalar_s = min(scalar_s, round_scalar_s)
         batched_s = min(batched_s, round_batched_s)
     speedup = max(rounds)
+    median, iqr = round_spread(rounds)
 
     for i, (ref, out) in enumerate(zip(scalar, batched)):
+        if isinstance(ref, Exception):
+            raise AssertionError(f"candidate {i} failed in the oracle: {ref!r}")
         if isinstance(out, Exception):
             raise AssertionError(f"candidate {i} failed in the batch: {out!r}")
         if out != ref:
@@ -129,6 +160,8 @@ def run_micro(device) -> dict:
         "batched_cand_per_s": n / batched_s if batched_s else float("inf"),
         "round_speedups": rounds,
         "speedup": speedup,
+        "speedup_median": median,
+        "speedup_iqr": iqr,
     }
 
 
@@ -153,11 +186,8 @@ def run_end_to_end(device, jobs) -> dict:
     jobs_n = resolve_jobs(jobs)
 
     def scalar_pass():
-        prev = set_batched_eval(False)
-        try:
+        with scalar_figures():
             return _figure_renders(device, jobs=1)
-        finally:
-            set_batched_eval(prev)
 
     def serial_pass():
         return _figure_renders(device, jobs=1)
@@ -188,6 +218,7 @@ def run_end_to_end(device, jobs) -> dict:
         scalar_s = min(scalar_s, round_scalar_s)
         serial_s = min(serial_s, round_serial_s)
     serial_speedup = max(rounds)
+    serial_median, serial_iqr = round_spread(rounds)
 
     # Warm-pool pass (the pool itself was spawned by the untimed pass).
     t0 = time.perf_counter()
@@ -217,6 +248,8 @@ def run_end_to_end(device, jobs) -> dict:
         "warm_s": warm_s,
         "round_serial_speedups": rounds,
         "serial_speedup": serial_speedup,
+        "serial_speedup_median": serial_median,
+        "serial_speedup_iqr": serial_iqr,
         "speedup": scalar_s / pool_s if pool_s else float("inf"),
         "warm_speedup": scalar_s / warm_s if warm_s else float("inf"),
         "identical": True,
@@ -253,7 +286,8 @@ def main(argv=None) -> int:
     print(
         f"micro ({m['candidates']} candidates): "
         f"scalar {m['scalar_cand_per_s']:.0f}/s, "
-        f"batched {m['batched_cand_per_s']:.0f}/s -> {m['speedup']:.1f}x, "
+        f"batched {m['batched_cand_per_s']:.0f}/s -> {m['speedup']:.1f}x "
+        f"(median {m['speedup_median']:.1f}x, IQR {m['speedup_iqr']:.2f}), "
         f"stats identical"
     )
 
@@ -266,7 +300,8 @@ def main(argv=None) -> int:
         print(
             f"end-to-end ({', '.join(e['figures'])}): "
             f"scalar {e['scalar_s']:.3f}s, memoized serial "
-            f"{e['batched_serial_s']:.3f}s ({e['serial_speedup']:.1f}x), "
+            f"{e['batched_serial_s']:.3f}s ({e['serial_speedup']:.2f}x; median "
+            f"{e['serial_speedup_median']:.2f}x, IQR {e['serial_speedup_iqr']:.2f}), "
             f"warm pool --jobs {e['jobs']} {e['batched_s']:.3f}s, "
             f"warm context {e['warm_s']:.3f}s ({e['warm_speedup']:.1f}x), "
             f"tables identical"

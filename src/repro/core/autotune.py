@@ -15,11 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..gpusim.batch import batched_eval_enabled
 from ..gpusim.device import DeviceSpec
 from ..gpusim.engine import SimulationEngine
 from ..gpusim.exec import evaluate_cells, map_chunks
-from ..gpusim.parallel import parallel_map
 from ..gpusim.session import SimulationContext, default_context
 from ..gpusim.timing import KernelStats
 from ..layers.base import PoolSpec
@@ -101,15 +99,6 @@ def autotune_pooling(
         time_ms=best_t,
         baseline_ms=baseline,
         evaluations=tuple(trace),
-    )
-
-
-def _tune_task(
-    context: SimulationContext, task: tuple[PoolSpec, int, int]
-) -> TuneResult:
-    spec, max_factor, initial = task
-    return autotune_pooling(
-        context.device, spec, max_factor=max_factor, initial=initial, context=context
     )
 
 
@@ -224,6 +213,4 @@ def autotune_pooling_many(
     """
     ctx = context or default_context(device)
     tasks = [(spec, max_factor, initial) for spec in specs]
-    if batched_eval_enabled():
-        return map_chunks(_tune_chunk, tasks, ctx, jobs=jobs)
-    return parallel_map(_tune_task, tasks, ctx, jobs=jobs)
+    return map_chunks(_tune_chunk, tasks, ctx, jobs=jobs)

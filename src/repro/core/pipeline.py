@@ -8,7 +8,8 @@ ordered passes over a :class:`repro.ir.Graph`:
 2. ``AssignLayouts``        — the (Ct, Nt) heuristic and the optimal
    search.  On chains these are *exact ports* of the legacy planner (the
    run-flattening fine-tune and the (layer, layout) DP, tie-breaks
-   included), so the pipeline is plan-identical to it; on DAGs the same
+   included), so the pipeline is plan-identical to it (the frozen plans in
+   ``tests/core/golden/plans.json`` pin this); on DAGs the same
    trade-off generalizes to per-edge transform costs, solved by
    preference seeding plus coordinate-descent local search started from
    every uniform-layout assignment (so the result is never worse than any
@@ -38,7 +39,6 @@ from dataclasses import dataclass, field, replace
 from math import prod
 from typing import Callable, Sequence
 
-from ..gpusim.batch import batched_eval_enabled
 from ..gpusim.device import DeviceSpec
 from ..gpusim.engine import SimulationEngine
 from ..gpusim.exec import evaluate_cells, map_chunks
@@ -120,8 +120,8 @@ class PassContext:
     options: PipelineOptions
     engine: SimulationEngine
     costs: dict[str, _LayerCosts] = field(default_factory=dict)
-    #: batched per-edge transform costs (populated by ``AssignLayouts``
-    #: when batched evaluation is enabled; ``None`` → scalar queries)
+    #: batched per-edge transform costs (populated by ``AssignLayouts``;
+    #: ``None`` → scalar queries for passes run without it)
     edge_costs: "TransformCostTable | None" = None
 
 
@@ -309,8 +309,9 @@ class TransformCostTable:
     vectorized evaluation.  ``edge_ms`` is then a dict probe.  A query
     outside the precomputed set (e.g. a pass relabeling to an exotic
     layout) falls back to the scalar :func:`transform_time_ms` and is
-    memoized, so the table answers exactly what the scalar path would:
-    plans are byte-identical with batching on or off.
+    memoized, so the table answers exactly what
+    :func:`edge_transform_ms` would: plans are byte-identical to pricing
+    every edge with it.
     """
 
     def __init__(self, device: DeviceSpec) -> None:
@@ -344,7 +345,7 @@ class TransformCostTable:
                             TensorDesc(*dims, layout=src_l), dst_l, method="auto"
                         )
         if pending:
-            # The scalar path prices transforms on the device's default
+            # transform_time_ms prices transforms on the device's default
             # context; the memoized batch does the same so cache/metrics
             # accounting lands in the same place — and repeat plannings of
             # the same shapes skip the analytic stack entirely.
@@ -530,11 +531,10 @@ class AssignLayouts(Pass):
             )
             for node in graph
         }
-        if batched_eval_enabled():
-            ctx.edge_costs = TransformCostTable(ctx.device)
-            self.stats["edge_kernels_batched"] = ctx.edge_costs.precompute(
-                graph, opts.layouts, jobs=opts.jobs
-            )
+        ctx.edge_costs = TransformCostTable(ctx.device)
+        self.stats["edge_kernels_batched"] = ctx.edge_costs.precompute(
+            graph, opts.layouts, jobs=opts.jobs
+        )
         if opts.strategy == "single":
             if opts.single_layout is None:
                 raise ValueError("strategy 'single' needs single_layout")

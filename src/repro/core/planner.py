@@ -16,12 +16,13 @@ Two planners are provided:
   exhaustive version of the same trade-off.  Used in tests to prove the
   heuristic plan is near-optimal and in the ``Opt`` whole-network scheme.
 
-Both public planners are now thin compatibility wrappers over the pass
+Both public planners are thin compatibility wrappers over the pass
 pipeline (``repro.core.pipeline``), which generalizes the same algorithms
 from chains to DAGs; prefer :func:`repro.core.pipeline.run_pipeline` in
-new code.  The original chain implementations are retained as
-``_legacy_plan_with_heuristic``/``_legacy_plan_optimal`` so the golden
-equivalence tests can prove the pipeline reproduces them exactly.
+new code.  The plans of the original chain-only implementations are
+frozen in ``tests/core/golden/plans.json``, and the golden tests hold the
+pipeline to them.  :func:`plan_single_layout` still prices its fixed-layout
+chain here directly.
 """
 
 from __future__ import annotations
@@ -38,12 +39,7 @@ from ..tensors.layout import CHWN, NCHW, DataLayout
 from ..tensors.tensor import TensorDesc
 from ..tensors.transform_kernels import transform_time_ms
 from .autotune import autotune_pooling
-from .heuristic import (
-    LayoutThresholds,
-    preferred_conv_layout,
-    preferred_pool_layout,
-    thresholds_for,
-)
+from .heuristic import LayoutThresholds
 from .selector import best_conv_for_layout
 
 PLAN_LAYOUTS: tuple[DataLayout, ...] = (CHWN, NCHW)
@@ -284,9 +280,14 @@ def plan_with_heuristic(
     """The paper's mechanism: per-layer (Ct, Nt) rules + transform-cost
     fine-tuning.
 
+    After the per-layer preferences are set, each *maximal run* of layers
+    whose preference differs from its surroundings is kept only if its
+    benefit exceeds the two transforms it would cost (this is what keeps
+    tiny first-layer convolutions like CV9 in the surrounding layout).
+
     Compatibility wrapper: lowers the chain to the graph IR and runs the
-    pass pipeline (``AssignLayouts`` replays the exact algorithm below).
-    Prefer :func:`repro.core.pipeline.run_pipeline` in new code.
+    pass pipeline (``AssignLayouts`` runs the fine-tune).  Prefer
+    :func:`repro.core.pipeline.run_pipeline` in new code.
     """
     from ..ir.build import graph_from_plan_nodes
     from .pipeline import PipelineOptions, run_pipeline
@@ -299,72 +300,6 @@ def plan_with_heuristic(
     )
     graph = graph_from_plan_nodes(list(nodes))
     return run_pipeline(device, graph, options, context=context).plan
-
-
-def _legacy_plan_with_heuristic(
-    device: DeviceSpec,
-    nodes: list[PlanNode],
-    thresholds: LayoutThresholds | None = None,
-    tune_pooling: bool = True,
-    allow_fft: bool = True,
-    context: SimulationContext | None = None,
-) -> LayoutPlan:
-    """The original chain-only implementation, kept verbatim as the golden
-    reference the pipeline equivalence tests compare against.
-
-    After the per-layer preferences are set, each *maximal run* of layers
-    whose preference differs from its surroundings is kept only if its
-    benefit exceeds the two transforms it would cost (this is what keeps
-    tiny first-layer convolutions like CV9 in the surrounding layout).
-    """
-    thresholds = thresholds or thresholds_for(device)
-    costs = _build_costs(device, nodes, tune_pooling, allow_fft, context=context)
-
-    preferred: list[DataLayout] = []
-    for node in nodes:
-        if node.kind is NodeKind.CONV:
-            assert isinstance(node.spec, ConvSpec)
-            preferred.append(preferred_conv_layout(node.spec, thresholds))
-        elif node.kind is NodeKind.POOL:
-            assert isinstance(node.spec, PoolSpec)
-            preferred.append(preferred_pool_layout(node.spec))
-        else:
-            preferred.append(preferred[-1] if preferred else CHWN)
-
-    # Fine-tune: flatten a run of same-preference layers into a neighbouring
-    # layout when the run's benefit does not pay for its boundary transforms.
-    layouts = list(preferred)
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(layouts):
-            j = i
-            while j < len(layouts) and layouts[j] == layouts[i]:
-                j += 1
-            current = layouts[i]
-            prev_l = layouts[i - 1] if i > 0 else None
-            next_l = layouts[j] if j < len(layouts) else None
-            alt = prev_l if (prev_l is not None and prev_l != current) else (
-                next_l if (next_l is not None and next_l != current) else None
-            )
-            if alt is not None:
-                keep_cost = sum(costs[k].cost(current) for k in range(i, j))
-                if prev_l is not None and prev_l != current:
-                    keep_cost += _transform_ms(device, nodes[i], prev_l, current)
-                if next_l is not None and next_l != current:
-                    keep_cost += _transform_ms(device, nodes[j], current, next_l)
-                flat_cost = sum(costs[k].cost(alt) for k in range(i, j))
-                if prev_l is not None and prev_l != alt:
-                    flat_cost += _transform_ms(device, nodes[i], prev_l, alt)
-                if next_l is not None and next_l != alt:
-                    flat_cost += _transform_ms(device, nodes[j], alt, next_l)
-                if flat_cost < keep_cost:
-                    for k in range(i, j):
-                        layouts[k] = alt
-                    changed = True
-            i = j
-    return _assemble(device, nodes, costs, layouts, "heuristic")
 
 
 def plan_optimal(
@@ -383,7 +318,7 @@ def plan_optimal(
     convolution implementation family.
 
     Compatibility wrapper over the pass pipeline (``AssignLayouts`` runs
-    the exact DP below on chains and generalizes it to DAGs).  Prefer
+    the DP on chains and generalizes it to DAGs).  Prefer
     :func:`repro.core.pipeline.run_pipeline` in new code.
     """
     if not layouts:
@@ -399,42 +334,3 @@ def plan_optimal(
     )
     graph = graph_from_plan_nodes(list(nodes))
     return run_pipeline(device, graph, options, context=context).plan
-
-
-def _legacy_plan_optimal(
-    device: DeviceSpec,
-    nodes: list[PlanNode],
-    tune_pooling: bool = True,
-    allow_fft: bool = True,
-    layouts: tuple[DataLayout, ...] = PLAN_LAYOUTS,
-    context: SimulationContext | None = None,
-) -> LayoutPlan:
-    """The original chain-only DP, kept verbatim as the golden reference
-    the pipeline equivalence tests compare against."""
-    if not layouts:
-        raise ValueError("need at least one candidate layout")
-    costs = _build_costs(device, nodes, tune_pooling, allow_fft, layouts, context)
-    n = len(nodes)
-    if n == 0:
-        return LayoutPlan(steps=(), device=device.name, strategy="optimal")
-
-    best: list[dict[str, float]] = [dict() for _ in range(n)]
-    back: list[dict[str, str]] = [dict() for _ in range(n)]
-    for layout in layouts:
-        best[0][str(layout)] = costs[0].cost(layout)
-    for i in range(1, n):
-        for layout in layouts:
-            options = []
-            for prev in layouts:
-                t = _transform_ms(device, nodes[i], prev, layout)
-                options.append((best[i - 1][str(prev)] + t + costs[i].cost(layout), str(prev)))
-            cost, prev_key = min(options)
-            best[i][str(layout)] = cost
-            back[i][str(layout)] = prev_key
-
-    final = min(layouts, key=lambda lo: best[n - 1][str(lo)])
-    layouts = [final]
-    for i in range(n - 1, 0, -1):
-        layouts.append(DataLayout(back[i][str(layouts[-1])]))
-    layouts.reverse()
-    return _assemble(device, nodes, costs, layouts, "optimal")

@@ -11,20 +11,15 @@ as :class:`KernelModel` objects and asks :class:`SimulationEngine` for time.
 from .batch import (
     CandidateBatch,
     EvalSpec,
-    batched_eval_enabled,
     evaluate_batch,
     evaluate_models,
     evaluate_specs,
     launch_invalid_mask,
-    set_batched_eval,
 )
 from .cache import (
     CacheStats,
     SetAssociativeCache,
     cache_sim_snapshot,
-    min_round_sets,
-    set_fast_path,
-    set_min_round_sets,
     unique_line_hits,
 )
 from .coalescing import (
@@ -54,6 +49,7 @@ from .exec import (
     evaluate_cells,
     map_chunks,
     pool_workers,
+    resolve_jobs,
     shutdown_pool,
 )
 from .session import (
@@ -65,7 +61,6 @@ from .session import (
     structural_key,
 )
 from .kernel import ComposedKernel, KernelModel, LaunchConfig, MemoryProfile
-from .parallel import chunk_items, parallel_map, resolve_jobs
 from .occupancy import (
     LaunchValidationError,
     LaunchViolation,
@@ -137,10 +132,8 @@ __all__ = [
     "analyze_trace",
     "adaptive_chunk_size",
     "analyze_warps",
-    "batched_eval_enabled",
     "cache_sim_snapshot",
     "check_launch",
-    "chunk_items",
     "comparison_table",
     "compute_occupancy",
     "conflict_degree",
@@ -157,8 +150,6 @@ __all__ = [
     "list_devices",
     "map_chunks",
     "memory_service_time",
-    "min_round_sets",
-    "parallel_map",
     "pool_workers",
     "reference_analyze_row_locality",
     "register_device",
@@ -166,9 +157,6 @@ __all__ = [
     "reset_default_contexts",
     "roofline_point",
     "sample_indices",
-    "set_batched_eval",
-    "set_fast_path",
-    "set_min_round_sets",
     "shutdown_pool",
     "simulate",
     "structural_key",

@@ -18,9 +18,9 @@ This module is that batched evaluator:
 * :func:`evaluate_batch` — vectorized occupancy, latency hiding, DRAM
   service times, and the roofline/timing combination over the whole table;
 * :func:`evaluate_models` — the consumer entry point: expands composed
-  kernels, captures per-candidate OOM/validation failures as in-slot error
-  values, and falls back to the scalar ``context.run`` loop when batching
-  is disabled (:func:`set_batched_eval`).
+  kernels and captures per-candidate OOM/validation failures as in-slot
+  error values.  Nested composed kernels take :func:`_scalar_eval`, the
+  one-model ``context.run`` evaluation that is also the tests' oracle.
 
 **Bit-identity contract** (same as the L2 fast path, see
 ``docs/PERFORMANCE.md``): every arithmetic expression below mirrors the
@@ -63,15 +63,11 @@ if TYPE_CHECKING:
 __all__ = [
     "CandidateBatch",
     "EvalSpec",
-    "batched_eval_enabled",
     "evaluate_batch",
     "evaluate_models",
     "evaluate_specs",
     "launch_invalid_mask",
-    "set_batched_eval",
 ]
-
-_BATCHED_DEFAULT = True
 
 #: occupancy limiter names, in the scalar ``limits`` dict insertion order
 #: (plus the warps cap applied after the argmin)
@@ -85,24 +81,6 @@ _BOUNDS = _MEM_LIMITERS + ("compute", "launch_overhead")
 #: does not use never win the argmin, matching the scalar path's omission
 #: of those dict entries
 _NO_LIMIT = np.iinfo(np.int64).max
-
-
-def set_batched_eval(enabled: bool) -> bool:
-    """Select whether :func:`evaluate_models` vectorizes or runs scalar.
-
-    Returns the previous setting (mirroring
-    :func:`~repro.gpusim.cache.set_fast_path`).  Benchmarks and the golden
-    tests flip this to compare both paths on identical inputs.
-    """
-    global _BATCHED_DEFAULT
-    previous = _BATCHED_DEFAULT
-    _BATCHED_DEFAULT = bool(enabled)
-    return previous
-
-
-def batched_eval_enabled() -> bool:
-    """Whether :func:`evaluate_models` currently takes the batched path."""
-    return _BATCHED_DEFAULT
 
 
 class EvalSpec(NamedTuple):
@@ -473,17 +451,14 @@ def evaluate_models(
     ``LaunchValidationError``), so grid consumers keep their per-candidate
     error handling.  Composed kernels expand one level into the flat
     candidate table and collapse through the same ``SequenceStats`` fold as
-    the scalar path.  With batching disabled (:func:`set_batched_eval`)
-    every slot is served by the scalar loop instead — consumers call this
-    unconditionally and get bit-identical values either way.
+    the scalar path, so every slot is bit-identical to what
+    :func:`_scalar_eval` returns for that model.
     """
     from .session import SequenceStats, _collapse_sequence
 
     models = list(models)
     if not models:
         return []
-    if not _BATCHED_DEFAULT:
-        return [_scalar_eval(context, m, check_memory) for m in models]
 
     device = context.device
     results: "list[KernelStats | Exception | None]" = [None] * len(models)

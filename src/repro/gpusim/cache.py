@@ -13,11 +13,12 @@ Two implementations share one state representation:
 
 * :meth:`SetAssociativeCache.reference_access_stream` — the scalar
   per-address replay.  LRU is inherently sequential, so this loop is the
-  ground truth, kept readable and used to validate the fast path.
-* :meth:`SetAssociativeCache.access_stream` — the vectorized fast path.
-  Cache sets are independent, so the stream is partitioned by set (one
-  stable argsort) and each set's subsequence is resolved by the cheapest
-  applicable method:
+  ground truth: it serves streams of at most 32 addresses, and the tests
+  and ``bench_simulator_perf.py`` hold the fast path to it.
+* :meth:`SetAssociativeCache.access_stream` — the vectorized fast path and
+  the only replay the simulator calls.  Cache sets are independent, so
+  the stream is partitioned by set (one stable argsort) and each set's
+  subsequence is resolved by the cheapest applicable method:
 
   1. **closed form** — when a set's working set (distinct new lines plus
      already-valid ways) fits in the associativity, nothing is ever
@@ -49,11 +50,9 @@ from .device import DeviceSpec
 #: Below this many still-active sets, set-parallel rounds stop paying for
 #: themselves (each round costs ~a dozen numpy calls) and the scalar tail
 #: wins.  Purely a performance knob: the two sides of the cutoff maintain
-#: bit-identical cache state, so any value is correct (see
-#: :func:`set_min_round_sets`).
+#: bit-identical cache state, so any value is correct (0 disables the
+#: tail; a very large value replays everything through it).
 MIN_ROUND_SETS = 24
-
-_FAST_PATH_DEFAULT = True
 
 #: Sorts below every real LRU stamp (stamps are >= 0): marks hit ways in the
 #: fused round probe of :meth:`SetAssociativeCache._replay_open`.
@@ -65,50 +64,6 @@ _SENTINEL = np.int64(np.iinfo(np.int64).min)
 #: share of simulation time per session.
 _SIM_CALLS = 0
 _SIM_WALL_S = 0.0
-
-
-def set_min_round_sets(threshold: int) -> int:
-    """Set the round→scalar-tail cutoff; returns the previous value.
-
-    ``access_stream`` switches from set-parallel rounds to the scalar
-    per-set tail once fewer than ``threshold`` sets remain active.  The
-    cutoff only trades numpy dispatch overhead against loop iterations —
-    both sides produce bit-identical cache state (asserted by
-    ``tests/gpusim/test_cache_equivalence.py``), so tuning it can never
-    change simulated results.  ``0`` disables the tail entirely;
-    a very large value replays everything through the scalar tail.
-    """
-    global MIN_ROUND_SETS
-    if threshold < 0:
-        raise ValueError("min_round_sets threshold must be >= 0")
-    previous = MIN_ROUND_SETS
-    MIN_ROUND_SETS = int(threshold)
-    return previous
-
-
-def min_round_sets() -> int:
-    """The current round→scalar-tail cutoff (see :func:`set_min_round_sets`)."""
-    return MIN_ROUND_SETS
-
-
-def set_fast_path(enabled: bool) -> bool:
-    """Select the default ``access_stream`` implementation for new calls.
-
-    Returns the previous setting.  Benchmarks flip this to time the scalar
-    reference against the vectorized path on identical inputs; individual
-    caches may also be constructed with an explicit ``fast_path=``.
-    """
-    global _FAST_PATH_DEFAULT
-    previous = _FAST_PATH_DEFAULT
-    _FAST_PATH_DEFAULT = bool(enabled)
-    return previous
-
-
-def fast_path_enabled() -> bool:
-    """The current default ``access_stream`` implementation choice (the
-    warm worker pool ships this to reused workers, whose forked module
-    state may predate a toggle flip in the parent)."""
-    return _FAST_PATH_DEFAULT
 
 
 def cache_sim_snapshot() -> tuple[int, float]:
@@ -138,9 +93,7 @@ class SetAssociativeCache:
 
     Implemented with NumPy arrays (tags + LRU timestamps) so that large
     address streams stay fast.  Addresses are byte addresses; the line size
-    and geometry come from the device spec by default.  ``fast_path``
-    pins this instance to the vectorized (True) or scalar reference (False)
-    replay; None defers to the module default (see :func:`set_fast_path`).
+    and geometry come from the device spec by default.
     """
 
     def __init__(
@@ -148,7 +101,6 @@ class SetAssociativeCache:
         capacity_bytes: int,
         line_bytes: int = 32,
         assoc: int = 16,
-        fast_path: bool | None = None,
     ) -> None:
         if capacity_bytes <= 0 or line_bytes <= 0 or assoc <= 0:
             raise ValueError("cache geometry must be positive")
@@ -158,20 +110,15 @@ class SetAssociativeCache:
         self.line_bytes = line_bytes
         self.assoc = assoc
         self.n_sets = capacity_bytes // (line_bytes * assoc)
-        self.fast_path = fast_path
         self._tags = np.full((self.n_sets, assoc), -1, dtype=np.int64)
         self._stamp = np.zeros((self.n_sets, assoc), dtype=np.int64)
         self._clock = 0
         self.stats = CacheStats()
 
     @classmethod
-    def l2_for(
-        cls, device: DeviceSpec, fast_path: bool | None = None
-    ) -> "SetAssociativeCache":
+    def l2_for(cls, device: DeviceSpec) -> "SetAssociativeCache":
         """Build the L2 cache described by a device spec."""
-        return cls(
-            device.l2_bytes, device.l2_line_bytes, device.l2_assoc, fast_path
-        )
+        return cls(device.l2_bytes, device.l2_line_bytes, device.l2_assoc)
 
     def reset(self) -> None:
         """Invalidate all lines and zero the counters."""
@@ -220,14 +167,10 @@ class SetAssociativeCache:
     def access_stream(self, addresses: np.ndarray) -> np.ndarray:
         """Access a sequence of byte addresses in order; return the hit mask.
 
-        Dispatches to the vectorized fast path unless this cache (or the
-        module default, see :func:`set_fast_path`) selects the scalar
-        reference.  Both produce identical hit masks, counters, and final
-        tag/stamp state.
+        The vectorized fast path; streams of at most 32 addresses take
+        :meth:`reference_access_stream` instead.  Both produce identical
+        hit masks, counters, and final tag/stamp state.
         """
-        enabled = self.fast_path if self.fast_path is not None else _FAST_PATH_DEFAULT
-        if not enabled:
-            return self.reference_access_stream(addresses)
         t0 = time.perf_counter()
         addr = self._prepare(addresses)
         if addr.size <= 32:  # partition overhead beats the tiny scalar loop

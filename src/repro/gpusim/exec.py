@@ -1,16 +1,10 @@
 """Sweep execution engine: memoized, fused, warm-pooled grid evaluation.
 
-PR 9's batched evaluator made a *single* candidate grid ~5x cheaper per
-candidate, yet end-to-end sweep and figure builds barely moved (and lost
-outright with ``--jobs`` on a small box): the costs that real workloads
-amortize — repeated (kernel, device) cells across grids, per-call batch
-assembly, a fork-per-call worker pool — all sat *between* the grid
-producers and the evaluator.  This module is that missing layer.  It sits
-between the grid producers (:mod:`repro.analysis.sweeps`,
-:mod:`repro.core.calibration`, :mod:`repro.core.autotune`, the figure
+This is the one runtime path between the grid producers
+(:mod:`repro.analysis.sweeps`, :mod:`repro.core.calibration`,
+:mod:`repro.core.autotune`, the pipeline's transform pricing, the figure
 drivers) and the evaluators (:mod:`repro.gpusim.batch`,
-:mod:`repro.gpusim.session`, :mod:`repro.gpusim.parallel`), in three
-layers:
+:mod:`repro.gpusim.session`).  It has three layers:
 
 * **cross-grid memoization** — :func:`evaluate_cells` consults the
   session's structural timing cache (the same
@@ -25,25 +19,26 @@ layers:
   *one* :class:`~repro.gpusim.batch.CandidateBatch` for the whole grid
   (``evaluate_models`` keeps its composed-kernel expansion and in-slot
   error semantics), instead of paying batch setup per producer-side chunk.
-* **a persistent warm worker pool** — :func:`map_chunks` replaces
-  fork-per-call ``parallel_map`` fan-out with a process pool that is
-  created once, keeps a warm per-worker
+* **a persistent warm worker pool** — :func:`map_chunks` hands each
+  producer chunk of cells to one call of the producer's chunk function:
+  serially that is one call over the whole grid; with ``--jobs`` the
+  chunks go to a process pool that is created once, keeps a warm per-worker
   :class:`~repro.gpusim.session.SimulationContext` per (device, OOM mode)
   across submissions, ships only cache *deltas* home
   (:meth:`SimulationContext.export_delta` → :meth:`absorb`), and sizes
-  chunks adaptively from the measured per-cell cost instead of a fixed
-  split.
+  chunks adaptively from the measured per-cell cost.
 
-Everything stays byte-identical to the scalar golden path: cached values
-are bit-identical to freshly-computed ones by the PR 4/9 equivalence
-contract, results are reassembled in submission order, and a warm worker
-computes exactly what a cold one would.  The ``--jobs`` knob remains a
-pure wall-clock knob.
+Everything stays byte-identical to the scalar model
+(:meth:`SimulationContext.run`, the tests' oracle): cached values are
+bit-identical to freshly-computed ones by the equivalence contract, results
+are reassembled in submission order, and a warm worker computes exactly
+what a cold one would.  The ``--jobs`` knob (:func:`resolve_jobs`) remains
+a pure wall-clock knob.
 
 Instrumentation (``repro.obs``): ``exec.cache.{hit,miss,dedup,error_hit}``
 counters, the ``exec.batch.size`` histogram, ``exec.pool.{reuse,chunks}``
 counters, one ``exec`` span per grid, and ``exec.jobs.clamped`` from
-:func:`~repro.gpusim.parallel.resolve_jobs`.
+:func:`resolve_jobs`.
 
 Metric *counts* can differ between a memoized and a cold run (that is the
 point); every value derived from kernel stats is identical.
@@ -68,12 +63,10 @@ from ..obs.tracer import (
     span as obs_span,
     uninstall_tracer,
 )
-from .cache import fast_path_enabled, min_round_sets, set_fast_path, set_min_round_sets
-from .batch import batched_eval_enabled, evaluate_models, set_batched_eval
+from .batch import evaluate_models
 from .device import DeviceSpec
 from .engine import GpuOutOfMemoryError
 from .kernel import ComposedKernel, KernelModel
-from .parallel import DEFAULT_MIN_CHUNK, resolve_jobs
 from .session import SimStats, SimulationContext, _kind_of, structural_key
 from .timing import KernelStats
 
@@ -85,6 +78,7 @@ __all__ = [
     "evaluate_cells",
     "map_chunks",
     "pool_workers",
+    "resolve_jobs",
     "shutdown_pool",
 ]
 
@@ -171,9 +165,7 @@ def evaluate_cells(
       order and multiplicity.
 
     Misses are evaluated in one fused batch and folded back into the
-    context cache, so later grids — and the scalar path — reuse them.
-    With batching disabled this delegates to the scalar loop, which
-    already consults the same cache via ``context.run``.
+    context cache, so later grids — and ``context.run`` — reuse them.
 
     The memory-fit check stays *outside* the memo, mirroring the scalar
     order (``_check_fit`` runs before the cache lookup in
@@ -185,8 +177,6 @@ def evaluate_cells(
     models = list(models)
     if not models:
         return []
-    if not batched_eval_enabled():
-        return evaluate_models(context, models, check_memory)
 
     device = context.device
     fit_enabled = context.check_memory if check_memory is None else check_memory
@@ -259,8 +249,41 @@ def evaluate_cells(
 
 
 # ---------------------------------------------------------------------------
-# Adaptive chunk sizing
+# Worker count and adaptive chunk sizing
 # ---------------------------------------------------------------------------
+
+#: Smallest default chunk: a pool submission costs a result pickle
+#: round-trip, so shipping fewer cells than this loses to evaluating them
+#: in an existing chunk (singleton chunks on small grids were pure IPC).
+DEFAULT_MIN_CHUNK = 4
+
+
+def resolve_jobs(jobs: int | str | None) -> int:
+    """Normalize a ``--jobs`` value: None/0/1 mean serial, ``"auto"`` and
+    negative values mean one worker per available CPU.
+
+    Requests beyond ``os.cpu_count()`` clamp to the CPU count — the
+    simulation is pure CPU work, so oversubscribing only adds process
+    spawn and scheduling overhead (``--jobs 4`` on a 1-CPU box once *lost*
+    35% end to end).  A clamp bumps the ``exec.jobs.clamped`` counter so
+    ``--metrics`` surfaces it.
+    """
+    cpus = os.cpu_count() or 1
+    if jobs is None:
+        return 1
+    if isinstance(jobs, str):
+        if jobs.strip().lower() == "auto":
+            return cpus
+        jobs = int(jobs)
+    if jobs == 0:
+        return 1
+    if jobs < 0:
+        return cpus
+    if jobs > cpus:
+        global_registry().counter("exec.jobs.clamped").inc()
+        return cpus
+    return jobs
+
 
 #: Aim each shipped chunk at roughly this much worker wall time: large
 #: enough to amortize the pickle round-trip, small enough that expensive
@@ -298,7 +321,7 @@ def adaptive_chunk_size(
     measured per-cell cost when one is available: cells expensive enough
     that :data:`TARGET_CHUNK_S` holds fewer of them get *smaller* chunks
     (more of them than workers), so a straggler chunk cannot serialize the
-    grid.  Never below :data:`~repro.gpusim.parallel.DEFAULT_MIN_CHUNK`
+    grid.  Never below :data:`DEFAULT_MIN_CHUNK`
     (or the grid size, if smaller) — singleton chunks are pure IPC.
     """
     if n <= 0:
@@ -316,14 +339,6 @@ def adaptive_chunk_size(
 
 _POOL: ProcessPoolExecutor | None = None
 _POOL_WORKERS = 0
-
-#: module-level toggles a warm (forked-earlier) worker must re-apply per
-#: submission: the parent may have flipped them after the pool was born
-_Toggles = tuple[bool, bool, int]
-
-
-def _current_toggles() -> _Toggles:
-    return (batched_eval_enabled(), fast_path_enabled(), min_round_sets())
 
 
 def _get_pool(workers: int) -> ProcessPoolExecutor:
@@ -378,7 +393,6 @@ def _warm_chunk(
     fn: ChunkFn,
     chunk: list,
     trace: bool,
-    toggles: _Toggles,
 ) -> ChunkShipment:
     """Worker body: run one chunk against the warm per-process context.
 
@@ -387,11 +401,6 @@ def _warm_chunk(
     shipment covers exactly one submission, and only cache entries newer
     than the last shipment travel home.
     """
-    batched, fast_path, rounds = toggles
-    set_batched_eval(batched)
-    set_fast_path(fast_path)
-    set_min_round_sets(rounds)
-
     key = (device, check_memory)
     ctx = _WORKER_CONTEXTS.get(key)
     reused = ctx is not None
@@ -486,7 +495,6 @@ def map_chunks(
                     fn,
                     chunk,
                     tracer is not None,
-                    _current_toggles(),
                 )
                 for chunk in chunks
             ]

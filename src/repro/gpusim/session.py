@@ -493,15 +493,6 @@ class SimulationContext:
             self._cache[key] = stats
             self.metrics.gauge("sim.cache.entries").set(len(self._cache))
 
-    def export_state(self) -> tuple[dict[str, KernelStats], SimStats]:
-        """(timing-cache entries, counters) — what a worker ships back.
-
-        Both halves are plain picklable dataclass containers, so a parallel
-        executor can return them across a process boundary and fold them
-        into the parent with :meth:`absorb`.
-        """
-        return dict(self._cache), self.stats
-
     def export_delta(self, since: int = 0) -> dict[str, KernelStats]:
         """Timing-cache entries added after the first ``since`` insertions.
 

@@ -9,7 +9,7 @@ processes can ship theirs back across a process boundary for
 :meth:`MetricsRegistry.merge` — the same merge-on-join discipline as the
 simulator's structural cache.  The registry that backs a
 :class:`~repro.gpusim.session.SimStats` travels inside it through
-``export_state``/``absorb`` unchanged.
+``absorb`` unchanged.
 
 :func:`aggregate_metrics` assembles the full process picture: the global
 registry plus every registry announced by a provider (the simulation

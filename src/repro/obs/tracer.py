@@ -20,7 +20,7 @@ Timestamps are wall-clock microseconds anchored once per tracer
 (``time.time`` origin advanced by ``time.perf_counter`` deltas), so spans
 recorded by worker processes line up with the parent's on a common axis
 when their streams are folded back with :meth:`Tracer.absorb` — the tracing
-analog of the simulator's ``export_state``/``absorb`` cache merge.
+analog of the simulator's ``export_delta``/``absorb`` cache merge.
 """
 
 from __future__ import annotations

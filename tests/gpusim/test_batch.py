@@ -28,10 +28,9 @@ from repro.gpusim import (
 )
 from repro.gpusim.batch import (
     EvalSpec,
-    batched_eval_enabled,
+    _scalar_eval,
     evaluate_models,
     evaluate_specs,
-    set_batched_eval,
 )
 from repro.gpusim.occupancy import LaunchValidationError
 from repro.layers import DirectConvCHWN, Im2colGemmNCHW, make_pool_kernel
@@ -261,7 +260,9 @@ class TestModelEquivalence:
         for m, ref, o in zip(ms, refs, out):
             _assert_identical(ref, o, m.name)
 
-    def test_disabled_toggle_serves_scalar_path(self):
+    def test_scalar_oracle_matches_batch(self):
+        """``_scalar_eval`` (the per-model fallback for nested composed
+        kernels) fills every slot exactly as the batch does."""
         ms = [
             DirectConvCHWN(replace(CONV_LAYERS["CV7"], n=8)),
             make_pool_kernel(
@@ -273,20 +274,12 @@ class TestModelEquivalence:
             SimulationContext(device, check_memory=False).run(m, check_memory=False)
             for m in ms
         ]
-        prev = set_batched_eval(False)
-        try:
-            assert not batched_eval_enabled()
-            off = evaluate_models(
-                SimulationContext(device, check_memory=False),
-                ms,
-                check_memory=False,
-            )
-        finally:
-            set_batched_eval(prev)
-        on = evaluate_models(
+        ctx = SimulationContext(device, check_memory=False)
+        scalar = [_scalar_eval(ctx, m, check_memory=False) for m in ms]
+        batched = evaluate_models(
             SimulationContext(device, check_memory=False), ms, check_memory=False
         )
-        assert refs == off == on
+        assert refs == scalar == batched
 
     def test_error_slots_match_scalar_exceptions(self):
         """An unlaunchable model occupies its slot with the scalar error

@@ -20,7 +20,7 @@ from repro.gpusim import (
     transaction_stream,
     warps_from_threads,
 )
-from repro.gpusim.cache import min_round_sets, set_fast_path, set_min_round_sets
+from repro.gpusim import cache as cache_module
 
 
 def _state(cache: SetAssociativeCache):
@@ -42,9 +42,10 @@ def _assert_same_state(ref: SetAssociativeCache, fast: SetAssociativeCache):
 
 
 def _pair(capacity, line, assoc):
+    """Two fresh caches: one replayed by the reference, one by the fast path."""
     return (
-        SetAssociativeCache(capacity, line, assoc, fast_path=False),
-        SetAssociativeCache(capacity, line, assoc, fast_path=True),
+        SetAssociativeCache(capacity, line, assoc),
+        SetAssociativeCache(capacity, line, assoc),
     )
 
 
@@ -142,30 +143,6 @@ class TestAdversarial:
         _check_equivalent(addr, 256, 32, 2)
 
 
-class TestFastPathToggle:
-    def test_set_fast_path_returns_previous(self):
-        prev = set_fast_path(False)
-        try:
-            assert set_fast_path(True) is False
-            assert set_fast_path(True) is True
-        finally:
-            set_fast_path(prev)
-
-    def test_default_follows_module_toggle(self):
-        prev = set_fast_path(False)
-        try:
-            addr = np.arange(0, 200 * 32, 32, dtype=np.int64)
-            slow = SetAssociativeCache(1024, 32, 2)
-            set_fast_path(True)
-            fast = SetAssociativeCache(1024, 32, 2)
-            np.testing.assert_array_equal(
-                slow.access_stream(addr), fast.access_stream(addr)
-            )
-            _assert_same_state(slow, fast)
-        finally:
-            set_fast_path(prev)
-
-
 class TestPaddedTraces:
     """Satellite regression: ``warps_from_threads`` pads inactive lanes
     with -1, and the L2 rejects negative addresses — the shared
@@ -221,44 +198,27 @@ class TestMinRoundSetsCutoff:
     """``MIN_ROUND_SETS`` trades vectorized rounds against the scalar
     tail purely for speed — any threshold must replay identically."""
 
-    def test_setter_returns_previous_and_validates(self):
-        prev = set_min_round_sets(0)
-        try:
-            assert set_min_round_sets(100) == 0
-            assert min_round_sets() == 100
-            with pytest.raises(ValueError):
-                set_min_round_sets(-1)
-            assert min_round_sets() == 100  # rejected values don't stick
-        finally:
-            set_min_round_sets(prev)
-
     @pytest.mark.parametrize("threshold", [0, 1, 24, 10_000])
-    def test_any_cutoff_matches_reference(self, threshold):
+    def test_any_cutoff_matches_reference(self, threshold, monkeypatch):
         rng = np.random.default_rng(7)
         addr = rng.integers(0, 64 * 1024, size=4000) // 32 * 32
-        prev = set_min_round_sets(threshold)
-        try:
-            ref, fast = _pair(16 * 1024, 32, 4)
-            h_ref = ref.reference_access_stream(addr)
-            h_fast = fast.access_stream(addr)
-        finally:
-            set_min_round_sets(prev)
+        monkeypatch.setattr(cache_module, "MIN_ROUND_SETS", threshold)
+        ref, fast = _pair(16 * 1024, 32, 4)
+        h_ref = ref.reference_access_stream(addr)
+        h_fast = fast.access_stream(addr)
         np.testing.assert_array_equal(h_ref, h_fast)
         _assert_same_state(ref, fast)
 
-    def test_extremes_agree_with_each_other(self):
+    def test_extremes_agree_with_each_other(self, monkeypatch):
         """All-vectorized (0) and all-scalar-tail (huge) replays of the
         same trace leave byte-identical hits and state."""
         rng = np.random.default_rng(11)
         addr = rng.integers(0, 32 * 1024, size=3000) // 32 * 32
         results = {}
         for threshold in (0, 1_000_000):
-            prev = set_min_round_sets(threshold)
-            try:
-                cache = SetAssociativeCache(8 * 1024, 32, 2, fast_path=True)
-                hits = cache.access_stream(addr)
-            finally:
-                set_min_round_sets(prev)
+            monkeypatch.setattr(cache_module, "MIN_ROUND_SETS", threshold)
+            cache = SetAssociativeCache(8 * 1024, 32, 2)
+            hits = cache.access_stream(addr)
             results[threshold] = (hits, _state(cache))
         h0, s0 = results[0]
         h1, s1 = results[1_000_000]

@@ -1,39 +1,72 @@
 """Batched evaluation is invisible to its consumers.
 
-Every hot consumer threaded through ``evaluate_models`` — the layer
+Every hot consumer threaded through ``evaluate_cells`` — the layer
 sweeps, device calibration, the pooling autotuner, and the layout
-pipeline's transform pricing — must produce byte-identical results with
-batching on and off, serial and with worker fan-out.  These tests pin the
-contract the ``bench_planner_perf`` CI gate also enforces end to end.
+pipeline's transform pricing — must produce byte-identical results to a
+scalar oracle, serial and with worker fan-out.  The oracle is
+:func:`scalar_evaluate_cells`: one ``_scalar_eval`` (``context.run``) per
+model, patched over the consumer module's ``evaluate_cells`` binding and
+run serially on a fresh context.  Pipeline transform prices are held to
+:func:`~repro.core.pipeline.edge_transform_ms` the same way.  These tests
+pin the contract the ``bench_planner_perf`` CI gate also enforces end to
+end.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis import sweeps
 from repro.analysis.sweeps import sweep_conv, sweep_pool
+from repro.core import autotune, calibration, pipeline
 from repro.core.autotune import autotune_pooling_many
 from repro.core.calibration import calibrate
-from repro.core.pipeline import PipelineOptions, plan_network
-from repro.gpusim import TITAN_BLACK, TITAN_X, default_context
-from repro.gpusim.batch import set_batched_eval
+from repro.core.pipeline import PipelineOptions, edge_transform_ms, plan_network
+from repro.gpusim import (
+    TITAN_BLACK,
+    TITAN_X,
+    SimulationContext,
+    default_context,
+    reset_default_contexts,
+)
+from repro.gpusim.batch import _scalar_eval
 from repro.layers.base import PoolSpec
 from repro.networks import CONV_LAYERS, build_network
+from repro.obs.metrics import aggregate_metrics
+
+
+def scalar_evaluate_cells(context, models, check_memory=None):
+    """Scalar oracle for ``evaluate_cells``: no memo probe, no batch."""
+    return [_scalar_eval(context, m, check_memory) for m in models]
+
+
+class ScalarEdgeCosts:
+    """Oracle for ``TransformCostTable``: every edge priced on demand by
+    :func:`edge_transform_ms`, nothing precomputed."""
+
+    def __init__(self, device):
+        self.device = device
+
+    def precompute(self, graph, layouts, jobs=None):
+        return 0
+
+    def edge_ms(self, producer, consumer, src, dst):
+        return edge_transform_ms(self.device, producer, consumer, src, dst)
+
+
+def _oracle(monkeypatch, module, run):
+    """``run(jobs=1)`` with ``module``'s ``evaluate_cells`` replaced by the
+    scalar oracle (serial, so no warm worker sees the patch)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "evaluate_cells", scalar_evaluate_cells)
+        return run(jobs=1)
 
 
 @pytest.fixture(params=[False, True], ids=["scalar", "batched"])
-def batching(request):
-    prev = set_batched_eval(request.param)
-    yield request.param
-    set_batched_eval(prev)
-
-
-def _with_batching(enabled, fn):
-    prev = set_batched_eval(enabled)
-    try:
-        return fn()
-    finally:
-        set_batched_eval(prev)
+def batching(request, monkeypatch):
+    if not request.param:
+        monkeypatch.setattr(sweeps, "evaluate_cells", scalar_evaluate_cells)
+    return request.param
 
 
 POOL_SPECS = [
@@ -43,26 +76,37 @@ POOL_SPECS = [
 
 class TestSweepIdentity:
     @pytest.mark.parametrize("jobs", [1, 4])
-    def test_conv_sweep(self, jobs):
+    def test_conv_sweep(self, jobs, monkeypatch):
         base = CONV_LAYERS["CV3"]
-        run = lambda: sweep_conv(  # noqa: E731
-            TITAN_BLACK, base, "n", (1, 16, 64, 256), jobs=jobs
-        )
-        assert _with_batching(False, run) == _with_batching(True, run)
+
+        def run(jobs):
+            return sweep_conv(
+                TITAN_BLACK, base, "n", (1, 16, 64, 256),
+                context=SimulationContext(TITAN_BLACK), jobs=jobs,
+            )
+
+        assert _oracle(monkeypatch, sweeps, run) == run(jobs)
 
     @pytest.mark.parametrize("jobs", [1, 4])
-    def test_pool_sweep(self, jobs):
-        run = lambda: sweep_pool(  # noqa: E731
-            TITAN_X, POOL_SPECS[0], "c", (8, 32, 96), jobs=jobs
-        )
-        assert _with_batching(False, run) == _with_batching(True, run)
+    def test_pool_sweep(self, jobs, monkeypatch):
+        def run(jobs):
+            return sweep_pool(
+                TITAN_X, POOL_SPECS[0], "c", (8, 32, 96),
+                context=SimulationContext(TITAN_X), jobs=jobs,
+            )
+
+        assert _oracle(monkeypatch, sweeps, run) == run(jobs)
 
 
 class TestCalibrationIdentity:
     @pytest.mark.parametrize("jobs", [1, 4])
-    def test_calibrate(self, jobs):
-        run = lambda: calibrate(TITAN_BLACK, jobs=jobs)  # noqa: E731
-        ref, out = _with_batching(False, run), _with_batching(True, run)
+    def test_calibrate(self, jobs, monkeypatch):
+        def run(jobs):
+            return calibrate(
+                TITAN_BLACK, context=SimulationContext(TITAN_BLACK), jobs=jobs
+            )
+
+        ref, out = _oracle(monkeypatch, calibration, run), run(jobs)
         # profiling_ms is summed *simulated* time, so even it must match
         assert ref == out
         assert ref.thresholds == out.thresholds
@@ -70,11 +114,14 @@ class TestCalibrationIdentity:
 
 class TestAutotuneIdentity:
     @pytest.mark.parametrize("jobs", [1, 4])
-    def test_pooling_many(self, jobs):
-        run = lambda: autotune_pooling_many(  # noqa: E731
-            TITAN_BLACK, POOL_SPECS, jobs=jobs
-        )
-        ref, out = _with_batching(False, run), _with_batching(True, run)
+    def test_pooling_many(self, jobs, monkeypatch):
+        def run(jobs):
+            return autotune_pooling_many(
+                TITAN_BLACK, POOL_SPECS,
+                context=SimulationContext(TITAN_BLACK), jobs=jobs,
+            )
+
+        ref, out = _oracle(monkeypatch, autotune, run), run(jobs)
         # full trace equality: same hill-climb visits in the same order
         assert ref == out
 
@@ -82,29 +129,37 @@ class TestAutotuneIdentity:
 class TestPipelineIdentity:
     @pytest.mark.parametrize("network", ["alexnet", "inception"])
     @pytest.mark.parametrize("strategy", ["heuristic", "optimal"])
-    def test_plan_identity(self, network, strategy):
+    def test_plan_identity(self, network, strategy, monkeypatch):
         net = build_network(network)
         opts = PipelineOptions(strategy=strategy)
 
         def run():
+            # transform prices land on the default context: start it cold
+            reset_default_contexts()
             ctx = default_context(TITAN_BLACK)
             return plan_network(TITAN_BLACK, net, opts, context=ctx)
 
-        ref, out = _with_batching(False, run), _with_batching(True, run)
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "TransformCostTable", ScalarEdgeCosts)
+            ref = run()
+        out = run()
         # the trace carries batch-only stats; the contract is the plan
         assert ref.plan == out.plan
         assert ref.plan.summary() == out.plan.summary()
         assert ref.graph == out.graph
 
 
-def test_profile_digest_reports_batches(batching, capsys):
-    """Smoke for the CLI digest source: with batching on, metrics carry
-    batch.eval counters after a consumer runs."""
-    from repro.obs.metrics import aggregate_metrics
-
-    sweep_pool(TITAN_BLACK, POOL_SPECS[0], "c", (8, 32), jobs=1)
-    metrics = aggregate_metrics()
-    batches = metrics.value("batch.eval.batches")
+def test_profile_digest_reports_batches(batching):
+    """Smoke for the CLI digest source: the engine's batches show up in
+    the ``batch.eval`` counters after a consumer runs; the scalar oracle
+    reports none."""
+    before = aggregate_metrics().value("batch.eval.batches") or 0
+    sweep_pool(
+        TITAN_BLACK, POOL_SPECS[0], "c", (8, 32),
+        context=SimulationContext(TITAN_BLACK), jobs=1,
+    )
+    after = aggregate_metrics().value("batch.eval.batches") or 0
     if batching:
-        assert batches
-    # scalar mode must not report batched evaluations from this sweep
+        assert after > before
+    else:
+        assert after == before

@@ -95,6 +95,13 @@ class TestTrajectory:
                 assert set(medians) == metrics
                 assert all(v > 0 for v in medians.values())
 
+    def test_committed_lines_name_their_commit(self):
+        """Only the newest line may still wait for its commit (``null``)."""
+        lines = (self.ROOT / "benchmarks" / "trajectory.jsonl").read_text().splitlines()
+        for line in lines[:-1]:
+            commit = json.loads(line)["commit"]
+            assert isinstance(commit, str) and commit.strip(), line[:40]
+
 
 class TestDeterminism:
     def test_traced_kernels_are_deterministic(self, device):
