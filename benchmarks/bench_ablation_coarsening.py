@@ -11,35 +11,35 @@ from __future__ import annotations
 from figutil import FigureTable
 
 from repro.core import autotune_pooling
-from repro.gpusim import SimulationEngine
+from repro.gpusim import default_context
 from repro.layers import PoolingCHWN, PoolingCoarsenedCHWN
 from repro.networks import POOL_LAYERS
 
 FACTORS = (1, 2, 3, 4, 6, 8)
 
 
-def sweep(engine, spec) -> dict[tuple[int, int], float]:
+def sweep(ctx, spec) -> dict[tuple[int, int], float]:
     times = {}
     for ux in FACTORS:
         for uy in FACTORS:
             if (ux, uy) == (1, 1):
-                times[(1, 1)] = engine.run(PoolingCHWN(spec)).time_ms
+                times[(1, 1)] = ctx.run(PoolingCHWN(spec), check_memory=False).time_ms
             else:
-                times[(ux, uy)] = engine.run(
-                    PoolingCoarsenedCHWN(spec, ux, uy)
+                times[(ux, uy)] = ctx.run(
+                    PoolingCoarsenedCHWN(spec, ux, uy), check_memory=False
                 ).time_ms
     return times
 
 
 def build_figure(device) -> FigureTable:
-    engine = SimulationEngine(device, check_memory=False)
+    ctx = default_context(device)
     table = FigureTable(
         "Ablation: exhaustive (ux, uy) sweep vs the paper's hill climb",
         ["layer", "best_grid", "grid_ms", "tuned", "tuned_ms", "evals", "grid_evals"],
     )
     for name in ("PL3", "PL5", "PL6", "PL8"):
         spec = POOL_LAYERS[name]
-        times = sweep(engine, spec)
+        times = sweep(ctx, spec)
         best = min(times, key=lambda k: times[k])
         tuned = autotune_pooling(device, spec, max_factor=max(FACTORS))
         table.add(
@@ -66,10 +66,10 @@ def test_ablation_coarsening(benchmark, device):
 def test_tradeoff_surface_has_interior_optimum(device):
     """Bigger is not always better: at large factors register pressure
     throttles occupancy and time goes back up."""
-    engine = SimulationEngine(device, check_memory=False)
+    ctx = default_context(device)
     spec = POOL_LAYERS["PL8"]
-    t2 = engine.run(PoolingCoarsenedCHWN(spec, 2, 2)).time_ms
-    t8 = engine.run(PoolingCoarsenedCHWN(spec, 8, 8)).time_ms
+    t2 = ctx.run(PoolingCoarsenedCHWN(spec, 2, 2), check_memory=False).time_ms
+    t8 = ctx.run(PoolingCoarsenedCHWN(spec, 8, 8), check_memory=False).time_ms
     t_best = autotune_pooling(device, spec, max_factor=8).time_ms
     assert t_best <= min(t2, t8)
     assert t8 > t_best  # the extreme tile regressed

@@ -19,9 +19,11 @@ NETWORKS = ("lenet", "cifar", "alexnet", "zfnet", "vgg")
 
 def _lower_bound_ms(device, nodes) -> float:
     """Every layer in its best layout with transforms priced at zero."""
-    from repro.core.planner import PLAN_LAYOUTS, _build_costs
+    from repro.core.planner import PLAN_LAYOUTS, _node_costs
+    from repro.gpusim import default_context
 
-    costs = _build_costs(device, nodes, tune_pooling=True, allow_fft=True)
+    ctx = default_context(device)
+    costs = [_node_costs(ctx, n, device, True, True) for n in nodes]
     return sum(min(c.cost(lo) for lo in PLAN_LAYOUTS) for c in costs)
 
 

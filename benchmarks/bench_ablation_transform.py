@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from figutil import FigureTable
 
-from repro.gpusim import SimulationEngine
+from repro.gpusim import default_context
 from repro.tensors import (
     CHWN,
     NCHW,
@@ -29,7 +29,7 @@ SIZES = {
 
 
 def build_figure(device) -> FigureTable:
-    engine = SimulationEngine(device, check_memory=False)
+    ctx = default_context(device)
     table = FigureTable(
         "Ablation: transform variants, effective GB/s (read+write / time)",
         ["tensor", "naive", "tiled_unpadded", "tiled_padded", "vectorized"],
@@ -42,7 +42,8 @@ def build_figure(device) -> FigureTable:
             VectorTransformKernel(desc, NCHW),
         ]
         bws = [
-            2 * desc.nbytes / (engine.run(k).time_ms * 1e6) for k in kernels
+            2 * desc.nbytes / (ctx.run(k, check_memory=False).time_ms * 1e6)
+            for k in kernels
         ]
         table.add(label, *bws)
     table.note("each column adds one optimization from the paper's Fig. 7b")

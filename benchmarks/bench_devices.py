@@ -14,7 +14,7 @@ from repro.baselines import compare_schemes
 from repro.core import calibrate
 from repro.extensions import TESLA_P100
 from repro.framework import Net
-from repro.gpusim import TITAN_BLACK, TITAN_X, SimulationEngine
+from repro.gpusim import TITAN_BLACK, TITAN_X, default_context
 from repro.layers import DirectConvCHWN, Im2colGemmNCHW
 from repro.networks import CONV_LAYERS, build_network
 
@@ -28,12 +28,12 @@ def build_figure(devices=DEVICES) -> FigureTable:
     )
     for device in devices:
         thresholds = calibrate(device).thresholds
-        engine = SimulationEngine(device, check_memory=False)
+        ctx = default_context(device)
         chwn_wins = sum(
             1
             for spec in CONV_LAYERS.values()
-            if engine.run(DirectConvCHWN(spec)).time_ms
-            < engine.run(Im2colGemmNCHW(spec)).time_ms
+            if ctx.run(DirectConvCHWN(spec), check_memory=False).time_ms
+            < ctx.run(Im2colGemmNCHW(spec), check_memory=False).time_ms
         )
         speedups = []
         for name in ("lenet", "vgg"):

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from figutil import FigureTable
 
-from repro.gpusim import GpuOutOfMemoryError, SimulationEngine
+from repro.gpusim import GpuOutOfMemoryError, default_context
 from repro.layers import ConvUnsupportedError, make_conv_kernel
 from repro.networks import CONV_LAYERS
 
 
 def build_figure(device) -> FigureTable:
-    engine = SimulationEngine(device, check_memory=True)
+    ctx = default_context(device)
     table = FigureTable(
         "Winograd extension: time (ms) per implementation, Table-1 conv layers",
         ["layer", "direct", "im2col", "fft", "winograd", "winner"],
@@ -29,7 +29,7 @@ def build_figure(device) -> FigureTable:
         times = {}
         for impl in ("direct", "im2col", "fft", "winograd"):
             try:
-                times[impl] = engine.run(make_conv_kernel(spec, impl)).time_ms
+                times[impl] = ctx.run(make_conv_kernel(spec, impl)).time_ms
             except (ConvUnsupportedError, GpuOutOfMemoryError):
                 times[impl] = float("nan")
         winner = min(

@@ -10,25 +10,25 @@ from __future__ import annotations
 from figutil import FigureTable
 
 from repro.core import best_conv_for_layout, cudnn_mode_conv
-from repro.gpusim import SimulationEngine
+from repro.gpusim import default_context
 from repro.layers import make_pool_kernel
 from repro.networks import ALEXNET_CONV, ALEXNET_POOL
 from repro.tensors import CHWN
 
 
 def build_figure(device) -> FigureTable:
-    engine = SimulationEngine(device, check_memory=False)
+    ctx = default_context(device)
     table = FigureTable(
         "Fig. 1: AlexNet layers, normalized execution time (CHWN = 1.0)",
         ["layer", "chwn_ms", "nchw_ms", "nchw_norm"],
     )
     for i, (name, spec) in enumerate(ALEXNET_CONV.items(), start=1):
-        chwn = best_conv_for_layout(engine, spec, CHWN).time_ms
-        nchw = cudnn_mode_conv(engine, spec, "best").time_ms
+        chwn = best_conv_for_layout(ctx, spec, CHWN, check_memory=False).time_ms
+        nchw = cudnn_mode_conv(ctx, spec, "best", check_memory=False).time_ms
         table.add(f"CV{i}", chwn, nchw, nchw / chwn)
     for i, (name, spec) in enumerate(ALEXNET_POOL.items(), start=1):
-        chwn = engine.run(make_pool_kernel(spec, "chwn")).time_ms
-        nchw = engine.run(make_pool_kernel(spec, "nchw-rowblock")).time_ms
+        chwn = ctx.run(make_pool_kernel(spec, "chwn"), check_memory=False).time_ms
+        nchw = ctx.run(make_pool_kernel(spec, "nchw-rowblock"), check_memory=False).time_ms
         table.add(f"PL{i}", chwn, nchw, nchw / chwn)
     table.note("paper: pooling NCHW up to 6.9x slower; conv layout up to 2.3x")
     return table

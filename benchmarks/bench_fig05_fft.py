@@ -9,31 +9,31 @@ from __future__ import annotations
 
 from figutil import FigureTable
 
-from repro.gpusim import GpuOutOfMemoryError, SimulationEngine
+from repro.gpusim import GpuOutOfMemoryError, default_context
 from repro.layers import ConvUnsupportedError, make_conv_kernel
 from repro.networks import CONV_LAYERS
 
 
-def _speedup(engine, spec, impl, baseline_ms):
+def _speedup(ctx, spec, impl, baseline_ms):
     try:
-        return baseline_ms / engine.run(make_conv_kernel(spec, impl)).time_ms
+        return baseline_ms / ctx.run(make_conv_kernel(spec, impl)).time_ms
     except (ConvUnsupportedError, GpuOutOfMemoryError):
         return float("nan")
 
 
 def build_figure(device) -> FigureTable:
-    engine = SimulationEngine(device, check_memory=True)
+    ctx = default_context(device)
     table = FigureTable(
         "Fig. 5: speedups over cuda-convnet (nan = execution failure)",
         ["layer", "cudnn_mm", "cudnn_fft", "cudnn_fft_t"],
     )
     for name, spec in CONV_LAYERS.items():
-        base = engine.run(make_conv_kernel(spec, "direct")).time_ms
+        base = ctx.run(make_conv_kernel(spec, "direct")).time_ms
         table.add(
             name,
-            _speedup(engine, spec, "im2col", base),
-            _speedup(engine, spec, "fft", base),
-            _speedup(engine, spec, "fft-tiled", base),
+            _speedup(ctx, spec, "im2col", base),
+            _speedup(ctx, spec, "fft", base),
+            _speedup(ctx, spec, "fft-tiled", base),
         )
     table.note("paper: CV5/CV6 FFT fail; FFT > MM on CV7/CV10; FFT << MM on CV3/CV9")
     return table

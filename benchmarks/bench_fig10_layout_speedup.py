@@ -9,21 +9,21 @@ from __future__ import annotations
 
 from figutil import FigureTable, geomean
 
-from repro.gpusim import SimulationEngine
+from repro.gpusim import default_context
 from repro.layers import DirectConvCHWN, Im2colGemmNCHW
 from repro.networks import CONV_LAYERS
 from repro.tensors import CHWN, NCHW, transform_time_ms
 
 
 def build_figure(device) -> FigureTable:
-    engine = SimulationEngine(device, check_memory=False)
+    ctx = default_context(device)
     table = FigureTable(
         "Fig. 10: speedup of the preferred layout over the alternative",
         ["layer", "opt", "opt_naive_t", "opt_fast_t"],
     )
     for name, spec in CONV_LAYERS.items():
-        t_chwn = engine.run(DirectConvCHWN(spec)).time_ms
-        t_nchw = engine.run(Im2colGemmNCHW(spec)).time_ms
+        t_chwn = ctx.run(DirectConvCHWN(spec), check_memory=False).time_ms
+        t_nchw = ctx.run(Im2colGemmNCHW(spec), check_memory=False).time_ms
         best, alt = min(t_chwn, t_nchw), max(t_chwn, t_nchw)
         # Running this one layer in its preferred layout inside a network
         # kept in the alternative layout costs two relayouts: the input into

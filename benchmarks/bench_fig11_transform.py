@@ -11,13 +11,13 @@ import math
 
 from figutil import FigureTable
 
-from repro.gpusim import SimulationEngine
+from repro.gpusim import default_context
 from repro.networks import CONV_LAYERS
 from repro.tensors import CHWN, NCHW, make_transform_kernel
 
 
 def build_figure(device) -> FigureTable:
-    engine = SimulationEngine(device, check_memory=False)
+    ctx = default_context(device)
     table = FigureTable(
         "Fig. 11: transformation bandwidth (GB/s moved: read+write / time)",
         ["layer", "naive", "opt1", "opt2"],
@@ -31,7 +31,7 @@ def build_figure(device) -> FigureTable:
             except ValueError:
                 bws.append(float("nan"))  # Opt2 needs N >= 64
                 continue
-            stats = engine.run(kernel)
+            stats = ctx.run(kernel, check_memory=False)
             bws.append(2 * desc.nbytes / (stats.time_ms * 1e6))
         table.add(name, *bws)
     table.note("paper: Opt2 n/a for CV9-CV12 (N=32); CV6 reaches 97.6% of 235 GB/s")

@@ -18,7 +18,6 @@ from repro.networks import POOL_LAYERS
 
 def build_figure(device, jobs: int = 1, context: SimulationContext | None = None) -> FigureTable:
     ctx = context or default_context(device)
-    engine = ctx.engine(check_memory=False)
     table = FigureTable(
         "Fig. 12: pooling — library kernels vs auto-tuned Opt "
         "(speedup normalized to cuda-convnet)",
@@ -35,16 +34,20 @@ def build_figure(device, jobs: int = 1, context: SimulationContext | None = None
         )
     )
     for name, spec in POOL_LAYERS.items():
-        t_conv = engine.run(PoolingCHWN(spec)).time_ms
-        t_caffe = engine.run(make_pool_kernel(spec, "nchw-linear")).time_ms
-        t_cudnn = engine.run(make_pool_kernel(spec, "nchw-rowblock")).time_ms
+        t_conv = ctx.run(PoolingCHWN(spec), check_memory=False).time_ms
+        t_caffe = ctx.run(
+            make_pool_kernel(spec, "nchw-linear"), check_memory=False
+        ).time_ms
+        t_cudnn = ctx.run(
+            make_pool_kernel(spec, "nchw-rowblock"), check_memory=False
+        ).time_ms
         tuned = tuned_by_name[name]
         if (tuned.ux, tuned.uy) == (1, 1):
             opt_kernel = PoolingCHWN(spec)
         else:
             opt_kernel = PoolingCoarsenedCHWN(spec, tuned.ux, tuned.uy)
-        opt_stats = engine.run(opt_kernel)
-        base_dram = engine.run(PoolingCHWN(spec)).dram_bytes
+        opt_stats = ctx.run(opt_kernel, check_memory=False)
+        base_dram = ctx.run(PoolingCHWN(spec), check_memory=False).dram_bytes
         saved = 100.0 * (1 - opt_stats.dram_bytes / base_dram)
         useful = spec.in_desc().nbytes + spec.out_desc().nbytes
         table.add(

@@ -11,24 +11,24 @@ from __future__ import annotations
 from figutil import FigureTable, geomean
 
 from repro.core import fusion_report
-from repro.gpusim import SimulationEngine
+from repro.gpusim import default_context
 from repro.layers import make_softmax_kernel
 from repro.networks import FIG13_SOFTMAX
 
 
 def build_figure(device) -> FigureTable:
-    engine = SimulationEngine(device, check_memory=False)
+    ctx = default_context(device)
     table = FigureTable(
         "Fig. 13: softmax effective bandwidth (GB/s) per batch/categories",
         ["config", "bl_best", "opt", "fusion_x", "parallel_x"],
     )
     for name, spec in FIG13_SOFTMAX.items():
         baselines = [
-            engine.run(make_softmax_kernel(spec, impl)).time_ms
+            ctx.run(make_softmax_kernel(spec, impl), check_memory=False).time_ms
             for impl in ("5kernel", "cudnn")
         ]
         bl_best = min(baselines)
-        opt = engine.run(make_softmax_kernel(spec, "opt")).time_ms
+        opt = ctx.run(make_softmax_kernel(spec, "opt"), check_memory=False).time_ms
         rep = fusion_report(spec, device)
         bw = lambda ms: 2 * spec.nbytes / (ms * 1e6)  # noqa: E731
         table.add(name, bw(bl_best), bw(opt), rep.fusion_speedup, rep.parallel_speedup)

@@ -13,14 +13,14 @@ from __future__ import annotations
 from figutil import FigureTable
 
 from repro.core import best_conv_for_layout
-from repro.gpusim import SimulationEngine, roofline_point
+from repro.gpusim import default_context, roofline_point
 from repro.layers import make_pool_kernel, make_softmax_kernel
 from repro.networks import CLASS_LAYERS, CONV_LAYERS, POOL_LAYERS
 from repro.tensors import CHWN, NCHW
 
 
 def build_figure(device) -> FigureTable:
-    engine = SimulationEngine(device, check_memory=False)
+    ctx = default_context(device)
     table = FigureTable(
         f"Roofline placement on {device.name} "
         "(intensity flop/B, achieved vs attainable GFLOPS)",
@@ -28,22 +28,25 @@ def build_figure(device) -> FigureTable:
     )
     for name, spec in CONV_LAYERS.items():
         best = min(
-            (best_conv_for_layout(engine, spec, lo) for lo in (CHWN, NCHW)),
+            (
+                best_conv_for_layout(ctx, spec, lo, check_memory=False)
+                for lo in (CHWN, NCHW)
+            ),
             key=lambda c: c.time_ms,
         )
-        stats = engine.run(best.kernel)
+        stats = ctx.run(best.kernel, check_memory=False)
         p = roofline_point(device, stats)
         table.add(
             name, best.implementation, p.arithmetic_intensity,
             stats.achieved_gflops, p.roof_gflops, stats.bound,
         )
     for name, spec in POOL_LAYERS.items():
-        stats = engine.run(make_pool_kernel(spec, "chwn"))
+        stats = ctx.run(make_pool_kernel(spec, "chwn"), check_memory=False)
         p = roofline_point(device, stats)
         table.add(name, "chwn", p.arithmetic_intensity, stats.achieved_gflops,
                   p.roof_gflops, stats.bound)
     for name, spec in CLASS_LAYERS.items():
-        stats = engine.run(make_softmax_kernel(spec, "opt"))
+        stats = ctx.run(make_softmax_kernel(spec, "opt"), check_memory=False)
         p = roofline_point(device, stats)
         table.add(name, "softmax-opt", p.arithmetic_intensity,
                   stats.achieved_gflops, p.roof_gflops, stats.bound)

@@ -1,4 +1,4 @@
-"""Simulator fast-path performance: vectorized L2 replay + parallel sweeps.
+"""Fast-path performance of the simulator: vectorized L2 replay + parallel sweeps.
 
 Two measurements, both checked for bit-identical results before any timing
 is reported:

@@ -10,32 +10,32 @@ from __future__ import annotations
 from figutil import FigureTable
 
 from repro.core import best_conv_for_layout
-from repro.gpusim import SimulationEngine
+from repro.gpusim import default_context
 from repro.layers import make_pool_kernel, make_softmax_kernel
 from repro.networks import CLASS_LAYERS, CONV_LAYERS, POOL_LAYERS
 from repro.tensors import CHWN, NCHW
 
 
 def build_figure(device) -> FigureTable:
-    engine = SimulationEngine(device, check_memory=False)
+    ctx = default_context(device)
     table = FigureTable(
         "Table 1 layers: best time per layout (ms)",
         ["layer", "chwn_ms", "nchw_ms", "preferred"],
     )
     for name, spec in CONV_LAYERS.items():
-        chwn = best_conv_for_layout(engine, spec, CHWN).time_ms
-        nchw = best_conv_for_layout(engine, spec, NCHW).time_ms
+        chwn = best_conv_for_layout(ctx, spec, CHWN, check_memory=False).time_ms
+        nchw = best_conv_for_layout(ctx, spec, NCHW, check_memory=False).time_ms
         table.add(name, chwn, nchw, "CHWN" if chwn < nchw else "NCHW")
     for name, spec in POOL_LAYERS.items():
-        chwn = engine.run(make_pool_kernel(spec, "chwn")).time_ms
-        nchw = engine.run(make_pool_kernel(spec, "nchw-linear")).time_ms
+        chwn = ctx.run(make_pool_kernel(spec, "chwn"), check_memory=False).time_ms
+        nchw = ctx.run(make_pool_kernel(spec, "nchw-linear"), check_memory=False).time_ms
         table.add(name, chwn, nchw, "CHWN" if chwn < nchw else "NCHW")
     for name, spec in CLASS_LAYERS.items():
         best_base = min(
-            engine.run(make_softmax_kernel(spec, impl)).time_ms
+            ctx.run(make_softmax_kernel(spec, impl), check_memory=False).time_ms
             for impl in ("5kernel", "cudnn")
         )
-        opt = engine.run(make_softmax_kernel(spec, "opt")).time_ms
+        opt = ctx.run(make_softmax_kernel(spec, "opt"), check_memory=False).time_ms
         table.add(name, opt, best_base, "opt")
     return table
 

@@ -13,7 +13,7 @@ Run with ``python examples/future_work.py``.
 import numpy as np
 
 from repro.extensions import TESLA_P100, compare_layouts_fp16, memory_bound_share
-from repro.gpusim import TITAN_BLACK, SimulationEngine
+from repro.gpusim import TITAN_BLACK, default_context
 from repro.layers import (
     ConvSpec,
     conv_direct,
@@ -33,12 +33,12 @@ def main() -> None:
     diff = np.abs(conv_winograd(x, w, spec) - conv_direct(x, w, spec)).max()
     print(f"  max |winograd - direct| = {diff:.2e} (bit-level agreement)")
 
-    engine = SimulationEngine(TITAN_BLACK, check_memory=False)
+    ctx = default_context(TITAN_BLACK)
     print("\n  deep 3x3 layers on the Titan Black (time in ms):")
     for name in ("CV7", "CV10", "CV11", "CV12"):
         layer = CONV_LAYERS[name]
         times = {
-            impl: engine.run(make_conv_kernel(layer, impl)).time_ms
+            impl: ctx.run(make_conv_kernel(layer, impl), check_memory=False).time_ms
             for impl in ("im2col", "fft", "winograd")
         }
         winner = min(times, key=lambda k: times[k])

@@ -11,14 +11,14 @@ Run with ``python examples/pooling_autotune.py``.
 import numpy as np
 
 from repro import TITAN_BLACK, autotune_pooling
-from repro.gpusim import SimulationEngine
+from repro.gpusim import default_context
 from repro.layers import PoolSpec, PoolingCoarsenedCHWN, pool_coarsened, pool_plain
 from repro.networks import POOL_LAYERS
 
 
 def main() -> None:
     device = TITAN_BLACK
-    engine = SimulationEngine(device)
+    ctx = default_context(device)
 
     print(f"== Auto-tuning Table-1 pooling layers on {device.name} ==")
     print(f"{'layer':6s} {'window':>6s} {'tile':>6s} {'gain':>7s} {'evals':>6s}  search path")
@@ -36,7 +36,7 @@ def main() -> None:
     spec = POOL_LAYERS["PL5"]
     for u in (1, 2, 3, 4, 6, 8):
         kernel = PoolingCoarsenedCHWN(spec, u, u)
-        stats = engine.run(kernel)
+        stats = ctx.run(kernel)
         launch = kernel.launch_config(device)
         print(
             f"  {u}x{u}: {stats.time_ms:7.3f} ms, "

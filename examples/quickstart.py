@@ -16,10 +16,10 @@ from repro import (
     CONV_LAYERS,
     Net,
     SCHEMES,
-    SimulationEngine,
     TITAN_BLACK,
     build_network,
     compare_schemes,
+    default_context,
     preferred_conv_layout,
     thresholds_for,
 )
@@ -28,12 +28,12 @@ from repro.core import best_conv_for_layout
 
 def main() -> None:
     device = TITAN_BLACK
-    engine = SimulationEngine(device)
+    ctx = default_context(device)
 
     print(f"== 1. One layer, two layouts (on a simulated {device.name}) ==")
     spec = CONV_LAYERS["CV1"]  # LeNet's first convolution
     for layout in (CHWN, NCHW):
-        choice = best_conv_for_layout(engine, spec, layout)
+        choice = best_conv_for_layout(ctx, spec, layout)
         print(f"  CV1 in {layout}: {choice.time_ms:7.3f} ms via {choice.implementation}")
 
     print("\n== 2. The heuristic's call ==")

@@ -64,11 +64,9 @@ _EXPORTS = {
             "DeviceSpec",
             "SimStats",
             "SimulationContext",
-            "SimulationEngine",
             "default_context",
             "get_device",
             "global_sim_stats",
-            "simulate",
         ),
         "layers": ("ConvSpec", "FCSpec", "PoolSpec", "SoftmaxSpec"),
         "networks": ("CONV_LAYERS", "POOL_LAYERS", "build_network"),

@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..baselines.schemes import NetworkTiming, time_network
-from ..core.planner import NodeKind, plan_optimal
+from ..core.pipeline import PipelineOptions, plan_network
+from ..core.planner import NodeKind
 from ..framework.net import Net
 from ..gpusim.device import DeviceSpec
 from ..gpusim.session import SimulationContext, default_context
@@ -70,18 +71,9 @@ def _layout_only_ms(
     coarsened kernel to the plain kernel of the planned layout, and the
     softmax reverts to the best library baseline.
     """
-    engine = context.engine(check_memory=False)
-    if net.is_chain:
-        plan = plan_optimal(
-            device, net.planner_nodes(device, context=context), context=context
-        )
-    else:
-        from ..core.pipeline import PipelineOptions, plan_network
-
-        plan = plan_network(
-            device, net.definition, PipelineOptions(strategy="optimal"),
-            context=context,
-        ).plan
+    plan = plan_network(
+        device, net.definition, PipelineOptions(strategy="optimal"), context=context
+    ).plan
     total = 0.0
     by_name = {layer.name: layer for layer in net.layers}
     for step in plan.steps:
@@ -89,10 +81,13 @@ def _layout_only_ms(
         layer = by_name[step.name]
         if step.kind is NodeKind.POOL and step.layout is not None:
             impl = "chwn" if str(step.layout) == "CHWN" else "nchw-linear"
-            total += engine.run(make_pool_kernel(layer.spec, impl)).time_ms
+            kernel = make_pool_kernel(layer.spec, impl)
+            total += context.run(kernel, check_memory=False).time_ms
         elif isinstance(layer.spec, SoftmaxSpec):
             total += min(
-                engine.run(make_softmax_kernel(layer.spec, impl)).time_ms
+                context.run(
+                    make_softmax_kernel(layer.spec, impl), check_memory=False
+                ).time_ms
                 for impl in ("5kernel", "cudnn")
             )
         else:

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.planner import NodeKind, plan_optimal
+from ..core.pipeline import PipelineOptions, plan_network
+from ..core.planner import NodeKind
 from ..core.selector import best_conv_for_layout, cudnn_mode_conv
 from ..framework.net import Net
 from ..gpusim.device import DeviceSpec
-from ..gpusim.engine import SimulationEngine
 from ..gpusim.session import SimulationContext, default_context
 from ..layers.backward_kernels import (
     TRAINING_TRANSFORM_FACTOR,
@@ -103,23 +103,25 @@ class NetworkTiming:
         raise KeyError(f"no layer {name!r} in {self.network}/{self.scheme}")
 
 
-def _fixed_layer_time(engine: SimulationEngine, layer) -> tuple[str, float]:
+def _fixed_layer_time(context: SimulationContext, layer) -> tuple[str, float]:
     """Time for layout-transparent layers (identical across schemes)."""
     if layer.kind is NodeKind.CONCAT:
         elements = int(np.prod(layer.out_dims))
-        return "concat", engine.run(
-            ElementwiseKernel(elements, name="concat")
+        return "concat", context.run(
+            ElementwiseKernel(elements, name="concat"), check_memory=False
         ).time_ms
     if isinstance(layer.spec, LRNSpec):
         elements = int(np.prod(layer.in_dims))
-        return "lrn", engine.run(make_lrn_kernel(elements, layer.spec)).time_ms
+        kernel = make_lrn_kernel(elements, layer.spec)
+        return "lrn", context.run(kernel, check_memory=False).time_ms
     if isinstance(layer.spec, FCSpec):
-        return "fc-gemm", engine.run(make_fc_kernel(layer.spec)).time_ms
+        kernel = make_fc_kernel(layer.spec)
+        return "fc-gemm", context.run(kernel, check_memory=False).time_ms
     raise TypeError(f"unexpected fixed layer spec {type(layer.spec)!r}")
 
 
 def _backward_ms(
-    engine: SimulationEngine,
+    context: SimulationContext,
     layer,
     implementation: str,
     coarsen: tuple[int, int] | None = None,
@@ -131,21 +133,27 @@ def _backward_ms(
             implementation, implementation
         )
         return sum(
-            engine.run(k).time_ms for k in conv_backward_kernels(spec, impl)
+            context.run(k, check_memory=False).time_ms
+            for k in conv_backward_kernels(spec, impl)
         )
     if isinstance(spec, PoolSpec):
         kernel = pool_backward_kernel(spec, implementation, coarsen or (2, 2))
-        return engine.run(kernel).time_ms
+        return context.run(kernel, check_memory=False).time_ms
     if isinstance(spec, SoftmaxSpec):
         impl = implementation.removeprefix("softmax-")
-        return engine.run(softmax_backward_kernel(spec, impl)).time_ms
+        kernel = softmax_backward_kernel(spec, impl)
+        return context.run(kernel, check_memory=False).time_ms
     if isinstance(spec, FCSpec):
-        return sum(engine.run(k).time_ms for k in fc_backward_kernels(spec))
+        return sum(
+            context.run(k, check_memory=False).time_ms
+            for k in fc_backward_kernels(spec)
+        )
     if isinstance(spec, LRNSpec):
         import numpy as np
 
         elements = int(np.prod(layer.in_dims))
-        return engine.run(make_lrn_kernel(elements, spec)).time_ms
+        kernel = make_lrn_kernel(elements, spec)
+        return context.run(kernel, check_memory=False).time_ms
     raise TypeError(f"no backward model for spec {type(spec)!r}")
 
 
@@ -156,7 +164,7 @@ def _library_scheme(
     training: bool = False,
     context: SimulationContext | None = None,
 ) -> NetworkTiming:
-    engine = (context or default_context(device)).engine(check_memory=False)
+    ctx = context or default_context(device)
     if scheme == "cuda-convnet":
         layout, pool_impl, softmax_impl = CHWN, "chwn", "5kernel"
     elif scheme == "caffe":
@@ -172,13 +180,17 @@ def _library_scheme(
         if layer.kind is NodeKind.CONV:
             assert isinstance(layer.spec, ConvSpec)
             if mode is not None:
-                choice = cudnn_mode_conv(engine, layer.spec, mode)
+                choice = cudnn_mode_conv(ctx, layer.spec, mode, check_memory=False)
             elif layout == CHWN:
-                choice = best_conv_for_layout(engine, layer.spec, CHWN)
+                choice = best_conv_for_layout(
+                    ctx, layer.spec, CHWN, check_memory=False
+                )
             else:
-                choice = best_conv_for_layout(engine, layer.spec, NCHW, allow_fft=False)
+                choice = best_conv_for_layout(
+                    ctx, layer.spec, NCHW, allow_fft=False, check_memory=False
+                )
             bwd = (
-                _backward_ms(engine, layer, choice.implementation)
+                _backward_ms(ctx, layer, choice.implementation)
                 if training
                 else 0.0
             )
@@ -190,8 +202,10 @@ def _library_scheme(
             )
         elif layer.kind is NodeKind.POOL:
             assert isinstance(layer.spec, PoolSpec)
-            stats = engine.run(make_pool_kernel(layer.spec, pool_impl))
-            bwd = _backward_ms(engine, layer, pool_impl) if training else 0.0
+            stats = ctx.run(
+                make_pool_kernel(layer.spec, pool_impl), check_memory=False
+            )
+            bwd = _backward_ms(ctx, layer, pool_impl) if training else 0.0
             rows.append(
                 LayerTiming(
                     layer.name, "pool", str(layout), pool_impl, stats.time_ms,
@@ -199,9 +213,11 @@ def _library_scheme(
                 )
             )
         elif layer.kind is NodeKind.CLASSIFIER and isinstance(layer.spec, SoftmaxSpec):
-            stats = engine.run(make_softmax_kernel(layer.spec, softmax_impl))
+            stats = ctx.run(
+                make_softmax_kernel(layer.spec, softmax_impl), check_memory=False
+            )
             bwd = (
-                _backward_ms(engine, layer, f"softmax-{softmax_impl}")
+                _backward_ms(ctx, layer, f"softmax-{softmax_impl}")
                 if training
                 else 0.0
             )
@@ -212,11 +228,11 @@ def _library_scheme(
                 )
             )
         else:
-            impl, ms = _fixed_layer_time(engine, layer)
+            impl, ms = _fixed_layer_time(ctx, layer)
             if training:
                 # concat has no parameters; its backward is the same split
                 # traffic as its forward join
-                bwd = _backward_ms(engine, layer, impl) if layer.spec is not None else ms
+                bwd = _backward_ms(ctx, layer, impl) if layer.spec is not None else ms
             else:
                 bwd = 0.0
             rows.append(
@@ -241,18 +257,9 @@ def _opt_scheme(
     # step taken to its conclusion: it weighs every layout choice against
     # transform costs using the profiled (simulated) layer times.
     ctx = context or default_context(device)
-    if net.is_chain:
-        plan = plan_optimal(
-            device, net.planner_nodes(device, context=ctx), context=ctx
-        )
-    else:
-        # branching networks have no planner-node chain; plan on the IR
-        from ..core.pipeline import PipelineOptions, plan_network
-
-        plan = plan_network(
-            device, net.definition, PipelineOptions(strategy="optimal"), context=ctx
-        ).plan
-    engine = ctx.engine(check_memory=False)
+    plan = plan_network(
+        device, net.definition, PipelineOptions(strategy="optimal"), context=ctx
+    ).plan
     by_name = {layer.name: layer for layer in net.layers}
     rows = []
     for step in plan.steps:
@@ -262,7 +269,7 @@ def _opt_scheme(
             layer = by_name[step.name]
             if layer.spec is not None:
                 bwd = _backward_ms(
-                    engine, layer, step.implementation, step.coarsening
+                    ctx, layer, step.implementation, step.coarsening
                 )
             else:  # elementwise layers reuse their forward cost backward
                 bwd = step.layer_ms

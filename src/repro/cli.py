@@ -34,8 +34,8 @@ from .baselines import SCHEMES, compare_schemes
 from .core import calibrate
 from .framework import Net
 from .gpusim import (
-    SimulationEngine,
     comparison_table,
+    default_context,
     get_device,
     global_sim_stats,
     kernel_report,
@@ -43,7 +43,7 @@ from .gpusim import (
 )
 from .layers import make_conv_kernel, make_pool_kernel, make_softmax_kernel
 from .layers.conv_kernels import ConvUnsupportedError
-from .gpusim.engine import GpuOutOfMemoryError
+from .gpusim.session import GpuOutOfMemoryError
 from .networks import (
     CONV_LAYERS,
     FIG13_SOFTMAX,
@@ -299,13 +299,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _bench_layers(device, which: str) -> int:
-    engine = SimulationEngine(device, check_memory=True)
+    ctx = default_context(device)
     if which == "conv":
         print("layer  impl         time(ms)   GFLOPS")
         for name, spec in CONV_LAYERS.items():
             for impl in ("direct", "im2col", "fft", "fft-tiled"):
                 try:
-                    s = engine.run(make_conv_kernel(spec, impl))
+                    s = ctx.run(make_conv_kernel(spec, impl))
                     print(f"{name:5s}  {impl:11s} {s.time_ms:9.3f} {s.achieved_gflops:8.0f}")
                 except (ConvUnsupportedError, GpuOutOfMemoryError) as exc:
                     print(f"{name:5s}  {impl:11s}      FAIL  ({exc})")
@@ -314,7 +314,7 @@ def _bench_layers(device, which: str) -> int:
         for name, spec in POOL_LAYERS.items():
             useful = spec.in_desc().nbytes + spec.out_desc().nbytes
             for impl in ("chwn", "chwn-coarsened", "nchw-linear", "nchw-rowblock"):
-                s = engine.run(make_pool_kernel(spec, impl))
+                s = ctx.run(make_pool_kernel(spec, impl))
                 print(
                     f"{name:5s}  {impl:15s} {s.time_ms:9.3f} "
                     f"{useful / (s.time_ms * 1e6):9.1f}"
@@ -323,7 +323,7 @@ def _bench_layers(device, which: str) -> int:
         print("config     impl      time(ms)  eff-GB/s")
         for name, spec in FIG13_SOFTMAX.items():
             for impl in ("5kernel", "cudnn", "fused", "opt"):
-                s = engine.run(make_softmax_kernel(spec, impl))
+                s = ctx.run(make_softmax_kernel(spec, impl))
                 bw = 2 * spec.nbytes / (s.time_ms * 1e6)
                 print(f"{name:9s}  {impl:8s} {s.time_ms:9.4f} {bw:9.1f}")
     else:
@@ -380,14 +380,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     device = get_device(args.device)
-    engine = SimulationEngine(device, check_memory=False)
+    ctx = default_context(device)
     name = args.layer.upper()
     if name in CONV_LAYERS:
         spec = CONV_LAYERS[name]
         entries = []
         for impl in ("direct", "im2col", "im2col-nhwc", "fft", "fft-tiled"):
             try:
-                entries.append((impl, engine.run(make_conv_kernel(spec, impl))))
+                kernel = make_conv_kernel(spec, impl)
+                entries.append((impl, ctx.run(kernel, check_memory=False)))
             except (ConvUnsupportedError, GpuOutOfMemoryError) as exc:
                 print(f"{impl}: unavailable ({exc})")
         print(comparison_table(device, entries))
@@ -398,7 +399,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     elif name in POOL_LAYERS:
         spec = POOL_LAYERS[name]
         entries = [
-            (impl, engine.run(make_pool_kernel(spec, impl)))
+            (impl, ctx.run(make_pool_kernel(spec, impl), check_memory=False))
             for impl in ("chwn", "chwn-coarsened", "nchw-linear", "nchw-rowblock")
         ]
         print(comparison_table(device, entries))

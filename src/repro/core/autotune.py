@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..gpusim.device import DeviceSpec
-from ..gpusim.engine import SimulationEngine
 from ..gpusim.exec import evaluate_cells, map_chunks
 from ..gpusim.session import SimulationContext, default_context
 from ..gpusim.timing import KernelStats
@@ -40,10 +39,11 @@ class TuneResult:
         return self.baseline_ms / self.time_ms if self.time_ms else 0.0
 
 
-def _time(engine: SimulationEngine, spec: PoolSpec, ux: int, uy: int) -> float:
+def _time(context: SimulationContext, spec: PoolSpec, ux: int, uy: int) -> float:
     if (ux, uy) == (1, 1):
-        return engine.run(PoolingCHWN(spec)).time_ms
-    return engine.run(PoolingCoarsenedCHWN(spec, ux=ux, uy=uy)).time_ms
+        return context.run(PoolingCHWN(spec), check_memory=False).time_ms
+    kernel = PoolingCoarsenedCHWN(spec, ux=ux, uy=uy)
+    return context.run(kernel, check_memory=False).time_ms
 
 
 def autotune_pooling(
@@ -64,15 +64,15 @@ def autotune_pooling(
     """
     if max_factor < 1 or initial < 1:
         raise ValueError("factors must be at least 1")
-    engine = (context or default_context(device)).engine(check_memory=False)
+    ctx = context or default_context(device)
     trace: list[tuple[int, int, float]] = []
 
-    baseline = _time(engine, spec, 1, 1)
+    baseline = _time(ctx, spec, 1, 1)
     trace.append((1, 1, baseline))
 
     best_u = (1, 1)
     best_t = baseline
-    start = _time(engine, spec, initial, initial)
+    start = _time(ctx, spec, initial, initial)
     trace.append((initial, initial, start))
     if start < best_t:
         best_u, best_t = (initial, initial), start
@@ -86,7 +86,7 @@ def autotune_pooling(
                 cand = (candidate[0], candidate[1])
                 if cand == best_u:
                     continue
-                t = _time(engine, spec, *cand)
+                t = _time(ctx, spec, *cand)
                 trace.append((*cand, t))
                 if t < best_t:
                     best_u, best_t = cand, t

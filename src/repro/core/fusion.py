@@ -76,11 +76,11 @@ def fusion_report(
     spec: SoftmaxSpec, device: DeviceSpec, context: SimulationContext | None = None
 ) -> FusionReport:
     """Apply the pass stage by stage and measure each stage's effect."""
-    engine = (context or default_context(device)).engine(check_memory=False)
+    ctx = context or default_context(device)
     chain = five_kernel_softmax(spec)
-    baseline = engine.run(chain)
-    fused = engine.run(FusedSoftmax(spec))
-    parallel = engine.run(FusedParallelSoftmax(spec))
+    baseline = ctx.run(chain, check_memory=False)
+    fused = ctx.run(FusedSoftmax(spec), check_memory=False)
+    parallel = ctx.run(FusedParallelSoftmax(spec), check_memory=False)
     # Each interior step boundary costs one spill (the producer stores its
     # output) and one reload (the consumer re-reads it) through DRAM; fusion
     # keeps that traffic in shared memory/registers.  Derived from the actual

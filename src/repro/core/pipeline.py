@@ -28,8 +28,9 @@ ordered passes over a :class:`repro.ir.Graph`:
 counts; ``repro plan --explain`` prints the table.  The final lowering
 :func:`graph_to_plan` produces the legacy :class:`LayoutPlan`, which keeps
 every existing consumer (framework, schemes, sweeps, lint, CLI, benches)
-working unchanged.  ``plan_with_heuristic``/``plan_optimal`` in
-``repro.core.planner`` are now thin wrappers over :func:`run_pipeline`.
+working unchanged.  ``plan_single_layout``/``plan_with_heuristic``/
+``plan_optimal`` in ``repro.core.planner`` are thin wrappers over
+:func:`run_pipeline`.
 """
 
 from __future__ import annotations
@@ -40,13 +41,12 @@ from math import prod
 from typing import Callable, Sequence
 
 from ..gpusim.device import DeviceSpec
-from ..gpusim.engine import SimulationEngine
 from ..gpusim.exec import evaluate_cells, map_chunks
 from ..gpusim.session import SimulationContext, default_context
 from ..obs.metrics import global_registry
 from ..obs.tracer import active_tracer
 from ..obs.tracer import span as obs_span
-from ..ir.build import graph_from_plan_nodes, infer_shapes, lower_netdef
+from ..ir.build import infer_shapes, lower_netdef
 from ..ir.graph import EdgeTransform, Graph, GraphNode, NodeKind
 from ..layers.base import FCSpec, SoftmaxSpec
 from ..layers.elementwise import ElementwiseKernel, LRNSpec, make_lrn_kernel
@@ -114,15 +114,15 @@ class PipelineOptions:
 
 @dataclass
 class PassContext:
-    """Mutable state the passes share (engine, per-node cost tables)."""
+    """Mutable state the passes share (simulation context, cost tables)."""
 
     device: DeviceSpec
     options: PipelineOptions
-    engine: SimulationEngine
+    #: the simulation context every pass times kernels on
+    engine: SimulationContext
+    #: per-edge transform costs (batch-priced by ``AssignLayouts``)
+    edge_costs: TransformCostTable
     costs: dict[str, _LayerCosts] = field(default_factory=dict)
-    #: batched per-edge transform costs (populated by ``AssignLayouts``;
-    #: ``None`` → scalar queries for passes run without it)
-    edge_costs: "TransformCostTable | None" = None
 
 
 @dataclass(frozen=True)
@@ -279,12 +279,12 @@ def edge_transform_ms(
     src: DataLayout,
     dst: DataLayout,
 ) -> float:
-    """Transform cost on one producer→consumer edge (scalar reference).
+    """Transform cost on one producer→consumer edge (scalar reference for
+    :class:`TransformCostTable`).
 
-    Generalizes the legacy per-node ``_transform_ms``: on single-input
-    consumers the transformed tensor is the consumer's input (bit-identical
-    to the legacy accounting); on multi-input consumers (concat) it is the
-    individual producer's output, not the joined tensor.
+    On single-input consumers the transformed tensor is the consumer's
+    input; on multi-input consumers (concat) it is the individual
+    producer's output, not the joined tensor.
     """
     desc = _edge_desc(producer, consumer, src, dst)
     if desc is None:
@@ -383,21 +383,8 @@ class TransformCostTable:
         return ms
 
 
-def _ctx_edge_ms(
-    ctx: PassContext,
-    producer: GraphNode | None,
-    consumer: GraphNode,
-    src: DataLayout,
-    dst: DataLayout,
-) -> float:
-    """Edge cost through the context's batched table when present."""
-    if ctx.edge_costs is not None:
-        return ctx.edge_costs.edge_ms(producer, consumer, src, dst)
-    return edge_transform_ms(ctx.device, producer, consumer, src, dst)
-
-
 def _graph_node_costs(
-    engine: SimulationEngine,
+    context: SimulationContext,
     node: GraphNode,
     device: DeviceSpec,
     tune_pooling: bool,
@@ -412,7 +399,7 @@ def _graph_node_costs(
             costs.per_layout[str(layout)] = (node.fixed_ms, "concat", None)
         return costs
     return _node_costs(  # type: ignore[arg-type]
-        engine, node, device, tune_pooling, allow_fft, layouts
+        context, node, device, tune_pooling, allow_fft, layouts
     )
 
 
@@ -425,17 +412,13 @@ def _consumers_map(graph: Graph) -> dict[str, list[GraphNode]]:
 
 
 def _insert_transforms(
-    graph: Graph,
-    device: DeviceSpec,
-    costs: "TransformCostTable | None" = None,
+    graph: Graph, costs: TransformCostTable
 ) -> tuple[int, float]:
     """(Re)materialize edge transforms from the current layout assignment.
 
-    Mirrors the legacy ``_assemble`` walk: the layout "carried" past a
-    CLASSIFIER node is its producer's (flattening erases the 4-D layout,
-    so classifiers never update it), and a transform is only recorded when
-    its modeled cost is positive.  ``costs`` routes edge pricing through
-    the batched :class:`TransformCostTable` when one is available.
+    The layout "carried" past a CLASSIFIER node is its producer's
+    (flattening erases the 4-D layout, so classifiers never update it),
+    and a transform is only recorded when its modeled cost is positive.
     """
     count, total = 0, 0.0
     carried: dict[str, DataLayout | None] = {}
@@ -449,12 +432,7 @@ def _insert_transforms(
             src_layout = carried[src]
             if src_layout is None or node.layout is None:
                 continue
-            if costs is not None:
-                t_ms = costs.edge_ms(graph[src], node, src_layout, node.layout)
-            else:
-                t_ms = edge_transform_ms(
-                    device, graph[src], node, src_layout, node.layout
-                )
+            t_ms = costs.edge_ms(graph[src], node, src_layout, node.layout)
             if t_ms > 0:
                 transforms.append(
                     EdgeTransform(src, src_layout, node.layout, t_ms)
@@ -498,7 +476,7 @@ class ResolveShapes(Pass):
                 kernel = ElementwiseKernel(prod(node.out_dims), name="concat")
             else:
                 continue
-            node.fixed_ms = ctx.engine.run(kernel).time_ms
+            node.fixed_ms = ctx.engine.run(kernel, check_memory=False).time_ms
             timed += 1
         self.stats["fixed_cost_nodes"] = timed
         return graph
@@ -531,7 +509,6 @@ class AssignLayouts(Pass):
             )
             for node in graph
         }
-        ctx.edge_costs = TransformCostTable(ctx.device)
         self.stats["edge_kernels_batched"] = ctx.edge_costs.precompute(
             graph, opts.layouts, jobs=opts.jobs
         )
@@ -627,7 +604,7 @@ class AssignLayouts(Pass):
         def edge(i: int, a: DataLayout, b: DataLayout) -> float:
             node = order[i]
             producer = graph[node.inputs[0]] if node.inputs else None
-            return _ctx_edge_ms(ctx, producer, node, a, b)
+            return ctx.edge_costs.edge_ms(producer, node, a, b)
 
         if opts.strategy == "heuristic":
             thresholds = opts.thresholds or thresholds_for(ctx.device)
@@ -650,8 +627,7 @@ class AssignLayouts(Pass):
 
         consumers = _consumers_map(graph)
 
-        def edge(p: GraphNode, n: GraphNode, a: DataLayout, b: DataLayout) -> float:
-            return _ctx_edge_ms(ctx, p, n, a, b)
+        edge = ctx.edge_costs.edge_ms
 
         def total(assign: dict[str, DataLayout]) -> float:
             t = sum(ctx.costs[n.name].cost(assign[n.name]) for n in graph)
@@ -775,7 +751,7 @@ class InsertTransforms(Pass):
     )
 
     def run(self, graph: Graph, ctx: PassContext) -> Graph:
-        count, total = _insert_transforms(graph, ctx.device, ctx.edge_costs)
+        count, total = _insert_transforms(graph, ctx.edge_costs)
         self.stats["inserted"] = count
         self.stats["transform_ms"] = round(total, 6)
         return graph
@@ -823,11 +799,11 @@ class EliminateRedundantTransforms(Pass):
                         src_layout = graph[src].layout
                         if src_layout is None:
                             continue
-                        t += _ctx_edge_ms(ctx, graph[src], node, src_layout, layout)
+                        t += ctx.edge_costs.edge_ms(graph[src], node, src_layout, layout)
                     for cons in consumers[node.name]:
                         if cons.layout is None:
                             continue
-                        t += _ctx_edge_ms(ctx, node, cons, layout, cons.layout)
+                        t += ctx.edge_costs.edge_ms(node, cons, layout, cons.layout)
                     return t
 
                 current_cost = incident(node.layout)
@@ -843,7 +819,7 @@ class EliminateRedundantTransforms(Pass):
         added = 0
         if relabeled:
             old = {n.name: set(n.transforms) for n in graph}
-            _insert_transforms(graph, ctx.device, ctx.edge_costs)
+            _insert_transforms(graph, ctx.edge_costs)
             for n in graph:
                 removed += len(old[n.name] - set(n.transforms))
                 added += len(set(n.transforms) - old[n.name])
@@ -1045,8 +1021,12 @@ def run_pipeline(
     if len(graph) == 0:
         plan = LayoutPlan(steps=(), device=device.name, strategy=options.strategy_name())
         return PipelineResult(graph=graph, plan=plan, trace=())
-    engine = (context or default_context(device)).engine(check_memory=False)
-    ctx = PassContext(device=device, options=options, engine=engine)
+    ctx = PassContext(
+        device=device,
+        options=options,
+        engine=context or default_context(device),
+        edge_costs=TransformCostTable(device),
+    )
     manager = PassManager(
         passes if passes is not None else default_passes(),
         verify=options.verify,
@@ -1074,14 +1054,3 @@ def plan_network(
 ) -> PipelineResult:
     """Lower a :class:`NetworkDef` and run the pipeline over it."""
     return run_pipeline(device, lower_netdef(net), options, context)  # type: ignore[arg-type]
-
-
-def plan_nodes(
-    device: DeviceSpec,
-    nodes: Sequence[object],
-    options: PipelineOptions | None = None,
-    context: SimulationContext | None = None,
-) -> PipelineResult:
-    """Wrap a legacy planner chain and run the pipeline over it (the
-    compatibility path behind ``plan_with_heuristic``/``plan_optimal``)."""
-    return run_pipeline(device, graph_from_plan_nodes(list(nodes)), options, context)  # type: ignore[arg-type]

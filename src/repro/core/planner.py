@@ -14,15 +14,18 @@ Two planners are provided:
   layout because their preference is worth less than the transpose).
 * :func:`plan_optimal` — dynamic programming over the layer chain, the
   exhaustive version of the same trade-off.  Used in tests to prove the
-  heuristic plan is near-optimal and in the ``Opt`` whole-network scheme.
+  heuristic plan is near-optimal; the ``Opt`` whole-network scheme runs
+  the same search through :func:`repro.core.pipeline.plan_network`.
 
-Both public planners are thin compatibility wrappers over the pass
-pipeline (``repro.core.pipeline``), which generalizes the same algorithms
-from chains to DAGs; prefer :func:`repro.core.pipeline.run_pipeline` in
-new code.  The plans of the original chain-only implementations are
-frozen in ``tests/core/golden/plans.json``, and the golden tests hold the
-pipeline to them.  :func:`plan_single_layout` still prices its fixed-layout
-chain here directly.
+:func:`plan_single_layout` prices the whole chain in one fixed layout
+(the existing libraries' behaviour), the baseline both planners beat.
+
+All three are thin compatibility wrappers over the pass pipeline
+(``repro.core.pipeline``), which generalizes the same algorithms from
+chains to DAGs; prefer :func:`repro.core.pipeline.run_pipeline` in new
+code.  The plans of the original chain-only implementations are frozen in
+``tests/core/golden/plans.json``, and the golden tests hold the pipeline
+to them.
 """
 
 from __future__ import annotations
@@ -30,14 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..gpusim.device import DeviceSpec
-from ..gpusim.engine import SimulationEngine
-from ..gpusim.session import SimulationContext, default_context
+from ..gpusim.session import SimulationContext
 from ..ir.graph import NodeKind
 from ..layers.base import ConvSpec, PoolSpec, SoftmaxSpec
 from ..layers.softmax_kernels import make_softmax_kernel
 from ..tensors.layout import CHWN, NCHW, DataLayout
-from ..tensors.tensor import TensorDesc
-from ..tensors.transform_kernels import transform_time_ms
 from .autotune import autotune_pooling
 from .heuristic import LayoutThresholds
 from .selector import best_conv_for_layout
@@ -139,7 +139,7 @@ class _LayerCosts:
 
 
 def _node_costs(
-    engine: SimulationEngine,
+    context: SimulationContext,
     node: PlanNode,
     device: DeviceSpec,
     tune_pooling: bool,
@@ -150,28 +150,37 @@ def _node_costs(
     if node.kind is NodeKind.CONV:
         assert isinstance(node.spec, ConvSpec)
         for layout in layouts:
-            choice = best_conv_for_layout(engine, node.spec, layout, allow_fft=allow_fft)
+            choice = best_conv_for_layout(
+                context, node.spec, layout, allow_fft=allow_fft, check_memory=False
+            )
             costs.per_layout[str(layout)] = (choice.time_ms, choice.implementation, None)
     elif node.kind is NodeKind.POOL:
         assert isinstance(node.spec, PoolSpec)
         from ..layers.pooling_kernels import make_pool_kernel
 
         if tune_pooling:
-            tuned = autotune_pooling(device, node.spec, context=engine.context)
+            tuned = autotune_pooling(device, node.spec, context=context)
             coarsen = (tuned.ux, tuned.uy)
             chwn_ms = tuned.time_ms
             impl = (
                 "chwn-coarsened" if coarsen != (1, 1) else "chwn"
             )
         else:
-            chwn_ms = engine.run(make_pool_kernel(node.spec, "chwn")).time_ms
+            chwn_ms = context.run(
+                make_pool_kernel(node.spec, "chwn"), check_memory=False
+            ).time_ms
             coarsen, impl = None, "chwn"
         costs.per_layout[str(CHWN)] = (chwn_ms, impl, coarsen)
         # When a pool stays out of CHWN (transform not worth it), the
         # framework still picks the faster of the available channel-major
         # kernels; every non-CHWN layout shares that pattern in the model.
         nchw_ms, nchw_impl = min(
-            (engine.run(make_pool_kernel(node.spec, impl_name)).time_ms, impl_name)
+            (
+                context.run(
+                    make_pool_kernel(node.spec, impl_name), check_memory=False
+                ).time_ms,
+                impl_name,
+            )
             for impl_name in ("nchw-linear", "nchw-rowblock")
         )
         for layout in layouts:
@@ -182,7 +191,9 @@ def _node_costs(
             costs.per_layout[str(layout)] = (node.fixed_ms, "elementwise", None)
     else:  # CLASSIFIER
         if isinstance(node.spec, SoftmaxSpec):
-            ms = engine.run(make_softmax_kernel(node.spec, "opt")).time_ms
+            ms = context.run(
+                make_softmax_kernel(node.spec, "opt"), check_memory=False
+            ).time_ms
             impl = "softmax-opt"
         else:
             ms, impl = node.fixed_ms, "gemm"
@@ -191,82 +202,31 @@ def _node_costs(
     return costs
 
 
-def _transform_ms(
-    device: DeviceSpec,
-    node: PlanNode,
-    src: DataLayout,
-    dst: DataLayout,
-) -> float:
-    if src == dst or node.in_dims is None:
-        return 0.0
-    if node.kind is NodeKind.CLASSIFIER:
-        return 0.0  # flattening erases the 4-D layout; no transform needed
-    desc = TensorDesc(*node.in_dims, layout=src)
-    return transform_time_ms(device, desc, dst, method="auto")
-
-
-def _build_costs(
-    device: DeviceSpec,
-    nodes: list[PlanNode],
-    tune_pooling: bool,
-    allow_fft: bool,
-    layouts: tuple[DataLayout, ...] = PLAN_LAYOUTS,
-    context: SimulationContext | None = None,
-) -> list[_LayerCosts]:
-    engine = (context or default_context(device)).engine(check_memory=False)
-    return [
-        _node_costs(engine, node, device, tune_pooling, allow_fft, layouts)
-        for node in nodes
-    ]
-
-
-def _assemble(
-    device: DeviceSpec,
-    nodes: list[PlanNode],
-    costs: list[_LayerCosts],
-    layouts: list[DataLayout],
-    strategy: str,
-) -> LayoutPlan:
-    steps: list[PlanStep] = []
-    prev = layouts[0]
-    for node, cost, layout in zip(nodes, costs, layouts):
-        t_ms = _transform_ms(device, node, prev, layout)
-        layer_ms, impl, coarsen = cost.choice(layout)
-        effective = layout if node.kind in (NodeKind.CONV, NodeKind.POOL) else None
-        steps.append(
-            PlanStep(
-                name=node.name,
-                kind=node.kind,
-                layout=effective,
-                implementation=impl,
-                layer_ms=layer_ms,
-                transform_ms=t_ms,
-                coarsening=coarsen,
-                transformed_from=prev if t_ms > 0 else None,
-                transformed_to=layout if t_ms > 0 else None,
-            )
-        )
-        if node.kind is not NodeKind.CLASSIFIER:
-            prev = layout
-    return LayoutPlan(steps=tuple(steps), device=device.name, strategy=strategy)
-
-
 def plan_single_layout(
     device: DeviceSpec,
     nodes: list[PlanNode],
     layout: DataLayout,
     tune_pooling: bool = False,
     allow_fft: bool = True,
-    strategy: str | None = None,
     context: SimulationContext | None = None,
 ) -> LayoutPlan:
     """Cost of running the whole network in one fixed layout (the existing
-    libraries' behaviour)."""
-    costs = _build_costs(device, nodes, tune_pooling, allow_fft, context=context)
-    layouts = [layout] * len(nodes)
-    return _assemble(
-        device, nodes, costs, layouts, strategy or f"single-{layout}"
+    libraries' behaviour).
+
+    Compatibility wrapper: runs the pass pipeline with
+    ``strategy="single"``.
+    """
+    from ..ir.build import graph_from_plan_nodes
+    from .pipeline import PipelineOptions, run_pipeline
+
+    options = PipelineOptions(
+        strategy="single",
+        single_layout=layout,
+        tune_pooling=tune_pooling,
+        allow_fft=allow_fft,
     )
+    graph = graph_from_plan_nodes(list(nodes))
+    return run_pipeline(device, graph, options, context=context).plan
 
 
 def plan_with_heuristic(

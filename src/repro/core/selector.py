@@ -15,16 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..gpusim.engine import GpuOutOfMemoryError, SimulationEngine
 from ..gpusim.kernel import KernelModel
-from ..gpusim.session import SimulationContext
+from ..gpusim.session import GpuOutOfMemoryError, SimulationContext
 from ..layers.base import ConvSpec
 from ..layers.conv_kernels import ConvUnsupportedError, make_conv_kernel
 from ..tensors.layout import CHWN, NCHW, NHWC, DataLayout
-
-#: Selection routines accept either an engine view or a bare session —
-#: both expose ``run`` against a shared structural timing cache.
-Simulator = SimulationEngine | SimulationContext
 
 #: Implementations valid per layout (Section IV.D).  NHWC exists only via
 #: cuDNN's repack-to-NCHW path (paper footnote 1), so it never wins — it is
@@ -60,23 +55,28 @@ class ConvChoice:
 
 
 def try_conv_time(
-    engine: Simulator, spec: ConvSpec, implementation: str
+    context: SimulationContext,
+    spec: ConvSpec,
+    implementation: str,
+    check_memory: bool | None = None,
 ) -> tuple[float, KernelModel] | None:
     """Simulated time for one implementation, or None if it cannot run
-    (unsupported configuration or device OOM)."""
+    (unsupported configuration or device OOM).  ``check_memory`` is
+    forwarded to :meth:`SimulationContext.run`."""
     try:
         kernel = make_conv_kernel(spec, implementation)
-        stats = engine.run(kernel)
+        stats = context.run(kernel, check_memory=check_memory)
     except (ConvUnsupportedError, GpuOutOfMemoryError):
         return None
     return stats.time_ms, kernel
 
 
 def best_conv_for_layout(
-    engine: Simulator,
+    context: SimulationContext,
     spec: ConvSpec,
     layout: DataLayout,
     allow_fft: bool = True,
+    check_memory: bool | None = None,
 ) -> ConvChoice:
     """Fastest valid implementation of ``spec`` under ``layout``."""
     key = str(layout)
@@ -90,7 +90,7 @@ def best_conv_for_layout(
         candidates = tuple(c for c in candidates if not c.startswith("fft"))
     best: ConvChoice | None = None
     for impl in candidates:
-        result = try_conv_time(engine, spec, impl)
+        result = try_conv_time(context, spec, impl, check_memory)
         if result is None:
             continue
         time_ms, kernel = result
@@ -104,20 +104,25 @@ def best_conv_for_layout(
 
 
 def cudnn_mode_conv(
-    engine: Simulator, spec: ConvSpec, mode: str
+    context: SimulationContext,
+    spec: ConvSpec,
+    mode: str,
+    check_memory: bool | None = None,
 ) -> ConvChoice:
     """Model one cuDNN execution mode with MM fallback.
 
     ``mode`` is ``mm``, ``fft``, ``fft-tiled`` or ``best``.
     """
     if mode == "best":
-        return best_conv_for_layout(engine, spec, NCHW, allow_fft=True)
+        return best_conv_for_layout(
+            context, spec, NCHW, allow_fft=True, check_memory=check_memory
+        )
     impl = {"mm": "im2col", "fft": "fft", "fft-tiled": "fft-tiled"}.get(mode)
     if impl is None:
         raise ValueError(f"unknown cuDNN mode {mode!r}")
-    result = try_conv_time(engine, spec, impl)
+    result = try_conv_time(context, spec, impl, check_memory)
     if result is None:  # fall back to MM, as the paper's schemes do
-        result = try_conv_time(engine, spec, "im2col")
+        result = try_conv_time(context, spec, "im2col", check_memory)
         impl = "im2col"
     if result is None:
         raise ConvUnsupportedError(f"cuDNN fallback failed for {spec}")

@@ -112,16 +112,20 @@ def compare_layouts_fp16(
     can never share cache entries with the FP32 run anyway).
     """
     layers = layers or CONV_LAYERS
-    engine32 = (context or default_context(device)).engine(check_memory=False)
-    engine16 = default_context(fp16_device(device)).engine(check_memory=False)
+    ctx32 = context or default_context(device)
+    ctx16 = default_context(fp16_device(device))
     out: list[Fp16LayerComparison] = []
     for name, spec in layers.items():
         t32 = {
-            impl: engine32.run(make_conv_kernel(spec, impl)).time_ms
+            impl: ctx32.run(
+                make_conv_kernel(spec, impl), check_memory=False
+            ).time_ms
             for impl in ("direct", "im2col")
         }
         t16 = {
-            impl: engine16.run(as_fp16(make_conv_kernel(spec, impl))).time_ms
+            impl: ctx16.run(
+                as_fp16(make_conv_kernel(spec, impl)), check_memory=False
+            ).time_ms
             for impl in ("direct", "im2col")
         }
         w32 = min(t32, key=lambda k: t32[k])
@@ -149,12 +153,13 @@ def memory_bound_share(
 ) -> float:
     """Fraction of a layer's time spent on the memory side."""
     if fp16:
-        engine = default_context(fp16_device(device)).engine(check_memory=False)
-        stats = engine.run(
-            as_fp16(make_conv_kernel(spec, implementation), math_only=math_only)
+        ctx = default_context(fp16_device(device))
+        stats = ctx.run(
+            as_fp16(make_conv_kernel(spec, implementation), math_only=math_only),
+            check_memory=False,
         )
     else:
-        engine = (context or default_context(device)).engine(check_memory=False)
-        stats = engine.run(make_conv_kernel(spec, implementation))
+        ctx = context or default_context(device)
+        stats = ctx.run(make_conv_kernel(spec, implementation), check_memory=False)
     denom = stats.memory_ms + stats.compute_ms
     return stats.memory_ms / denom if denom else 0.0

@@ -185,26 +185,17 @@ def plan_within_memory(
     plan is re-derived without FFT implementations.
     """
     from ..core.pipeline import PipelineOptions, plan_network
-    from ..core.planner import plan_optimal
 
-    if net.is_chain:
-        nodes = net.planner_nodes(device, context=context)
-        plan = plan_optimal(device, nodes, context=context)
-    else:
-        plan = plan_network(
-            device, net.definition, PipelineOptions(strategy="optimal"),
-            context=context,
-        ).plan
+    plan = plan_network(
+        device, net.definition, PipelineOptions(strategy="optimal"), context=context
+    ).plan
     footprint = network_footprint(net, plan, training=training)
     if not footprint.fits(device):
-        if net.is_chain:
-            plan = plan_optimal(device, nodes, allow_fft=False, context=context)
-        else:
-            plan = plan_network(
-                device, net.definition,
-                PipelineOptions(strategy="optimal", allow_fft=False),
-                context=context,
-            ).plan
+        plan = plan_network(
+            device, net.definition,
+            PipelineOptions(strategy="optimal", allow_fft=False),
+            context=context,
+        ).plan
         footprint = network_footprint(net, plan, training=training)
     return plan, footprint
 

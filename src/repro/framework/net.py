@@ -131,7 +131,7 @@ class Net:
                 f"{self.name}: branching networks have no planner-node chain; "
                 "plan through repro.core.pipeline.plan_network instead"
             )
-        engine = self._context_for(device, context).engine(check_memory=False)
+        ctx = self._context_for(device, context)
         nodes: list[PlanNode] = []
         for layer in self.layers:
             if layer.kind in (NodeKind.CONV, NodeKind.POOL):
@@ -142,7 +142,8 @@ class Net:
                 assert layer.in_dims is not None
                 elements = int(np.prod(layer.in_dims))
                 assert isinstance(layer.spec, LRNSpec)
-                ms = engine.run(make_lrn_kernel(elements, layer.spec)).time_ms
+                kernel = make_lrn_kernel(elements, layer.spec)
+                ms = ctx.run(kernel, check_memory=False).time_ms
                 nodes.append(
                     PlanNode(
                         layer.name, layer.kind, None, fixed_ms=ms, in_dims=layer.in_dims
@@ -151,7 +152,7 @@ class Net:
             else:  # CLASSIFIER
                 spec = layer.spec
                 if isinstance(spec, FCSpec):
-                    ms = engine.run(make_fc_kernel(spec)).time_ms
+                    ms = ctx.run(make_fc_kernel(spec), check_memory=False).time_ms
                     nodes.append(
                         PlanNode(layer.name, layer.kind, None, fixed_ms=ms,
                                  in_dims=layer.in_dims)

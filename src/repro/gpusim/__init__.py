@@ -5,7 +5,8 @@ the paper's GPUs, a coalescing unit, a set-associative L2, a shared-memory
 bank-conflict model, an occupancy calculator, and an analytic
 ``max(compute, memory)`` timing model with latency-bound and launch-overhead
 terms.  Everything above it (layers, transforms, planners) expresses kernels
-as :class:`KernelModel` objects and asks :class:`SimulationEngine` for time.
+as :class:`KernelModel` objects and asks a :class:`SimulationContext` for
+time.
 """
 
 from .batch import (
@@ -38,12 +39,6 @@ from .device import (
     register_device,
 )
 from .dram import MemoryServiceTimes, memory_service_time
-from .engine import (
-    GpuOutOfMemoryError,
-    SequenceStats,
-    SimulationEngine,
-    simulate,
-)
 from .exec import (
     adaptive_chunk_size,
     evaluate_cells,
@@ -53,6 +48,8 @@ from .exec import (
     shutdown_pool,
 )
 from .session import (
+    GpuOutOfMemoryError,
+    SequenceStats,
     SimStats,
     SimulationContext,
     default_context,
@@ -123,7 +120,6 @@ __all__ = [
     "SetAssociativeCache",
     "SimStats",
     "SimulationContext",
-    "SimulationEngine",
     "TITAN_BLACK",
     "TITAN_X",
     "TraceResult",
@@ -158,7 +154,6 @@ __all__ = [
     "roofline_point",
     "sample_indices",
     "shutdown_pool",
-    "simulate",
     "structural_key",
     "stream_addresses",
     "strided_pattern",

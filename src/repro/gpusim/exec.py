@@ -65,9 +65,14 @@ from ..obs.tracer import (
 )
 from .batch import evaluate_models
 from .device import DeviceSpec
-from .engine import GpuOutOfMemoryError
 from .kernel import ComposedKernel, KernelModel
-from .session import SimStats, SimulationContext, _kind_of, structural_key
+from .session import (
+    GpuOutOfMemoryError,
+    SimStats,
+    SimulationContext,
+    _kind_of,
+    structural_key,
+)
 from .timing import KernelStats
 
 if TYPE_CHECKING:

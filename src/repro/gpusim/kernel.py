@@ -10,7 +10,7 @@ latency-bound behaviour).
 Concrete kernels (direct convolution, im2col+GEMM, pooling in each layout,
 the softmax variants, the layout-transform kernels) live next to their layer
 in ``repro.layers`` / ``repro.tensors``; this module only defines the shared
-vocabulary consumed by :mod:`repro.gpusim.engine`.
+vocabulary consumed by :mod:`repro.gpusim.session`.
 """
 
 from __future__ import annotations

@@ -1,13 +1,10 @@
-"""Simulation sessions: one shared engine state for a whole workload.
+"""Simulation sessions: one shared simulator handle for a whole workload.
 
 The paper's pitch is *one-time profiling* whose results amortize across a
-network (Section IV.D) — yet historically every consumer of the simulator
-(planner, selector, autotuner, fusion pass, baselines, sweeps, CLI) built a
-private :class:`~repro.gpusim.engine.SimulationEngine` whose memo cache was
-keyed by ``id(model)``, so freshly-built kernel models never hit it and the
-same Table-1 kernels were re-timed dozens of times per plan.
-
-This module is the fix, in the spirit of cuDNN's single library handle:
+network (Section IV.D).  In the spirit of cuDNN's single library handle,
+every consumer of the simulator (planner, selector, autotuner, fusion pass,
+baselines, sweeps, CLI) times kernels through one
+:class:`SimulationContext`:
 
 * :func:`structural_key` — a content-addressed key derived from a kernel
   model's structural state plus the full device spec, so two structurally
@@ -17,9 +14,8 @@ This module is the fix, in the spirit of cuDNN's single library handle:
 * :class:`SimulationContext` — the session object owning the cache, the
   stats, and the OOM/``tensor_bytes_resident`` accounting, with optional
   JSON persistence for cross-process reuse by benchmarks;
-* :func:`default_context` — a per-device shared session that the
-  :class:`SimulationEngine` compatibility shim delegates to, so code that
-  still instantiates engines ad hoc transparently shares one hot cache.
+* :func:`default_context` — a per-device shared session, so callers that
+  pass no context still share one hot cache.
 """
 
 from __future__ import annotations
@@ -305,10 +301,10 @@ class SimulationContext:
         The simulated GPU.
     check_memory:
         Default OOM-checking behaviour for :meth:`run`; individual calls
-        (and the :class:`SimulationEngine` shim) may override it.
+        may override it.
     tensor_bytes_resident:
         Bytes already resident on the device, counted against capacity by
-        the OOM check (the engine's historical accounting, preserved).
+        the OOM check.
     cache_path:
         Optional JSON file for cross-process cache reuse.  Loaded eagerly
         when it exists; written by :meth:`save_cache`.
@@ -450,24 +446,6 @@ class SimulationContext:
         if required > self.device.dram_bytes:
             raise GpuOutOfMemoryError(model.name, required, self.device.dram_bytes)
 
-    # -- engine views ------------------------------------------------------
-    def engine(
-        self, check_memory: bool | None = None, tensor_bytes_resident: float = 0.0
-    ) -> "SimulationEngine":
-        """A :class:`SimulationEngine` view bound to this context.
-
-        Lets call sites keep the familiar ``engine.run(...)`` shape while
-        sharing this session's cache and counters.
-        """
-        from .engine import SimulationEngine
-
-        return SimulationEngine(
-            self.device,
-            check_memory=self.check_memory if check_memory is None else check_memory,
-            tensor_bytes_resident=tensor_bytes_resident,
-            context=self,
-        )
-
     # -- cache management --------------------------------------------------
     @property
     def cache_size(self) -> int:
@@ -548,20 +526,24 @@ class SimulationContext:
         """
         source = Path(path)
         try:
+            # ValueError covers both undecodable bytes and damaged JSON
             payload = json.loads(source.read_text())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):
             return 0
         if not isinstance(payload, dict):
             return 0
         if payload.get("version") != _CACHE_FORMAT_VERSION:
             return 0
+        entries = payload.get("entries", {})
+        if not isinstance(entries, dict):
+            return 0
         loaded = 0
-        for key, entry in payload.get("entries", {}).items():
+        for key, entry in entries.items():
             if key in self._cache:
                 continue
             try:
                 self._cache[key] = _stats_from_dict(entry)
-            except (KeyError, TypeError):
+            except (KeyError, TypeError, ValueError):
                 continue
             loaded += 1
         self.stats.loaded_from_disk += loaded
@@ -583,7 +565,7 @@ def _stats_from_dict(record: dict[str, Any]) -> KernelStats:
 
 
 # ---------------------------------------------------------------------------
-# Sequence aggregation (formerly in engine.py)
+# Sequence aggregation
 # ---------------------------------------------------------------------------
 
 
@@ -655,11 +637,8 @@ _DEFAULT_CONTEXTS: dict[DeviceSpec, SimulationContext] = {}
 
 
 def default_context(device: DeviceSpec) -> SimulationContext:
-    """The process-wide shared session for ``device``.
-
-    :class:`SimulationEngine` instances without an explicit context delegate
-    here, which is what turns the historical engine-per-call-site pattern
-    into one hot cache per device.
+    """The process-wide shared session for ``device``: callers that pass
+    no context time kernels here, so they share one hot cache per device.
     """
     ctx = _DEFAULT_CONTEXTS.get(device)
     if ctx is None:

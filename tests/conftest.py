@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.gpusim import TITAN_BLACK, TITAN_X, SimulationEngine
+from repro.gpusim import TITAN_BLACK, TITAN_X, default_context
 from repro.layers import ConvSpec, PoolSpec, SoftmaxSpec
 
 
@@ -21,7 +21,7 @@ def titan_x():
 
 @pytest.fixture()
 def engine(device):
-    return SimulationEngine(device)
+    return default_context(device)
 
 
 @pytest.fixture(scope="session")

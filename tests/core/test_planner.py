@@ -9,10 +9,59 @@ from repro.core import (
     plan_single_layout,
     plan_with_heuristic,
 )
-from repro.core.planner import PLAN_LAYOUTS, NodeKind, PlanNode
+from repro.core.planner import (
+    PLAN_LAYOUTS,
+    LayoutPlan,
+    NodeKind,
+    PlanNode,
+    PlanStep,
+    _node_costs,
+)
 from repro.framework import Net
+from repro.gpusim import default_context
 from repro.networks import build_network
-from repro.tensors import CHWN, NCHW
+from repro.networks.definitions import NETWORK_BUILDERS
+from repro.tensors import CHWN, NCHW, TensorDesc
+from repro.tensors.transform_kernels import transform_time_ms
+
+CHAIN_NETWORKS = tuple(
+    name for name in NETWORK_BUILDERS if Net(build_network(name)).is_chain
+)
+
+
+# -- local oracle: the chain planner's per-node pricing, written out -------
+
+
+def _oracle_costs(device, nodes, tune_pooling):
+    ctx = default_context(device)
+    return [_node_costs(ctx, n, device, tune_pooling, True) for n in nodes]
+
+
+def _oracle_transform_ms(device, node, src, dst):
+    """A transform moves the node's input tensor; classifiers flatten it,
+    so they never need one."""
+    if src == dst or node.in_dims is None or node.kind is NodeKind.CLASSIFIER:
+        return 0.0
+    desc = TensorDesc(*node.in_dims, layout=src)
+    return transform_time_ms(device, desc, dst, method="auto")
+
+
+def _oracle_single_layout(device, nodes, layout, tune_pooling):
+    steps = []
+    for node, cost in zip(nodes, _oracle_costs(device, nodes, tune_pooling)):
+        layer_ms, impl, coarsen = cost.choice(layout)
+        bearing = node.kind in (NodeKind.CONV, NodeKind.POOL)
+        steps.append(
+            PlanStep(
+                name=node.name,
+                kind=node.kind,
+                layout=layout if bearing else None,
+                implementation=impl,
+                layer_ms=layer_ms,
+                coarsening=coarsen,
+            )
+        )
+    return LayoutPlan(tuple(steps), device.name, f"single-{layout}")
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +90,16 @@ class TestSingleLayoutPlans:
         nchw = plan_single_layout(device, lenet_nodes, NCHW)
         assert chwn.total_ms < nchw.total_ms
 
+    @pytest.mark.parametrize("layout", [CHWN, NCHW], ids=str)
+    @pytest.mark.parametrize("network", CHAIN_NETWORKS)
+    def test_matches_oracle_step_for_step(self, device, network, layout):
+        nodes = Net(build_network(network)).planner_nodes(device)
+        for tune_pooling in (False, True):
+            plan = plan_single_layout(device, nodes, layout, tune_pooling=tune_pooling)
+            expected = _oracle_single_layout(device, nodes, layout, tune_pooling)
+            assert plan.steps == expected.steps, tune_pooling
+            assert plan == expected
+
 
 class TestOptimalPlan:
     def test_never_worse_than_any_single_layout(self, device, alexnet_nodes):
@@ -51,15 +110,13 @@ class TestOptimalPlan:
 
     def test_matches_brute_force_on_small_chain(self, device, lenet_nodes):
         """DP == exhaustive enumeration over layout assignments."""
-        from repro.core.planner import _build_costs, _transform_ms
-
         nodes = lenet_nodes
-        costs = _build_costs(device, nodes, tune_pooling=True, allow_fft=True)
+        costs = _oracle_costs(device, nodes, tune_pooling=True)
         best_total = None
         for combo in itertools.product(PLAN_LAYOUTS, repeat=len(nodes)):
             total = costs[0].cost(combo[0])
             for i in range(1, len(nodes)):
-                total += _transform_ms(device, nodes[i], combo[i - 1], combo[i])
+                total += _oracle_transform_ms(device, nodes[i], combo[i - 1], combo[i])
                 total += costs[i].cost(combo[i])
             best_total = total if best_total is None else min(best_total, total)
         dp = plan_optimal(device, nodes)

@@ -3,14 +3,14 @@
 import pytest
 
 from repro.core import best_conv_for_layout, cudnn_mode_conv, try_conv_time
-from repro.gpusim import SimulationEngine
+from repro.gpusim import default_context
 from repro.networks import CONV_LAYERS
 from repro.tensors import CHWN, NCHW, DataLayout
 
 
 @pytest.fixture()
 def engine(device):
-    return SimulationEngine(device)
+    return default_context(device)
 
 
 class TestTryConvTime:

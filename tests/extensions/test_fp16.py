@@ -9,7 +9,7 @@ from repro.extensions import (
     fp16_device,
     memory_bound_share,
 )
-from repro.gpusim import SimulationEngine, get_device, simulate
+from repro.gpusim import default_context, get_device
 from repro.layers import make_conv_kernel, make_pool_kernel
 from repro.networks import CONV_LAYERS, POOL_LAYERS
 
@@ -27,8 +27,8 @@ class TestDevice:
 
     def test_p100_is_faster_than_titan_black(self, device):
         spec = CONV_LAYERS["CV7"]
-        t_black = simulate(device, make_conv_kernel(spec, "im2col")).time_ms
-        t_p100 = simulate(TESLA_P100, make_conv_kernel(spec, "im2col")).time_ms
+        t_black = default_context(device).run(make_conv_kernel(spec, "im2col")).time_ms
+        t_p100 = default_context(TESLA_P100).run(make_conv_kernel(spec, "im2col")).time_ms
         assert t_p100 < t_black
 
 
@@ -44,11 +44,12 @@ class TestFp16Kernels:
 
     def test_bandwidth_bound_layers_speed_up_about_2x(self):
         """Pooling is pure bandwidth: FP16 halves its time."""
-        engine32 = SimulationEngine(TESLA_P100, check_memory=False)
-        engine16 = SimulationEngine(fp16_device(TESLA_P100), check_memory=False)
+        ctx32 = default_context(TESLA_P100)
+        ctx16 = default_context(fp16_device(TESLA_P100))
         spec = POOL_LAYERS["PL5"]
-        t32 = engine32.run(make_pool_kernel(spec, "chwn")).time_ms
-        t16 = engine16.run(as_fp16(make_pool_kernel(spec, "chwn"))).time_ms
+        t32 = ctx32.run(make_pool_kernel(spec, "chwn"), check_memory=False).time_ms
+        half = as_fp16(make_pool_kernel(spec, "chwn"))
+        t16 = ctx16.run(half, check_memory=False).time_ms
         assert 1.6 < t32 / t16 < 2.2
 
 

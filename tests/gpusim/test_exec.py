@@ -28,7 +28,7 @@ from repro.gpusim import (
     map_chunks,
     shutdown_pool,
 )
-from repro.gpusim.engine import GpuOutOfMemoryError
+from repro.gpusim.session import GpuOutOfMemoryError
 from repro.gpusim.exec import (
     DEFAULT_MIN_CHUNK,
     TARGET_CHUNK_S,

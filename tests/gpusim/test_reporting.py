@@ -7,7 +7,7 @@ from repro.gpusim import (
     comparison_table,
     kernel_report,
     roofline_point,
-    simulate,
+    default_context,
 )
 from repro.layers import make_conv_kernel, make_pool_kernel
 from repro.networks import CONV_LAYERS, POOL_LAYERS
@@ -18,12 +18,13 @@ def conv_stats():
     # CV12 under direct convolution: high arithmetic intensity (the input
     # is small relative to the 29.6 GFLOP of work), so it sits under the
     # compute roof.
-    return simulate(TITAN_BLACK, make_conv_kernel(CONV_LAYERS["CV12"], "direct"))
+    kernel = make_conv_kernel(CONV_LAYERS["CV12"], "direct")
+    return default_context(TITAN_BLACK).run(kernel)
 
 
 @pytest.fixture(scope="module")
 def pool_stats():
-    return simulate(TITAN_BLACK, make_pool_kernel(POOL_LAYERS["PL5"], "chwn"))
+    return default_context(TITAN_BLACK).run(make_pool_kernel(POOL_LAYERS["PL5"], "chwn"))
 
 
 class TestRooflinePoint:

@@ -12,7 +12,6 @@ from repro.gpusim import (
     MemoryProfile,
     SimStats,
     SimulationContext,
-    SimulationEngine,
     default_context,
     reset_default_contexts,
     structural_key,
@@ -160,11 +159,22 @@ class TestPersistence:
         assert ctx.load_cache(path) == 0
         assert ctx.cache_size == 0
 
-    def test_damaged_file_is_never_fatal(self, device, tmp_path):
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"not json{",
+            b"\xff\xfe not utf-8",
+            b'{"version": 1, "entries": [1, 2]}',
+            b'{"version": 1, "entries": {"k": "not a record"}}',
+        ],
+        ids=["damaged-json", "not-utf8", "entries-list", "entry-string"],
+    )
+    def test_damaged_file_is_never_fatal(self, device, tmp_path, payload):
         """A cache file is an accelerator, not an input: corruption must
         degrade to a cold cache, not an exception."""
         path = tmp_path / "corrupt.json"
-        path.write_text("not json{")
+        path.write_bytes(payload)
+        assert SimulationContext(device).load_cache(path) == 0
         ctx = SimulationContext(device, cache_path=path)
         assert ctx.cache_size == 0
         ctx.run(ToyKernel())
@@ -221,9 +231,9 @@ class TestDefaultContexts:
     def test_engines_share_the_default_session(self, device):
         reset_default_contexts()
         try:
-            a = SimulationEngine(device, check_memory=False)
-            b = SimulationEngine(device, check_memory=False)
-            assert a.context is b.context is default_context(device)
+            a = default_context(device)
+            b = default_context(device)
+            assert a is b
             a.run(ToyKernel(flops=7e9))
             b.run(ToyKernel(flops=7e9))
             assert default_context(device).stats.hits == 1
@@ -238,19 +248,6 @@ class TestDefaultContexts:
             assert default_context(device) is default_context(replace(device))
         finally:
             reset_default_contexts()
-
-    def test_engine_view_binds_overrides(self, device):
-        ctx = SimulationContext(device)
-        view = ctx.engine(check_memory=False)
-        assert view.context is ctx
-        view.run(ToyKernel(workspace=7 * 2**30))  # unchecked via the view
-        with pytest.raises(GpuOutOfMemoryError):
-            ctx.run(ToyKernel(workspace=7 * 2**30))
-
-    def test_engine_rejects_mismatched_device(self, device, titan_x):
-        ctx = SimulationContext(device)
-        with pytest.raises(ValueError):
-            SimulationEngine(titan_x, context=ctx)
 
 
 class TestSimStats:

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 
 from repro.core import calibrate
-from repro.gpusim import SimulationEngine, simulate
+from repro.gpusim import default_context
 from repro.layers import (
     DirectConvCHWN,
     FusedParallelSoftmax,
@@ -23,7 +23,7 @@ from repro.tensors import CHWN, NCHW, transform_time_ms
 class TestFig4Crossovers:
     def test_4a_batch_crossover_between_64_and_128(self, device):
         """Fig. 4a: cuda-convnet overtakes cuDNN as N grows past 64–128."""
-        engine = SimulationEngine(device)
+        engine = default_context(device)
         base = CONV_LAYERS["CV7"]
         winners = {}
         for n in (16, 32, 64, 128, 256, 512):
@@ -36,7 +36,7 @@ class TestFig4Crossovers:
 
     def test_4b_channel_crossover_near_32(self, device):
         """Fig. 4b: 'cuDNN performs better when C is larger than 32'."""
-        engine = SimulationEngine(device)
+        engine = default_context(device)
         base = CONV_LAYERS["CV7"]
         for c, expected in ((16, "CHWN"), (32, "CHWN"), (64, "NCHW"), (256, "NCHW")):
             spec = replace(base, ci=c)
@@ -48,7 +48,7 @@ class TestFig4Crossovers:
     def test_chwn_gflops_scale_with_n(self, device):
         """Fig. 4a: the CHWN curve rises steeply with batch, the NCHW curve
         is nearly flat."""
-        engine = SimulationEngine(device)
+        engine = default_context(device)
         base = CONV_LAYERS["CV7"]
         chwn_16 = engine.run(DirectConvCHWN(replace(base, n=16))).achieved_gflops
         chwn_128 = engine.run(DirectConvCHWN(replace(base, n=128))).achieved_gflops
@@ -62,7 +62,7 @@ class TestFig10LayoutSpeedups:
     def test_average_preferred_layout_speedup(self, device):
         """Fig. 10: 'on average, 2.48x speedup is achieved with the
         preferred data layout compared to the alternative one'."""
-        engine = SimulationEngine(device)
+        engine = default_context(device)
         ratios = []
         for spec in CONV_LAYERS.values():
             t_c = engine.run(DirectConvCHWN(spec)).time_ms
@@ -77,7 +77,7 @@ class TestFig10LayoutSpeedups:
     def test_optimized_transform_preserves_most_of_the_benefit(self, device):
         """Fig. 10, CV1: the naive transform erases the layout win, the
         optimized transform keeps most of it."""
-        engine = SimulationEngine(device)
+        engine = default_context(device)
         spec = CONV_LAYERS["CV1"]
         t_chwn = engine.run(DirectConvCHWN(spec)).time_ms
         t_nchw = engine.run(Im2colGemmNCHW(spec)).time_ms
@@ -120,7 +120,7 @@ class TestFig13Softmax:
         bws = []
         for c in (10, 100, 1000, 10000):
             spec = FIG13_SOFTMAX[f"128/{c}"]
-            stats = simulate(device, FusedParallelSoftmax(spec))
+            stats = default_context(device).run(FusedParallelSoftmax(spec))
             bws.append(2 * spec.nbytes / (stats.time_ms * 1e6))
         assert bws == sorted(bws)
         assert bws[-1] > 0.75 * device.mem_bandwidth_gbs
@@ -133,7 +133,7 @@ class TestSectionIVAUtilization:
         from repro.networks import ALEXNET_CONV
 
         spec = ALEXNET_CONV["ACV2"]
-        engine = SimulationEngine(device)
+        engine = default_context(device)
         chwn = engine.run(make_conv_kernel(spec, "direct"))
         nchw = engine.run(make_conv_kernel(spec, "im2col"))
         better = max(chwn.alu_utilization, nchw.alu_utilization)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines import compare_schemes, time_network
 from repro.framework import Net
-from repro.gpusim import SimulationEngine, simulate
+from repro.gpusim import default_context
 from repro.layers import FCSpec, SoftmaxSpec, make_conv_kernel
 from repro.layers.backward_kernels import (
     ScaledKernel,
@@ -43,23 +43,27 @@ class TestBackwardKernels:
         spec = CONV_LAYERS["CV7"]
         kernels = conv_backward_kernels(spec, "im2col")
         assert len(kernels) == 2
-        fwd = simulate(device, make_conv_kernel(spec, "im2col")).time_ms
-        bwd = sum(simulate(device, k).time_ms for k in kernels)
+        fwd = default_context(device).run(make_conv_kernel(spec, "im2col")).time_ms
+        bwd = sum(default_context(device).run(k).time_ms for k in kernels)
         assert 1.5 * fwd < bwd < 4 * fwd
 
     def test_conv_backward_layout_preference_is_preserved(self, device):
         """Footnote 1: layout decisions carry over to the backward pass."""
-        engine = SimulationEngine(device, check_memory=False)
+        ctx = default_context(device)
         for name, impls in (("CV1", ("direct", "im2col")), ("CV11", ("direct", "im2col"))):
             spec = CONV_LAYERS[name]
             times = {
                 impl: sum(
-                    engine.run(k).time_ms for k in conv_backward_kernels(spec, impl)
+                    ctx.run(k, check_memory=False).time_ms
+                    for k in conv_backward_kernels(spec, impl)
                 )
                 for impl in impls
             }
             fwd_winner = min(
-                impls, key=lambda i: engine.run(make_conv_kernel(spec, i)).time_ms
+                impls,
+                key=lambda i: ctx.run(
+                    make_conv_kernel(spec, i), check_memory=False
+                ).time_ms,
             )
             bwd_winner = min(impls, key=lambda i: times[i])
             assert fwd_winner == bwd_winner, name
@@ -68,18 +72,18 @@ class TestBackwardKernels:
         spec = POOL_LAYERS["PL5"]
         from repro.layers import make_pool_kernel
 
-        fwd = simulate(device, make_pool_kernel(spec, "chwn")).time_ms
-        bwd = simulate(device, pool_backward_kernel(spec, "chwn")).time_ms
+        fwd = default_context(device).run(make_pool_kernel(spec, "chwn")).time_ms
+        bwd = default_context(device).run(pool_backward_kernel(spec, "chwn")).time_ms
         assert fwd < bwd < 3 * fwd
 
     def test_fc_backward_is_two_gemms(self, device):
         kernels = fc_backward_kernels(FCSpec(n=128, in_features=9216, out_features=4096))
         assert len(kernels) == 2
-        assert all(simulate(device, k).time_ms > 0 for k in kernels)
+        assert all(default_context(device).run(k).time_ms > 0 for k in kernels)
 
     def test_softmax_backward_single_pass(self, device):
         k = softmax_backward_kernel(SoftmaxSpec(128, 1000), "opt")
-        assert simulate(device, k).n_launches == 1
+        assert default_context(device).run(k).n_launches == 1
 
 
 class TestTrainingMode:

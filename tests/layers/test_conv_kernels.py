@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.gpusim import GpuOutOfMemoryError, SimulationEngine, simulate
+from repro.gpusim import GpuOutOfMemoryError, default_context
 from repro.layers import (
     ConvSpec,
     ConvUnsupportedError,
@@ -82,7 +82,7 @@ class TestIm2colGemm:
         assert k.flop_count() == pytest.approx(CV7.flops)
 
     def test_gemm_dominates_large_layers(self, device):
-        engine = SimulationEngine(device)
+        engine = default_context(device)
         k = Im2colGemmNCHW(CV7)
         seq = engine.run_sequence(k.kernels)
         unroll_ms, gemm_ms = (s.time_ms for s in seq.kernels)
@@ -101,7 +101,7 @@ class TestFFT:
         """Even without the stride rule, a CV5-sized stride-1 layer blows the
         6 GB card (the paper's memory explanation)."""
         huge = replace(CONV_LAYERS["CV5"], stride=1)
-        engine = SimulationEngine(device)
+        engine = default_context(device)
         with pytest.raises(GpuOutOfMemoryError):
             engine.run(FFTConvNCHW(huge))
 
@@ -117,8 +117,8 @@ class TestFFT:
         many channels such as CV7, CV10'."""
         for name in ("CV7", "CV10"):
             spec = CONV_LAYERS[name]
-            t_fft = simulate(device, FFTConvNCHW(spec)).time_ms
-            t_mm = simulate(device, Im2colGemmNCHW(spec)).time_ms
+            t_fft = default_context(device).run(FFTConvNCHW(spec)).time_ms
+            t_mm = default_context(device).run(Im2colGemmNCHW(spec)).time_ms
             assert t_fft < t_mm
 
     def test_fft_collapses_for_small_channel_layers(self, device):
@@ -126,8 +126,8 @@ class TestFFT:
         much worse' (than direct CHWN)."""
         for name in ("CV3", "CV9"):
             spec = CONV_LAYERS[name]
-            t_fft = simulate(device, FFTConvNCHW(spec)).time_ms
-            t_direct = simulate(device, DirectConvCHWN(spec)).time_ms
+            t_fft = default_context(device).run(FFTConvNCHW(spec)).time_ms
+            t_direct = default_context(device).run(DirectConvCHWN(spec)).time_ms
             assert t_fft > 3 * t_direct
 
     def test_filter_too_large_for_tile(self):
@@ -169,16 +169,16 @@ class TestNHWC:
         from repro.layers import Im2colGemmNHWC
 
         spec = CONV_LAYERS[name]
-        t_nchw = simulate(device, Im2colGemmNCHW(spec)).time_ms
-        t_nhwc = simulate(device, Im2colGemmNHWC(spec)).time_ms
+        t_nchw = default_context(device).run(Im2colGemmNCHW(spec)).time_ms
+        t_nhwc = default_context(device).run(Im2colGemmNHWC(spec)).time_ms
         assert t_nchw < t_nhwc
 
     def test_nhwc_overhead_is_the_two_repacks(self, device):
         from repro.layers import Im2colGemmNHWC
 
         spec = CONV_LAYERS["CV7"]
-        t_nchw = simulate(device, Im2colGemmNCHW(spec)).time_ms
-        t_nhwc = simulate(device, Im2colGemmNHWC(spec)).time_ms
+        t_nchw = default_context(device).run(Im2colGemmNCHW(spec)).time_ms
+        t_nhwc = default_context(device).run(Im2colGemmNHWC(spec)).time_ms
         repack_bytes = 2 * (spec.in_desc().nbytes + spec.out_desc().nbytes)
         repack_ms = repack_bytes / (device.mem_bandwidth_gbs * 1e6)
         assert t_nhwc - t_nchw == pytest.approx(repack_ms, rel=0.5)
@@ -216,23 +216,23 @@ class TestFig3Winners:
     @pytest.mark.parametrize("name", CHWN_WINNERS)
     def test_chwn_wins(self, device, name):
         spec = CONV_LAYERS[name]
-        t_direct = simulate(device, DirectConvCHWN(spec)).time_ms
-        t_mm = simulate(device, Im2colGemmNCHW(spec)).time_ms
+        t_direct = default_context(device).run(DirectConvCHWN(spec)).time_ms
+        t_mm = default_context(device).run(Im2colGemmNCHW(spec)).time_ms
         assert t_direct < t_mm
 
     @pytest.mark.parametrize("name", NCHW_WINNERS)
     def test_nchw_wins(self, device, name):
         spec = CONV_LAYERS[name]
-        t_direct = simulate(device, DirectConvCHWN(spec)).time_ms
-        t_mm = simulate(device, Im2colGemmNCHW(spec)).time_ms
+        t_direct = default_context(device).run(DirectConvCHWN(spec)).time_ms
+        t_mm = default_context(device).run(Im2colGemmNCHW(spec)).time_ms
         assert t_mm < t_direct
 
     def test_cv1_speedup_magnitude(self, device):
         """Paper: 'on CV1, CHWN has an up to 6.5x speedup over NCHW'."""
         spec = CONV_LAYERS["CV1"]
         ratio = (
-            simulate(device, Im2colGemmNCHW(spec)).time_ms
-            / simulate(device, DirectConvCHWN(spec)).time_ms
+            default_context(device).run(Im2colGemmNCHW(spec)).time_ms
+            / default_context(device).run(DirectConvCHWN(spec)).time_ms
         )
         assert 3 < ratio < 10
 
@@ -240,7 +240,7 @@ class TestFig3Winners:
         """Paper: 'on CV11, NCHW ... outperforming CHWN by 3.5x'."""
         spec = CONV_LAYERS["CV11"]
         ratio = (
-            simulate(device, DirectConvCHWN(spec)).time_ms
-            / simulate(device, Im2colGemmNCHW(spec)).time_ms
+            default_context(device).run(DirectConvCHWN(spec)).time_ms
+            / default_context(device).run(Im2colGemmNCHW(spec)).time_ms
         )
         assert 2 < ratio < 6

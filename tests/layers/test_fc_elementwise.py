@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpusim import TITAN_BLACK, simulate
+from repro.gpusim import TITAN_BLACK, default_context
 from repro.layers import (
     ElementwiseKernel,
     FCSpec,
@@ -63,7 +63,7 @@ class TestFC:
 
     def test_kernel_model(self, device):
         spec = FCSpec(n=128, in_features=9216, out_features=4096)
-        stats = simulate(device, make_fc_kernel(spec))
+        stats = default_context(device).run(make_fc_kernel(spec))
         assert stats.flops == spec.flops
         assert stats.time_ms > 0
 
@@ -111,7 +111,7 @@ class TestReLU:
         np.testing.assert_array_equal(relu_forward(x), [0.0, 0.0, 3.5])
 
     def test_kernel(self, device):
-        stats = simulate(device, make_relu_kernel(1_000_000))
+        stats = default_context(device).run(make_relu_kernel(1_000_000))
         assert stats.useful_bytes == pytest.approx(8_000_000)
 
 

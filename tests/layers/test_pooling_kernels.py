@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpusim import simulate
+from repro.gpusim import default_context
 from repro.layers import (
     PoolingCHWN,
     PoolingCoarsenedCHWN,
@@ -31,7 +31,7 @@ class TestCHWN:
         """Paper Fig. 6: cuda-convnet pooling reaches 132–205 GB/s."""
         for name in ("PL1", "PL3", "PL5", "PL7", "PL8"):
             spec = POOL_LAYERS[name]
-            stats = simulate(device, PoolingCHWN(spec))
+            stats = default_context(device).run(PoolingCHWN(spec))
             bw = useful_bytes(spec) / (stats.time_ms * 1e6)
             assert 100 < bw < 235, f"{name}: {bw:.1f} GB/s"
 
@@ -47,9 +47,9 @@ class TestNCHWDominatedByCHWN:
     @pytest.mark.parametrize("name", sorted(POOL_LAYERS))
     def test_chwn_faster_than_both_nchw_kernels(self, device, name):
         spec = POOL_LAYERS[name]
-        t_chwn = simulate(device, PoolingCHWN(spec)).time_ms
-        t_caffe = simulate(device, PoolingNCHWLinear(spec)).time_ms
-        t_cudnn = simulate(device, PoolingNCHWBlockPerRow(spec)).time_ms
+        t_chwn = default_context(device).run(PoolingCHWN(spec)).time_ms
+        t_caffe = default_context(device).run(PoolingNCHWLinear(spec)).time_ms
+        t_cudnn = default_context(device).run(PoolingNCHWBlockPerRow(spec)).time_ms
         assert t_chwn < t_caffe
         assert t_chwn < t_cudnn
 
@@ -57,8 +57,8 @@ class TestNCHWDominatedByCHWN:
         """Paper: 'with a speedup up to 16.3x' over NCHW libraries; our
         model's worst case lands lower (~6.5x) but well beyond the average."""
         worst = max(
-            simulate(device, PoolingNCHWBlockPerRow(spec)).time_ms
-            / simulate(device, PoolingCHWN(spec)).time_ms
+            default_context(device).run(PoolingNCHWBlockPerRow(spec)).time_ms
+            / default_context(device).run(PoolingCHWN(spec)).time_ms
             for spec in POOL_LAYERS.values()
         )
         assert 4 < worst < 30
@@ -67,7 +67,7 @@ class TestNCHWDominatedByCHWN:
         """Paper: Caffe avg 52.3 GB/s, cuDNN avg 41.9 GB/s."""
         bws = []
         for spec in POOL_LAYERS.values():
-            stats = simulate(device, PoolingNCHWLinear(spec))
+            stats = default_context(device).run(PoolingNCHWLinear(spec))
             bws.append(useful_bytes(spec) / (stats.time_ms * 1e6))
         avg = sum(bws) / len(bws)
         assert 30 < avg < 90
@@ -103,8 +103,8 @@ class TestCoarsening:
         gains = []
         for name in ("PL3", "PL5", "PL6", "PL7", "PL8", "PL9", "PL10"):
             spec = POOL_LAYERS[name]
-            t_plain = simulate(device, PoolingCHWN(spec)).time_ms
-            t_coarse = simulate(device, PoolingCoarsenedCHWN(spec, 2, 2)).time_ms
+            t_plain = default_context(device).run(PoolingCHWN(spec)).time_ms
+            t_coarse = default_context(device).run(PoolingCoarsenedCHWN(spec, 2, 2)).time_ms
             gains.append(t_plain / t_coarse - 1)
         avg_gain = sum(gains) / len(gains)
         assert 0.05 < avg_gain < 0.40

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpusim import simulate
+from repro.gpusim import default_context
 from repro.layers import (
     CudnnSoftmax,
     FusedParallelSoftmax,
@@ -21,7 +21,7 @@ def effective_bw(spec, stats):
 
 class TestFiveKernelBaseline:
     def test_five_launches(self, device):
-        stats = simulate(device, five_kernel_softmax(SoftmaxSpec(128, 1000)))
+        stats = default_context(device).run(five_kernel_softmax(SoftmaxSpec(128, 1000)))
         assert stats.n_launches == 5
 
     def test_intermediates_roundtrip_memory(self, device):
@@ -33,7 +33,7 @@ class TestFiveKernelBaseline:
     def test_latency_bound_with_128_threads(self, device):
         """Paper: 'the number of threads for the kernel is only 128' —
         latency cannot be hidden."""
-        stats = simulate(device, five_kernel_softmax(SoftmaxSpec(128, 10000)))
+        stats = default_context(device).run(five_kernel_softmax(SoftmaxSpec(128, 10000)))
         assert effective_bw(SoftmaxSpec(128, 10000), stats) < 10
 
 
@@ -41,7 +41,7 @@ class TestCudnnBaseline:
     def test_bl_best_bandwidth_zone(self, device):
         """Fig. 13: the best baseline (cuDNN) peaks at ~58 GB/s."""
         best = max(
-            effective_bw(spec, simulate(device, CudnnSoftmax(spec)))
+            effective_bw(spec, default_context(device).run(CudnnSoftmax(spec)))
             for spec in FIG13_SOFTMAX.values()
         )
         assert 25 < best < 90
@@ -49,36 +49,36 @@ class TestCudnnBaseline:
     def test_cudnn_beats_five_kernel(self, device):
         spec = SoftmaxSpec(128, 1000)
         assert (
-            simulate(device, CudnnSoftmax(spec)).time_ms
-            < simulate(device, five_kernel_softmax(spec)).time_ms
+            default_context(device).run(CudnnSoftmax(spec)).time_ms
+            < default_context(device).run(five_kernel_softmax(spec)).time_ms
         )
 
 
 class TestOptimizedKernel:
     def test_single_launch(self, device):
-        stats = simulate(device, FusedParallelSoftmax(SoftmaxSpec(128, 1000)))
+        stats = default_context(device).run(FusedParallelSoftmax(SoftmaxSpec(128, 1000)))
         assert stats.n_launches == 1
 
     def test_large_config_approaches_peak(self, device):
         """Paper: at 10000 categories 'the bandwidth achieved in Opt can
         reach 220.95 GB/s, 94.02% of the effective GPU memory bandwidth'."""
         spec = SoftmaxSpec(128, 10000)
-        bw = effective_bw(spec, simulate(device, FusedParallelSoftmax(spec)))
+        bw = effective_bw(spec, default_context(device).run(FusedParallelSoftmax(spec)))
         assert bw > 0.75 * device.mem_bandwidth_gbs
 
     def test_small_configs_underutilize(self, device):
         """Paper: 'for small layer sizes, the bandwidth cannot be well
         utilized'."""
         spec = SoftmaxSpec(32, 10)
-        bw = effective_bw(spec, simulate(device, FusedParallelSoftmax(spec)))
+        bw = effective_bw(spec, default_context(device).run(FusedParallelSoftmax(spec)))
         assert bw < 30
 
     @pytest.mark.parametrize("key", sorted(FIG13_SOFTMAX))
     def test_opt_beats_every_baseline_everywhere(self, device, key):
         spec = FIG13_SOFTMAX[key]
-        t_opt = simulate(device, FusedParallelSoftmax(spec)).time_ms
-        t_cudnn = simulate(device, CudnnSoftmax(spec)).time_ms
-        t_5k = simulate(device, five_kernel_softmax(spec)).time_ms
+        t_opt = default_context(device).run(FusedParallelSoftmax(spec)).time_ms
+        t_cudnn = default_context(device).run(CudnnSoftmax(spec)).time_ms
+        t_5k = default_context(device).run(five_kernel_softmax(spec)).time_ms
         assert t_opt <= t_cudnn * 1.001
         assert t_opt < t_5k
 
@@ -88,8 +88,8 @@ class TestAblation:
         """Paper: fusion contributes 'an average of 2.81x speedup'."""
         ratios = []
         for spec in FIG13_SOFTMAX.values():
-            base = simulate(device, five_kernel_softmax(spec)).time_ms
-            fused = simulate(device, FusedSoftmax(spec)).time_ms
+            base = default_context(device).run(five_kernel_softmax(spec)).time_ms
+            fused = default_context(device).run(FusedSoftmax(spec)).time_ms
             ratios.append(base / fused)
         geomean = 1.0
         for r in ratios:
@@ -102,8 +102,8 @@ class TestAblation:
         5.13x'."""
         ratios = []
         for spec in FIG13_SOFTMAX.values():
-            fused = simulate(device, FusedSoftmax(spec)).time_ms
-            parallel = simulate(device, FusedParallelSoftmax(spec)).time_ms
+            fused = default_context(device).run(FusedSoftmax(spec)).time_ms
+            parallel = default_context(device).run(FusedParallelSoftmax(spec)).time_ms
             ratios.append(fused / parallel)
         assert all(r >= 1.0 for r in ratios)
         assert max(r for r in ratios) > 3
@@ -113,7 +113,7 @@ class TestFactory:
     @pytest.mark.parametrize("impl", ["5kernel", "cudnn", "fused", "opt"])
     def test_dispatch(self, impl, device):
         k = make_softmax_kernel(SoftmaxSpec(64, 100), impl)
-        assert simulate(device, k).time_ms > 0
+        assert default_context(device).run(k).time_ms > 0
 
     def test_unknown(self):
         with pytest.raises(ValueError):

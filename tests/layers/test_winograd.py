@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpusim import simulate
+from repro.gpusim import default_context
 from repro.layers import (
     ConvSpec,
     ConvUnsupportedError,
@@ -87,16 +87,16 @@ class TestKernelModel:
     @pytest.mark.parametrize("name", ["CV11", "CV12"])
     def test_beats_mm_on_deep_3x3_layers(self, device, name):
         spec = CONV_LAYERS[name]
-        t_wino = simulate(device, WinogradConvNCHW(spec)).time_ms
-        t_mm = simulate(device, Im2colGemmNCHW(spec)).time_ms
+        t_wino = default_context(device).run(WinogradConvNCHW(spec)).time_ms
+        t_mm = default_context(device).run(Im2colGemmNCHW(spec)).time_ms
         assert t_wino < t_mm
 
     def test_small_channel_layers_starve_it(self, device):
         """Same Ci-reduction constraint as FFT: CV9 (Ci=3) cannot feed the
         transform-domain product."""
         spec = CONV_LAYERS["CV9"]
-        t_wino = simulate(device, WinogradConvNCHW(spec)).time_ms
-        t_direct = simulate(device, make_conv_kernel(spec, "direct")).time_ms
+        t_wino = default_context(device).run(WinogradConvNCHW(spec)).time_ms
+        t_direct = default_context(device).run(make_conv_kernel(spec, "direct")).time_ms
         assert t_wino > t_direct
 
     def test_unsupported_configs_raise(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpusim import simulate
+from repro.gpusim import default_context
 from repro.tensors import (
     CHWN,
     NCHW,
@@ -50,8 +50,8 @@ class TestTiled:
         assert naive / opt1 > 4
 
     def test_unpadded_tile_pays_bank_conflicts(self, device):
-        padded = simulate(device, TiledTransformKernel(CV6_DESC, NCHW, padded=True))
-        unpadded = simulate(device, TiledTransformKernel(CV6_DESC, NCHW, padded=False))
+        padded = default_context(device).run(TiledTransformKernel(CV6_DESC, NCHW, padded=True))
+        unpadded = default_context(device).run(TiledTransformKernel(CV6_DESC, NCHW, padded=False))
         assert unpadded.time_ms > padded.time_ms
 
     def test_requires_2d_transposable_permutation(self):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpusim import TITAN_BLACK, simulate
+from repro.gpusim import TITAN_BLACK, default_context
 from repro.tensors import (
     CHWN,
     NCHW,
@@ -47,7 +47,7 @@ class TestScalingLaws:
         bw = []
         for scale in (1, 4):
             desc = TensorDesc(n, c * scale, h, w, CHWN)
-            stats = simulate(TITAN_BLACK, TiledTransformKernel(desc, NCHW))
+            stats = default_context(TITAN_BLACK).run(TiledTransformKernel(desc, NCHW))
             bw.append(2 * desc.nbytes / (stats.time_ms * 1e6))
         assert bw[1] >= bw[0] * 0.99
 
@@ -56,8 +56,8 @@ class TestScalingLaws:
     def test_vectorized_never_slower_on_aligned_shapes(self, dims):
         n, c, h, w = dims
         desc = TensorDesc(n, c, h, w, CHWN)
-        t1 = simulate(TITAN_BLACK, TiledTransformKernel(desc, NCHW)).time_ms
-        t2 = simulate(TITAN_BLACK, VectorTransformKernel(desc, NCHW)).time_ms
+        t1 = default_context(TITAN_BLACK).run(TiledTransformKernel(desc, NCHW)).time_ms
+        t2 = default_context(TITAN_BLACK).run(VectorTransformKernel(desc, NCHW)).time_ms
         assert t2 <= t1 * 1.001
 
     @given(dims=aligned_dims)

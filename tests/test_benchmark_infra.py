@@ -1,6 +1,7 @@
 """The benchmark harness's own infrastructure (figutil, the tracked
 performance trajectory) and determinism."""
 
+import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -103,17 +104,35 @@ class TestTrajectory:
             assert isinstance(commit, str) and commit.strip(), line[:40]
 
 
+class TestPerfbenchTargets:
+    """The traced benchmark run wraps the entry points ``perfbench/layers.py``
+    names; a rename in the program must fail here, not mid-run."""
+
+    def test_every_traced_target_resolves(self):
+        path = Path(__file__).parent.parent / "perfbench" / "layers.py"
+        spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+        assert layers.TARGETS
+        for _layer, metric, module_name, attr_path in layers.TARGETS:
+            owner = importlib.import_module(module_name)
+            for part in attr_path.split("."):
+                assert hasattr(owner, part), f"{metric}: {module_name}.{attr_path}"
+                owner = getattr(owner, part)
+            assert callable(owner), f"{metric}: {module_name}.{attr_path}"
+
+
 class TestDeterminism:
     def test_traced_kernels_are_deterministic(self, device):
-        """Two independent engines must produce identical traced profiles
+        """Two independent contexts must produce identical traced profiles
         (sampling is strided, never random)."""
-        from repro.gpusim import SimulationEngine
+        from repro.gpusim import SimulationContext
         from repro.layers import make_pool_kernel
         from repro.networks import POOL_LAYERS
 
         spec = POOL_LAYERS["PL5"]
-        a = SimulationEngine(device).run(make_pool_kernel(spec, "nchw-linear"))
-        b = SimulationEngine(device).run(make_pool_kernel(spec, "nchw-linear"))
+        a = SimulationContext(device).run(make_pool_kernel(spec, "nchw-linear"))
+        b = SimulationContext(device).run(make_pool_kernel(spec, "nchw-linear"))
         assert a.time_ms == b.time_ms
         assert a.transactions == b.transactions
 
