@@ -986,12 +986,14 @@ class PipelineResult:
             f"pipeline[{self.plan.strategy}] on {self.plan.device}: "
             f"{len(self.graph)} nodes, {self.plan.total_ms:.3f} ms planned"
         ]
-        header = f"  {'pass':32s} {'ms':>8s} {'nodes':>9s}  stats"
+        header = f"  {'pass':32s} {'ms':5s} {'nodes':>9s}  stats"
         lines.append(header)
         for t in self.trace:
             nodes = f"{t.nodes_before}->{t.nodes_after}"
             stats = ", ".join(f"{k}={v}" for k, v in t.stats.items()) or "-"
-            lines.append(f"  {t.name:32s} {t.ms:8.3f} {nodes:>9s}  {stats}")
+            # Unpadded ms: a wall time gaining a digit shifts the rest of the
+            # row instead of the number, so masking the ms leaves one string.
+            lines.append(f"  {t.name:32s} {t.ms:.3f} {nodes:>9s}  {stats}")
         return "\n".join(lines)
 
 

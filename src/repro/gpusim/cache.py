@@ -17,8 +17,9 @@ Two implementations share one state representation:
   and ``bench_simulator_perf.py`` hold the fast path to it.
 * :meth:`SetAssociativeCache.access_stream` — the vectorized fast path and
   the only replay the simulator calls.  Cache sets are independent, so
-  the stream is partitioned by set (one stable argsort) and each set's
-  subsequence is resolved by the cheapest applicable method:
+  the stream is partitioned by set (one stable argsort, a radix sort
+  when the set ids fit int16) and each set's subsequence is resolved by
+  the cheapest applicable method:
 
   1. **closed form** — when a set's working set (distinct new lines plus
      already-valid ways) fits in the associativity, nothing is ever
@@ -57,6 +58,9 @@ MIN_ROUND_SETS = 24
 #: Sorts below every real LRU stamp (stamps are >= 0): marks hit ways in the
 #: fused round probe of :meth:`SetAssociativeCache._replay_open`.
 _SENTINEL = np.int64(np.iinfo(np.int64).min)
+
+#: Largest set count whose ids fit int16 (ids run 0 .. n_sets - 1).
+_NARROW_SETS = 2**15
 
 #: Module-wide accumulators: replay calls and wall seconds spent inside
 #: cache replays.  :class:`~repro.gpusim.session.SimulationContext`
@@ -230,7 +234,9 @@ class SetAssociativeCache:
         evictions = 0
 
         # Partition by set: stable, so stream order survives within a run.
-        order = np.argsort(sets, kind="stable")
+        # Set ids that fit int16 let NumPy's stable sort take its radix path.
+        narrow = sets.astype(np.int16) if self.n_sets <= _NARROW_SETS else sets
+        order = np.argsort(narrow, kind="stable")
         ssets = sets[order]
         slines = lines[order]
         sstamps = clock0 + 1 + order
@@ -259,10 +265,13 @@ class SetAssociativeCache:
         run_of = np.cumsum(run_first) - 1  # run index of each sorted access
         run_sets = ssets[run_start]
 
-        # Distinct (set, line) pairs.  lexsort is stable, so within a pair
+        # Distinct (set, line) pairs.  The sort is stable, so within a pair
         # group the stream order is preserved: the group's first element is
-        # the first stream touch, its last the latest.
-        porder = np.lexsort((slines, ssets))
+        # the first stream touch, its last the latest.  Within a set, line
+        # order is tag order, so one int64 key (set, tag) orders the pairs;
+        # it stays below max line + n_sets, far from overflow.
+        tag_span = int(slines.max()) // self.n_sets + 1
+        porder = np.argsort(ssets * tag_span + slines // self.n_sets, kind="stable")
         ps = ssets[porder]
         pl = slines[porder]
         pair_first = np.concatenate(
@@ -341,7 +350,10 @@ class SetAssociativeCache:
 
         if first_miss.any():
             # Rank each new line within its set by order of first touch.
-            ins = np.lexsort((up_first_idx[first_miss], up_sets[first_miss]))
+            # First-touch indices are distinct stream positions, so the
+            # (set, first touch) key is unique and any sort orders it.
+            key = up_sets[first_miss] * hits.size + up_first_idx[first_miss]
+            ins = np.argsort(key)
             rs = up_sets[first_miss][ins]
             rstart = np.flatnonzero(
                 np.concatenate([np.ones(1, dtype=bool), rs[1:] != rs[:-1]])

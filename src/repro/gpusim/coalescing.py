@@ -13,7 +13,7 @@ addresses through it cheaply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,12 +34,19 @@ class CoalescingReport:
         Bytes actually requested by threads.
     fetched_bytes:
         Bytes moved over the memory bus (transactions * segment size).
+    segments:
+        The segment ids each analysed warp touched, one ascending row per
+        warp with ``-1`` for inactive lanes; ``None`` for a merged report.
+    segment_bytes:
+        Segment size the ``segments`` ids are counted in.
     """
 
     warps: int
     transactions: int
     useful_bytes: int
     fetched_bytes: int
+    segments: np.ndarray | None = field(default=None, repr=False, compare=False)
+    segment_bytes: int = field(default=0, repr=False, compare=False)
 
     @property
     def transactions_per_warp(self) -> float:
@@ -66,6 +73,59 @@ class CoalescingReport:
         )
 
 
+def _warp_segments(
+    addresses: np.ndarray, segment_bytes: int, access_bytes: int
+) -> np.ndarray:
+    """The segments each warp of a ``(warps, lanes)`` trace touches.
+
+    Returns an int64 array with one row per warp, sorted ascending: the
+    ids (``address // segment_bytes``) of every segment an active lane's
+    ``[addr, addr + access_bytes)`` covers, with ``-1`` for inactive lanes
+    (negative addresses).  A segment touched by several lanes repeats, so
+    its copies sit side by side.  The row holds one entry per lane, widened
+    to two per lane only when some active access straddles a segment
+    boundary.
+    """
+    if not 1 <= access_bytes <= segment_bytes:
+        raise ValueError(
+            f"access_bytes must be in [1, {segment_bytes}], got {access_bytes}"
+        )
+    inactive = addresses < 0
+    segments = addresses // segment_bytes
+    spill: np.ndarray | None = None
+    if access_bytes > 1:
+        last = addresses + (access_bytes - 1)
+        last //= segment_bytes
+        straddle = last != segments
+        straddle &= ~inactive
+        if straddle.any():
+            spill = np.where(straddle, segments + 1, np.int64(-1))
+    np.copyto(segments, -1, where=inactive)
+    if spill is not None:
+        segments = np.concatenate([segments, spill], axis=1)
+    segments.sort(axis=1)
+    return segments
+
+
+def _distinct_per_warp(segments: np.ndarray) -> np.ndarray:
+    """Distinct non-negative ids per row of a row-sorted segment array."""
+    new = segments >= 0
+    new[:, 1:] &= segments[:, 1:] != segments[:, :-1]
+    return new.sum(axis=1)
+
+
+def _warp_trace(addresses: np.ndarray, device: DeviceSpec) -> np.ndarray:
+    """``addresses`` as an int64 ``(warps, lanes)`` array, shape-checked."""
+    addr = np.asarray(addresses, dtype=np.int64)
+    if addr.ndim != 2:
+        raise ValueError(f"expected (warps, lanes) addresses, got shape {addr.shape}")
+    if addr.shape[1] > device.warp_size:
+        raise ValueError(
+            f"{addr.shape[1]} lanes exceeds warp size {device.warp_size}"
+        )
+    return addr
+
+
 def warp_transactions(
     addresses: np.ndarray, device: DeviceSpec, access_bytes: int = 4
 ) -> np.ndarray:
@@ -80,66 +140,41 @@ def warp_transactions(
     device:
         Device supplying the transaction segment size.
     access_bytes:
-        Size of each thread's access (4 for float, 8 for float2).
+        Size of each thread's access (4 for float, 8 for float2), at most
+        one segment.
 
     Returns
     -------
     np.ndarray
-        ``(n_warps,)`` int64 array of transaction counts.
+        ``(n_warps,)`` int64 array of transaction counts: the distinct
+        segments the warp's active accesses cover.
     """
-    addr = np.asarray(addresses, dtype=np.int64)
-    if addr.ndim != 2:
-        raise ValueError(f"expected (warps, lanes) addresses, got shape {addr.shape}")
-    if addr.shape[1] > device.warp_size:
-        raise ValueError(
-            f"{addr.shape[1]} lanes exceeds warp size {device.warp_size}"
-        )
-    seg = device.transaction_bytes
-    active = addr >= 0
-    # An access of `access_bytes` starting at addr may straddle two segments;
-    # count both its first and last byte's segment.
-    first = addr // seg
-    last = (addr + access_bytes - 1) // seg
-    counts = np.zeros(addr.shape[0], dtype=np.int64)
-    for segs in (first, last):
-        masked = np.where(active, segs, np.int64(-1))
-        ordered = np.sort(masked, axis=1)
-        # A segment is newly-touched where it differs from its left neighbour.
-        new = np.concatenate(
-            [np.ones((addr.shape[0], 1), dtype=bool), ordered[:, 1:] != ordered[:, :-1]],
-            axis=1,
-        )
-        new &= ordered >= 0
-        counts += new.sum(axis=1)
-    # Segments counted via both `first` and `last` are double counted; fix by
-    # recounting on the union.  For speed we only do the exact union pass when
-    # any access straddles (access_bytes > 1 may straddle).
-    if access_bytes > 1:
-        both = np.concatenate([first, last], axis=1)
-        both = np.where(np.concatenate([active, active], axis=1), both, np.int64(-1))
-        ordered = np.sort(both, axis=1)
-        new = np.concatenate(
-            [np.ones((both.shape[0], 1), dtype=bool), ordered[:, 1:] != ordered[:, :-1]],
-            axis=1,
-        )
-        new &= ordered >= 0
-        counts = new.sum(axis=1)
-    return counts
+    addr = _warp_trace(addresses, device)
+    segments = _warp_segments(addr, device.transaction_bytes, access_bytes)
+    return _distinct_per_warp(segments)
 
 
 def analyze_warps(
     addresses: np.ndarray, device: DeviceSpec, access_bytes: int = 4
 ) -> CoalescingReport:
-    """Run the coalescing unit over sampled warps and aggregate statistics."""
-    addr = np.asarray(addresses, dtype=np.int64)
-    counts = warp_transactions(addr, device, access_bytes)
-    active = int((addr >= 0).sum())
-    transactions = int(counts.sum())
+    """Run the coalescing unit over sampled warps and aggregate statistics.
+
+    The report keeps the sorted per-warp segments, so a caller that also
+    needs the trace's transaction stream can pass the report to
+    :func:`~repro.gpusim.trace.transaction_stream` instead of having the
+    addresses sorted again.
+    """
+    addr = _warp_trace(addresses, device)
+    segments = _warp_segments(addr, device.transaction_bytes, access_bytes)
+    active = int(np.count_nonzero(addr >= 0))
+    transactions = int(_distinct_per_warp(segments).sum())
     return CoalescingReport(
         warps=addr.shape[0],
         transactions=transactions,
         useful_bytes=active * access_bytes,
         fetched_bytes=transactions * device.transaction_bytes,
+        segments=segments,
+        segment_bytes=device.transaction_bytes,
     )
 
 

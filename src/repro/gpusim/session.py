@@ -24,6 +24,7 @@ import json
 import time
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
+from functools import lru_cache
 from hashlib import sha256
 from itertools import islice
 from pathlib import Path
@@ -97,6 +98,20 @@ def _describe(obj: Any) -> Any:
     return {"__repr__": f"{type(obj).__qualname__}:{obj!r}"}
 
 
+def _canonical_json(obj: Any) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+@lru_cache(maxsize=16)
+def _device_json(device: DeviceSpec) -> str:
+    """The serialized description of one device.
+
+    Memoized by value: ``DeviceSpec`` is a frozen, hashable dataclass, so a
+    spec rebuilt with a changed field is a new entry, never a stale one.
+    """
+    return _canonical_json(_describe(device))
+
+
 def structural_key(model: KernelModel, device: DeviceSpec) -> str:
     """Content-addressed cache key for timing ``model`` on ``device``.
 
@@ -104,10 +119,11 @@ def structural_key(model: KernelModel, device: DeviceSpec) -> str:
     every field of the device spec (not just its name: two specs that share
     a name but differ in, say, bandwidth must not share timings).
     """
-    payload = json.dumps(
-        {"device": _describe(device), "kernel": _describe(model)},
-        sort_keys=True,
-        separators=(",", ":"),
+    # The canonical JSON of {"device": ..., "kernel": ...}: sorted keys put
+    # the device first, so its memoized text splices in byte for byte.
+    payload = (
+        f'{{"device":{_device_json(device)},'
+        f'"kernel":{_canonical_json(_describe(model))}}}'
     )
     digest = sha256(payload.encode()).hexdigest()[:32]
     return f"{model.name}@{device.name}#{digest}"

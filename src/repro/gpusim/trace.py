@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import SetAssociativeCache
-from .coalescing import CoalescingReport, analyze_warps, warp_transactions
+from .coalescing import (
+    CoalescingReport,
+    _warp_segments,
+    analyze_warps,
+    warp_transactions,
+)
 from .device import DeviceSpec
 
 
@@ -48,7 +53,7 @@ def warps_from_threads(
 
 
 def transaction_stream(
-    warp_addresses: np.ndarray,
+    warp_addresses: np.ndarray | CoalescingReport,
     segment_bytes: int,
     max_transactions: int | None = None,
 ) -> np.ndarray:
@@ -62,17 +67,28 @@ def transaction_stream(
     as one coalesced burst), in warp order — the order the memory system
     sees them.  When ``max_transactions`` is set, whole warps are kept up
     to and including the warp whose transactions first reach the cap.
+
+    A trace of addresses contributes the segment of each access's first
+    byte.  Passing instead the :class:`CoalescingReport` that
+    :func:`analyze_warps` returned for the trace reuses its sorted
+    segments, which also hold the second segment of any straddling
+    access; for a trace without straddling accesses the two agree.
     """
     if segment_bytes <= 0:
         raise ValueError("segment_bytes must be positive")
-    addr = np.asarray(warp_addresses, dtype=np.int64)
-    if addr.ndim == 1:
-        addr = addr[None, :]
-    elif addr.ndim != 2:
-        raise ValueError(f"expected 1-D or 2-D addresses, got shape {addr.shape}")
-    if not addr.size:
-        return np.empty(0, dtype=np.int64)
-    segments = np.sort(np.where(addr >= 0, addr // segment_bytes, np.int64(-1)), axis=1)
+    if isinstance(warp_addresses, CoalescingReport):
+        segments = warp_addresses.segments
+        if segments is None or warp_addresses.segment_bytes != segment_bytes:
+            raise ValueError(
+                f"report holds no segments of {segment_bytes} bytes"
+            )
+    else:
+        addr = np.asarray(warp_addresses, dtype=np.int64)
+        if addr.ndim == 1:
+            addr = addr[None, :]
+        elif addr.ndim != 2:
+            raise ValueError(f"expected 1-D or 2-D addresses, got shape {addr.shape}")
+        segments = _warp_segments(addr, segment_bytes, access_bytes=1)
     keep = segments >= 0
     keep[:, 1:] &= segments[:, 1:] != segments[:, :-1]
     if max_transactions is not None:

@@ -210,9 +210,10 @@ class _TracedNCHWPooling(_PoolingKernelBase):
         # concurrent working set spans N*C feature maps), so fetched
         # transactions are charged to DRAM in the timing model.  The cache
         # replay below *measures* that thrash on the sampled stream and is
-        # reported as a diagnostic.
+        # reported as a diagnostic.  The report's sorted segments are the
+        # trace's: 4-byte aligned loads never straddle a segment.
         stream = transaction_stream(
-            stacked, device.transaction_bytes, self.max_l2_transactions
+            report, device.transaction_bytes, self.max_l2_transactions
         )
         traced_hit = 0.0
         if stream.size:

@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpusim import (
+    TITAN_BLACK,
+    TITAN_X,
     SetAssociativeCache,
     transaction_stream,
     warps_from_threads,
@@ -141,6 +143,37 @@ class TestAdversarial:
         fast path enabled; state must still match."""
         addr = np.array([0, 32, 0, 64, 96, 32, 128], dtype=np.int64)
         _check_equivalent(addr, 256, 32, 2)
+
+
+class TestSetPartition:
+    """The fast path partitions by set with int16 set ids when they fit
+    (a radix sort) and int64 ids above ``2**15`` sets."""
+
+    @pytest.mark.parametrize("device", [TITAN_BLACK, TITAN_X], ids=lambda d: d.name)
+    def test_device_l2(self, device):
+        capacity = device.l2_bytes
+        rng = np.random.default_rng(3)
+        addr = np.concatenate(
+            [
+                rng.integers(0, capacity * 2, size=4000),
+                np.arange(0, capacity // 2, 96),  # strided sweep, then reuse
+                rng.integers(0, capacity // 4, size=2000),
+            ]
+        )
+        _check_equivalent(
+            addr, capacity, device.l2_line_bytes, device.l2_assoc, chunks=(3000,)
+        )
+
+    @pytest.mark.parametrize("n_sets", [2**15, 2**15 + 1, 2**16 + 3])
+    def test_set_count_around_the_int16_limit(self, n_sets):
+        line, assoc = 32, 2
+        capacity = line * assoc * n_sets
+        rng = np.random.default_rng(n_sets)
+        top_sets = (n_sets - 64 + np.arange(3000) % 64) * line  # highest set ids
+        addr = np.concatenate(
+            [rng.integers(0, capacity * 3, size=3000), top_sets, top_sets + capacity]
+        )
+        _check_equivalent(addr, capacity, line, assoc)
 
 
 class TestPaddedTraces:

@@ -7,10 +7,50 @@ from hypothesis import strategies as st
 
 from repro.gpusim import (
     TITAN_BLACK,
+    TITAN_X,
     analyze_warps,
     strided_pattern,
+    transaction_stream,
     warp_transactions,
 )
+from repro.layers import PoolingNCHWBlockPerRow, PoolingNCHWLinear
+from repro.networks import POOL_LAYERS
+
+
+def _oracle_transactions(addr: np.ndarray, segment: int, access_bytes: int) -> list[int]:
+    """Per warp: the segments covering every active lane's
+    ``[addr, addr + access_bytes)``, counted one lane at a time."""
+    counts = []
+    for warp in addr.tolist():
+        touched: set[int] = set()
+        for a in warp:
+            if a >= 0:
+                touched.update(range(a // segment, (a + access_bytes - 1) // segment + 1))
+        counts.append(len(touched))
+    return counts
+
+
+def _first_byte_stream(addr: np.ndarray, segment: int, cap: int | None) -> np.ndarray:
+    """``transaction_stream`` as first written: sort each warp's first-byte
+    segments, keep the distinct ones, cut after the warp reaching ``cap``."""
+    segments = np.sort(np.where(addr >= 0, addr // segment, -1), axis=1)
+    keep = segments >= 0
+    keep[:, 1:] &= segments[:, 1:] != segments[:, :-1]
+    if cap is not None:
+        cut = int(np.searchsorted(np.cumsum(keep.sum(axis=1)), cap))
+        keep[cut + 1 :] = False
+    return segments[keep] * segment
+
+
+@st.composite
+def _traces(draw):
+    """Small warp traces: inactive, misaligned and straddling lanes."""
+    warps = draw(st.integers(1, 4))
+    lanes = draw(st.integers(1, TITAN_BLACK.warp_size))
+    lane = st.one_of(st.just(-1), st.integers(0, 300))
+    rows = draw(st.lists(st.lists(lane, min_size=lanes, max_size=lanes),
+                         min_size=warps, max_size=warps))
+    return np.array(rows, dtype=np.int64)
 
 
 class TestWarpTransactions:
@@ -48,6 +88,27 @@ class TestWarpTransactions:
         addr = np.full((1, 32), -1, dtype=np.int64)
         addr[0, 0] = 28
         assert warp_transactions(addr, device, access_bytes=8)[0] == 2
+
+    def test_byte_accesses_count_each_segment_once(self, device):
+        addr = np.arange(32, dtype=np.int64)[None, :]
+        assert warp_transactions(addr, device, access_bytes=1)[0] == 1
+
+    @given(addr=_traces(), access_bytes=st.sampled_from([1, 2, 4, 8]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_oracle(self, addr, access_bytes):
+        seg = TITAN_BLACK.transaction_bytes
+        expected = _oracle_transactions(addr, seg, access_bytes)
+        counts = warp_transactions(addr, TITAN_BLACK, access_bytes)
+        assert counts.tolist() == expected
+        report = analyze_warps(addr, TITAN_BLACK, access_bytes)
+        assert report.transactions == sum(expected)
+        assert report.useful_bytes == int((addr >= 0).sum()) * access_bytes
+
+    def test_rejects_access_wider_than_a_segment(self, device):
+        addr = strided_pattern(1, 4, device)
+        for access_bytes in (0, device.transaction_bytes + 1):
+            with pytest.raises(ValueError, match="access_bytes"):
+                warp_transactions(addr, device, access_bytes)
 
     def test_rejects_bad_shapes(self, device):
         with pytest.raises(ValueError):
@@ -102,3 +163,34 @@ class TestAnalyzeWarps:
     def test_empty_pattern_requires_positive_warps(self, device):
         with pytest.raises(ValueError):
             strided_pattern(0, 4, device)
+
+
+class TestTransactionStream:
+    @pytest.mark.parametrize("kernel_cls", [PoolingNCHWLinear, PoolingNCHWBlockPerRow])
+    @pytest.mark.parametrize("device", [TITAN_BLACK, TITAN_X], ids=lambda d: d.name)
+    def test_pooling_stream_unchanged(self, kernel_cls, device):
+        """Pooling hands ``transaction_stream`` its coalescing report; the
+        stream equals the first-byte stream of the raw trace."""
+        cap = kernel_cls.max_l2_transactions
+        seg = device.transaction_bytes
+        for name, spec in POOL_LAYERS.items():
+            trace, _, _ = kernel_cls(spec)._stacked_loads(device)
+            expected = _first_byte_stream(trace, seg, cap)
+            report = analyze_warps(trace, device, access_bytes=4)
+            np.testing.assert_array_equal(transaction_stream(trace, seg, cap), expected, name)
+            np.testing.assert_array_equal(transaction_stream(report, seg, cap), expected, name)
+
+    @given(addr=_traces())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_first_byte_stream(self, addr):
+        for cap in (None, 3):
+            np.testing.assert_array_equal(
+                transaction_stream(addr, 32, cap), _first_byte_stream(addr, 32, cap)
+            )
+
+    def test_report_segments_must_match(self, device):
+        report = analyze_warps(strided_pattern(2, 4, device), device)
+        with pytest.raises(ValueError):
+            transaction_stream(report, 2 * device.transaction_bytes)
+        with pytest.raises(ValueError):
+            transaction_stream(report.merged(report), device.transaction_bytes)

@@ -1,6 +1,8 @@
 """Simulation sessions: structural cache, counters, persistence, OOM."""
 
 import json
+from dataclasses import fields, replace
+from hashlib import sha256
 
 import pytest
 
@@ -16,8 +18,13 @@ from repro.gpusim import (
     reset_default_contexts,
     structural_key,
 )
-from repro.gpusim.device import TITAN_BLACK, TITAN_X
+from repro.core.pipeline import PipelineOptions, plan_network
+from repro.gpusim import exec as exec_module
+from repro.gpusim import session as session_module
+from repro.gpusim.device import TITAN_BLACK, TITAN_X, ArchProfile, DeviceSpec
+from repro.gpusim.session import _describe
 from repro.layers import PoolSpec
+from repro.networks.definitions import NETWORK_BUILDERS, build_network
 from repro.layers.pooling_kernels import make_pool_kernel
 
 
@@ -60,12 +67,23 @@ class TestStructuralKey:
 
     def test_same_name_different_spec_differs(self):
         """Device identity is the full spec, not the display name."""
-        from dataclasses import replace
-
         slower = replace(TITAN_BLACK, mem_bandwidth_gbs=100.0)
         assert structural_key(ToyKernel(), TITAN_BLACK) != structural_key(
             ToyKernel(), slower
         )
+
+    def test_every_device_field_changes_the_key(self):
+        """Each field, the nested arch profile's included, reaches the key,
+        and a changed spec never reuses a memoized device description."""
+        kernel = ToyKernel()
+        base = structural_key(kernel, TITAN_BLACK)
+        seen = {base}
+        for variant in _one_field_variants(TITAN_BLACK):
+            key = structural_key(kernel, variant)
+            assert key == _reference_key(kernel, variant)
+            assert key not in seen
+            seen.add(key)
+        assert structural_key(kernel, TITAN_BLACK) == base
 
     def test_memo_attributes_are_excluded(self, device):
         """A kernel that has lazily populated its internal memo cache must
@@ -76,6 +94,67 @@ class TestStructuralKey:
         used.memory_profile(device)  # populate the per-device memo
         fresh = make_pool_kernel(spec, "chwn")
         assert structural_key(used, device) == structural_key(fresh, device)
+
+
+def _reference_key(model, device):
+    """``structural_key`` as first written: one ``json.dumps`` over the
+    device and kernel descriptions.  Persisted cache files hold these keys."""
+    payload = json.dumps(
+        {"device": _describe(device), "kernel": _describe(model)},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    digest = sha256(payload.encode()).hexdigest()[:32]
+    return f"{model.name}@{device.name}#{digest}"
+
+
+def _changed(value):
+    if isinstance(value, str):
+        return value + "-variant"
+    if isinstance(value, ArchProfile):
+        first = fields(value)[0].name
+        return replace(value, **{first: _changed(getattr(value, first))})
+    return value * 2 if value else 1  # doubling keeps the warp size a power of two
+
+
+def _one_field_variants(device: DeviceSpec):
+    for f in fields(device):
+        yield replace(device, **{f.name: _changed(getattr(device, f.name))})
+
+
+class TestStructuralKeyBytes:
+    """Keys must stay byte-identical to the original formula, or every
+    persisted cache file silently turns into misses."""
+
+    @pytest.fixture(scope="class")
+    def planned(self):
+        """Every (kernel, device) pair keyed while planning each bundled
+        network on both devices."""
+        pairs = []
+        original = session_module.structural_key
+
+        def recording(model, device):
+            pairs.append((model, device))
+            return original(model, device)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(session_module, "structural_key", recording)
+            mp.setattr(exec_module, "structural_key", recording)
+            for device in (TITAN_BLACK, TITAN_X):
+                for name in NETWORK_BUILDERS:
+                    plan_network(
+                        device,
+                        build_network(name),
+                        PipelineOptions(),
+                        context=SimulationContext(device),
+                    )
+        return pairs
+
+    def test_planned_kernels_keep_their_keys(self, planned):
+        assert {d.name for _, d in planned} == {TITAN_BLACK.name, TITAN_X.name}
+        assert len(planned) > 500
+        for model, device in planned:
+            assert structural_key(model, device) == _reference_key(model, device)
 
 
 class TestCache:

@@ -4,6 +4,7 @@ performance trajectory) and determinism."""
 import importlib.util
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -104,15 +105,20 @@ class TestTrajectory:
             assert isinstance(commit, str) and commit.strip(), line[:40]
 
 
+def _load_file(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestPerfbenchTargets:
     """The traced benchmark run wraps the entry points ``perfbench/layers.py``
     names; a rename in the program must fail here, not mid-run."""
 
     def test_every_traced_target_resolves(self):
         path = Path(__file__).parent.parent / "perfbench" / "layers.py"
-        spec = importlib.util.spec_from_file_location("perfbench_layers", path)
-        layers = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(layers)
+        layers = _load_file("perfbench_layers", path)
         assert layers.TARGETS
         for _layer, metric, module_name, attr_path in layers.TARGETS:
             owner = importlib.import_module(module_name)
@@ -120,6 +126,37 @@ class TestPerfbenchTargets:
                 assert hasattr(owner, part), f"{metric}: {module_name}.{attr_path}"
                 owner = getattr(owner, part)
             assert callable(owner), f"{metric}: {module_name}.{attr_path}"
+
+
+class TestPerfbenchOutputMask:
+    """The ``cli`` workload compares ``repro profile`` outputs after masking
+    the pass table's wall-clock ms; how many digits a pass time has must
+    not survive the mask, or a pass crossing 10 or 100 ms fails the op."""
+
+    BENCH = Path(__file__).parent.parent / "perfbench"
+
+    @pytest.fixture
+    def normalize(self, monkeypatch):
+        # run.py imports its siblings as top-level modules.
+        for dep in ("common", "layers"):
+            module = _load_file(f"perfbench_{dep}", self.BENCH / f"{dep}.py")
+            monkeypatch.setitem(sys.modules, dep, module)
+        return _load_file("perfbench_run", self.BENCH / "run.py")._normalize
+
+    def test_pass_ms_width_is_masked(self, normalize):
+        from repro import TITAN_BLACK, build_network
+        from repro.core.pipeline import PipelineOptions, plan_network
+
+        result = plan_network(
+            TITAN_BLACK, build_network("lenet"), PipelineOptions(strategy="heuristic")
+        )
+        masked = set()
+        for ms in (9.87, 92.3, 134.0, 1234.5):
+            trace = tuple(replace(t, ms=ms) for t in result.trace)
+            text = replace(result, trace=trace).explain()
+            assert f"{ms:.3f}" in text
+            masked.add(normalize(("profile", "lenet"), text))
+        assert len(masked) == 1
 
 
 class TestDeterminism:
