@@ -18,9 +18,8 @@ ordered passes over a :class:`repro.ir.Graph`:
    every producer→consumer edge whose layouts disagree;
 4. ``EliminateRedundantTransforms`` — relabel layout-agnostic nodes (LRN,
    concat) to cancel transform–inverse pairs across them;
-5. ``FuseKernels``          — pattern-matching fusion with a registry
-   (the paper's softmax fusion is the built-in pattern; others plug in
-   via :func:`register_fusion_pattern`);
+5. ``FuseKernels``          — tag the classifier softmaxes the paper's
+   fused kernel runs;
 6. ``SelectImplementations`` — bind each node to its fastest
    implementation under the assigned layout.
 
@@ -36,7 +35,7 @@ working unchanged.  ``plan_single_layout``/``plan_with_heuristic``/
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import prod
 from typing import Callable, Sequence
 
@@ -54,6 +53,7 @@ from ..layers.fc import make_fc_kernel
 from ..tensors.layout import CHWN, NCHW, DataLayout
 from ..tensors.tensor import TensorDesc
 from ..tensors.transform_kernels import make_transform_kernel, transform_time_ms
+from .fusion import can_fuse_softmax
 from .heuristic import (
     LayoutThresholds,
     preferred_conv_layout,
@@ -69,7 +69,6 @@ from .planner import (
 )
 
 __all__ = [
-    "FusionPattern",
     "PassContext",
     "PassContractError",
     "PassManager",
@@ -80,7 +79,6 @@ __all__ = [
     "default_passes",
     "graph_to_plan",
     "plan_network",
-    "register_fusion_pattern",
     "run_pipeline",
 ]
 
@@ -95,8 +93,6 @@ class PipelineOptions:
     allow_fft: bool = True
     layouts: tuple[DataLayout, ...] = PLAN_LAYOUTS
     thresholds: LayoutThresholds | None = None
-    eliminate_redundant: bool = True
-    fusion_patterns: tuple[str, ...] = ("softmax-fuse",)
     #: run each pass's declared contracts on its output graph and raise
     #: :class:`PassContractError` attributing the first violation to the
     #: offending pass.  Verification is observational: the planned result
@@ -163,8 +159,7 @@ class Pass:
     ``contracts`` names the invariants (see
     :mod:`repro.analysis.dataflow.contracts`) that must hold on the
     graph this pass returns; the verifying :class:`PassManager` checks
-    them after the pass runs.  A pass that conditionally skips work may
-    prune ``self.contracts`` inside :meth:`run`.
+    them after the pass runs.
     """
 
     name = "pass"
@@ -776,13 +771,6 @@ class EliminateRedundantTransforms(Pass):
     )
 
     def run(self, graph: Graph, ctx: PassContext) -> Graph:
-        if not ctx.options.eliminate_redundant:
-            self.stats["skipped"] = True
-            # A skipped elimination guarantees nothing beyond its input.
-            self.contracts = tuple(
-                c for c in self.contracts if c != "no-inverse-pairs"
-            )
-            return graph
         before_ms = sum(n.transform_ms for n in graph)
         consumers = _consumers_map(graph)
         relabeled: list[str] = []
@@ -831,70 +819,12 @@ class EliminateRedundantTransforms(Pass):
         return graph
 
 
-@dataclass(frozen=True)
-class FusionPattern:
-    """A registered fusion rewrite: ``apply`` inspects one node (and its
-    neighbourhood via the graph) and returns True after rewriting it."""
-
-    name: str
-    description: str
-    apply: Callable[[Graph, GraphNode, PassContext], bool]
-
-
-FUSION_PATTERNS: dict[str, FusionPattern] = {}
-
-
-def register_fusion_pattern(
-    name: str, description: str
-) -> Callable[[Callable[[Graph, GraphNode, PassContext], bool]], Callable[[Graph, GraphNode, PassContext], bool]]:
-    """Decorator adding a pattern to the registry ``FuseKernels`` draws on."""
-
-    def decorate(
-        fn: Callable[[Graph, GraphNode, PassContext], bool]
-    ) -> Callable[[Graph, GraphNode, PassContext], bool]:
-        FUSION_PATTERNS[name] = FusionPattern(name, description, fn)
-        return fn
-
-    return decorate
-
-
-@register_fusion_pattern(
-    "softmax-fuse",
-    "merge the five-kernel softmax into one inner-parallelized kernel "
-    "(Section V.B); the cost model already prices classifiers with the "
-    "fused kernel, so this pattern annotates the node it claims",
-)
-def _match_softmax_fuse(graph: Graph, node: GraphNode, ctx: PassContext) -> bool:
-    if node.kind is not NodeKind.CLASSIFIER or not isinstance(node.spec, SoftmaxSpec):
-        return False
-    from .fusion import can_fuse_softmax
-
-    if not can_fuse_softmax(node.spec, ctx.device):
-        return False
-    node.fused = "softmax-fuse"
-    return True
-
-
-@register_fusion_pattern(
-    "transform-pooling",
-    "fold a pooling layer's single incoming layout transform into the pool "
-    "kernel's gather: the fused kernel reads the producer's layout "
-    "directly, saving the standalone transform's store+reload round trip "
-    "(modeled as half the transform's cost).  Opt-in.",
-)
-def _match_transform_pooling(graph: Graph, node: GraphNode, ctx: PassContext) -> bool:
-    if node.kind is not NodeKind.POOL or len(node.transforms) != 1:
-        return False
-    (t,) = node.transforms
-    if t.ms <= 0:
-        return False
-    node.transforms = (replace(t, ms=t.ms * 0.5),)
-    node.fused = "transform-pooling"
-    return True
-
-
 class FuseKernels(Pass):
-    """Apply the enabled fusion patterns, first match claiming each node."""
+    """Tag each classifier softmax the fused kernel can run (Section V.B).
+
+    The cost model already prices classifiers with the fused kernel, so
+    the pass annotates the nodes it claims rather than re-pricing them.
+    """
 
     name = "FuseKernels"
     default_contracts = (
@@ -902,20 +832,16 @@ class FuseKernels(Pass):
     )
 
     def run(self, graph: Graph, ctx: PassContext) -> Graph:
-        matched: dict[str, int] = {}
-        for pattern_name in ctx.options.fusion_patterns:
-            pattern = FUSION_PATTERNS.get(pattern_name)
-            if pattern is None:
-                raise ValueError(
-                    f"unknown fusion pattern {pattern_name!r}; "
-                    f"registered: {sorted(FUSION_PATTERNS)}"
-                )
-            hits = 0
-            for node in graph.topological():
-                if node.fused is None and pattern.apply(graph, node, ctx):
-                    hits += 1
-            matched[pattern_name] = hits
-        self.stats["matched"] = matched
+        hits = 0
+        for node in graph.topological():
+            if (
+                node.kind is NodeKind.CLASSIFIER
+                and isinstance(node.spec, SoftmaxSpec)
+                and can_fuse_softmax(node.spec, ctx.device)
+            ):
+                node.fused = "softmax-fuse"
+                hits += 1
+        self.stats["matched"] = {"softmax-fuse": hits}
         return graph
 
 

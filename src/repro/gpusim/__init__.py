@@ -72,13 +72,6 @@ from .reporting import (
     kernel_report,
     roofline_point,
 )
-from .rowbuffer import (
-    DramGeometry,
-    RowBufferStats,
-    analyze_row_locality,
-    reference_analyze_row_locality,
-    stream_addresses,
-)
 from .sharedmem import (
     BankConflictReport,
     analyze_shared_access,
@@ -87,11 +80,8 @@ from .sharedmem import (
 )
 from .timing import KernelStats, time_kernel, time_model
 from .trace import (
-    TraceResult,
-    analyze_trace,
     sample_indices,
     transaction_stream,
-    transactions_for_stride,
     warps_from_threads,
 )
 
@@ -104,7 +94,6 @@ __all__ = [
     "CoalescingReport",
     "ComposedKernel",
     "DeviceSpec",
-    "DramGeometry",
     "GpuOutOfMemoryError",
     "KernelModel",
     "KernelStats",
@@ -115,17 +104,13 @@ __all__ = [
     "MemoryServiceTimes",
     "Occupancy",
     "RooflinePoint",
-    "RowBufferStats",
     "SequenceStats",
     "SetAssociativeCache",
     "SimStats",
     "SimulationContext",
     "TITAN_BLACK",
     "TITAN_X",
-    "TraceResult",
-    "analyze_row_locality",
     "analyze_shared_access",
-    "analyze_trace",
     "adaptive_chunk_size",
     "analyze_warps",
     "cache_sim_snapshot",
@@ -147,7 +132,6 @@ __all__ = [
     "map_chunks",
     "memory_service_time",
     "pool_workers",
-    "reference_analyze_row_locality",
     "register_device",
     "resolve_jobs",
     "reset_default_contexts",
@@ -155,13 +139,11 @@ __all__ = [
     "sample_indices",
     "shutdown_pool",
     "structural_key",
-    "stream_addresses",
     "strided_pattern",
     "tile_column_access",
     "time_kernel",
     "time_model",
     "transaction_stream",
-    "transactions_for_stride",
     "unique_line_hits",
     "warp_transactions",
     "warps_from_threads",

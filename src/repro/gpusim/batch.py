@@ -11,8 +11,7 @@ evaluate in a handful of NumPy operations instead.
 This module is that batched evaluator:
 
 * :class:`EvalSpec` — the primitive inputs of one
-  :func:`~repro.gpusim.timing.time_kernel` call, extracted from a
-  :class:`~repro.gpusim.kernel.KernelModel` with :meth:`EvalSpec.from_model`;
+  :func:`~repro.gpusim.timing.time_kernel` call;
 * :class:`CandidateBatch` — the struct-of-arrays candidate table
   (:meth:`CandidateBatch.from_specs`);
 * :func:`evaluate_batch` — vectorized occupancy, latency hiding, DRAM
@@ -97,19 +96,6 @@ class EvalSpec(NamedTuple):
     profile: MemoryProfile
     n_launches: int = 1
     name: str = "kernel"
-
-    @classmethod
-    def from_model(cls, model: KernelModel, device: DeviceSpec) -> "EvalSpec":
-        """Extract the model's primitive terms (same call order as
-        :func:`~repro.gpusim.timing.time_model`)."""
-        return cls(
-            model.launch_config(device),
-            model.flop_count(),
-            model.alu_efficiency(device),
-            model.memory_profile(device),
-            model.n_launches,
-            model.name,
-        )
 
     @property
     def kind(self) -> str:

@@ -9,18 +9,9 @@ to analyse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .cache import SetAssociativeCache
-from .coalescing import (
-    CoalescingReport,
-    _warp_segments,
-    analyze_warps,
-    warp_transactions,
-)
-from .device import DeviceSpec
+from .coalescing import CoalescingReport, _warp_segments
 
 
 def warps_from_threads(
@@ -99,50 +90,6 @@ def transaction_stream(
     return segments[keep] * segment_bytes
 
 
-@dataclass(frozen=True)
-class TraceResult:
-    """Coalescing + locality summary of a sampled address trace."""
-
-    coalescing: CoalescingReport
-    l2_hit_rate: float
-    sampled_fraction: float
-
-    def scale(self) -> float:
-        """Factor to extrapolate sampled counters to the full kernel."""
-        return 1.0 / self.sampled_fraction if self.sampled_fraction else 1.0
-
-
-def analyze_trace(
-    warp_addresses: np.ndarray,
-    device: DeviceSpec,
-    access_bytes: int = 4,
-    sampled_fraction: float = 1.0,
-    use_l2: bool = True,
-    max_l2_transactions: int = 200_000,
-) -> TraceResult:
-    """Run a ``(warps, lanes)`` load trace through coalescing and the L2.
-
-    The L2 pass replays the post-coalescing transaction stream through the
-    set-associative model; when the stream is longer than
-    ``max_l2_transactions`` a contiguous window is used, which preserves the
-    short-reuse-distance hits that matter (cross-warp window overlap) while
-    keeping simulation cheap.
-    """
-    report = analyze_warps(warp_addresses, device, access_bytes)
-    hit_rate = 0.0
-    if use_l2 and report.transactions:
-        flat = transaction_stream(
-            warp_addresses, device.transaction_bytes, max_l2_transactions
-        )
-        if flat.size:
-            l2 = SetAssociativeCache.l2_for(device)
-            hits = l2.access_stream(flat)
-            hit_rate = float(hits.mean())
-    return TraceResult(
-        coalescing=report, l2_hit_rate=hit_rate, sampled_fraction=sampled_fraction
-    )
-
-
 def sample_indices(total: int, max_samples: int, rng_seed: int = 0) -> np.ndarray:
     """Deterministically choose up to ``max_samples`` indices out of ``total``.
 
@@ -156,17 +103,3 @@ def sample_indices(total: int, max_samples: int, rng_seed: int = 0) -> np.ndarra
     step = total / max_samples
     return (np.arange(max_samples, dtype=np.float64) * step).astype(np.int64)
 
-
-def transactions_for_stride(
-    device: DeviceSpec, lanes: int, stride_bytes: int, access_bytes: int = 4
-) -> float:
-    """Closed-form transactions for one warp access with a constant stride.
-
-    Convenience for analytic models; cross-checked against the traced
-    coalescing unit in the test suite.
-    """
-    if lanes <= 0:
-        return 0.0
-    lanes_idx = np.arange(device.warp_size, dtype=np.int64)
-    addr = np.where(lanes_idx < lanes, lanes_idx * stride_bytes, -1)
-    return float(warp_transactions(addr[None, :], device, access_bytes)[0])

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensors.layout import DataLayout, NCHW
-from ..tensors.tensor import Tensor4D, TensorDesc
+from ..tensors.layout import DataLayout
+from ..tensors.tensor import Tensor4D
 from .base import ConvSpec
 
 _F = np.float32
@@ -192,8 +192,3 @@ def make_filters(spec: ConvSpec, seed: int = 1) -> np.ndarray:
     scale = 1.0 / np.sqrt(spec.taps)
     shape = (spec.co, spec.ci // spec.groups, spec.fh, spec.fw)
     return (rng.standard_normal(shape) * scale).astype(_F)
-
-
-def conv_input_desc(spec: ConvSpec, layout: DataLayout = NCHW) -> TensorDesc:
-    """Convenience re-export of :meth:`ConvSpec.in_desc`."""
-    return spec.in_desc(layout)

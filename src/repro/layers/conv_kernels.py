@@ -22,7 +22,7 @@ from math import ceil, log2
 from ..gpusim.device import DeviceSpec
 from ..gpusim.kernel import ComposedKernel, KernelModel, LaunchConfig, MemoryProfile
 from .base import ConvSpec
-from .gemm import GemmKernel, gemm_shape_efficiency
+from .gemm import GemmKernel
 
 
 @cache
@@ -369,9 +369,3 @@ def make_conv_kernel(spec: ConvSpec, implementation: str) -> KernelModel:
         f"unknown implementation {implementation!r}; choose from {CONV_IMPLEMENTATIONS}"
     )
 
-
-def gemm_efficiency_for(spec: ConvSpec, device: DeviceSpec) -> float:
-    """Shape efficiency of the merged conv GEMM (diagnostic helper)."""
-    return gemm_shape_efficiency(
-        device, spec.co, spec.n * spec.out_h * spec.out_w, spec.taps
-    )

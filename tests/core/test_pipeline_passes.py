@@ -2,19 +2,18 @@
 
 import pytest
 
+from repro.core.fusion import can_fuse_softmax
 from repro.core.pipeline import (
-    FUSION_PATTERNS,
     EliminateRedundantTransforms,
-    FuseKernels,
     InsertTransforms,
     PipelineOptions,
     plan_network,
-    register_fusion_pattern,
     run_pipeline,
 )
 from repro.framework import Net, Trainer
 from repro.ir.graph import Graph, GraphNode, NodeKind
-from repro.networks import build_network
+from repro.layers import SoftmaxSpec
+from repro.networks import NETWORK_BUILDERS, build_network
 from repro.tensors import CHWN, NCHW
 
 
@@ -83,67 +82,31 @@ class TestEliminateRedundantTransforms:
         assert result.graph["lrn"].layout == NCHW
         assert len(result.graph["lrn"].transforms) == 1
 
-    def test_opt_out_flag(self, device):
-        result = run_pipeline(
-            device,
-            sandwich_graph(),
-            PipelineOptions(eliminate_redundant=False),
-            passes=[InsertTransforms(), EliminateRedundantTransforms()],
-        )
-        assert result.trace[1].stats == {"skipped": True}
+    def test_opt_out_by_omitting_the_pass(self, device):
+        """Leaving the pass out of ``passes`` keeps the pair in place."""
+        result = run_pipeline(device, sandwich_graph(), passes=[InsertTransforms()])
+        assert [t.name for t in result.trace] == ["InsertTransforms"]
         assert result.graph["lrn"].layout == NCHW
+        assert len(result.graph["conv2"].transforms) == 1
 
 
-class TestFusionRegistry:
-    def test_unknown_pattern_rejected(self, device):
-        with pytest.raises(ValueError, match="unknown fusion pattern"):
-            run_pipeline(
-                device,
-                sandwich_graph(),
-                PipelineOptions(fusion_patterns=("no-such-pattern",)),
-                passes=[FuseKernels()],
-            )
-
-    def test_custom_pattern_applies(self, device):
-        @register_fusion_pattern("tag-lrn", "test-only: tag elementwise nodes")
-        def tag_lrn(graph, node, ctx):
-            if node.kind is not NodeKind.ELEMENTWISE:
-                return False
-            node.fused = "tag-lrn"
-            return True
-
-        try:
-            result = run_pipeline(
-                device,
-                sandwich_graph(),
-                PipelineOptions(fusion_patterns=("tag-lrn",)),
-                passes=[FuseKernels()],
-            )
-        finally:
-            FUSION_PATTERNS.pop("tag-lrn")
-        assert result.trace[0].stats["matched"] == {"tag-lrn": 1}
-        assert result.graph["lrn"].fused == "tag-lrn"
-        assert result.graph["conv1"].fused is None
-
-    def test_transform_pooling_is_opt_in(self, device):
-        g = sandwich_graph()
-        lrn = g["lrn"]
-        g.nodes["lrn"] = GraphNode(
-            "lrn", NodeKind.POOL, inputs=lrn.inputs,
-            in_dims=lrn.in_dims, out_dims=lrn.out_dims, layout=NCHW,
-        )
-        baseline = run_pipeline(device, g, passes=[InsertTransforms()])
-        full_ms = baseline.graph["lrn"].transform_ms
-        assert full_ms > 0
-
-        fused = run_pipeline(
-            device,
-            g,
-            PipelineOptions(fusion_patterns=("softmax-fuse", "transform-pooling")),
-            passes=[InsertTransforms(), FuseKernels()],
-        )
-        assert fused.graph["lrn"].fused == "transform-pooling"
-        assert fused.graph["lrn"].transform_ms == pytest.approx(full_ms / 2)
+class TestFuseKernels:
+    @pytest.mark.parametrize("network", sorted(NETWORK_BUILDERS))
+    def test_tags_exactly_the_fusable_softmax_nodes(self, device, network):
+        result = plan_network(device, build_network(network))
+        fusable = {
+            node.name
+            for node in result.graph
+            if node.kind is NodeKind.CLASSIFIER
+            and isinstance(node.spec, SoftmaxSpec)
+            and can_fuse_softmax(node.spec, device)
+        }
+        assert fusable
+        tagged = {node.name for node in result.graph if node.fused is not None}
+        assert tagged == fusable
+        assert all(result.graph[name].fused == "softmax-fuse" for name in tagged)
+        (fuse,) = [t for t in result.trace if t.name == "FuseKernels"]
+        assert fuse.stats == {"matched": {"softmax-fuse": len(fusable)}}
 
 
 class TestBranchingNetwork:

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from repro.gpusim import (
     TITAN_BLACK,
-    analyze_trace,
+    SetAssociativeCache,
+    analyze_warps,
     sample_indices,
     strided_pattern,
-    transactions_for_stride,
+    transaction_stream,
     warp_transactions,
     warps_from_threads,
 )
@@ -66,29 +67,29 @@ class TestStrideFormula:
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_traced_coalescing(self, lanes, stride_floats):
-        """The closed-form helper must agree with the traced unit."""
+        """Closed form for aligned 4-byte accesses at a constant stride:
+        below one segment the warp walks every segment it spans, from one
+        segment up it touches one segment per lane."""
         stride = stride_floats * 4
+        segment = TITAN_BLACK.transaction_bytes
+        expected = lanes if stride >= segment else (lanes - 1) * stride // segment + 1
         lanes_idx = np.arange(32, dtype=np.int64)
         addr = np.where(lanes_idx < lanes, lanes_idx * stride, -1)[None, :]
-        assert transactions_for_stride(TITAN_BLACK, lanes, stride) == float(
-            warp_transactions(addr, TITAN_BLACK)[0]
-        )
+        assert warp_transactions(addr, TITAN_BLACK)[0] == expected
+
+
+def _l2_hit_rate(trace, device):
+    stream = transaction_stream(trace, device.transaction_bytes)
+    return float(SetAssociativeCache.l2_for(device).access_stream(stream).mean())
 
 
 class TestAnalyzeTrace:
     def test_no_l2_reuse_for_disjoint_warps(self, device):
-        result = analyze_trace(strided_pattern(32, 4, device), device)
-        assert result.l2_hit_rate == 0.0
-        assert result.coalescing.efficiency == pytest.approx(1.0)
+        trace = strided_pattern(32, 4, device)
+        assert _l2_hit_rate(trace, device) == 0.0
+        assert analyze_warps(trace, device).efficiency == pytest.approx(1.0)
 
     def test_repeat_warps_hit_l2(self, device):
         one = strided_pattern(1, 4, device)
         trace = np.concatenate([one, one, one], axis=0)
-        result = analyze_trace(trace, device)
-        assert result.l2_hit_rate == pytest.approx(2 / 3)
-
-    def test_sampled_fraction_scale(self, device):
-        result = analyze_trace(
-            strided_pattern(4, 4, device), device, sampled_fraction=0.25
-        )
-        assert result.scale() == pytest.approx(4.0)
+        assert _l2_hit_rate(trace, device) == pytest.approx(2 / 3)

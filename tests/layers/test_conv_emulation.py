@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.layers import ConvSpec, conv_direct, make_filters
-from repro.layers.conv_emulation import direct_conv_chwn_emulated, register_tile_reuse
+from tests.oracles.conv_emulation import direct_conv_chwn_emulated, register_tile_reuse
 from repro.tensors import CHWN, NCHW, Tensor4D
 
 specs = st.builds(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.layers import ConvSpec, conv_im2col, make_filters
-from repro.layers.im2col_emulation import (
+from tests.oracles.im2col_emulation import (
     conv_im2col_emulated,
     expected_tile_loads,
     tiled_gemm_emulated,

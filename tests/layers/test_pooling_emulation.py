@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.layers import PoolSpec, pool_plain
-from repro.layers.pooling_emulation import (
+from tests.oracles.pooling_emulation import (
     footprint_loads,
     pool_chwn_coarsened_emulated,
     pool_chwn_emulated,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.layers import SoftmaxSpec, softmax_fused
-from repro.layers.softmax_emulation import _tree_reduce, softmax_fused_blockwise
+from tests.oracles.softmax_emulation import _tree_reduce, softmax_fused_blockwise
 
 
 class TestTreeReduction:

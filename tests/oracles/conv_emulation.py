@@ -25,9 +25,9 @@ from math import ceil
 
 import numpy as np
 
-from ..tensors.layout import CHWN
-from ..tensors.tensor import Tensor4D
-from .base import ConvSpec
+from repro.layers.base import ConvSpec
+from repro.tensors.layout import CHWN
+from repro.tensors.tensor import Tensor4D
 
 _F = np.float32
 

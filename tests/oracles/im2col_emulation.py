@@ -17,8 +17,8 @@ from math import ceil
 
 import numpy as np
 
-from .base import ConvSpec
-from .conv import im2col
+from repro.layers.base import ConvSpec
+from repro.layers.conv import im2col
 
 _F = np.float32
 TILE = 64

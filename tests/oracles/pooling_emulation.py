@@ -21,9 +21,9 @@ from math import ceil
 
 import numpy as np
 
-from ..tensors.layout import CHWN
-from ..tensors.tensor import Tensor4D
-from .base import PoolSpec
+from repro.layers.base import PoolSpec
+from repro.tensors.layout import CHWN
+from repro.tensors.tensor import Tensor4D
 
 _F = np.float32
 
@@ -112,7 +112,7 @@ def footprint_loads(spec: PoolSpec, ux: int, uy: int) -> tuple[int, int]:
     plain = spec.out_h * spec.out_w * spec.window * spec.window
     tiles_y = ceil(spec.out_h / uy)
     tiles_x = ceil(spec.out_w / ux)
-    from .pooling import tile_footprint
+    from repro.layers.pooling import tile_footprint
 
     coarse = tiles_y * tiles_x * tile_footprint(spec, ux, uy)
     return plain, coarse

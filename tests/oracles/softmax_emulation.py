@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import SoftmaxSpec
+from repro.layers.base import SoftmaxSpec
 
 _F = np.float32
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layout import CHWN, NCHW, DataLayout
-from .tensor import Tensor4D
+from repro.tensors.layout import CHWN, NCHW, DataLayout
+from repro.tensors.tensor import Tensor4D
 
 _F = np.float32
 TILE = 32

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tensors import CHWN, NCHW, Tensor4D, make_input
-from repro.tensors.transform_emulation import (
+from tests.oracles.transform_emulation import (
     naive_transform_emulated,
     tiled_transform_emulated,
 )

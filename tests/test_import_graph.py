@@ -5,6 +5,7 @@ long since loaded everything.  ``repro`` resolves its top-level names
 lazily (PEP 562), so the public surface is tested here too.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -58,10 +59,23 @@ def test_numeric_fft_conv_loads_scipy_on_first_call():
     assert _loaded_after(run_fft, "scipy")
 
 
-@pytest.mark.parametrize("name", repro.__all__)
-def test_public_name_resolves(name):
-    assert getattr(repro, name) is not None
-    assert name in dir(repro)
+SUBPACKAGES = (
+    "analysis", "core", "framework", "gpusim", "ir", "layers", "networks", "tensors",
+)
+
+
+def _public_names():
+    yield from (pytest.param(repro, name, id=name) for name in repro.__all__)
+    for sub in SUBPACKAGES:
+        module = importlib.import_module(f"repro.{sub}")
+        for name in module.__all__:
+            yield pytest.param(module, name, id=f"{sub}.{name}")
+
+
+@pytest.mark.parametrize("module, name", _public_names())
+def test_public_name_resolves(module, name):
+    assert getattr(module, name) is not None
+    assert name in dir(module)
 
 
 def test_star_import_binds_every_public_name():
