@@ -10,20 +10,24 @@ from __future__ import annotations
 from figutil import FigureTable
 
 from repro.core import plan_optimal, plan_single_layout, plan_with_heuristic
-from repro.framework import Net
 from repro.networks import build_network
 from repro.tensors import CHWN, NCHW
 
 NETWORKS = ("lenet", "cifar", "alexnet", "zfnet", "vgg")
 
 
-def _lower_bound_ms(device, nodes) -> float:
+def _lower_bound_ms(device, netdef) -> float:
     """Every layer in its best layout with transforms priced at zero."""
+    from repro.core.pipeline import ResolveShapes, run_pipeline
     from repro.core.planner import PLAN_LAYOUTS, _node_costs
     from repro.gpusim import default_context
+    from repro.ir import lower_netdef
 
     ctx = default_context(device)
-    costs = [_node_costs(ctx, n, device, True, True) for n in nodes]
+    graph = run_pipeline(
+        device, lower_netdef(netdef), context=ctx, passes=[ResolveShapes()]
+    ).graph
+    costs = [_node_costs(ctx, n, device, True, True) for n in graph]
     return sum(min(c.cost(lo) for lo in PLAN_LAYOUTS) for c in costs)
 
 
@@ -33,15 +37,15 @@ def build_figure(device) -> FigureTable:
         ["network", "all_chwn", "all_nchw", "heuristic", "optimal", "no_fft", "free_t"],
     )
     for name in NETWORKS:
-        nodes = Net(build_network(name)).planner_nodes(device)
+        netdef = build_network(name)
         table.add(
             name,
-            plan_single_layout(device, nodes, CHWN, tune_pooling=True).total_ms,
-            plan_single_layout(device, nodes, NCHW, tune_pooling=True).total_ms,
-            plan_with_heuristic(device, nodes).total_ms,
-            plan_optimal(device, nodes).total_ms,
-            plan_optimal(device, nodes, allow_fft=False).total_ms,
-            _lower_bound_ms(device, nodes),
+            plan_single_layout(device, netdef, CHWN, tune_pooling=True).total_ms,
+            plan_single_layout(device, netdef, NCHW, tune_pooling=True).total_ms,
+            plan_with_heuristic(device, netdef).total_ms,
+            plan_optimal(device, netdef).total_ms,
+            plan_optimal(device, netdef, allow_fft=False).total_ms,
+            _lower_bound_ms(device, netdef),
         )
     table.note("free_t = zero-cost-transform lower bound (unreachable)")
     return table

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from figutil import FigureTable
 
-from repro import Net, build_network, plan_optimal
+from repro import build_network, plan_optimal
 from repro.gpusim import SimulationContext
 
 
@@ -24,10 +24,7 @@ def build_figure(device) -> FigureTable:
         before_hits = ctx.stats.hits
         before_timed = ctx.stats.kernels_timed
         before_queries = ctx.stats.queries
-        plan = plan_optimal(
-            device, Net(build_network("alexnet")).planner_nodes(device, context=ctx),
-            context=ctx,
-        )
+        plan = plan_optimal(device, build_network("alexnet"), context=ctx)
         table.add(
             label,
             plan.total_ms,

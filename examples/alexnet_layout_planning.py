@@ -21,7 +21,6 @@ from repro.tensors import CHWN, NCHW
 def main() -> None:
     device = TITAN_BLACK
     net = Net(build_network("alexnet"))
-    nodes = net.planner_nodes(device)
 
     print("== Heuristic rationale per convolution ==")
     thresholds = thresholds_for(device)
@@ -30,7 +29,7 @@ def main() -> None:
             print(f"  {layer.name}: {explain_conv_choice(layer.spec, thresholds)}")
 
     print("\n== Fine-tuned plan (profiled DP over layouts + transform costs) ==")
-    plan = plan_optimal(device, nodes)
+    plan = plan_optimal(device, net.definition)
     print(plan.summary())
     print(
         f"\n  {plan.transform_count} transforms cost {plan.transform_ms:.3f} ms "
@@ -40,7 +39,7 @@ def main() -> None:
 
     print("\n== Versus the single-layout worlds the libraries live in ==")
     for layout in (CHWN, NCHW):
-        single = plan_single_layout(device, nodes, layout, tune_pooling=True)
+        single = plan_single_layout(device, net.definition, layout, tune_pooling=True)
         print(
             f"  everything in {layout}: {single.total_ms:9.3f} ms "
             f"({single.total_ms / plan.total_ms:.2f}x slower than the plan)"
@@ -52,7 +51,7 @@ def main() -> None:
     x = small.make_input(seed=0)
     reference = small.forward(x, weights)
     planned = small.forward(
-        x, weights, plan=plan_optimal(device, small.planner_nodes(device))
+        x, weights, plan=plan_optimal(device, small.definition)
     )
     print(
         "  max |difference| =",

@@ -54,7 +54,7 @@ def main() -> None:
 
     print("\n== Plans differ across devices ==")
     for device in (TITAN_BLACK, TITAN_X):
-        plan = plan_optimal(device, net.planner_nodes(device))
+        plan = plan_optimal(device, net.definition)
         layouts = {
             s.name: str(s.layout) for s in plan.steps if s.layout is not None
         }

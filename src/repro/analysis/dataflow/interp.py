@@ -6,8 +6,7 @@ the annotations consistent by abstract interpretation: a forward dataflow
 propagates the layout each producer actually delivers (carried through
 classifiers the same way ``core.pipeline._insert_transforms`` carries it),
 and every node's annotations are compared against the facts arriving on
-its real edges.  The L-rules from PR 3 pattern-matched the linear step
-list; these checks generalize them to arbitrary DAGs and are shared by the
+its real edges.  These checks run on arbitrary DAGs and are shared by the
 ``D0xx`` lint rules, :func:`~repro.analysis.dataflow.verify.verify_graph`,
 and the pass-contract verifier.
 

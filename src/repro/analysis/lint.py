@@ -36,7 +36,7 @@ from typing import Any
 
 from ..core.heuristic import LayoutThresholds, thresholds_for
 from ..core.pipeline import PipelineOptions, run_pipeline
-from ..core.planner import LayoutPlan, NodeKind, PlanNode
+from ..core.planner import LayoutPlan, NodeKind
 from ..framework.netdef import NetworkDef, parse_netdef
 from ..ir.build import lower_netdef
 from ..ir.graph import Graph
@@ -152,28 +152,24 @@ def lint_netdef_text(
 def lint_plan(
     device: DeviceSpec,
     plan: LayoutPlan,
-    nodes: list[PlanNode] | tuple[PlanNode, ...] | None = None,
+    graph: Graph,
     thresholds: LayoutThresholds | None = None,
     config: LintConfig = DEFAULT_CONFIG,
     network: str = "",
-    graph: Graph | None = None,
 ) -> list[Diagnostic]:
-    """Run the L0xx rules over one layout plan.
+    """Run the L0xx rules over one layout plan and the annotated IR graph
+    the pipeline planned it on.
 
-    ``nodes`` (the planner's view of the layer chain) enables the rules
-    that need layer geometry: chain coverage (L006) and threshold
-    ambiguity (L003).  ``graph`` — the annotated IR the pipeline planned
-    over — switches the edge-walking rules (L001/L002) from the linear
-    step walk to the graph's true producer/consumer edges, which is
-    required for branching networks.
+    The edge-walking rules (L001/L002) follow the graph's producer/consumer
+    edges; the geometry rules (L003 threshold ambiguity, L006 coverage)
+    read its nodes; the step rules (L004/L005/L007) read the plan.
     """
     scope = PlanScope(
         device=device,
         plan=plan,
-        nodes=tuple(nodes) if nodes is not None else None,
+        graph=graph,
         thresholds=thresholds,
         margin=config.margin,
-        graph=graph,
     )
     return _run_scope("plan", scope, config, network=network)
 
@@ -324,7 +320,7 @@ def lint_network(
     report.plan = plan
     thresholds = thresholds_for(device)
     report.diagnostics += lint_plan(
-        device, plan, nodes, thresholds, config, network=netdef.name, graph=graph
+        device, plan, graph, thresholds, config, network=netdef.name
     )
     report.diagnostics += lint_graph(graph, device, config, network=netdef.name)
 

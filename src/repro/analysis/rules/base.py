@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Any
 
 from ...core.heuristic import LayoutThresholds
-from ...core.planner import LayoutPlan, PlanNode, PlanStep
+from ...core.planner import LayoutPlan, PlanStep
 from ...framework.netdef import NetworkDef
 from ...gpusim.device import DeviceSpec
 from ...gpusim.kernel import KernelModel, LaunchConfig, MemoryProfile
@@ -95,24 +95,23 @@ class NetdefScope:
 
 @dataclass
 class PlanScope:
-    """A layout plan under analysis, optionally with the planner nodes it
-    was derived from and the device's heuristic thresholds.
+    """A layout plan under analysis, with the annotated network IR the
+    pipeline planned it on and the device's heuristic thresholds.
 
-    ``graph`` carries the annotated network IR the pipeline planned over.
-    When present, the edge-walking rules (L001/L002) follow the graph's
-    real producer/consumer edges instead of assuming the step list is a
-    chain — the only sound reading for branching networks.  ``nodes`` may
-    hold either legacy :class:`PlanNode` records or IR
-    :class:`~repro.ir.graph.GraphNode` records (they share the fields the
-    rules inspect)."""
+    The edge-walking rules (L001/L002) follow the graph's real
+    producer/consumer edges, the only sound reading for branching
+    networks; ``nodes`` is the graph in topological order."""
 
     device: DeviceSpec
     plan: LayoutPlan
-    nodes: tuple[PlanNode, ...] | tuple[GraphNode, ...] | None = None
+    graph: Graph
     thresholds: LayoutThresholds | None = None
     #: +/- range around (Ct, Nt) treated as the ambiguous region (L003)
     margin: int = 1
-    graph: Graph | None = None
+
+    @property
+    def nodes(self) -> tuple[GraphNode, ...]:
+        return self.graph.topological()
 
     @property
     def layout_steps(self) -> tuple[PlanStep, ...]:
@@ -124,8 +123,8 @@ class GraphScope:
     """An annotated network-graph IR under dataflow verification.
 
     The D0xx rules run abstract shape/layout interpretation and liveness
-    analysis over the graph's real producer→consumer edges — the
-    DAG-sound generalization of the chain-walking L-rules.  ``device`` is
+    analysis over the graph's real producer→consumer edges, the same
+    edges the L001/L002 rules walk.  ``device`` is
     optional context for messages; the checks themselves are pure graph
     dataflow.
     """

@@ -1,10 +1,11 @@
 """L0xx rules: layout-plan verification.
 
-The planner's output is a chain of layout-bearing steps with explicit
-transform records (:attr:`PlanStep.transformed_from`).  These rules walk
-that chain as a layout graph: every producer→consumer layout change must
-carry a transform, transform/inverse-transform islands are flagged for
-review, and each step's implementation must belong to its layout's family.
+A plan is checked together with the annotated IR graph it was planned on.
+The edge rules walk the graph's producer→consumer edges: every layout
+change must carry a transform (:attr:`GraphNode.transforms`), and
+transform/inverse-transform islands are flagged for review.  The step
+rules check that each plan step's implementation belongs to its layout's
+family.
 """
 
 from __future__ import annotations
@@ -33,79 +34,8 @@ from .base import Finding, PlanScope, Severity, rule
     example="a CHWN conv feeding an NCHW conv with no transform recorded",
 )
 def layout_mismatch(scope: PlanScope) -> Iterator[Finding]:
-    if scope.graph is not None:
-        yield from _graph_layout_mismatch(scope)
-        return
-    # Walk the FULL chain, not just layout-bearing steps: layout-agnostic
-    # steps (LRN, elementwise) can host a boundary transform whose target
-    # only `transformed_to` records.
-    current = None
-    for step in scope.plan.steps:
-        if step.transformed_from is not None:
-            if current is not None and step.transformed_from != current:
-                yield Finding(
-                    step.name,
-                    f"transform source {step.transformed_from} does not "
-                    f"match the producer layout {current}",
-                    {
-                        "producer": str(current),
-                        "transform_source": str(step.transformed_from),
-                    },
-                )
-            target = step.transformed_to or step.layout
-            if target is not None:
-                current = target
-        if step.layout is None:
-            continue
-        if current is None:
-            current = step.layout
-        elif step.layout != current:
-            yield Finding(
-                step.name,
-                f"input arrives in {current} but the step runs in "
-                f"{step.layout} with no transform recorded",
-                {"producer": str(current), "consumer": str(step.layout)},
-            )
-            current = step.layout
-
-
-@rule(
-    "L002",
-    Severity.WARNING,
-    "transform immediately undone by its inverse",
-    rationale="A single-layer layout island pays two boundary transforms; "
-    "the fine-tuning step (Section IV.D) keeps it only when the layer's "
-    "layout benefit exceeds both — verify that trade-off holds.",
-    example="NCHW -> CHWN for one pool, then CHWN -> NCHW straight back",
-)
-def redundant_transform_pair(scope: PlanScope) -> Iterator[Finding]:
-    if scope.graph is not None:
-        yield from _graph_redundant_transform_pair(scope)
-        return
-    steps = scope.layout_steps
-    for step, nxt in zip(steps, steps[1:]):
-        if (
-            step.transformed_from is not None
-            and nxt.transformed_from == step.layout
-            and nxt.layout == step.transformed_from
-        ):
-            yield Finding(
-                step.name,
-                f"transform {step.transformed_from} -> {step.layout} is "
-                f"undone right after this step; the island costs "
-                f"{step.transform_ms + nxt.transform_ms:.3f} ms of transforms",
-                {
-                    "island_layout": str(step.layout),
-                    "surrounding_layout": str(nxt.layout),
-                    "transform_ms": step.transform_ms + nxt.transform_ms,
-                },
-            )
-
-
-def _graph_layout_mismatch(scope: PlanScope) -> Iterator[Finding]:
-    """L001 over the IR: check every producer→consumer edge, not a chain."""
+    """Check every producer→consumer edge of the graph."""
     graph = scope.graph
-    assert graph is not None
     for node in graph.topological():
         if node.kind is NodeKind.CLASSIFIER:
             continue  # data is flattened to 2-D here; layout is moot
@@ -146,11 +76,19 @@ def _graph_layout_mismatch(scope: PlanScope) -> Iterator[Finding]:
                 )
 
 
-def _graph_redundant_transform_pair(scope: PlanScope) -> Iterator[Finding]:
-    """L002 over the IR: a transform on an incoming edge undone on an
-    outgoing edge is a layout island regardless of chain position."""
+@rule(
+    "L002",
+    Severity.WARNING,
+    "transform immediately undone by its inverse",
+    rationale="A single-layer layout island pays two boundary transforms; "
+    "the fine-tuning step (Section IV.D) keeps it only when the layer's "
+    "layout benefit exceeds both — verify that trade-off holds.",
+    example="NCHW -> CHWN for one pool, then CHWN -> NCHW straight back",
+)
+def redundant_transform_pair(scope: PlanScope) -> Iterator[Finding]:
+    """A transform on an incoming edge undone on an outgoing edge is a
+    layout island regardless of chain position."""
     graph = scope.graph
-    assert graph is not None
     for node in graph.topological():
         for t_in in node.transforms:
             for consumer in graph.consumers(node.name):
@@ -184,8 +122,6 @@ def _graph_redundant_transform_pair(scope: PlanScope) -> Iterator[Finding]:
     example="a conv with C equal to Ct, or N one below Nt",
 )
 def threshold_ambiguity(scope: PlanScope) -> Iterator[Finding]:
-    if scope.nodes is None:
-        return
     thresholds = scope.thresholds or thresholds_for(scope.device)
     for node in scope.nodes:
         if node.kind is not NodeKind.CONV or not isinstance(node.spec, ConvSpec):
@@ -262,8 +198,6 @@ def implementation_layout_mismatch(scope: PlanScope) -> Iterator[Finding]:
     example="linting a VGG plan against an AlexNet definition",
 )
 def plan_chain_mismatch(scope: PlanScope) -> Iterator[Finding]:
-    if scope.nodes is None:
-        return
     node_names = [n.name for n in scope.nodes]
     step_names = [s.name for s in scope.plan.steps]
     if node_names == step_names:

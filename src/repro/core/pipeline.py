@@ -6,11 +6,10 @@ ordered passes over a :class:`repro.ir.Graph`:
 
 1. ``ResolveShapes``        — shape inference + fixed per-layer costs;
 2. ``AssignLayouts``        — the (Ct, Nt) heuristic and the optimal
-   search.  On chains these are *exact ports* of the legacy planner (the
-   run-flattening fine-tune and the (layer, layout) DP, tie-breaks
-   included), so the pipeline is plan-identical to it (the frozen plans in
-   ``tests/core/golden/plans.json`` pin this); on DAGs the same
-   trade-off generalizes to per-edge transform costs, solved by
+   search.  On chains these are the original chain planner's
+   run-flattening fine-tune and (layer, layout) DP, tie-breaks included
+   (the frozen plans in ``tests/core/golden/plans.json`` pin them); on
+   DAGs the same trade-off generalizes to per-edge transform costs, solved by
    preference seeding plus coordinate-descent local search started from
    every uniform-layout assignment (so the result is never worse than any
    single-layout plan);
@@ -25,11 +24,12 @@ ordered passes over a :class:`repro.ir.Graph`:
 
 :class:`PassManager` records per-pass wall time and before/after node
 counts; ``repro plan --explain`` prints the table.  The final lowering
-:func:`graph_to_plan` produces the legacy :class:`LayoutPlan`, which keeps
-every existing consumer (framework, schemes, sweeps, lint, CLI, benches)
-working unchanged.  ``plan_single_layout``/``plan_with_heuristic``/
-``plan_optimal`` in ``repro.core.planner`` are thin wrappers over
-:func:`run_pipeline`.
+:func:`graph_to_plan` produces the :class:`LayoutPlan` every consumer
+(framework, schemes, sweeps, lint, CLI, benches) reads.  The one planner
+input is a :class:`~repro.framework.netdef.NetworkDef`:
+:func:`plan_network` lowers it to the IR and runs the passes, and
+``plan_single_layout``/``plan_with_heuristic``/``plan_optimal`` in
+``repro.core.planner`` are presets of it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from math import prod
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..gpusim.device import DeviceSpec
 from ..gpusim.exec import evaluate_cells, map_chunks
@@ -67,6 +67,9 @@ from .planner import (
     _LayerCosts,
     _node_costs,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..framework.netdef import NetworkDef
 
 __all__ = [
     "PassContext",
@@ -267,27 +270,6 @@ def _edge_desc(
     return dims, src, dst
 
 
-def edge_transform_ms(
-    device: DeviceSpec,
-    producer: GraphNode | None,
-    consumer: GraphNode,
-    src: DataLayout,
-    dst: DataLayout,
-) -> float:
-    """Transform cost on one producer→consumer edge (scalar reference for
-    :class:`TransformCostTable`).
-
-    On single-input consumers the transformed tensor is the consumer's
-    input; on multi-input consumers (concat) it is the individual
-    producer's output, not the joined tensor.
-    """
-    desc = _edge_desc(producer, consumer, src, dst)
-    if desc is None:
-        return 0.0
-    dims, src, dst = desc
-    return transform_time_ms(device, TensorDesc(*dims, layout=src), dst, method="auto")
-
-
 def _price_transform_chunk(
     context: SimulationContext, models: list
 ) -> "list":
@@ -304,9 +286,9 @@ class TransformCostTable:
     vectorized evaluation.  ``edge_ms`` is then a dict probe.  A query
     outside the precomputed set (e.g. a pass relabeling to an exotic
     layout) falls back to the scalar :func:`transform_time_ms` and is
-    memoized, so the table answers exactly what
-    :func:`edge_transform_ms` would: plans are byte-identical to pricing
-    every edge with it.
+    memoized.  ``tests/integration/test_batched_consumers.py`` prices
+    every edge with a scalar oracle and checks that the plans are
+    byte-identical to this table's.
     """
 
     def __init__(self, device: DeviceSpec) -> None:
@@ -363,7 +345,12 @@ class TransformCostTable:
         src: DataLayout,
         dst: DataLayout,
     ) -> float:
-        """Memoized :func:`edge_transform_ms`."""
+        """Transform cost on one producer→consumer edge (memoized).
+
+        On single-input consumers the transformed tensor is the consumer's
+        input; on multi-input consumers (concat) it is the individual
+        producer's output, not the joined tensor.
+        """
         desc = _edge_desc(producer, consumer, src, dst)
         if desc is None:
             return 0.0
@@ -376,26 +363,6 @@ class TransformCostTable:
             )
             self._ms[key] = ms
         return ms
-
-
-def _graph_node_costs(
-    context: SimulationContext,
-    node: GraphNode,
-    device: DeviceSpec,
-    tune_pooling: bool,
-    allow_fft: bool,
-    layouts: tuple[DataLayout, ...],
-) -> _LayerCosts:
-    """Per-layout costs for one graph node (concat handled here; everything
-    else shares the planner's cost model verbatim)."""
-    if node.kind is NodeKind.CONCAT:
-        costs = _LayerCosts(node)  # type: ignore[arg-type]
-        for layout in layouts:
-            costs.per_layout[str(layout)] = (node.fixed_ms, "concat", None)
-        return costs
-    return _node_costs(  # type: ignore[arg-type]
-        context, node, device, tune_pooling, allow_fft, layouts
-    )
 
 
 def _consumers_map(graph: Graph) -> dict[str, list[GraphNode]]:
@@ -446,8 +413,8 @@ class ResolveShapes(Pass):
     """Shape inference plus fixed per-layer costs (LRN, FC, concat).
 
     Graphs lowered from a ``NetworkDef`` carry layer definitions and get
-    full inference; graphs wrapped from legacy ``PlanNode`` chains arrive
-    resolved and only fill cost gaps.
+    full inference; a hand-built graph without definitions must arrive
+    resolved and only has its cost gaps filled.
     """
 
     name = "ResolveShapes"
@@ -480,8 +447,9 @@ class ResolveShapes(Pass):
 class AssignLayouts(Pass):
     """Assign a storage layout to every node.
 
-    Chains replay the legacy planner exactly (preferences + run-flattening
-    fine-tune for ``heuristic``; the (layer, layout) DP for ``optimal``).
+    Chains run the original chain planner's algorithms (preferences +
+    run-flattening fine-tune for ``heuristic``; the (layer, layout) DP for
+    ``optimal``).
     DAGs use the same per-node costs and per-edge transform costs:
     ``heuristic`` applies the raw (Ct, Nt)/pooling preferences (agnostic
     nodes inherit their first producer's choice — the later
@@ -498,7 +466,7 @@ class AssignLayouts(Pass):
         if not opts.layouts:
             raise ValueError("need at least one candidate layout")
         ctx.costs = {
-            node.name: _graph_node_costs(
+            node.name: _node_costs(
                 ctx.engine, node, ctx.device,
                 opts.tune_pooling, opts.allow_fft, opts.layouts,
             )
@@ -590,7 +558,7 @@ class AssignLayouts(Pass):
                 prefs[node.name] = CHWN
         return prefs
 
-    # -- chain: exact legacy ports ------------------------------------------
+    # -- chain: fine-tune and DP ---------------------------------------------
     def _assign_chain(self, graph: Graph, ctx: PassContext) -> dict[str, DataLayout]:
         opts = ctx.options
         order = graph.topological()
@@ -872,11 +840,11 @@ class SelectImplementations(Pass):
 
 
 def graph_to_plan(graph: Graph, device: DeviceSpec, strategy: str) -> LayoutPlan:
-    """Lower an annotated graph to the legacy :class:`LayoutPlan`.
+    """Lower an annotated graph to a :class:`LayoutPlan`.
 
     Layout is masked to None on non-conv/pool steps (their kernels are
     layout-transparent); a step with exactly one edge transform reports it
-    via ``transformed_from``/``transformed_to`` as the legacy planner did.
+    via ``transformed_from``/``transformed_to``.
     Multi-input joins sum their edges' costs into ``transform_ms``.
     """
     steps: list[PlanStep] = []
@@ -976,9 +944,9 @@ def run_pipeline(
 
 def plan_network(
     device: DeviceSpec,
-    net: object,
+    net: NetworkDef,
     options: PipelineOptions | None = None,
     context: SimulationContext | None = None,
 ) -> PipelineResult:
     """Lower a :class:`NetworkDef` and run the pipeline over it."""
-    return run_pipeline(device, lower_netdef(net), options, context)  # type: ignore[arg-type]
+    return run_pipeline(device, lower_netdef(net), options, context)

@@ -12,29 +12,29 @@ Two planners are provided:
   drop any transform whose cost exceeds the layout benefit it enables
   (the paper's fine-tuning step, e.g. keeping CV5/CV9 in the surrounding
   layout because their preference is worth less than the transpose).
-* :func:`plan_optimal` — dynamic programming over the layer chain, the
-  exhaustive version of the same trade-off.  Used in tests to prove the
-  heuristic plan is near-optimal; the ``Opt`` whole-network scheme runs
-  the same search through :func:`repro.core.pipeline.plan_network`.
+* :func:`plan_optimal` — the exhaustive version of the same trade-off
+  (a dynamic program on chains).  Used in tests to prove the heuristic
+  plan is near-optimal.
 
-:func:`plan_single_layout` prices the whole chain in one fixed layout
+:func:`plan_single_layout` prices the whole network in one fixed layout
 (the existing libraries' behaviour), the baseline both planners beat.
 
-All three are thin compatibility wrappers over the pass pipeline
-(``repro.core.pipeline``), which generalizes the same algorithms from
-chains to DAGs; prefer :func:`repro.core.pipeline.run_pipeline` in new
-code.  The plans of the original chain-only implementations are frozen in
-``tests/core/golden/plans.json``, and the golden tests hold the pipeline
-to them.
+All three take a :class:`~repro.framework.netdef.NetworkDef` and are
+one-line presets of :func:`repro.core.pipeline.plan_network`, which lowers
+the definition to the graph IR and runs the pass pipeline.  This module
+also holds the plan records the pipeline lowers to (:class:`PlanStep`,
+:class:`LayoutPlan`) and the per-node layer cost model the passes share.
+The golden plans in ``tests/core/golden/plans.json`` pin every preset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..gpusim.device import DeviceSpec
 from ..gpusim.session import SimulationContext
-from ..ir.graph import NodeKind
+from ..ir.graph import GraphNode, NodeKind
 from ..layers.base import ConvSpec, PoolSpec, SoftmaxSpec
 from ..layers.softmax_kernels import make_softmax_kernel
 from ..tensors.layout import CHWN, NCHW, DataLayout
@@ -42,23 +42,13 @@ from .autotune import autotune_pooling
 from .heuristic import LayoutThresholds
 from .selector import best_conv_for_layout
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..framework.netdef import NetworkDef
+
 PLAN_LAYOUTS: tuple[DataLayout, ...] = (CHWN, NCHW)
 
-# NodeKind now lives in the IR (repro.ir.graph), which adds the CONCAT
-# member for DAG joins; imported above and re-exported for compatibility.
-
-
-@dataclass(frozen=True)
-class PlanNode:
-    """One layer as the planner sees it."""
-
-    name: str
-    kind: NodeKind
-    spec: object | None = None  # ConvSpec | PoolSpec | SoftmaxSpec | None
-    #: fixed per-layer time for kinds whose cost does not depend on layout
-    fixed_ms: float = 0.0
-    #: logical input tensor dims (N, C, H, W) — what a transform would move
-    in_dims: tuple[int, int, int, int] | None = None
+# NodeKind lives in the IR (repro.ir.graph); re-exported here for callers
+# that inspect plan steps.
 
 
 @dataclass(frozen=True)
@@ -126,7 +116,7 @@ class LayoutPlan:
 class _LayerCosts:
     """Per-layout cost and chosen implementation for one node."""
 
-    node: PlanNode
+    node: GraphNode
     per_layout: dict[str, tuple[float, str, tuple[int, int] | None]] = field(
         default_factory=dict
     )
@@ -140,7 +130,7 @@ class _LayerCosts:
 
 def _node_costs(
     context: SimulationContext,
-    node: PlanNode,
+    node: GraphNode,
     device: DeviceSpec,
     tune_pooling: bool,
     allow_fft: bool,
@@ -189,6 +179,9 @@ def _node_costs(
     elif node.kind is NodeKind.ELEMENTWISE:
         for layout in layouts:
             costs.per_layout[str(layout)] = (node.fixed_ms, "elementwise", None)
+    elif node.kind is NodeKind.CONCAT:
+        for layout in layouts:
+            costs.per_layout[str(layout)] = (node.fixed_ms, "concat", None)
     else:  # CLASSIFIER
         if isinstance(node.spec, SoftmaxSpec):
             ms = context.run(
@@ -204,20 +197,15 @@ def _node_costs(
 
 def plan_single_layout(
     device: DeviceSpec,
-    nodes: list[PlanNode],
+    net: NetworkDef,
     layout: DataLayout,
     tune_pooling: bool = False,
     allow_fft: bool = True,
     context: SimulationContext | None = None,
 ) -> LayoutPlan:
     """Cost of running the whole network in one fixed layout (the existing
-    libraries' behaviour).
-
-    Compatibility wrapper: runs the pass pipeline with
-    ``strategy="single"``.
-    """
-    from ..ir.build import graph_from_plan_nodes
-    from .pipeline import PipelineOptions, run_pipeline
+    libraries' behaviour): the pipeline with ``strategy="single"``."""
+    from .pipeline import PipelineOptions, plan_network
 
     options = PipelineOptions(
         strategy="single",
@@ -225,13 +213,12 @@ def plan_single_layout(
         tune_pooling=tune_pooling,
         allow_fft=allow_fft,
     )
-    graph = graph_from_plan_nodes(list(nodes))
-    return run_pipeline(device, graph, options, context=context).plan
+    return plan_network(device, net, options, context=context).plan
 
 
 def plan_with_heuristic(
     device: DeviceSpec,
-    nodes: list[PlanNode],
+    net: NetworkDef,
     thresholds: LayoutThresholds | None = None,
     tune_pooling: bool = True,
     allow_fft: bool = True,
@@ -244,13 +231,10 @@ def plan_with_heuristic(
     whose preference differs from its surroundings is kept only if its
     benefit exceeds the two transforms it would cost (this is what keeps
     tiny first-layer convolutions like CV9 in the surrounding layout).
-
-    Compatibility wrapper: lowers the chain to the graph IR and runs the
-    pass pipeline (``AssignLayouts`` runs the fine-tune).  Prefer
-    :func:`repro.core.pipeline.run_pipeline` in new code.
+    ``AssignLayouts`` runs the fine-tune; this is the pipeline with
+    ``strategy="heuristic"``.
     """
-    from ..ir.build import graph_from_plan_nodes
-    from .pipeline import PipelineOptions, run_pipeline
+    from .pipeline import PipelineOptions, plan_network
 
     options = PipelineOptions(
         strategy="heuristic",
@@ -258,33 +242,26 @@ def plan_with_heuristic(
         tune_pooling=tune_pooling,
         allow_fft=allow_fft,
     )
-    graph = graph_from_plan_nodes(list(nodes))
-    return run_pipeline(device, graph, options, context=context).plan
+    return plan_network(device, net, options, context=context).plan
 
 
 def plan_optimal(
     device: DeviceSpec,
-    nodes: list[PlanNode],
+    net: NetworkDef,
     tune_pooling: bool = True,
     allow_fft: bool = True,
     layouts: tuple[DataLayout, ...] = PLAN_LAYOUTS,
     context: SimulationContext | None = None,
 ) -> LayoutPlan:
-    """Dynamic program over (layer, layout) states — minimal total time
-    including transforms.
+    """Minimal total time including transforms: the pipeline with
+    ``strategy="optimal"`` (a (layer, layout) dynamic program on chains,
+    coordinate descent on DAGs).
 
     ``layouts`` widens the search space beyond the default {CHWN, NCHW}
     pair (e.g. to include NHWC); every candidate layout needs a registered
     convolution implementation family.
-
-    Compatibility wrapper over the pass pipeline (``AssignLayouts`` runs
-    the DP on chains and generalizes it to DAGs).  Prefer
-    :func:`repro.core.pipeline.run_pipeline` in new code.
     """
-    if not layouts:
-        raise ValueError("need at least one candidate layout")
-    from ..ir.build import graph_from_plan_nodes
-    from .pipeline import PipelineOptions, run_pipeline
+    from .pipeline import PipelineOptions, plan_network
 
     options = PipelineOptions(
         strategy="optimal",
@@ -292,5 +269,4 @@ def plan_optimal(
         allow_fft=allow_fft,
         layouts=tuple(layouts),
     )
-    graph = graph_from_plan_nodes(list(nodes))
-    return run_pipeline(device, graph, options, context=context).plan
+    return plan_network(device, net, options, context=context).plan

@@ -1,13 +1,13 @@
 """Network resolution and numeric execution (the Caffe-analog runtime).
 
 :class:`Net` turns a :class:`~repro.framework.netdef.NetworkDef` into
-resolved layer specs (shape inference now runs on the graph IR via
-``repro.ir.build``, so branching networks resolve too), exposes chain
-networks to the legacy layout planner, and can execute the network
-numerically with any layout plan — performing real relayouts at plan
-boundaries, exactly where the integrated framework would launch its
-transformation kernel.  Numeric results are plan-invariant, which the
-integration tests assert.
+resolved layer specs (shape inference runs on the graph IR via
+``repro.ir.build``, so branching networks resolve too) and can execute
+the network numerically with any layout plan — performing real relayouts
+at plan boundaries, exactly where the integrated framework would launch
+its transformation kernel.  Numeric results are plan-invariant, which the
+integration tests assert.  Plans come from the definition, not the
+``Net``: ``repro.core.pipeline.plan_network(device, net.definition)``.
 """
 
 from __future__ import annotations
@@ -16,19 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.planner import LayoutPlan, NodeKind, PlanNode
-from ..gpusim.device import DeviceSpec
-from ..gpusim.session import SimulationContext, default_context
+from ..core.planner import LayoutPlan, NodeKind
 from ..ir.build import infer_shapes, lower_netdef
 from ..layers.base import ConvSpec, FCSpec, PoolSpec, SoftmaxSpec
 from ..layers.conv import conv_forward, make_filters
-from ..layers.elementwise import (
-    LRNSpec,
-    lrn_forward,
-    make_lrn_kernel,
-    relu_forward,
-)
-from ..layers.fc import fc_forward, flatten_4d, make_fc_kernel, make_fc_weights
+from ..layers.elementwise import LRNSpec, lrn_forward, relu_forward
+from ..layers.fc import fc_forward, flatten_4d, make_fc_weights
 from ..layers.softmax import softmax_forward
 from ..tensors.layout import NCHW, DataLayout
 from ..tensors.tensor import Tensor4D
@@ -77,34 +70,15 @@ def resolve(net: NetworkDef) -> list[ResolvedLayer]:
 
 
 class Net:
-    """A resolved network: planner view + numeric execution.
+    """A resolved network: layer shapes + numeric execution."""
 
-    A shared :class:`SimulationContext` may be attached at construction (or
-    passed per call); every simulation the net performs then feeds one
-    structural timing cache instead of a private throwaway engine.
-    """
-
-    def __init__(
-        self, definition: NetworkDef, context: SimulationContext | None = None
-    ) -> None:
+    def __init__(self, definition: NetworkDef) -> None:
         self.definition = definition
         self.layers = resolve(definition)
-        self.context = context
 
     @property
     def name(self) -> str:
         return self.definition.name
-
-    def _context_for(
-        self, device: DeviceSpec, context: SimulationContext | None
-    ) -> SimulationContext:
-        """Per-call context > net-level context (if device matches) > shared
-        default session for the device."""
-        if context is not None:
-            return context
-        if self.context is not None and self.context.device == device:
-            return self.context
-        return default_context(device)
 
     @property
     def is_chain(self) -> bool:
@@ -116,52 +90,6 @@ class Net:
                 return False
             prev = layer.name
         return True
-
-    # -- planner interface -------------------------------------------------
-    def planner_nodes(
-        self, device: DeviceSpec, context: SimulationContext | None = None
-    ) -> list[PlanNode]:
-        """The layer chain as the legacy layout planner consumes it.
-
-        Only defined for chain networks; branching networks plan through
-        the graph IR (:func:`repro.core.pipeline.plan_network`).
-        """
-        if not self.is_chain:
-            raise ValueError(
-                f"{self.name}: branching networks have no planner-node chain; "
-                "plan through repro.core.pipeline.plan_network instead"
-            )
-        ctx = self._context_for(device, context)
-        nodes: list[PlanNode] = []
-        for layer in self.layers:
-            if layer.kind in (NodeKind.CONV, NodeKind.POOL):
-                nodes.append(
-                    PlanNode(layer.name, layer.kind, layer.spec, in_dims=layer.in_dims)
-                )
-            elif layer.kind is NodeKind.ELEMENTWISE:
-                assert layer.in_dims is not None
-                elements = int(np.prod(layer.in_dims))
-                assert isinstance(layer.spec, LRNSpec)
-                kernel = make_lrn_kernel(elements, layer.spec)
-                ms = ctx.run(kernel, check_memory=False).time_ms
-                nodes.append(
-                    PlanNode(
-                        layer.name, layer.kind, None, fixed_ms=ms, in_dims=layer.in_dims
-                    )
-                )
-            else:  # CLASSIFIER
-                spec = layer.spec
-                if isinstance(spec, FCSpec):
-                    ms = ctx.run(make_fc_kernel(spec), check_memory=False).time_ms
-                    nodes.append(
-                        PlanNode(layer.name, layer.kind, None, fixed_ms=ms,
-                                 in_dims=layer.in_dims)
-                    )
-                else:
-                    nodes.append(
-                        PlanNode(layer.name, layer.kind, spec, in_dims=None)
-                    )
-        return nodes
 
     # -- numeric execution -------------------------------------------------
     def init_weights(self, seed: int = 0) -> dict[str, object]:
@@ -269,8 +197,6 @@ def _numeric_conv_impl(plan_impl: str) -> str:
     return "direct"
 
 
-def build_net(
-    definition: NetworkDef, context: SimulationContext | None = None
-) -> Net:
+def build_net(definition: NetworkDef) -> Net:
     """Convenience constructor."""
-    return Net(definition, context=context)
+    return Net(definition)

@@ -2,8 +2,8 @@
 
 ``repro.ir.graph`` defines the data model (:class:`Graph`,
 :class:`GraphNode`, :class:`EdgeTransform`, :class:`NodeKind`);
-``repro.ir.build`` lowers :class:`~repro.framework.netdef.NetworkDef` (or a
-legacy planner chain) into it.  See docs/ARCHITECTURE.md.
+``repro.ir.build`` lowers :class:`~repro.framework.netdef.NetworkDef` into
+it.  See docs/ARCHITECTURE.md.
 """
 
 from .graph import (
@@ -14,12 +14,7 @@ from .graph import (
     GraphNode,
     NodeKind,
 )
-from .build import (
-    graph_from_plan_nodes,
-    infer_shapes,
-    iter_edges,
-    lower_netdef,
-)
+from .build import infer_shapes, lower_netdef
 
 __all__ = [
     "Dims",
@@ -28,8 +23,6 @@ __all__ = [
     "GraphError",
     "GraphNode",
     "NodeKind",
-    "graph_from_plan_nodes",
     "infer_shapes",
-    "iter_edges",
     "lower_netdef",
 ]

@@ -1,13 +1,9 @@
-"""Lowering into the graph IR: from NetworkDef and from legacy plan nodes.
+"""Lowering a NetworkDef into the graph IR.
 
-Two entry points build a :class:`~repro.ir.graph.Graph`:
-
-* :func:`lower_netdef` — from a :class:`~repro.framework.netdef.NetworkDef`,
-  honoring explicit ``bottom=`` wiring (DAGs) and defaulting to the
-  previous layer (chains);
-* :func:`graph_from_plan_nodes` — from the legacy ``list[PlanNode]`` chain,
-  so the compatibility wrappers in ``repro.core.planner`` can feed the
-  pass pipeline.
+:func:`lower_netdef` builds a :class:`~repro.ir.graph.Graph` from a
+:class:`~repro.framework.netdef.NetworkDef`, honoring explicit ``bottom=``
+wiring (DAGs) and defaulting to the previous layer (chains).  It is the
+only way into the pass pipeline.
 
 :func:`infer_shapes` is the single shape-inference implementation; the
 legacy ``framework.net.resolve`` is now a thin adapter over it.  Error
@@ -21,14 +17,13 @@ the pipeline and the framework can both depend on it without a cycle.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from ..layers.base import ConvSpec, FCSpec, PoolSpec, SoftmaxSpec
 from ..layers.elementwise import LRNSpec
 from .graph import Dims, Graph, GraphError, GraphNode, NodeKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.planner import PlanNode
     from ..framework.netdef import NetworkDef
 
 
@@ -203,44 +198,3 @@ def infer_shapes(graph: Graph) -> Graph:
         else:  # pragma: no cover - enum is closed
             raise TypeError(f"unknown node kind {node.kind!r}")
     return graph
-
-
-def graph_from_plan_nodes(
-    nodes: Sequence["PlanNode"], name: str = "chain"
-) -> Graph:
-    """Wrap a legacy planner chain as a graph (already resolved).
-
-    Each node keeps its spec/in_dims/fixed_ms verbatim; ``out_dims`` is
-    back-filled from the successor's ``in_dims`` so edge-transform costs
-    match the legacy per-node accounting exactly.
-    """
-    graph = Graph(name=name)
-    if nodes:
-        dims = nodes[0].in_dims
-        if dims is not None:
-            graph.batch, graph.in_channels, graph.in_h, graph.in_w = dims
-    prev: str | None = None
-    for i, pnode in enumerate(nodes):
-        successor_in = nodes[i + 1].in_dims if i + 1 < len(nodes) else None
-        graph.add(
-            GraphNode(
-                name=pnode.name,
-                kind=NodeKind(pnode.kind.value),
-                inputs=(prev,) if prev is not None else (),
-                spec=pnode.spec,
-                in_dims=pnode.in_dims,
-                out_dims=successor_in,
-                fixed_ms=pnode.fixed_ms,
-            )
-        )
-        prev = pnode.name
-    return graph
-
-
-def iter_edges(graph: Graph) -> Iterable[tuple[GraphNode | None, GraphNode]]:
-    """All (producer, consumer) pairs; producer is None for the input edge."""
-    for node in graph.topological():
-        if not node.inputs:
-            yield None, node
-        for src in node.inputs:
-            yield graph[src], node

@@ -16,12 +16,12 @@ runs passes over its IR.  This module is that IR:
   producer→consumer edge (a chain node has at most one; a concat node may
   carry one per mismatched input).
 
-Unlike the legacy ``list[PlanNode]`` chain the planner consumed, the graph
-represents branching (Inception/ResNet-style) networks: a node may feed
-several consumers and a :attr:`NodeKind.CONCAT` node joins several
-producers.  ``repro.core.pipeline`` runs the passes; the final lowering
-back to :class:`~repro.core.planner.LayoutPlan` keeps every existing
-consumer working.
+The graph represents chains and branching (Inception/ResNet-style)
+networks alike: a node may feed several consumers and a
+:attr:`NodeKind.CONCAT` node joins several producers.
+``repro.ir.build.lower_netdef`` builds it from a network definition,
+``repro.core.pipeline`` runs the passes, and the final lowering to
+:class:`~repro.core.planner.LayoutPlan` feeds every plan consumer.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ class Graph:
 
     def is_chain(self) -> bool:
         """True when every node feeds exactly the next one — the shape the
-        legacy list[PlanNode] planner could represent."""
+        chain fine-tune and DP plan exactly."""
         order = self.topological()
         for i, node in enumerate(order):
             expected = (order[i - 1].name,) if i else ()

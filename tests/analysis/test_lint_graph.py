@@ -1,14 +1,13 @@
 """Graph-aware L001/L002: the edge-walking rules over hand-built IR graphs.
 
-When ``lint_plan`` receives a ``graph``, L001/L002 walk the real
-producer→consumer edges instead of the linear step sequence — the chain
-walk would misfire on branching networks (a branch's neighbour in step
-order is not its producer).
+L001/L002 walk the graph's real producer→consumer edges, not the linear
+step sequence — a step walk would misfire on branching networks (a
+branch's neighbour in step order is not its producer).
 """
 
 from hypothesis import given, settings
 
-from repro.analysis import Severity, lint_plan
+from repro.analysis import LintConfig, Severity, lint_plan
 from repro.core.pipeline import PipelineOptions, plan_network
 from repro.core.planner import LayoutPlan
 from repro.gpusim import TITAN_BLACK
@@ -19,6 +18,7 @@ from repro.tensors import CHWN, NCHW
 from tests.analysis.graph_strategies import annotated_graphs
 
 EMPTY_PLAN = LayoutPlan(steps=(), device=TITAN_BLACK.name, strategy="test")
+EDGE_RULES = LintConfig(selected=frozenset({"L001", "L002"}))
 
 
 def ids_of(diagnostics):
@@ -125,7 +125,7 @@ class TestRandomCoherentGraphs:
     def test_edge_rules_silent_on_coherent_dags(self, graph):
         errors = [
             d
-            for d in lint_plan(TITAN_BLACK, EMPTY_PLAN, graph=graph)
+            for d in lint_plan(TITAN_BLACK, EMPTY_PLAN, graph, config=EDGE_RULES)
             if d.severity is Severity.ERROR
         ]
         assert errors == [], [d.format() for d in errors]
@@ -142,11 +142,7 @@ class TestPipelineOutputIsClean:
                 PipelineOptions(strategy=strategy),
             )
             diags = lint_plan(
-                device,
-                result.plan,
-                result.graph.topological(),
-                network="inception",
-                graph=result.graph,
+                device, result.plan, result.graph, network="inception"
             )
             errors = [d for d in diags if d.severity is Severity.ERROR]
             assert errors == [], f"{strategy}: {[d.format() for d in errors]}"

@@ -1,10 +1,17 @@
-"""L0xx rules: layout-plan linting, on planner output and hand-broken plans."""
+"""L0xx rules: layout-plan linting, on planner output and hand-broken plans.
+
+``lint_plan`` checks a plan together with the annotated IR graph it was
+planned on: the edge rules (L001/L002) walk the graph's edges, the
+geometry rules (L003/L006) read its nodes, and the step rules
+(L004/L005/L007) read the plan.  The hand-built cases below are chains;
+``test_lint_graph.py`` covers branching graphs.
+"""
 
 from repro.analysis import Severity, lint_plan
-from repro.core import plan_optimal, plan_with_heuristic
-from repro.core.planner import LayoutPlan, NodeKind, PlanNode, PlanStep
-from repro.framework import Net
+from repro.core.pipeline import PipelineOptions, graph_to_plan, plan_network
+from repro.core.planner import LayoutPlan, NodeKind, PlanStep
 from repro.gpusim import TITAN_BLACK
+from repro.ir.graph import EdgeTransform, Graph, GraphNode
 from repro.layers import ConvSpec
 from repro.networks import build_network
 from repro.tensors import CHWN, NCHW
@@ -26,6 +33,32 @@ def plan_of(*steps):
     return LayoutPlan(steps=tuple(steps), device=TITAN_BLACK.name, strategy="test")
 
 
+def chain(*nodes):
+    """A hand-annotated chain graph: each node reads the one before it."""
+    graph = Graph("test")
+    prev = None
+    for node in nodes:
+        node.inputs = (prev,) if prev is not None else ()
+        graph.add(node)
+        prev = node.name
+    return graph
+
+
+def node(name, kind, layout=None, *transforms, spec=None):
+    return GraphNode(name, kind, layout=layout, transforms=transforms, spec=spec)
+
+
+def bare_chain(plan):
+    """The plan's layer chain with no layout annotations: it satisfies
+    L006 and gives the edge rules nothing to check."""
+    return chain(*(node(s.name, s.kind) for s in plan.steps))
+
+
+def lint_chain(graph, device=TITAN_BLACK):
+    """Lint an annotated chain against the plan it lowers to."""
+    return lint_plan(device, graph_to_plan(graph, device, "test"), graph)
+
+
 def ids_of(diagnostics):
     return {d.rule_id for d in diagnostics}
 
@@ -33,134 +66,102 @@ def ids_of(diagnostics):
 class TestPlannerPlansAreClean:
     def test_bundled_networks_have_no_errors(self, device):
         for name in ("lenet", "alexnet", "vgg", "zfnet"):
-            net = Net(build_network(name))
-            nodes = net.planner_nodes(device)
-            plan = plan_with_heuristic(device, nodes)
-            diags = lint_plan(device, plan, nodes, network=name)
+            result = plan_network(
+                device, build_network(name), PipelineOptions(strategy="heuristic")
+            )
+            diags = lint_plan(device, result.plan, result.graph, network=name)
             errors = [d for d in diags if d.severity is Severity.ERROR]
             assert errors == [], f"{name}: {[d.format() for d in errors]}"
 
     def test_optimal_plans_have_no_errors(self, device):
-        # The optimal DP bills boundary transforms on layout-agnostic LRN
-        # steps (transformed_to records the target); the chain walker must
-        # follow them instead of flagging a phantom mismatch.
+        # The optimal DP places boundary transforms on layout-agnostic LRN
+        # nodes; the edge walk must follow them instead of flagging a
+        # phantom mismatch.
         for name in ("alexnet", "zfnet"):
-            net = Net(build_network(name))
-            nodes = net.planner_nodes(device)
-            plan = plan_optimal(device, nodes)
-            diags = lint_plan(device, plan, nodes, network=name)
+            result = plan_network(device, build_network(name))
+            diags = lint_plan(device, result.plan, result.graph, network=name)
             errors = [d for d in diags if d.severity is Severity.ERROR]
             assert errors == [], f"{name}: {[d.format() for d in errors]}"
 
 
 class TestLayoutMismatch:
     def test_l001_missing_transform(self):
-        plan = plan_of(
-            step("conv1", NodeKind.CONV, CHWN, "direct"),
-            step("conv2", NodeKind.CONV, NCHW, "im2col"),  # no transform recorded
+        graph = chain(
+            node("conv1", NodeKind.CONV, CHWN),
+            node("conv2", NodeKind.CONV, NCHW),  # no transform recorded
         )
-        (d,) = [d for d in lint_plan(TITAN_BLACK, plan) if d.rule_id == "L001"]
+        (d,) = [d for d in lint_chain(graph) if d.rule_id == "L001"]
         assert d.severity is Severity.ERROR
         assert d.subject == "conv2"
         assert d.detail["producer"] == "CHWN"
 
     def test_l001_wrong_transform_source(self):
-        plan = plan_of(
-            step("conv1", NodeKind.CONV, CHWN, "direct"),
-            step(
-                "conv2", NodeKind.CONV, NCHW, "im2col",
-                transform_ms=0.1, transformed_from=NCHW,  # claims NCHW input
+        graph = chain(
+            node("conv1", NodeKind.CONV, CHWN),
+            node(  # claims NCHW input
+                "conv2", NodeKind.CONV, NCHW, EdgeTransform("conv1", NCHW, NCHW, 0.1)
             ),
         )
-        (d,) = [d for d in lint_plan(TITAN_BLACK, plan) if d.rule_id == "L001"]
+        (d,) = [d for d in lint_chain(graph) if d.rule_id == "L001"]
         assert "does not match" in d.message
 
     def test_explicit_transform_is_clean(self):
-        plan = plan_of(
-            step("conv1", NodeKind.CONV, CHWN, "direct"),
-            step(
-                "conv2", NodeKind.CONV, NCHW, "im2col",
-                transform_ms=0.1, transformed_from=CHWN,
-            ),
+        graph = chain(
+            node("conv1", NodeKind.CONV, CHWN),
+            node("conv2", NodeKind.CONV, NCHW, EdgeTransform("conv1", CHWN, NCHW, 0.1)),
         )
-        assert "L001" not in ids_of(lint_plan(TITAN_BLACK, plan))
+        assert "L001" not in ids_of(lint_chain(graph))
 
     def test_transform_hosted_on_layout_agnostic_step(self):
-        # conv(NCHW) -> norm hosting the NCHW->CHWN transform -> pool(CHWN):
-        # the norm's own layout is None but transformed_to carries the target.
-        plan = plan_of(
-            step("conv1", NodeKind.CONV, NCHW, "im2col"),
-            PlanStep(
-                name="norm1",
-                kind=NodeKind.ELEMENTWISE,
-                layout=None,
-                implementation="elementwise",
-                layer_ms=0.1,
-                transform_ms=0.5,
-                transformed_from=NCHW,
-                transformed_to=CHWN,
+        # conv(NCHW) -> norm hosting the NCHW->CHWN transform -> pool(CHWN).
+        graph = chain(
+            node("conv1", NodeKind.CONV, NCHW),
+            node(
+                "norm1", NodeKind.ELEMENTWISE, CHWN,
+                EdgeTransform("conv1", NCHW, CHWN, 0.5),
             ),
-            step("pool1", NodeKind.POOL, CHWN, "chwn"),
+            node("pool1", NodeKind.POOL, CHWN),
         )
-        assert "L001" not in ids_of(lint_plan(TITAN_BLACK, plan))
+        assert "L001" not in ids_of(lint_chain(graph))
 
     def test_layout_agnostic_step_without_transform_still_flags(self):
-        plan = plan_of(
-            step("conv1", NodeKind.CONV, NCHW, "im2col"),
-            PlanStep(
-                name="norm1",
-                kind=NodeKind.ELEMENTWISE,
-                layout=None,
-                implementation="elementwise",
-                layer_ms=0.1,
-            ),
-            step("pool1", NodeKind.POOL, CHWN, "chwn"),
+        graph = chain(
+            node("conv1", NodeKind.CONV, NCHW),
+            node("norm1", NodeKind.ELEMENTWISE, NCHW),
+            node("pool1", NodeKind.POOL, CHWN),
         )
-        (d,) = [d for d in lint_plan(TITAN_BLACK, plan) if d.rule_id == "L001"]
+        (d,) = [d for d in lint_chain(graph) if d.rule_id == "L001"]
         assert d.subject == "pool1"
 
 
 class TestRedundantTransforms:
     def test_l002_single_layer_island(self):
-        plan = plan_of(
-            step("conv1", NodeKind.CONV, NCHW, "im2col"),
-            step(
-                "pool1", NodeKind.POOL, CHWN, "chwn",
-                transform_ms=0.2, transformed_from=NCHW,
-            ),
-            step(
-                "conv2", NodeKind.CONV, NCHW, "im2col",
-                transform_ms=0.2, transformed_from=CHWN,
-            ),
+        graph = chain(
+            node("conv1", NodeKind.CONV, NCHW),
+            node("pool1", NodeKind.POOL, CHWN, EdgeTransform("conv1", NCHW, CHWN, 0.2)),
+            node("conv2", NodeKind.CONV, NCHW, EdgeTransform("pool1", CHWN, NCHW, 0.2)),
         )
-        (d,) = [d for d in lint_plan(TITAN_BLACK, plan) if d.rule_id == "L002"]
+        (d,) = [d for d in lint_chain(graph) if d.rule_id == "L002"]
         assert d.severity is Severity.WARNING
         assert d.subject == "pool1"
         assert d.detail["island_layout"] == "CHWN"
 
     def test_no_l002_for_persistent_switch(self):
-        plan = plan_of(
-            step("conv1", NodeKind.CONV, NCHW, "im2col"),
-            step(
-                "conv2", NodeKind.CONV, CHWN, "direct",
-                transform_ms=0.2, transformed_from=NCHW,
-            ),
-            step("conv3", NodeKind.CONV, CHWN, "direct"),
+        graph = chain(
+            node("conv1", NodeKind.CONV, NCHW),
+            node("conv2", NodeKind.CONV, CHWN, EdgeTransform("conv1", NCHW, CHWN, 0.2)),
+            node("conv3", NodeKind.CONV, CHWN),
         )
-        assert "L002" not in ids_of(lint_plan(TITAN_BLACK, plan))
+        assert "L002" not in ids_of(lint_chain(graph))
 
 
 class TestThresholdAmbiguity:
     def test_l003_fires_at_nt_boundary(self, device):
         # C=64 >= Ct=32, N=128 == Nt: N-1 flips the layout choice to NCHW.
         spec = ConvSpec(n=128, ci=64, h=14, w=14, co=64, fh=3, fw=3, pad=1)
-        node = PlanNode("convA", NodeKind.CONV, spec=spec)
         plan = plan_of(step("convA", NodeKind.CONV, CHWN, "direct"))
-        diags = [
-            d
-            for d in lint_plan(device, plan, nodes=[node])
-            if d.rule_id == "L003"
-        ]
+        graph = chain(node("convA", NodeKind.CONV, CHWN, spec=spec))
+        diags = [d for d in lint_plan(device, plan, graph) if d.rule_id == "L003"]
         (d,) = diags
         assert d.severity is Severity.WARNING
         assert d.detail["n_distance"] == 0
@@ -168,45 +169,50 @@ class TestThresholdAmbiguity:
     def test_l003_silent_far_from_thresholds(self, device):
         # C=512, N=64: solidly NCHW on Titan Black; +-1 changes nothing.
         spec = ConvSpec(n=64, ci=512, h=14, w=14, co=512, fh=3, fw=3, pad=1)
-        node = PlanNode("convB", NodeKind.CONV, spec=spec)
         plan = plan_of(step("convB", NodeKind.CONV, NCHW, "im2col"))
-        assert "L003" not in ids_of(lint_plan(device, plan, nodes=[node]))
+        graph = chain(node("convB", NodeKind.CONV, NCHW, spec=spec))
+        assert "L003" not in ids_of(lint_plan(device, plan, graph))
 
     def test_l003_needs_nodes(self, device):
+        """Without conv geometry on the graph's nodes there is nothing to
+        perturb."""
         plan = plan_of(step("convA", NodeKind.CONV, CHWN, "direct"))
-        assert "L003" not in ids_of(lint_plan(device, plan))
+        assert "L003" not in ids_of(lint_plan(device, plan, bare_chain(plan)))
 
 
 class TestImplementationFamilies:
     def test_l005_cross_family_conv(self):
         plan = plan_of(step("conv1", NodeKind.CONV, NCHW, "direct"))
-        (d,) = [d for d in lint_plan(TITAN_BLACK, plan) if d.rule_id == "L005"]
+        (d,) = [
+            d
+            for d in lint_plan(TITAN_BLACK, plan, bare_chain(plan))
+            if d.rule_id == "L005"
+        ]
         assert d.severity is Severity.ERROR
         assert d.detail["implementation"] == "direct"
 
     def test_l005_cross_family_pool(self):
         plan = plan_of(step("pool1", NodeKind.POOL, NCHW, "chwn"))
-        assert "L005" in ids_of(lint_plan(TITAN_BLACK, plan))
+        assert "L005" in ids_of(lint_plan(TITAN_BLACK, plan, bare_chain(plan)))
 
     def test_matching_families_clean(self):
         plan = plan_of(
             step("conv1", NodeKind.CONV, CHWN, "direct"),
             step("pool1", NodeKind.POOL, CHWN, "chwn-coarsened"),
         )
-        assert "L005" not in ids_of(lint_plan(TITAN_BLACK, plan))
+        assert "L005" not in ids_of(lint_plan(TITAN_BLACK, plan, bare_chain(plan)))
 
 
 class TestChainCoverage:
-    NODES = [
-        PlanNode("conv1", NodeKind.CONV, spec=None),
-        PlanNode("pool1", NodeKind.POOL, spec=None),
-    ]
+    @staticmethod
+    def graph():
+        return chain(node("conv1", NodeKind.CONV), node("pool1", NodeKind.POOL))
 
     def test_l006_missing_step(self):
         plan = plan_of(step("conv1", NodeKind.CONV, CHWN, "direct"))
         (d,) = [
             d
-            for d in lint_plan(TITAN_BLACK, plan, nodes=self.NODES)
+            for d in lint_plan(TITAN_BLACK, plan, self.graph())
             if d.rule_id == "L006"
         ]
         assert "pool1" in d.detail["missing"]
@@ -218,7 +224,7 @@ class TestChainCoverage:
         )
         (d,) = [
             d
-            for d in lint_plan(TITAN_BLACK, plan, nodes=self.NODES)
+            for d in lint_plan(TITAN_BLACK, plan, self.graph())
             if d.rule_id == "L006"
         ]
         assert "reordered" in d.message
@@ -228,17 +234,19 @@ class TestChainCoverage:
             step("conv1", NodeKind.CONV, CHWN, "direct"),
             step("pool1", NodeKind.POOL, CHWN, "chwn"),
         )
-        assert "L006" not in ids_of(
-            lint_plan(TITAN_BLACK, plan, nodes=self.NODES)
-        )
+        assert "L006" not in ids_of(lint_plan(TITAN_BLACK, plan, self.graph()))
 
 
 class TestPoolLayoutNote:
     def test_l007_nchw_pool_is_info(self):
         plan = plan_of(step("pool1", NodeKind.POOL, NCHW, "nchw-linear"))
-        (d,) = [d for d in lint_plan(TITAN_BLACK, plan) if d.rule_id == "L007"]
+        (d,) = [
+            d
+            for d in lint_plan(TITAN_BLACK, plan, bare_chain(plan))
+            if d.rule_id == "L007"
+        ]
         assert d.severity is Severity.INFO
 
     def test_chwn_pool_silent(self):
         plan = plan_of(step("pool1", NodeKind.POOL, CHWN, "chwn"))
-        assert "L007" not in ids_of(lint_plan(TITAN_BLACK, plan))
+        assert "L007" not in ids_of(lint_plan(TITAN_BLACK, plan, bare_chain(plan)))

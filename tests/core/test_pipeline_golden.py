@@ -1,11 +1,12 @@
-"""Golden plans: the pass pipeline reproduces the frozen legacy planner.
+"""Golden plans: the pass pipeline reproduces the frozen planner output.
 
 ``golden/plans.json`` holds the plans the original chain-only planners
 (``_legacy_plan_with_heuristic`` / ``_legacy_plan_optimal``) produced on
-every bundled chain network, plus the heuristic and optimal
-``plan_network`` plans of the branching ``inception`` network, all
-generated once at the commit recorded in the file.  These tests pin the
-public planners to those plans — step sequence, layouts,
+every bundled chain network, the heuristic and optimal ``plan_network``
+plans of the branching ``inception`` network, and the pooling-tuned
+``plan_single_layout`` plans of every chain network in CHWN and NCHW, each
+generated once at the commit the file's ``source`` records.  These tests
+pin the public planners to those plans — step sequence, layouts,
 implementations, transform records, and total time, float for float.
 
 A change that alters a plan on purpose (a new DAG solver, a model fix)
@@ -18,10 +19,11 @@ from pathlib import Path
 import pytest
 
 from repro.core.pipeline import PipelineOptions, plan_network
-from repro.core.planner import plan_optimal, plan_with_heuristic
-from repro.framework import Net
+from repro.core.planner import plan_optimal, plan_single_layout, plan_with_heuristic
+from repro.framework import NetworkDef
 from repro.gpusim.session import SimulationContext
 from repro.networks import build_network
+from repro.tensors import CHWN, NCHW
 
 CHAIN_NETWORKS = ("lenet", "cifar", "alexnet", "alexnet-grouped", "zfnet", "vgg")
 
@@ -70,27 +72,30 @@ def assert_matches_golden(plan, key):
     assert got == want
 
 
-def _nodes(name, device, ctx):
-    return Net(build_network(name), context=ctx).planner_nodes(device)
+#: each ``repro.core.planner`` preset, keyed by its golden-entry prefix
+WRAPPERS = {
+    "heuristic": plan_with_heuristic,
+    "optimal": plan_optimal,
+    "single-CHWN": lambda device, net, **kw: plan_single_layout(
+        device, net, CHWN, tune_pooling=True, **kw
+    ),
+    "single-NCHW": lambda device, net, **kw: plan_single_layout(
+        device, net, NCHW, tune_pooling=True, **kw
+    ),
+}
 
 
 @pytest.mark.parametrize("name", CHAIN_NETWORKS)
-def test_wrapper_matches_legacy_heuristic(name, device, ctx):
-    plan = plan_with_heuristic(device, _nodes(name, device, ctx), context=ctx)
-    assert_matches_golden(plan, f"heuristic/{name}")
-
-
-@pytest.mark.parametrize("name", CHAIN_NETWORKS)
-def test_wrapper_matches_legacy_optimal(name, device, ctx):
-    plan = plan_optimal(device, _nodes(name, device, ctx), context=ctx)
-    assert_matches_golden(plan, f"optimal/{name}")
+@pytest.mark.parametrize("wrapper", WRAPPERS)
+def test_wrapper_matches_golden(wrapper, name, device, ctx):
+    plan = WRAPPERS[wrapper](device, build_network(name), context=ctx)
+    assert_matches_golden(plan, f"{wrapper}/{name}")
 
 
 @pytest.mark.parametrize("name", CHAIN_NETWORKS)
 @pytest.mark.parametrize("strategy", ("heuristic", "optimal"))
 def test_plan_network_matches_legacy(name, strategy, device, ctx):
-    """The netdef entry point (lowering through the IR, not through
-    PlanNodes) still lands on the exact legacy plan."""
+    """The pipeline entry point itself lands on the exact legacy plan."""
     result = plan_network(
         device, build_network(name), PipelineOptions(strategy=strategy), context=ctx
     )
@@ -108,13 +113,12 @@ def test_dag_plan_network_matches_golden(strategy, device, ctx):
 
 
 def test_no_fft_option_respected(device, ctx):
-    plan = plan_optimal(
-        device, _nodes("alexnet", device, ctx), allow_fft=False, context=ctx
-    )
+    plan = plan_optimal(device, build_network("alexnet"), allow_fft=False, context=ctx)
     assert_matches_golden(plan, "optimal-no-fft/alexnet")
     assert all("fft" not in s.implementation for s in plan.steps)
 
 
 def test_empty_chain(device):
-    assert plan_optimal(device, []).steps == ()
-    assert plan_with_heuristic(device, []).steps == ()
+    empty = NetworkDef("empty", 1, 1, 1, 1)
+    assert plan_optimal(device, empty).steps == ()
+    assert plan_with_heuristic(device, empty).steps == ()

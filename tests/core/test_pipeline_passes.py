@@ -139,10 +139,8 @@ class TestBranchingNetwork:
         )
         assert optimal.plan.total_ms <= heuristic.plan.total_ms + 1e-9
 
-    def test_legacy_chain_entry_points_refuse(self, device):
+    def test_legacy_chain_entry_points_refuse(self):
         net = Net(build_network("inception"))
-        with pytest.raises(ValueError, match="branching"):
-            net.planner_nodes(device)
         with pytest.raises(ValueError, match="linear networks only"):
             Trainer(net)
 

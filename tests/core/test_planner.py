@@ -9,16 +9,17 @@ from repro.core import (
     plan_single_layout,
     plan_with_heuristic,
 )
+from repro.core.pipeline import ResolveShapes, run_pipeline
 from repro.core.planner import (
     PLAN_LAYOUTS,
     LayoutPlan,
     NodeKind,
-    PlanNode,
     PlanStep,
     _node_costs,
 )
-from repro.framework import Net
+from repro.framework import ConvDef, LRNDef, Net, NetworkDef
 from repro.gpusim import default_context
+from repro.ir import lower_netdef
 from repro.networks import build_network
 from repro.networks.definitions import NETWORK_BUILDERS
 from repro.tensors import CHWN, NCHW, TensorDesc
@@ -30,6 +31,13 @@ CHAIN_NETWORKS = tuple(
 
 
 # -- local oracle: the chain planner's per-node pricing, written out -------
+
+
+def _resolved_nodes(device, netdef):
+    """The network's graph nodes with shapes and fixed costs resolved, in
+    layer order: what the layout passes price."""
+    graph = run_pipeline(device, lower_netdef(netdef), passes=[ResolveShapes()]).graph
+    return graph.topological()
 
 
 def _oracle_costs(device, nodes, tune_pooling):
@@ -65,52 +73,49 @@ def _oracle_single_layout(device, nodes, layout, tune_pooling):
 
 
 @pytest.fixture(scope="module")
-def alexnet_nodes(device=None):
-    from repro.gpusim import TITAN_BLACK
-
-    return Net(build_network("alexnet")).planner_nodes(TITAN_BLACK)
+def alexnet():
+    return build_network("alexnet")
 
 
 @pytest.fixture(scope="module")
-def lenet_nodes():
-    from repro.gpusim import TITAN_BLACK
-
-    return Net(build_network("lenet")).planner_nodes(TITAN_BLACK)
+def lenet():
+    return build_network("lenet")
 
 
 class TestSingleLayoutPlans:
-    def test_both_layouts_produce_plans(self, device, lenet_nodes):
+    def test_both_layouts_produce_plans(self, device, lenet):
         for layout in (CHWN, NCHW):
-            plan = plan_single_layout(device, lenet_nodes, layout)
+            plan = plan_single_layout(device, lenet, layout)
             assert plan.total_ms > 0
             assert plan.transform_count == 0
 
-    def test_lenet_prefers_chwn_globally(self, device, lenet_nodes):
-        chwn = plan_single_layout(device, lenet_nodes, CHWN)
-        nchw = plan_single_layout(device, lenet_nodes, NCHW)
+    def test_lenet_prefers_chwn_globally(self, device, lenet):
+        chwn = plan_single_layout(device, lenet, CHWN)
+        nchw = plan_single_layout(device, lenet, NCHW)
         assert chwn.total_ms < nchw.total_ms
 
     @pytest.mark.parametrize("layout", [CHWN, NCHW], ids=str)
     @pytest.mark.parametrize("network", CHAIN_NETWORKS)
     def test_matches_oracle_step_for_step(self, device, network, layout):
-        nodes = Net(build_network(network)).planner_nodes(device)
+        netdef = build_network(network)
+        nodes = _resolved_nodes(device, netdef)
         for tune_pooling in (False, True):
-            plan = plan_single_layout(device, nodes, layout, tune_pooling=tune_pooling)
+            plan = plan_single_layout(device, netdef, layout, tune_pooling=tune_pooling)
             expected = _oracle_single_layout(device, nodes, layout, tune_pooling)
             assert plan.steps == expected.steps, tune_pooling
             assert plan == expected
 
 
 class TestOptimalPlan:
-    def test_never_worse_than_any_single_layout(self, device, alexnet_nodes):
-        opt = plan_optimal(device, alexnet_nodes)
+    def test_never_worse_than_any_single_layout(self, device, alexnet):
+        opt = plan_optimal(device, alexnet)
         for layout in PLAN_LAYOUTS:
-            single = plan_single_layout(device, alexnet_nodes, layout, tune_pooling=True)
+            single = plan_single_layout(device, alexnet, layout, tune_pooling=True)
             assert opt.total_ms <= single.total_ms + 1e-9
 
-    def test_matches_brute_force_on_small_chain(self, device, lenet_nodes):
+    def test_matches_brute_force_on_small_chain(self, device, lenet):
         """DP == exhaustive enumeration over layout assignments."""
-        nodes = lenet_nodes
+        nodes = _resolved_nodes(device, lenet)
         costs = _oracle_costs(device, nodes, tune_pooling=True)
         best_total = None
         for combo in itertools.product(PLAN_LAYOUTS, repeat=len(nodes)):
@@ -119,13 +124,13 @@ class TestOptimalPlan:
                 total += _oracle_transform_ms(device, nodes[i], combo[i - 1], combo[i])
                 total += costs[i].cost(combo[i])
             best_total = total if best_total is None else min(best_total, total)
-        dp = plan_optimal(device, nodes)
+        dp = plan_optimal(device, lenet)
         assert dp.total_ms == pytest.approx(best_total, rel=1e-9)
 
-    def test_alexnet_plan_matches_paper_fig15(self, device, alexnet_nodes):
+    def test_alexnet_plan_matches_paper_fig15(self, device, alexnet):
         """Fig. 15: CHWN for CV1, NCHW for CV2-CV5, CHWN pooling, and a
         small number of transforms ('four data layout transformations')."""
-        plan = plan_optimal(device, alexnet_nodes)
+        plan = plan_optimal(device, alexnet)
         by_name = {s.name: s for s in plan.steps}
         assert by_name["conv1"].layout == CHWN
         for conv in ("conv2", "conv3", "conv4", "conv5"):
@@ -134,47 +139,53 @@ class TestOptimalPlan:
             assert by_name[pool].layout == CHWN, pool
         assert 2 <= plan.transform_count <= 6
 
-    def test_transform_overhead_is_minor(self, device, alexnet_nodes):
+    def test_transform_overhead_is_minor(self, device, alexnet):
         """Fig. 15: 'only minor overhead is incurred'."""
-        plan = plan_optimal(device, alexnet_nodes)
+        plan = plan_optimal(device, alexnet)
         assert plan.transform_ms < 0.1 * plan.total_ms
 
     def test_empty_chain(self, device):
-        plan = plan_optimal(device, [])
+        plan = plan_optimal(device, NetworkDef("empty", 1, 1, 1, 1))
         assert plan.total_ms == 0.0
 
 
 class TestHeuristicPlan:
     def test_close_to_optimal_on_all_networks(self, device):
         for name in ("lenet", "cifar", "zfnet"):
-            nodes = Net(build_network(name)).planner_nodes(device)
-            heuristic = plan_with_heuristic(device, nodes)
-            optimal = plan_optimal(device, nodes)
+            netdef = build_network(name)
+            heuristic = plan_with_heuristic(device, netdef)
+            optimal = plan_optimal(device, netdef)
             assert heuristic.total_ms <= 1.5 * optimal.total_ms, name
 
-    def test_lenet_is_all_chwn_no_transforms(self, device, lenet_nodes):
-        plan = plan_with_heuristic(device, lenet_nodes)
+    def test_lenet_is_all_chwn_no_transforms(self, device, lenet):
+        plan = plan_with_heuristic(device, lenet)
         conv_pool = [s for s in plan.steps if s.kind in (NodeKind.CONV, NodeKind.POOL)]
         assert all(s.layout == CHWN for s in conv_pool)
         assert plan.transform_count == 0
 
-    def test_summary_renders(self, device, lenet_nodes):
-        plan = plan_with_heuristic(device, lenet_nodes)
+    def test_summary_renders(self, device, lenet):
+        plan = plan_with_heuristic(device, lenet)
         text = plan.summary()
         assert "conv1" in text and "ms" in text
 
 
-class TestPlanNodeEdgeCases:
-    def test_isolated_conv_node(self, device):
+class TestSingleLayerNetworks:
+    def test_isolated_conv_layer(self, device):
         from repro.networks import CONV_LAYERS
 
-        node = PlanNode("cv7", NodeKind.CONV, CONV_LAYERS["CV7"], in_dims=(64, 256, 13, 13))
-        plan = plan_optimal(device, [node])
+        # Table 1's CV7: N=64, C=256, 13x13 input, 384 3x3 filters, pad 1
+        cv7 = NetworkDef(
+            "cv7", 64, 256, 13, 13, layers=(ConvDef("cv7", co=384, f=3, pad=1),)
+        )
+        (node,) = _resolved_nodes(device, cv7)
+        assert node.spec == CONV_LAYERS["CV7"]
+        plan = plan_optimal(device, cv7)
         assert plan.steps[0].layout == NCHW  # NCHW wins CV7
 
-    def test_elementwise_nodes_are_transparent(self, device):
-        node = PlanNode("relu", NodeKind.ELEMENTWISE, None, fixed_ms=0.5,
-                        in_dims=(8, 8, 8, 8))
-        plan = plan_optimal(device, [node])
-        assert plan.steps[0].layer_ms == 0.5
+    def test_elementwise_layers_are_transparent(self, device):
+        lrn = NetworkDef("lrn", 8, 8, 8, 8, layers=(LRNDef("norm"),))
+        (node,) = _resolved_nodes(device, lrn)
+        assert node.fixed_ms > 0
+        plan = plan_optimal(device, lrn)
+        assert plan.steps[0].layer_ms == node.fixed_ms
         assert plan.steps[0].layout is None

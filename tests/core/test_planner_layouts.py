@@ -3,42 +3,39 @@
 import pytest
 
 from repro.core import plan_optimal
-from repro.framework import Net
 from repro.networks import build_network
 from repro.tensors import CHWN, NCHW, NHWC
 
 
 @pytest.fixture(scope="module")
-def alexnet_nodes():
-    from repro.gpusim import TITAN_BLACK
-
-    return Net(build_network("alexnet")).planner_nodes(TITAN_BLACK)
+def alexnet():
+    return build_network("alexnet")
 
 
 class TestWidenedLayoutSpace:
-    def test_nhwc_never_wins(self, device, alexnet_nodes):
+    def test_nhwc_never_wins(self, device, alexnet):
         """Footnote 1's consequence at the network level: adding NHWC to the
         search space changes nothing — it is dominated by NCHW."""
-        base = plan_optimal(device, alexnet_nodes)
+        base = plan_optimal(device, alexnet)
         widened = plan_optimal(
-            device, alexnet_nodes, layouts=(CHWN, NCHW, NHWC)
+            device, alexnet, layouts=(CHWN, NCHW, NHWC)
         )
         assert widened.total_ms == pytest.approx(base.total_ms, rel=1e-9)
         assert all(s.layout != NHWC for s in widened.steps if s.layout)
 
-    def test_single_layout_space_degenerates_correctly(self, device, alexnet_nodes):
-        only_nchw = plan_optimal(device, alexnet_nodes, layouts=(NCHW,))
+    def test_single_layout_space_degenerates_correctly(self, device, alexnet):
+        only_nchw = plan_optimal(device, alexnet, layouts=(NCHW,))
         assert all(
             s.layout == NCHW for s in only_nchw.steps if s.layout is not None
         )
         assert only_nchw.transform_count == 0
 
-    def test_empty_layout_space_rejected(self, device, alexnet_nodes):
+    def test_empty_layout_space_rejected(self, device, alexnet):
         with pytest.raises(ValueError):
-            plan_optimal(device, alexnet_nodes, layouts=())
+            plan_optimal(device, alexnet, layouts=())
 
     def test_wider_space_never_hurts(self, device):
-        nodes = Net(build_network("cifar")).planner_nodes(device)
-        two = plan_optimal(device, nodes).total_ms
-        three = plan_optimal(device, nodes, layouts=(CHWN, NCHW, NHWC)).total_ms
+        cifar = build_network("cifar")
+        two = plan_optimal(device, cifar).total_ms
+        three = plan_optimal(device, cifar, layouts=(CHWN, NCHW, NHWC)).total_ms
         assert three <= two + 1e-9

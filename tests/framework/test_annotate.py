@@ -21,7 +21,7 @@ def alexnet_case():
     from repro.gpusim import TITAN_BLACK
 
     net = Net(build_network("alexnet"))
-    plan = plan_optimal(TITAN_BLACK, net.planner_nodes(TITAN_BLACK))
+    plan = plan_optimal(TITAN_BLACK, net.definition)
     return net, plan
 
 
@@ -79,7 +79,7 @@ class TestAnnotatedExecution:
         """Baked-in layout fields reproduce the planned execution exactly."""
         _, plan = alexnet_case
         small = Net(build_network("alexnet", batch=2))
-        small_plan = plan_optimal(device, small.planner_nodes(device))
+        small_plan = plan_optimal(device, small.definition)
         ann = annotations_from_plan(small_plan)
         text = format_annotated_netdef(small.definition, ann)
         parsed_net, parsed_ann = parse_annotated_netdef(text)

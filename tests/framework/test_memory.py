@@ -19,7 +19,7 @@ def alexnet_plan():
     from repro.gpusim import TITAN_BLACK
 
     net = Net(build_network("alexnet"))
-    return net, plan_optimal(TITAN_BLACK, net.planner_nodes(TITAN_BLACK))
+    return net, plan_optimal(TITAN_BLACK, net.definition)
 
 
 class TestFootprint:
@@ -35,7 +35,7 @@ class TestFootprint:
 
     def test_transform_scratch_zero_without_transforms(self, device):
         net = Net(build_network("lenet"))
-        plan = plan_optimal(device, net.planner_nodes(device))
+        plan = plan_optimal(device, net.definition)
         fp = network_footprint(net, plan)
         assert fp.transform_bytes == 0
 
@@ -85,7 +85,7 @@ class TestPlanAlignment:
         from dataclasses import replace
 
         net = Net(build_network("lenet"))
-        plan = plan_optimal(device, net.planner_nodes(device))
+        plan = plan_optimal(device, net.definition)
         shuffled = replace(plan, steps=tuple(reversed(plan.steps)))
         with pytest.raises(PlanMismatchError, match="different order"):
             network_footprint(net, shuffled)
@@ -94,7 +94,7 @@ class TestPlanAlignment:
         """FFT rejects stride>1 specs with ConvUnsupportedError; the
         footprint skips exactly that error rather than swallowing all."""
         net = Net(build_network("alexnet"))
-        plan = plan_optimal(device, net.planner_nodes(device))
+        plan = plan_optimal(device, net.definition)
         # conv1 has stride 4: FFT refuses it with ConvUnsupportedError
         from dataclasses import replace as _replace
 
@@ -113,7 +113,7 @@ class TestPlanAlignment:
         from dataclasses import replace as _replace
 
         net = Net(build_network("lenet"))
-        plan = plan_optimal(device, net.planner_nodes(device))
+        plan = plan_optimal(device, net.definition)
         steps = tuple(
             _replace(s, implementation="no-such-impl")
             if s.kind.value == "conv"
@@ -130,7 +130,7 @@ class TestMemoryAwarePlanning:
         residency exceeds the 6 GB card; memory-aware planning retreats to
         MM convolutions."""
         net = Net(build_network("vgg"))
-        unconstrained = plan_optimal(device, net.planner_nodes(device))
+        unconstrained = plan_optimal(device, net.definition)
         assert any("fft" in s.implementation for s in unconstrained.steps)
         assert not network_footprint(net, unconstrained, training=True).fits(device)
         plan, fp = plan_within_memory(device, net, training=True)
@@ -140,7 +140,7 @@ class TestMemoryAwarePlanning:
     def test_fitting_networks_keep_the_optimal_plan(self, device):
         net = Net(build_network("lenet"))
         plan, fp = plan_within_memory(device, net, training=True)
-        optimal = plan_optimal(device, net.planner_nodes(device))
+        optimal = plan_optimal(device, net.definition)
         assert plan.total_ms == pytest.approx(optimal.total_ms)
         assert fp.fits(device)
 

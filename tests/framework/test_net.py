@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import plan_optimal, plan_single_layout
+from repro.core import plan_network, plan_optimal, plan_single_layout
 from repro.core.planner import NodeKind
 from repro.framework import (
     ConvDef,
@@ -70,8 +70,10 @@ class TestResolve:
 
 
 class TestPlannerNodes:
+    """The graph nodes the planner prices, as ``plan_network`` returns them."""
+
     def test_kinds(self, device):
-        nodes = Net(build_network("alexnet")).planner_nodes(device)
+        nodes = plan_network(device, build_network("alexnet")).graph.topological()
         kinds = [n.kind for n in nodes]
         assert kinds.count(NodeKind.CONV) == 5
         assert kinds.count(NodeKind.POOL) == 3
@@ -79,7 +81,7 @@ class TestPlannerNodes:
         assert kinds.count(NodeKind.CLASSIFIER) == 4  # 3 FC + softmax
 
     def test_fixed_costs_positive(self, device):
-        nodes = Net(build_network("alexnet")).planner_nodes(device)
+        nodes = plan_network(device, build_network("alexnet")).graph.topological()
         for n in nodes:
             if n.kind is NodeKind.ELEMENTWISE:
                 assert n.fixed_ms > 0
@@ -109,11 +111,11 @@ class TestNumericForward:
         w = tiny_net.init_weights()
         x = tiny_net.make_input(seed=5)
         reference = tiny_net.forward(x, w)
-        nodes = tiny_net.planner_nodes(device)
+        netdef = tiny_net.definition
         for plan in (
-            plan_optimal(device, nodes),
-            plan_single_layout(device, nodes, CHWN),
-            plan_single_layout(device, nodes, NCHW),
+            plan_optimal(device, netdef),
+            plan_single_layout(device, netdef, CHWN),
+            plan_single_layout(device, netdef, NCHW),
         ):
             out = tiny_net.forward(x, w, plan=plan)
             np.testing.assert_allclose(out, reference, rtol=1e-3, atol=1e-4)

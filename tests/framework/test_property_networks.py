@@ -89,11 +89,10 @@ class TestPlannerProperties:
     @given(netdef=network_defs())
     @settings(max_examples=15, deadline=None)
     def test_optimal_dominates_single_layouts(self, netdef):
-        nodes = Net(netdef).planner_nodes(TITAN_BLACK)
-        opt = plan_optimal(TITAN_BLACK, nodes).total_ms
+        opt = plan_optimal(TITAN_BLACK, netdef).total_ms
         for layout in (CHWN, NCHW):
             single = plan_single_layout(
-                TITAN_BLACK, nodes, layout, tune_pooling=True
+                TITAN_BLACK, netdef, layout, tune_pooling=True
             ).total_ms
             assert opt <= single + 1e-9
 
@@ -101,7 +100,7 @@ class TestPlannerProperties:
     @settings(max_examples=15, deadline=None)
     def test_plan_covers_every_layer_once(self, netdef):
         net = Net(netdef)
-        plan = plan_optimal(TITAN_BLACK, net.planner_nodes(TITAN_BLACK))
+        plan = plan_optimal(TITAN_BLACK, netdef)
         assert [s.name for s in plan.steps] == [l.name for l in net.layers]
 
 
@@ -116,6 +115,6 @@ class TestNumericProperties:
         assert out.shape == (netdef.batch, 4)
         assert np.isfinite(out).all()
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-4)
-        plan = plan_optimal(TITAN_BLACK, net.planner_nodes(TITAN_BLACK))
+        plan = plan_optimal(TITAN_BLACK, netdef)
         out_planned = net.forward(x, weights, plan=plan)
         np.testing.assert_allclose(out_planned, out, rtol=1e-3, atol=1e-4)

@@ -7,7 +7,7 @@ scalar oracle, serial and with worker fan-out.  The oracle is
 :func:`scalar_evaluate_cells`: one ``_scalar_eval`` (``context.run``) per
 model, patched over the consumer module's ``evaluate_cells`` binding and
 run serially on a fresh context.  Pipeline transform prices are held to
-:func:`~repro.core.pipeline.edge_transform_ms` the same way.  These tests
+the scalar per-edge oracle :func:`edge_transform_ms` the same way.  These tests
 pin the contract the ``bench_planner_perf`` CI gate also enforces end to
 end.
 """
@@ -21,7 +21,7 @@ from repro.analysis.sweeps import sweep_conv, sweep_pool
 from repro.core import autotune, calibration, pipeline
 from repro.core.autotune import autotune_pooling_many
 from repro.core.calibration import calibrate
-from repro.core.pipeline import PipelineOptions, edge_transform_ms, plan_network
+from repro.core.pipeline import PipelineOptions, plan_network
 from repro.gpusim import (
     TITAN_BLACK,
     TITAN_X,
@@ -30,14 +30,37 @@ from repro.gpusim import (
     reset_default_contexts,
 )
 from repro.gpusim.batch import _scalar_eval
+from repro.ir.graph import NodeKind
 from repro.layers.base import PoolSpec
 from repro.networks import CONV_LAYERS, build_network
 from repro.obs.metrics import aggregate_metrics
+from repro.tensors import TensorDesc
+from repro.tensors.transform_kernels import transform_time_ms
 
 
 def scalar_evaluate_cells(context, models, check_memory=None):
     """Scalar oracle for ``evaluate_cells``: no memo probe, no batch."""
     return [_scalar_eval(context, m, check_memory) for m in models]
+
+
+def edge_transform_ms(device, producer, consumer, src, dst):
+    """Scalar transform cost on one producer→consumer edge.
+
+    Free when the layouts agree, when the consumer is a classifier (it
+    flattens its input) or when the dims are unknown.  On single-input
+    consumers the transformed tensor is the consumer's input; on
+    multi-input consumers (concat) it is the individual producer's output,
+    not the joined tensor.
+    """
+    if src == dst or consumer.kind is NodeKind.CLASSIFIER:
+        return 0.0
+    if producer is not None and len(consumer.inputs) > 1:
+        dims = producer.out_dims
+    else:
+        dims = consumer.in_dims
+    if dims is None:
+        return 0.0
+    return transform_time_ms(device, TensorDesc(*dims, layout=src), dst, method="auto")
 
 
 class ScalarEdgeCosts:

@@ -37,7 +37,7 @@ def journey(device):
     record["thresholds"] = calibrate(device).thresholds
     net = Net(build_network("cifar"))
     record["net"] = net
-    record["plan"] = plan_optimal(device, net.planner_nodes(device))
+    record["plan"] = plan_optimal(device, net.definition)
     ann = annotations_from_plan(record["plan"])
     record["serialized"] = format_annotated_netdef(net.definition, ann)
     record["schemes"] = compare_schemes(net, device, ("cudnn-best", "opt"))
@@ -53,9 +53,7 @@ class TestJourney:
         AlexNet plan does at N=128)."""
         thresholds = journey["thresholds"]
         net = journey["net"]
-        no_fft = plan_optimal(
-            device, net.planner_nodes(device), allow_fft=False
-        )
+        no_fft = plan_optimal(device, net.definition, allow_fft=False)
         plan_layouts = {s.name: s.layout for s in no_fft.steps if s.layout}
         for layer in net.layers:
             if layer.kind is NodeKind.CONV:
@@ -66,7 +64,7 @@ class TestJourney:
     def test_serialized_plan_round_trips_and_executes(self, journey, device):
         netdef, ann = parse_annotated_netdef(journey["serialized"])
         small = Net(build_network("cifar", batch=4))
-        small_plan = plan_optimal(device, small.planner_nodes(device))
+        small_plan = plan_optimal(device, small.definition)
         overlay = plan_from_annotations(small_plan, ann)
         x = small.make_input(seed=0)
         w = small.init_weights()

@@ -9,13 +9,13 @@ non-zero cache hit rate.
 
 import pytest
 
-from repro import Net, build_network, plan_optimal, plan_with_heuristic
+from repro import build_network, plan_optimal, plan_with_heuristic
 from repro.gpusim import SimulationContext
 
 
 @pytest.fixture(scope="module")
 def alexnet():
-    return Net(build_network("alexnet"))
+    return build_network("alexnet")
 
 
 def _steps(plan):
@@ -28,15 +28,11 @@ def _steps(plan):
 class TestColdVsWarm:
     def test_optimal_plan_invariant_under_caching(self, alexnet, device):
         ctx = SimulationContext(device, check_memory=False)
-        cold = plan_optimal(
-            device, alexnet.planner_nodes(device, context=ctx), context=ctx
-        )
+        cold = plan_optimal(device, alexnet, context=ctx)
         timed_cold = ctx.stats.kernels_timed
         assert timed_cold > 0
 
-        warm = plan_optimal(
-            device, alexnet.planner_nodes(device, context=ctx), context=ctx
-        )
+        warm = plan_optimal(device, alexnet, context=ctx)
         timed_warm = ctx.stats.kernels_timed - timed_cold
         assert timed_warm < timed_cold
         assert timed_warm == 0  # every kernel shape already cached
@@ -47,14 +43,10 @@ class TestColdVsWarm:
 
     def test_heuristic_plan_invariant_under_caching(self, alexnet, device):
         ctx = SimulationContext(device, check_memory=False)
-        cold = plan_with_heuristic(
-            device, alexnet.planner_nodes(device, context=ctx), context=ctx
-        )
+        cold = plan_with_heuristic(device, alexnet, context=ctx)
         timed_cold = ctx.stats.kernels_timed
 
-        warm = plan_with_heuristic(
-            device, alexnet.planner_nodes(device, context=ctx), context=ctx
-        )
+        warm = plan_with_heuristic(device, alexnet, context=ctx)
         assert ctx.stats.kernels_timed - timed_cold < timed_cold
         assert _steps(warm) == _steps(cold)
         assert warm.total_ms == pytest.approx(cold.total_ms)
@@ -64,12 +56,8 @@ class TestColdVsWarm:
         an accelerator, never an input."""
         a = SimulationContext(device, check_memory=False)
         b = SimulationContext(device, check_memory=False)
-        plan_a = plan_optimal(
-            device, alexnet.planner_nodes(device, context=a), context=a
-        )
-        plan_b = plan_optimal(
-            device, alexnet.planner_nodes(device, context=b), context=b
-        )
+        plan_a = plan_optimal(device, alexnet, context=a)
+        plan_b = plan_optimal(device, alexnet, context=b)
         assert _steps(plan_a) == _steps(plan_b)
         assert plan_a.total_ms == pytest.approx(plan_b.total_ms)
 
@@ -80,16 +68,12 @@ class TestPersistedSessions:
     ):
         path = tmp_path / "alexnet-cache.json"
         first = SimulationContext(device, check_memory=False, cache_path=path)
-        cold = plan_optimal(
-            device, alexnet.planner_nodes(device, context=first), context=first
-        )
+        cold = plan_optimal(device, alexnet, context=first)
         first.save_cache()
 
         second = SimulationContext(device, check_memory=False, cache_path=path)
         assert second.stats.loaded_from_disk == first.cache_size
-        warm = plan_optimal(
-            device, alexnet.planner_nodes(device, context=second), context=second
-        )
+        warm = plan_optimal(device, alexnet, context=second)
         assert second.stats.kernels_timed == 0
         assert _steps(warm) == _steps(cold)
         assert warm.total_ms == pytest.approx(cold.total_ms)

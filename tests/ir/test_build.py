@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.framework.net import Net, resolve
+from repro.framework.net import resolve
 from repro.framework.netdef import (
     ConcatDef,
     ConvDef,
@@ -11,13 +11,7 @@ from repro.framework.netdef import (
     PoolDef,
     SoftmaxDef,
 )
-from repro.ir import (
-    NodeKind,
-    graph_from_plan_nodes,
-    infer_shapes,
-    iter_edges,
-    lower_netdef,
-)
+from repro.ir import NodeKind, infer_shapes, lower_netdef
 from repro.networks import build_network
 
 
@@ -79,27 +73,3 @@ class TestLowerBranching:
         )
         with pytest.raises(ValueError, match="convolution after flattening"):
             infer_shapes(lower_netdef(net))
-
-
-class TestPlanNodeAdapter:
-    def test_graph_from_plan_nodes_round_trip(self, device):
-        net = Net(build_network("lenet"))
-        nodes = net.planner_nodes(device)
-        graph = graph_from_plan_nodes(nodes)
-        assert graph.is_chain()
-        assert [n.name for n in graph] == [n.name for n in nodes]
-        # out_dims back-filled from the successor's in_dims
-        for (a, b) in zip(graph.topological(), graph.topological()[1:]):
-            if b.in_dims is not None:
-                assert a.out_dims == b.in_dims
-
-    def test_iter_edges(self):
-        graph = lower_netdef(build_network("inception"))
-        edges = [
-            (src.name if src else None, dst.name)
-            for src, dst in iter_edges(graph)
-        ]
-        assert (None, "conv1") in edges  # the network-input edge
-        assert ("pool2", "b1") in edges and ("b3b", "concat") in edges
-        # one edge per (producer, consumer) pair
-        assert len(edges) == len(set(edges))
