@@ -11,7 +11,6 @@ from __future__ import annotations
 from figutil import FigureTable
 
 from repro.baselines import time_network
-from repro.framework import Net
 from repro.networks import NETWORK_BUILDERS, build_network
 
 SCHEMES = ("cudnn-best", "cuda-convnet", "opt")
@@ -23,7 +22,7 @@ def build_figure(device) -> FigureTable:
         ["network", "scheme", "forward_ms", "fwdbwd_ms", "bwd_ratio"],
     )
     for name in NETWORK_BUILDERS:
-        net = Net(build_network(name))
+        net = build_network(name)
         for scheme in SCHEMES:
             fwd = time_network(net, device, scheme).total_ms
             trn = time_network(net, device, scheme, training=True).total_ms

@@ -13,7 +13,6 @@ from figutil import FigureTable
 from repro.baselines import compare_schemes
 from repro.core import calibrate
 from repro.extensions import TESLA_P100
-from repro.framework import Net
 from repro.gpusim import TITAN_BLACK, TITAN_X, default_context
 from repro.layers import DirectConvCHWN, Im2colGemmNCHW
 from repro.networks import CONV_LAYERS, build_network
@@ -37,7 +36,7 @@ def build_figure(devices=DEVICES) -> FigureTable:
         )
         speedups = []
         for name in ("lenet", "vgg"):
-            net = Net(build_network(name))
+            net = build_network(name)
             results = compare_schemes(net, device, ("cudnn-mm", "opt"))
             speedups.append(results["opt"].speedup_over(results["cudnn-mm"]))
         table.add(

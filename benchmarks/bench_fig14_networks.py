@@ -12,7 +12,6 @@ from __future__ import annotations
 from figutil import FigureTable
 
 from repro.baselines import SCHEMES, compare_schemes
-from repro.framework import Net
 from repro.networks import NETWORK_BUILDERS, build_network
 
 NETWORKS = tuple(NETWORK_BUILDERS)
@@ -24,7 +23,7 @@ def build_figure(device) -> FigureTable:
         ["network", *SCHEMES],
     )
     for name in NETWORKS:
-        net = Net(build_network(name))
+        net = build_network(name)
         results = compare_schemes(net, device)
         base = results["cudnn-mm"].total_ms
         table.add(name, *(base / results[s].total_ms for s in SCHEMES))

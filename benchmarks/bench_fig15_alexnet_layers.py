@@ -10,12 +10,11 @@ from __future__ import annotations
 from figutil import FigureTable
 
 from repro.baselines import time_network
-from repro.framework import Net
 from repro.networks import build_network
 
 
 def build_figure(device) -> FigureTable:
-    net = Net(build_network("alexnet"))
+    net = build_network("alexnet")
     mm = time_network(net, device, "cudnn-mm")
     convnet = time_network(net, device, "cuda-convnet")
     opt = time_network(net, device, "opt")
@@ -59,7 +58,7 @@ def test_fig15(benchmark, device):
 
 
 def test_fig15_transform_overhead_is_minor(device):
-    net = Net(build_network("alexnet"))
+    net = build_network("alexnet")
     opt = time_network(net, device, "opt")
     transforms = sum(l.transform_ms for l in opt.layers)
     assert transforms < 0.1 * opt.total_ms

@@ -11,7 +11,6 @@ from __future__ import annotations
 from figutil import FigureTable
 
 from repro.baselines import compare_schemes
-from repro.framework import Net
 from repro.networks import build_network
 
 COMPARED = ("cuda-convnet", "caffe", "cudnn-best", "opt")
@@ -23,7 +22,7 @@ def build_figure(device) -> FigureTable:
         ["network", "vs_convnet", "vs_caffe", "vs_cudnn"],
     )
     for name in ("lenet", "vgg"):
-        net = Net(build_network(name))
+        net = build_network(name)
         results = compare_schemes(net, device, COMPARED)
         opt = results["opt"]
         table.add(
@@ -52,7 +51,7 @@ def test_titanx_trends(benchmark, titan_x):
 def test_trends_match_titan_black_directionally(device, titan_x):
     """Same winners on both GPUs (the paper's 'very similar trends')."""
     for name in ("lenet", "vgg"):
-        net = Net(build_network(name))
+        net = build_network(name)
         for dev in (device, titan_x):
             results = compare_schemes(net, dev, COMPARED)
             opt = results["opt"].total_ms

@@ -12,7 +12,6 @@ from __future__ import annotations
 from figutil import FigureTable
 
 from repro.baselines import compare_schemes
-from repro.framework import Net
 from repro.networks import build_network
 
 SCHEMES = ("cudnn-mm", "cudnn-best", "cuda-convnet", "opt")
@@ -25,7 +24,7 @@ def build_figure(device) -> FigureTable:
         ["network", *SCHEMES, "opt_bwd_share"],
     )
     for name in NETWORKS:
-        net = Net(build_network(name))
+        net = build_network(name)
         results = compare_schemes(net, device, SCHEMES, training=True)
         base = results["cudnn-mm"].total_ms
         opt = results["opt"]

@@ -62,7 +62,7 @@ def main() -> None:
 
     print("\n== Scheme comparison on the Titan Black ==")
     for scheme in ("cuda-convnet", "cudnn-best", "opt"):
-        timing = time_network(net, TITAN_BLACK, scheme)
+        timing = time_network(net.definition, TITAN_BLACK, scheme)
         print(f"  {scheme:14s} {timing.total_ms:9.3f} ms")
 
     print("\n== Numeric forward at batch 4 ==")

@@ -14,7 +14,6 @@ from repro import (
     CHWN,
     NCHW,
     CONV_LAYERS,
-    Net,
     SCHEMES,
     TITAN_BLACK,
     build_network,
@@ -45,8 +44,7 @@ def main() -> None:
 
     print("\n== 3. Whole networks: Fig. 14 in one loop ==")
     for net_name in ("lenet", "alexnet"):
-        net = Net(build_network(net_name))
-        results = compare_schemes(net, device)
+        results = compare_schemes(build_network(net_name), device)
         base = results["cudnn-mm"].total_ms
         print(f"  {net_name} (speedup over cuDNN-MM):")
         for scheme in SCHEMES:

@@ -37,7 +37,7 @@ def main() -> None:
     print(f"  final: loss {loss:.3f}, accuracy {accuracy:.1%} (chance 10%)")
 
     print("\n== 2. What would this training run cost on a Titan Black? ==")
-    timing_net = Net(build_network("lenet"))  # the paper's batch of 128
+    timing_net = build_network("lenet")  # the paper's batch of 128
     print(f"  {'scheme':14s} {'fwd (ms)':>10s} {'fwd+bwd (ms)':>13s} {'speedup':>8s}")
     baseline = None
     for scheme in ("cudnn-mm", "cuda-convnet", "opt"):

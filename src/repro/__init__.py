@@ -20,8 +20,8 @@ GPU memory-hierarchy simulator:
 
 Quickstart::
 
-    from repro import TITAN_BLACK, Net, build_network, time_network
-    net = Net(build_network("alexnet"))
+    from repro import TITAN_BLACK, build_network, time_network
+    net = build_network("alexnet")
     opt = time_network(net, TITAN_BLACK, "opt")
     mm = time_network(net, TITAN_BLACK, "cudnn-mm")
     print(f"Opt speedup over cuDNN-MM: {opt.speedup_over(mm):.2f}x")
@@ -53,7 +53,6 @@ _EXPORTS = {
             "Net",
             "NetworkDef",
             "Trainer",
-            "build_net",
             "format_netdef",
             "parse_netdef",
             "train",

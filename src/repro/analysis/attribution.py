@@ -26,12 +26,13 @@ from dataclasses import dataclass
 from ..baselines.schemes import NetworkTiming, time_network
 from ..core.pipeline import PipelineOptions, plan_network
 from ..core.planner import NodeKind
-from ..framework.net import Net
+from ..framework.netdef import NetworkDef
 from ..gpusim.device import DeviceSpec
 from ..gpusim.session import SimulationContext, default_context
 from ..layers.base import SoftmaxSpec
 from ..layers.pooling_kernels import make_pool_kernel
 from ..layers.softmax_kernels import make_softmax_kernel
+from ..tensors.layout import CHWN
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class GainAttribution:
 
 
 def _layout_only_ms(
-    net: Net, device: DeviceSpec, context: SimulationContext
+    net: NetworkDef, device: DeviceSpec, context: SimulationContext
 ) -> float:
     """Total time with planned layouts but *unoptimized* memory kernels.
 
@@ -71,32 +72,30 @@ def _layout_only_ms(
     coarsened kernel to the plain kernel of the planned layout, and the
     softmax reverts to the best library baseline.
     """
-    plan = plan_network(
-        device, net.definition, PipelineOptions(strategy="optimal"), context=context
-    ).plan
+    graph = plan_network(
+        device, net, PipelineOptions(strategy="optimal"), context=context
+    ).graph
     total = 0.0
-    by_name = {layer.name: layer for layer in net.layers}
-    for step in plan.steps:
-        total += step.transform_ms
-        layer = by_name[step.name]
-        if step.kind is NodeKind.POOL and step.layout is not None:
-            impl = "chwn" if str(step.layout) == "CHWN" else "nchw-linear"
-            kernel = make_pool_kernel(layer.spec, impl)
+    for node in graph:
+        total += node.transform_ms
+        if node.kind is NodeKind.POOL:
+            impl = "chwn" if node.layout == CHWN else "nchw-linear"
+            kernel = make_pool_kernel(node.spec, impl)
             total += context.run(kernel, check_memory=False).time_ms
-        elif isinstance(layer.spec, SoftmaxSpec):
+        elif isinstance(node.spec, SoftmaxSpec):
             total += min(
                 context.run(
-                    make_softmax_kernel(layer.spec, impl), check_memory=False
+                    make_softmax_kernel(node.spec, impl), check_memory=False
                 ).time_ms
                 for impl in ("5kernel", "cudnn")
             )
         else:
-            total += step.layer_ms
+            total += node.layer_ms
     return total
 
 
 def attribute_gains(
-    net: Net,
+    net: NetworkDef,
     device: DeviceSpec,
     baseline: str = "cudnn-best",
     context: SimulationContext | None = None,

@@ -14,7 +14,9 @@ accounting) peaks much lower.  This module computes that model:
 * :func:`buffer_intervals` — first-def/last-use schedule intervals per
   buffer, derived from the fixpoint;
 * :func:`liveness_footprint` — the step-by-step live-byte curve and its
-  peak, directly comparable to ``network_footprint.peak_bytes``;
+  peak, directly comparable to ``network_footprint(graph).peak_bytes``
+  (both models size buffers, weights, workspaces and transform scratch
+  with the same ``framework.memory`` helpers);
 * :func:`check_liveness` — use-outside-interval (use-after-free under a
   last-use-free allocator) and duplicate-edge double-free/double-count
   hazards, surfaced as the D006/D007 lint rules.
@@ -23,12 +25,16 @@ accounting) peaks much lower.  This module computes that model:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from typing import Iterator
 
-from ...ir.graph import Graph, GraphNode, NodeKind
-from ...layers.base import ConvSpec, FCSpec, SoftmaxSpec
-from ...layers.conv_kernels import ConvUnsupportedError, make_conv_kernel
+from ...framework.memory import (
+    _buffer_bytes,
+    _input_bytes,
+    _transform_bytes,
+    _weights_bytes,
+    _workspace_bytes,
+)
+from ...ir.graph import Graph, GraphNode
 from ..rules.base import Finding
 from .framework import DataflowAnalysis, run_analysis
 
@@ -73,19 +79,6 @@ class BufferInterval:
         return self.start <= step <= self.end
 
 
-def _buffer_bytes(graph: Graph, node: GraphNode) -> int:
-    """Bytes of one node's output buffer (fp32), mirroring the sizing in
-    ``framework.memory._activation_bytes`` so the liveness curve and the
-    conservative model count the same buffers."""
-    if node.out_dims is not None:
-        return 4 * prod(node.out_dims)
-    if node.out_features is not None:
-        spec = node.spec
-        batch = spec.n if isinstance(spec, (FCSpec, SoftmaxSpec)) else graph.batch
-        return 4 * batch * node.out_features
-    return 0
-
-
 def buffer_intervals(graph: Graph) -> dict[str, BufferInterval]:
     """First-def/last-use intervals for every buffer, in schedule order.
 
@@ -108,9 +101,8 @@ def buffer_intervals(graph: Graph) -> dict[str, BufferInterval]:
                 last_use.get(buffer, -1), position[node.name]
             )
     intervals: dict[str, BufferInterval] = {}
-    input_bytes = 4 * prod(graph.in_dims)
     intervals[INPUT_BUFFER] = BufferInterval(
-        INPUT_BUFFER, -1, last_use[INPUT_BUFFER], input_bytes
+        INPUT_BUFFER, -1, last_use[INPUT_BUFFER], _input_bytes(graph)
     )
     for node in order:
         start = position[node.name]
@@ -123,37 +115,13 @@ def buffer_intervals(graph: Graph) -> dict[str, BufferInterval]:
     return intervals
 
 
-def _weights_bytes(node: GraphNode) -> int:
-    spec = node.spec
-    if isinstance(spec, ConvSpec):
-        return spec.filter_bytes + 4 * spec.co
-    if isinstance(spec, FCSpec):
-        return 4 * (spec.in_features * spec.out_features + spec.out_features)
-    return 0
-
-
 def _scratch_bytes(graph: Graph, node: GraphNode) -> int:
     """Transient scratch live while ``node`` executes: the larger of its
     conv workspace (im2col/FFT buffers under the selected implementation)
     and its largest transform destination buffer.  The two never coexist —
     a transform's scratch is freed before the kernel launches (the paper's
     "freed right after the layout transformation is completed")."""
-    workspace = 0
-    if node.kind is NodeKind.CONV and isinstance(node.spec, ConvSpec):
-        try:
-            kernel = make_conv_kernel(node.spec, node.implementation or "im2col")
-            workspace = int(kernel.workspace_bytes())
-        except ConvUnsupportedError:
-            workspace = 0  # an invalid selection; D-rules report it elsewhere
-    transform = 0
-    for t in node.transforms:
-        if t.src in graph.nodes and len(node.inputs) > 1:
-            dims = graph[t.src].out_dims
-        else:
-            dims = node.in_dims
-        if dims is not None:
-            transform = max(transform, 4 * prod(dims))
-    return max(workspace, transform)
+    return max(_workspace_bytes(node), _transform_bytes(graph, node))
 
 
 @dataclass(frozen=True)

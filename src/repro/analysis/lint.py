@@ -10,15 +10,15 @@ descriptors up front:
 
 * **N0xx** — network definitions: shape/stride/padding arithmetic, channel
   propagation, dead layers (:mod:`repro.analysis.rules.netdef_rules`);
-* **L0xx** — layout plans: every producer→consumer layout change carries an
-  explicit transform, no transform/inverse islands, implementations match
-  their layout family, threshold-ambiguous layers are surfaced
+* **L0xx** — layout plans: no transform/inverse islands, implementations
+  match their layout family, threshold-ambiguous layers are surfaced
   (:mod:`repro.analysis.rules.layout_rules`);
 * **K0xx** — kernel models against :class:`DeviceSpec` limits via the same
   :func:`~repro.gpusim.occupancy.check_launch` predicate the occupancy
   calculator enforces (:mod:`repro.analysis.rules.kernel_rules`);
 * **D0xx** — dataflow verification of the annotated graph IR: abstract
-  shape/layout interpretation, transform-fact consistency, and liveness
+  shape/layout interpretation (every producer→consumer layout change
+  carries an explicit transform), transform-fact consistency, and liveness
   hazards over real producer→consumer edges
   (:mod:`repro.analysis.rules.dataflow_rules`, backed by
   :mod:`repro.analysis.dataflow`).
@@ -160,7 +160,7 @@ def lint_plan(
     """Run the L0xx rules over one layout plan and the annotated IR graph
     the pipeline planned it on.
 
-    The edge-walking rules (L001/L002) follow the graph's producer/consumer
+    The edge-walking rule (L002) follows the graph's producer/consumer
     edges; the geometry rules (L003 threshold ambiguity, L006 coverage)
     read its nodes; the step rules (L004/L005/L007) read the plan.
     """

@@ -98,7 +98,7 @@ class PlanScope:
     """A layout plan under analysis, with the annotated network IR the
     pipeline planned it on and the device's heuristic thresholds.
 
-    The edge-walking rules (L001/L002) follow the graph's real
+    The edge-walking rule (L002) follows the graph's real
     producer/consumer edges, the only sound reading for branching
     networks; ``nodes`` is the graph in topological order."""
 
@@ -124,7 +124,7 @@ class GraphScope:
 
     The D0xx rules run abstract shape/layout interpretation and liveness
     analysis over the graph's real producer→consumer edges, the same
-    edges the L001/L002 rules walk.  ``device`` is
+    edges the L002 rule walks.  ``device`` is
     optional context for messages; the checks themselves are pure graph
     dataflow.
     """

@@ -59,8 +59,8 @@ def dangling_edge(scope: GraphScope) -> Iterator[Finding]:
     rationale="The layout arriving over each edge — the producer's "
     "propagated layout, rewritten by the edge's transform if one exists — "
     "must equal the consumer's assigned layout; otherwise the consumer "
-    "reads permuted garbage.  This is L001 generalized from chains to "
-    "DAGs by dataflow.",
+    "reads permuted garbage (Section IV.D: the framework must insert a "
+    "transformation kernel wherever layouts disagree).",
     example="a CHWN branch feeding an NCHW conv with no EdgeTransform "
     "recorded on that edge",
 )

@@ -1,11 +1,11 @@
 """L0xx rules: layout-plan verification.
 
 A plan is checked together with the annotated IR graph it was planned on.
-The edge rules walk the graph's producer→consumer edges: every layout
-change must carry a transform (:attr:`GraphNode.transforms`), and
-transform/inverse-transform islands are flagged for review.  The step
-rules check that each plan step's implementation belongs to its layout's
-family.
+The edge rule walks the graph's producer→consumer edges and flags
+transform/inverse-transform islands (:attr:`GraphNode.transforms`) for
+review; that every layout change carries a transform is the dataflow
+rules' D003/D004 check.  The step rules check that each plan step's
+implementation belongs to its layout's family.
 """
 
 from __future__ import annotations
@@ -22,58 +22,6 @@ from ...core.selector import LAYOUT_IMPLEMENTATIONS, POOL_LAYOUT_IMPLEMENTATIONS
 from ...layers.base import ConvSpec
 from ...tensors.layout import CHWN
 from .base import Finding, PlanScope, Severity, rule
-
-
-@rule(
-    "L001",
-    Severity.ERROR,
-    "producer/consumer layout mismatch without an explicit transform",
-    rationale="The framework integration (Section IV.D) must insert a "
-    "transformation kernel wherever consecutive layers disagree on layout; "
-    "a silent mismatch means the consumer would read permuted garbage.",
-    example="a CHWN conv feeding an NCHW conv with no transform recorded",
-)
-def layout_mismatch(scope: PlanScope) -> Iterator[Finding]:
-    """Check every producer→consumer edge of the graph."""
-    graph = scope.graph
-    for node in graph.topological():
-        if node.kind is NodeKind.CLASSIFIER:
-            continue  # data is flattened to 2-D here; layout is moot
-        by_src = {t.src: t for t in node.transforms}
-        for producer in graph.producers(node.name):
-            t = by_src.get(producer.name)
-            if t is not None:
-                if producer.layout is not None and t.from_layout != producer.layout:
-                    yield Finding(
-                        node.name,
-                        f"transform source {t.from_layout} does not match "
-                        f"the layout {producer.layout} of producer "
-                        f"{producer.name}",
-                        {
-                            "producer": str(producer.layout),
-                            "transform_source": str(t.from_layout),
-                            "edge": producer.name,
-                        },
-                    )
-                effective = t.to_layout
-            else:
-                effective = producer.layout
-            if (
-                node.layout is not None
-                and effective is not None
-                and effective != node.layout
-            ):
-                yield Finding(
-                    node.name,
-                    f"input from {producer.name} arrives in {effective} but "
-                    f"the node runs in {node.layout} with no transform "
-                    f"recorded",
-                    {
-                        "producer": str(effective),
-                        "consumer": str(node.layout),
-                        "edge": producer.name,
-                    },
-                )
 
 
 @rule(

@@ -2,7 +2,7 @@
 propagation, dead layers).
 
 These checks re-walk the layer stack with a *tolerant* shape inference:
-unlike :func:`repro.framework.net.resolve`, which raises on the first
+unlike :func:`repro.ir.build.infer_shapes`, which raises on the first
 inconsistency, the walker records every problem it can attribute to a layer
 and keeps going, so one lint run reports the whole damage.
 """

@@ -17,15 +17,15 @@ These are the six mechanisms of the paper's Fig. 14:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
-import numpy as np
-
-from ..core.pipeline import PipelineOptions, plan_network
+from ..core.pipeline import PipelineOptions, ResolveShapes, plan_network, run_pipeline
 from ..core.planner import NodeKind
 from ..core.selector import best_conv_for_layout, cudnn_mode_conv
-from ..framework.net import Net
+from ..framework.netdef import NetworkDef
 from ..gpusim.device import DeviceSpec
 from ..gpusim.session import SimulationContext, default_context
+from ..ir.build import lower_netdef
 from ..layers.backward_kernels import (
     TRAINING_TRANSFORM_FACTOR,
     conv_backward_kernels,
@@ -34,8 +34,7 @@ from ..layers.backward_kernels import (
     softmax_backward_kernel,
 )
 from ..layers.base import ConvSpec, FCSpec, PoolSpec, SoftmaxSpec
-from ..layers.elementwise import ElementwiseKernel, LRNSpec, make_lrn_kernel
-from ..layers.fc import make_fc_kernel
+from ..layers.elementwise import LRNSpec, make_lrn_kernel
 from ..layers.pooling_kernels import make_pool_kernel
 from ..layers.softmax_kernels import make_softmax_kernel
 from ..tensors.layout import CHWN, NCHW
@@ -103,30 +102,13 @@ class NetworkTiming:
         raise KeyError(f"no layer {name!r} in {self.network}/{self.scheme}")
 
 
-def _fixed_layer_time(context: SimulationContext, layer) -> tuple[str, float]:
-    """Time for layout-transparent layers (identical across schemes)."""
-    if layer.kind is NodeKind.CONCAT:
-        elements = int(np.prod(layer.out_dims))
-        return "concat", context.run(
-            ElementwiseKernel(elements, name="concat"), check_memory=False
-        ).time_ms
-    if isinstance(layer.spec, LRNSpec):
-        elements = int(np.prod(layer.in_dims))
-        kernel = make_lrn_kernel(elements, layer.spec)
-        return "lrn", context.run(kernel, check_memory=False).time_ms
-    if isinstance(layer.spec, FCSpec):
-        kernel = make_fc_kernel(layer.spec)
-        return "fc-gemm", context.run(kernel, check_memory=False).time_ms
-    raise TypeError(f"unexpected fixed layer spec {type(layer.spec)!r}")
-
-
 def _backward_ms(
     context: SimulationContext,
     layer,
     implementation: str,
     coarsen: tuple[int, int] | None = None,
 ) -> float:
-    """Backward-pass time for one resolved layer under one implementation."""
+    """Backward-pass time for one graph node under one implementation."""
     spec = layer.spec
     if isinstance(spec, ConvSpec):
         impl = {"direct": "direct", "im2col": "im2col"}.get(
@@ -149,16 +131,22 @@ def _backward_ms(
             for k in fc_backward_kernels(spec)
         )
     if isinstance(spec, LRNSpec):
-        import numpy as np
-
-        elements = int(np.prod(layer.in_dims))
-        kernel = make_lrn_kernel(elements, spec)
+        kernel = make_lrn_kernel(prod(layer.in_dims), spec)
         return context.run(kernel, check_memory=False).time_ms
     raise TypeError(f"no backward model for spec {type(spec)!r}")
 
 
+#: implementation names of the layout-transparent nodes ``ResolveShapes``
+#: times once for every scheme
+_FIXED_IMPLEMENTATIONS = {
+    NodeKind.CONCAT: "concat",
+    NodeKind.ELEMENTWISE: "lrn",
+    NodeKind.CLASSIFIER: "fc-gemm",
+}
+
+
 def _library_scheme(
-    net: Net,
+    net: NetworkDef,
     device: DeviceSpec,
     scheme: str,
     training: bool = False,
@@ -175,8 +163,11 @@ def _library_scheme(
     if mode == "fft-t":
         mode = "fft-tiled"
 
+    graph = run_pipeline(
+        device, lower_netdef(net), context=ctx, passes=(ResolveShapes(),)
+    ).graph
     rows: list[LayerTiming] = []
-    for layer in net.layers:
+    for layer in graph:
         if layer.kind is NodeKind.CONV:
             assert isinstance(layer.spec, ConvSpec)
             if mode is not None:
@@ -228,7 +219,7 @@ def _library_scheme(
                 )
             )
         else:
-            impl, ms = _fixed_layer_time(ctx, layer)
+            impl, ms = _FIXED_IMPLEMENTATIONS[layer.kind], layer.fixed_ms
             if training:
                 # concat has no parameters; its backward is the same split
                 # traffic as its forward join
@@ -240,13 +231,11 @@ def _library_scheme(
                     layer.name, layer.kind.value, "-", impl, ms, backward_ms=bwd
                 )
             )
-    return NetworkTiming(
-        net.name, scheme, device.name, tuple(rows), batch=net.definition.batch
-    )
+    return NetworkTiming(net.name, scheme, device.name, tuple(rows), batch=net.batch)
 
 
 def _opt_scheme(
-    net: Net,
+    net: NetworkDef,
     device: DeviceSpec,
     training: bool = False,
     context: SimulationContext | None = None,
@@ -257,42 +246,36 @@ def _opt_scheme(
     # step taken to its conclusion: it weighs every layout choice against
     # transform costs using the profiled (simulated) layer times.
     ctx = context or default_context(device)
-    plan = plan_network(
-        device, net.definition, PipelineOptions(strategy="optimal"), context=ctx
-    ).plan
-    by_name = {layer.name: layer for layer in net.layers}
+    graph = plan_network(
+        device, net, PipelineOptions(strategy="optimal"), context=ctx
+    ).graph
     rows = []
-    for step in plan.steps:
+    for node in graph:
         bwd = 0.0
-        transform = step.transform_ms
+        transform = node.transform_ms
         if training:
-            layer = by_name[step.name]
-            if layer.spec is not None:
-                bwd = _backward_ms(
-                    ctx, layer, step.implementation, step.coarsening
-                )
+            if node.spec is not None:
+                bwd = _backward_ms(ctx, node, node.implementation, node.coarsening)
             else:  # elementwise layers reuse their forward cost backward
-                bwd = step.layer_ms
+                bwd = node.layer_ms
             # gradients cross every layout boundary in reverse
             transform *= TRAINING_TRANSFORM_FACTOR
         rows.append(
             LayerTiming(
-                name=step.name,
-                kind=step.kind.value,
-                layout=str(step.layout) if step.layout else "-",
-                implementation=step.implementation,
-                time_ms=step.layer_ms,
+                name=node.name,
+                kind=node.kind.value,
+                layout=str(node.layout) if node.kind.layout_bearing else "-",
+                implementation=node.implementation,
+                time_ms=node.layer_ms,
                 transform_ms=transform,
                 backward_ms=bwd,
             )
         )
-    return NetworkTiming(
-        net.name, "opt", device.name, tuple(rows), batch=net.definition.batch
-    )
+    return NetworkTiming(net.name, "opt", device.name, tuple(rows), batch=net.batch)
 
 
 def time_network(
-    net: Net,
+    net: NetworkDef,
     device: DeviceSpec,
     scheme: str,
     training: bool = False,
@@ -311,7 +294,7 @@ def time_network(
 
 
 def compare_schemes(
-    net: Net,
+    net: NetworkDef,
     device: DeviceSpec,
     schemes: tuple[str, ...] = SCHEMES,
     training: bool = False,

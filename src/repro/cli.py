@@ -32,7 +32,6 @@ from collections.abc import Sequence
 
 from .baselines import SCHEMES, compare_schemes
 from .core import calibrate
-from .framework import Net
 from .gpusim import (
     comparison_table,
     default_context,
@@ -288,8 +287,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return _bench_layers(device, args.layers)
     names = [args.network] if args.network else list(NETWORK_BUILDERS)
     for name in names:
-        net = Net(build_network(name))
-        results = compare_schemes(net, device)
+        results = compare_schemes(build_network(name), device)
         base = results["cudnn-mm"].total_ms
         print(f"\n{name} (times in ms; speedup vs cuDNN-MM):")
         for scheme in SCHEMES:
@@ -336,7 +334,7 @@ def _cmd_attribute(args: argparse.Namespace) -> int:
     from .analysis import attribute_gains
 
     device = get_device(args.device)
-    net = Net(build_network(args.network, batch=args.batch))
+    net = build_network(args.network, batch=args.batch)
     a = attribute_gains(net, device, baseline=args.baseline)
     print(f"{net.name} on {device.name} (baseline: {args.baseline})")
     print(f"  baseline            : {a.baseline_ms:10.3f} ms")
@@ -415,11 +413,10 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_footprint(args: argparse.Namespace) -> int:
-    from .framework import Net
     from .framework.memory import format_footprint, plan_within_memory
 
     device = get_device(args.device)
-    net = Net(build_network(args.network, batch=args.batch))
+    net = build_network(args.network, batch=args.batch)
     plan, footprint = plan_within_memory(device, net, training=args.training)
     mode = "training" if args.training else "inference"
     print(f"{net.name} ({mode}) on {device.name}:")

@@ -1,4 +1,4 @@
-"""Caffe-analog framework: network definitions, shape resolution, and
+"""Caffe-analog framework: network definitions, memory accounting, and
 layout-plan-driven numeric execution."""
 
 from .annotate import (
@@ -10,12 +10,11 @@ from .annotate import (
 )
 from .memory import (
     MemoryFootprint,
-    PlanMismatchError,
     format_footprint,
     network_footprint,
     plan_within_memory,
 )
-from .net import Net, ResolvedLayer, build_net, resolve
+from .net import Net
 from .training import Trainer, TrainStep, train
 from .netdef import (
     ConvDef,
@@ -33,7 +32,6 @@ __all__ = [
     "ConvDef",
     "LayerAnnotation",
     "MemoryFootprint",
-    "PlanMismatchError",
     "annotations_from_plan",
     "format_annotated_netdef",
     "format_footprint",
@@ -47,13 +45,10 @@ __all__ = [
     "Net",
     "NetworkDef",
     "PoolDef",
-    "ResolvedLayer",
     "SoftmaxDef",
     "TrainStep",
     "Trainer",
-    "build_net",
     "format_netdef",
     "parse_netdef",
-    "resolve",
     "train",
 ]

@@ -16,49 +16,15 @@ transform's destination buffer — whichever the plan actually uses).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
-from ..core.planner import LayoutPlan, NodeKind
+from ..core.planner import LayoutPlan
 from ..gpusim.device import DeviceSpec
 from ..gpusim.session import SimulationContext
+from ..ir.graph import Graph, GraphNode, NodeKind
 from ..layers.base import ConvSpec, FCSpec, SoftmaxSpec
 from ..layers.conv_kernels import ConvUnsupportedError, make_conv_kernel
-from ..tensors.tensor import TensorDesc
-from .net import Net
-
-
-class PlanMismatchError(ValueError):
-    """The plan's steps do not cover the network's layers one-to-one.
-
-    Footprint accounting pairs each layer with its plan step by name; a
-    plan produced for a different network (or a DAG-shaped plan whose
-    step order diverges from the layer list) would silently mis-attribute
-    workspaces and transforms, so the mismatch is diagnosed up front.
-    """
-
-
-def _check_plan_alignment(net: Net, plan: LayoutPlan) -> None:
-    layer_names = [layer.name for layer in net.layers]
-    step_names = [s.name for s in plan.steps]
-    if step_names == layer_names:
-        return
-    missing = [n for n in layer_names if n not in set(step_names)]
-    extra = [n for n in step_names if n not in set(layer_names)]
-    if missing or extra:
-        detail = []
-        if missing:
-            detail.append(f"layers without a plan step: {', '.join(missing)}")
-        if extra:
-            detail.append(f"plan steps without a layer: {', '.join(extra)}")
-        reason = "; ".join(detail)
-    else:
-        reason = (
-            "same names but different order — the plan does not follow the "
-            f"layer sequence (plan: {', '.join(step_names)})"
-        )
-    raise PlanMismatchError(
-        f"plan {plan.strategy!r} does not match network "
-        f"{net.definition.name!r}: {reason}"
-    )
+from .netdef import NetworkDef
 
 
 @dataclass(frozen=True)
@@ -87,76 +53,82 @@ class MemoryFootprint:
         return self.peak_bytes <= device.dram_bytes
 
 
-def _weights_bytes(spec: object) -> int:
+# -- buffer sizing (shared with the liveness model in analysis.dataflow) -----
+
+
+def _input_bytes(graph: Graph) -> int:
+    """Bytes of the network input buffer (fp32)."""
+    return 4 * prod(graph.in_dims)
+
+
+def _buffer_bytes(graph: Graph, node: GraphNode) -> int:
+    """Bytes of one node's output buffer (fp32)."""
+    if node.out_dims is not None:
+        return 4 * prod(node.out_dims)
+    if node.out_features is not None:
+        spec = node.spec
+        batch = spec.n if isinstance(spec, (FCSpec, SoftmaxSpec)) else graph.batch
+        return 4 * batch * node.out_features
+    return 0
+
+
+def _weights_bytes(node: GraphNode) -> int:
+    """Resident parameter bytes of one node: filters or FC weights, plus bias."""
+    spec = node.spec
     if isinstance(spec, ConvSpec):
-        return spec.filter_bytes + 4 * spec.co  # filters + bias
+        return spec.filter_bytes + 4 * spec.co
     if isinstance(spec, FCSpec):
         return 4 * (spec.in_features * spec.out_features + spec.out_features)
     return 0
 
 
-def _activation_bytes(layer) -> int:
-    if layer.out_dims is not None:
-        n, c, h, w = layer.out_dims
-        return 4 * n * c * h * w
-    if layer.out_features is not None:
-        spec = layer.spec
-        batch = spec.n if isinstance(spec, (FCSpec, SoftmaxSpec)) else 0
-        return 4 * batch * layer.out_features
-    return 0
+def _workspace_bytes(node: GraphNode) -> int:
+    """A conv node's im2col/FFT workspace under its selected implementation
+    (im2col when the graph is unplanned); 0 for every other node."""
+    if node.kind is not NodeKind.CONV or not isinstance(node.spec, ConvSpec):
+        return 0
+    try:
+        kernel = make_conv_kernel(node.spec, node.implementation or "im2col")
+    except ConvUnsupportedError:
+        # The spec can't run under this implementation (e.g. FFT with
+        # stride > 1) — it contributes no workspace.  Any other failure is
+        # a real bug and must propagate.
+        return 0
+    return int(kernel.workspace_bytes())
 
 
-def network_footprint(
-    net: Net, plan: LayoutPlan | None = None, training: bool = False
-) -> MemoryFootprint:
-    """Compute the footprint of running (or training) ``net``.
+def _transform_bytes(graph: Graph, node: GraphNode) -> int:
+    """The largest transform destination buffer on ``node``'s input edges.
 
-    Without a plan, the conservative NCHW/im2col path is assumed for the
-    workspace.  Training doubles the activation residency (gradients mirror
-    every activation) and triples weight residency (gradient + momentum).
-
-    Raises :class:`PlanMismatchError` when the plan's steps do not pair
-    one-to-one, in order, with the network's layers — the accounting below
-    keys workspaces and transform scratch by that pairing.
+    Each transform's scratch is the size of the tensor it relays — its
+    edge's producer output, not the node's whole input (a concat relays one
+    branch at a time) — and is freed right after the transform completes.
     """
-    if plan is not None:
-        _check_plan_alignment(net, plan)
-    input_bytes = 4 * (
-        net.definition.batch
-        * net.definition.in_channels
-        * net.definition.in_h
-        * net.definition.in_w
-    )
-    activations = input_bytes
-    weights = 0
-    workspace = 0
-    steps = {s.name: s for s in plan.steps} if plan is not None else {}
+    largest = 0
+    for t in node.transforms:
+        dims = graph[t.src].out_dims if t.src in graph else node.in_dims
+        if dims is not None:
+            largest = max(largest, 4 * prod(dims))
+    return largest
 
-    for layer in net.layers:
-        activations += _activation_bytes(layer)
-        weights += _weights_bytes(layer.spec)
-        if layer.kind is NodeKind.CONV:
-            assert isinstance(layer.spec, ConvSpec)
-            impl = steps[layer.name].implementation if steps else "im2col"
-            try:
-                kernel = make_conv_kernel(layer.spec, impl)
-                workspace = max(workspace, int(kernel.workspace_bytes()))
-            except ConvUnsupportedError:
-                # The spec can't run under this implementation (e.g. FFT
-                # with stride > 1) — it contributes no workspace.  Any
-                # other failure is a real bug and must propagate.
-                pass
 
-    transform = 0
-    if plan is not None:
-        layers = {layer.name: layer for layer in net.layers}
-        for step in plan.steps:
-            layer = layers[step.name]
-            if step.transform_ms > 0 and layer.in_dims is not None:
-                # The transform's scratch is the destination buffer, the
-                # same size as the tensor being relaid (freed right after).
-                desc = TensorDesc(*layer.in_dims)
-                transform = max(transform, desc.nbytes)
+def network_footprint(graph: Graph, training: bool = False) -> MemoryFootprint:
+    """Compute the footprint of running (or training) a resolved graph.
+
+    The graph's annotations are the plan: each conv's selected
+    implementation sizes its workspace and each edge transform its
+    scratch.  An unplanned graph (shapes only) assumes the conservative
+    NCHW/im2col path with no transforms.  Training doubles the activation
+    residency (gradients mirror every activation) and triples weight
+    residency (gradient + momentum).
+    """
+    activations = _input_bytes(graph)
+    weights = workspace = transform = 0
+    for node in graph:
+        activations += _buffer_bytes(graph, node)
+        weights += _weights_bytes(node)
+        workspace = max(workspace, _workspace_bytes(node))
+        transform = max(transform, _transform_bytes(graph, node))
 
     if training:
         activations *= 2  # gradients mirror activations
@@ -172,7 +144,7 @@ def network_footprint(
 
 def plan_within_memory(
     device: DeviceSpec,
-    net: Net,
+    net: NetworkDef,
     training: bool = False,
     context: SimulationContext | None = None,
 ) -> tuple[LayoutPlan, MemoryFootprint]:
@@ -186,18 +158,18 @@ def plan_within_memory(
     """
     from ..core.pipeline import PipelineOptions, plan_network
 
-    plan = plan_network(
-        device, net.definition, PipelineOptions(strategy="optimal"), context=context
-    ).plan
-    footprint = network_footprint(net, plan, training=training)
+    result = plan_network(
+        device, net, PipelineOptions(strategy="optimal"), context=context
+    )
+    footprint = network_footprint(result.graph, training=training)
     if not footprint.fits(device):
-        plan = plan_network(
-            device, net.definition,
+        result = plan_network(
+            device, net,
             PipelineOptions(strategy="optimal", allow_fft=False),
             context=context,
-        ).plan
-        footprint = network_footprint(net, plan, training=training)
-    return plan, footprint
+        )
+        footprint = network_footprint(result.graph, training=training)
+    return result.plan, footprint
 
 
 def format_footprint(fp: MemoryFootprint) -> str:

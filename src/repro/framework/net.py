@@ -1,23 +1,23 @@
-"""Network resolution and numeric execution (the Caffe-analog runtime).
+"""Numeric execution of a network (the Caffe-analog runtime).
 
-:class:`Net` turns a :class:`~repro.framework.netdef.NetworkDef` into
-resolved layer specs (shape inference runs on the graph IR via
-``repro.ir.build``, so branching networks resolve too) and can execute
-the network numerically with any layout plan — performing real relayouts
-at plan boundaries, exactly where the integrated framework would launch
-its transformation kernel.  Numeric results are plan-invariant, which the
-integration tests assert.  Plans come from the definition, not the
-``Net``: ``repro.core.pipeline.plan_network(device, net.definition)``.
+:class:`Net` holds a :class:`~repro.framework.netdef.NetworkDef` and its
+shape-inferred graph (``repro.ir.build``, so branching networks resolve
+too), and can execute the network numerically with any layout plan —
+performing real relayouts at plan boundaries, exactly where the
+integrated framework would launch its transformation kernel.  Numeric
+results are plan-invariant, which the integration tests assert.  The
+model consumers (schemes, footprint, attribution) take the definition,
+not the ``Net``: ``repro.core.pipeline.plan_network(device,
+net.definition)`` plans it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.planner import LayoutPlan, NodeKind
 from ..ir.build import infer_shapes, lower_netdef
+from ..ir.graph import GraphNode
 from ..layers.base import ConvSpec, FCSpec, PoolSpec, SoftmaxSpec
 from ..layers.conv import conv_forward, make_filters
 from ..layers.elementwise import LRNSpec, lrn_forward, relu_forward
@@ -25,71 +25,25 @@ from ..layers.fc import fc_forward, flatten_4d, make_fc_weights
 from ..layers.softmax import softmax_forward
 from ..tensors.layout import NCHW, DataLayout
 from ..tensors.tensor import Tensor4D
-from .netdef import ConvDef, FCDef, LayerDef, NetworkDef
-
-
-@dataclass(frozen=True)
-class ResolvedLayer:
-    """A layer definition bound to concrete shapes."""
-
-    defn: LayerDef
-    kind: NodeKind
-    spec: object | None  # ConvSpec | PoolSpec | FCSpec | SoftmaxSpec | LRNSpec
-    in_dims: tuple[int, int, int, int] | None  # 4-D logical input, if any
-    out_dims: tuple[int, int, int, int] | None
-    out_features: int | None = None  # for fc/softmax (2-D data)
-    #: producing layers this one reads (empty = the network input)
-    inputs: tuple[str, ...] = ()
-
-    @property
-    def name(self) -> str:
-        return self.defn.name
-
-
-def resolve(net: NetworkDef) -> list[ResolvedLayer]:
-    """Shape-infer the whole stack.  Raises on inconsistent geometry.
-
-    Adapter over the graph IR's :func:`~repro.ir.build.infer_shapes` — the
-    single shape-inference implementation — preserving the legacy
-    ``list[ResolvedLayer]`` view (topological order, which for chain
-    definitions is the definition order).
-    """
-    graph = infer_shapes(lower_netdef(net))
-    return [
-        ResolvedLayer(
-            defn=node.defn,  # type: ignore[arg-type]
-            kind=node.kind,
-            spec=node.spec,
-            in_dims=node.in_dims,
-            out_dims=node.out_dims,
-            out_features=node.out_features,
-            inputs=node.inputs,
-        )
-        for node in graph.topological()
-    ]
+from .netdef import ConvDef, FCDef, NetworkDef
 
 
 class Net:
-    """A resolved network: layer shapes + numeric execution."""
+    """A resolved network: the shape-inferred graph + numeric execution."""
 
     def __init__(self, definition: NetworkDef) -> None:
         self.definition = definition
-        self.layers = resolve(definition)
+        self.graph = infer_shapes(lower_netdef(definition))
 
     @property
     def name(self) -> str:
         return self.definition.name
 
     @property
-    def is_chain(self) -> bool:
-        """True when every layer reads the previous one (no branching)."""
-        prev: str | None = None
-        for layer in self.layers:
-            expected = (prev,) if prev is not None else ()
-            if layer.inputs != expected:
-                return False
-            prev = layer.name
-        return True
+    def layers(self) -> tuple[GraphNode, ...]:
+        """The graph's nodes in topological order (definition order for
+        chains)."""
+        return self.graph.topological()
 
     # -- numeric execution -------------------------------------------------
     def init_weights(self, seed: int = 0) -> dict[str, object]:
@@ -195,8 +149,3 @@ def _numeric_conv_impl(plan_impl: str) -> str:
     if plan_impl == "im2col":
         return "im2col"
     return "direct"
-
-
-def build_net(definition: NetworkDef) -> Net:
-    """Convenience constructor."""
-    return Net(definition)

@@ -66,7 +66,7 @@ class Trainer:
             raise ValueError("momentum must be in [0, 1)")
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
-        if not self.net.is_chain:
+        if not self.net.graph.is_chain():
             raise ValueError(
                 f"{self.net.name}: the backprop chain supports linear "
                 "networks only (branching forward runs via Net.forward)"

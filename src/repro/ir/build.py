@@ -5,9 +5,10 @@
 wiring (DAGs) and defaulting to the previous layer (chains).  It is the
 only way into the pass pipeline.
 
-:func:`infer_shapes` is the single shape-inference implementation; the
-legacy ``framework.net.resolve`` is now a thin adapter over it.  Error
-messages keep the legacy layer-prefixed wording ("conv3: convolution after
+:func:`infer_shapes` is the single shape-inference implementation: the
+pipeline's ``ResolveShapes`` pass and ``framework.net.Net`` both run it,
+and the shape-inferred graph is the one resolved form of a network.  Error
+messages use the layer-prefixed wording ("conv3: convolution after
 flattening") because user code and tests match on it.
 
 This module imports only the IR and layer-spec leaves at module level —
@@ -99,8 +100,8 @@ def _producer_dims(
 def infer_shapes(graph: Graph) -> Graph:
     """Resolve specs/dims for every node, in topological order.
 
-    Raises ``ValueError`` with the offending layer's name on inconsistent
-    geometry, matching the legacy ``resolve`` messages.
+    Raises ``ValueError`` prefixed with the offending layer's name on
+    inconsistent geometry.
     """
     from ..framework.netdef import ConvDef, FCDef, LRNDef, PoolDef
 

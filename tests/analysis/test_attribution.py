@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import attribute_gains
-from repro.framework import Net
 from repro.networks import build_network
 
 
@@ -11,7 +10,7 @@ from repro.networks import build_network
 def alexnet_attr():
     from repro.gpusim import TITAN_BLACK
 
-    return attribute_gains(Net(build_network("alexnet")), TITAN_BLACK)
+    return attribute_gains(build_network("alexnet"), TITAN_BLACK)
 
 
 class TestAttribution:
@@ -36,13 +35,13 @@ class TestAttribution:
 
     def test_total_saving_positive_everywhere(self, device):
         for name in ("lenet", "cifar", "zfnet"):
-            a = attribute_gains(Net(build_network(name)), device)
+            a = attribute_gains(build_network(name), device)
             assert a.total_saved_ms > 0, name
 
     def test_offchip_family_contributes_on_pooling_heavy_nets(self, device):
         """Networks with overlapped pooling see a real (if small) off-chip
         contribution."""
-        a = attribute_gains(Net(build_network("cifar")), device)
+        a = attribute_gains(build_network("cifar"), device)
         assert a.layout_only_ms > a.full_opt_ms  # coarsening+fusion helped
 
     def test_zero_saving_degenerates_gracefully(self):

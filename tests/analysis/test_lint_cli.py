@@ -37,7 +37,7 @@ class TestRuleSelection:
     def test_list_rules_prints_catalog(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("N001", "L001", "K001"):
+        for rule_id in ("N001", "L002", "K001"):
             assert rule_id in out
 
 

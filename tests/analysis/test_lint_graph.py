@@ -1,13 +1,14 @@
-"""Graph-aware L001/L002: the edge-walking rules over hand-built IR graphs.
+"""Graph-aware edge rules over hand-built IR graphs: the layout checks
+D003/D004 and the transform-island rule L002.
 
-L001/L002 walk the graph's real producer→consumer edges, not the linear
-step sequence — a step walk would misfire on branching networks (a
-branch's neighbour in step order is not its producer).
+They walk the graph's real producer→consumer edges, not the linear step
+sequence — a step walk would misfire on branching networks (a branch's
+neighbour in step order is not its producer).
 """
 
 from hypothesis import given, settings
 
-from repro.analysis import LintConfig, Severity, lint_plan
+from repro.analysis import LintConfig, Severity, lint_graph, lint_plan
 from repro.core.pipeline import PipelineOptions, plan_network
 from repro.core.planner import LayoutPlan
 from repro.gpusim import TITAN_BLACK
@@ -18,7 +19,7 @@ from repro.tensors import CHWN, NCHW
 from tests.analysis.graph_strategies import annotated_graphs
 
 EMPTY_PLAN = LayoutPlan(steps=(), device=TITAN_BLACK.name, strategy="test")
-EDGE_RULES = LintConfig(selected=frozenset({"L001", "L002"}))
+LAYOUT_RULES = LintConfig(selected=frozenset({"D003", "D004"}))
 
 
 def ids_of(diagnostics):
@@ -37,17 +38,12 @@ def fork_graph() -> Graph:
 
 class TestGraphLayoutMismatch:
     def test_clean_graph_silent(self):
-        diags = lint_plan(TITAN_BLACK, EMPTY_PLAN, graph=fork_graph())
-        assert "L001" not in ids_of(diags)
+        assert not {"D003", "D004"} & ids_of(lint_graph(fork_graph()))
 
     def test_missing_transform_on_one_branch_edge(self):
         g = fork_graph()
         g["b"].layout = NCHW  # stem is CHWN; no transform recorded
-        findings = [
-            d
-            for d in lint_plan(TITAN_BLACK, EMPTY_PLAN, graph=g)
-            if d.rule_id == "L001"
-        ]
+        findings = [d for d in lint_graph(g) if d.rule_id == "D003"]
         # two broken edges: stem->b (arrives CHWN) and b->join (arrives NCHW)
         assert [(d.subject, d.detail["edge"]) for d in findings] == [
             ("b", "stem"),
@@ -61,11 +57,7 @@ class TestGraphLayoutMismatch:
         g["b"].transforms = (
             EdgeTransform(src="stem", from_layout=NCHW, to_layout=NCHW, ms=0.1),
         )
-        findings = [
-            d
-            for d in lint_plan(TITAN_BLACK, EMPTY_PLAN, graph=g)
-            if d.rule_id == "L001"
-        ]
+        findings = [d for d in lint_graph(g) if d.rule_id == "D004"]
         assert any(
             d.subject == "b" and d.detail.get("transform_source") == "NCHW"
             for d in findings
@@ -77,8 +69,9 @@ class TestGraphLayoutMismatch:
         g["b"].transforms = (
             EdgeTransform(src="stem", from_layout=CHWN, to_layout=NCHW, ms=0.1),
         )
-        diags = lint_plan(TITAN_BLACK, EMPTY_PLAN, graph=g)
-        assert all(d.subject != "b" for d in diags if d.rule_id == "L001")
+        assert all(
+            d.subject != "b" for d in lint_graph(g) if d.rule_id in ("D003", "D004")
+        )
 
 
 class TestGraphRedundantTransforms:
@@ -117,7 +110,7 @@ class TestGraphRedundantTransforms:
 
 class TestRandomCoherentGraphs:
     """The shared DAG generator draws transform-coherent graphs, so the
-    edge-walking L-rules must never error on them (same generator as the
+    edge layout rules must never error on them (same generator as the
     dataflow verifier's property tests — one source of truth)."""
 
     @given(annotated_graphs())
@@ -125,7 +118,7 @@ class TestRandomCoherentGraphs:
     def test_edge_rules_silent_on_coherent_dags(self, graph):
         errors = [
             d
-            for d in lint_plan(TITAN_BLACK, EMPTY_PLAN, graph, config=EDGE_RULES)
+            for d in lint_graph(graph, config=LAYOUT_RULES)
             if d.severity is Severity.ERROR
         ]
         assert errors == [], [d.format() for d in errors]

@@ -1,13 +1,14 @@
 """L0xx rules: layout-plan linting, on planner output and hand-broken plans.
 
 ``lint_plan`` checks a plan together with the annotated IR graph it was
-planned on: the edge rules (L001/L002) walk the graph's edges, the
-geometry rules (L003/L006) read its nodes, and the step rules
-(L004/L005/L007) read the plan.  The hand-built cases below are chains;
+planned on: the edge rule (L002) walks the graph's edges, the geometry
+rules (L003/L006) read its nodes, and the step rules (L004/L005/L007)
+read the plan.  A layout mismatch on an edge is the dataflow rules'
+D003/D004 (``lint_graph``).  The hand-built cases below are chains;
 ``test_lint_graph.py`` covers branching graphs.
 """
 
-from repro.analysis import Severity, lint_plan
+from repro.analysis import Severity, lint_graph, lint_plan
 from repro.core.pipeline import PipelineOptions, graph_to_plan, plan_network
 from repro.core.planner import LayoutPlan, NodeKind, PlanStep
 from repro.gpusim import TITAN_BLACK
@@ -85,32 +86,40 @@ class TestPlannerPlansAreClean:
 
 
 class TestLayoutMismatch:
-    def test_l001_missing_transform(self):
+    """A layout change without a transform is a graph error: the dataflow
+    rules D003/D004 report it over the same annotated graph."""
+
+    def test_d003_missing_transform(self):
         graph = chain(
             node("conv1", NodeKind.CONV, CHWN),
             node("conv2", NodeKind.CONV, NCHW),  # no transform recorded
         )
-        (d,) = [d for d in lint_chain(graph) if d.rule_id == "L001"]
+        (d,) = [d for d in lint_graph(graph) if d.rule_id == "D003"]
         assert d.severity is Severity.ERROR
         assert d.subject == "conv2"
-        assert d.detail["producer"] == "CHWN"
+        assert d.detail["arriving"] == "CHWN"
 
-    def test_l001_wrong_transform_source(self):
+    def test_d004_wrong_transform_source(self):
         graph = chain(
             node("conv1", NodeKind.CONV, CHWN),
             node(  # claims NCHW input
                 "conv2", NodeKind.CONV, NCHW, EdgeTransform("conv1", NCHW, NCHW, 0.1)
             ),
         )
-        (d,) = [d for d in lint_chain(graph) if d.rule_id == "L001"]
-        assert "does not match" in d.message
+        (d,) = [
+            d
+            for d in lint_graph(graph)
+            if d.rule_id == "D004" and "transform_source" in d.detail
+        ]
+        assert d.subject == "conv2"
+        assert "producer delivers CHWN" in d.message
 
     def test_explicit_transform_is_clean(self):
         graph = chain(
             node("conv1", NodeKind.CONV, CHWN),
             node("conv2", NodeKind.CONV, NCHW, EdgeTransform("conv1", CHWN, NCHW, 0.1)),
         )
-        assert "L001" not in ids_of(lint_chain(graph))
+        assert not {"D003", "D004"} & ids_of(lint_graph(graph))
 
     def test_transform_hosted_on_layout_agnostic_step(self):
         # conv(NCHW) -> norm hosting the NCHW->CHWN transform -> pool(CHWN).
@@ -122,7 +131,7 @@ class TestLayoutMismatch:
             ),
             node("pool1", NodeKind.POOL, CHWN),
         )
-        assert "L001" not in ids_of(lint_chain(graph))
+        assert not {"D003", "D004"} & ids_of(lint_graph(graph))
 
     def test_layout_agnostic_step_without_transform_still_flags(self):
         graph = chain(
@@ -130,7 +139,7 @@ class TestLayoutMismatch:
             node("norm1", NodeKind.ELEMENTWISE, NCHW),
             node("pool1", NodeKind.POOL, CHWN),
         )
-        (d,) = [d for d in lint_chain(graph) if d.rule_id == "L001"]
+        (d,) = [d for d in lint_graph(graph) if d.rule_id == "D003"]
         assert d.subject == "pool1"
 
 

@@ -9,16 +9,10 @@ from repro.analysis.dataflow import (
 )
 from repro.analysis.dataflow.liveness import INPUT_BUFFER
 from repro.core.pipeline import PipelineOptions, plan_network
-from repro.framework import Net, network_footprint
+from repro.framework import network_footprint
 from repro.ir.graph import Graph, GraphNode, NodeKind
 from repro.networks import NETWORK_BUILDERS, build_network
 from repro.tensors import CHWN
-
-CHAIN_NETWORKS = [
-    name
-    for name in sorted(NETWORK_BUILDERS)
-    if Net(build_network(name)).is_chain
-]
 
 
 def small_chain() -> Graph:
@@ -80,14 +74,13 @@ class TestFootprintCurve:
 class TestGoldenInequality:
     """The interval model can only improve on the conservative model."""
 
-    @pytest.mark.parametrize("name", CHAIN_NETWORKS)
+    @pytest.mark.parametrize("name", sorted(NETWORK_BUILDERS))
     @pytest.mark.parametrize("training", [False, True])
     def test_liveness_at_most_conservative(self, device, name, training):
-        net = Net(build_network(name))
         result = plan_network(
-            device, net.definition, PipelineOptions(strategy="optimal")
+            device, build_network(name), PipelineOptions(strategy="optimal")
         )
-        conservative = network_footprint(net, result.plan, training=training)
+        conservative = network_footprint(result.graph, training=training)
         live = liveness_footprint(result.graph, training=training)
         assert live.peak_bytes <= conservative.peak_bytes, name
 
@@ -95,10 +88,9 @@ class TestGoldenInequality:
         """Freeing after last use must beat keep-everything at inference.
         (Heuristic plan: the optimal one picks FFT convs whose workspace
         dominates both models and narrows the gap.)"""
-        net = Net(build_network("alexnet"))
         result = plan_network(
-            device, net.definition, PipelineOptions(strategy="heuristic")
+            device, build_network("alexnet"), PipelineOptions(strategy="heuristic")
         )
-        conservative = network_footprint(net, result.plan, training=False)
+        conservative = network_footprint(result.graph, training=False)
         live = liveness_footprint(result.graph, training=False)
         assert live.peak_bytes < 0.8 * conservative.peak_bytes

@@ -74,10 +74,9 @@ class TestPoolAndSoftmaxSweeps:
 class TestThroughputMetric:
     def test_images_per_second(self, device):
         from repro.baselines import time_network
-        from repro.framework import Net
         from repro.networks import build_network
 
-        net = Net(build_network("lenet"))
+        net = build_network("lenet")
         timing = time_network(net, device, "opt")
         assert timing.batch == 128
         assert timing.images_per_second == pytest.approx(

@@ -46,7 +46,7 @@ class TestVerifyNetworks:
         assert main(["verify", "--list-rules"]) == 0
         out = capsys.readouterr().out
         assert "D001" in out and "D007" in out
-        assert "N001" not in out and "L001" not in out
+        assert "N001" not in out and "L002" not in out
 
     def test_unknown_rule_id_is_usage_error(self, capsys):
         assert main(["verify", "lenet", "--select", "D999"]) == 2

@@ -3,13 +3,12 @@
 import pytest
 
 from repro.baselines import SCHEMES, compare_schemes, time_network
-from repro.framework import Net
 from repro.networks import build_network
 
 
 @pytest.fixture(scope="module")
 def nets():
-    return {name: Net(build_network(name)) for name in ("lenet", "cifar", "alexnet")}
+    return {name: build_network(name) for name in ("lenet", "cifar", "alexnet")}
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +52,7 @@ class TestSchemeMechanics:
         )
 
     def test_fft_scheme_falls_back_on_strided_convs(self, device):
-        net = Net(build_network("zfnet"))
+        net = build_network("zfnet")
         timing = time_network(net, device, "cudnn-fft")
         conv1 = timing.layer("conv1")  # stride 2: FFT unsupported
         assert conv1.implementation == "im2col"
@@ -66,7 +65,7 @@ class TestPaperFig14:
         """Fig. 14: 'our optimized framework can achieve the highest
         performance for all these networks'."""
         for name in ("lenet", "cifar", "alexnet", "zfnet", "vgg"):
-            net = Net(build_network(name))
+            net = build_network(name)
             results = compare_schemes(net, device)
             opt = results["opt"].total_ms
             for scheme, timing in results.items():
@@ -95,7 +94,7 @@ class TestPaperFig14:
         """Fig. 14: 'cuda-convnet is significantly under-performed compared
         to cuDNN for ... ZFNet and VGG'."""
         for name in ("zfnet", "vgg"):
-            net = Net(build_network(name))
+            net = build_network(name)
             results = compare_schemes(net, device, ("cuda-convnet", "cudnn-best"))
             assert (
                 results["cudnn-best"].total_ms < results["cuda-convnet"].total_ms
@@ -124,7 +123,7 @@ class TestTitanXTrends:
         """Section VI.C: 'our test on the NVIDIA Titan X shows the very
         similar trends'."""
         for name in ("lenet", "vgg"):
-            net = Net(build_network(name))
+            net = build_network(name)
             results = compare_schemes(net, titan_x)
             opt = results["opt"].total_ms
             for scheme, timing in results.items():

@@ -17,7 +17,7 @@ from repro.core.planner import (
     PlanStep,
     _node_costs,
 )
-from repro.framework import ConvDef, LRNDef, Net, NetworkDef
+from repro.framework import ConvDef, LRNDef, NetworkDef
 from repro.gpusim import default_context
 from repro.ir import lower_netdef
 from repro.networks import build_network
@@ -26,7 +26,7 @@ from repro.tensors import CHWN, NCHW, TensorDesc
 from repro.tensors.transform_kernels import transform_time_ms
 
 CHAIN_NETWORKS = tuple(
-    name for name in NETWORK_BUILDERS if Net(build_network(name)).is_chain
+    name for name in NETWORK_BUILDERS if lower_netdef(build_network(name)).is_chain()
 )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import plan_optimal
-from repro.framework import Net, build_net, parse_netdef
+from repro.framework import Net, parse_netdef
 from repro.framework.annotate import (
     LayerAnnotation,
     annotations_from_plan,
@@ -83,7 +83,7 @@ class TestAnnotatedExecution:
         ann = annotations_from_plan(small_plan)
         text = format_annotated_netdef(small.definition, ann)
         parsed_net, parsed_ann = parse_annotated_netdef(text)
-        rebuilt = build_net(parsed_net)
+        rebuilt = Net(parsed_net)
         overlay = plan_from_annotations(small_plan, parsed_ann)
         weights = rebuilt.init_weights()
         x = rebuilt.make_input(seed=0)

@@ -12,7 +12,6 @@ from repro.framework import (
     NetworkDef,
     PoolDef,
     SoftmaxDef,
-    resolve,
 )
 from repro.layers import ConvSpec, SoftmaxSpec
 from repro.networks import build_network
@@ -21,7 +20,7 @@ from repro.tensors import CHWN, NCHW
 
 class TestResolve:
     def test_lenet_shapes(self):
-        layers = resolve(build_network("lenet"))
+        layers = Net(build_network("lenet")).layers
         conv1, pool1, conv2, pool2 = layers[:4]
         assert isinstance(conv1.spec, ConvSpec)
         assert conv1.out_dims == (128, 16, 28, 28)  # pad 2 keeps 28
@@ -30,19 +29,19 @@ class TestResolve:
         assert pool2.out_dims == (128, 16, 7, 7)
 
     def test_alexnet_matches_table1_pools(self):
-        layers = {l.name: l for l in resolve(build_network("alexnet"))}
+        layers = {l.name: l for l in Net(build_network("alexnet")).layers}
         assert layers["pool1"].in_dims == (128, 96, 55, 55)  # PL5
         assert layers["pool2"].in_dims == (128, 256, 27, 27)  # PL6
         assert layers["pool3"].in_dims == (128, 256, 13, 13)  # PL7
 
     def test_zfnet_matches_table1_pools(self):
-        layers = {l.name: l for l in resolve(build_network("zfnet"))}
+        layers = {l.name: l for l in Net(build_network("zfnet")).layers}
         assert layers["pool1"].in_dims == (64, 96, 110, 110)  # PL8
         assert layers["pool2"].in_dims == (64, 256, 26, 26)  # PL9
         assert layers["pool3"].in_dims == (64, 256, 13, 13)  # PL10
 
     def test_vgg_matches_table1_convs(self):
-        layers = {l.name: l for l in resolve(build_network("vgg"))}
+        layers = {l.name: l for l in Net(build_network("vgg")).layers}
         assert layers["conv1_1"].spec.ci == 3 and layers["conv1_1"].spec.h == 224
         assert layers["conv3_1"].spec.ci == 128 and layers["conv3_1"].spec.h == 56
         assert layers["conv4_1"].spec.ci == 256 and layers["conv4_1"].spec.h == 28
@@ -53,7 +52,7 @@ class TestResolve:
             "bad", 2, 1, 8, 8, (ConvDef("c", co=2, f=3), SoftmaxDef("s"))
         )
         with pytest.raises(ValueError, match="softmax"):
-            resolve(bad)
+            Net(bad)
 
     def test_conv_after_flatten_rejected(self):
         bad = NetworkDef(
@@ -61,10 +60,10 @@ class TestResolve:
             (FCDef("f", out_features=4), ConvDef("c", co=2, f=3)),
         )
         with pytest.raises(ValueError, match="flatten"):
-            resolve(bad)
+            Net(bad)
 
     def test_classifier_spec_types(self):
-        layers = resolve(build_network("lenet"))
+        layers = Net(build_network("lenet")).layers
         assert isinstance(layers[-1].spec, SoftmaxSpec)
         assert layers[-1].spec.categories == 10
 

@@ -81,11 +81,11 @@ class TestRoundTrip:
 
 class TestNetChainDetection:
     def test_branching_net_is_not_chain(self):
-        assert not Net(branching_netdef()).is_chain
-        assert not Net(build_network("inception")).is_chain
+        assert not Net(branching_netdef()).graph.is_chain()
+        assert not Net(build_network("inception")).graph.is_chain()
 
     def test_linear_net_is_chain(self):
-        assert Net(build_network("lenet")).is_chain
+        assert Net(build_network("lenet")).graph.is_chain()
 
     def test_explicit_bottom_chain_still_counts(self):
         net = NetworkDef(
@@ -97,4 +97,4 @@ class TestNetChainDetection:
                 SoftmaxDef("prob", bottom="fc"),
             ),
         )
-        assert Net(net).is_chain
+        assert Net(net).graph.is_chain()

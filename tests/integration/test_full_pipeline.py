@@ -18,6 +18,7 @@ from repro import (
     preferred_conv_layout,
     time_network,
 )
+from repro.core.pipeline import plan_network
 from repro.core.planner import NodeKind
 from repro.data import synthetic_digits
 from repro.framework import (
@@ -37,11 +38,12 @@ def journey(device):
     record["thresholds"] = calibrate(device).thresholds
     net = Net(build_network("cifar"))
     record["net"] = net
-    record["plan"] = plan_optimal(device, net.definition)
+    planned = plan_network(device, net.definition)
+    record["plan"] = planned.plan
     ann = annotations_from_plan(record["plan"])
     record["serialized"] = format_annotated_netdef(net.definition, ann)
-    record["schemes"] = compare_schemes(net, device, ("cudnn-best", "opt"))
-    record["footprint"] = network_footprint(net, record["plan"], training=True)
+    record["schemes"] = compare_schemes(net.definition, device, ("cudnn-best", "opt"))
+    record["footprint"] = network_footprint(planned.graph, training=True)
     return record
 
 
@@ -106,6 +108,6 @@ class TestJourney:
 
     def test_training_timing_consistent_with_inference(self, journey, device):
         net = journey["net"]
-        fwd = time_network(net, device, "opt").total_ms
-        trn = time_network(net, device, "opt", training=True).total_ms
+        fwd = time_network(net.definition, device, "opt").total_ms
+        trn = time_network(net.definition, device, "opt", training=True).total_ms
         assert 2.0 < trn / fwd < 4.5

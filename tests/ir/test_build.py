@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.framework.net import resolve
+from repro.framework.net import Net
 from repro.framework.netdef import (
     ConcatDef,
     ConvDef,
@@ -26,14 +26,12 @@ class TestLowerChain:
         assert graph.is_chain()
 
     def test_shapes_match_framework_resolve(self):
+        """The framework's ``Net`` resolves to the inferred graph itself."""
         net = build_network("alexnet")
         graph = infer_shapes(lower_netdef(net))
-        layers = resolve(net)
-        for node, layer in zip(graph, layers):
-            assert node.name == layer.name
-            assert node.in_dims == layer.in_dims
-            assert node.out_dims == layer.out_dims
-            assert node.out_features == layer.out_features
+        layers = Net(net).layers
+        assert [n.to_dict() for n in layers] == [n.to_dict() for n in graph]
+        assert [n.spec for n in layers] == [n.spec for n in graph]
 
 
 class TestLowerBranching:

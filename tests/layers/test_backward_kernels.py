@@ -3,7 +3,6 @@
 import pytest
 
 from repro.baselines import compare_schemes, time_network
-from repro.framework import Net
 from repro.gpusim import default_context
 from repro.layers import FCSpec, SoftmaxSpec, make_conv_kernel
 from repro.layers.backward_kernels import (
@@ -89,7 +88,7 @@ class TestBackwardKernels:
 class TestTrainingMode:
     @pytest.fixture(scope="class")
     def lenet(self):
-        return Net(build_network("lenet"))
+        return build_network("lenet")
 
     def test_training_costs_2x_to_4x_forward(self, device, lenet):
         fwd = time_network(lenet, device, "opt").total_ms
@@ -107,7 +106,7 @@ class TestTrainingMode:
         )
 
     def test_transforms_double_in_training(self, device):
-        net = Net(build_network("alexnet"))
+        net = build_network("alexnet")
         fwd = time_network(net, device, "opt")
         trn = time_network(net, device, "opt", training=True)
         fwd_t = sum(l.transform_ms for l in fwd.layers)

@@ -175,11 +175,10 @@ class TestDeterminism:
 
     def test_whole_network_timing_is_deterministic(self, device):
         from repro.baselines import time_network
-        from repro.framework import Net
         from repro.networks import build_network
 
-        net1 = Net(build_network("cifar"))
-        net2 = Net(build_network("cifar"))
+        net1 = build_network("cifar")
+        net2 = build_network("cifar")
         t1 = time_network(net1, device, "opt").total_ms
         t2 = time_network(net2, device, "opt").total_ms
         assert t1 == t2
