@@ -14,6 +14,7 @@ import numpy as np
 
 from repro import Net, TITAN_BLACK, build_network, plan_optimal, plan_single_layout
 from repro.core import explain_conv_choice, thresholds_for
+from repro.framework import annotations_from_plan
 from repro.core.planner import NodeKind
 from repro.tensors import CHWN, NCHW
 
@@ -50,8 +51,9 @@ def main() -> None:
     weights = small.init_weights()
     x = small.make_input(seed=0)
     reference = small.forward(x, weights)
+    small_plan = plan_optimal(device, small.definition)
     planned = small.forward(
-        x, weights, plan=plan_optimal(device, small.definition)
+        x, weights, annotations=annotations_from_plan(small_plan.graph)
     )
     print(
         "  max |difference| =",

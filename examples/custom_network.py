@@ -56,7 +56,7 @@ def main() -> None:
     for device in (TITAN_BLACK, TITAN_X):
         plan = plan_optimal(device, net.definition)
         layouts = {
-            s.name: str(s.layout) for s in plan.steps if s.layout is not None
+            n.name: str(n.kernel_layout) for n in plan.graph if n.kernel_layout
         }
         print(f"  {device.name}: {layouts}")
 

@@ -62,7 +62,6 @@ def verify_network(
     report = LintReport(
         target=netdef.name, device=device.name, strategy=strategy
     )
-    report.plan = result.plan
     report.diagnostics = verify_graph(
         result.graph, device, config, network=netdef.name
     )

@@ -36,10 +36,9 @@ from typing import Any
 
 from ..core.heuristic import LayoutThresholds, thresholds_for
 from ..core.pipeline import PipelineOptions, run_pipeline
-from ..core.planner import LayoutPlan, NodeKind
 from ..framework.netdef import NetworkDef, parse_netdef
 from ..ir.build import lower_netdef
-from ..ir.graph import Graph
+from ..ir.graph import Graph, GraphNode, NodeKind
 from ..gpusim.device import DeviceSpec
 from ..gpusim.kernel import KernelModel
 from ..gpusim.session import SimulationContext
@@ -151,22 +150,19 @@ def lint_netdef_text(
 
 def lint_plan(
     device: DeviceSpec,
-    plan: LayoutPlan,
     graph: Graph,
     thresholds: LayoutThresholds | None = None,
     config: LintConfig = DEFAULT_CONFIG,
     network: str = "",
 ) -> list[Diagnostic]:
-    """Run the L0xx rules over one layout plan and the annotated IR graph
-    the pipeline planned it on.
+    """Run the L0xx rules over one planned graph.
 
     The edge-walking rule (L002) follows the graph's producer/consumer
-    edges; the geometry rules (L003 threshold ambiguity, L006 coverage)
-    read its nodes; the step rules (L004/L005/L007) read the plan.
+    edges; the threshold rule (L003) reads its conv nodes; the layout
+    rules (L004/L005/L007) read its conv/pool nodes.
     """
     scope = PlanScope(
         device=device,
-        plan=plan,
         graph=graph,
         thresholds=thresholds,
         margin=config.margin,
@@ -214,7 +210,6 @@ class LintReport:
     device: str
     strategy: str
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    plan: LayoutPlan | None = None
 
     def _of(self, severity: Severity) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.severity is severity]
@@ -271,19 +266,15 @@ class LintReport:
         }
 
 
-def _step_kernel(
-    step_kind: NodeKind,
-    spec: object,
-    implementation: str,
-    coarsening: tuple[int, int] | None,
-) -> KernelModel | None:
-    """Rebuild the kernel model a plan step selected, if reconstructible."""
+def _node_kernel(node: GraphNode) -> KernelModel | None:
+    """Rebuild the kernel model a conv/pool node selected, if reconstructible."""
+    spec, implementation = node.spec, node.implementation or ""
     try:
-        if step_kind is NodeKind.CONV and isinstance(spec, ConvSpec):
+        if node.kind is NodeKind.CONV and isinstance(spec, ConvSpec):
             return make_conv_kernel(spec, implementation)
-        if step_kind is NodeKind.POOL and isinstance(spec, PoolSpec):
-            if implementation == "chwn-coarsened" and coarsening is not None:
-                return make_pool_kernel(spec, implementation, coarsen=coarsening)
+        if node.kind is NodeKind.POOL and isinstance(spec, PoolSpec):
+            if implementation == "chwn-coarsened" and node.coarsening is not None:
+                return make_pool_kernel(spec, implementation, coarsen=node.coarsening)
             return make_pool_kernel(spec, implementation)
     except ValueError:
         return None  # unknown implementation: L005 already reports it
@@ -301,8 +292,8 @@ def lint_network(
 
     Netdef errors stop the pipeline (an inconsistent definition has no
     well-defined plan); otherwise the requested planner runs and its output
-    is checked layer by layer, including the layout-transform kernels the
-    plan inserts at boundaries.
+    is checked layer by layer, including one layout-transform kernel per
+    edge transform the plan inserts, sized from the tensor it relays.
     """
     report = LintReport(target=netdef.name, device=device.name, strategy=strategy)
     report.diagnostics += lint_netdef(netdef, config)
@@ -315,40 +306,35 @@ def lint_network(
     result = run_pipeline(
         device, lower_netdef(netdef), options, context=context
     )
-    plan, graph = result.plan, result.graph
-    nodes = graph.topological()
-    report.plan = plan
+    graph = result.graph
     thresholds = thresholds_for(device)
     report.diagnostics += lint_plan(
-        device, plan, graph, thresholds, config, network=netdef.name
+        device, graph, thresholds, config, network=netdef.name
     )
     report.diagnostics += lint_graph(graph, device, config, network=netdef.name)
 
-    specs = {n.name: n.spec for n in nodes}
-    in_dims = {n.name: n.in_dims for n in nodes}
-    for step in plan.steps:
-        dims = in_dims.get(step.name)
-        target = step.transformed_to or step.layout
-        if step.transformed_from is not None and target is not None and dims:
-            desc = TensorDesc(*dims, layout=step.transformed_from)
-            transform = make_transform_kernel(desc, target, method="auto")
+    for node in graph.topological():
+        for t in node.transforms:
+            dims = graph.transform_dims(node, t)
+            if dims is None:
+                continue
+            desc = TensorDesc(*dims, layout=t.from_layout)
+            transform = make_transform_kernel(desc, t.to_layout, method="auto")
             report.diagnostics += lint_kernel(
                 device,
                 transform,
-                owner=f"{step.name}[{transform.name}]",
+                owner=f"{node.name}[{transform.name}]",
                 config=config,
                 network=netdef.name,
             )
-        if step.layout is None:
+        if node.kernel_layout is None:
             continue
-        kernel = _step_kernel(
-            step.kind, specs.get(step.name), step.implementation, step.coarsening
-        )
+        kernel = _node_kernel(node)
         if kernel is not None:
             report.diagnostics += lint_kernel(
                 device,
                 kernel,
-                owner=f"{step.name}[{step.implementation}]",
+                owner=f"{node.name}[{node.implementation}]",
                 config=config,
                 network=netdef.name,
             )

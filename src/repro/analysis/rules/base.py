@@ -17,7 +17,6 @@ from enum import Enum
 from typing import Any
 
 from ...core.heuristic import LayoutThresholds
-from ...core.planner import LayoutPlan, PlanStep
 from ...framework.netdef import NetworkDef
 from ...gpusim.device import DeviceSpec
 from ...gpusim.kernel import KernelModel, LaunchConfig, MemoryProfile
@@ -95,15 +94,14 @@ class NetdefScope:
 
 @dataclass
 class PlanScope:
-    """A layout plan under analysis, with the annotated network IR the
-    pipeline planned it on and the device's heuristic thresholds.
+    """A planned network graph under analysis, with the device's heuristic
+    thresholds.
 
     The edge-walking rule (L002) follows the graph's real
     producer/consumer edges, the only sound reading for branching
     networks; ``nodes`` is the graph in topological order."""
 
     device: DeviceSpec
-    plan: LayoutPlan
     graph: Graph
     thresholds: LayoutThresholds | None = None
     #: +/- range around (Ct, Nt) treated as the ambiguous region (L003)
@@ -114,8 +112,9 @@ class PlanScope:
         return self.graph.topological()
 
     @property
-    def layout_steps(self) -> tuple[PlanStep, ...]:
-        return self.plan.layout_steps()
+    def layout_nodes(self) -> tuple[GraphNode, ...]:
+        """The conv/pool nodes with an assigned layout, in execution order."""
+        return tuple(n for n in self.nodes if n.kernel_layout is not None)
 
 
 @dataclass

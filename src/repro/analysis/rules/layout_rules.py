@@ -1,10 +1,9 @@
-"""L0xx rules: layout-plan verification.
+"""L0xx rules: layout-plan verification over the planned graph.
 
-A plan is checked together with the annotated IR graph it was planned on.
 The edge rule walks the graph's producer→consumer edges and flags
 transform/inverse-transform islands (:attr:`GraphNode.transforms`) for
 review; that every layout change carries a transform is the dataflow
-rules' D003/D004 check.  The step rules check that each plan step's
+rules' D003/D004 check.  The node rules check that each conv/pool node's
 implementation belongs to its layout's family.
 """
 
@@ -17,8 +16,8 @@ from ...core.heuristic import (
     is_threshold_ambiguous,
     thresholds_for,
 )
-from ...core.planner import NodeKind
 from ...core.selector import LAYOUT_IMPLEMENTATIONS, POOL_LAYOUT_IMPLEMENTATIONS
+from ...ir.graph import NodeKind
 from ...layers.base import ConvSpec
 from ...tensors.layout import CHWN
 from .base import Finding, PlanScope, Severity, rule
@@ -98,13 +97,13 @@ def threshold_ambiguity(scope: PlanScope) -> Iterator[Finding]:
     example="a plan placing a conv in NHWC without the im2col-nhwc family",
 )
 def unsupported_layout(scope: PlanScope) -> Iterator[Finding]:
-    for step in scope.layout_steps:
-        if step.kind is NodeKind.CONV and str(step.layout) not in LAYOUT_IMPLEMENTATIONS:
+    for node in scope.layout_nodes:
+        if node.kind is NodeKind.CONV and str(node.layout) not in LAYOUT_IMPLEMENTATIONS:
             yield Finding(
-                step.name,
+                node.name,
                 f"no convolution implementation family is registered for "
-                f"layout {step.layout}",
-                {"layout": str(step.layout)},
+                f"layout {node.layout}",
+                {"layout": str(node.layout)},
             )
 
 
@@ -118,54 +117,23 @@ def unsupported_layout(scope: PlanScope) -> Iterator[Finding]:
     example="'direct' (a CHWN kernel) scheduled on an NCHW step",
 )
 def implementation_layout_mismatch(scope: PlanScope) -> Iterator[Finding]:
-    for step in scope.layout_steps:
-        key = str(step.layout)
-        if step.kind is NodeKind.CONV:
+    for node in scope.layout_nodes:
+        key = str(node.layout)
+        implementation = node.implementation or ""
+        if node.kind is NodeKind.CONV:
             allowed = LAYOUT_IMPLEMENTATIONS.get(key)
         else:
             # Every non-CHWN pooling layout shares the channel-major kernels.
             allowed = POOL_LAYOUT_IMPLEMENTATIONS.get(
                 key, POOL_LAYOUT_IMPLEMENTATIONS["NCHW"]
             )
-        if allowed is not None and step.implementation not in allowed:
+        if allowed is not None and implementation not in allowed:
             yield Finding(
-                step.name,
-                f"implementation {step.implementation!r} is not in the "
-                f"{step.layout} family {sorted(allowed)}",
-                {"implementation": step.implementation, "layout": key},
+                node.name,
+                f"implementation {implementation!r} is not in the "
+                f"{node.layout} family {sorted(allowed)}",
+                {"implementation": implementation, "layout": key},
             )
-
-
-@rule(
-    "L006",
-    Severity.ERROR,
-    "plan does not cover the network's layer chain",
-    rationale="A plan is only valid for the exact layer sequence it was "
-    "derived from; missing, extra, or reordered steps mean transforms "
-    "would be inserted at the wrong boundaries.",
-    example="linting a VGG plan against an AlexNet definition",
-)
-def plan_chain_mismatch(scope: PlanScope) -> Iterator[Finding]:
-    node_names = [n.name for n in scope.nodes]
-    step_names = [s.name for s in scope.plan.steps]
-    if node_names == step_names:
-        return
-    missing = [n for n in node_names if n not in step_names]
-    extra = [s for s in step_names if s not in node_names]
-    if missing or extra:
-        detail = {"missing": missing, "extra": extra}
-        parts = []
-        if missing:
-            parts.append(f"missing steps {missing}")
-        if extra:
-            parts.append(f"unknown steps {extra}")
-        yield Finding(scope.plan.strategy, "; ".join(parts), detail)
-    else:
-        yield Finding(
-            scope.plan.strategy,
-            "plan steps are reordered relative to the layer chain",
-            {"nodes": node_names, "steps": step_names},
-        )
 
 
 @rule(
@@ -178,11 +146,11 @@ def plan_chain_mismatch(scope: PlanScope) -> Iterator[Finding]:
     example="an NCHW pool inside a long NCHW conv run",
 )
 def pool_channel_major(scope: PlanScope) -> Iterator[Finding]:
-    for step in scope.layout_steps:
-        if step.kind is NodeKind.POOL and step.layout != CHWN:
+    for node in scope.layout_nodes:
+        if node.kind is NodeKind.POOL and node.layout != CHWN:
             yield Finding(
-                step.name,
-                f"pool runs in {step.layout}; CHWN is always preferred for "
+                node.name,
+                f"pool runs in {node.layout}; CHWN is always preferred for "
                 "pooling when the boundary transforms pay for themselves",
-                {"layout": str(step.layout)},
+                {"layout": str(node.layout)},
             )

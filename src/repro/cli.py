@@ -40,6 +40,7 @@ from .gpusim import (
     kernel_report,
     list_devices,
 )
+from .ir.graph import GraphNode
 from .layers import make_conv_kernel, make_pool_kernel, make_softmax_kernel
 from .layers.conv_kernels import ConvUnsupportedError
 from .gpusim.session import GpuOutOfMemoryError
@@ -151,6 +152,24 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _step_record(node: GraphNode) -> dict[str, object]:
+    """One planned node as a ``plan --format json`` step: the layout shows
+    on conv/pool nodes only, and the transform layouts only when the node
+    has exactly one input-edge transform."""
+    single = node.transforms[0] if len(node.transforms) == 1 else None
+    return {
+        "name": node.name,
+        "kind": node.kind.value,
+        "layout": str(node.kernel_layout) if node.kernel_layout else None,
+        "implementation": node.implementation or "",
+        "layer_ms": node.layer_ms,
+        "transform_ms": node.transform_ms,
+        "transformed_from": str(single.from_layout) if single else None,
+        "transformed_to": str(single.to_layout) if single else None,
+        "coarsening": list(node.coarsening) if node.coarsening else None,
+    }
+
+
 def _cmd_plan(args: argparse.Namespace) -> int:
     import json
 
@@ -167,33 +186,15 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     except PassContractError as exc:
         print(f"plan: {exc}", file=sys.stderr)
         return 1
-    plan = result.plan
     if args.format == "json":
         payload = {
             "network": netdef.name,
             "device": device.name,
-            "strategy": plan.strategy,
-            "total_ms": plan.total_ms,
-            "transform_count": plan.transform_count,
-            "transform_ms": plan.transform_ms,
-            "steps": [
-                {
-                    "name": s.name,
-                    "kind": s.kind.value,
-                    "layout": str(s.layout) if s.layout else None,
-                    "implementation": s.implementation,
-                    "layer_ms": s.layer_ms,
-                    "transform_ms": s.transform_ms,
-                    "transformed_from": (
-                        str(s.transformed_from) if s.transformed_from else None
-                    ),
-                    "transformed_to": (
-                        str(s.transformed_to) if s.transformed_to else None
-                    ),
-                    "coarsening": list(s.coarsening) if s.coarsening else None,
-                }
-                for s in plan.steps
-            ],
+            "strategy": result.strategy,
+            "total_ms": result.total_ms,
+            "transform_count": result.transform_count,
+            "transform_ms": result.transform_ms,
+            "steps": [_step_record(node) for node in result.graph.topological()],
             "passes": [
                 {
                     "name": t.name,
@@ -208,10 +209,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, indent=2))
         return 0
-    print(plan.summary())
+    print(result.summary())
     print(
-        f"\ntransforms: {plan.transform_count} "
-        f"({plan.transform_ms:.3f} ms of {plan.total_ms:.3f} ms total)"
+        f"\ntransforms: {result.transform_count} "
+        f"({result.transform_ms:.3f} ms of {result.total_ms:.3f} ms total)"
     )
     if args.explain:
         print()
@@ -257,16 +258,15 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     result = plan_network(
         device, netdef, PipelineOptions(strategy=args.strategy, jobs=args.jobs)
     )
-    plan = result.plan
     print(
         f"profile: {netdef.name} on {device.name} "
-        f"(strategy={plan.strategy}, batch={netdef.batch})"
+        f"(strategy={result.strategy}, batch={netdef.batch})"
     )
     print()
-    print(plan.summary())
+    print(result.summary())
     print(
-        f"\ntransforms: {plan.transform_count} "
-        f"({plan.transform_ms:.3f} ms of {plan.total_ms:.3f} ms total)"
+        f"\ntransforms: {result.transform_count} "
+        f"({result.transform_ms:.3f} ms of {result.total_ms:.3f} ms total)"
     )
     print()
     print(result.explain())
@@ -417,7 +417,7 @@ def _cmd_footprint(args: argparse.Namespace) -> int:
 
     device = get_device(args.device)
     net = build_network(args.network, batch=args.batch)
-    plan, footprint = plan_within_memory(device, net, training=args.training)
+    result, footprint = plan_within_memory(device, net, training=args.training)
     mode = "training" if args.training else "inference"
     print(f"{net.name} ({mode}) on {device.name}:")
     print(" ", format_footprint(footprint))
@@ -425,7 +425,7 @@ def _cmd_footprint(args: argparse.Namespace) -> int:
         f"  peak {footprint.peak_bytes / 2**30:.2f} GiB of "
         f"{device.dram_gib:.0f} GiB -> fits: {footprint.fits(device)}"
     )
-    fft_layers = [s.name for s in plan.steps if "fft" in s.implementation]
+    fft_layers = [n.name for n in result.graph if "fft" in (n.implementation or "")]
     if fft_layers:
         print(f"  plan uses FFT on: {', '.join(fft_layers)}")
     else:

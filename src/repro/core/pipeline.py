@@ -23,11 +23,12 @@ ordered passes over a :class:`repro.ir.Graph`:
    implementation under the assigned layout.
 
 :class:`PassManager` records per-pass wall time and before/after node
-counts; ``repro plan --explain`` prints the table.  The final lowering
-:func:`graph_to_plan` produces the :class:`LayoutPlan` every consumer
-(framework, schemes, sweeps, lint, CLI, benches) reads.  The one planner
-input is a :class:`~repro.framework.netdef.NetworkDef`:
-:func:`plan_network` lowers it to the IR and runs the passes, and
+counts; ``repro plan --explain`` prints the table.  The annotated graph is
+the plan: :class:`PipelineResult` holds it with the trace and reads the
+plan totals off its nodes, and every consumer (framework, schemes, lint,
+CLI, benches) reads that graph.  The one planner input is a
+:class:`~repro.framework.netdef.NetworkDef`: :func:`plan_network` lowers
+it to the IR and runs the passes, and
 ``plan_single_layout``/``plan_with_heuristic``/``plan_optimal`` in
 ``repro.core.planner`` are presets of it.
 """
@@ -60,13 +61,7 @@ from .heuristic import (
     preferred_pool_layout,
     thresholds_for,
 )
-from .planner import (
-    PLAN_LAYOUTS,
-    LayoutPlan,
-    PlanStep,
-    _LayerCosts,
-    _node_costs,
-)
+from .planner import PLAN_LAYOUTS, _LayerCosts, _node_costs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..framework.netdef import NetworkDef
@@ -80,7 +75,6 @@ __all__ = [
     "PipelineResult",
     "TransformCostTable",
     "default_passes",
-    "graph_to_plan",
     "plan_network",
     "run_pipeline",
 ]
@@ -836,49 +830,52 @@ class SelectImplementations(Pass):
 
 
 # ---------------------------------------------------------------------------
-# lowering + drivers
-
-
-def graph_to_plan(graph: Graph, device: DeviceSpec, strategy: str) -> LayoutPlan:
-    """Lower an annotated graph to a :class:`LayoutPlan`.
-
-    Layout is masked to None on non-conv/pool steps (their kernels are
-    layout-transparent); a step with exactly one edge transform reports it
-    via ``transformed_from``/``transformed_to``.
-    Multi-input joins sum their edges' costs into ``transform_ms``.
-    """
-    steps: list[PlanStep] = []
-    for node in graph.topological():
-        single = node.transforms[0] if len(node.transforms) == 1 else None
-        steps.append(
-            PlanStep(
-                name=node.name,
-                kind=node.kind,
-                layout=node.layout if node.kind.layout_bearing else None,
-                implementation=node.implementation or "",
-                layer_ms=node.layer_ms,
-                transform_ms=node.transform_ms,
-                coarsening=node.coarsening,
-                transformed_from=single.from_layout if single else None,
-                transformed_to=single.to_layout if single else None,
-            )
-        )
-    return LayoutPlan(steps=tuple(steps), device=device.name, strategy=strategy)
+# plan record + entry points
 
 
 @dataclass
 class PipelineResult:
-    """The annotated graph, its lowered plan, and the per-pass trace."""
+    """The one plan record: the planned graph and the per-pass trace.
+
+    Every node carries its layout, implementation, timing and input-edge
+    transforms; the totals below are read off those annotations in
+    topological order.
+    """
 
     graph: Graph
-    plan: LayoutPlan
     trace: tuple[PassTrace, ...]
+    device: str
+    strategy: str
+
+    @property
+    def total_ms(self) -> float:
+        return sum(n.layer_ms + n.transform_ms for n in self.graph.topological())
+
+    @property
+    def transform_count(self) -> int:
+        return sum(1 for n in self.graph.topological() if n.transform_ms > 0)
+
+    @property
+    def transform_ms(self) -> float:
+        return sum(n.transform_ms for n in self.graph.topological())
+
+    def summary(self) -> str:
+        """One line per node; layouts show on conv/pool nodes only."""
+        lines = [f"plan[{self.strategy}] on {self.device}: {self.total_ms:.3f} ms"]
+        for n in self.graph.topological():
+            layout = str(n.kernel_layout) if n.kernel_layout else "-"
+            extra = f" (+transform {n.transform_ms:.3f} ms)" if n.transform_ms else ""
+            lines.append(
+                f"  {n.name:12s} {n.kind.value:12s} {layout:5s} "
+                f"{n.implementation or '':16s} {n.layer_ms:8.3f} ms{extra}"
+            )
+        return "\n".join(lines)
 
     def explain(self) -> str:
         """The per-pass timing/stat table (``repro plan --explain``)."""
         lines = [
-            f"pipeline[{self.plan.strategy}] on {self.plan.device}: "
-            f"{len(self.graph)} nodes, {self.plan.total_ms:.3f} ms planned"
+            f"pipeline[{self.strategy}] on {self.device}: "
+            f"{len(self.graph)} nodes, {self.total_ms:.3f} ms planned"
         ]
         header = f"  {'pass':32s} {'ms':5s} {'nodes':>9s}  stats"
         lines.append(header)
@@ -910,13 +907,13 @@ def run_pipeline(
     context: SimulationContext | None = None,
     passes: Sequence[Pass] | None = None,
 ) -> PipelineResult:
-    """Run the pass pipeline over ``graph`` and lower to a plan."""
+    """Run the pass pipeline over ``graph``; the annotated graph is the plan."""
     options = options or PipelineOptions()
     if not options.layouts:
         raise ValueError("need at least one candidate layout")
+    strategy = options.strategy_name()
     if len(graph) == 0:
-        plan = LayoutPlan(steps=(), device=device.name, strategy=options.strategy_name())
-        return PipelineResult(graph=graph, plan=plan, trace=())
+        return PipelineResult(graph, (), device.name, strategy)
     ctx = PassContext(
         device=device,
         options=options,
@@ -930,16 +927,16 @@ def run_pipeline(
     with obs_span(
         "run_pipeline",
         "pipeline",
-        strategy=options.strategy_name(),
+        strategy=strategy,
         device=device.name,
         nodes=len(graph),
     ) as sp:
         graph, trace = manager.run(graph, ctx)
-        plan = graph_to_plan(graph, device, options.strategy_name())
+        result = PipelineResult(graph, trace, device.name, strategy)
         if sp is not None:
-            sp.attrs["total_ms"] = plan.total_ms
-            sp.attrs["transform_count"] = plan.transform_count
-    return PipelineResult(graph=graph, plan=plan, trace=trace)
+            sp.attrs["total_ms"] = result.total_ms
+            sp.attrs["transform_count"] = result.transform_count
+    return result
 
 
 def plan_network(

@@ -21,10 +21,11 @@ Two planners are provided:
 
 All three take a :class:`~repro.framework.netdef.NetworkDef` and are
 one-line presets of :func:`repro.core.pipeline.plan_network`, which lowers
-the definition to the graph IR and runs the pass pipeline.  This module
-also holds the plan records the pipeline lowers to (:class:`PlanStep`,
-:class:`LayoutPlan`) and the per-node layer cost model the passes share.
-The golden plans in ``tests/core/golden/plans.json`` pin every preset.
+the definition to the graph IR and runs the pass pipeline; each returns
+its :class:`~repro.core.pipeline.PipelineResult`, whose planned graph is
+the plan.  This module also holds the per-node layer cost model the
+passes share.  The golden plans in ``tests/core/golden/plans.json`` pin
+every preset.
 """
 
 from __future__ import annotations
@@ -44,73 +45,9 @@ from .selector import best_conv_for_layout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..framework.netdef import NetworkDef
+    from .pipeline import PipelineResult
 
 PLAN_LAYOUTS: tuple[DataLayout, ...] = (CHWN, NCHW)
-
-# NodeKind lives in the IR (repro.ir.graph); re-exported here for callers
-# that inspect plan steps.
-
-
-@dataclass(frozen=True)
-class PlanStep:
-    """Planner output for one layer."""
-
-    name: str
-    kind: NodeKind
-    layout: DataLayout | None
-    implementation: str
-    layer_ms: float
-    transform_ms: float = 0.0
-    coarsening: tuple[int, int] | None = None
-    #: producer layout this step transforms away from (None when the input
-    #: already arrives in this step's layout) — makes the plan IR
-    #: self-describing for the static analyzer
-    transformed_from: DataLayout | None = None
-    #: layout the transform produces.  Matters for layout-agnostic steps
-    #: (LRN, elementwise) whose own ``layout`` is masked to None but which
-    #: can still host a boundary transform on the way to the next layer
-    transformed_to: DataLayout | None = None
-
-    @property
-    def total_ms(self) -> float:
-        return self.layer_ms + self.transform_ms
-
-
-@dataclass(frozen=True)
-class LayoutPlan:
-    """A complete layout assignment for a network."""
-
-    steps: tuple[PlanStep, ...]
-    device: str
-    strategy: str
-
-    @property
-    def total_ms(self) -> float:
-        return sum(s.total_ms for s in self.steps)
-
-    @property
-    def transform_count(self) -> int:
-        return sum(1 for s in self.steps if s.transform_ms > 0)
-
-    @property
-    def transform_ms(self) -> float:
-        return sum(s.transform_ms for s in self.steps)
-
-    def layout_steps(self) -> tuple[PlanStep, ...]:
-        """The layout-bearing (conv/pool) steps, in execution order."""
-        return tuple(s for s in self.steps if s.layout is not None)
-
-    def summary(self) -> str:
-        lines = [f"plan[{self.strategy}] on {self.device}: {self.total_ms:.3f} ms"]
-        for s in self.steps:
-            layout = str(s.layout) if s.layout else "-"
-            extra = f" (+transform {s.transform_ms:.3f} ms)" if s.transform_ms else ""
-            lines.append(
-                f"  {s.name:12s} {s.kind.value:12s} {layout:5s} "
-                f"{s.implementation:16s} {s.layer_ms:8.3f} ms{extra}"
-            )
-        return "\n".join(lines)
-
 
 @dataclass
 class _LayerCosts:
@@ -202,7 +139,7 @@ def plan_single_layout(
     tune_pooling: bool = False,
     allow_fft: bool = True,
     context: SimulationContext | None = None,
-) -> LayoutPlan:
+) -> PipelineResult:
     """Cost of running the whole network in one fixed layout (the existing
     libraries' behaviour): the pipeline with ``strategy="single"``."""
     from .pipeline import PipelineOptions, plan_network
@@ -213,7 +150,7 @@ def plan_single_layout(
         tune_pooling=tune_pooling,
         allow_fft=allow_fft,
     )
-    return plan_network(device, net, options, context=context).plan
+    return plan_network(device, net, options, context=context)
 
 
 def plan_with_heuristic(
@@ -223,7 +160,7 @@ def plan_with_heuristic(
     tune_pooling: bool = True,
     allow_fft: bool = True,
     context: SimulationContext | None = None,
-) -> LayoutPlan:
+) -> PipelineResult:
     """The paper's mechanism: per-layer (Ct, Nt) rules + transform-cost
     fine-tuning.
 
@@ -242,7 +179,7 @@ def plan_with_heuristic(
         tune_pooling=tune_pooling,
         allow_fft=allow_fft,
     )
-    return plan_network(device, net, options, context=context).plan
+    return plan_network(device, net, options, context=context)
 
 
 def plan_optimal(
@@ -252,7 +189,7 @@ def plan_optimal(
     allow_fft: bool = True,
     layouts: tuple[DataLayout, ...] = PLAN_LAYOUTS,
     context: SimulationContext | None = None,
-) -> LayoutPlan:
+) -> PipelineResult:
     """Minimal total time including transforms: the pipeline with
     ``strategy="optimal"`` (a (layer, layout) dynamic program on chains,
     coordinate descent on DAGs).
@@ -269,4 +206,4 @@ def plan_optimal(
         allow_fft=allow_fft,
         layouts=tuple(layouts),
     )
-    return plan_network(device, net, options, context=context).plan
+    return plan_network(device, net, options, context=context)

@@ -6,7 +6,6 @@ from .annotate import (
     annotations_from_plan,
     format_annotated_netdef,
     parse_annotated_netdef,
-    plan_from_annotations,
 )
 from .memory import (
     MemoryFootprint,
@@ -37,7 +36,6 @@ __all__ = [
     "format_footprint",
     "network_footprint",
     "parse_annotated_netdef",
-    "plan_from_annotations",
     "plan_within_memory",
     "FCDef",
     "LRNDef",

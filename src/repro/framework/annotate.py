@@ -7,18 +7,19 @@ each layer is set ... The second is at the runtime ... an additional check
 is inserted to determine whether a data layout transformation is needed
 before passing the output to the next layer."
 
-This module is that first change: a :class:`LayoutPlan` can be *baked into*
-a :class:`NetworkDef` as per-layer annotations, serialized with the network
-(the text format grows a ``layout=`` key), parsed back, and re-hydrated
-into a plan-equivalent annotation map the runtime consumes.  The runtime
-check is :meth:`repro.framework.net.Net.forward`'s transform insertion.
+This module is that first change: a planned graph's conv/pool choices can
+be *baked into* a :class:`NetworkDef` as per-layer annotations, serialized
+with the network (the text format grows a ``layout=`` key), and parsed
+back into the same annotation map, which the runtime consumes directly.
+The runtime check is :meth:`repro.framework.net.Net.forward`'s transform
+insertion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.planner import LayoutPlan, NodeKind
+from ..ir.graph import Graph
 from ..tensors.layout import DataLayout, parse_layout
 from .netdef import NetworkDef
 
@@ -38,17 +39,17 @@ class LayerAnnotation:
         return " ".join(parts)
 
 
-def annotations_from_plan(plan: LayoutPlan) -> dict[str, LayerAnnotation]:
-    """Extract the conv/pool layout fields from a plan."""
-    out: dict[str, LayerAnnotation] = {}
-    for step in plan.steps:
-        if step.kind in (NodeKind.CONV, NodeKind.POOL) and step.layout is not None:
-            out[step.name] = LayerAnnotation(
-                layout=step.layout,
-                implementation=step.implementation,
-                coarsening=step.coarsening,
-            )
-    return out
+def annotations_from_plan(graph: Graph) -> dict[str, LayerAnnotation]:
+    """Extract the conv/pool layout fields from a planned graph."""
+    return {
+        node.name: LayerAnnotation(
+            layout=node.kernel_layout,
+            implementation=node.implementation or "",
+            coarsening=node.coarsening,
+        )
+        for node in graph.topological()
+        if node.kernel_layout is not None
+    }
 
 
 def format_annotated_netdef(
@@ -110,33 +111,3 @@ def parse_annotated_netdef(
     if unknown:
         raise ValueError(f"annotations for unknown layers: {sorted(unknown)}")
     return net, annotations
-
-
-def plan_from_annotations(
-    plan_template: LayoutPlan, annotations: dict[str, LayerAnnotation]
-) -> LayoutPlan:
-    """Overlay stored annotations onto a freshly-computed plan skeleton.
-
-    Used when a network ships with baked-in layout fields: timings are
-    recomputed for the current device, but the layout/implementation
-    choices come from the annotations.
-    """
-    from dataclasses import replace as dc_replace
-
-    steps = []
-    for step in plan_template.steps:
-        ann = annotations.get(step.name)
-        if ann is None:
-            steps.append(step)
-            continue
-        steps.append(
-            dc_replace(
-                step,
-                layout=ann.layout,
-                implementation=ann.implementation,
-                coarsening=ann.coarsening,
-            )
-        )
-    return LayoutPlan(
-        steps=tuple(steps), device=plan_template.device, strategy="annotated"
-    )

@@ -17,14 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from typing import TYPE_CHECKING
 
-from ..core.planner import LayoutPlan
 from ..gpusim.device import DeviceSpec
 from ..gpusim.session import SimulationContext
 from ..ir.graph import Graph, GraphNode, NodeKind
 from ..layers.base import ConvSpec, FCSpec, SoftmaxSpec
 from ..layers.conv_kernels import ConvUnsupportedError, make_conv_kernel
 from .netdef import NetworkDef
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.pipeline import PipelineResult
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ def _transform_bytes(graph: Graph, node: GraphNode) -> int:
     """
     largest = 0
     for t in node.transforms:
-        dims = graph[t.src].out_dims if t.src in graph else node.in_dims
+        dims = graph.transform_dims(node, t)
         if dims is not None:
             largest = max(largest, 4 * prod(dims))
     return largest
@@ -147,7 +150,7 @@ def plan_within_memory(
     net: NetworkDef,
     training: bool = False,
     context: SimulationContext | None = None,
-) -> tuple[LayoutPlan, MemoryFootprint]:
+) -> tuple[PipelineResult, MemoryFootprint]:
     """Plan layouts subject to the card's memory capacity.
 
     The unconstrained optimum may pick FFT convolutions whose frequency-
@@ -169,7 +172,7 @@ def plan_within_memory(
             context=context,
         )
         footprint = network_footprint(result.graph, training=training)
-    return result.plan, footprint
+    return result, footprint
 
 
 def format_footprint(fp: MemoryFootprint) -> str:

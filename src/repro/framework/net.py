@@ -2,10 +2,10 @@
 
 :class:`Net` holds a :class:`~repro.framework.netdef.NetworkDef` and its
 shape-inferred graph (``repro.ir.build``, so branching networks resolve
-too), and can execute the network numerically with any layout plan —
-performing real relayouts at plan boundaries, exactly where the
-integrated framework would launch its transformation kernel.  Numeric
-results are plan-invariant, which the integration tests assert.  The
+too), and can execute the network numerically under any per-layer layout
+annotations — performing real relayouts at layout boundaries, exactly
+where the integrated framework would launch its transformation kernel.
+Numeric results are plan-invariant, which the integration tests assert.  The
 model consumers (schemes, footprint, attribution) take the definition,
 not the ``Net``: ``repro.core.pipeline.plan_network(device,
 net.definition)`` plans it.
@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.planner import LayoutPlan, NodeKind
 from ..ir.build import infer_shapes, lower_netdef
-from ..ir.graph import GraphNode
+from ..ir.graph import GraphNode, NodeKind
 from ..layers.base import ConvSpec, FCSpec, PoolSpec, SoftmaxSpec
 from ..layers.conv import conv_forward, make_filters
 from ..layers.elementwise import LRNSpec, lrn_forward, relu_forward
@@ -25,6 +24,7 @@ from ..layers.fc import fc_forward, flatten_4d, make_fc_weights
 from ..layers.softmax import softmax_forward
 from ..tensors.layout import NCHW, DataLayout
 from ..tensors.tensor import Tensor4D
+from .annotate import LayerAnnotation
 from .netdef import ConvDef, FCDef, NetworkDef
 
 
@@ -68,20 +68,22 @@ class Net:
         self,
         x: Tensor4D,
         weights: dict[str, object] | None = None,
-        plan: LayoutPlan | None = None,
+        annotations: dict[str, LayerAnnotation] | None = None,
     ) -> np.ndarray:
         """Run the network numerically; returns the softmax/FC output.
 
-        With a plan, conv/pool layers execute in their planned layout and
-        real relayouts happen at the boundaries (the numeric twin of the
-        runtime transformation insertion of Section IV.D).
+        With per-layer annotations (``annotations_from_plan`` of a planned
+        graph, or ``parse_annotated_netdef``), conv/pool layers execute in
+        their annotated layout and implementation, and real relayouts happen
+        at the boundaries (the numeric twin of the runtime transformation
+        insertion of Section IV.D).
         """
         weights = weights if weights is not None else self.init_weights()
-        steps = {s.name: s for s in plan.steps} if plan is not None else {}
+        annotations = annotations or {}
         produced: dict[str, Tensor4D | np.ndarray] = {}
         current: Tensor4D | np.ndarray = x
         for layer in self.layers:
-            step = steps.get(layer.name)
+            ann = annotations.get(layer.name)
             current = produced[layer.inputs[0]] if layer.inputs else x
             if layer.kind is NodeKind.CONCAT:
                 parts = [produced[src] for src in layer.inputs]
@@ -95,12 +97,12 @@ class Net:
                 continue
             if layer.kind in (NodeKind.CONV, NodeKind.POOL):
                 assert isinstance(current, Tensor4D)
-                target = step.layout if step and step.layout else current.layout
+                target = ann.layout if ann else current.layout
                 if target != current.layout:
                     current = current.to_layout(target)
                 if layer.kind is NodeKind.CONV:
                     assert isinstance(layer.spec, ConvSpec)
-                    impl = _numeric_conv_impl(step.implementation if step else "direct")
+                    impl = _numeric_conv_impl(ann.implementation if ann else "direct")
                     current = conv_forward(current, weights[layer.name], layer.spec, impl)
                     if isinstance(layer.defn, ConvDef) and layer.defn.relu:
                         current = Tensor4D.from_nchw(
@@ -108,7 +110,7 @@ class Net:
                         )
                 else:
                     assert isinstance(layer.spec, PoolSpec)
-                    coarsen = step.coarsening if step else None
+                    coarsen = ann.coarsening if ann else None
                     from ..layers.pooling import pool_forward
 
                     current = pool_forward(current, layer.spec, coarsen=coarsen)

@@ -19,9 +19,9 @@ runs passes over its IR.  This module is that IR:
 The graph represents chains and branching (Inception/ResNet-style)
 networks alike: a node may feed several consumers and a
 :attr:`NodeKind.CONCAT` node joins several producers.
-``repro.ir.build.lower_netdef`` builds it from a network definition,
-``repro.core.pipeline`` runs the passes, and the final lowering to
-:class:`~repro.core.planner.LayoutPlan` feeds every plan consumer.
+``repro.ir.build.lower_netdef`` builds it from a network definition and
+``repro.core.pipeline`` runs the passes over it; the annotated graph is
+the plan every consumer reads.
 """
 
 from __future__ import annotations
@@ -127,6 +127,13 @@ class GraphNode:
     def transform_ms(self) -> float:
         return sum(t.ms for t in self.transforms)
 
+    @property
+    def kernel_layout(self) -> DataLayout | None:
+        """The layout this node's own kernel runs in: the assigned layout of
+        a conv/pool node, None elsewhere (those kernels are
+        layout-transparent).  Plan reports show this one."""
+        return self.layout if self.kind.layout_bearing else None
+
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable view (annotations included, specs by repr)."""
         return {
@@ -219,6 +226,14 @@ class Graph:
 
     def __iter__(self) -> Iterator[GraphNode]:
         return iter(self.topological())
+
+    def transform_dims(self, node: GraphNode, transform: EdgeTransform) -> Dims | None:
+        """Dims of the tensor ``transform`` relays into ``node``: its
+        producer's output (one branch of a concat, not the joined tensor),
+        or ``node``'s input when the edge comes from the network input."""
+        if transform.src in self.nodes:
+            return self.nodes[transform.src].out_dims
+        return node.in_dims
 
     def is_chain(self) -> bool:
         """True when every node feeds exactly the next one — the shape the

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 
 from repro.analysis import LintConfig, Severity, lint_graph, lint_plan
 from repro.core.pipeline import PipelineOptions, plan_network
-from repro.core.planner import LayoutPlan
 from repro.gpusim import TITAN_BLACK
 from repro.ir.graph import EdgeTransform, Graph, GraphNode, NodeKind
 from repro.networks import build_network
@@ -18,7 +17,6 @@ from repro.tensors import CHWN, NCHW
 
 from tests.analysis.graph_strategies import annotated_graphs
 
-EMPTY_PLAN = LayoutPlan(steps=(), device=TITAN_BLACK.name, strategy="test")
 LAYOUT_RULES = LintConfig(selected=frozenset({"D003", "D004"}))
 
 
@@ -88,7 +86,7 @@ class TestGraphRedundantTransforms:
         )
         findings = [
             d
-            for d in lint_plan(TITAN_BLACK, EMPTY_PLAN, graph=g)
+            for d in lint_plan(TITAN_BLACK, g)
             if d.rule_id == "L002"
         ]
         # both incoming edges are undone on the way out: two islands
@@ -104,7 +102,7 @@ class TestGraphRedundantTransforms:
             EdgeTransform(src="a", from_layout=CHWN, to_layout=NCHW, ms=0.2),
             EdgeTransform(src="b", from_layout=CHWN, to_layout=NCHW, ms=0.2),
         )
-        diags = lint_plan(TITAN_BLACK, EMPTY_PLAN, graph=g)
+        diags = lint_plan(TITAN_BLACK, g)
         assert "L002" not in ids_of(diags)
 
 
@@ -134,8 +132,6 @@ class TestPipelineOutputIsClean:
                 build_network("inception"),
                 PipelineOptions(strategy=strategy),
             )
-            diags = lint_plan(
-                device, result.plan, result.graph, network="inception"
-            )
+            diags = lint_plan(device, result.graph, network="inception")
             errors = [d for d in diags if d.severity is Severity.ERROR]
             assert errors == [], f"{strategy}: {[d.format() for d in errors]}"

@@ -124,3 +124,53 @@ class TestSoftRules:
         for width in (4, 8, 16):
             diags = lint(StubKernel(launch(), profile(access_bytes=width)))
             assert "K010" not in ids_of(diags)
+
+
+class TestNetworkTransformKernels:
+    """``lint_network`` lints one kernel per edge transform, sized from the
+    tensor that edge relays (its producer's output), not the consumer's
+    joined input."""
+
+    @staticmethod
+    def linted_transforms(monkeypatch, device, strategy):
+        import repro.analysis.lint as lint
+        from repro.networks import build_network
+
+        seen = []
+        lint_kernel_through = lint.lint_kernel
+
+        def record(device, kernel, owner="", **kwargs):
+            if kernel.name.startswith("transform-"):
+                desc = kernel.desc
+                seen.append((owner, desc.dims, str(desc.layout), str(kernel.target)))
+            return lint_kernel_through(device, kernel, owner=owner, **kwargs)
+
+        monkeypatch.setattr(lint, "lint_kernel", record)
+        lint.lint_network(device, build_network("inception"), strategy=strategy)
+        return seen
+
+    def test_heuristic_inception_concat_lints_every_branch(self, monkeypatch, device):
+        kernel = "transform-opt2"
+        assert self.linted_transforms(monkeypatch, device, "heuristic") == [
+            (f"conv2[{kernel}]", (64, 64, 56, 56), "CHWN", "NCHW"),
+            (f"pool2[{kernel}]", (64, 192, 56, 56), "NCHW", "CHWN"),
+            (f"b1[{kernel}]", (64, 192, 28, 28), "CHWN", "NCHW"),
+            (f"b2a[{kernel}]", (64, 192, 28, 28), "CHWN", "NCHW"),
+            (f"b3a[{kernel}]", (64, 192, 28, 28), "CHWN", "NCHW"),
+            (f"b3b[{kernel}]", (64, 16, 28, 28), "NCHW", "CHWN"),
+            (f"b4[{kernel}]", (64, 192, 28, 28), "CHWN", "NCHW"),
+            # the concat's three transforms, one per relayouted branch
+            (f"concat[{kernel}]", (64, 64, 28, 28), "NCHW", "CHWN"),
+            (f"concat[{kernel}]", (64, 128, 28, 28), "NCHW", "CHWN"),
+            (f"concat[{kernel}]", (64, 32, 28, 28), "NCHW", "CHWN"),
+        ]
+
+    def test_optimal_inception_concat_sized_by_its_branch(self, monkeypatch, device):
+        kernel = "transform-opt2"
+        assert self.linted_transforms(monkeypatch, device, "optimal") == [
+            (f"norm1[{kernel}]", (64, 64, 56, 56), "CHWN", "NCHW"),
+            (f"pool2[{kernel}]", (64, 192, 56, 56), "NCHW", "CHWN"),
+            (f"b2b[{kernel}]", (64, 96, 28, 28), "CHWN", "NCHW"),
+            # b2b's output (128 channels), not the 256-channel joined tensor
+            (f"concat[{kernel}]", (64, 128, 28, 28), "NCHW", "CHWN"),
+        ]

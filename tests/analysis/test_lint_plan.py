@@ -1,37 +1,19 @@
 """L0xx rules: layout-plan linting, on planner output and hand-broken plans.
 
-``lint_plan`` checks a plan together with the annotated IR graph it was
-planned on: the edge rule (L002) walks the graph's edges, the geometry
-rules (L003/L006) read its nodes, and the step rules (L004/L005/L007)
-read the plan.  A layout mismatch on an edge is the dataflow rules'
-D003/D004 (``lint_graph``).  The hand-built cases below are chains;
-``test_lint_graph.py`` covers branching graphs.
+``lint_plan`` checks a planned graph: the edge rule (L002) walks its
+edges, the threshold rule (L003) reads its conv nodes, and the layout
+rules (L004/L005/L007) read its conv/pool nodes.  A layout mismatch on an
+edge is the dataflow rules' D003/D004 (``lint_graph``).  The hand-built
+cases below are chains; ``test_lint_graph.py`` covers branching graphs.
 """
 
 from repro.analysis import Severity, lint_graph, lint_plan
-from repro.core.pipeline import PipelineOptions, graph_to_plan, plan_network
-from repro.core.planner import LayoutPlan, NodeKind, PlanStep
+from repro.core.pipeline import PipelineOptions, plan_network
 from repro.gpusim import TITAN_BLACK
-from repro.ir.graph import EdgeTransform, Graph, GraphNode
+from repro.ir.graph import EdgeTransform, Graph, GraphNode, NodeKind
 from repro.layers import ConvSpec
 from repro.networks import build_network
 from repro.tensors import CHWN, NCHW
-
-
-def step(name, kind, layout, impl, transform_ms=0.0, transformed_from=None):
-    return PlanStep(
-        name=name,
-        kind=kind,
-        layout=layout,
-        implementation=impl,
-        layer_ms=1.0,
-        transform_ms=transform_ms,
-        transformed_from=transformed_from,
-    )
-
-
-def plan_of(*steps):
-    return LayoutPlan(steps=tuple(steps), device=TITAN_BLACK.name, strategy="test")
 
 
 def chain(*nodes):
@@ -45,19 +27,16 @@ def chain(*nodes):
     return graph
 
 
-def node(name, kind, layout=None, *transforms, spec=None):
-    return GraphNode(name, kind, layout=layout, transforms=transforms, spec=spec)
+def node(name, kind, layout=None, *transforms, spec=None, impl=None):
+    return GraphNode(
+        name, kind, layout=layout, transforms=transforms, spec=spec,
+        implementation=impl,
+    )
 
 
-def bare_chain(plan):
-    """The plan's layer chain with no layout annotations: it satisfies
-    L006 and gives the edge rules nothing to check."""
-    return chain(*(node(s.name, s.kind) for s in plan.steps))
-
-
-def lint_chain(graph, device=TITAN_BLACK):
-    """Lint an annotated chain against the plan it lowers to."""
-    return lint_plan(device, graph_to_plan(graph, device, "test"), graph)
+def lint_chain(*nodes, device=TITAN_BLACK):
+    """Lint a hand-annotated chain of ``nodes``."""
+    return lint_plan(device, chain(*nodes))
 
 
 def ids_of(diagnostics):
@@ -70,7 +49,7 @@ class TestPlannerPlansAreClean:
             result = plan_network(
                 device, build_network(name), PipelineOptions(strategy="heuristic")
             )
-            diags = lint_plan(device, result.plan, result.graph, network=name)
+            diags = lint_plan(device, result.graph, network=name)
             errors = [d for d in diags if d.severity is Severity.ERROR]
             assert errors == [], f"{name}: {[d.format() for d in errors]}"
 
@@ -80,7 +59,7 @@ class TestPlannerPlansAreClean:
         # phantom mismatch.
         for name in ("alexnet", "zfnet"):
             result = plan_network(device, build_network(name))
-            diags = lint_plan(device, result.plan, result.graph, network=name)
+            diags = lint_plan(device, result.graph, network=name)
             errors = [d for d in diags if d.severity is Severity.ERROR]
             assert errors == [], f"{name}: {[d.format() for d in errors]}"
 
@@ -145,117 +124,78 @@ class TestLayoutMismatch:
 
 class TestRedundantTransforms:
     def test_l002_single_layer_island(self):
-        graph = chain(
+        diags = lint_chain(
             node("conv1", NodeKind.CONV, NCHW),
             node("pool1", NodeKind.POOL, CHWN, EdgeTransform("conv1", NCHW, CHWN, 0.2)),
             node("conv2", NodeKind.CONV, NCHW, EdgeTransform("pool1", CHWN, NCHW, 0.2)),
         )
-        (d,) = [d for d in lint_chain(graph) if d.rule_id == "L002"]
+        (d,) = [d for d in diags if d.rule_id == "L002"]
         assert d.severity is Severity.WARNING
         assert d.subject == "pool1"
         assert d.detail["island_layout"] == "CHWN"
 
     def test_no_l002_for_persistent_switch(self):
-        graph = chain(
+        diags = lint_chain(
             node("conv1", NodeKind.CONV, NCHW),
             node("conv2", NodeKind.CONV, CHWN, EdgeTransform("conv1", NCHW, CHWN, 0.2)),
             node("conv3", NodeKind.CONV, CHWN),
         )
-        assert "L002" not in ids_of(lint_chain(graph))
+        assert "L002" not in ids_of(diags)
 
 
 class TestThresholdAmbiguity:
     def test_l003_fires_at_nt_boundary(self, device):
         # C=64 >= Ct=32, N=128 == Nt: N-1 flips the layout choice to NCHW.
         spec = ConvSpec(n=128, ci=64, h=14, w=14, co=64, fh=3, fw=3, pad=1)
-        plan = plan_of(step("convA", NodeKind.CONV, CHWN, "direct"))
-        graph = chain(node("convA", NodeKind.CONV, CHWN, spec=spec))
-        diags = [d for d in lint_plan(device, plan, graph) if d.rule_id == "L003"]
-        (d,) = diags
+        diags = lint_chain(
+            node("convA", NodeKind.CONV, CHWN, spec=spec, impl="direct"), device=device
+        )
+        (d,) = [d for d in diags if d.rule_id == "L003"]
         assert d.severity is Severity.WARNING
         assert d.detail["n_distance"] == 0
 
     def test_l003_silent_far_from_thresholds(self, device):
         # C=512, N=64: solidly NCHW on Titan Black; +-1 changes nothing.
         spec = ConvSpec(n=64, ci=512, h=14, w=14, co=512, fh=3, fw=3, pad=1)
-        plan = plan_of(step("convB", NodeKind.CONV, NCHW, "im2col"))
-        graph = chain(node("convB", NodeKind.CONV, NCHW, spec=spec))
-        assert "L003" not in ids_of(lint_plan(device, plan, graph))
+        diags = lint_chain(
+            node("convB", NodeKind.CONV, NCHW, spec=spec, impl="im2col"), device=device
+        )
+        assert "L003" not in ids_of(diags)
 
     def test_l003_needs_nodes(self, device):
         """Without conv geometry on the graph's nodes there is nothing to
         perturb."""
-        plan = plan_of(step("convA", NodeKind.CONV, CHWN, "direct"))
-        assert "L003" not in ids_of(lint_plan(device, plan, bare_chain(plan)))
+        diags = lint_chain(
+            node("convA", NodeKind.CONV, CHWN, impl="direct"), device=device
+        )
+        assert "L003" not in ids_of(diags)
 
 
 class TestImplementationFamilies:
     def test_l005_cross_family_conv(self):
-        plan = plan_of(step("conv1", NodeKind.CONV, NCHW, "direct"))
-        (d,) = [
-            d
-            for d in lint_plan(TITAN_BLACK, plan, bare_chain(plan))
-            if d.rule_id == "L005"
-        ]
+        diags = lint_chain(node("conv1", NodeKind.CONV, NCHW, impl="direct"))
+        (d,) = [d for d in diags if d.rule_id == "L005"]
         assert d.severity is Severity.ERROR
         assert d.detail["implementation"] == "direct"
 
     def test_l005_cross_family_pool(self):
-        plan = plan_of(step("pool1", NodeKind.POOL, NCHW, "chwn"))
-        assert "L005" in ids_of(lint_plan(TITAN_BLACK, plan, bare_chain(plan)))
+        diags = lint_chain(node("pool1", NodeKind.POOL, NCHW, impl="chwn"))
+        assert "L005" in ids_of(diags)
 
     def test_matching_families_clean(self):
-        plan = plan_of(
-            step("conv1", NodeKind.CONV, CHWN, "direct"),
-            step("pool1", NodeKind.POOL, CHWN, "chwn-coarsened"),
+        diags = lint_chain(
+            node("conv1", NodeKind.CONV, CHWN, impl="direct"),
+            node("pool1", NodeKind.POOL, CHWN, impl="chwn-coarsened"),
         )
-        assert "L005" not in ids_of(lint_plan(TITAN_BLACK, plan, bare_chain(plan)))
-
-
-class TestChainCoverage:
-    @staticmethod
-    def graph():
-        return chain(node("conv1", NodeKind.CONV), node("pool1", NodeKind.POOL))
-
-    def test_l006_missing_step(self):
-        plan = plan_of(step("conv1", NodeKind.CONV, CHWN, "direct"))
-        (d,) = [
-            d
-            for d in lint_plan(TITAN_BLACK, plan, self.graph())
-            if d.rule_id == "L006"
-        ]
-        assert "pool1" in d.detail["missing"]
-
-    def test_l006_reordered_steps(self):
-        plan = plan_of(
-            step("pool1", NodeKind.POOL, CHWN, "chwn"),
-            step("conv1", NodeKind.CONV, CHWN, "direct"),
-        )
-        (d,) = [
-            d
-            for d in lint_plan(TITAN_BLACK, plan, self.graph())
-            if d.rule_id == "L006"
-        ]
-        assert "reordered" in d.message
-
-    def test_matching_chain_clean(self):
-        plan = plan_of(
-            step("conv1", NodeKind.CONV, CHWN, "direct"),
-            step("pool1", NodeKind.POOL, CHWN, "chwn"),
-        )
-        assert "L006" not in ids_of(lint_plan(TITAN_BLACK, plan, self.graph()))
+        assert "L005" not in ids_of(diags)
 
 
 class TestPoolLayoutNote:
     def test_l007_nchw_pool_is_info(self):
-        plan = plan_of(step("pool1", NodeKind.POOL, NCHW, "nchw-linear"))
-        (d,) = [
-            d
-            for d in lint_plan(TITAN_BLACK, plan, bare_chain(plan))
-            if d.rule_id == "L007"
-        ]
+        diags = lint_chain(node("pool1", NodeKind.POOL, NCHW, impl="nchw-linear"))
+        (d,) = [d for d in diags if d.rule_id == "L007"]
         assert d.severity is Severity.INFO
 
     def test_chwn_pool_silent(self):
-        plan = plan_of(step("pool1", NodeKind.POOL, CHWN, "chwn"))
-        assert "L007" not in ids_of(lint_plan(TITAN_BLACK, plan, bare_chain(plan)))
+        diags = lint_chain(node("pool1", NodeKind.POOL, CHWN, impl="chwn"))
+        assert "L007" not in ids_of(diags)

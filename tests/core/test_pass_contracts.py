@@ -37,8 +37,8 @@ class TestVerifiedPipeline:
                 build_network("alexnet"),
                 PipelineOptions(strategy=strategy, verify=True),
             )
-            assert repr(on.plan) == repr(off.plan)
-            assert on.plan.summary() == off.plan.summary()
+            assert on.graph.to_json() == off.graph.to_json()
+            assert on.summary() == off.summary()
 
 
 class TestAttribution:

@@ -41,26 +41,31 @@ def _layout(value):
     return None if value is None else str(value)
 
 
-def plan_record(plan) -> dict:
-    """A plan as the JSON fixture stores it (exact floats, string layouts)."""
-    return {
-        "device": plan.device,
-        "strategy": plan.strategy,
-        "total_ms": plan.total_ms,
-        "steps": [
+def plan_record(result) -> dict:
+    """A planned graph as the JSON fixture stores it (exact floats, string
+    layouts): a layout on conv/pool nodes only, and the transform layouts
+    only on a node with exactly one edge transform."""
+    steps = []
+    for n in result.graph.topological():
+        single = n.transforms[0] if len(n.transforms) == 1 else None
+        steps.append(
             {
-                "name": s.name,
-                "kind": s.kind.value,
-                "layout": _layout(s.layout),
-                "implementation": s.implementation,
-                "layer_ms": s.layer_ms,
-                "transform_ms": s.transform_ms,
-                "coarsening": None if s.coarsening is None else list(s.coarsening),
-                "transformed_from": _layout(s.transformed_from),
-                "transformed_to": _layout(s.transformed_to),
+                "name": n.name,
+                "kind": n.kind.value,
+                "layout": _layout(n.kernel_layout),
+                "implementation": n.implementation,
+                "layer_ms": n.layer_ms,
+                "transform_ms": n.transform_ms,
+                "coarsening": None if n.coarsening is None else list(n.coarsening),
+                "transformed_from": _layout(single.from_layout if single else None),
+                "transformed_to": _layout(single.to_layout if single else None),
             }
-            for s in plan.steps
-        ],
+        )
+    return {
+        "device": result.device,
+        "strategy": result.strategy,
+        "total_ms": result.total_ms,
+        "steps": steps,
     }
 
 
@@ -99,7 +104,7 @@ def test_plan_network_matches_legacy(name, strategy, device, ctx):
     result = plan_network(
         device, build_network(name), PipelineOptions(strategy=strategy), context=ctx
     )
-    assert_matches_golden(result.plan, f"{strategy}/{name}")
+    assert_matches_golden(result, f"{strategy}/{name}")
 
 
 @pytest.mark.parametrize("strategy", ("heuristic", "optimal"))
@@ -109,16 +114,16 @@ def test_dag_plan_network_matches_golden(strategy, device, ctx):
     result = plan_network(
         device, build_network("inception"), PipelineOptions(strategy=strategy), context=ctx
     )
-    assert_matches_golden(result.plan, f"{strategy}/inception")
+    assert_matches_golden(result, f"{strategy}/inception")
 
 
 def test_no_fft_option_respected(device, ctx):
     plan = plan_optimal(device, build_network("alexnet"), allow_fft=False, context=ctx)
     assert_matches_golden(plan, "optimal-no-fft/alexnet")
-    assert all("fft" not in s.implementation for s in plan.steps)
+    assert all("fft" not in n.implementation for n in plan.graph)
 
 
 def test_empty_chain(device):
     empty = NetworkDef("empty", 1, 1, 1, 1)
-    assert plan_optimal(device, empty).steps == ()
-    assert plan_with_heuristic(device, empty).steps == ()
+    assert len(plan_optimal(device, empty).graph) == 0
+    assert len(plan_with_heuristic(device, empty).graph) == 0

@@ -128,16 +128,16 @@ class TestBranchingNetwork:
 
     def test_plan_covers_every_layer(self, heuristic):
         netdef = build_network("inception")
-        assert [s.name for s in heuristic.plan.steps] == [
+        assert [n.name for n in heuristic.graph] == [
             layer.name for layer in netdef.layers
         ]
-        assert heuristic.plan.total_ms > 0
+        assert heuristic.total_ms > 0
 
     def test_optimal_no_worse_than_heuristic(self, device, heuristic):
         optimal = plan_network(
             device, build_network("inception"), PipelineOptions(strategy="optimal")
         )
-        assert optimal.plan.total_ms <= heuristic.plan.total_ms + 1e-9
+        assert optimal.total_ms <= heuristic.total_ms + 1e-9
 
     def test_legacy_chain_entry_points_refuse(self):
         net = Net(build_network("inception"))

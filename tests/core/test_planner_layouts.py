@@ -21,13 +21,11 @@ class TestWidenedLayoutSpace:
             device, alexnet, layouts=(CHWN, NCHW, NHWC)
         )
         assert widened.total_ms == pytest.approx(base.total_ms, rel=1e-9)
-        assert all(s.layout != NHWC for s in widened.steps if s.layout)
+        assert all(n.layout != NHWC for n in widened.graph if n.kind.layout_bearing)
 
     def test_single_layout_space_degenerates_correctly(self, device, alexnet):
         only_nchw = plan_optimal(device, alexnet, layouts=(NCHW,))
-        assert all(
-            s.layout == NCHW for s in only_nchw.steps if s.layout is not None
-        )
+        assert all(n.layout == NCHW for n in only_nchw.graph if n.kind.layout_bearing)
         assert only_nchw.transform_count == 0
 
     def test_empty_layout_space_rejected(self, device, alexnet):

@@ -10,7 +10,6 @@ from repro.framework.annotate import (
     annotations_from_plan,
     format_annotated_netdef,
     parse_annotated_netdef,
-    plan_from_annotations,
 )
 from repro.networks import build_network
 from repro.tensors import CHWN, NCHW
@@ -28,7 +27,7 @@ def alexnet_case():
 class TestAnnotationExtraction:
     def test_conv_and_pool_layers_annotated(self, alexnet_case):
         net, plan = alexnet_case
-        ann = annotations_from_plan(plan)
+        ann = annotations_from_plan(plan.graph)
         assert set(ann) == {
             "conv1", "conv2", "conv3", "conv4", "conv5",
             "pool1", "pool2", "pool3",
@@ -46,7 +45,7 @@ class TestAnnotationExtraction:
 class TestRoundTrip:
     def test_annotated_netdef_roundtrips(self, alexnet_case):
         net, plan = alexnet_case
-        ann = annotations_from_plan(plan)
+        ann = annotations_from_plan(plan.graph)
         text = format_annotated_netdef(net.definition, ann)
         parsed_net, parsed_ann = parse_annotated_netdef(text)
         assert parsed_net == net.definition
@@ -55,7 +54,7 @@ class TestRoundTrip:
     def test_plain_parser_ignores_annotations(self, alexnet_case):
         net, plan = alexnet_case
         text = format_annotated_netdef(
-            net.definition, annotations_from_plan(plan)
+            net.definition, annotations_from_plan(plan.graph)
         )
         assert parse_netdef(text) == net.definition
 
@@ -75,19 +74,17 @@ class TestRoundTrip:
 
 
 class TestAnnotatedExecution:
-    def test_annotations_drive_numeric_execution(self, alexnet_case, device):
+    def test_annotations_drive_numeric_execution(self, device):
         """Baked-in layout fields reproduce the planned execution exactly."""
-        _, plan = alexnet_case
         small = Net(build_network("alexnet", batch=2))
         small_plan = plan_optimal(device, small.definition)
-        ann = annotations_from_plan(small_plan)
+        ann = annotations_from_plan(small_plan.graph)
         text = format_annotated_netdef(small.definition, ann)
         parsed_net, parsed_ann = parse_annotated_netdef(text)
         rebuilt = Net(parsed_net)
-        overlay = plan_from_annotations(small_plan, parsed_ann)
         weights = rebuilt.init_weights()
         x = rebuilt.make_input(seed=0)
-        a = rebuilt.forward(x, weights, plan=small_plan)
-        b = rebuilt.forward(x, weights, plan=overlay)
+        a = rebuilt.forward(x, weights, annotations=ann)
+        b = rebuilt.forward(x, weights, annotations=parsed_ann)
         np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-5)
-        assert overlay.strategy == "annotated"
+        assert parsed_ann == ann

@@ -134,13 +134,13 @@ class TestMemoryAwarePlanning:
         assert any("fft" in n.implementation for n in unconstrained)
         assert not network_footprint(unconstrained, training=True).fits(device)
         plan, fp = plan_within_memory(device, net, training=True)
-        assert all("fft" not in s.implementation for s in plan.steps)
+        assert all("fft" not in n.implementation for n in plan.graph)
         assert fp.workspace_bytes < network_footprint(unconstrained).workspace_bytes
 
     def test_fitting_networks_keep_the_optimal_plan(self, device):
         net = build_network("lenet")
         plan, fp = plan_within_memory(device, net, training=True)
-        optimal = plan_network(device, net, PipelineOptions(strategy="optimal")).plan
+        optimal = plan_network(device, net, PipelineOptions(strategy="optimal"))
         assert plan.total_ms == pytest.approx(optimal.total_ms)
         assert fp.fits(device)
 

@@ -12,6 +12,7 @@ from repro.framework import (
     NetworkDef,
     PoolDef,
     SoftmaxDef,
+    annotations_from_plan,
 )
 from repro.layers import ConvSpec, SoftmaxSpec
 from repro.networks import build_network
@@ -116,7 +117,7 @@ class TestNumericForward:
             plan_single_layout(device, netdef, CHWN),
             plan_single_layout(device, netdef, NCHW),
         ):
-            out = tiny_net.forward(x, w, plan=plan)
+            out = tiny_net.forward(x, w, annotations=annotations_from_plan(plan.graph))
             np.testing.assert_allclose(out, reference, rtol=1e-3, atol=1e-4)
 
     def test_input_layout_invariance(self, tiny_net):

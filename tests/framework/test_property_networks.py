@@ -21,6 +21,7 @@ from repro.framework import (
     NetworkDef,
     PoolDef,
     SoftmaxDef,
+    annotations_from_plan,
     format_netdef,
     parse_netdef,
 )
@@ -101,7 +102,7 @@ class TestPlannerProperties:
     def test_plan_covers_every_layer_once(self, netdef):
         net = Net(netdef)
         plan = plan_optimal(TITAN_BLACK, netdef)
-        assert [s.name for s in plan.steps] == [l.name for l in net.layers]
+        assert [n.name for n in plan.graph] == [l.name for l in net.layers]
 
 
 class TestNumericProperties:
@@ -116,5 +117,7 @@ class TestNumericProperties:
         assert np.isfinite(out).all()
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-4)
         plan = plan_optimal(TITAN_BLACK, netdef)
-        out_planned = net.forward(x, weights, plan=plan)
+        out_planned = net.forward(
+            x, weights, annotations=annotations_from_plan(plan.graph)
+        )
         np.testing.assert_allclose(out_planned, out, rtol=1e-3, atol=1e-4)

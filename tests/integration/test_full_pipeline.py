@@ -26,7 +26,6 @@ from repro.framework import (
     format_annotated_netdef,
     network_footprint,
     parse_annotated_netdef,
-    plan_from_annotations,
     train,
 )
 
@@ -39,8 +38,7 @@ def journey(device):
     net = Net(build_network("cifar"))
     record["net"] = net
     planned = plan_network(device, net.definition)
-    record["plan"] = planned.plan
-    ann = annotations_from_plan(record["plan"])
+    ann = annotations_from_plan(planned.graph)
     record["serialized"] = format_annotated_netdef(net.definition, ann)
     record["schemes"] = compare_schemes(net.definition, device, ("cudnn-best", "opt"))
     record["footprint"] = network_footprint(planned.graph, training=True)
@@ -56,22 +54,20 @@ class TestJourney:
         thresholds = journey["thresholds"]
         net = journey["net"]
         no_fft = plan_optimal(device, net.definition, allow_fft=False)
-        plan_layouts = {s.name: s.layout for s in no_fft.steps if s.layout}
+        plan_layouts = {n.name: n.layout for n in no_fft.graph}
         for layer in net.layers:
             if layer.kind is NodeKind.CONV:
                 assert plan_layouts[layer.name] == preferred_conv_layout(
                     layer.spec, thresholds
                 ), layer.name
 
-    def test_serialized_plan_round_trips_and_executes(self, journey, device):
+    def test_serialized_plan_round_trips_and_executes(self, journey):
         netdef, ann = parse_annotated_netdef(journey["serialized"])
         small = Net(build_network("cifar", batch=4))
-        small_plan = plan_optimal(device, small.definition)
-        overlay = plan_from_annotations(small_plan, ann)
         x = small.make_input(seed=0)
         w = small.init_weights()
         np.testing.assert_allclose(
-            small.forward(x, w, plan=overlay),
+            small.forward(x, w, annotations=ann),
             small.forward(x, w),
             rtol=1e-3,
             atol=1e-4,

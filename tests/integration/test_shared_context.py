@@ -20,8 +20,8 @@ def alexnet():
 
 def _steps(plan):
     return [
-        (s.name, str(s.layout), s.implementation, s.coarsening)
-        for s in plan.steps
+        (n.name, str(n.layout), n.implementation, n.coarsening)
+        for n in plan.graph
     ]
 
 

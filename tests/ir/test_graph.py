@@ -54,6 +54,24 @@ class TestGraphStructure:
         with pytest.raises(GraphError, match="duplicate node name"):
             g.add(GraphNode("x", NodeKind.POOL))
 
+    def test_transform_dims_is_the_relayed_tensor(self):
+        """A transform relays its producer's output (one concat branch, not
+        the joined input); on the network input it relays the node's input."""
+        g = branch_graph()
+        g["stem"].in_dims = (4, 3, 8, 8)
+        g["a"].out_dims, g["b"].out_dims = (4, 16, 8, 8), (4, 32, 8, 8)
+        g["join"].in_dims = (4, 48, 8, 8)
+        from_b = EdgeTransform("b", CHWN, NCHW)
+        from_input = EdgeTransform("", NCHW, CHWN)
+        assert g.transform_dims(g["join"], from_b) == (4, 32, 8, 8)
+        assert g.transform_dims(g["stem"], from_input) == (4, 3, 8, 8)
+
+    def test_kernel_layout_only_on_conv_and_pool(self):
+        conv = GraphNode("c", NodeKind.CONV, layout=NCHW)
+        lrn = GraphNode("n", NodeKind.ELEMENTWISE, layout=NCHW)
+        assert conv.kernel_layout == NCHW
+        assert lrn.kernel_layout is None
+
     def test_producers_and_consumers(self):
         g = branch_graph()
         assert [n.name for n in g.producers("join")] == ["a", "b"]
