@@ -17,12 +17,7 @@ from .batch import (
     evaluate_specs,
     launch_invalid_mask,
 )
-from .cache import (
-    CacheStats,
-    SetAssociativeCache,
-    cache_sim_snapshot,
-    unique_line_hits,
-)
+from .cache import CacheStats, SetAssociativeCache
 from .coalescing import (
     CoalescingReport,
     analyze_warps,
@@ -113,7 +108,6 @@ __all__ = [
     "analyze_shared_access",
     "adaptive_chunk_size",
     "analyze_warps",
-    "cache_sim_snapshot",
     "check_launch",
     "comparison_table",
     "compute_occupancy",
@@ -144,7 +138,6 @@ __all__ = [
     "time_kernel",
     "time_model",
     "transaction_stream",
-    "unique_line_hits",
     "warp_transactions",
     "warps_from_threads",
 ]

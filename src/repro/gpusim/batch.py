@@ -21,10 +21,10 @@ This module is that batched evaluator:
   error values.  Nested composed kernels take :func:`_scalar_eval`, the
   one-model ``context.run`` evaluation that is also the tests' oracle.
 
-**Bit-identity contract** (same as the L2 fast path, see
-``docs/PERFORMANCE.md``): every arithmetic expression below mirrors the
-scalar path's expression tree operation for operation, in float64/int64, so
-the produced :class:`~repro.gpusim.timing.KernelStats` are bit-identical to
+**Bit-identity contract** (see ``docs/PERFORMANCE.md``): every arithmetic
+expression below mirrors the scalar path's expression tree operation for
+operation, in float64/int64, so the produced
+:class:`~repro.gpusim.timing.KernelStats` are bit-identical to
 :func:`~repro.gpusim.timing.time_model`'s — enforced by the golden tests in
 ``tests/gpusim/test_batch.py`` and the ``bench_planner_perf.py --check``
 gate.  The dictionary tie-breaks of the scalar limiter selections (first
@@ -50,7 +50,6 @@ import numpy as np
 
 from ..obs.metrics import global_registry
 from ..obs.tracer import span as obs_span
-from .cache import cache_sim_snapshot
 from .device import DeviceSpec
 from .kernel import ComposedKernel, KernelModel, LaunchConfig, MemoryProfile
 from .occupancy import Occupancy, compute_occupancy
@@ -386,7 +385,6 @@ def evaluate_batch(
                 _BOUNDS[bound_i],
                 util_i,
                 spec.n_launches,
-                profile.traced_l2_hit_rate,
             )
         )
     return out
@@ -452,7 +450,6 @@ def evaluate_models(
 
     with obs_span("batch:eval", "batch.eval", models=len(models)) as sp:
         started = time.perf_counter()
-        cache_calls0, cache_s0 = cache_sim_snapshot()
         fit_enabled = context.check_memory if check_memory is None else check_memory
 
         # Expand each model into flat per-launch specs, capturing per-model
@@ -544,18 +541,12 @@ def evaluate_models(
         # in aggregate (per-kernel sim-time histograms don't observe
         # batched evaluations — the per-candidate wall time is the very
         # overhead this path removes).
-        cache_calls1, cache_s1 = cache_sim_snapshot()
         kind_counts: dict[str, int] = {}
         for spec in flat:
             name = spec.name
             kind = name.split("-", 1)[0] if name else "kernel"
             kind_counts[kind] = kind_counts.get(kind, 0) + 1
-        context.stats.record_batch(
-            kind_counts,
-            wall_s=time.perf_counter() - started,
-            cache_calls=cache_calls1 - cache_calls0,
-            cache_s=cache_s1 - cache_s0,
-        )
+        context.stats.record_batch(kind_counts, wall_s=time.perf_counter() - started)
 
         registry = global_registry()
         registry.counter("batch.eval.batches").inc()

@@ -13,7 +13,7 @@ addresses through it cheaply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,19 +34,12 @@ class CoalescingReport:
         Bytes actually requested by threads.
     fetched_bytes:
         Bytes moved over the memory bus (transactions * segment size).
-    segments:
-        The segment ids each analysed warp touched, one ascending row per
-        warp with ``-1`` for inactive lanes; ``None`` for a merged report.
-    segment_bytes:
-        Segment size the ``segments`` ids are counted in.
     """
 
     warps: int
     transactions: int
     useful_bytes: int
     fetched_bytes: int
-    segments: np.ndarray | None = field(default=None, repr=False, compare=False)
-    segment_bytes: int = field(default=0, repr=False, compare=False)
 
     @property
     def transactions_per_warp(self) -> float:
@@ -157,13 +150,7 @@ def warp_transactions(
 def analyze_warps(
     addresses: np.ndarray, device: DeviceSpec, access_bytes: int = 4
 ) -> CoalescingReport:
-    """Run the coalescing unit over sampled warps and aggregate statistics.
-
-    The report keeps the sorted per-warp segments, so a caller that also
-    needs the trace's transaction stream can pass the report to
-    :func:`~repro.gpusim.trace.transaction_stream` instead of having the
-    addresses sorted again.
-    """
+    """Run the coalescing unit over sampled warps and aggregate statistics."""
     addr = _warp_trace(addresses, device)
     segments = _warp_segments(addr, device.transaction_bytes, access_bytes)
     active = int(np.count_nonzero(addr >= 0))
@@ -173,8 +160,6 @@ def analyze_warps(
         transactions=transactions,
         useful_bytes=active * access_bytes,
         fetched_bytes=transactions * device.transaction_bytes,
-        segments=segments,
-        segment_bytes=device.transaction_bytes,
     )
 
 

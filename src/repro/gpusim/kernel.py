@@ -99,10 +99,6 @@ class MemoryProfile:
     dependent_iterations: float = 1.0
     smem_conflict_degree: float = 1.0
     access_bytes: int = 4
-    #: measured L2 hit rate from replaying the kernel's sampled transaction
-    #: stream through the cache model — a diagnostic counter (reported, not
-    #: fed into timing, which uses the modelled ``l2_hit_rate`` above)
-    traced_l2_hit_rate: float | None = None
 
     def __post_init__(self) -> None:
         if min(self.load_bytes, self.store_bytes) < 0:
@@ -111,12 +107,6 @@ class MemoryProfile:
             raise ValueError("transaction counts cannot be negative")
         if not 0.0 <= self.l2_hit_rate <= 1.0:
             raise ValueError(f"l2_hit_rate must be in [0, 1], got {self.l2_hit_rate}")
-        if self.traced_l2_hit_rate is not None and not (
-            0.0 <= self.traced_l2_hit_rate <= 1.0
-        ):
-            raise ValueError(
-                f"traced_l2_hit_rate must be in [0, 1], got {self.traced_l2_hit_rate}"
-            )
         if self.smem_conflict_degree < 1.0:
             raise ValueError("conflict degree cannot be below 1.0")
 
@@ -144,7 +134,6 @@ class MemoryProfile:
             dependent_iterations=self.dependent_iterations,
             smem_conflict_degree=self.smem_conflict_degree,
             access_bytes=self.access_bytes,
-            traced_l2_hit_rate=self.traced_l2_hit_rate,
         )
 
     @staticmethod

@@ -32,7 +32,6 @@ from typing import Any
 
 from ..obs.metrics import MetricsRegistry, register_metrics_provider
 from ..obs.tracer import active_tracer
-from .cache import cache_sim_snapshot
 from .device import DeviceSpec
 from .kernel import ComposedKernel, KernelModel
 from .timing import KernelStats, time_model
@@ -192,10 +191,6 @@ class SimStats:
     misses = _counter_property("sim.queries.misses")
     loaded_from_disk = _counter_property("sim.cache.loaded_from_disk")
     sim_wall_s = _counter_property("sim.wall_s", as_int=False)
-    #: cache-model replay calls / wall seconds inside ``sim_wall_s`` (the
-    #: cache-sim share of simulation time)
-    cache_sim_calls = _counter_property("sim.cache_model.calls")
-    cache_sim_s = _counter_property("sim.cache_model.wall_s", as_int=False)
     #: worker sessions whose caches were folded into this one, and how many
     #: of their entries were new here (see ``SimulationContext.absorb``)
     merged_contexts = _counter_property("sim.merged.contexts")
@@ -228,24 +223,14 @@ class SimStats:
         self.registry.counter("sim.queries.hits").inc()
         self.registry.counter(f"sim.kind.{kind}.hits").inc()
 
-    def record_miss(
-        self, kind: str, wall_s: float, cache_calls: int = 0, cache_s: float = 0.0
-    ) -> None:
+    def record_miss(self, kind: str, wall_s: float) -> None:
         reg = self.registry
         reg.counter("sim.queries.misses").inc()
         reg.counter("sim.wall_s").inc(wall_s)
-        reg.counter("sim.cache_model.calls").inc(cache_calls)
-        reg.counter("sim.cache_model.wall_s").inc(cache_s)
         reg.counter(f"sim.kind.{kind}.misses").inc()
         reg.histogram("sim.kernel_sim_ms").observe(wall_s * 1e3)
 
-    def record_batch(
-        self,
-        kind_counts: dict[str, int],
-        wall_s: float,
-        cache_calls: int = 0,
-        cache_s: float = 0.0,
-    ) -> None:
+    def record_batch(self, kind_counts: dict[str, int], wall_s: float) -> None:
         """Record one batched evaluation: every candidate counts as a miss
         (all were timed, none served from the structural cache), but the
         wall time lands as one aggregate increment and the per-kernel
@@ -254,8 +239,6 @@ class SimStats:
         reg = self.registry
         reg.counter("sim.queries.misses").inc(sum(kind_counts.values()))
         reg.counter("sim.wall_s").inc(wall_s)
-        reg.counter("sim.cache_model.calls").inc(cache_calls)
-        reg.counter("sim.cache_model.wall_s").inc(cache_s)
         for kind, count in kind_counts.items():
             reg.counter(f"sim.kind.{kind}.misses").inc(count)
 
@@ -275,12 +258,6 @@ class SimStats:
             f"  kernels timed  : {self.kernels_timed}",
             f"  sim wall time  : {self.sim_wall_s * 1e3:.1f} ms",
         ]
-        if self.cache_sim_calls:
-            share = self.cache_sim_s / self.sim_wall_s if self.sim_wall_s else 0.0
-            lines.append(
-                f"  cache replays  : {self.cache_sim_calls} "
-                f"({self.cache_sim_s * 1e3:.1f} ms, {share:.0%} of sim time)"
-            )
         if self.merged_contexts:
             lines.append(
                 f"  merged workers : {self.merged_contexts} contexts, "
@@ -301,7 +278,9 @@ class SimStats:
 # The session object
 # ---------------------------------------------------------------------------
 
-_CACHE_FORMAT_VERSION = 1
+#: Bumped whenever ``KernelStats`` changes shape; files of any other
+#: version are ignored on load.
+_CACHE_FORMAT_VERSION = 2
 
 
 class SimulationContext:
@@ -414,15 +393,8 @@ class SimulationContext:
             self.stats.record_hit(_kind_of(model))
             return hit
         start = time.perf_counter()
-        calls0, cache_s0 = cache_sim_snapshot()
         stats = time_model(self.device, model)
-        calls1, cache_s1 = cache_sim_snapshot()
-        self.stats.record_miss(
-            _kind_of(model),
-            time.perf_counter() - start,
-            cache_calls=calls1 - calls0,
-            cache_s=cache_s1 - cache_s0,
-        )
+        self.stats.record_miss(_kind_of(model), time.perf_counter() - start)
         self._cache[key] = stats
         self.metrics.gauge("sim.cache.entries").set(len(self._cache))
         return stats

@@ -35,9 +35,6 @@ class KernelStats:
     bound: str
     alu_utilization: float
     n_launches: int = 1
-    #: measured cache-model L2 hit rate for traced kernels (diagnostic;
-    #: timing uses the profile's modelled hit rate)
-    traced_l2_hit_rate: float | None = None
 
     @property
     def achieved_gflops(self) -> float:
@@ -114,7 +111,6 @@ def time_kernel(
         bound=bound,
         alu_utilization=alu_util,
         n_launches=n_launches,
-        traced_l2_hit_rate=profile.traced_l2_hit_rate,
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coalescing import CoalescingReport, _warp_segments
+from .coalescing import _warp_segments
 
 
 def warps_from_threads(
@@ -43,50 +43,27 @@ def warps_from_threads(
     raise ValueError(f"expected 1-D or 2-D addresses, got shape {addr.shape}")
 
 
-def transaction_stream(
-    warp_addresses: np.ndarray | CoalescingReport,
-    segment_bytes: int,
-    max_transactions: int | None = None,
-) -> np.ndarray:
+def transaction_stream(warp_addresses: np.ndarray, segment_bytes: int) -> np.ndarray:
     """Post-coalescing transaction addresses for a ``(warps, lanes)`` trace.
 
     The single sanctioned bridge between warp arrays and the L2 model:
     inactive lanes (``-1`` padding from :func:`warps_from_threads`) are
     stripped here, so callers can feed padded traces straight through
     without tripping the cache's negative-address check.  Each warp
-    contributes its distinct ``segment_bytes``-sized segments (ascending,
-    as one coalesced burst), in warp order — the order the memory system
-    sees them.  When ``max_transactions`` is set, whole warps are kept up
-    to and including the warp whose transactions first reach the cap.
-
-    A trace of addresses contributes the segment of each access's first
-    byte.  Passing instead the :class:`CoalescingReport` that
-    :func:`analyze_warps` returned for the trace reuses its sorted
-    segments, which also hold the second segment of any straddling
-    access; for a trace without straddling accesses the two agree.
+    contributes the distinct ``segment_bytes``-sized segments holding its
+    accesses' first bytes (ascending, as one coalesced burst), in warp
+    order — the order the memory system sees them.
     """
     if segment_bytes <= 0:
         raise ValueError("segment_bytes must be positive")
-    if isinstance(warp_addresses, CoalescingReport):
-        segments = warp_addresses.segments
-        if segments is None or warp_addresses.segment_bytes != segment_bytes:
-            raise ValueError(
-                f"report holds no segments of {segment_bytes} bytes"
-            )
-    else:
-        addr = np.asarray(warp_addresses, dtype=np.int64)
-        if addr.ndim == 1:
-            addr = addr[None, :]
-        elif addr.ndim != 2:
-            raise ValueError(f"expected 1-D or 2-D addresses, got shape {addr.shape}")
-        segments = _warp_segments(addr, segment_bytes, access_bytes=1)
+    addr = np.asarray(warp_addresses, dtype=np.int64)
+    if addr.ndim == 1:
+        addr = addr[None, :]
+    elif addr.ndim != 2:
+        raise ValueError(f"expected 1-D or 2-D addresses, got shape {addr.shape}")
+    segments = _warp_segments(addr, segment_bytes, access_bytes=1)
     keep = segments >= 0
     keep[:, 1:] &= segments[:, 1:] != segments[:, :-1]
-    if max_transactions is not None:
-        cum = np.cumsum(keep.sum(axis=1))
-        cut = int(np.searchsorted(cum, max_transactions))
-        if cut + 1 < keep.shape[0]:
-            keep[cut + 1 :] = False
     return segments[keep] * segment_bytes
 
 

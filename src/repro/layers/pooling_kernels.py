@@ -27,11 +27,10 @@ from math import ceil
 
 import numpy as np
 
-from ..gpusim.cache import SetAssociativeCache
 from ..gpusim.coalescing import analyze_warps
 from ..gpusim.device import DeviceSpec
 from ..gpusim.kernel import KernelModel, LaunchConfig, MemoryProfile
-from ..gpusim.trace import sample_indices, transaction_stream
+from ..gpusim.trace import sample_indices
 from .base import PoolSpec
 from .pooling import tile_footprint
 
@@ -154,7 +153,6 @@ class _TracedNCHWPooling(_PoolingKernelBase):
     """Shared traced-load machinery for the NCHW kernels."""
 
     max_sample_warps = 512
-    max_l2_transactions = 200_000
     writes_mask = False
 
     def _thread_coords(self, thread_ids: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -206,26 +204,16 @@ class _TracedNCHWPooling(_PoolingKernelBase):
         loads = float(s.out_elements * s.window * s.window * _ITEM)
         store_factor = 2.0 if self.writes_mask else 1.0
         stores = float(s.out_desc().nbytes) * store_factor
-        # Strided multi-map streams thrash L2 across warp instructions (the
-        # concurrent working set spans N*C feature maps), so fetched
-        # transactions are charged to DRAM in the timing model.  The cache
-        # replay below *measures* that thrash on the sampled stream and is
-        # reported as a diagnostic.  The report's sorted segments are the
-        # trace's: 4-byte aligned loads never straddle a segment.
-        stream = transaction_stream(
-            report, device.transaction_bytes, self.max_l2_transactions
-        )
-        traced_hit = 0.0
-        if stream.size:
-            l2 = SetAssociativeCache.l2_for(device)
-            traced_hit = float(l2.access_stream(stream).mean())
+        # The timing model assumes strided multi-map streams thrash L2
+        # across warp instructions (the concurrent working set spans N*C
+        # feature maps) and charges every fetched transaction to DRAM; see
+        # docs/PERFORMANCE_MODEL.md.
         return MemoryProfile(
             load_bytes=loads,
             store_bytes=stores,
             load_transactions=load_trans,
             store_transactions=stores / 32.0,
             l2_hit_rate=0.0,
-            traced_l2_hit_rate=traced_hit,
         )
 
 

@@ -70,7 +70,6 @@ profiles = st.builds(
     dependent_iterations=st.sampled_from([1.0, 2.0, 81.0]),
     smem_conflict_degree=st.sampled_from([1.0, 1.5, 32.0]),
     access_bytes=st.sampled_from([4, 8, 16]),
-    traced_l2_hit_rate=st.sampled_from([None, 0.0, 0.42, 1.0]),
 )
 
 eval_specs = st.builds(

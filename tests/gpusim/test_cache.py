@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpusim import SetAssociativeCache, unique_line_hits
+from repro.gpusim import SetAssociativeCache
 
 
 def small_cache(capacity=1024, line=32, assoc=2):
     return SetAssociativeCache(capacity, line, assoc)
+
+
+def hit(cache, address):
+    """Access one byte address; True on hit."""
+    return bool(cache.access_stream(np.array([address]))[0])
 
 
 class TestBasics:
@@ -25,10 +30,10 @@ class TestBasics:
 
     def test_cold_miss_then_hit(self):
         c = small_cache()
-        assert c.access(0) is False
-        assert c.access(0) is True
-        assert c.access(31) is True  # same line
-        assert c.access(32) is False  # next line
+        assert hit(c, 0) is False
+        assert hit(c, 0) is True
+        assert hit(c, 31) is True  # same line
+        assert hit(c, 32) is False  # next line
 
     def test_stats(self):
         c = small_cache()
@@ -40,10 +45,10 @@ class TestBasics:
 
     def test_reset(self):
         c = small_cache()
-        c.access(0)
+        hit(c, 0)
         c.reset()
         assert c.stats.accesses == 0
-        assert c.access(0) is False
+        assert hit(c, 0) is False
 
     def test_negative_address_rejected(self):
         with pytest.raises(ValueError):
@@ -55,12 +60,12 @@ class TestLRU:
         # assoc=2, line=32: addresses 0, n_sets*32, 2*n_sets*32 map to set 0.
         c = small_cache(capacity=256, line=32, assoc=2)  # 4 sets
         s = c.n_sets * 32
-        c.access(0)      # miss, set0 way0
-        c.access(s)      # miss, set0 way1
-        c.access(0)      # hit, 0 becomes MRU
-        c.access(2 * s)  # miss, evicts s (LRU)
-        assert c.access(0) is True
-        assert c.access(s) is False  # was evicted
+        hits = c.access_stream(np.array([0, s, 0, 2 * s]))
+        # miss (set0 way0), miss (set0 way1), hit (0 becomes MRU),
+        # miss (evicts s, the LRU line)
+        assert hits.tolist() == [False, False, True, False]
+        assert hit(c, 0) is True
+        assert hit(c, s) is False  # was evicted
 
     def test_working_set_within_capacity_all_hits_second_pass(self):
         c = SetAssociativeCache(4096, 32, 4)
@@ -83,12 +88,6 @@ class TestLRU:
         addrs = rng.integers(0, 64 * 1024, size=200) * 4
         c = SetAssociativeCache(2048, 32, 2)
         hits = int(c.access_stream(addrs).sum())
-        _, inf_hits = unique_line_hits(addrs, 32)
+        # an infinite cache hits every repeat touch of a line
+        inf_hits = addrs.size - np.unique(addrs // 32).size
         assert hits <= inf_hits
-
-
-class TestUniqueLineHits:
-    def test_counts(self):
-        accesses, hits = unique_line_hits(np.array([0, 4, 8, 64]), 32)
-        assert accesses == 4
-        assert hits == 2  # 0/4/8 share a line

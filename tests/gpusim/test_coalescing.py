@@ -30,15 +30,12 @@ def _oracle_transactions(addr: np.ndarray, segment: int, access_bytes: int) -> l
     return counts
 
 
-def _first_byte_stream(addr: np.ndarray, segment: int, cap: int | None) -> np.ndarray:
+def _first_byte_stream(addr: np.ndarray, segment: int) -> np.ndarray:
     """``transaction_stream`` as first written: sort each warp's first-byte
-    segments, keep the distinct ones, cut after the warp reaching ``cap``."""
+    segments and keep the distinct ones."""
     segments = np.sort(np.where(addr >= 0, addr // segment, -1), axis=1)
     keep = segments >= 0
     keep[:, 1:] &= segments[:, 1:] != segments[:, :-1]
-    if cap is not None:
-        cut = int(np.searchsorted(np.cumsum(keep.sum(axis=1)), cap))
-        keep[cut + 1 :] = False
     return segments[keep] * segment
 
 
@@ -169,28 +166,18 @@ class TestTransactionStream:
     @pytest.mark.parametrize("kernel_cls", [PoolingNCHWLinear, PoolingNCHWBlockPerRow])
     @pytest.mark.parametrize("device", [TITAN_BLACK, TITAN_X], ids=lambda d: d.name)
     def test_pooling_stream_unchanged(self, kernel_cls, device):
-        """Pooling hands ``transaction_stream`` its coalescing report; the
-        stream equals the first-byte stream of the raw trace."""
-        cap = kernel_cls.max_l2_transactions
+        """On the pooling kernels' own load traces the stream equals the
+        first-byte stream."""
         seg = device.transaction_bytes
         for name, spec in POOL_LAYERS.items():
             trace, _, _ = kernel_cls(spec)._stacked_loads(device)
-            expected = _first_byte_stream(trace, seg, cap)
-            report = analyze_warps(trace, device, access_bytes=4)
-            np.testing.assert_array_equal(transaction_stream(trace, seg, cap), expected, name)
-            np.testing.assert_array_equal(transaction_stream(report, seg, cap), expected, name)
+            np.testing.assert_array_equal(
+                transaction_stream(trace, seg), _first_byte_stream(trace, seg), name
+            )
 
     @given(addr=_traces())
     @settings(max_examples=100, deadline=None)
     def test_matches_first_byte_stream(self, addr):
-        for cap in (None, 3):
-            np.testing.assert_array_equal(
-                transaction_stream(addr, 32, cap), _first_byte_stream(addr, 32, cap)
-            )
-
-    def test_report_segments_must_match(self, device):
-        report = analyze_warps(strided_pattern(2, 4, device), device)
-        with pytest.raises(ValueError):
-            transaction_stream(report, 2 * device.transaction_bytes)
-        with pytest.raises(ValueError):
-            transaction_stream(report.merged(report), device.transaction_bytes)
+        np.testing.assert_array_equal(
+            transaction_stream(addr, 32), _first_byte_stream(addr, 32)
+        )

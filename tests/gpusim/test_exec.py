@@ -458,30 +458,24 @@ class TestJobsDeterminism:
 class TestSimStatsCounters:
     def test_merge_folds_new_counters(self):
         a, b = SimStats(), SimStats()
-        b.record_miss("pool", 0.5, cache_calls=3, cache_s=0.2)
+        b.record_miss("pool", 0.5)
         b.merged_contexts = 2
         b.merged_entries = 7
         a.merge(b)
-        assert a.cache_sim_calls == 3
-        assert a.cache_sim_s == pytest.approx(0.2)
         assert a.merged_contexts == 2
         assert a.merged_entries == 7
 
-    def test_summary_mentions_replays_and_workers(self):
+    def test_summary_mentions_workers(self):
         s = SimStats()
-        s.record_miss("pool", 0.5, cache_calls=3, cache_s=0.2)
+        s.record_miss("pool", 0.5)
         s.merged_contexts = 1
         s.merged_entries = 4
-        text = s.summary()
-        assert "cache replays" in text
-        assert "merged workers" in text
+        assert "merged workers : 1 contexts, 4 new entries" in s.summary()
 
     def test_reset_clears_new_counters(self):
         s = SimStats()
-        s.record_miss("pool", 0.5, cache_calls=3, cache_s=0.2)
+        s.record_miss("pool", 0.5)
         s.merged_contexts = 1
         s.reset()
-        assert s.cache_sim_calls == 0
-        assert s.cache_sim_s == 0.0
         assert s.merged_contexts == 0
         assert s.merged_entries == 0

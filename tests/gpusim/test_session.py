@@ -28,6 +28,9 @@ from repro.networks.definitions import NETWORK_BUILDERS, build_network
 from repro.layers.pooling_kernels import make_pool_kernel
 
 
+_VERSION = session_module._CACHE_FORMAT_VERSION
+
+
 class ToyKernel(KernelModel):
     """Minimal concrete kernel for session tests."""
 
@@ -238,13 +241,31 @@ class TestPersistence:
         assert ctx.load_cache(path) == 0
         assert ctx.cache_size == 0
 
+    def test_version_1_files_are_rejected(self, device, tmp_path):
+        """Version-1 files carry a retired ``KernelStats`` field: they
+        load nothing and the session re-times cold."""
+        spec = PoolSpec(n=4, c=6, h=13, w=13, window=3, stride=2)
+        hot = SimulationContext(device)
+        hot.run(make_pool_kernel(spec, "nchw-linear"), check_memory=False)
+        target = hot.save_cache(tmp_path / "cache.json")
+        payload = json.loads(target.read_text())
+        payload["version"] = 1
+        for entry in payload["entries"].values():
+            entry["traced_l2_hit_rate"] = 0.5
+        target.write_text(json.dumps(payload))
+        ctx = SimulationContext(device)
+        assert ctx.load_cache(target) == 0
+        ctx.run(make_pool_kernel(spec, "nchw-linear"), check_memory=False)
+        assert ctx.stats.misses == 1
+        assert ctx.stats.hits == 0
+
     @pytest.mark.parametrize(
         "payload",
         [
             b"not json{",
             b"\xff\xfe not utf-8",
-            b'{"version": 1, "entries": [1, 2]}',
-            b'{"version": 1, "entries": {"k": "not a record"}}',
+            b'{"version": %d, "entries": [1, 2]}' % _VERSION,
+            b'{"version": %d, "entries": {"k": "not a record"}}' % _VERSION,
         ],
         ids=["damaged-json", "not-utf8", "entries-list", "entry-string"],
     )
@@ -351,37 +372,3 @@ class TestSimStats:
         assert "cache hits     : 1 (50.0%)" in text
         assert "kernels timed  : 1" in text
         assert "conv" in text
-
-
-class TestTracedFieldPersistence:
-    """``KernelStats.traced_l2_hit_rate`` must survive the JSON cache and
-    default to None for cache files written before the field existed."""
-
-    def _traced_kernel(self):
-        spec = PoolSpec(n=4, c=6, h=13, w=13, window=3, stride=2)
-        return make_pool_kernel(spec, "nchw-linear")
-
-    def test_round_trips(self, device, tmp_path):
-        hot = SimulationContext(device, cache_path=tmp_path / "cache.json")
-        original = hot.run(self._traced_kernel(), check_memory=False)
-        assert original.traced_l2_hit_rate is not None
-        hot.save_cache()
-
-        cold = SimulationContext(device, cache_path=tmp_path / "cache.json")
-        restored = cold.run(self._traced_kernel(), check_memory=False)
-        assert cold.stats.misses == 0
-        assert restored.traced_l2_hit_rate == original.traced_l2_hit_rate
-
-    def test_pre_field_cache_files_default_to_none(self, device, tmp_path):
-        hot = SimulationContext(device)
-        hot.run(self._traced_kernel(), check_memory=False)
-        target = hot.save_cache(tmp_path / "cache.json")
-        payload = json.loads(target.read_text())
-        for entry in payload["entries"].values():
-            del entry["traced_l2_hit_rate"]  # a pre-field cache file
-        target.write_text(json.dumps(payload))
-        ctx = SimulationContext(device)
-        assert ctx.load_cache(target) == 1
-        restored = ctx.run(self._traced_kernel(), check_memory=False)
-        assert ctx.stats.misses == 0  # still served from the old entry
-        assert restored.traced_l2_hit_rate is None

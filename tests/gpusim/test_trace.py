@@ -93,3 +93,45 @@ class TestAnalyzeTrace:
         one = strided_pattern(1, 4, device)
         trace = np.concatenate([one, one, one], axis=0)
         assert _l2_hit_rate(trace, device) == pytest.approx(2 / 3)
+
+
+class TestPaddedTraces:
+    """``warps_from_threads`` pads inactive lanes with -1, and the L2
+    rejects negative addresses — the shared ``transaction_stream`` helper
+    must strip the padding in between."""
+
+    def test_padded_warps_flow_into_cache(self):
+        addrs = np.arange(0, 100 * 4, 4, dtype=np.int64)  # 100 threads
+        warps = warps_from_threads(addrs)
+        assert (warps == -1).any()  # tail-padded to a full warp
+        stream = transaction_stream(warps, 32)
+        assert (stream >= 0).all()
+        cache = SetAssociativeCache(1024, 32, 2)
+        hits = cache.access_stream(stream)  # must not raise
+        assert hits.size == stream.size
+
+    def test_all_padding_warp_contributes_nothing(self):
+        warps = np.full((3, 32), -1, dtype=np.int64)
+        assert transaction_stream(warps, 32).size == 0
+
+    def test_negative_still_rejected_at_the_cache(self):
+        with pytest.raises(ValueError):
+            SetAssociativeCache(1024, 32, 2).access_stream(np.array([-1]))
+
+
+class TestTransactionStream:
+    def test_per_warp_unique_ascending_segments(self):
+        warps = np.array([[0, 4, 8, 64], [96, 96, 32, -1]])
+        out = transaction_stream(warps, 32)
+        assert out.tolist() == [0, 64, 32, 96]
+
+    def test_one_dimensional_input_is_one_warp(self):
+        out = transaction_stream(np.array([40, 0, 8]), 32)
+        assert out.tolist() == [0, 32]
+
+    def test_empty_input(self):
+        assert transaction_stream(np.empty((0, 32), dtype=np.int64), 32).size == 0
+
+    def test_invalid_segment_bytes(self):
+        with pytest.raises(ValueError):
+            transaction_stream(np.array([0]), 0)
