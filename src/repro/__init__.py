@@ -27,68 +27,50 @@ Quickstart::
     print(f"Opt speedup over cuDNN-MM: {opt.speedup_over(mm):.2f}x")
 """
 
-from importlib import import_module
+from ._lazy import lazy_exports
 
-#: public name -> the subpackage that defines it.  Resolved on first
-#: access (PEP 562), so ``import repro.obs`` or ``import repro.cli`` pays
-#: only for the submodules it actually uses.
+#: subpackage -> the public names it defines.  Resolved on first access
+#: (PEP 562), so ``import repro.obs`` or ``import repro.cli`` pays only
+#: for the submodules it actually uses.
 _EXPORTS = {
-    name: submodule
-    for submodule, names in {
-        "baselines": ("SCHEMES", "NetworkTiming", "compare_schemes", "time_network"),
-        "core": (
-            "LayoutThresholds",
-            "autotune_pooling",
-            "calibrate",
-            "fuse_softmax",
-            "plan_optimal",
-            "plan_single_layout",
-            "plan_with_heuristic",
-            "preferred_conv_layout",
-            "preferred_pool_layout",
-            "thresholds_for",
-        ),
-        "analysis": ("crossovers", "sweep_conv", "sweep_pool", "sweep_softmax"),
-        "framework": (
-            "Net",
-            "NetworkDef",
-            "Trainer",
-            "format_netdef",
-            "parse_netdef",
-            "train",
-        ),
-        "gpusim": (
-            "TITAN_BLACK",
-            "TITAN_X",
-            "DeviceSpec",
-            "SimStats",
-            "SimulationContext",
-            "default_context",
-            "get_device",
-            "global_sim_stats",
-        ),
-        "layers": ("ConvSpec", "FCSpec", "PoolSpec", "SoftmaxSpec"),
-        "networks": ("CONV_LAYERS", "POOL_LAYERS", "build_network"),
-        "tensors": ("CHWN", "NCHW", "DataLayout", "Tensor4D", "TensorDesc", "transform"),
-    }.items()
-    for name in names
+    "baselines": ("SCHEMES", "NetworkTiming", "compare_schemes", "time_network"),
+    "core": (
+        "LayoutThresholds",
+        "autotune_pooling",
+        "calibrate",
+        "fuse_softmax",
+        "plan_optimal",
+        "plan_single_layout",
+        "plan_with_heuristic",
+        "preferred_conv_layout",
+        "preferred_pool_layout",
+        "thresholds_for",
+    ),
+    "analysis": ("crossovers", "sweep_conv", "sweep_pool", "sweep_softmax"),
+    "framework": (
+        "Net",
+        "NetworkDef",
+        "Trainer",
+        "format_netdef",
+        "parse_netdef",
+        "train",
+    ),
+    "gpusim": (
+        "TITAN_BLACK",
+        "TITAN_X",
+        "DeviceSpec",
+        "SimStats",
+        "SimulationContext",
+        "default_context",
+        "get_device",
+        "global_sim_stats",
+    ),
+    "layers": ("ConvSpec", "FCSpec", "PoolSpec", "SoftmaxSpec"),
+    "networks": ("CONV_LAYERS", "POOL_LAYERS", "build_network"),
+    "tensors": ("CHWN", "NCHW", "DataLayout", "Tensor4D", "TensorDesc", "transform"),
 }
 
-
-def __getattr__(name: str):
-    try:
-        module = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value  # later lookups skip this hook
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS))
-
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
+__all__ = ["__version__", *__all__]
 
 __version__ = "1.0.0"
-
-__all__ = ["__version__", *_EXPORTS]

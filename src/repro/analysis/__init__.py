@@ -2,72 +2,40 @@
 ``repro lint`` static analyzer for netdefs, layout plans, kernels and
 graphs, and the ``repro verify`` dataflow verification layer."""
 
-from .attribution import GainAttribution, attribute_gains
-from .dataflow import (
-    BufferInterval,
-    ContractViolation,
-    LivenessFootprint,
-    buffer_intervals,
-    check_contracts,
-    liveness_footprint,
-    verify_graph,
-    verify_network,
-)
-from .lint import (
-    DEFAULT_CONFIG,
-    LintConfig,
-    LintReport,
-    UnknownRuleError,
-    iter_rules,
-    lint_graph,
-    lint_kernel,
-    lint_netdef,
-    lint_netdef_text,
-    lint_network,
-    lint_plan,
-)
-from .rules import REGISTRY, Diagnostic, Finding, GraphScope, Rule, Severity
-from .sweeps import (
-    SweepPoint,
-    SweepResult,
-    crossovers,
-    sweep_conv,
-    sweep_pool,
-    sweep_softmax,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BufferInterval",
-    "ContractViolation",
-    "DEFAULT_CONFIG",
-    "Diagnostic",
-    "Finding",
-    "GainAttribution",
-    "GraphScope",
-    "LintConfig",
-    "LintReport",
-    "LivenessFootprint",
-    "REGISTRY",
-    "Rule",
-    "Severity",
-    "SweepPoint",
-    "SweepResult",
-    "UnknownRuleError",
-    "attribute_gains",
-    "buffer_intervals",
-    "check_contracts",
-    "crossovers",
-    "iter_rules",
-    "lint_graph",
-    "lint_kernel",
-    "lint_netdef",
-    "lint_netdef_text",
-    "lint_network",
-    "lint_plan",
-    "liveness_footprint",
-    "sweep_conv",
-    "sweep_pool",
-    "sweep_softmax",
-    "verify_graph",
-    "verify_network",
-]
+_EXPORTS = {
+    "attribution": ("GainAttribution", "attribute_gains"),
+    "dataflow.contracts": ("ContractViolation", "check_contracts"),
+    "dataflow.liveness": (
+        "BufferInterval",
+        "LivenessFootprint",
+        "buffer_intervals",
+        "liveness_footprint",
+    ),
+    "dataflow.verify": ("verify_graph", "verify_network"),
+    "lint": (
+        "DEFAULT_CONFIG",
+        "LintConfig",
+        "LintReport",
+        "UnknownRuleError",
+        "iter_rules",
+        "lint_graph",
+        "lint_kernel",
+        "lint_netdef",
+        "lint_netdef_text",
+        "lint_network",
+        "lint_plan",
+    ),
+    "rules.base": ("REGISTRY", "Diagnostic", "Finding", "GraphScope", "Rule", "Severity"),
+    "sweeps": (
+        "SweepPoint",
+        "SweepResult",
+        "crossovers",
+        "sweep_conv",
+        "sweep_pool",
+        "sweep_softmax",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -9,65 +9,42 @@ on the CLI as ``repro verify`` and as the ``D0xx`` rules of
 ``repro lint``.
 """
 
-from .contracts import (
-    CONTRACTS,
-    Contract,
-    ContractViolation,
-    check_contracts,
-    contract,
-)
-from .framework import (
-    ConvergenceError,
-    DataflowAnalysis,
-    DataflowResult,
-    run_analysis,
-)
-from .interp import (
-    CONFLICT,
-    LayoutPropagation,
-    check_inverse_pairs,
-    check_layout_coherence,
-    check_shapes,
-    check_structure,
-    check_transform_annotations,
-    propagate_layouts,
-)
-from .liveness import (
-    BufferInterval,
-    LivenessAnalysis,
-    LivenessFootprint,
-    buffer_intervals,
-    check_double_counts,
-    check_liveness,
-    liveness_footprint,
-)
-from .verify import verify_graph, verify_network
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "CONFLICT",
-    "CONTRACTS",
-    "BufferInterval",
-    "Contract",
-    "ContractViolation",
-    "ConvergenceError",
-    "DataflowAnalysis",
-    "DataflowResult",
-    "LayoutPropagation",
-    "LivenessAnalysis",
-    "LivenessFootprint",
-    "buffer_intervals",
-    "check_contracts",
-    "check_double_counts",
-    "check_inverse_pairs",
-    "check_layout_coherence",
-    "check_liveness",
-    "check_shapes",
-    "check_structure",
-    "check_transform_annotations",
-    "contract",
-    "liveness_footprint",
-    "propagate_layouts",
-    "run_analysis",
-    "verify_graph",
-    "verify_network",
-]
+_EXPORTS = {
+    "contracts": (
+        "CONTRACTS",
+        "Contract",
+        "ContractViolation",
+        "check_contracts",
+        "contract",
+    ),
+    "framework": (
+        "ConvergenceError",
+        "DataflowAnalysis",
+        "DataflowResult",
+        "run_analysis",
+    ),
+    "interp": (
+        "CONFLICT",
+        "LayoutPropagation",
+        "check_inverse_pairs",
+        "check_layout_coherence",
+        "check_shapes",
+        "check_structure",
+        "check_transform_annotations",
+        "propagate_layouts",
+    ),
+    "liveness": (
+        "BufferInterval",
+        "LivenessAnalysis",
+        "LivenessFootprint",
+        "buffer_intervals",
+        "check_double_counts",
+        "check_liveness",
+        "liveness_footprint",
+    ),
+    "verify": ("verify_graph", "verify_network"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

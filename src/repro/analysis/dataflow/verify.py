@@ -16,10 +16,8 @@ from ...gpusim.device import DeviceSpec
 from ...gpusim.session import SimulationContext
 from ...ir.graph import Graph
 from ..lint import DEFAULT_CONFIG, LintConfig, LintReport, _run_scope
-from ..rules import GraphScope
+from ..rules.base import Diagnostic, GraphScope
 from .liveness import LivenessFootprint, liveness_footprint
-
-from ..rules.base import Diagnostic
 
 
 def verify_graph(

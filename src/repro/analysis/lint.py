@@ -47,7 +47,7 @@ from ..layers.conv_kernels import make_conv_kernel
 from ..layers.pooling_kernels import make_pool_kernel
 from ..tensors.tensor import TensorDesc
 from ..tensors.transform_kernels import make_transform_kernel
-from .rules import (
+from .rules.base import (
     REGISTRY,
     Diagnostic,
     GraphScope,
@@ -78,9 +78,8 @@ class LintConfig:
     margin: int = 1
 
     def __post_init__(self) -> None:
-        unknown = set(self.disabled) - set(REGISTRY)
-        if self.selected is not None:
-            unknown |= set(self.selected) - set(REGISTRY)
+        named = set(self.disabled) | set(self.selected or ())
+        unknown = {rule_id for rule_id in named if rule_id not in REGISTRY}
         if unknown:
             raise UnknownRuleError(
                 f"unknown rule id(s): {', '.join(sorted(unknown))}; "

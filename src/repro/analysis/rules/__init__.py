@@ -1,36 +1,26 @@
 """Rule catalog for the static analyzer.
 
-Importing this package populates :data:`REGISTRY` with every built-in rule:
+Reading :data:`REGISTRY` imports every built-in rule module:
 ``N0xx`` network-definition checks, ``L0xx`` layout-plan checks, ``K0xx``
 kernel/device-limit checks, and ``D0xx`` graph-dataflow checks.
 """
 
-from . import kernel_rules, layout_rules, netdef_rules  # noqa: F401  (registration)
-from . import dataflow_rules  # noqa: F401  (registration; needs base loaded)
-from .base import (
-    REGISTRY,
-    Diagnostic,
-    Finding,
-    GraphScope,
-    KernelScope,
-    NetdefScope,
-    PlanScope,
-    Rule,
-    Severity,
-    rule,
-    rules_for,
-)
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "Diagnostic",
-    "Finding",
-    "GraphScope",
-    "KernelScope",
-    "NetdefScope",
-    "PlanScope",
-    "REGISTRY",
-    "Rule",
-    "Severity",
-    "rule",
-    "rules_for",
-]
+_EXPORTS = {
+    "base": (
+        "Diagnostic",
+        "Finding",
+        "GraphScope",
+        "KernelScope",
+        "NetdefScope",
+        "PlanScope",
+        "REGISTRY",
+        "Rule",
+        "Severity",
+        "rule",
+        "rules_for",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -3,17 +3,20 @@
 Every check the linter can perform is a :class:`Rule` with a stable ID
 (``N0xx`` network definitions, ``L0xx`` layout plans, ``K0xx`` kernel
 models), a default severity, and a human rationale.  Rules register
-themselves with the :func:`rule` decorator at import time; the runner in
-:mod:`repro.analysis.lint` selects the active subset per scope and turns
-the findings each rule yields into :class:`Diagnostic` records.
+themselves with the :func:`rule` decorator at import time, and the
+built-in rule modules are imported when :data:`REGISTRY` is first read;
+the runner in :mod:`repro.analysis.lint` selects the active subset per
+scope and turns the findings each rule yields into :class:`Diagnostic`
+records.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from importlib import import_module
 from typing import Any
 
 from ...core.heuristic import LayoutThresholds
@@ -184,7 +187,45 @@ class Rule:
         return _SCOPE_OF_PREFIX[self.id[0]]
 
 
-REGISTRY: dict[str, Rule] = {}
+#: the modules whose ``@rule`` checks make up the built-in catalog
+BUILTIN_RULE_MODULES = ("kernel_rules", "layout_rules", "netdef_rules", "dataflow_rules")
+
+
+class RuleRegistry(Mapping[str, Rule]):
+    """Rule ID -> :class:`Rule`; :func:`rule` is the only writer.
+
+    The first read imports :data:`BUILTIN_RULE_MODULES`.  Importing this
+    module therefore never imports the rule modules, which import it (and,
+    for the D-rules, the dataflow analyses that import it too).
+    """
+
+    def __init__(self) -> None:
+        self._rules: dict[str, Rule] = {}
+        self._loaded = False
+
+    def _load(self) -> dict[str, Rule]:
+        if not self._loaded:
+            for name in BUILTIN_RULE_MODULES:
+                import_module(f"{__package__}.{name}")
+            self._loaded = True
+        return self._rules
+
+    def __getitem__(self, rule_id: str) -> Rule:
+        return self._load()[rule_id]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._load())
+
+    def __len__(self) -> int:
+        return len(self._load())
+
+    def register(self, entry: Rule) -> None:
+        if entry.id in self._rules:
+            raise ValueError(f"duplicate rule id {entry.id}")
+        self._rules[entry.id] = entry
+
+
+REGISTRY = RuleRegistry()
 
 
 def rule(
@@ -197,17 +238,17 @@ def rule(
     """Register a check function under a stable rule ID."""
     if not _ID_PATTERN.match(rule_id):
         raise ValueError(f"rule id {rule_id!r} must match N/L/K/D + 3 digits")
-    if rule_id in REGISTRY:
-        raise ValueError(f"duplicate rule id {rule_id}")
 
     def decorator(fn: CheckFn) -> CheckFn:
-        REGISTRY[rule_id] = Rule(
-            id=rule_id,
-            severity=severity,
-            summary=summary,
-            check=fn,
-            rationale=rationale,
-            example=example,
+        REGISTRY.register(
+            Rule(
+                id=rule_id,
+                severity=severity,
+                summary=summary,
+                check=fn,
+                rationale=rationale,
+                example=example,
+            )
         )
         return fn
 

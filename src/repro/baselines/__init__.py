@@ -1,18 +1,11 @@
 """Execution models of the baseline libraries (cuda-convnet, Caffe, cuDNN)
 and the paper's optimized framework, as whole-network schemes."""
 
-from .schemes import (
-    LayerTiming,
-    NetworkTiming,
-    SCHEMES,
-    compare_schemes,
-    time_network,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "LayerTiming",
-    "NetworkTiming",
-    "SCHEMES",
-    "compare_schemes",
-    "time_network",
-]
+_EXPORTS = {
+    "names": ("SCHEMES",),
+    "schemes": ("LayerTiming", "NetworkTiming", "compare_schemes", "time_network"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

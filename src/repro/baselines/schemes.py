@@ -38,16 +38,7 @@ from ..layers.elementwise import LRNSpec, make_lrn_kernel
 from ..layers.pooling_kernels import make_pool_kernel
 from ..layers.softmax_kernels import make_softmax_kernel
 from ..tensors.layout import CHWN, NCHW
-
-SCHEMES: tuple[str, ...] = (
-    "cudnn-mm",
-    "cudnn-fft",
-    "cudnn-fft-t",
-    "cudnn-best",
-    "cuda-convnet",
-    "caffe",
-    "opt",
-)
+from .names import SCHEMES
 
 
 @dataclass(frozen=True)

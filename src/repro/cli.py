@@ -22,6 +22,9 @@ Examples::
 ``calibrate``, and ``profile``) install a span tracer around the command
 and export its stream afterwards; results are byte-identical with and
 without tracing (file notes go to stderr).  See ``docs/OBSERVABILITY.md``.
+
+Each handler imports what it runs, so a command loads only its own part
+of the package: ``info`` and ``--help`` never import NumPy.
 """
 
 from __future__ import annotations
@@ -29,39 +32,13 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-from .baselines import SCHEMES, compare_schemes
-from .core import calibrate
-from .gpusim import (
-    comparison_table,
-    default_context,
-    get_device,
-    global_sim_stats,
-    kernel_report,
-    list_devices,
-)
-from .ir.graph import GraphNode
-from .layers import make_conv_kernel, make_pool_kernel, make_softmax_kernel
-from .layers.conv_kernels import ConvUnsupportedError
-from .gpusim.session import GpuOutOfMemoryError
-from .networks import (
-    CONV_LAYERS,
-    FIG13_SOFTMAX,
-    NETWORK_BUILDERS,
-    POOL_LAYERS,
-    build_network,
-)
-from .obs import (
-    Tracer,
-    active_tracer,
-    install_tracer,
-    summarize_spans,
-    uninstall_tracer,
-    write_chrome_trace,
-    write_jsonl,
-    write_metrics,
-)
-from .tensors import CHWN, NCHW, TensorDesc, transform_stats
+from .gpusim.device import get_device, list_devices
+from .networks.definitions import NETWORK_BUILDERS, build_network
+
+if TYPE_CHECKING:
+    from .ir.graph import GraphNode
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -125,6 +102,8 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    from .baselines.names import SCHEMES
+
     for name in list_devices():
         dev = get_device(name)
         print(
@@ -138,6 +117,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    from .core.calibration import calibrate
+
     device = get_device(args.device)
     result = calibrate(device, jobs=args.jobs)
     print(result.summary())
@@ -252,6 +233,8 @@ def _batched_eval_digest() -> str | None:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from .core.pipeline import PipelineOptions, plan_network
+    from .obs.export import summarize_spans
+    from .obs.tracer import active_tracer
 
     device = get_device(args.device)
     netdef = build_network(args.network, batch=args.batch)
@@ -282,6 +265,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .baselines.schemes import SCHEMES, compare_schemes
+
     device = get_device(args.device)
     if args.layers:
         return _bench_layers(device, args.layers)
@@ -297,6 +282,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _bench_layers(device, which: str) -> int:
+    from .gpusim.session import GpuOutOfMemoryError, default_context
+    from .layers.conv_kernels import ConvUnsupportedError, make_conv_kernel
+    from .layers.pooling_kernels import make_pool_kernel
+    from .layers.softmax_kernels import make_softmax_kernel
+    from .networks.table1 import CONV_LAYERS, FIG13_SOFTMAX, POOL_LAYERS
+
     ctx = default_context(device)
     if which == "conv":
         print("layer  impl         time(ms)   GFLOPS")
@@ -331,7 +322,7 @@ def _bench_layers(device, which: str) -> int:
 
 
 def _cmd_attribute(args: argparse.Namespace) -> int:
-    from .analysis import attribute_gains
+    from .analysis.attribution import attribute_gains
 
     device = get_device(args.device)
     net = build_network(args.network, batch=args.batch)
@@ -349,7 +340,8 @@ def _cmd_attribute(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .analysis import crossovers, sweep_conv
+    from .analysis.sweeps import crossovers, sweep_conv
+    from .networks.table1 import CONV_LAYERS
 
     device = get_device(args.device)
     name = args.layer.upper()
@@ -377,6 +369,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
+    from .gpusim.reporting import comparison_table, kernel_report
+    from .gpusim.session import GpuOutOfMemoryError, default_context
+    from .layers.conv_kernels import ConvUnsupportedError, make_conv_kernel
+    from .layers.pooling_kernels import make_pool_kernel
+    from .networks.table1 import CONV_LAYERS, POOL_LAYERS
+
     device = get_device(args.device)
     ctx = default_context(device)
     name = args.layer.upper()
@@ -443,8 +441,14 @@ def _parse_rule_ids(values: list[str] | None) -> frozenset[str]:
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json
 
-    from .analysis import LintConfig, UnknownRuleError, iter_rules, lint_network
-    from .analysis.lint import lint_netdef_text
+    from .analysis.lint import (
+        LintConfig,
+        LintReport,
+        UnknownRuleError,
+        iter_rules,
+        lint_netdef_text,
+        lint_network,
+    )
 
     if args.list_rules:
         for r in iter_rules():
@@ -470,8 +474,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(f"lint: cannot read {args.netdef}: {exc}", file=sys.stderr)
             return 2
         diagnostics = lint_netdef_text(text, config)
-        from .analysis import LintReport
-
         report = LintReport(target=args.netdef, device=device.name, strategy="netdef")
         report.diagnostics = diagnostics
         reports.append(report)
@@ -501,9 +503,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     import json
 
-    from .analysis import LintConfig, UnknownRuleError, iter_rules
-    from .analysis.dataflow import liveness_footprint, verify_graph, verify_network
-    from .analysis.lint import LintReport
+    from .analysis.dataflow.liveness import liveness_footprint
+    from .analysis.dataflow.verify import verify_graph, verify_network
+    from .analysis.lint import LintConfig, LintReport, UnknownRuleError, iter_rules
     from .core.pipeline import PassContractError
     from .ir.graph import Graph
 
@@ -604,6 +606,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
+    from .tensors.layout import CHWN, NCHW
+    from .tensors.tensor import TensorDesc
+    from .tensors.transform_kernels import transform_stats
+
     device = get_device(args.device)
     desc = TensorDesc(args.n, args.c, args.hw, args.hw, CHWN)
     print(f"CHWN -> NCHW relayout of N={args.n} C={args.c} HW={args.hw} "
@@ -770,7 +776,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     # observational: the handler's stdout is byte-identical either way,
     # and file notes go to stderr.
     want_tracer = bool(trace_path or jsonl_path) or args.command == "profile"
-    tracer = install_tracer(Tracer(f"repro-{args.command}")) if want_tracer else None
+    tracer = None
+    if want_tracer:
+        from .obs.tracer import Tracer, install_tracer, uninstall_tracer
+
+        tracer = install_tracer(Tracer(f"repro-{args.command}"))
     try:
         if tracer is not None:
             with tracer.span(f"repro {args.command}", "cli", command=args.command):
@@ -780,6 +790,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         if want_tracer:
             uninstall_tracer()
+    if trace_path or jsonl_path or metrics_path:
+        from .obs.export import write_chrome_trace, write_jsonl, write_metrics
     if tracer is not None and trace_path:
         write_chrome_trace(trace_path, tracer)
         print(
@@ -797,6 +809,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         write_metrics(metrics_path)
         print(f"metrics: wrote {metrics_path}", file=sys.stderr)
     if getattr(args, "sim_stats", False):
+        from .gpusim.session import global_sim_stats
+
         print()
         print(global_sim_stats().summary())
     return status

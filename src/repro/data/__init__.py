@@ -1,5 +1,9 @@
 """Synthetic dataset substitutes for MNIST / CIFAR (see DESIGN.md)."""
 
-from .synthetic import Dataset, batches, synthetic_digits, synthetic_objects
+from .._lazy import lazy_exports
 
-__all__ = ["Dataset", "batches", "synthetic_digits", "synthetic_objects"]
+_EXPORTS = {
+    "synthetic": ("Dataset", "batches", "synthetic_digits", "synthetic_objects"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

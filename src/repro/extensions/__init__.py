@@ -2,20 +2,17 @@
 Winograd fast convolution (in ``repro.layers.winograd``) and FP16/Pascal
 execution (here)."""
 
-from .fp16 import (
-    Fp16LayerComparison,
-    TESLA_P100,
-    as_fp16,
-    compare_layouts_fp16,
-    fp16_device,
-    memory_bound_share,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Fp16LayerComparison",
-    "TESLA_P100",
-    "as_fp16",
-    "compare_layouts_fp16",
-    "fp16_device",
-    "memory_bound_share",
-]
+_EXPORTS = {
+    "fp16": (
+        "Fp16LayerComparison",
+        "TESLA_P100",
+        "as_fp16",
+        "compare_layouts_fp16",
+        "fp16_device",
+        "memory_bound_share",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

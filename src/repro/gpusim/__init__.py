@@ -9,135 +9,75 @@ as :class:`KernelModel` objects and asks a :class:`SimulationContext` for
 time.
 """
 
-from .batch import (
-    CandidateBatch,
-    EvalSpec,
-    evaluate_batch,
-    evaluate_models,
-    evaluate_specs,
-    launch_invalid_mask,
-)
-from .cache import CacheStats, SetAssociativeCache
-from .coalescing import (
-    CoalescingReport,
-    analyze_warps,
-    strided_pattern,
-    warp_transactions,
-)
-from .device import (
-    TITAN_BLACK,
-    TITAN_X,
-    ArchProfile,
-    DeviceSpec,
-    get_device,
-    list_devices,
-    register_device,
-)
-from .dram import MemoryServiceTimes, memory_service_time
-from .exec import (
-    adaptive_chunk_size,
-    evaluate_cells,
-    map_chunks,
-    pool_workers,
-    resolve_jobs,
-    shutdown_pool,
-)
-from .session import (
-    GpuOutOfMemoryError,
-    SequenceStats,
-    SimStats,
-    SimulationContext,
-    default_context,
-    global_sim_stats,
-    reset_default_contexts,
-    structural_key,
-)
-from .kernel import ComposedKernel, KernelModel, LaunchConfig, MemoryProfile
-from .occupancy import (
-    LaunchValidationError,
-    LaunchViolation,
-    Occupancy,
-    check_launch,
-    compute_occupancy,
-    latency_hiding_factor,
-)
-from .reporting import (
-    RooflinePoint,
-    comparison_table,
-    kernel_report,
-    roofline_point,
-)
-from .sharedmem import (
-    BankConflictReport,
-    analyze_shared_access,
-    conflict_degree,
-    tile_column_access,
-)
-from .timing import KernelStats, time_kernel, time_model
-from .trace import (
-    sample_indices,
-    transaction_stream,
-    warps_from_threads,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ArchProfile",
-    "BankConflictReport",
-    "CacheStats",
-    "CandidateBatch",
-    "EvalSpec",
-    "CoalescingReport",
-    "ComposedKernel",
-    "DeviceSpec",
-    "GpuOutOfMemoryError",
-    "KernelModel",
-    "KernelStats",
-    "LaunchConfig",
-    "LaunchValidationError",
-    "LaunchViolation",
-    "MemoryProfile",
-    "MemoryServiceTimes",
-    "Occupancy",
-    "RooflinePoint",
-    "SequenceStats",
-    "SetAssociativeCache",
-    "SimStats",
-    "SimulationContext",
-    "TITAN_BLACK",
-    "TITAN_X",
-    "analyze_shared_access",
-    "adaptive_chunk_size",
-    "analyze_warps",
-    "check_launch",
-    "comparison_table",
-    "compute_occupancy",
-    "conflict_degree",
-    "default_context",
-    "evaluate_batch",
-    "evaluate_cells",
-    "evaluate_models",
-    "evaluate_specs",
-    "get_device",
-    "global_sim_stats",
-    "kernel_report",
-    "latency_hiding_factor",
-    "launch_invalid_mask",
-    "list_devices",
-    "map_chunks",
-    "memory_service_time",
-    "pool_workers",
-    "register_device",
-    "resolve_jobs",
-    "reset_default_contexts",
-    "roofline_point",
-    "sample_indices",
-    "shutdown_pool",
-    "structural_key",
-    "strided_pattern",
-    "tile_column_access",
-    "time_kernel",
-    "time_model",
-    "transaction_stream",
-    "warp_transactions",
-    "warps_from_threads",
-]
+_EXPORTS = {
+    "batch": (
+        "CandidateBatch",
+        "EvalSpec",
+        "evaluate_batch",
+        "evaluate_models",
+        "evaluate_specs",
+        "launch_invalid_mask",
+    ),
+    "cache": ("CacheStats", "SetAssociativeCache"),
+    "coalescing": (
+        "CoalescingReport",
+        "analyze_warps",
+        "strided_pattern",
+        "warp_transactions",
+    ),
+    "device": (
+        "TITAN_BLACK",
+        "TITAN_X",
+        "ArchProfile",
+        "DeviceSpec",
+        "get_device",
+        "list_devices",
+        "register_device",
+    ),
+    "dram": ("MemoryServiceTimes", "memory_service_time"),
+    "exec": (
+        "adaptive_chunk_size",
+        "evaluate_cells",
+        "map_chunks",
+        "pool_workers",
+        "resolve_jobs",
+        "shutdown_pool",
+    ),
+    "session": (
+        "GpuOutOfMemoryError",
+        "SequenceStats",
+        "SimStats",
+        "SimulationContext",
+        "default_context",
+        "global_sim_stats",
+        "reset_default_contexts",
+        "structural_key",
+    ),
+    "kernel": ("ComposedKernel", "KernelModel", "LaunchConfig", "MemoryProfile"),
+    "occupancy": (
+        "LaunchValidationError",
+        "LaunchViolation",
+        "Occupancy",
+        "check_launch",
+        "compute_occupancy",
+        "latency_hiding_factor",
+    ),
+    "reporting": (
+        "RooflinePoint",
+        "comparison_table",
+        "kernel_report",
+        "roofline_point",
+    ),
+    "sharedmem": (
+        "BankConflictReport",
+        "analyze_shared_access",
+        "conflict_degree",
+        "tile_column_access",
+    ),
+    "timing": ("KernelStats", "time_kernel", "time_model"),
+    "trace": ("sample_indices", "transaction_stream", "warps_from_threads"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -49,7 +49,6 @@ from __future__ import annotations
 import atexit
 import os
 import time
-from concurrent.futures import Future
 from math import ceil
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -76,7 +75,7 @@ from .session import (
 from .timing import KernelStats
 
 if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 __all__ = [
     "adaptive_chunk_size",

@@ -6,23 +6,11 @@
 it.  See docs/ARCHITECTURE.md.
 """
 
-from .graph import (
-    Dims,
-    EdgeTransform,
-    Graph,
-    GraphError,
-    GraphNode,
-    NodeKind,
-)
-from .build import infer_shapes, lower_netdef
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Dims",
-    "EdgeTransform",
-    "Graph",
-    "GraphError",
-    "GraphNode",
-    "NodeKind",
-    "infer_shapes",
-    "lower_netdef",
-]
+_EXPORTS = {
+    "graph": ("Dims", "EdgeTransform", "Graph", "GraphError", "GraphNode", "NodeKind"),
+    "build": ("infer_shapes", "lower_netdef"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -1,111 +1,61 @@
 """CNN layers: numeric implementations plus their GPU kernel models."""
 
-from .base import ConvSpec, FCSpec, PoolSpec, SoftmaxSpec, conv_out_extent
-from .conv import (
-    conv_direct,
-    conv_fft,
-    conv_forward,
-    conv_im2col,
-    im2col,
-    make_filters,
-)
-from .conv_kernels import (
-    CONV_IMPLEMENTATIONS,
-    ConvUnsupportedError,
-    DirectConvCHWN,
-    FFTConvNCHW,
-    Im2colGemmNCHW,
-    Im2colGemmNHWC,
-    Im2colKernel,
-    make_conv_kernel,
-)
-from .elementwise import (
-    ElementwiseKernel,
-    LRNSpec,
-    lrn_forward,
-    make_lrn_kernel,
-    make_relu_kernel,
-    relu_forward,
-)
-from .fc import fc_forward, flatten_4d, make_fc_kernel, make_fc_weights
-from .gemm import GemmKernel, gemm_shape_efficiency
-from .pooling import pool_coarsened, pool_forward, pool_plain, tile_footprint
-from .pooling_kernels import (
-    POOL_IMPLEMENTATIONS,
-    PoolingCHWN,
-    PoolingCoarsenedCHWN,
-    PoolingNCHWBlockPerRow,
-    PoolingNCHWLinear,
-    make_pool_kernel,
-)
-from .softmax import (
-    SoftmaxSteps,
-    softmax_five_step,
-    softmax_forward,
-    softmax_fused,
-)
-from .winograd import WinogradConvNCHW, conv_winograd
-from .softmax_kernels import (
-    SOFTMAX_IMPLEMENTATIONS,
-    CudnnSoftmax,
-    FusedParallelSoftmax,
-    FusedSoftmax,
-    five_kernel_softmax,
-    make_softmax_kernel,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CONV_IMPLEMENTATIONS",
-    "ConvSpec",
-    "ConvUnsupportedError",
-    "CudnnSoftmax",
-    "DirectConvCHWN",
-    "ElementwiseKernel",
-    "FCSpec",
-    "FFTConvNCHW",
-    "FusedParallelSoftmax",
-    "FusedSoftmax",
-    "GemmKernel",
-    "Im2colGemmNCHW",
-    "Im2colGemmNHWC",
-    "Im2colKernel",
-    "LRNSpec",
-    "POOL_IMPLEMENTATIONS",
-    "PoolSpec",
-    "PoolingCHWN",
-    "PoolingCoarsenedCHWN",
-    "PoolingNCHWBlockPerRow",
-    "PoolingNCHWLinear",
-    "SOFTMAX_IMPLEMENTATIONS",
-    "SoftmaxSpec",
-    "SoftmaxSteps",
-    "WinogradConvNCHW",
-    "conv_direct",
-    "conv_fft",
-    "conv_forward",
-    "conv_im2col",
-    "conv_winograd",
-    "conv_out_extent",
-    "fc_forward",
-    "five_kernel_softmax",
-    "flatten_4d",
-    "gemm_shape_efficiency",
-    "im2col",
-    "lrn_forward",
-    "make_conv_kernel",
-    "make_fc_kernel",
-    "make_fc_weights",
-    "make_filters",
-    "make_lrn_kernel",
-    "make_pool_kernel",
-    "make_relu_kernel",
-    "make_softmax_kernel",
-    "pool_coarsened",
-    "pool_forward",
-    "pool_plain",
-    "relu_forward",
-    "softmax_five_step",
-    "softmax_forward",
-    "softmax_fused",
-    "tile_footprint",
-]
+_EXPORTS = {
+    "base": ("ConvSpec", "FCSpec", "PoolSpec", "SoftmaxSpec", "conv_out_extent"),
+    "conv": (
+        "conv_direct",
+        "conv_fft",
+        "conv_forward",
+        "conv_im2col",
+        "im2col",
+        "make_filters",
+    ),
+    "conv_kernels": (
+        "CONV_IMPLEMENTATIONS",
+        "ConvUnsupportedError",
+        "DirectConvCHWN",
+        "FFTConvNCHW",
+        "Im2colGemmNCHW",
+        "Im2colGemmNHWC",
+        "Im2colKernel",
+        "make_conv_kernel",
+    ),
+    "elementwise": (
+        "ElementwiseKernel",
+        "LRNSpec",
+        "lrn_forward",
+        "make_lrn_kernel",
+        "make_relu_kernel",
+        "relu_forward",
+    ),
+    "fc": ("fc_forward", "flatten_4d", "make_fc_kernel", "make_fc_weights"),
+    "gemm": ("GemmKernel", "gemm_shape_efficiency"),
+    "pooling": ("pool_coarsened", "pool_forward", "pool_plain", "tile_footprint"),
+    "pooling_kernels": (
+        "POOL_IMPLEMENTATIONS",
+        "PoolingCHWN",
+        "PoolingCoarsenedCHWN",
+        "PoolingNCHWBlockPerRow",
+        "PoolingNCHWLinear",
+        "make_pool_kernel",
+    ),
+    "softmax": (
+        "SoftmaxSteps",
+        "softmax_five_step",
+        "softmax_forward",
+        "softmax_fused",
+    ),
+    "winograd": ("WinogradConvNCHW", "conv_winograd"),
+    "softmax_kernels": (
+        "SOFTMAX_IMPLEMENTATIONS",
+        "CudnnSoftmax",
+        "FusedParallelSoftmax",
+        "FusedSoftmax",
+        "five_kernel_softmax",
+        "make_softmax_kernel",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

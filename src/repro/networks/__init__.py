@@ -1,41 +1,28 @@
 """Benchmark networks and the paper's Table-1 layer configurations."""
 
-from .definitions import (
-    NETWORK_BUILDERS,
-    alexnet,
-    build_network,
-    cifar,
-    inception,
-    lenet,
-    vgg,
-    zfnet,
-)
-from .table1 import (
-    ALEXNET_CONV,
-    ALEXNET_POOL,
-    CLASS_LAYERS,
-    CONV_LAYERS,
-    FIG13_SOFTMAX,
-    POOL_LAYERS,
-    conv_layer,
-    pool_layer,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALEXNET_CONV",
-    "ALEXNET_POOL",
-    "CLASS_LAYERS",
-    "CONV_LAYERS",
-    "FIG13_SOFTMAX",
-    "NETWORK_BUILDERS",
-    "POOL_LAYERS",
-    "alexnet",
-    "build_network",
-    "cifar",
-    "conv_layer",
-    "inception",
-    "lenet",
-    "pool_layer",
-    "vgg",
-    "zfnet",
-]
+_EXPORTS = {
+    "definitions": (
+        "NETWORK_BUILDERS",
+        "alexnet",
+        "build_network",
+        "cifar",
+        "inception",
+        "lenet",
+        "vgg",
+        "zfnet",
+    ),
+    "table1": (
+        "ALEXNET_CONV",
+        "ALEXNET_POOL",
+        "CLASS_LAYERS",
+        "CONV_LAYERS",
+        "FIG13_SOFTMAX",
+        "POOL_LAYERS",
+        "conv_layer",
+        "pool_layer",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -19,56 +19,37 @@ The package is dependency-free and imports nothing from the rest of
 into it without cycles.  See ``docs/OBSERVABILITY.md`` for the tour.
 """
 
-from .export import (
-    chrome_trace,
-    summarize_spans,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-    write_metrics,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    aggregate_metrics,
-    global_registry,
-    register_metrics_provider,
-    reset_global_registry,
-)
-from .tracer import (
-    Span,
-    TraceEvent,
-    Tracer,
-    active_tracer,
-    install_tracer,
-    span,
-    tracing_enabled,
-    uninstall_tracer,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Span",
-    "TraceEvent",
-    "Tracer",
-    "active_tracer",
-    "aggregate_metrics",
-    "chrome_trace",
-    "global_registry",
-    "install_tracer",
-    "register_metrics_provider",
-    "reset_global_registry",
-    "span",
-    "summarize_spans",
-    "tracing_enabled",
-    "uninstall_tracer",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_metrics",
-]
+_EXPORTS = {
+    "export": (
+        "chrome_trace",
+        "summarize_spans",
+        "validate_chrome_trace",
+        "write_chrome_trace",
+        "write_jsonl",
+        "write_metrics",
+    ),
+    "metrics": (
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "aggregate_metrics",
+        "global_registry",
+        "register_metrics_provider",
+        "reset_global_registry",
+    ),
+    "tracer": (
+        "Span",
+        "TraceEvent",
+        "Tracer",
+        "active_tracer",
+        "install_tracer",
+        "span",
+        "tracing_enabled",
+        "uninstall_tracer",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -1,53 +1,34 @@
 """Layout-aware 4-D tensor substrate: layouts, tensors, and relayout kernels."""
 
-from .layout import (
-    ALL_LAYOUTS,
-    CHWN,
-    HWCN,
-    NCHW,
-    NHWC,
-    DataLayout,
-    parse_layout,
-)
-from .tensor import Tensor4D, TensorDesc, make_input
-from .transform import (
-    TransformCost,
-    TransposeGroups,
-    relayout_linear_indices,
-    transform,
-    transform_cost,
-    transpose_groups,
-)
-from .transform_kernels import (
-    NaiveTransformKernel,
-    TiledTransformKernel,
-    VectorTransformKernel,
-    make_transform_kernel,
-    transform_stats,
-    transform_time_ms,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALL_LAYOUTS",
-    "CHWN",
-    "HWCN",
-    "NCHW",
-    "NHWC",
-    "DataLayout",
-    "NaiveTransformKernel",
-    "Tensor4D",
-    "TensorDesc",
-    "TiledTransformKernel",
-    "TransformCost",
-    "TransposeGroups",
-    "VectorTransformKernel",
-    "make_input",
-    "make_transform_kernel",
-    "parse_layout",
-    "relayout_linear_indices",
-    "transform",
-    "transform_cost",
-    "transform_stats",
-    "transform_time_ms",
-    "transpose_groups",
-]
+_EXPORTS = {
+    "layout": (
+        "ALL_LAYOUTS",
+        "CHWN",
+        "HWCN",
+        "NCHW",
+        "NHWC",
+        "DataLayout",
+        "parse_layout",
+    ),
+    "tensor": ("Tensor4D", "TensorDesc", "make_input"),
+    "relayout": (
+        "TransformCost",
+        "TransposeGroups",
+        "relayout_linear_indices",
+        "transform",
+        "transform_cost",
+        "transpose_groups",
+    ),
+    "transform_kernels": (
+        "NaiveTransformKernel",
+        "TiledTransformKernel",
+        "VectorTransformKernel",
+        "make_transform_kernel",
+        "transform_stats",
+        "transform_time_ms",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -29,7 +29,7 @@ from ..gpusim.timing import KernelStats
 from ..gpusim.trace import sample_indices
 from .layout import DataLayout
 from .tensor import TensorDesc
-from .transform import TransposeGroups, relayout_linear_indices, transpose_groups
+from .relayout import TransposeGroups, relayout_linear_indices, transpose_groups
 
 _ITEM = 4  # float32
 
