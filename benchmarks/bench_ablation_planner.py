@@ -1,8 +1,9 @@
 """Ablation — what each planning ingredient contributes.
 
 Compares, per network: the two single-layout worlds, the (Ct, Nt)
-heuristic with fine-tuning, the DP-optimal plan, the DP plan without FFT
-implementations, and the unreachable zero-transform-cost lower bound.
+heuristic with fine-tuning, the optimal (min-cut) plan, the optimal plan
+without FFT implementations, and the unreachable zero-transform-cost lower
+bound.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def test_ablation_planner(benchmark, device):
         assert optimal <= free * 1.25, name
     # FFT availability matters for at least one network (AlexNet-class).
     assert any(row[5] > row[4] * 1.05 for row in table.rows)
-    # The heuristic is a good approximation of the DP plan.
+    # The heuristic is a good approximation of the optimal plan.
     assert all(row[3] <= row[4] * 1.6 for row in table.rows)
 
 

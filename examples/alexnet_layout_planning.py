@@ -29,7 +29,7 @@ def main() -> None:
         if layer.kind is NodeKind.CONV:
             print(f"  {layer.name}: {explain_conv_choice(layer.spec, thresholds)}")
 
-    print("\n== Fine-tuned plan (profiled DP over layouts + transform costs) ==")
+    print("\n== Fine-tuned plan (exact min cut over layouts + transform costs) ==")
     plan = plan_optimal(device, net.definition)
     print(plan.summary())
     print(

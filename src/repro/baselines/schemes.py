@@ -233,9 +233,9 @@ def _opt_scheme(
 ) -> NetworkTiming:
     # The heuristic sets per-layer preferences; the paper then applies
     # "one-time profiling ... to fine tune the data layout settings
-    # automatically" (Section IV.D).  The DP planner is that fine-tuning
-    # step taken to its conclusion: it weighs every layout choice against
-    # transform costs using the profiled (simulated) layer times.
+    # automatically" (Section IV.D).  The optimal (min-cut) planner is that
+    # fine-tuning step taken to its conclusion: it weighs every layout choice
+    # against transform costs using the profiled (simulated) layer times.
     ctx = context or default_context(device)
     graph = plan_network(
         device, net, PipelineOptions(strategy="optimal"), context=ctx

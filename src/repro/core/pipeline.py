@@ -5,18 +5,16 @@ transform insertion, transform fine-tuning, kernel fusion — runs here as
 ordered passes over a :class:`repro.ir.Graph`:
 
 1. ``ResolveShapes``        — shape inference + fixed per-layer costs;
-2. ``AssignLayouts``        — the (Ct, Nt) heuristic and the optimal
-   search.  On chains these are the original chain planner's
-   run-flattening fine-tune and (layer, layout) DP, tie-breaks included
-   (the frozen plans in ``tests/core/golden/plans.json`` pin them); on
-   DAGs the same trade-off generalizes to per-edge transform costs, solved by
-   preference seeding plus coordinate-descent local search started from
-   every uniform-layout assignment (so the result is never worse than any
-   single-layout plan);
+2. ``AssignLayouts``        — one algorithm per strategy, on chains and
+   DAGs alike: ``heuristic`` is the (Ct, Nt) preferences plus the paper's
+   fine-tune, flipping each same-layout region whose benefit does not pay
+   for its boundary transforms; ``optimal`` is the exact minimum over the
+   two planning layouts, found by one s-t min cut (the frozen plans in
+   ``tests/core/golden/plans.json`` pin both);
 3. ``InsertTransforms``     — materialize an :class:`EdgeTransform` on
    every producer→consumer edge whose layouts disagree;
 4. ``EliminateRedundantTransforms`` — relabel layout-agnostic nodes (LRN,
-   concat) to cancel transform–inverse pairs across them;
+   concat) to cancel transform–inverse pairs the heuristic left;
 5. ``FuseKernels``          — tag the classifier softmaxes the paper's
    fused kernel runs;
 6. ``SelectImplementations`` — bind each node to its fastest
@@ -36,9 +34,10 @@ it to the IR and runs the passes, and
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from math import prod
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..gpusim.device import DeviceSpec
 from ..gpusim.exec import evaluate_cells, map_chunks
@@ -53,7 +52,7 @@ from ..layers.elementwise import ElementwiseKernel, LRNSpec, make_lrn_kernel
 from ..layers.fc import make_fc_kernel
 from ..tensors.layout import CHWN, NCHW, DataLayout
 from ..tensors.tensor import TensorDesc
-from ..tensors.transform_kernels import make_transform_kernel, transform_time_ms
+from ..tensors.transform_kernels import make_transform_kernel
 from .fusion import can_fuse_softmax
 from .heuristic import (
     LayoutThresholds,
@@ -75,9 +74,16 @@ __all__ = [
     "PipelineResult",
     "TransformCostTable",
     "default_passes",
+    "min_cut_layouts",
     "plan_network",
     "run_pipeline",
 ]
+
+#: cost differences at or below this count as ties (min cut and elimination)
+_TIE_MS = 1e-12
+
+#: the ``algorithm`` stat each strategy's layout assignment reports
+_ALGORITHMS = {"single": "single", "heuristic": "region-finetune", "optimal": "min-cut"}
 
 
 @dataclass(frozen=True)
@@ -85,10 +91,10 @@ class PipelineOptions:
     """Everything that parameterizes one pipeline run."""
 
     strategy: str = "optimal"  # "heuristic" | "optimal" | "single"
+    #: the layout of ``strategy="single"``, one of ``PLAN_LAYOUTS``
     single_layout: DataLayout | None = None
     tune_pooling: bool = True
     allow_fft: bool = True
-    layouts: tuple[DataLayout, ...] = PLAN_LAYOUTS
     thresholds: LayoutThresholds | None = None
     #: run each pass's declared contracts on its output graph and raise
     #: :class:`PassContractError` attributing the first violation to the
@@ -98,6 +104,16 @@ class PipelineOptions:
     #: worker processes for the batched transform-cost precompute
     #: (``"auto"`` = one per CPU); plans are identical for any value
     jobs: int | str | None = None
+
+    def __post_init__(self) -> None:
+        if self.strategy not in _ALGORITHMS:
+            raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.strategy == "single" and self.single_layout not in PLAN_LAYOUTS:
+            allowed = ", ".join(str(layout) for layout in PLAN_LAYOUTS)
+            raise ValueError(
+                f"strategy 'single' plans in one of the planning layouts "
+                f"({allowed}), got {self.single_layout}"
+            )
 
     def strategy_name(self) -> str:
         if self.strategy == "single":
@@ -246,7 +262,7 @@ def _attr_safe(value: object) -> object:
 
 
 def _edge_desc(
-    producer: GraphNode | None,
+    producer: GraphNode,
     consumer: GraphNode,
     src: DataLayout,
     dst: DataLayout,
@@ -255,7 +271,7 @@ def _edge_desc(
     when the edge is free (same layout, classifier consumer, unknown dims)."""
     if src == dst or consumer.kind is NodeKind.CLASSIFIER:
         return None
-    if producer is not None and len(consumer.inputs) > 1:
+    if len(consumer.inputs) > 1:
         dims = producer.out_dims
     else:
         dims = consumer.in_dims
@@ -275,12 +291,11 @@ class TransformCostTable:
     """Batched per-edge transform costs for one planning run.
 
     ``precompute`` enumerates every distinct (dims, src layout, dst layout)
-    transform the planner can query on a graph — edges × layouts² collapse
-    to a handful of unique tensor shapes — and prices them all in one
-    vectorized evaluation.  ``edge_ms`` is then a dict probe.  A query
-    outside the precomputed set (e.g. a pass relabeling to an exotic
-    layout) falls back to the scalar :func:`transform_time_ms` and is
-    memoized.  ``tests/integration/test_batched_consumers.py`` prices
+    transform the planner can query on a graph — edges × planning layouts²
+    collapse to a handful of unique tensor shapes — and prices them all in
+    one vectorized evaluation.  ``edge_ms`` is then a dict probe; a query
+    outside the precomputed set raises.
+    ``tests/integration/test_batched_consumers.py`` prices
     every edge with a scalar oracle and checks that the plans are
     byte-identical to this table's.
     """
@@ -289,12 +304,7 @@ class TransformCostTable:
         self.device = device
         self._ms: dict[tuple[tuple[int, ...], str, str], float] = {}
 
-    def precompute(
-        self,
-        graph: Graph,
-        layouts: tuple[DataLayout, ...],
-        jobs: int | str | None = None,
-    ) -> int:
+    def precompute(self, graph: Graph, jobs: int | str | None = None) -> int:
         """Batch-price every transform reachable on ``graph``'s edges.
 
         Returns the number of distinct transform kernels evaluated.
@@ -303,8 +313,8 @@ class TransformCostTable:
         for node in graph:
             for src_name in node.inputs:
                 producer = graph[src_name]
-                for src in layouts:
-                    for dst in layouts:
+                for src in PLAN_LAYOUTS:
+                    for dst in PLAN_LAYOUTS:
                         desc = _edge_desc(producer, node, src, dst)
                         if desc is None:
                             continue
@@ -334,12 +344,12 @@ class TransformCostTable:
 
     def edge_ms(
         self,
-        producer: GraphNode | None,
+        producer: GraphNode,
         consumer: GraphNode,
         src: DataLayout,
         dst: DataLayout,
     ) -> float:
-        """Transform cost on one producer→consumer edge (memoized).
+        """Transform cost on one producer→consumer edge, from the table.
 
         On single-input consumers the transformed tensor is the consumer's
         input; on multi-input consumers (concat) it is the individual
@@ -349,14 +359,13 @@ class TransformCostTable:
         if desc is None:
             return 0.0
         dims, src_l, dst_l = desc
-        key = (dims, str(src_l), str(dst_l))
-        ms = self._ms.get(key)
-        if ms is None:
-            ms = transform_time_ms(
-                self.device, TensorDesc(*dims, layout=src_l), dst_l, method="auto"
-            )
-            self._ms[key] = ms
-        return ms
+        try:
+            return self._ms[(dims, str(src_l), str(dst_l))]
+        except KeyError:
+            raise KeyError(
+                f"{producer.name}->{consumer.name}: transform {src_l}->{dst_l} "
+                f"of {dims} was not precomputed"
+            ) from None
 
 
 def _consumers_map(graph: Graph) -> dict[str, list[GraphNode]]:
@@ -439,17 +448,22 @@ class ResolveShapes(Pass):
 
 
 class AssignLayouts(Pass):
-    """Assign a storage layout to every node.
+    """Assign a storage layout to every node, on chains and DAGs alike.
 
-    Chains run the original chain planner's algorithms (preferences +
-    run-flattening fine-tune for ``heuristic``; the (layer, layout) DP for
-    ``optimal``).
-    DAGs use the same per-node costs and per-edge transform costs:
-    ``heuristic`` applies the raw (Ct, Nt)/pooling preferences (agnostic
-    nodes inherit their first producer's choice — the later
-    ``EliminateRedundantTransforms`` pass repairs wasteful inheritances);
-    ``optimal`` runs coordinate-descent local search from the preference
-    assignment and from every uniform-layout assignment, keeping the best.
+    Both strategies weigh the same objective: each node's cost under its
+    layout plus, on every producer→consumer edge whose layouts differ, the
+    transform's cost.
+
+    * ``heuristic`` (``region-finetune``) starts from the (Ct, Nt)/pooling
+      preferences and runs the paper's fine-tune,
+      :func:`_finetune_regions`: a connected region of same-layout nodes
+      flips to the other layout when its benefit does not pay for its
+      boundary transforms.
+    * ``optimal`` (``min-cut``) is exact: over the two planning layouts,
+      with free agreeing edges, the objective is a submodular binary
+      labelling, and :func:`min_cut_layouts` minimizes it with one s-t
+      min cut (ties go to CHWN).
+    * ``single`` puts every node in ``single_layout``.
     """
 
     name = "AssignLayouts"
@@ -457,38 +471,42 @@ class AssignLayouts(Pass):
 
     def run(self, graph: Graph, ctx: PassContext) -> Graph:
         opts = ctx.options
-        if not opts.layouts:
-            raise ValueError("need at least one candidate layout")
         ctx.costs = {
             node.name: _node_costs(
-                ctx.engine, node, ctx.device,
-                opts.tune_pooling, opts.allow_fft, opts.layouts,
+                ctx.engine, node, ctx.device, opts.tune_pooling, opts.allow_fft
             )
             for node in graph
         }
         self.stats["edge_kernels_batched"] = ctx.edge_costs.precompute(
-            graph, opts.layouts, jobs=opts.jobs
+            graph, jobs=opts.jobs
         )
+        prefs = self._preferences(graph, opts.thresholds or thresholds_for(ctx.device))
         if opts.strategy == "single":
-            if opts.single_layout is None:
-                raise ValueError("strategy 'single' needs single_layout")
             assign = {node.name: opts.single_layout for node in graph}
-            algorithm = "single"
-        elif opts.strategy not in ("heuristic", "optimal"):
-            raise ValueError(f"unknown strategy {opts.strategy!r}")
-        elif graph.is_chain():
-            assign = self._assign_chain(graph, ctx)
-            algorithm = f"chain-{'finetune' if opts.strategy == 'heuristic' else 'dp'}"
+        elif opts.strategy == "heuristic":
+            assign = _finetune_regions(graph, ctx, prefs)
         else:
-            assign = self._assign_dag(graph, ctx)
-            algorithm = f"dag-{'preference' if opts.strategy == 'heuristic' else 'descent'}"
+            edge = ctx.edge_costs.edge_ms
+            assign = min_cut_layouts(
+                [node.name for node in graph],
+                {name: (c.cost(CHWN), c.cost(NCHW)) for name, c in ctx.costs.items()},
+                {
+                    (src, node.name): (
+                        edge(graph[src], node, CHWN, NCHW),
+                        edge(graph[src], node, NCHW, CHWN),
+                    )
+                    for node in graph
+                    for src in node.inputs
+                },
+            )
+        algorithm = _ALGORITHMS[opts.strategy]
         histogram: dict[str, int] = {}
         for node in graph:
             node.layout = assign[node.name]
             histogram[str(node.layout)] = histogram.get(str(node.layout), 0) + 1
         self.stats["algorithm"] = algorithm
         self.stats["layouts"] = histogram
-        self._trace_decisions(graph, ctx, assign, algorithm)
+        self._trace_decisions(graph, ctx, assign, prefs, algorithm)
         return graph
 
     def _trace_decisions(
@@ -496,6 +514,7 @@ class AssignLayouts(Pass):
         graph: Graph,
         ctx: PassContext,
         assign: dict[str, DataLayout],
+        prefs: dict[str, DataLayout],
         algorithm: str,
     ) -> None:
         """Emit one instant event per node: the layout that won, the raw
@@ -504,15 +523,8 @@ class AssignLayouts(Pass):
         tracer = active_tracer()
         if tracer is None:
             return
-        opts = ctx.options
-        prefs: dict[str, DataLayout] = {}
-        if CHWN in opts.layouts and NCHW in opts.layouts:
-            prefs = self._preferences(
-                graph, opts.thresholds or thresholds_for(ctx.device)
-            )
         for node in graph.topological():
-            costs = ctx.costs.get(node.name)
-            preferred = prefs.get(node.name)
+            costs = ctx.costs[node.name]
             tracer.event(
                 f"layout:{node.name}",
                 "pipeline.decision",
@@ -520,16 +532,12 @@ class AssignLayouts(Pass):
                 kind=node.kind.value,
                 algorithm=algorithm,
                 layout=str(assign[node.name]),
-                preferred=str(preferred) if preferred is not None else None,
-                overridden=(
-                    preferred is not None and assign[node.name] != preferred
-                ),
+                preferred=str(prefs[node.name]),
+                overridden=assign[node.name] != prefs[node.name],
                 costs_ms={
                     layout: round(choice[0], 6)
                     for layout, choice in costs.per_layout.items()
-                }
-                if costs is not None
-                else None,
+                },
             )
 
     # -- shared preference seeding ------------------------------------------
@@ -552,150 +560,138 @@ class AssignLayouts(Pass):
                 prefs[node.name] = CHWN
         return prefs
 
-    # -- chain: fine-tune and DP ---------------------------------------------
-    def _assign_chain(self, graph: Graph, ctx: PassContext) -> dict[str, DataLayout]:
-        opts = ctx.options
-        order = graph.topological()
-        costs = [ctx.costs[n.name] for n in order]
 
-        def edge(i: int, a: DataLayout, b: DataLayout) -> float:
-            node = order[i]
-            producer = graph[node.inputs[0]] if node.inputs else None
-            return ctx.edge_costs.edge_ms(producer, node, a, b)
+def _finetune_regions(
+    graph: Graph, ctx: PassContext, preferred: dict[str, DataLayout]
+) -> dict[str, DataLayout]:
+    """The paper's fine-tune: flip a region of same-layout nodes to the
+    other layout when its benefit does not pay for its boundary transforms.
 
-        if opts.strategy == "heuristic":
-            thresholds = opts.thresholds or thresholds_for(ctx.device)
-            preferred = [self._preferences(graph, thresholds)[n.name] for n in order]
-            seq = _finetune_chain(preferred, costs, edge)
-        else:
-            seq = _dp_chain(costs, edge, opts.layouts)
-        return {order[i].name: seq[i] for i in range(len(order))}
+    A sweep visits the nodes in topological order.  From each node not yet
+    visited in the sweep it grows the connected region of unvisited nodes
+    sharing that node's layout, through both edge directions, and flips
+    the region when its node costs plus the transforms on its boundary
+    edges are strictly cheaper under the other layout.  Sweeps repeat until
+    one flips nothing.  On a chain the region is the forward run of equal
+    layouts, so this is the chain planner's run flattening.
+    """
+    order = graph.topological()
+    consumers = _consumers_map(graph)
+    neighbours = {
+        node.name: (*node.inputs, *(c.name for c in consumers[node.name]))
+        for node in order
+    }
+    layouts = dict(preferred)
 
-    # -- DAG: preference seeding + coordinate descent ------------------------
-    def _assign_dag(self, graph: Graph, ctx: PassContext) -> dict[str, DataLayout]:
-        opts = ctx.options
-        thresholds = opts.thresholds or thresholds_for(ctx.device)
-        layout_set = set(opts.layouts)
-        prefs: dict[str, DataLayout] | None = None
-        if CHWN in layout_set and NCHW in layout_set:
-            prefs = self._preferences(graph, thresholds)
-        if opts.strategy == "heuristic":
-            return prefs or {n.name: opts.layouts[0] for n in graph}
+    def region_ms(region: list[str], label: DataLayout) -> float:
+        members = set(region)
+        t = sum(ctx.costs[name].cost(label) for name in region)
+        for name in region:
+            node = graph[name]
+            for src in node.inputs:
+                if src not in members:
+                    t += ctx.edge_costs.edge_ms(graph[src], node, layouts[src], label)
+            for cons in consumers[name]:
+                if cons.name not in members:
+                    t += ctx.edge_costs.edge_ms(node, cons, label, layouts[cons.name])
+        return t
 
-        consumers = _consumers_map(graph)
-
-        edge = ctx.edge_costs.edge_ms
-
-        def total(assign: dict[str, DataLayout]) -> float:
-            t = sum(ctx.costs[n.name].cost(assign[n.name]) for n in graph)
-            for node in graph:
-                for src in node.inputs:
-                    t += edge(graph[src], node, assign[src], assign[node.name])
-            return t
-
-        def descend(assign: dict[str, DataLayout]) -> dict[str, DataLayout]:
-            changed = True
-            while changed:
-                changed = False
-                for node in graph.topological():
-                    if node.kind is NodeKind.CLASSIFIER:
-                        continue
-
-                    def local(layout: DataLayout) -> float:
-                        c = ctx.costs[node.name].cost(layout)
-                        for src in node.inputs:
-                            c += edge(graph[src], node, assign[src], layout)
-                        for cons in consumers[node.name]:
-                            c += edge(node, cons, layout, assign[cons.name])
-                        return c
-
-                    current_cost = local(assign[node.name])
-                    for layout in opts.layouts:
-                        candidate_cost = local(layout)
-                        if candidate_cost + 1e-12 < current_cost:
-                            assign[node.name] = layout
-                            current_cost = candidate_cost
-                            changed = True
-            return assign
-
-        inits: list[dict[str, DataLayout]] = []
-        if prefs is not None:
-            inits.append(dict(prefs))
-        for layout in opts.layouts:
-            inits.append({n.name: layout for n in graph})
-        return min((descend(a) for a in inits), key=total)
-
-
-def _finetune_chain(
-    preferred: list[DataLayout],
-    costs: list[_LayerCosts],
-    edge: Callable[[int, DataLayout, DataLayout], float],
-) -> list[DataLayout]:
-    """The legacy heuristic's fine-tune: flatten a run of same-preference
-    layers into a neighbouring layout when the run's benefit does not pay
-    for its boundary transforms.  Verbatim port of the planner loop."""
-    layouts = list(preferred)
     changed = True
     while changed:
         changed = False
-        i = 0
-        while i < len(layouts):
-            j = i
-            while j < len(layouts) and layouts[j] == layouts[i]:
-                j += 1
-            current = layouts[i]
-            prev_l = layouts[i - 1] if i > 0 else None
-            next_l = layouts[j] if j < len(layouts) else None
-            alt = prev_l if (prev_l is not None and prev_l != current) else (
-                next_l if (next_l is not None and next_l != current) else None
-            )
-            if alt is not None:
-                keep_cost = sum(costs[k].cost(current) for k in range(i, j))
-                if prev_l is not None and prev_l != current:
-                    keep_cost += edge(i, prev_l, current)
-                if next_l is not None and next_l != current:
-                    keep_cost += edge(j, current, next_l)
-                flat_cost = sum(costs[k].cost(alt) for k in range(i, j))
-                if prev_l is not None and prev_l != alt:
-                    flat_cost += edge(i, prev_l, alt)
-                if next_l is not None and next_l != alt:
-                    flat_cost += edge(j, alt, next_l)
-                if flat_cost < keep_cost:
-                    for k in range(i, j):
-                        layouts[k] = alt
-                    changed = True
-            i = j
+        visited: set[str] = set()
+        for seed in order:
+            if seed.name in visited:
+                continue
+            label = layouts[seed.name]
+            alt = NCHW if label == CHWN else CHWN
+            grown, stack, borders_alt = {seed.name}, [seed.name], False
+            while stack:
+                for nb in neighbours[stack.pop()]:
+                    if layouts[nb] == alt:
+                        borders_alt = True
+                    elif nb not in visited and nb not in grown:
+                        grown.add(nb)
+                        stack.append(nb)
+            visited |= grown
+            region = [node.name for node in order if node.name in grown]
+            if borders_alt and region_ms(region, alt) < region_ms(region, label):
+                for name in region:
+                    layouts[name] = alt
+                changed = True
     return layouts
 
 
-def _dp_chain(
-    costs: list[_LayerCosts],
-    edge: Callable[[int, DataLayout, DataLayout], float],
-    layouts: tuple[DataLayout, ...],
-) -> list[DataLayout]:
-    """The legacy (layer, layout) dynamic program, tie-breaks included."""
-    n = len(costs)
-    best: list[dict[str, float]] = [dict() for _ in range(n)]
-    back: list[dict[str, str]] = [dict() for _ in range(n)]
-    for layout in layouts:
-        best[0][str(layout)] = costs[0].cost(layout)
-    for i in range(1, n):
-        for layout in layouts:
-            options = []
-            for prev in layouts:
-                t = edge(i, prev, layout)
-                options.append(
-                    (best[i - 1][str(prev)] + t + costs[i].cost(layout), str(prev))
-                )
-            cost, prev_key = min(options)
-            best[i][str(layout)] = cost
-            back[i][str(layout)] = prev_key
-    final = min(layouts, key=lambda lo: best[n - 1][str(lo)])
-    seq = [final]
-    for i in range(n - 1, 0, -1):
-        seq.append(DataLayout(back[i][str(seq[-1])]))
-    seq.reverse()
-    return seq
+def min_cut_layouts(
+    nodes: Sequence[str],
+    node_ms: Mapping[str, tuple[float, float]],
+    edge_ms: Mapping[tuple[str, str], tuple[float, float]],
+) -> dict[str, DataLayout]:
+    """The exact two-layout assignment, by one s-t minimum cut.
+
+    ``node_ms[v]`` is ``v``'s (CHWN, NCHW) cost; ``edge_ms[u, v]`` is the
+    (CHWN→NCHW, NCHW→CHWN) transform cost on the edge ``u → v``, paid when
+    ``u`` and ``v`` take those layouts and nothing when they agree.  With
+    free agreeing edges and non-negative costs (they are times), the total
+    is a submodular binary labelling, which one cut minimizes exactly:
+    CHWN is the source side, a node's NCHW cost sits on ``s → v`` and its
+    CHWN cost on ``v → t`` (both less their minimum, a constant), and an
+    edge's two transform costs sit on ``u → v`` and ``v → u``.  Residual
+    capacities at or below :data:`_TIE_MS` count as saturated.
+
+    **Tie rule:** the result is the *maximal* source set.  Every node that
+    cannot reach the sink in the final residual graph is CHWN, so among all
+    optimal assignments a node is CHWN exactly when it is CHWN in any of
+    them.
+    """
+    index = {name: i for i, name in enumerate(nodes)}
+    source, sink = len(nodes), len(nodes) + 1
+    residual: list[dict[int, float]] = [{} for _ in range(len(nodes) + 2)]
+
+    def add(u: int, v: int, cap: float) -> None:
+        if cap > 0:
+            residual[u][v] = residual[u].get(v, 0.0) + cap
+            residual[v].setdefault(u, 0.0)
+
+    for name in nodes:
+        chwn, nchw = node_ms[name]
+        floor = min(chwn, nchw)
+        add(source, index[name], nchw - floor)
+        add(index[name], sink, chwn - floor)
+    for (u, v), (to_nchw, to_chwn) in edge_ms.items():
+        add(index[u], index[v], to_nchw)
+        add(index[v], index[u], to_chwn)
+
+    # Edmonds-Karp: augment along shortest residual paths until none is left.
+    while True:
+        parent = {source: source}
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for v, cap in residual[u].items():
+                if cap > _TIE_MS and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            break
+        path = [sink]
+        while path[-1] != source:
+            path.append(parent[path[-1]])
+        push = min(residual[parent[v]][v] for v in path[:-1])
+        for v in path[:-1]:
+            residual[parent[v]][v] -= push
+            residual[v][parent[v]] += push
+
+    # Nodes that still reach the sink are NCHW; everything else is CHWN.
+    reaches_sink = {sink}
+    queue = deque([sink])
+    while queue:
+        v = queue.popleft()
+        for u in residual[v]:
+            if u not in reaches_sink and residual[u][v] > _TIE_MS:
+                reaches_sink.add(u)
+                queue.append(u)
+    return {name: NCHW if index[name] in reaches_sink else CHWN for name in nodes}
 
 
 class InsertTransforms(Pass):
@@ -720,10 +716,11 @@ class EliminateRedundantTransforms(Pass):
     A layout-agnostic node (LRN, concat) streams the same bytes under any
     layout, so its label is free to move: if relabeling strictly lowers the
     total cost of its incident transforms, the pair it sat between hoists
-    away.  Chains planned by the exact DP never improve here (the DP
-    already searched agnostic labels); the pass earns its keep on DAG
-    preference assignments, e.g. a CHWN branch feeding an NCHW-labeled
-    concat that immediately transforms back to CHWN for the next pool.
+    away.  Min-cut (``optimal``) plans never improve here: the cut already
+    priced every agnostic label.  The pass still pays on ``heuristic``
+    plans, whose fine-tune flips whole regions only: on inception it
+    relabels the concat CHWN, trading the transforms into and out of it
+    for one per NCHW branch, 0.108 ms cheaper on the GTX Titan Black.
     """
 
     name = "EliminateRedundantTransforms"
@@ -757,9 +754,9 @@ class EliminateRedundantTransforms(Pass):
                     return t
 
                 current_cost = incident(node.layout)
-                for layout in ctx.options.layouts:
+                for layout in PLAN_LAYOUTS:
                     candidate = incident(layout)
-                    if candidate + 1e-12 < current_cost:
+                    if candidate + _TIE_MS < current_cost:
                         node.layout = layout
                         current_cost = candidate
                         if node.name not in relabeled:
@@ -819,7 +816,7 @@ class SelectImplementations(Pass):
         histogram: dict[str, int] = {}
         for node in graph:
             costs = ctx.costs[node.name]
-            layout = node.layout if node.layout is not None else ctx.options.layouts[0]
+            layout = node.layout if node.layout is not None else PLAN_LAYOUTS[0]
             layer_ms, impl, coarsen = costs.choice(layout)
             node.layer_ms = layer_ms
             node.implementation = impl
@@ -909,8 +906,6 @@ def run_pipeline(
 ) -> PipelineResult:
     """Run the pass pipeline over ``graph``; the annotated graph is the plan."""
     options = options or PipelineOptions()
-    if not options.layouts:
-        raise ValueError("need at least one candidate layout")
     strategy = options.strategy_name()
     if len(graph) == 0:
         return PipelineResult(graph, (), device.name, strategy)

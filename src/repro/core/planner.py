@@ -12,9 +12,10 @@ Two planners are provided:
   drop any transform whose cost exceeds the layout benefit it enables
   (the paper's fine-tuning step, e.g. keeping CV5/CV9 in the surrounding
   layout because their preference is worth less than the transpose).
-* :func:`plan_optimal` — the exhaustive version of the same trade-off
-  (a dynamic program on chains).  Used in tests to prove the heuristic
-  plan is near-optimal.
+* :func:`plan_optimal` — the exact version of the same trade-off: the
+  minimum total time over every CHWN/NCHW assignment, on chains and DAGs
+  alike (one s-t min cut).  Used in tests to prove the heuristic plan is
+  near-optimal.
 
 :func:`plan_single_layout` prices the whole network in one fixed layout
 (the existing libraries' behaviour), the baseline both planners beat.
@@ -24,7 +25,8 @@ one-line presets of :func:`repro.core.pipeline.plan_network`, which lowers
 the definition to the graph IR and runs the pass pipeline; each returns
 its :class:`~repro.core.pipeline.PipelineResult`, whose planned graph is
 the plan.  This module also holds the per-node layer cost model the
-passes share.  The golden plans in ``tests/core/golden/plans.json`` pin
+passes share, over the one planning space :data:`PLAN_LAYOUTS`.  The
+golden plans in ``tests/core/golden/plans.json`` pin
 every preset.
 """
 
@@ -47,7 +49,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..framework.netdef import NetworkDef
     from .pipeline import PipelineResult
 
+#: the layouts the planners choose between (NCHW dominates NHWC, paper
+#: footnote 1, so NHWC is not one of them)
 PLAN_LAYOUTS: tuple[DataLayout, ...] = (CHWN, NCHW)
+
 
 @dataclass
 class _LayerCosts:
@@ -71,12 +76,11 @@ def _node_costs(
     device: DeviceSpec,
     tune_pooling: bool,
     allow_fft: bool,
-    layouts: tuple[DataLayout, ...] = PLAN_LAYOUTS,
 ) -> _LayerCosts:
     costs = _LayerCosts(node)
     if node.kind is NodeKind.CONV:
         assert isinstance(node.spec, ConvSpec)
-        for layout in layouts:
+        for layout in PLAN_LAYOUTS:
             choice = best_conv_for_layout(
                 context, node.spec, layout, allow_fft=allow_fft, check_memory=False
             )
@@ -100,7 +104,7 @@ def _node_costs(
         costs.per_layout[str(CHWN)] = (chwn_ms, impl, coarsen)
         # When a pool stays out of CHWN (transform not worth it), the
         # framework still picks the faster of the available channel-major
-        # kernels; every non-CHWN layout shares that pattern in the model.
+        # kernels.
         nchw_ms, nchw_impl = min(
             (
                 context.run(
@@ -110,14 +114,12 @@ def _node_costs(
             )
             for impl_name in ("nchw-linear", "nchw-rowblock")
         )
-        for layout in layouts:
-            if layout != CHWN:
-                costs.per_layout[str(layout)] = (nchw_ms, nchw_impl, None)
+        costs.per_layout[str(NCHW)] = (nchw_ms, nchw_impl, None)
     elif node.kind is NodeKind.ELEMENTWISE:
-        for layout in layouts:
+        for layout in PLAN_LAYOUTS:
             costs.per_layout[str(layout)] = (node.fixed_ms, "elementwise", None)
     elif node.kind is NodeKind.CONCAT:
-        for layout in layouts:
+        for layout in PLAN_LAYOUTS:
             costs.per_layout[str(layout)] = (node.fixed_ms, "concat", None)
     else:  # CLASSIFIER
         if isinstance(node.spec, SoftmaxSpec):
@@ -127,7 +129,7 @@ def _node_costs(
             impl = "softmax-opt"
         else:
             ms, impl = node.fixed_ms, "gemm"
-        for layout in layouts:
+        for layout in PLAN_LAYOUTS:
             costs.per_layout[str(layout)] = (ms, impl, None)
     return costs
 
@@ -141,7 +143,8 @@ def plan_single_layout(
     context: SimulationContext | None = None,
 ) -> PipelineResult:
     """Cost of running the whole network in one fixed layout (the existing
-    libraries' behaviour): the pipeline with ``strategy="single"``."""
+    libraries' behaviour): the pipeline with ``strategy="single"``.  A
+    ``layout`` outside :data:`PLAN_LAYOUTS` raises :class:`ValueError`."""
     from .pipeline import PipelineOptions, plan_network
 
     options = PipelineOptions(
@@ -164,9 +167,9 @@ def plan_with_heuristic(
     """The paper's mechanism: per-layer (Ct, Nt) rules + transform-cost
     fine-tuning.
 
-    After the per-layer preferences are set, each *maximal run* of layers
-    whose preference differs from its surroundings is kept only if its
-    benefit exceeds the two transforms it would cost (this is what keeps
+    After the per-layer preferences are set, each connected *region* of
+    same-layout layers (a maximal run, on a chain) is kept only if its
+    benefit exceeds the transforms on its boundary (this is what keeps
     tiny first-layer convolutions like CV9 in the surrounding layout).
     ``AssignLayouts`` runs the fine-tune; this is the pipeline with
     ``strategy="heuristic"``.
@@ -187,16 +190,14 @@ def plan_optimal(
     net: NetworkDef,
     tune_pooling: bool = True,
     allow_fft: bool = True,
-    layouts: tuple[DataLayout, ...] = PLAN_LAYOUTS,
     context: SimulationContext | None = None,
 ) -> PipelineResult:
     """Minimal total time including transforms: the pipeline with
-    ``strategy="optimal"`` (a (layer, layout) dynamic program on chains,
-    coordinate descent on DAGs).
+    ``strategy="optimal"``.
 
-    ``layouts`` widens the search space beyond the default {CHWN, NCHW}
-    pair (e.g. to include NHWC); every candidate layout needs a registered
-    convolution implementation family.
+    The plan is the exact minimum over every assignment of the
+    :data:`PLAN_LAYOUTS` pair, chain or DAG, found by one s-t min cut; at
+    equal cost a layer keeps CHWN.
     """
     from .pipeline import PipelineOptions, plan_network
 
@@ -204,6 +205,5 @@ def plan_optimal(
         strategy="optimal",
         tune_pooling=tune_pooling,
         allow_fft=allow_fft,
-        layouts=tuple(layouts),
     )
     return plan_network(device, net, options, context=context)

@@ -237,7 +237,7 @@ class Graph:
 
     def is_chain(self) -> bool:
         """True when every node feeds exactly the next one — the shape the
-        chain fine-tune and DP plan exactly."""
+        training backprop chain (``framework.training``) requires."""
         order = self.topological()
         for i, node in enumerate(order):
             expected = (order[i - 1].name,) if i else ()

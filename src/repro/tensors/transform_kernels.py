@@ -230,7 +230,7 @@ def transform_stats(
     """Simulate one relayout and return its kernel statistics.
 
     Served from the device's shared simulation session: the layout planner
-    asks for the same boundary transforms many times per dynamic program.
+    asks for the same boundary transforms many times per plan.
     """
     from ..gpusim.session import default_context
 

@@ -54,7 +54,7 @@ class TestPlannerPlansAreClean:
             assert errors == [], f"{name}: {[d.format() for d in errors]}"
 
     def test_optimal_plans_have_no_errors(self, device):
-        # The optimal DP places boundary transforms on layout-agnostic LRN
+        # The optimal min cut places boundary transforms on layout-agnostic LRN
         # nodes; the edge walk must follow them instead of flagging a
         # phantom mismatch.
         for name in ("alexnet", "zfnet"):

@@ -7,6 +7,7 @@ from repro.core.pipeline import (
     EliminateRedundantTransforms,
     InsertTransforms,
     PipelineOptions,
+    TransformCostTable,
     plan_network,
     run_pipeline,
 )
@@ -15,6 +16,15 @@ from repro.ir.graph import Graph, GraphNode, NodeKind
 from repro.layers import SoftmaxSpec
 from repro.networks import NETWORK_BUILDERS, build_network
 from repro.tensors import CHWN, NCHW
+
+
+class PricedInsertTransforms(InsertTransforms):
+    """``InsertTransforms`` on a hand-built graph: it prices the graph's
+    edges first, which ``AssignLayouts`` does in the full pipeline."""
+
+    def run(self, graph, ctx):
+        ctx.edge_costs.precompute(graph)
+        return super().run(graph, ctx)
 
 
 def sandwich_graph() -> Graph:
@@ -38,12 +48,23 @@ def sandwich_graph() -> Graph:
     return g
 
 
+class TestTransformCostTable:
+    def test_unpriced_edge_raises_naming_it(self, device):
+        g = sandwich_graph()
+        table = TransformCostTable(device)
+        with pytest.raises(KeyError, match="conv1->lrn: transform CHWN->NCHW"):
+            table.edge_ms(g["conv1"], g["lrn"], CHWN, NCHW)
+        assert table.precompute(g) == 2  # one shape, both directions
+        assert table.edge_ms(g["conv1"], g["lrn"], CHWN, NCHW) > 0
+        assert table.edge_ms(g["conv1"], g["lrn"], NCHW, NCHW) == 0.0
+
+
 class TestEliminateRedundantTransforms:
     def test_cancels_pair_across_agnostic_node(self, device):
         result = run_pipeline(
             device,
             sandwich_graph(),
-            passes=[InsertTransforms(), EliminateRedundantTransforms()],
+            passes=[PricedInsertTransforms(), EliminateRedundantTransforms()],
         )
         insert, eliminate = result.trace
         assert insert.stats["inserted"] == 2  # into lrn, back into conv2
@@ -58,7 +79,7 @@ class TestEliminateRedundantTransforms:
         g = sandwich_graph()
         g["lrn"].layout = CHWN
         result = run_pipeline(
-            device, g, passes=[InsertTransforms(), EliminateRedundantTransforms()]
+            device, g, passes=[PricedInsertTransforms(), EliminateRedundantTransforms()]
         )
         eliminate = result.trace[1]
         assert eliminate.stats["relabeled"] == ()
@@ -75,7 +96,7 @@ class TestEliminateRedundantTransforms:
             in_dims=lrn.in_dims, out_dims=lrn.out_dims, layout=NCHW,
         )
         result = run_pipeline(
-            device, g, passes=[InsertTransforms(), EliminateRedundantTransforms()]
+            device, g, passes=[PricedInsertTransforms(), EliminateRedundantTransforms()]
         )
         eliminate = result.trace[1]
         assert eliminate.stats["relabeled"] == ()
@@ -84,7 +105,9 @@ class TestEliminateRedundantTransforms:
 
     def test_opt_out_by_omitting_the_pass(self, device):
         """Leaving the pass out of ``passes`` keeps the pair in place."""
-        result = run_pipeline(device, sandwich_graph(), passes=[InsertTransforms()])
+        result = run_pipeline(
+            device, sandwich_graph(), passes=[PricedInsertTransforms()]
+        )
         assert [t.name for t in result.trace] == ["InsertTransforms"]
         assert result.graph["lrn"].layout == NCHW
         assert len(result.graph["conv2"].transforms) == 1

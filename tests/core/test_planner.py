@@ -1,4 +1,4 @@
-"""Layout planner: DP optimality, heuristic quality, transform accounting."""
+"""Layout planner: min-cut optimality, heuristic quality, transform accounting."""
 
 import itertools
 
@@ -11,12 +11,13 @@ from repro.core import (
 )
 from repro.core.pipeline import ResolveShapes, run_pipeline
 from repro.core.planner import PLAN_LAYOUTS, NodeKind, _node_costs
+from repro.core.pipeline import PipelineOptions
 from repro.framework import ConvDef, LRNDef, NetworkDef
-from repro.gpusim import default_context
+from repro.gpusim import TITAN_BLACK, TITAN_X, default_context
 from repro.ir import lower_netdef
 from repro.networks import build_network
 from repro.networks.definitions import NETWORK_BUILDERS
-from repro.tensors import CHWN, NCHW, TensorDesc
+from repro.tensors import CHWN, NCHW, NHWC, TensorDesc
 from repro.tensors.transform_kernels import transform_time_ms
 
 CHAIN_NETWORKS = tuple(
@@ -108,6 +109,18 @@ class TestSingleLayoutPlans:
             assert _planned_rows(plan) == expected, tune_pooling
             assert (plan.device, plan.strategy) == (device.name, f"single-{layout}")
 
+    def test_layout_outside_the_planning_pair_is_rejected(self, device, lenet):
+        """Only CHWN and NCHW have a priced implementation per layer; any
+        other layout fails up front, naming the allowed ones."""
+        with pytest.raises(ValueError, match=r"\(CHWN, NCHW\), got NHWC"):
+            plan_single_layout(device, lenet, NHWC)
+        with pytest.raises(ValueError, match="got None"):
+            PipelineOptions(strategy="single")
+
+    def test_unknown_strategy_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown strategy 'greedy'"):
+            PipelineOptions(strategy="greedy")
+
 
 class TestOptimalPlan:
     def test_never_worse_than_any_single_layout(self, device, alexnet):
@@ -117,7 +130,7 @@ class TestOptimalPlan:
             assert opt.total_ms <= single.total_ms + 1e-9
 
     def test_matches_brute_force_on_small_chain(self, device, lenet):
-        """DP == exhaustive enumeration over layout assignments."""
+        """The min-cut plan == exhaustive enumeration over layout assignments."""
         nodes = _resolved_nodes(device, lenet)
         costs = _oracle_costs(device, nodes, tune_pooling=True)
         best_total = None
@@ -129,6 +142,16 @@ class TestOptimalPlan:
             best_total = total if best_total is None else min(best_total, total)
         dp = plan_optimal(device, lenet)
         assert dp.total_ms == pytest.approx(best_total, rel=1e-9)
+
+    @pytest.mark.parametrize("network", sorted(NETWORK_BUILDERS))
+    @pytest.mark.parametrize("gpu", [TITAN_BLACK, TITAN_X], ids=lambda d: d.name)
+    def test_never_worse_than_heuristic(self, gpu, network):
+        """The min cut is exact, so the heuristic can only tie or lose, on
+        chains and on the branching network alike."""
+        netdef = build_network(network)
+        optimal = plan_optimal(gpu, netdef)
+        heuristic = plan_with_heuristic(gpu, netdef)
+        assert optimal.total_ms <= heuristic.total_ms + 1e-9
 
     def test_alexnet_plan_matches_paper_fig15(self, device, alexnet):
         """Fig. 15: CHWN for CV1, NCHW for CV2-CV5, CHWN pooling, and a

@@ -3,7 +3,7 @@
 A hypothesis strategy builds random-but-valid CNN stacks; the properties
 assert the invariants every component must hold for *any* network, not
 just the five benchmark ones: shape resolution is consistent, the text
-format round-trips, the DP plan dominates single-layout plans, and the
+format round-trips, the optimal plan dominates single-layout plans, and the
 numeric forward is a probability distribution that does not depend on the
 layout plan.
 """

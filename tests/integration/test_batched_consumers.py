@@ -70,7 +70,7 @@ class ScalarEdgeCosts:
     def __init__(self, device):
         self.device = device
 
-    def precompute(self, graph, layouts, jobs=None):
+    def precompute(self, graph, jobs=None):
         return 0
 
     def edge_ms(self, producer, consumer, src, dst):

@@ -49,7 +49,7 @@ class TestJourney:
     def test_calibration_feeds_the_heuristic(self, journey, device):
         """The (Ct, Nt) rules describe the direct-vs-MM trade-off, so they
         must match the profiled plan computed in that regime (no FFT —
-        with FFT allowed the DP may diverge, exactly as the paper's
+        with FFT allowed the optimal plan may diverge, exactly as the paper's
         AlexNet plan does at N=128)."""
         thresholds = journey["thresholds"]
         net = journey["net"]

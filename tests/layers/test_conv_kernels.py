@@ -14,10 +14,28 @@ from repro.layers import (
     Im2colKernel,
     make_conv_kernel,
 )
+from repro.ir import lower_netdef
+from repro.ir.build import infer_shapes
+from repro.ir.graph import NodeKind
 from repro.layers.conv_kernels import next_fast_len
-from repro.networks import CONV_LAYERS
+from repro.networks import CONV_LAYERS, build_network
 
 CV7 = CONV_LAYERS["CV7"]
+
+
+def _alexnet_convs() -> dict[str, ConvSpec]:
+    """The bundled AlexNet's convolutions, shapes resolved as the planner
+    sees them."""
+    graph = lower_netdef(build_network("alexnet"))
+    infer_shapes(graph)
+    return {f"alexnet-{n.name}": n.spec for n in graph if n.kind is NodeKind.CONV}
+
+
+#: footnote 1's layers: four Table-1 rows and every AlexNet convolution
+NHWC_LAYERS = {
+    **{name: CONV_LAYERS[name] for name in ("CV1", "CV4", "CV7", "CV11")},
+    **_alexnet_convs(),
+}
 
 #: Table-1 layer -> FFT geometry (pad_h, pad_w, tiles), untiled then tiled;
 #: None where cuDNN's FFT modes reject the layer (stride 2).  CV9 pads 226
@@ -162,13 +180,14 @@ class TestFFT:
 class TestNHWC:
     """Paper Section IV.A footnote 1: 'cuDNN also supports the NHWC data
     layout and our tests show that its NCHW layout outperforms its NHWC
-    layout.'"""
+    layout.'  NHWC is therefore not a planning layout; every AlexNet
+    convolution pins that per layer."""
 
-    @pytest.mark.parametrize("name", ["CV1", "CV4", "CV7", "CV11"])
+    @pytest.mark.parametrize("name", list(NHWC_LAYERS))
     def test_nchw_always_beats_nhwc(self, device, name):
         from repro.layers import Im2colGemmNHWC
 
-        spec = CONV_LAYERS[name]
+        spec = NHWC_LAYERS[name]
         t_nchw = default_context(device).run(Im2colGemmNCHW(spec)).time_ms
         t_nhwc = default_context(device).run(Im2colGemmNHWC(spec)).time_ms
         assert t_nchw < t_nhwc
