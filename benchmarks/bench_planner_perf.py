@@ -1,32 +1,20 @@
-"""Batched candidate-evaluator performance: vectorized analytic models.
+"""Sweep execution engine vs the scalar oracle, end to end.
 
-The scalar legs run :func:`scalar_evaluate_cells`, a bench-local oracle
+The scalar leg runs :func:`scalar_evaluate_cells`, a bench-local oracle
 that evaluates one model at a time through ``context.run`` (the model's
-definition).  Two measurements, both checked for bit-identical results
-before any timing is reported:
+definition).  The Fig. 4 sensitivity grid and the Fig. 6 pooling figure
+are built with that oracle patched over the figures' ``evaluate_cells``
+(serial scalar evaluation) and through the sweep execution engine:
+memoized-serial (fresh contexts), the warm worker pool at ``--jobs``, and
+a warm shared-context rebuild (the steady state of a long-lived session).
+Rendered tables are compared byte for byte across every mode before any
+timing is reported, and the scalar/serial passes are interleaved over
+rounds with the cleanest round reported beside the median and
+interquartile range of the per-round ratios.
 
-* **micro** — a sweep-shaped candidate grid (direct CHWN + im2col NCHW
-  convolutions plus the three Fig. 6 pooling layouts, across batch and
-  channel axes) evaluated by the scalar oracle vs one ``evaluate_models``
-  call, seven interleaved timed passes each (fresh context per pass, so
-  the scalar structural cache never warms); every :class:`KernelStats`
-  field must match exactly, and the batched path must clear 5x the
-  scalar candidates/sec on the cleanest of the seven rounds (the
-  ``--check`` gate);
-* **end-to-end** — the Fig. 4 sensitivity grid and the Fig. 6 pooling
-  figure built with the scalar oracle patched over the figures'
-  ``evaluate_cells`` (serial scalar evaluation) vs through the sweep
-  execution engine: memoized-serial (fresh contexts), the warm worker
-  pool at ``--jobs``, and a warm shared-context rebuild (the steady state
-  of a long-lived session).  Rendered tables are compared byte for byte
-  across every mode, and the scalar/serial passes are interleaved over
-  rounds with the cleanest round reported, like the micro benchmark.
-
-Both measurements also report the median and interquartile range of the
-per-round ratios beside the cleanest round.  Emits ``BENCH_planner.json``
-(CI uploads it as an artifact); with ``--check`` the exit status is
-nonzero on a sub-5x micro speedup *or* an end-to-end memoized-serial run
-slower than the scalar path (both on the cleanest round).
+Emits ``BENCH_planner.json`` (CI uploads it as an artifact); with
+``--check`` the exit status is nonzero when the memoized-serial build is
+slower than the scalar path on the cleanest round.
 """
 
 from __future__ import annotations
@@ -37,33 +25,30 @@ import statistics
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 from figutil import bench_arg_parser
 
 import bench_fig04_sensitivity as fig04
 import bench_fig06_pooling_layouts as fig06
 
-from repro.gpusim import SimulationContext, TITAN_BLACK
-from repro.gpusim.batch import _scalar_eval, evaluate_models
+from repro.gpusim import GpuOutOfMemoryError, SimulationContext, TITAN_BLACK
 from repro.gpusim.exec import resolve_jobs, shutdown_pool
-from repro.layers import DirectConvCHWN, Im2colGemmNCHW, make_pool_kernel
-from repro.layers.base import PoolSpec
-from repro.networks import CONV_LAYERS
 
-MICRO_N = (1, 2, 4, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
-MICRO_C = (3, 8, 16, 24, 32, 48, 64, 96, 128, 192, 256)
-POOL_IMPLS = ("chwn", "nchw-linear", "nchw-rowblock")
-MICRO_REPEATS = 7
-SPEEDUP_GATE = 5.0
 E2E_REPEATS = 5
 #: memoized-serial must at least match the scalar path end to end
 E2E_GATE = 1.0
 
 
+def _scalar_eval(context, model, check_memory):
+    try:
+        return context.run(model, check_memory=check_memory)
+    except (GpuOutOfMemoryError, ValueError) as exc:
+        return exc
+
+
 def scalar_evaluate_cells(context, models, check_memory=None):
     """Scalar oracle for ``evaluate_cells``: one ``context.run`` per model,
-    no memo probe, no batch."""
+    no memo probe."""
     return [_scalar_eval(context, m, check_memory) for m in models]
 
 
@@ -82,87 +67,6 @@ def round_spread(rounds: list[float]) -> tuple[float, float]:
     """(median, interquartile range) of the per-round ratios."""
     q1, median, q3 = statistics.quantiles(rounds, n=4, method="inclusive")
     return median, q3 - q1
-
-
-def micro_models():
-    """Distinct candidates shaped like the two bundled sweeps: the Fig. 4
-    convolution-layout grid and the Fig. 6 pooling-layout grid, crossed
-    over batch and channel axes (no repeated shapes, so the scalar path's
-    structural cache never shortcuts an evaluation)."""
-    base = CONV_LAYERS["CV7"]
-    pool = PoolSpec(n=128, c=96, h=55, w=55, window=3, stride=2)
-    models = []
-    for n in MICRO_N:
-        for c in MICRO_C:
-            spec = replace(base, n=n, ci=c)
-            models.append(DirectConvCHWN(spec))
-            models.append(Im2colGemmNCHW(spec))
-            pspec = replace(pool, n=n, c=c)
-            for impl in POOL_IMPLS:
-                models.append(make_pool_kernel(pspec, impl))
-    return models
-
-
-def run_micro(device) -> dict:
-    models = micro_models()
-
-    def scalar_pass():
-        ctx = SimulationContext(device, check_memory=False)
-        return scalar_evaluate_cells(ctx, models, check_memory=False)
-
-    def batched_pass():
-        ctx = SimulationContext(device, check_memory=False)
-        return evaluate_models(ctx, models, check_memory=False)
-
-    # One untimed pass per side first: the process-global warmup (lazy
-    # imports, memoized trace replays for traced kernels) lands on neither
-    # timed side, and the pair doubles as the bit-identity check.  Then
-    # interleave the timed passes (scalar, batched, scalar, ...) so a
-    # noisy stretch of machine time degrades both sides of a round alike,
-    # and report the cleanest round: machine noise only ever slows a
-    # pass, so the best paired ratio is the estimate closest to the true
-    # speedup.  Every pass builds its own context — the scalar structural
-    # cache never warms across repeats.
-    scalar = scalar_pass()
-    batched = batched_pass()
-    scalar_s = batched_s = float("inf")
-    rounds = []
-    for _ in range(MICRO_REPEATS):
-        t0 = time.perf_counter()
-        scalar_pass()
-        round_scalar_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        batched_pass()
-        round_batched_s = time.perf_counter() - t0
-        rounds.append(round_scalar_s / round_batched_s)
-        scalar_s = min(scalar_s, round_scalar_s)
-        batched_s = min(batched_s, round_batched_s)
-    speedup = max(rounds)
-    median, iqr = round_spread(rounds)
-
-    for i, (ref, out) in enumerate(zip(scalar, batched)):
-        if isinstance(ref, Exception):
-            raise AssertionError(f"candidate {i} failed in the oracle: {ref!r}")
-        if isinstance(out, Exception):
-            raise AssertionError(f"candidate {i} failed in the batch: {out!r}")
-        if out != ref:
-            raise AssertionError(
-                f"candidate {i} ({models[i].name}) differs:\n"
-                f"  scalar  {ref}\n  batched {out}"
-            )
-
-    n = len(models)
-    return {
-        "candidates": n,
-        "scalar_s": scalar_s,
-        "batched_s": batched_s,
-        "scalar_cand_per_s": n / scalar_s if scalar_s else float("inf"),
-        "batched_cand_per_s": n / batched_s if batched_s else float("inf"),
-        "round_speedups": rounds,
-        "speedup": speedup,
-        "speedup_median": median,
-        "speedup_iqr": iqr,
-    }
 
 
 def _figure_renders(
@@ -199,7 +103,7 @@ def run_end_to_end(device, jobs) -> dict:
     serial_tables = serial_pass()
     pool_tables = _figure_renders(device, jobs=jobs)
     if ref_tables != serial_tables or ref_tables != pool_tables:
-        raise AssertionError("batched figures differ from the scalar reference")
+        raise AssertionError("engine figures differ from the scalar reference")
 
     # Interleave scalar/memoized-serial timed rounds and report the
     # cleanest one: noise only ever slows a pass, so the best paired
@@ -266,71 +170,38 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help=f"exit nonzero if the batched micro speedup is below "
-        f"{SPEEDUP_GATE}x or the end-to-end memoized-serial build is "
+        help=f"exit nonzero if the end-to-end memoized-serial build is "
         f"slower than the scalar path (below {E2E_GATE}x)",
-    )
-    parser.add_argument(
-        "--skip-end-to-end",
-        action="store_true",
-        help="only run the candidate-grid micro-benchmark",
     )
     args = parser.parse_args(argv)
 
-    results = {
-        "cpu_count": os.cpu_count(),
-        "speedup_gate": SPEEDUP_GATE,
-        "micro": run_micro(TITAN_BLACK),
-    }
-    m = results["micro"]
+    try:
+        end_to_end = run_end_to_end(TITAN_BLACK, args.jobs)
+    finally:
+        shutdown_pool()
+    results = {"cpu_count": os.cpu_count(), "end_to_end": end_to_end}
+    e = end_to_end
     print(
-        f"micro ({m['candidates']} candidates): "
-        f"scalar {m['scalar_cand_per_s']:.0f}/s, "
-        f"batched {m['batched_cand_per_s']:.0f}/s -> {m['speedup']:.1f}x "
-        f"(median {m['speedup_median']:.1f}x, IQR {m['speedup_iqr']:.2f}), "
-        f"stats identical"
+        f"end-to-end ({', '.join(e['figures'])}): "
+        f"scalar {e['scalar_s']:.3f}s, memoized serial "
+        f"{e['batched_serial_s']:.3f}s ({e['serial_speedup']:.2f}x; median "
+        f"{e['serial_speedup_median']:.2f}x, IQR {e['serial_speedup_iqr']:.2f}), "
+        f"warm pool --jobs {e['jobs']} {e['batched_s']:.3f}s, "
+        f"warm context {e['warm_s']:.3f}s ({e['warm_speedup']:.1f}x), "
+        f"tables identical"
     )
-
-    if not args.skip_end_to_end:
-        try:
-            results["end_to_end"] = run_end_to_end(TITAN_BLACK, args.jobs)
-        finally:
-            shutdown_pool()
-        e = results["end_to_end"]
-        print(
-            f"end-to-end ({', '.join(e['figures'])}): "
-            f"scalar {e['scalar_s']:.3f}s, memoized serial "
-            f"{e['batched_serial_s']:.3f}s ({e['serial_speedup']:.2f}x; median "
-            f"{e['serial_speedup_median']:.2f}x, IQR {e['serial_speedup_iqr']:.2f}), "
-            f"warm pool --jobs {e['jobs']} {e['batched_s']:.3f}s, "
-            f"warm context {e['warm_s']:.3f}s ({e['warm_speedup']:.1f}x), "
-            f"tables identical"
-        )
 
     with open(args.output, "w") as fh:
         json.dump(results, fh, indent=1, sort_keys=True)
     print(f"wrote {args.output}")
 
-    failed = False
-    if args.check and results["micro"]["speedup"] < SPEEDUP_GATE:
-        print(
-            f"CHECK FAILED: batched evaluator only "
-            f"{results['micro']['speedup']:.1f}x the scalar path "
-            f"(gate: {SPEEDUP_GATE}x)"
-        )
-        failed = True
-    if (
-        args.check
-        and "end_to_end" in results
-        and results["end_to_end"]["serial_speedup"] < E2E_GATE
-    ):
+    if args.check and e["serial_speedup"] < E2E_GATE:
         print(
             f"CHECK FAILED: end-to-end memoized-serial build only "
-            f"{results['end_to_end']['serial_speedup']:.2f}x the scalar "
-            f"path (gate: {E2E_GATE}x)"
+            f"{e['serial_speedup']:.2f}x the scalar path (gate: {E2E_GATE}x)"
         )
-        failed = True
-    return 1 if failed else 0
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -202,12 +202,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _batched_eval_digest() -> str | None:
-    """Summarize the vectorized evaluator's work, if any ran.
+    """Summarize the grid evaluator's work, if any ran.
 
     Surfaces the ``batch.eval.*`` metrics next to the span digest so
-    ``repro profile`` shows how many candidates went through the batched
-    path (and how many fell back to the scalar evaluator); ``repro.obs``
-    smoke checks gate on the same category.
+    ``repro profile`` shows how many candidates the execution engine's
+    misses sent to ``evaluate_models``; ``repro.obs`` smoke checks gate on
+    the same category.
     """
     from .obs.metrics import aggregate_metrics
 
@@ -217,16 +217,12 @@ def _batched_eval_digest() -> str | None:
         return None
     candidates = metrics.value("batch.eval.candidates")
     sizes = metrics.histogram("batch.eval.size").summary()
-    fallbacks = sum(
-        metrics.value(name) for name in metrics.names("batch.eval.fallback.")
-    )
     lines = [
         "batched evaluation:",
         f"  batches            {int(batches)}",
         f"  candidates         {int(candidates)}",
         f"  batch size         p50={sizes.get('p50', 0):.0f} "
         f"max={sizes.get('max', 0):.0f}",
-        f"  scalar fallbacks   {int(fallbacks)}",
     ]
     return "\n".join(lines)
 

@@ -39,69 +39,6 @@ class TuneResult:
         return self.baseline_ms / self.time_ms if self.time_ms else 0.0
 
 
-def _time(context: SimulationContext, spec: PoolSpec, ux: int, uy: int) -> float:
-    if (ux, uy) == (1, 1):
-        return context.run(PoolingCHWN(spec), check_memory=False).time_ms
-    kernel = PoolingCoarsenedCHWN(spec, ux=ux, uy=uy)
-    return context.run(kernel, check_memory=False).time_ms
-
-
-def autotune_pooling(
-    device: DeviceSpec,
-    spec: PoolSpec,
-    max_factor: int = 8,
-    initial: int = 2,
-    context: SimulationContext | None = None,
-) -> TuneResult:
-    """Hill-climb (ux, uy) for one pooling layer.
-
-    Starts from the paper's initial factor of 2 in each direction, grows one
-    direction at a time while the simulated time improves, and stops on the
-    first regression (the pruning heuristic of Section V.A).  Falls back to
-    (1, 1) — the plain kernel — when no expansion helps, which is what
-    happens for non-overlapped pooling where there is no shared data to
-    reuse.
-    """
-    if max_factor < 1 or initial < 1:
-        raise ValueError("factors must be at least 1")
-    ctx = context or default_context(device)
-    trace: list[tuple[int, int, float]] = []
-
-    baseline = _time(ctx, spec, 1, 1)
-    trace.append((1, 1, baseline))
-
-    best_u = (1, 1)
-    best_t = baseline
-    start = _time(ctx, spec, initial, initial)
-    trace.append((initial, initial, start))
-    if start < best_t:
-        best_u, best_t = (initial, initial), start
-
-        improving = True
-        while improving:
-            improving = False
-            for dim in (0, 1):
-                candidate = list(best_u)
-                candidate[dim] = min(max_factor, candidate[dim] + 1)
-                cand = (candidate[0], candidate[1])
-                if cand == best_u:
-                    continue
-                t = _time(ctx, spec, *cand)
-                trace.append((*cand, t))
-                if t < best_t:
-                    best_u, best_t = cand, t
-                    improving = True
-                # else: stop climbing this direction (hill-climb pruning)
-
-    return TuneResult(
-        ux=best_u[0],
-        uy=best_u[1],
-        time_ms=best_t,
-        baseline_ms=baseline,
-        evaluations=tuple(trace),
-    )
-
-
 @dataclass
 class _ClimbState:
     """One spec's position in the lockstep hill-climb."""
@@ -118,7 +55,8 @@ class _ClimbState:
 def _batch_times(
     context: SimulationContext, requests: list[tuple[PoolSpec, tuple[int, int]]]
 ) -> list[float]:
-    """Vectorized, memoized ``_time`` over (spec, (ux, uy)) pairs."""
+    """Memoized simulated times (ms) of (spec, (ux, uy)) pairs; (1, 1) is
+    the plain CHWN kernel."""
     models = [
         PoolingCHWN(spec) if u == (1, 1) else PoolingCoarsenedCHWN(spec, ux=u[0], uy=u[1])
         for spec, u in requests
@@ -138,10 +76,10 @@ def _tune_chunk(
     """Tune a chunk of pooling layers in lockstep.
 
     Each hill-climb is sequential, but at every step all chunk members'
-    pending evaluations batch into one vectorized call.  The per-spec
-    evaluation order — baseline, start, then (ux, uy) proposals per round —
-    matches :func:`autotune_pooling` exactly, so traces and results are
-    identical to the scalar tuner.
+    pending evaluations go through one ``evaluate_cells`` call.  Each
+    spec's evaluation order — baseline, start, then (ux, uy) proposals per
+    round — does not depend on the other chunk members, so a layer's trace
+    and result are the same alone or in any chunk.
     """
     for _, max_factor, initial in tasks:
         if max_factor < 1 or initial < 1:
@@ -194,6 +132,26 @@ def _tune_chunk(
         )
         for s in states
     ]
+
+
+def autotune_pooling(
+    device: DeviceSpec,
+    spec: PoolSpec,
+    max_factor: int = 8,
+    initial: int = 2,
+    context: SimulationContext | None = None,
+) -> TuneResult:
+    """Hill-climb (ux, uy) for one pooling layer.
+
+    Starts from the paper's initial factor of 2 in each direction, grows one
+    direction at a time while the simulated time improves, and stops on the
+    first regression (the pruning heuristic of Section V.A).  Falls back to
+    (1, 1) — the plain kernel — when no expansion helps, which is what
+    happens for non-overlapped pooling where there is no shared data to
+    reuse.
+    """
+    ctx = context or default_context(device)
+    return _tune_chunk(ctx, [(spec, max_factor, initial)])[0]
 
 
 def autotune_pooling_many(

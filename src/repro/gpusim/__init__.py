@@ -12,14 +12,6 @@ time.
 from .._lazy import lazy_exports
 
 _EXPORTS = {
-    "batch": (
-        "CandidateBatch",
-        "EvalSpec",
-        "evaluate_batch",
-        "evaluate_models",
-        "evaluate_specs",
-        "launch_invalid_mask",
-    ),
     "cache": ("CacheStats", "SetAssociativeCache"),
     "coalescing": (
         "CoalescingReport",
@@ -71,8 +63,6 @@ _EXPORTS = {
         "roofline_point",
     ),
     "sharedmem": (
-        "BankConflictReport",
-        "analyze_shared_access",
         "conflict_degree",
         "tile_column_access",
     ),

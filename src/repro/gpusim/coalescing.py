@@ -56,15 +56,6 @@ class CoalescingReport:
         """Bus amplification factor (1.0 = perfectly coalesced)."""
         return self.fetched_bytes / self.useful_bytes if self.useful_bytes else 0.0
 
-    def merged(self, other: "CoalescingReport") -> "CoalescingReport":
-        """Combine two reports (e.g. loads and stores of one kernel)."""
-        return CoalescingReport(
-            warps=self.warps + other.warps,
-            transactions=self.transactions + other.transactions,
-            useful_bytes=self.useful_bytes + other.useful_bytes,
-            fetched_bytes=self.fetched_bytes + other.fetched_bytes,
-        )
-
 
 def _warp_segments(
     addresses: np.ndarray, segment_bytes: int, access_bytes: int

@@ -11,7 +11,7 @@ thresholds "only relate to the property of the hardware").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -163,10 +163,6 @@ class DeviceSpec:
         if access_bytes >= 8:
             return self.bw_eff_8b
         return self.bw_eff_4b
-
-    def with_arch(self, **kwargs: float) -> "DeviceSpec":
-        """Return a copy with updated :class:`ArchProfile` fields."""
-        return replace(self, arch=replace(self.arch, **kwargs))
 
 
 #: GTX Titan Black (Kepler GK110B) — the paper's primary platform.

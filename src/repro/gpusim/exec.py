@@ -1,24 +1,21 @@
-"""Sweep execution engine: memoized, fused, warm-pooled grid evaluation.
+"""Sweep execution engine: memoized, warm-pooled grid evaluation.
 
 This is the one runtime path between the grid producers
 (:mod:`repro.analysis.sweeps`, :mod:`repro.core.calibration`,
 :mod:`repro.core.autotune`, the pipeline's transform pricing, the figure
-drivers) and the evaluators (:mod:`repro.gpusim.batch`,
-:mod:`repro.gpusim.session`).  It has three layers:
+drivers) and the evaluator (:func:`repro.gpusim.batch.evaluate_models`,
+which times each cell with the scalar model).  It has two layers:
 
 * **cross-grid memoization** — :func:`evaluate_cells` consults the
   session's structural timing cache (the same
   :func:`~repro.gpusim.session.structural_key` space
-  :meth:`SimulationContext.run` uses) *before* batch assembly, and dedups
-  structurally-equal cells within a grid, so each distinct (kernel shape,
-  device) cell is evaluated exactly once per process no matter how many
-  sweep grids revisit it.  This is where the end-to-end time lives: a
-  traced NCHW pooling profile costs ~1000x a closed-form candidate, and
-  the figure suite re-prices the same pooling layers grid after grid.
-* **fused batching** — the cells that survive memoization assemble into
-  *one* :class:`~repro.gpusim.batch.CandidateBatch` for the whole grid
-  (``evaluate_models`` keeps its composed-kernel expansion and in-slot
-  error semantics), instead of paying batch setup per producer-side chunk.
+  :meth:`SimulationContext.run` uses) before evaluating anything, and
+  dedups structurally-equal cells within a grid, so each distinct
+  (kernel shape, device) cell is evaluated exactly once per process no
+  matter how many sweep grids revisit it.  This is where the end-to-end
+  time lives: a traced NCHW pooling profile costs ~1000x a closed-form
+  candidate, and the figure suite re-prices the same pooling layers grid
+  after grid.
 * **a persistent warm worker pool** — :func:`map_chunks` hands each
   producer chunk of cells to one call of the producer's chunk function:
   serially that is one call over the whole grid; with ``--jobs`` the
@@ -29,11 +26,11 @@ drivers) and the evaluators (:mod:`repro.gpusim.batch`,
   chunks adaptively from the measured per-cell cost.
 
 Everything stays byte-identical to the scalar model
-(:meth:`SimulationContext.run`, the tests' oracle): cached values are
-bit-identical to freshly-computed ones by the equivalence contract, results
-are reassembled in submission order, and a warm worker computes exactly
-what a cold one would.  The ``--jobs`` knob (:func:`resolve_jobs`) remains
-a pure wall-clock knob.
+(:meth:`SimulationContext.run`, the tests' oracle): a memoized value is
+the value the same model computed the first time, results are
+reassembled in submission order, and a warm worker computes exactly what
+a cold one would.  The ``--jobs`` knob (:func:`resolve_jobs`) remains a
+pure wall-clock knob.
 
 Instrumentation (``repro.obs``): ``exec.cache.{hit,miss,dedup,error_hit}``
 counters, the ``exec.batch.size`` histogram, ``exec.pool.{reuse,chunks}``
@@ -87,7 +84,7 @@ __all__ = [
 ]
 
 #: ``fn`` for :func:`map_chunks`: one *chunk* of grid cells per call (not
-#: one cell), so the whole chunk can evaluate as a single fused batch.
+#: one cell), so the whole chunk goes through one ``evaluate_cells`` call.
 ChunkFn = Callable[[SimulationContext, list], list]
 
 #: What one warm worker ships back per submission: chunk results, the
@@ -106,22 +103,8 @@ ChunkShipment = tuple[
 
 
 # ---------------------------------------------------------------------------
-# Layer 1+2: cross-grid memoization over one fused batch
+# Layer 1: cross-grid memoization
 # ---------------------------------------------------------------------------
-
-
-def _memoizable(model: KernelModel) -> bool:
-    """Whether a model's outcome may be served from the structural memo.
-
-    Nested composed kernels take the scalar fallback inside
-    ``evaluate_models`` (whose sub-kernels hit the context cache on their
-    own keys), so memoizing the collapsed top-level value would only
-    duplicate state the recursion already shares.
-    """
-    return not (
-        isinstance(model, ComposedKernel)
-        and any(isinstance(k, ComposedKernel) for k in model.kernels)
-    )
 
 
 def _fit_error(
@@ -157,8 +140,8 @@ def evaluate_cells(
     """Memoized :func:`~repro.gpusim.batch.evaluate_models`.
 
     Same signature and slot-for-slot result contract (stats or the exact
-    scalar exception per model), with two additions in front of batch
-    assembly:
+    scalar exception per model), with two additions in front of the
+    evaluator:
 
     * cells whose structural key is already in ``context``'s timing cache
       (or its error memo) are served without touching the analytic stack
@@ -168,8 +151,9 @@ def evaluate_cells(
       evaluation, then fan back out to every owning slot, preserving
       order and multiplicity.
 
-    Misses are evaluated in one fused batch and folded back into the
-    context cache, so later grids — and ``context.run`` — reuse them.
+    Misses are evaluated in one ``evaluate_models`` call and folded back
+    into the context cache, so later grids — and ``context.run`` — reuse
+    them.
 
     The memory-fit check stays *outside* the memo, mirroring the scalar
     order (``_check_fit`` runs before the cache lookup in
@@ -190,7 +174,6 @@ def evaluate_cells(
         miss_idx: list[int] = []
         first_owner: dict[str, int] = {}
         dup_of: dict[int, int] = {}
-        cacheable = [_memoizable(m) for m in models]
         hits = error_hits = 0
         for i, key in enumerate(keys):
             model = models[i]
@@ -199,9 +182,6 @@ def evaluate_cells(
                 if oom is not None:
                     results[i] = oom
                     continue
-            if not cacheable[i]:
-                miss_idx.append(i)
-                continue
             cached = context.cache_lookup(key)
             if cached is not None:
                 results[i] = cached
@@ -226,8 +206,6 @@ def evaluate_cells(
             )
             for i, outcome in zip(miss_idx, outcomes):
                 results[i] = outcome
-                if not cacheable[i]:
-                    continue
                 if isinstance(outcome, GpuOutOfMemoryError):
                     continue  # flag-dependent; the pre-lookup fit check owns it
                 if isinstance(outcome, Exception):
@@ -338,7 +316,7 @@ def adaptive_chunk_size(
 
 
 # ---------------------------------------------------------------------------
-# Layer 3: the persistent warm worker pool
+# Layer 2: the persistent warm worker pool
 # ---------------------------------------------------------------------------
 
 _POOL: ProcessPoolExecutor | None = None
@@ -451,8 +429,8 @@ def map_chunks(
 
     The grid-consumer entry point: ``fn`` receives a contiguous *chunk* of
     cells and returns one result per cell, so a serial run (resolved
-    ``jobs`` <= 1) is exactly one call with the whole grid — one fused
-    batch, zero chunking overhead.  With workers available the grid splits
+    ``jobs`` <= 1) is exactly one call with the whole grid — zero
+    chunking overhead.  With workers available the grid splits
     into adaptively-sized chunks over the persistent warm pool; worker
     cache deltas, counters, metrics, and (when tracing) span streams fold
     into ``context`` on join, and results are reassembled in submission

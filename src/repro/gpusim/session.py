@@ -231,11 +231,10 @@ class SimStats:
         reg.histogram("sim.kernel_sim_ms").observe(wall_s * 1e3)
 
     def record_batch(self, kind_counts: dict[str, int], wall_s: float) -> None:
-        """Record one batched evaluation: every candidate counts as a miss
+        """Record one grid evaluation: every candidate counts as a miss
         (all were timed, none served from the structural cache), but the
         wall time lands as one aggregate increment and the per-kernel
-        ``sim.kernel_sim_ms`` histogram is not observed — per-candidate
-        timing is exactly the overhead the batch path removes."""
+        ``sim.kernel_sim_ms`` histogram is not observed."""
         reg = self.registry
         reg.counter("sim.queries.misses").inc(sum(kind_counts.values()))
         reg.counter("sim.wall_s").inc(wall_s)
@@ -445,14 +444,15 @@ class SimulationContext:
 
     def cache_lookup(self, key: str) -> "KernelStats | None":
         """The cached stats under a :func:`structural_key`, if any (the
-        sweep execution engine consults this before batch assembly)."""
+        sweep execution engine consults this before evaluating a cell)."""
         return self._cache.get(key)
 
     def cache_store(self, key: str, stats: KernelStats) -> None:
-        """Insert a batch-computed timing under its structural key.
+        """Insert a timing the execution engine computed under its
+        structural key.
 
-        First write wins, mirroring :meth:`absorb`: the batched evaluator
-        is bit-identical to the scalar path by contract, so an existing
+        First write wins, mirroring :meth:`absorb`: the engine times each
+        cell with the same scalar model as :meth:`run`, so an existing
         entry already holds the same value.
         """
         if key not in self._cache:

@@ -13,22 +13,7 @@ broadcast and do not conflict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class BankConflictReport:
-    """Conflict statistics for a batch of warp-level shared accesses."""
-
-    warps: int
-    replays: int
-
-    @property
-    def avg_conflict_degree(self) -> float:
-        """Mean serialization factor (1.0 = conflict-free)."""
-        return 1.0 + self.replays / self.warps if self.warps else 1.0
 
 
 def conflict_degree(
@@ -55,16 +40,6 @@ def conflict_degree(
         _, counts = np.unique(uniq[:, 0], return_counts=True)
         degrees[w] = int(counts.max())
     return degrees
-
-
-def analyze_shared_access(
-    addresses: np.ndarray, banks: int = 32, word_bytes: int = 4
-) -> BankConflictReport:
-    """Aggregate bank-conflict replays over sampled warps."""
-    degrees = conflict_degree(addresses, banks, word_bytes)
-    return BankConflictReport(
-        warps=int(degrees.size), replays=int((degrees - 1).sum())
-    )
 
 
 def tile_column_access(

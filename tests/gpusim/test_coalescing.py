@@ -150,13 +150,6 @@ class TestAnalyzeWarps:
         rep = analyze_warps(strided_pattern(8, 32, device), device)
         assert rep.overfetch == pytest.approx(8.0)
 
-    def test_merge_adds_counters(self, device):
-        a = analyze_warps(strided_pattern(2, 4, device), device)
-        b = analyze_warps(strided_pattern(3, 8, device), device)
-        merged = a.merged(b)
-        assert merged.warps == 5
-        assert merged.transactions == a.transactions + b.transactions
-
     def test_empty_pattern_requires_positive_warps(self, device):
         with pytest.raises(ValueError):
             strided_pattern(0, 4, device)

@@ -65,12 +65,6 @@ class TestDeviceSpec:
             <= TITAN_BLACK.access_bw_efficiency(16)
         )
 
-    def test_with_arch_overrides_only_named_fields(self):
-        tweaked = TITAN_BLACK.with_arch(gemm_peak_eff=0.9)
-        assert tweaked.arch.gemm_peak_eff == 0.9
-        assert tweaked.arch.gemm_k_half == TITAN_BLACK.arch.gemm_k_half
-        assert tweaked.peak_gflops == TITAN_BLACK.peak_gflops
-
 
 class TestRegistry:
     def test_known_devices(self):

@@ -1,4 +1,4 @@
-"""Sweep execution engine: memoization, dedup, fused batches, warm pool.
+"""Sweep execution engine: memoization, dedup, warm pool.
 
 The contract of :mod:`repro.gpusim.exec` is that ``--jobs N``,
 memoization, dedup, chunking, and worker warmth are all *pure wall-clock
@@ -24,10 +24,11 @@ from repro.core.calibration import calibrate
 from repro.gpusim import (
     SimStats,
     SimulationContext,
-    evaluate_models,
     map_chunks,
     shutdown_pool,
 )
+from repro.gpusim.batch import evaluate_models
+from repro.gpusim.kernel import ComposedKernel
 from repro.gpusim.session import GpuOutOfMemoryError
 from repro.gpusim.exec import (
     DEFAULT_MIN_CHUNK,
@@ -106,6 +107,27 @@ class TestEvaluateCells:
         assert got[0] == got[2] == got[3]
         assert got[1] == got[4]
         assert global_registry().value("exec.cache.dedup") == dedup0 + 3
+
+    def test_nested_composed_is_memoized(self, device, small_pool):
+        # A composed kernel inside a composed kernel evaluates like any
+        # other cell: equal to context.run, then served from the memo.
+        inner = ComposedKernel(
+            kernels=[
+                make_pool_kernel(small_pool, "chwn"),
+                make_pool_kernel(small_pool, "nchw-linear"),
+            ],
+            name="pool-pair",
+        )
+        outer = ComposedKernel(
+            kernels=[inner, make_pool_kernel(replace(small_pool, c=8), "chwn")],
+            name="pool-nested",
+        )
+        ref = _fresh(device).run(outer, check_memory=False)
+        ctx = _fresh(device)
+        assert evaluate_cells(ctx, [outer], check_memory=False) == [ref]
+        hits0 = global_registry().value("exec.cache.hit") or 0
+        assert evaluate_cells(ctx, [outer], check_memory=False) == [ref]
+        assert global_registry().value("exec.cache.hit") == hits0 + 1
 
     def test_empty_grid(self, device):
         assert evaluate_cells(_fresh(device), []) == []

@@ -62,6 +62,30 @@ class TestOccupancy:
                 LaunchConfig(grid=(1, 1, 1), block=(32, 1, 1), smem_per_block=64 * 1024),
             )
 
+    @pytest.mark.parametrize(
+        "launch,limiter",
+        [
+            # 2048 threads/SM at 256 threads/block: threads limit binds
+            (LaunchConfig(grid=(512, 1), block=(256, 1)), "threads"),
+            # tiny blocks: blocks/SM cap binds before the warp cap
+            (LaunchConfig(grid=(512, 1), block=(32, 1)), "blocks"),
+            # 255 regs/thread: register file limit binds
+            (
+                LaunchConfig(grid=(512, 1), block=(256, 1), regs_per_thread=255),
+                "registers",
+            ),
+            # a full SM's shared memory per block: exactly one block fits
+            (
+                LaunchConfig(grid=(512, 1), block=(256, 1), smem_per_block=48 * 1024),
+                "shared_memory",
+            ),
+        ],
+        ids=["threads", "blocks", "registers", "shared_memory"],
+    )
+    def test_limiter_edges(self, device, launch, limiter):
+        """Each launch sits on one limit; ties go to the earlier limiter."""
+        assert compute_occupancy(device, launch).limiter == limiter
+
     def test_waves(self, device):
         occ = compute_occupancy(
             device, LaunchConfig(grid=(device.sm_count * 8, 1, 1), block=(256, 1, 1))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gpusim import analyze_shared_access, conflict_degree, tile_column_access
+from repro.gpusim import conflict_degree, tile_column_access
 
 
 class TestConflictDegree:
@@ -37,13 +37,3 @@ class TestConflictDegree:
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
             conflict_degree(np.zeros(32, dtype=np.int64))
-
-
-class TestReport:
-    def test_replays_aggregate(self):
-        bad = tile_column_access(32, 32)
-        good = tile_column_access(32, 33)
-        rep = analyze_shared_access(np.concatenate([bad, good], axis=0))
-        assert rep.warps == 2
-        assert rep.replays == 31
-        assert rep.avg_conflict_degree == pytest.approx(1 + 31 / 2)

@@ -4,9 +4,9 @@ Every hot consumer threaded through ``evaluate_cells`` — the layer
 sweeps, device calibration, the pooling autotuner, and the layout
 pipeline's transform pricing — must produce byte-identical results to a
 scalar oracle, serial and with worker fan-out.  The oracle is
-:func:`scalar_evaluate_cells`: one ``_scalar_eval`` (``context.run``) per
-model, patched over the consumer module's ``evaluate_cells`` binding and
-run serially on a fresh context.  Pipeline transform prices are held to
+:func:`scalar_evaluate_cells`: one ``context.run`` per model with in-slot
+error capture, patched over the consumer module's ``evaluate_cells``
+binding and run serially on a fresh context.  Pipeline transform prices are held to
 the scalar per-edge oracle :func:`edge_transform_ms` the same way.  These tests
 pin the contract the ``bench_planner_perf`` CI gate also enforces end to
 end.
@@ -29,7 +29,7 @@ from repro.gpusim import (
     default_context,
     reset_default_contexts,
 )
-from repro.gpusim.batch import _scalar_eval
+from repro.gpusim.session import GpuOutOfMemoryError
 from repro.ir.graph import NodeKind
 from repro.layers.base import PoolSpec
 from repro.networks import CONV_LAYERS, build_network
@@ -38,8 +38,16 @@ from repro.tensors import TensorDesc
 from repro.tensors.transform_kernels import transform_time_ms
 
 
+def _scalar_eval(context, model, check_memory):
+    try:
+        return context.run(model, check_memory=check_memory)
+    except (GpuOutOfMemoryError, ValueError) as exc:
+        return exc
+
+
 def scalar_evaluate_cells(context, models, check_memory=None):
-    """Scalar oracle for ``evaluate_cells``: no memo probe, no batch."""
+    """Scalar oracle for ``evaluate_cells``: one ``context.run`` per model,
+    no memo probe."""
     return [_scalar_eval(context, m, check_memory) for m in models]
 
 
