@@ -331,8 +331,7 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
     """
     global _POOL, _POOL_WORKERS
     if _POOL is not None and workers > _POOL_WORKERS:
-        _POOL.shutdown(wait=False, cancel_futures=True)
-        _POOL = None
+        shutdown_pool()
     if _POOL is None:
         # Imported here: concurrent.futures.process pulls in multiprocessing,
         # which serial commands never need.
@@ -344,10 +343,16 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
 
 
 def shutdown_pool() -> None:
-    """Tear down the warm pool (test isolation; also runs at exit)."""
+    """Tear down the warm pool and wait for its workers to exit (test
+    isolation; also runs at interpreter exit).
+
+    Waiting matters: an executor shut down without it keeps a manager
+    thread closing its wake-up pipe, and the interpreter's exit hook for
+    executors can write to that pipe mid-close (``OSError: [Errno 9]``).
+    """
     global _POOL, _POOL_WORKERS
     if _POOL is not None:
-        _POOL.shutdown(wait=False, cancel_futures=True)
+        _POOL.shutdown(wait=True, cancel_futures=True)
         _POOL = None
         _POOL_WORKERS = 0
 

@@ -27,8 +27,9 @@ from enum import Enum
 from functools import lru_cache
 from hashlib import sha256
 from itertools import islice
+from operator import attrgetter
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from ..obs.metrics import MetricsRegistry, register_metrics_provider
 from ..obs.tracer import active_tracer
@@ -56,49 +57,97 @@ class GpuOutOfMemoryError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _describe(obj: Any) -> Any:
-    """A JSON-stable structural description of kernel-model state.
+def _key_text(obj: Any) -> str:
+    """The canonical JSON text of ``obj``'s structural description.
 
     Kernel models are described by their class plus :meth:`structural_state`
     (instance attributes minus derived memo caches); dataclasses (specs,
-    layouts, geometry records) by their fields.  The description determines
-    the timing result, so equal descriptions may share one cache entry.
+    layouts, geometry records) by their fields; floats by their full
+    precision ``repr``; anything else by a class-tagged ``repr``.  The
+    description determines the timing result, so equal descriptions may
+    share one cache entry.  The text is what ``json.dumps(...,
+    sort_keys=True, separators=(",", ":"))`` makes of that description,
+    written directly; which description a value gets depends only on its
+    class, so each class's writer is chosen once.
     """
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return repr(obj)  # full precision, JSON-stable
-    if isinstance(obj, KernelModel):
-        cls = type(obj)
-        state = {k: _describe(v) for k, v in sorted(obj.structural_state().items())}
-        return {
-            "__kernel__": f"{cls.__module__}.{cls.__qualname__}",
-            "name": obj.name,
-            "n_launches": obj.n_launches,
-            "state": state,
-        }
-    if is_dataclass(obj) and not isinstance(obj, type):
-        cls = type(obj)
-        return {
-            "__dataclass__": f"{cls.__module__}.{cls.__qualname__}",
-            "fields": {
-                f.name: _describe(getattr(obj, f.name)) for f in fields(obj)
-            },
-        }
-    if isinstance(obj, Enum):
-        return {"__enum__": f"{type(obj).__qualname__}.{obj.name}"}
-    if isinstance(obj, (tuple, list)):
-        return [_describe(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(_describe(v) for v in obj)
-    if isinstance(obj, dict):
-        return {str(k): _describe(v) for k, v in sorted(obj.items())}
-    # Layout objects, numpy scalars, ...: fall back to class-tagged repr.
-    return {"__repr__": f"{type(obj).__qualname__}:{obj!r}"}
+    cls = type(obj)
+    write = _KEY_WRITERS.get(cls)
+    if write is None:
+        write = _KEY_WRITERS[cls] = _key_writer(cls)
+    return write(obj)
 
 
-def _canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+_KEY_WRITERS: dict[type, Callable[[Any], str]] = {}
+_json_str = json.encoder.encode_basestring_ascii
+_json_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _raw_text(value: Any) -> str:
+    """JSON for a value written as-is, not described (a kernel's name and
+    launch count); plain ints skip the encoder's per-call set-up."""
+    return int.__repr__(value) if type(value) is int else _json_encode(value)
+
+
+def _key_writer(cls: type) -> Callable[[Any], str]:
+    """The text writer for instances of ``cls``.
+
+    The branches are tried in a fixed order: ``IntEnum`` members are ints,
+    NumPy float scalars are floats, and a ``ComposedKernel`` is a kernel
+    before it is a dataclass.
+    """
+    if cls is type(None):
+        return lambda obj: "null"
+    if issubclass(cls, bool):
+        return lambda obj: "true" if obj else "false"
+    if issubclass(cls, int):
+        return int.__repr__
+    if issubclass(cls, str):
+        return _json_str
+    if issubclass(cls, float):
+        return lambda obj: _json_str(repr(obj))
+    if issubclass(cls, KernelModel):
+        head = '{"__kernel__":%s,"n_launches":' % _json_str(
+            f"{cls.__module__}.{cls.__qualname__}"
+        )
+        return lambda obj: (
+            f"{head}{_raw_text(obj.n_launches)},"
+            f'"name":{_raw_text(obj.name)},'
+            f'"state":{_mapping_text(obj.structural_state())}}}'
+        )
+    if is_dataclass(cls) and not issubclass(cls, type):
+        head = '{"__dataclass__":%s,"fields":{' % _json_str(
+            f"{cls.__module__}.{cls.__qualname__}"
+        )
+        labels = [(f"{_json_str(n)}:", n) for n in sorted(f.name for f in fields(cls))]
+        return lambda obj: (
+            head
+            + ",".join([label + _key_text(getattr(obj, n)) for label, n in labels])
+            + "}}"
+        )
+    if issubclass(cls, Enum):
+        return lambda obj: '{"__enum__":%s}' % _json_str(
+            f"{cls.__qualname__}.{obj.name}"
+        )
+    if issubclass(cls, (tuple, list)):
+        return lambda obj: "[" + ",".join([_key_text(v) for v in obj]) + "]"
+    if issubclass(cls, (set, frozenset)):
+        # Members sort by their description, the JSON value of their text.
+        return lambda obj: (
+            "[" + ",".join(sorted([_key_text(v) for v in obj], key=json.loads)) + "]"
+        )
+    if issubclass(cls, dict):
+        return _mapping_text
+    # Layout objects, numpy arrays, ...: a class-tagged repr.
+    return lambda obj: '{"__repr__":%s}' % _json_str(f"{cls.__qualname__}:{obj!r}")
+
+
+def _mapping_text(mapping: dict[Any, Any]) -> str:
+    """A mapping keyed by ``str(key)``, in key-text order; of two keys with
+    one text, the later in key order wins."""
+    items = sorted(mapping.items())
+    if any(type(k) is not str for k, _ in items):
+        items = sorted({str(k): v for k, v in items}.items())
+    return "{" + ",".join([f"{_json_str(k)}:{_key_text(v)}" for k, v in items]) + "}"
 
 
 @lru_cache(maxsize=16)
@@ -108,7 +157,7 @@ def _device_json(device: DeviceSpec) -> str:
     Memoized by value: ``DeviceSpec`` is a frozen, hashable dataclass, so a
     spec rebuilt with a changed field is a new entry, never a stale one.
     """
-    return _canonical_json(_describe(device))
+    return _key_text(device)
 
 
 def structural_key(model: KernelModel, device: DeviceSpec) -> str:
@@ -120,10 +169,7 @@ def structural_key(model: KernelModel, device: DeviceSpec) -> str:
     """
     # The canonical JSON of {"device": ..., "kernel": ...}: sorted keys put
     # the device first, so its memoized text splices in byte for byte.
-    payload = (
-        f'{{"device":{_device_json(device)},'
-        f'"kernel":{_canonical_json(_describe(model))}}}'
-    )
+    payload = f'{{"device":{_device_json(device)},"kernel":{_key_text(model)}}}'
     digest = sha256(payload.encode()).hexdigest()[:32]
     return f"{model.name}@{device.name}#{digest}"
 
@@ -190,6 +236,8 @@ class SimStats:
     hits = _counter_property("sim.queries.hits")
     misses = _counter_property("sim.queries.misses")
     loaded_from_disk = _counter_property("sim.cache.loaded_from_disk")
+    #: cache files refused because another model (or none) stamped them
+    stale_rejected = _counter_property("sim.cache.stale_rejected")
     sim_wall_s = _counter_property("sim.wall_s", as_int=False)
     #: worker sessions whose caches were folded into this one, and how many
     #: of their entries were new here (see ``SimulationContext.absorb``)
@@ -277,9 +325,54 @@ class SimStats:
 # The session object
 # ---------------------------------------------------------------------------
 
-#: Bumped whenever ``KernelStats`` changes shape; files of any other
-#: version are ignored on load.
-_CACHE_FORMAT_VERSION = 2
+#: Bumped whenever the file layout changes; files of any other version are
+#: ignored on load.  Version 3 stores each entry as one positional row in
+#: ``KernelStats`` field order, with the ``Occupancy`` as a nested row.
+_CACHE_FORMAT_VERSION = 3
+
+#: the packages whose sources determine a timing: the model, the kernels
+#: and the tensors they describe
+_MODEL_PACKAGES = ("gpusim", "layers", "tensors", "extensions")
+
+
+@lru_cache(maxsize=1)
+def _model_fingerprint() -> str | None:
+    """A sha256 over the model's sources, or None when one is unreadable.
+
+    Cache files are stamped with it, so an edit to the timing model or a
+    kernel makes every older file load nothing instead of serving stale
+    timings.  Computed at the first save or load, once per process.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = sha256()
+    try:
+        for package in _MODEL_PACKAGES:
+            for source in sorted((root / package).rglob("*.py")):
+                data = source.read_bytes()
+                name = source.relative_to(root).as_posix()
+                digest.update(f"{name}\n{len(data)}\n".encode())
+                digest.update(data)
+    except OSError:
+        return None
+    return digest.hexdigest()
+
+
+#: the JSON value each field's type is stored as: a number, a string, or
+#: (for the occupancy) a nested row; a ``bool`` is none of these
+_JSON_SHAPES = {"int": "number", "float": "number", "str": "str", "Occupancy": "row"}
+_JSON_SHAPE_OF = {int: "number", float: "number", str: "str", list: "row"}
+_STATS_SHAPE = tuple(_JSON_SHAPES[str(f.type)] for f in fields(KernelStats))
+_OCCUPANCY_SHAPE = tuple(_JSON_SHAPES[str(f.type)] for f in fields(Occupancy))
+_OCCUPANCY_AT = _STATS_SHAPE.index("row")
+_stats_row = attrgetter(*(f.name for f in fields(KernelStats)))
+_occupancy_row = attrgetter(*(f.name for f in fields(Occupancy)))
+
+
+def _shape(row: Any) -> tuple[str | None, ...] | None:
+    """The JSON shape of a loaded row (None when it is not a list)."""
+    if type(row) is not list:
+        return None
+    return tuple(map(_JSON_SHAPE_OF.get, map(type, row)))
 
 
 class SimulationContext:
@@ -497,20 +590,28 @@ class SimulationContext:
         target = Path(path) if path is not None else self.cache_path
         if target is None:
             raise ValueError("no cache path given and none configured")
+        entries = {}
+        for key, stats in self._cache.items():
+            row = list(_stats_row(stats))
+            row[_OCCUPANCY_AT] = _occupancy_row(stats.occupancy)
+            entries[key] = row
         payload = {
             "version": _CACHE_FORMAT_VERSION,
-            "entries": {k: _stats_to_dict(v) for k, v in self._cache.items()},
+            "model": _model_fingerprint(),
+            "entries": entries,
         }
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(payload, indent=1, sort_keys=True))
+        target.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
         return target
 
     def load_cache(self, path: str | Path) -> int:
         """Merge entries from a cache file; returns the number loaded.
 
         A cache file is an accelerator, never an input: unknown format
-        versions, damaged JSON, and malformed entries are all ignored (the
-        session simply re-times what it cannot load).
+        versions, damaged JSON, and malformed rows are all ignored (the
+        session simply re-times what it cannot load).  A file stamped by
+        another model, or by none, loads nothing and counts in
+        ``sim.cache.stale_rejected``.
         """
         source = Path(path)
         try:
@@ -520,36 +621,29 @@ class SimulationContext:
             return 0
         if not isinstance(payload, dict):
             return 0
+        fingerprint = _model_fingerprint()
+        if fingerprint is None or payload.get("model") != fingerprint:
+            self.stats.stale_rejected += 1
+            return 0
         if payload.get("version") != _CACHE_FORMAT_VERSION:
             return 0
         entries = payload.get("entries", {})
         if not isinstance(entries, dict):
             return 0
         loaded = 0
-        for key, entry in entries.items():
-            if key in self._cache:
+        at = _OCCUPANCY_AT
+        for key, row in entries.items():
+            if key in self._cache or _shape(row) != _STATS_SHAPE:
                 continue
-            try:
-                self._cache[key] = _stats_from_dict(entry)
-            except (KeyError, TypeError, ValueError):
+            occupancy = row[at]
+            if _shape(occupancy) != _OCCUPANCY_SHAPE:
                 continue
+            self._cache[key] = KernelStats(
+                *row[:at], Occupancy(*occupancy), *row[at + 1 :]
+            )
             loaded += 1
         self.stats.loaded_from_disk += loaded
         return loaded
-
-
-def _stats_to_dict(stats: KernelStats) -> dict[str, Any]:
-    record = {f.name: getattr(stats, f.name) for f in fields(stats)}
-    record["occupancy"] = {
-        f.name: getattr(stats.occupancy, f.name) for f in fields(Occupancy)
-    }
-    return record
-
-
-def _stats_from_dict(record: dict[str, Any]) -> KernelStats:
-    data = dict(record)
-    data["occupancy"] = Occupancy(**data["occupancy"])
-    return KernelStats(**data)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ process priced it, or how the grid was chunked.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -475,6 +478,21 @@ class TestJobsDeterminism:
         assert main([*args, "--jobs", "4"]) == 0
         parallel_out = capsys.readouterr().out
         assert serial_out == parallel_out
+
+    def test_cli_sweep_with_jobs_exits_cleanly(self):
+        """The warm pool is torn down at exit without the executor's exit
+        hook tripping over it (``Exception ignored ... Errno 9``)."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "sweep", "--layer", "CV7", "--jobs", "2"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "Exception ignored" not in out.stderr
 
 
 class TestSimStatsCounters:
