@@ -20,7 +20,6 @@ _EXPORTS = {
         "LintReport",
         "UnknownRuleError",
         "iter_rules",
-        "lint_graph",
         "lint_kernel",
         "lint_netdef",
         "lint_netdef_text",

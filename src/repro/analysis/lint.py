@@ -24,9 +24,10 @@ descriptors up front:
   :mod:`repro.analysis.dataflow`).
 
 Entry points: :func:`lint_netdef` / :func:`lint_plan` / :func:`lint_kernel`
-/ :func:`lint_graph` for one scope each, and :func:`lint_network` for the
-whole pipeline (definition → plan → graph dataflow → per-step kernels →
-transforms).
+for one scope each (the D-rules' one is
+:func:`repro.analysis.dataflow.verify.verify_graph`), and
+:func:`lint_network` for the whole pipeline (definition → plan → graph
+dataflow → per-step kernels → transforms).
 """
 
 from __future__ import annotations
@@ -169,21 +170,6 @@ def lint_plan(
     return _run_scope("plan", scope, config, network=network)
 
 
-def lint_graph(
-    graph: Graph,
-    device: DeviceSpec | None = None,
-    config: LintConfig = DEFAULT_CONFIG,
-    network: str = "",
-) -> list[Diagnostic]:
-    """Run the D0xx dataflow rules over one annotated graph IR."""
-    return _run_scope(
-        "graph",
-        GraphScope(graph=graph, device=device),
-        config,
-        network=network or graph.name,
-    )
-
-
 def lint_kernel(
     device: DeviceSpec,
     kernel: KernelModel,
@@ -310,7 +296,10 @@ def lint_network(
     report.diagnostics += lint_plan(
         device, graph, thresholds, config, network=netdef.name
     )
-    report.diagnostics += lint_graph(graph, device, config, network=netdef.name)
+    # The D-rules, as verify_graph runs them (that module imports this one).
+    report.diagnostics += _run_scope(
+        "graph", GraphScope(graph=graph, device=device), config, network=netdef.name
+    )
 
     for node in graph.topological():
         for t in node.transforms:

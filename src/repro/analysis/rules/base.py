@@ -16,6 +16,7 @@ import re
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from importlib import import_module
 from typing import Any
 
@@ -23,6 +24,7 @@ from ...core.heuristic import LayoutThresholds
 from ...framework.netdef import NetworkDef
 from ...gpusim.device import DeviceSpec
 from ...gpusim.kernel import KernelModel, LaunchConfig, MemoryProfile
+from ...ir.build import ShapeProblem, lower_netdef, walk_shapes
 from ...ir.graph import Graph, GraphNode
 
 
@@ -93,6 +95,14 @@ class NetdefScope:
 
     net: NetworkDef | None
     error: str | None = None
+
+    @cached_property
+    def resolved(self) -> tuple[Graph, list[ShapeProblem]]:
+        """``lower_netdef(net)`` after the shape walk, with the walk's
+        problems; computed once per scope, so once per ``lint_netdef``."""
+        assert self.net is not None
+        graph = lower_netdef(self.net)
+        return graph, walk_shapes(graph)
 
 
 @dataclass

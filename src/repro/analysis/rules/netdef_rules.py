@@ -1,197 +1,52 @@
 """N0xx rules: network-definition sanity (shape arithmetic, channel
 propagation, dead layers).
 
-These checks re-walk the layer stack with a *tolerant* shape inference:
-unlike :func:`repro.ir.build.infer_shapes`, which raises on the first
-inconsistency, the walker records every problem it can attribute to a layer
-and keeps going, so one lint run reports the whole damage.
+The rules read the graph :func:`repro.ir.lower_netdef` builds, so they
+follow ``bottom=``/``concat`` wiring, and the problems
+:func:`repro.ir.build.walk_shapes` records while resolving it — the same
+walk :func:`~repro.ir.build.infer_shapes` raises from.  The walk keeps
+going past a problem, so one lint run reports the whole damage.  A layer
+downstream of the softmax gets N003 and nothing else.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import lru_cache
 
-from ...framework.netdef import (
-    ConvDef,
-    FCDef,
-    LRNDef,
-    NetworkDef,
-    PoolDef,
-    SoftmaxDef,
-)
+from ...framework.netdef import ConvDef, PoolDef, SoftmaxDef
+from ...ir.build import ShapeFault
+from ...ir.graph import Graph, GraphNode
 from .base import Finding, NetdefScope, Severity, rule
 
 
-@lru_cache(maxsize=128)
-def _walk(net: NetworkDef) -> tuple[tuple[str, Finding], ...]:
-    """Tolerant shape walk; returns (rule_id, finding) pairs."""
-    found: list[tuple[str, Finding]] = []
-    dims: tuple[int, int, int, int] | None = (
-        net.batch,
-        net.in_channels,
-        net.in_h,
-        net.in_w,
-    )
-    features: int | None = None
-    classifier_done = False
-
-    for defn in net.layers:
-        if classifier_done:
-            found.append(
-                (
-                    "N003",
-                    Finding(
-                        defn.name,
-                        "layer is unreachable: it follows the softmax classifier",
-                    ),
-                )
-            )
-            continue
-        if isinstance(defn, ConvDef):
-            if dims is None:
-                found.append(
-                    (
-                        "N004",
-                        Finding(
-                            defn.name,
-                            "convolution after flattening: a fully-connected "
-                            "layer already collapsed the 4-D activations",
-                        ),
-                    )
-                )
-                continue
-            n, c, h, w = dims
-            if c % defn.groups:
-                found.append(
-                    (
-                        "N005",
-                        Finding(
-                            defn.name,
-                            f"groups={defn.groups} does not divide the "
-                            f"propagated input channels C={c}",
-                            {"groups": defn.groups, "channels": c},
-                        ),
-                    )
-                )
-            out_h = (h + 2 * defn.pad - defn.f) // defn.stride + 1
-            out_w = (w + 2 * defn.pad - defn.f) // defn.stride + 1
-            if out_h <= 0 or out_w <= 0:
-                found.append(
-                    (
-                        "N001",
-                        Finding(
-                            defn.name,
-                            f"filter {defn.f}x{defn.f} (stride {defn.stride}, "
-                            f"pad {defn.pad}) does not fit the {h}x{w} input",
-                            {"filter": defn.f, "input": [h, w], "pad": defn.pad},
-                        ),
-                    )
-                )
-                out_h, out_w = max(out_h, 1), max(out_w, 1)
-            if defn.pad >= defn.f:
-                found.append(
-                    (
-                        "N008",
-                        Finding(
-                            defn.name,
-                            f"pad {defn.pad} >= filter extent {defn.f}: some "
-                            "output windows read only zero padding",
-                            {"pad": defn.pad, "filter": defn.f},
-                        ),
-                    )
-                )
-            dims = (n, defn.co, out_h, out_w)
-        elif isinstance(defn, PoolDef):
-            if dims is None:
-                found.append(
-                    (
-                        "N004",
-                        Finding(
-                            defn.name,
-                            "pooling after flattening: a fully-connected "
-                            "layer already collapsed the 4-D activations",
-                        ),
-                    )
-                )
-                continue
-            n, c, h, w = dims
-            if defn.window > h or defn.window > w:
-                found.append(
-                    (
-                        "N002",
-                        Finding(
-                            defn.name,
-                            f"pooling window {defn.window} is larger than the "
-                            f"{h}x{w} input",
-                            {"window": defn.window, "input": [h, w]},
-                        ),
-                    )
-                )
-                continue  # output shape undefined; keep previous dims
-            if defn.stride > defn.window:
-                found.append(
-                    (
-                        "N007",
-                        Finding(
-                            defn.name,
-                            f"stride {defn.stride} exceeds window {defn.window}: "
-                            "input rows/columns are skipped entirely",
-                            {"stride": defn.stride, "window": defn.window},
-                        ),
-                    )
-                )
-            out_h = -(-(h - defn.window) // defn.stride) + 1
-            out_w = -(-(w - defn.window) // defn.stride) + 1
-            dims = (n, c, out_h, out_w)
-        elif isinstance(defn, LRNDef):
-            if dims is None:
-                found.append(
-                    (
-                        "N004",
-                        Finding(
-                            defn.name,
-                            "LRN after flattening: a fully-connected layer "
-                            "already collapsed the 4-D activations",
-                        ),
-                    )
-                )
-        elif isinstance(defn, FCDef):
-            features = defn.out_features
-            dims = None
-        elif isinstance(defn, SoftmaxDef):
-            if features is None:
-                found.append(
-                    (
-                        "N006",
-                        Finding(
-                            defn.name,
-                            "softmax has no preceding fully-connected layer "
-                            "to define its category count",
-                        ),
-                    )
-                )
-            classifier_done = True
-
-    if not classifier_done:
-        found.append(
-            (
-                "N009",
-                Finding(
-                    net.layers[-1].name if net.layers else net.name,
-                    "network ends without a softmax classifier head",
-                ),
-            )
-        )
-    return tuple(found)
+def _past_softmax(graph: Graph) -> set[str]:
+    """Names of the nodes that consume a softmax's output, transitively."""
+    dead: set[str] = set()
+    for node in graph.topological():
+        if any(
+            src in dead or isinstance(graph[src].defn, SoftmaxDef)
+            for src in node.inputs
+        ):
+            dead.add(node.name)
+    return dead
 
 
-def _from_walk(scope: NetdefScope, rule_id: str) -> Iterator[Finding]:
+def _live_nodes(scope: NetdefScope) -> Iterator[GraphNode]:
     if scope.net is None:
         return
-    for rid, finding in _walk(scope.net):
-        if rid == rule_id:
-            yield finding
+    graph, _ = scope.resolved
+    dead = _past_softmax(graph)
+    yield from (node for node in graph.topological() if node.name not in dead)
+
+
+def _problems(scope: NetdefScope, kind: ShapeFault) -> Iterator[Finding]:
+    if scope.net is None:
+        return
+    graph, problems = scope.resolved
+    dead = _past_softmax(graph)
+    for problem in problems:
+        if problem.kind is kind and problem.layer not in dead:
+            yield Finding(problem.layer, problem.message, problem.detail)
 
 
 @rule(
@@ -216,7 +71,7 @@ def netdef_invalid(scope: NetdefScope) -> Iterator[Finding]:
     example="7x7 filter on a 5x5 input with pad=0",
 )
 def conv_window_fit(scope: NetdefScope) -> Iterator[Finding]:
-    yield from _from_walk(scope, "N001")
+    yield from _problems(scope, ShapeFault.WINDOW)
 
 
 @rule(
@@ -228,7 +83,7 @@ def conv_window_fit(scope: NetdefScope) -> Iterator[Finding]:
     example="window=5 pooling on a 3x3 feature map",
 )
 def pool_window_fit(scope: NetdefScope) -> Iterator[Finding]:
-    yield from _from_walk(scope, "N002")
+    yield from _problems(scope, ShapeFault.POOL_WINDOW)
 
 
 @rule(
@@ -240,7 +95,15 @@ def pool_window_fit(scope: NetdefScope) -> Iterator[Finding]:
     example="a conv layer declared after the softmax line",
 )
 def dead_layer(scope: NetdefScope) -> Iterator[Finding]:
-    yield from _from_walk(scope, "N003")
+    if scope.net is None:
+        return
+    graph, _ = scope.resolved
+    dead = _past_softmax(graph)
+    for node in graph.topological():
+        if node.name in dead:
+            yield Finding(
+                node.name, "layer is unreachable: it follows the softmax classifier"
+            )
 
 
 @rule(
@@ -252,7 +115,7 @@ def dead_layer(scope: NetdefScope) -> Iterator[Finding]:
     example="fc -> conv ordering",
 )
 def spatial_after_flatten(scope: NetdefScope) -> Iterator[Finding]:
-    yield from _from_walk(scope, "N004")
+    yield from _problems(scope, ShapeFault.FLATTENED)
 
 
 @rule(
@@ -264,7 +127,7 @@ def spatial_after_flatten(scope: NetdefScope) -> Iterator[Finding]:
     example="groups=2 convolution receiving 95 input channels",
 )
 def groups_divide_channels(scope: NetdefScope) -> Iterator[Finding]:
-    yield from _from_walk(scope, "N005")
+    yield from _problems(scope, ShapeFault.GROUPS)
 
 
 @rule(
@@ -276,7 +139,7 @@ def groups_divide_channels(scope: NetdefScope) -> Iterator[Finding]:
     example="conv -> softmax with no fc in between",
 )
 def softmax_needs_features(scope: NetdefScope) -> Iterator[Finding]:
-    yield from _from_walk(scope, "N006")
+    yield from _problems(scope, ShapeFault.NO_FEATURES)
 
 
 @rule(
@@ -288,7 +151,15 @@ def softmax_needs_features(scope: NetdefScope) -> Iterator[Finding]:
     example="window=2, stride=3 pooling",
 )
 def pool_stride_skips(scope: NetdefScope) -> Iterator[Finding]:
-    yield from _from_walk(scope, "N007")
+    for node in _live_nodes(scope):
+        defn = node.defn
+        if isinstance(defn, PoolDef) and defn.stride > defn.window:
+            yield Finding(
+                node.name,
+                f"stride {defn.stride} exceeds window {defn.window}: "
+                "input rows/columns are skipped entirely",
+                {"stride": defn.stride, "window": defn.window},
+            )
 
 
 @rule(
@@ -300,7 +171,15 @@ def pool_stride_skips(scope: NetdefScope) -> Iterator[Finding]:
     example="3x3 filter with pad=3",
 )
 def excessive_padding(scope: NetdefScope) -> Iterator[Finding]:
-    yield from _from_walk(scope, "N008")
+    for node in _live_nodes(scope):
+        defn = node.defn
+        if isinstance(defn, ConvDef) and defn.pad >= defn.f:
+            yield Finding(
+                node.name,
+                f"pad {defn.pad} >= filter extent {defn.f}: some "
+                "output windows read only zero padding",
+                {"pad": defn.pad, "filter": defn.f},
+            )
 
 
 @rule(
@@ -312,4 +191,22 @@ def excessive_padding(scope: NetdefScope) -> Iterator[Finding]:
     example="a conv/pool-only stack",
 )
 def missing_classifier(scope: NetdefScope) -> Iterator[Finding]:
-    yield from _from_walk(scope, "N009")
+    net = scope.net
+    if net is None or any(isinstance(d, SoftmaxDef) for d in net.layers):
+        return
+    yield Finding(
+        net.layers[-1].name if net.layers else net.name,
+        "network ends without a softmax classifier head",
+    )
+
+
+@rule(
+    "N010",
+    Severity.ERROR,
+    "concat inputs disagree in N, H or W",
+    rationale="A channel-axis join needs every input to share batch and "
+    "spatial extents; otherwise the joined tensor has no shape.",
+    example="concat of a 16x16 and a 14x14 feature map",
+)
+def concat_dims_agree(scope: NetdefScope) -> Iterator[Finding]:
+    yield from _problems(scope, ShapeFault.CONCAT)

@@ -31,13 +31,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
-from .gpusim.device import get_device, list_devices
+from .gpusim.device import DeviceSpec, get_device, list_devices
 from .networks.definitions import NETWORK_BUILDERS, build_network
 
 if TYPE_CHECKING:
+    from .analysis.dataflow.liveness import LivenessFootprint
+    from .analysis.lint import LintConfig, LintReport
     from .ir.graph import GraphNode
 
 
@@ -201,32 +203,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _batched_eval_digest() -> str | None:
-    """Summarize the grid evaluator's work, if any ran.
-
-    Surfaces the ``batch.eval.*`` metrics next to the span digest so
-    ``repro profile`` shows how many candidates the execution engine's
-    misses sent to ``evaluate_models``; ``repro.obs`` smoke checks gate on
-    the same category.
-    """
-    from .obs.metrics import aggregate_metrics
-
-    metrics = aggregate_metrics()
-    batches = metrics.value("batch.eval.batches")
-    if not batches:
-        return None
-    candidates = metrics.value("batch.eval.candidates")
-    sizes = metrics.histogram("batch.eval.size").summary()
-    lines = [
-        "batched evaluation:",
-        f"  batches            {int(batches)}",
-        f"  candidates         {int(candidates)}",
-        f"  batch size         p50={sizes.get('p50', 0):.0f} "
-        f"max={sizes.get('max', 0):.0f}",
-    ]
-    return "\n".join(lines)
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     from .core.pipeline import PipelineOptions, plan_network
     from .obs.export import summarize_spans
@@ -253,10 +229,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if tracer is not None:
         print()
         print(summarize_spans(tracer.spans()))
-    digest = _batched_eval_digest()
-    if digest is not None:
-        print()
-        print(digest)
     return 0
 
 
@@ -434,80 +406,30 @@ def _parse_rule_ids(values: list[str] | None) -> frozenset[str]:
     return frozenset(ids)
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
+#: one checked target: its report and, for ``repro verify``, its footprint
+_Checked = tuple["LintReport", "LivenessFootprint | None"]
+
+
+def _run_checks(
+    args: argparse.Namespace,
+    collect: Callable[[DeviceSpec, LintConfig], list[_Checked] | int],
+    verify: bool = False,
+) -> int:
+    """The front end ``repro lint`` and ``repro verify`` share.
+
+    Prints the rule catalog (D-rules only for ``verify``), parses
+    ``--select``/``--disable`` (exit 2 on an unknown rule ID), runs
+    ``collect`` and prints its reports as text or in one JSON envelope.
+    ``collect`` returns an exit code instead when it stops early.
+    """
     import json
 
-    from .analysis.lint import (
-        LintConfig,
-        LintReport,
-        UnknownRuleError,
-        iter_rules,
-        lint_netdef_text,
-        lint_network,
-    )
+    from .analysis.lint import LintConfig, UnknownRuleError, iter_rules
 
+    command = "verify" if verify else "lint"
     if args.list_rules:
         for r in iter_rules():
-            print(f"{r.id}  {r.severity.value:7s}  {r.summary}")
-        return 0
-
-    try:
-        config = LintConfig(
-            disabled=_parse_rule_ids(args.disable),
-            selected=_parse_rule_ids(args.select) or None,
-        )
-    except UnknownRuleError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
-
-    device = get_device(args.device)
-    reports = []
-    if args.netdef:
-        try:
-            with open(args.netdef, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            print(f"lint: cannot read {args.netdef}: {exc}", file=sys.stderr)
-            return 2
-        diagnostics = lint_netdef_text(text, config)
-        report = LintReport(target=args.netdef, device=device.name, strategy="netdef")
-        report.diagnostics = diagnostics
-        reports.append(report)
-    else:
-        names = [args.network] if args.network else sorted(NETWORK_BUILDERS)
-        for name in names:
-            netdef = build_network(name, batch=args.batch)
-            reports.append(
-                lint_network(device, netdef, strategy=args.strategy, config=config)
-            )
-
-    failed = any(r.failed(strict=args.strict) for r in reports)
-    if args.format == "json":
-        payload = {
-            "device": device.name,
-            "strict": args.strict,
-            "failed": failed,
-            "reports": [r.to_dict() for r in reports],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for report in reports:
-            print(report.render_text())
-    return 1 if failed else 0
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    import json
-
-    from .analysis.dataflow.liveness import liveness_footprint
-    from .analysis.dataflow.verify import verify_graph, verify_network
-    from .analysis.lint import LintConfig, LintReport, UnknownRuleError, iter_rules
-    from .core.pipeline import PassContractError
-    from .ir.graph import Graph
-
-    if args.list_rules:
-        for r in iter_rules():
-            if r.id.startswith("D"):
+            if r.id.startswith("D") or not verify:
                 print(f"{r.id}  {r.severity.value:7s}  {r.summary}")
         return 0
 
@@ -517,77 +439,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             selected=_parse_rule_ids(args.select) or None,
         )
     except UnknownRuleError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
+        print(f"{command}: {exc}", file=sys.stderr)
         return 2
 
     device = get_device(args.device)
-    results: list[tuple[LintReport, object | None]] = []
+    results = collect(device, config)
+    if isinstance(results, int):
+        return results
 
-    if args.graph:
-        try:
-            with open(args.graph, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"verify: cannot read {args.graph}: {exc}", file=sys.stderr)
-            return 2
-        # Accept both a bare graph dump and the `repro plan --format json`
-        # payload (whose graph lives under the "graph" key).
-        if isinstance(payload, dict) and "nodes" not in payload:
-            payload = payload.get("graph", payload)
-        try:
-            graph = Graph.from_json(payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            print(f"verify: malformed graph {args.graph}: {exc}", file=sys.stderr)
-            return 2
-        report = LintReport(
-            target=args.graph, device=device.name, strategy="graph"
-        )
-        report.diagnostics = verify_graph(graph, device, config)
-        footprint = None
-        if not report.errors:
-            # A structurally broken graph has no well-defined liveness.
-            footprint = liveness_footprint(graph, training=args.training)
-        results.append((report, footprint))
-    else:
-        names = [args.network] if args.network else sorted(NETWORK_BUILDERS)
-        for name in names:
-            netdef = build_network(name, batch=args.batch)
-            try:
-                report, footprint = verify_network(
-                    device,
-                    netdef,
-                    strategy=args.strategy,
-                    config=config,
-                    training=args.training,
-                )
-            except PassContractError as exc:
-                print(f"verify: {name}: {exc}", file=sys.stderr)
-                return 1
-            results.append((report, footprint))
-
-    failed = any(r.failed(strict=args.strict) for r, _ in results)
+    failed = any(report.failed(strict=args.strict) for report, _ in results)
     if args.format == "json":
         payload = {
             "device": device.name,
             "strict": args.strict,
             "failed": failed,
             "reports": [
-                {
-                    **report.to_dict(),
-                    "footprint": (
-                        {
-                            "peak_bytes": fp.peak_bytes,
-                            "peak_step": fp.peak_step,
-                            "weights_bytes": fp.weights_bytes,
-                            "curve": [
-                                {"step": name, "bytes": nbytes}
-                                for name, nbytes in fp.curve
-                            ],
-                        }
-                        if fp is not None
-                        else None
-                    ),
-                }
+                {**report.to_dict(), "footprint": _footprint_dict(fp)}
+                if verify
+                else report.to_dict()
                 for report, fp in results
             ],
         }
@@ -595,10 +464,112 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         for report, fp in results:
             print(report.render_text())
-            if fp is not None:
-                print(fp.summary())
-            print()
+            if verify:
+                if fp is not None:
+                    print(fp.summary())
+                print()
     return 1 if failed else 0
+
+
+def _footprint_dict(fp: LivenessFootprint | None) -> dict[str, object] | None:
+    if fp is None:
+        return None
+    return {
+        "peak_bytes": fp.peak_bytes,
+        "peak_step": fp.peak_step,
+        "weights_bytes": fp.weights_bytes,
+        "curve": [{"step": name, "bytes": nbytes} for name, nbytes in fp.curve],
+    }
+
+
+def _cmd_lint(args: argparse.Namespace) -> int:
+    from .analysis.lint import LintReport, lint_netdef_text, lint_network
+
+    def collect(device: DeviceSpec, config: LintConfig) -> list[_Checked] | int:
+        if args.netdef:
+            try:
+                with open(args.netdef, encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                print(f"lint: cannot read {args.netdef}: {exc}", file=sys.stderr)
+                return 2
+            report = LintReport(
+                target=args.netdef, device=device.name, strategy="netdef"
+            )
+            report.diagnostics = lint_netdef_text(text, config)
+            return [(report, None)]
+        names = [args.network] if args.network else sorted(NETWORK_BUILDERS)
+        return [
+            (
+                lint_network(
+                    device,
+                    build_network(name, batch=args.batch),
+                    strategy=args.strategy,
+                    config=config,
+                ),
+                None,
+            )
+            for name in names
+        ]
+
+    return _run_checks(args, collect)
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    import json
+
+    from .analysis.dataflow.liveness import liveness_footprint
+    from .analysis.dataflow.verify import verify_graph, verify_network
+    from .analysis.lint import LintReport
+    from .core.pipeline import PassContractError
+    from .ir.graph import Graph
+
+    def collect(device: DeviceSpec, config: LintConfig) -> list[_Checked] | int:
+        if args.graph:
+            try:
+                with open(args.graph, encoding="utf-8") as fh:
+                    payload = json.load(fh)
+            except (OSError, json.JSONDecodeError) as exc:
+                print(f"verify: cannot read {args.graph}: {exc}", file=sys.stderr)
+                return 2
+            # Accept both a bare graph dump and the `repro plan --format json`
+            # payload (whose graph lives under the "graph" key).
+            if isinstance(payload, dict) and "nodes" not in payload:
+                payload = payload.get("graph", payload)
+            try:
+                graph = Graph.from_json(payload)
+            except (KeyError, TypeError, ValueError) as exc:
+                print(f"verify: malformed graph {args.graph}: {exc}", file=sys.stderr)
+                return 2
+            report = LintReport(
+                target=args.graph, device=device.name, strategy="graph"
+            )
+            report.diagnostics = verify_graph(graph, device, config)
+            footprint = None
+            if not report.errors:
+                # A structurally broken graph has no well-defined liveness.
+                footprint = liveness_footprint(graph, training=args.training)
+            return [(report, footprint)]
+        results: list[_Checked] = []
+        names = [args.network] if args.network else sorted(NETWORK_BUILDERS)
+        for name in names:
+            netdef = build_network(name, batch=args.batch)
+            try:
+                results.append(
+                    verify_network(
+                        device,
+                        netdef,
+                        strategy=args.strategy,
+                        config=config,
+                        training=args.training,
+                    )
+                )
+            except PassContractError as exc:
+                print(f"verify: {name}: {exc}", file=sys.stderr)
+                return 1
+        return results
+
+    return _run_checks(args, collect, verify=True)
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:

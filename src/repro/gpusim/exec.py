@@ -289,11 +289,6 @@ def _observe_cell_cost(cells: int, wall_s: float) -> None:
     )
 
 
-def measured_cell_cost_s() -> float | None:
-    """The engine's current per-cell cost estimate (None before any grid)."""
-    return _cell_cost_s
-
-
 def adaptive_chunk_size(
     n: int, jobs: int, cost_s: float | None = None
 ) -> int:

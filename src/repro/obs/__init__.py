@@ -47,7 +47,6 @@ _EXPORTS = {
         "active_tracer",
         "install_tracer",
         "span",
-        "tracing_enabled",
         "uninstall_tracer",
     ),
 }

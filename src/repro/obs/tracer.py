@@ -39,7 +39,6 @@ __all__ = [
     "active_tracer",
     "install_tracer",
     "span",
-    "tracing_enabled",
     "uninstall_tracer",
 ]
 
@@ -238,10 +237,6 @@ def uninstall_tracer() -> Tracer | None:
 def active_tracer() -> Tracer | None:
     """The installed tracer, or None when tracing is off."""
     return _ACTIVE
-
-
-def tracing_enabled() -> bool:
-    return _ACTIVE is not None
 
 
 class _NullSpan:

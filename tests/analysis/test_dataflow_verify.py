@@ -3,7 +3,7 @@ coherent graphs — random or pipeline-produced — are ERROR-silent."""
 
 from hypothesis import given, settings
 
-from repro.analysis import Severity, lint_graph, verify_graph
+from repro.analysis import Severity, verify_graph
 from repro.analysis.lint import LintConfig
 from repro.core.pipeline import PipelineOptions, plan_network
 from repro.ir.graph import EdgeTransform, Graph, GraphNode, NodeKind
@@ -156,8 +156,3 @@ class TestCoherentGraphsAreSilent:
             )
             diags = verify_graph(result.graph, device, network=name)
             assert diags == [], [d.format() for d in diags]
-
-    def test_lint_graph_is_the_same_check(self):
-        g = chain_graph()
-        g["pool"].inputs = ("ghost",)
-        assert ids_of(lint_graph(g)) == ids_of(verify_graph(g))

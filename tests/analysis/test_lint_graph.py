@@ -8,7 +8,7 @@ neighbour in step order is not its producer).
 
 from hypothesis import given, settings
 
-from repro.analysis import LintConfig, Severity, lint_graph, lint_plan
+from repro.analysis import LintConfig, Severity, lint_plan, verify_graph
 from repro.core.pipeline import PipelineOptions, plan_network
 from repro.gpusim import TITAN_BLACK
 from repro.ir.graph import EdgeTransform, Graph, GraphNode, NodeKind
@@ -36,12 +36,12 @@ def fork_graph() -> Graph:
 
 class TestGraphLayoutMismatch:
     def test_clean_graph_silent(self):
-        assert not {"D003", "D004"} & ids_of(lint_graph(fork_graph()))
+        assert not {"D003", "D004"} & ids_of(verify_graph(fork_graph()))
 
     def test_missing_transform_on_one_branch_edge(self):
         g = fork_graph()
         g["b"].layout = NCHW  # stem is CHWN; no transform recorded
-        findings = [d for d in lint_graph(g) if d.rule_id == "D003"]
+        findings = [d for d in verify_graph(g) if d.rule_id == "D003"]
         # two broken edges: stem->b (arrives CHWN) and b->join (arrives NCHW)
         assert [(d.subject, d.detail["edge"]) for d in findings] == [
             ("b", "stem"),
@@ -55,7 +55,7 @@ class TestGraphLayoutMismatch:
         g["b"].transforms = (
             EdgeTransform(src="stem", from_layout=NCHW, to_layout=NCHW, ms=0.1),
         )
-        findings = [d for d in lint_graph(g) if d.rule_id == "D004"]
+        findings = [d for d in verify_graph(g) if d.rule_id == "D004"]
         assert any(
             d.subject == "b" and d.detail.get("transform_source") == "NCHW"
             for d in findings
@@ -68,7 +68,7 @@ class TestGraphLayoutMismatch:
             EdgeTransform(src="stem", from_layout=CHWN, to_layout=NCHW, ms=0.1),
         )
         assert all(
-            d.subject != "b" for d in lint_graph(g) if d.rule_id in ("D003", "D004")
+            d.subject != "b" for d in verify_graph(g) if d.rule_id in ("D003", "D004")
         )
 
 
@@ -116,7 +116,7 @@ class TestRandomCoherentGraphs:
     def test_edge_rules_silent_on_coherent_dags(self, graph):
         errors = [
             d
-            for d in lint_graph(graph, config=LAYOUT_RULES)
+            for d in verify_graph(graph, config=LAYOUT_RULES)
             if d.severity is Severity.ERROR
         ]
         assert errors == [], [d.format() for d in errors]

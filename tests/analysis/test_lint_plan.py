@@ -3,11 +3,11 @@
 ``lint_plan`` checks a planned graph: the edge rule (L002) walks its
 edges, the threshold rule (L003) reads its conv nodes, and the layout
 rules (L004/L005/L007) read its conv/pool nodes.  A layout mismatch on an
-edge is the dataflow rules' D003/D004 (``lint_graph``).  The hand-built
+edge is the dataflow rules' D003/D004 (``verify_graph``).  The hand-built
 cases below are chains; ``test_lint_graph.py`` covers branching graphs.
 """
 
-from repro.analysis import Severity, lint_graph, lint_plan
+from repro.analysis import Severity, lint_plan, verify_graph
 from repro.core.pipeline import PipelineOptions, plan_network
 from repro.gpusim import TITAN_BLACK
 from repro.ir.graph import EdgeTransform, Graph, GraphNode, NodeKind
@@ -73,7 +73,7 @@ class TestLayoutMismatch:
             node("conv1", NodeKind.CONV, CHWN),
             node("conv2", NodeKind.CONV, NCHW),  # no transform recorded
         )
-        (d,) = [d for d in lint_graph(graph) if d.rule_id == "D003"]
+        (d,) = [d for d in verify_graph(graph) if d.rule_id == "D003"]
         assert d.severity is Severity.ERROR
         assert d.subject == "conv2"
         assert d.detail["arriving"] == "CHWN"
@@ -87,7 +87,7 @@ class TestLayoutMismatch:
         )
         (d,) = [
             d
-            for d in lint_graph(graph)
+            for d in verify_graph(graph)
             if d.rule_id == "D004" and "transform_source" in d.detail
         ]
         assert d.subject == "conv2"
@@ -98,7 +98,7 @@ class TestLayoutMismatch:
             node("conv1", NodeKind.CONV, CHWN),
             node("conv2", NodeKind.CONV, NCHW, EdgeTransform("conv1", CHWN, NCHW, 0.1)),
         )
-        assert not {"D003", "D004"} & ids_of(lint_graph(graph))
+        assert not {"D003", "D004"} & ids_of(verify_graph(graph))
 
     def test_transform_hosted_on_layout_agnostic_step(self):
         # conv(NCHW) -> norm hosting the NCHW->CHWN transform -> pool(CHWN).
@@ -110,7 +110,7 @@ class TestLayoutMismatch:
             ),
             node("pool1", NodeKind.POOL, CHWN),
         )
-        assert not {"D003", "D004"} & ids_of(lint_graph(graph))
+        assert not {"D003", "D004"} & ids_of(verify_graph(graph))
 
     def test_layout_agnostic_step_without_transform_still_flags(self):
         graph = chain(
@@ -118,7 +118,7 @@ class TestLayoutMismatch:
             node("norm1", NodeKind.ELEMENTWISE, NCHW),
             node("pool1", NodeKind.POOL, CHWN),
         )
-        (d,) = [d for d in lint_graph(graph) if d.rule_id == "D003"]
+        (d,) = [d for d in verify_graph(graph) if d.rule_id == "D003"]
         assert d.subject == "pool1"
 
 

@@ -13,7 +13,6 @@ from repro.obs import (
     Tracer,
     active_tracer,
     install_tracer,
-    tracing_enabled,
     uninstall_tracer,
 )
 from repro.obs.tracer import span as obs_span
@@ -199,7 +198,7 @@ class TestAbsorb:
 
 class TestModuleLevelSpan:
     def test_disabled_yields_none(self):
-        assert not tracing_enabled()
+        assert active_tracer() is None
         with obs_span("anything", "cat") as sp:
             assert sp is None
 
@@ -215,7 +214,6 @@ class TestModuleLevelSpan:
     def test_install_uninstall_round_trip(self):
         tracer = install_tracer()
         assert active_tracer() is tracer
-        assert tracing_enabled()
         assert uninstall_tracer() is tracer
         assert active_tracer() is None
         assert uninstall_tracer() is None
