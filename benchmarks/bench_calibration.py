@@ -7,18 +7,18 @@ one-time profiling; "the profiling time overhead is relatively low (e.g.,
 
 from __future__ import annotations
 
-from figutil import FigureTable, bench_arg_parser
+from figutil import FigureTable
 
 from repro.core import calibrate
 
 
-def build_figure(devices, jobs: int = 1) -> FigureTable:
+def build_figure(devices) -> FigureTable:
     table = FigureTable(
         "Calibration: recovered thresholds and simulated profiling cost",
         ["device", "ct", "nt", "profiling_ms"],
     )
     for device in devices:
-        result = calibrate(device, jobs=jobs)
+        result = calibrate(device)
         table.add(
             device.name, result.thresholds.ct, result.thresholds.nt,
             result.profiling_ms,
@@ -41,5 +41,4 @@ def test_calibration(benchmark, device, titan_x):
 if __name__ == "__main__":
     from repro.gpusim import TITAN_BLACK, TITAN_X
 
-    args = bench_arg_parser(__doc__).parse_args()
-    build_figure([TITAN_BLACK, TITAN_X], jobs=args.jobs).show()
+    build_figure([TITAN_BLACK, TITAN_X]).show()

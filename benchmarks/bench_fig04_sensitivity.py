@@ -8,10 +8,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from figutil import FigureTable, bench_arg_parser
+from figutil import FigureTable
 
 from repro.gpusim import SimulationContext, default_context
-from repro.gpusim.exec import evaluate_cells, map_chunks
+from repro.gpusim.exec import evaluate_cells
 from repro.layers import DirectConvCHWN, Im2colGemmNCHW
 from repro.networks import CONV_LAYERS
 
@@ -19,7 +19,7 @@ N_VALUES = (1, 3, 16, 32, 64, 128, 256, 384, 512)
 C_VALUES = (16, 32, 64, 128, 256)
 
 
-def _gflops_chunk(context: SimulationContext, specs) -> list[tuple[float, float]]:
+def _gflops(context: SimulationContext, specs) -> list[tuple[float, float]]:
     """CHWN (cuda-convnet) and NCHW (cuDNN) GFLOPS of every sweep point,
     both layouts in one memoized vectorized evaluation."""
     models = []
@@ -39,7 +39,9 @@ def _gflops_chunk(context: SimulationContext, specs) -> list[tuple[float, float]
 
 
 def build_figure(
-    device, jobs: int | str = 1, context: SimulationContext | None = None
+    device,
+    jobs: int | str = 1,  # unused; perfbench's client passes it
+    context: SimulationContext | None = None,
 ) -> tuple[FigureTable, FigureTable]:
     ctx = context or default_context(device)
     base = CONV_LAYERS["CV7"]
@@ -49,7 +51,7 @@ def build_figure(
         ["N", "convnet_gflops", "cudnn_gflops", "winner"],
     )
     n_specs = [replace(base, n=n) for n in N_VALUES]
-    n_pairs = map_chunks(_gflops_chunk, n_specs, ctx, jobs=jobs)
+    n_pairs = _gflops(ctx, n_specs)
     for n, (g_c, g_m) in zip(N_VALUES, n_pairs):
         fig4a.add(n, g_c, g_m, "CHWN" if g_c > g_m else "NCHW")
 
@@ -58,7 +60,7 @@ def build_figure(
         ["C", "convnet_gflops", "cudnn_gflops", "winner"],
     )
     c_specs = [replace(base, ci=c) for c in C_VALUES]
-    c_pairs = map_chunks(_gflops_chunk, c_specs, ctx, jobs=jobs)
+    c_pairs = _gflops(ctx, c_specs)
     for c, (g_c, g_m) in zip(C_VALUES, c_pairs):
         fig4b.add(c, g_c, g_m, "CHWN" if g_c > g_m else "NCHW")
     fig4b.note("paper: crossover at C = 32 (Ct); 4a crossover N in (64, 128]")
@@ -82,6 +84,5 @@ def test_fig04(benchmark, device):
 if __name__ == "__main__":
     from repro.gpusim import TITAN_BLACK
 
-    args = bench_arg_parser(__doc__).parse_args()
-    for t in build_figure(TITAN_BLACK, jobs=args.jobs):
+    for t in build_figure(TITAN_BLACK):
         t.show()

@@ -7,10 +7,10 @@ for cuda-convnet; Caffe averages 52.3 GB/s and cuDNN 41.9 GB/s).
 
 from __future__ import annotations
 
-from figutil import FigureTable, bench_arg_parser, geomean
+from figutil import FigureTable, geomean
 
 from repro.gpusim import SimulationContext, default_context
-from repro.gpusim.exec import evaluate_cells, map_chunks
+from repro.gpusim.exec import evaluate_cells
 from repro.layers import make_pool_kernel
 from repro.networks import POOL_LAYERS
 
@@ -22,9 +22,8 @@ def effective_bw(spec, time_ms: float) -> float:
     return useful / (time_ms * 1e6)
 
 
-def _time_chunk(context: SimulationContext, tasks) -> list[float]:
-    """Every (layer, layout) cell of the chunk priced in one memoized
-    vectorized evaluation."""
+def _times(context: SimulationContext, tasks) -> list[float]:
+    """Every (layer, layout) cell priced in one memoized evaluation."""
     models = [make_pool_kernel(spec, impl) for _, spec, impl in tasks]
     times = []
     for out in evaluate_cells(context, models, check_memory=False):
@@ -34,7 +33,11 @@ def _time_chunk(context: SimulationContext, tasks) -> list[float]:
     return times
 
 
-def build_figure(device, jobs: int | str = 1, context: SimulationContext | None = None) -> FigureTable:
+def build_figure(
+    device,
+    jobs: int | str = 1,  # unused; perfbench's client passes it
+    context: SimulationContext | None = None,
+) -> FigureTable:
     ctx = context or default_context(device)
     table = FigureTable(
         "Fig. 6: pooling layouts — normalized speed (convnet = 1.0) and "
@@ -46,7 +49,7 @@ def build_figure(device, jobs: int | str = 1, context: SimulationContext | None 
         for name, spec in POOL_LAYERS.items()
         for impl in _IMPLS
     ]
-    times = map_chunks(_time_chunk, tasks, ctx, jobs=jobs)
+    times = _times(ctx, tasks)
     grid = dict(zip([(t[0], t[2]) for t in tasks], times))
     for name, spec in POOL_LAYERS.items():
         t_conv = grid[(name, "chwn")]
@@ -80,5 +83,4 @@ def test_fig06(benchmark, device):
 if __name__ == "__main__":
     from repro.gpusim import TITAN_BLACK
 
-    args = bench_arg_parser(__doc__).parse_args()
-    build_figure(TITAN_BLACK, jobs=args.jobs).show()
+    build_figure(TITAN_BLACK).show()

@@ -8,7 +8,7 @@ counting is reported as the traffic column.
 
 from __future__ import annotations
 
-from figutil import FigureTable, bench_arg_parser
+from figutil import FigureTable
 
 from repro.core.autotune import autotune_pooling_many
 from repro.gpusim import SimulationContext, default_context
@@ -16,7 +16,11 @@ from repro.layers import PoolingCHWN, PoolingCoarsenedCHWN, make_pool_kernel
 from repro.networks import POOL_LAYERS
 
 
-def build_figure(device, jobs: int = 1, context: SimulationContext | None = None) -> FigureTable:
+def build_figure(
+    device,
+    jobs: int = 1,  # unused; perfbench's client passes it
+    context: SimulationContext | None = None,
+) -> FigureTable:
     ctx = context or default_context(device)
     table = FigureTable(
         "Fig. 12: pooling — library kernels vs auto-tuned Opt "
@@ -24,13 +28,11 @@ def build_figure(device, jobs: int = 1, context: SimulationContext | None = None
         ["layer", "caffe", "cudnn", "opt", "factors", "dram_saved_pct", "opt_bw"],
     )
     # The hill-climbs are per-layer independent: tune them all up front,
-    # optionally across workers.
+    # in lockstep.
     tuned_by_name = dict(
         zip(
             POOL_LAYERS,
-            autotune_pooling_many(
-                device, list(POOL_LAYERS.values()), context=ctx, jobs=jobs
-            ),
+            autotune_pooling_many(device, list(POOL_LAYERS.values()), context=ctx),
         )
     )
     for name, spec in POOL_LAYERS.items():
@@ -98,6 +100,5 @@ def test_fig12(benchmark, device):
 if __name__ == "__main__":
     from repro.gpusim import TITAN_BLACK
 
-    args = bench_arg_parser(__doc__).parse_args()
-    build_figure(TITAN_BLACK, jobs=args.jobs).show()
+    build_figure(TITAN_BLACK).show()
     print("\nFig. 8 toy example (loads, unique):", fig8_redundancy_example())

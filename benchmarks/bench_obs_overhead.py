@@ -12,12 +12,11 @@ the untraced baseline over the best of ``--repeat`` rounds.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
 import time
-
-from figutil import bench_arg_parser
 
 import bench_fig06_pooling_layouts as fig06
 
@@ -25,14 +24,14 @@ from repro.gpusim import TITAN_BLACK, SimulationContext
 from repro.obs import Tracer, install_tracer, uninstall_tracer
 
 
-def _build(device, jobs: int) -> tuple[float, str]:
+def _build(device) -> tuple[float, str]:
     ctx = SimulationContext(device, check_memory=False)
     t0 = time.perf_counter()
-    table = fig06.build_figure(device, jobs=jobs, context=ctx)
+    table = fig06.build_figure(device, context=ctx)
     return time.perf_counter() - t0, table.render()
 
 
-def run_overhead(device, jobs: int, repeat: int) -> dict:
+def run_overhead(device, repeat: int) -> dict:
     """Best-of-``repeat`` wall times for the fig06 sweep, untraced vs
     traced.  Best-of (not mean) because the baseline and traced runs do
     identical simulation work — the minimum is the least-noise estimate."""
@@ -41,7 +40,7 @@ def run_overhead(device, jobs: int, repeat: int) -> dict:
     reference = None
     span_count = 0
     for _ in range(repeat):
-        seconds, rendered = _build(device, jobs)
+        seconds, rendered = _build(device)
         untraced.append(seconds)
         if reference is None:
             reference = rendered
@@ -49,7 +48,7 @@ def run_overhead(device, jobs: int, repeat: int) -> dict:
             raise AssertionError("untraced runs disagree with each other")
         tracer = install_tracer(Tracer("bench-obs"))
         try:
-            seconds, rendered = _build(device, jobs)
+            seconds, rendered = _build(device)
         finally:
             uninstall_tracer()
         traced.append(seconds)
@@ -61,7 +60,6 @@ def run_overhead(device, jobs: int, repeat: int) -> dict:
     best_traced = min(traced)
     return {
         "figure": "fig06_pooling_layouts",
-        "jobs": jobs,
         "repeat": repeat,
         "untraced_s": best_untraced,
         "traced_s": best_traced,
@@ -72,7 +70,7 @@ def run_overhead(device, jobs: int, repeat: int) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = bench_arg_parser(__doc__)
+    parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--repeat",
         type=int,
@@ -100,11 +98,11 @@ def main(argv=None) -> int:
     results = {
         "cpu_count": os.cpu_count(),
         "max_overhead": args.max_overhead,
-        "overhead": run_overhead(TITAN_BLACK, max(args.jobs, 1), args.repeat),
+        "overhead": run_overhead(TITAN_BLACK, args.repeat),
     }
     o = results["overhead"]
     print(
-        f"fig06 sweep (--jobs {o['jobs']}, best of {o['repeat']}): "
+        f"fig06 sweep (best of {o['repeat']}): "
         f"untraced {o['untraced_s']:.3f}s, traced {o['traced_s']:.3f}s "
         f"-> {o['overhead']:+.1%} overhead, {o['spans_recorded']} spans, "
         f"tables identical"
@@ -129,7 +127,7 @@ def test_obs_overhead(device):
     The bound here is loose (50%) because CI machines are noisy; the
     ``--check`` entry point applies the honest 5% gate on quiet hardware.
     """
-    result = run_overhead(device, jobs=1, repeat=2)
+    result = run_overhead(device, repeat=2)
     assert result["identical"]
     assert result["spans_recorded"] > 0
     assert result["overhead"] < 0.5

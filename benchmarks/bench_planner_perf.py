@@ -4,9 +4,9 @@ The scalar leg runs :func:`scalar_evaluate_cells`, a bench-local oracle
 that evaluates one model at a time through ``context.run`` (the model's
 definition).  The Fig. 4 sensitivity grid and the Fig. 6 pooling figure
 are built with that oracle patched over the figures' ``evaluate_cells``
-(serial scalar evaluation) and through the sweep execution engine:
-memoized-serial (fresh contexts), the warm worker pool at ``--jobs``, and
-a warm shared-context rebuild (the steady state of a long-lived session).
+(scalar evaluation) and through the sweep execution engine:
+memoized-serial (fresh contexts) and a warm shared-context rebuild (the
+steady state of a long-lived session).
 Rendered tables are compared byte for byte across every mode before any
 timing is reported, and the scalar/serial passes are interleaved over
 rounds with the cleanest round reported beside the median and
@@ -19,6 +19,7 @@ slower than the scalar path on the cleanest round.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import statistics
@@ -26,13 +27,10 @@ import sys
 import time
 from contextlib import contextmanager
 
-from figutil import bench_arg_parser
-
 import bench_fig04_sensitivity as fig04
 import bench_fig06_pooling_layouts as fig06
 
 from repro.gpusim import GpuOutOfMemoryError, SimulationContext, TITAN_BLACK
-from repro.gpusim.exec import resolve_jobs, shutdown_pool
 
 E2E_REPEATS = 5
 #: memoized-serial must at least match the scalar path end to end
@@ -71,7 +69,6 @@ def round_spread(rounds: list[float]) -> tuple[float, float]:
 
 def _figure_renders(
     device,
-    jobs,
     contexts: tuple[SimulationContext, SimulationContext] | None = None,
 ) -> list[str]:
     """Render the Fig. 4 + Fig. 6 tables; fresh contexts unless given."""
@@ -80,29 +77,25 @@ def _figure_renders(
         SimulationContext(device, check_memory=False),
     )
     tables = []
-    for table in fig04.build_figure(device, jobs=jobs, context=ctx4):
+    for table in fig04.build_figure(device, context=ctx4):
         tables.append(table.render())
-    tables.append(fig06.build_figure(device, jobs=jobs, context=ctx6).render())
+    tables.append(fig06.build_figure(device, context=ctx6).render())
     return tables
 
 
-def run_end_to_end(device, jobs) -> dict:
-    jobs_n = resolve_jobs(jobs)
-
+def run_end_to_end(device) -> dict:
     def scalar_pass():
         with scalar_figures():
-            return _figure_renders(device, jobs=1)
+            return _figure_renders(device)
 
     def serial_pass():
-        return _figure_renders(device, jobs=1)
+        return _figure_renders(device)
 
-    # One untimed pass per mode first: process-global warmup (lazy imports,
-    # the worker pool spawn for the --jobs mode) lands on no timed side,
-    # and the set doubles as the byte-identity check across all modes.
+    # One untimed pass per mode first: process-global warmup (lazy imports)
+    # lands on no timed side, and the pair doubles as the byte-identity
+    # check.
     ref_tables = scalar_pass()
-    serial_tables = serial_pass()
-    pool_tables = _figure_renders(device, jobs=jobs)
-    if ref_tables != serial_tables or ref_tables != pool_tables:
+    if serial_pass() != ref_tables:
         raise AssertionError("engine figures differ from the scalar reference")
 
     # Interleave scalar/memoized-serial timed rounds and report the
@@ -124,44 +117,35 @@ def run_end_to_end(device, jobs) -> dict:
     serial_speedup = max(rounds)
     serial_median, serial_iqr = round_spread(rounds)
 
-    # Warm-pool pass (the pool itself was spawned by the untimed pass).
-    t0 = time.perf_counter()
-    _figure_renders(device, jobs=jobs)
-    pool_s = time.perf_counter() - t0
-
     # Warm shared-context rebuild: the steady state of a long session
     # re-sweeping shapes it has already priced — every cell a memo hit.
     contexts = (
         SimulationContext(device, check_memory=False),
         SimulationContext(device, check_memory=False),
     )
-    warm_tables = _figure_renders(device, jobs=1, contexts=contexts)
+    warm_tables = _figure_renders(device, contexts=contexts)
     t0 = time.perf_counter()
-    warm_again = _figure_renders(device, jobs=1, contexts=contexts)
+    warm_again = _figure_renders(device, contexts=contexts)
     warm_s = time.perf_counter() - t0
     if warm_tables != ref_tables or warm_again != ref_tables:
         raise AssertionError("warm-context figures differ from the scalar reference")
 
     return {
         "figures": ["fig04_sensitivity", "fig06_pooling_layouts"],
-        "jobs_requested": jobs,
-        "jobs": jobs_n,
         "scalar_s": scalar_s,
         "batched_serial_s": serial_s,
-        "batched_s": pool_s,
         "warm_s": warm_s,
         "round_serial_speedups": rounds,
         "serial_speedup": serial_speedup,
         "serial_speedup_median": serial_median,
         "serial_speedup_iqr": serial_iqr,
-        "speedup": scalar_s / pool_s if pool_s else float("inf"),
         "warm_speedup": scalar_s / warm_s if warm_s else float("inf"),
         "identical": True,
     }
 
 
 def main(argv=None) -> int:
-    parser = bench_arg_parser(__doc__)
+    parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--output",
         default="BENCH_planner.json",
@@ -175,10 +159,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    try:
-        end_to_end = run_end_to_end(TITAN_BLACK, args.jobs)
-    finally:
-        shutdown_pool()
+    end_to_end = run_end_to_end(TITAN_BLACK)
     results = {"cpu_count": os.cpu_count(), "end_to_end": end_to_end}
     e = end_to_end
     print(
@@ -186,7 +167,6 @@ def main(argv=None) -> int:
         f"scalar {e['scalar_s']:.3f}s, memoized serial "
         f"{e['batched_serial_s']:.3f}s ({e['serial_speedup']:.2f}x; median "
         f"{e['serial_speedup_median']:.2f}x, IQR {e['serial_speedup_iqr']:.2f}), "
-        f"warm pool --jobs {e['jobs']} {e['batched_s']:.3f}s, "
         f"warm context {e['warm_s']:.3f}s ({e['warm_speedup']:.1f}x), "
         f"tables identical"
     )

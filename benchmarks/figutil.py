@@ -12,38 +12,7 @@ Every ``bench_figXX_*.py`` module follows the same shape:
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
-
-
-def parse_jobs(value: str) -> int | str:
-    """``--jobs`` argument: an integer or the literal ``auto``."""
-    if value.strip().lower() == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {value!r}"
-        ) from None
-
-
-def bench_arg_parser(description: str) -> argparse.ArgumentParser:
-    """Shared CLI for ``python benchmarks/bench_*.py`` entry points.
-
-    Every driver accepts the same ``--jobs N`` flag (worker processes for
-    independent kernel evaluations; results are identical for any value —
-    see :mod:`repro.gpusim.exec`).
-    """
-    parser = argparse.ArgumentParser(description=description)
-    parser.add_argument(
-        "--jobs",
-        type=parse_jobs,
-        default=1,
-        help="worker processes (1 = serial, 'auto' or negative = all CPUs; "
-        "requests beyond the CPU count are clamped)",
-    )
-    return parser
 
 
 def geomean(values) -> float:

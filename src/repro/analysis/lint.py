@@ -275,14 +275,18 @@ def lint_network(
 ) -> LintReport:
     """Lint one network end to end: definition, plan, kernels, transforms.
 
-    Netdef errors stop the pipeline (an inconsistent definition has no
-    well-defined plan); otherwise the requested planner runs and its output
-    is checked layer by layer, including one layout-transform kernel per
-    edge transform the plan inserts, sized from the tensor it relays.
+    Netdef errors and shape-walk problems stop the pipeline (an
+    inconsistent definition has no well-defined plan), also when the rule
+    that reports a problem is not selected; otherwise the requested planner
+    runs and its output is checked layer by layer, including one
+    layout-transform kernel per edge transform the plan inserts, sized from
+    the tensor it relays.
     """
     report = LintReport(target=netdef.name, device=device.name, strategy=strategy)
-    report.diagnostics += lint_netdef(netdef, config)
-    if any(d.severity is Severity.ERROR for d in report.diagnostics):
+    scope = NetdefScope(netdef)
+    report.diagnostics += _run_scope("netdef", scope, config, network=netdef.name)
+    _, problems = scope.resolved
+    if problems or any(d.severity is Severity.ERROR for d in report.diagnostics):
         return report
 
     options = PipelineOptions(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from ..gpusim.device import DeviceSpec
-from ..gpusim.exec import evaluate_cells, map_chunks
+from ..gpusim.exec import evaluate_cells
 from ..gpusim.session import SimulationContext, default_context
 from ..obs.tracer import span as obs_span
 from ..layers.base import ConvSpec, PoolSpec, SoftmaxSpec
@@ -74,8 +74,7 @@ def crossovers(result: SweepResult) -> list[tuple[int, str, str]]:
 
 @dataclass(frozen=True)
 class _Cell:
-    """One picklable grid cell: enough to rebuild and time its kernel in
-    any process (see :func:`repro.gpusim.exec.map_chunks`)."""
+    """One grid cell: enough to rebuild and time its kernel."""
 
     kind: str  # "conv" | "pool" | "softmax"
     base: Any
@@ -97,7 +96,7 @@ def _cell_kernel(cell: _Cell) -> Any:
 
 
 def _eval_cells(context: SimulationContext, cells: list[_Cell]) -> list[SweepPoint]:
-    """One memoized, fused evaluation per chunk of cells.
+    """One memoized, fused evaluation of the whole grid.
 
     Kernel-construction failures (unsupported shapes) and per-candidate
     evaluation failures (OOM, launch validation) become failed points
@@ -138,7 +137,6 @@ def _run_grid(
     dimension: str,
     values: tuple[int, ...],
     implementations: tuple[str, ...],
-    jobs: int | str | None,
 ) -> SweepResult:
     cells = [
         _Cell(kind, base, dimension, value, impl, check_memory)
@@ -152,12 +150,8 @@ def _run_grid(
         dimension=dimension,
         cells=len(cells),
         implementations=list(implementations),
-        jobs=jobs or 1,
     ):
-        # The execution engine memoizes repeated cells, fuses each chunk
-        # into one vectorized evaluation (the whole grid when serial), and
-        # fans chunks over the warm worker pool.
-        points = map_chunks(_eval_cells, cells, context, jobs=jobs)
+        points = _eval_cells(context, cells)
     return SweepResult(
         dimension=dimension,
         values=tuple(values),
@@ -173,14 +167,14 @@ def sweep_conv(
     values: tuple[int, ...],
     implementations: tuple[str, ...] = ("direct", "im2col"),
     context: SimulationContext | None = None,
-    jobs: int | str | None = None,
+    jobs: int | str | None = None,  # unused; perfbench's client passes it
 ) -> SweepResult:
     """Vary one :class:`ConvSpec` field (``n``, ``ci``, ``co``, ``h``...)."""
     if not hasattr(base, dimension):
         raise ValueError(f"ConvSpec has no dimension {dimension!r}")
     ctx = context or default_context(device)
     return _run_grid(
-        ctx, "conv", base, True, dimension, tuple(values), tuple(implementations), jobs
+        ctx, "conv", base, True, dimension, tuple(values), tuple(implementations)
     )
 
 
@@ -191,14 +185,13 @@ def sweep_pool(
     values: tuple[int, ...],
     implementations: tuple[str, ...] = ("chwn", "nchw-linear"),
     context: SimulationContext | None = None,
-    jobs: int | str | None = None,
 ) -> SweepResult:
     """Vary one :class:`PoolSpec` field."""
     if not hasattr(base, dimension):
         raise ValueError(f"PoolSpec has no dimension {dimension!r}")
     ctx = context or default_context(device)
     return _run_grid(
-        ctx, "pool", base, False, dimension, tuple(values), tuple(implementations), jobs
+        ctx, "pool", base, False, dimension, tuple(values), tuple(implementations)
     )
 
 
@@ -209,19 +202,11 @@ def sweep_softmax(
     values: tuple[int, ...],
     implementations: tuple[str, ...] = ("cudnn", "opt"),
     context: SimulationContext | None = None,
-    jobs: int | str | None = None,
 ) -> SweepResult:
     """Vary ``n`` or ``categories`` of a softmax layer."""
     if not hasattr(base, dimension):
         raise ValueError(f"SoftmaxSpec has no dimension {dimension!r}")
     ctx = context or default_context(device)
     return _run_grid(
-        ctx,
-        "softmax",
-        base,
-        False,
-        dimension,
-        tuple(values),
-        tuple(implementations),
-        jobs,
+        ctx, "softmax", base, False, dimension, tuple(values), tuple(implementations)
     )

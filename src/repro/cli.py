@@ -78,9 +78,8 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=_parse_jobs,
         default=1,
-        help="worker processes for independent kernel evaluations "
-        "(1 = serial, 'auto' or negative = all CPUs; requests beyond the "
-        "CPU count are clamped); results are identical for any value",
+        help="accepted for compatibility and ignored: every grid runs "
+        "serially (an integer or 'auto')",
     )
 
 
@@ -122,7 +121,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     from .core.calibration import calibrate
 
     device = get_device(args.device)
-    result = calibrate(device, jobs=args.jobs)
+    result = calibrate(device)
     print(result.summary())
     print("\nN sweep (CONV7 shape):")
     for p in result.n_sweep:
@@ -210,9 +209,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     device = get_device(args.device)
     netdef = build_network(args.network, batch=args.batch)
-    result = plan_network(
-        device, netdef, PipelineOptions(strategy=args.strategy, jobs=args.jobs)
-    )
+    result = plan_network(device, netdef, PipelineOptions(strategy=args.strategy))
     print(
         f"profile: {netdef.name} on {device.name} "
         f"(strategy={result.strategy}, batch={netdef.batch})"
@@ -318,7 +315,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     values = tuple(int(v) for v in args.values.split(","))
     impls = tuple(args.impls.split(","))
-    result = sweep_conv(device, CONV_LAYERS[name], args.dim, values, impls, jobs=args.jobs)
+    result = sweep_conv(device, CONV_LAYERS[name], args.dim, values, impls)
     header = "  ".join(f"{impl:>12s}" for impl in impls)
     print(f"{args.dim:>6s}  {header}  {'winner':>10s}")
     for v in values:

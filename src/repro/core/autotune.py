@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..gpusim.device import DeviceSpec
-from ..gpusim.exec import evaluate_cells, map_chunks
+from ..gpusim.exec import evaluate_cells
 from ..gpusim.session import SimulationContext, default_context
 from ..gpusim.timing import KernelStats
 from ..layers.base import PoolSpec
@@ -70,16 +70,16 @@ def _batch_times(
     return times
 
 
-def _tune_chunk(
+def _tune_lockstep(
     context: SimulationContext, tasks: list[tuple[PoolSpec, int, int]]
 ) -> list[TuneResult]:
-    """Tune a chunk of pooling layers in lockstep.
+    """Tune several pooling layers in lockstep.
 
-    Each hill-climb is sequential, but at every step all chunk members'
-    pending evaluations go through one ``evaluate_cells`` call.  Each
-    spec's evaluation order — baseline, start, then (ux, uy) proposals per
-    round — does not depend on the other chunk members, so a layer's trace
-    and result are the same alone or in any chunk.
+    Each hill-climb is sequential, but at every step all layers' pending
+    evaluations go through one ``evaluate_cells`` call.  Each spec's
+    evaluation order — baseline, start, then (ux, uy) proposals per round
+    — does not depend on the other layers, so a layer's trace and result
+    are the same alone or tuned with others.
     """
     for _, max_factor, initial in tasks:
         if max_factor < 1 or initial < 1:
@@ -151,7 +151,7 @@ def autotune_pooling(
     reuse.
     """
     ctx = context or default_context(device)
-    return _tune_chunk(ctx, [(spec, max_factor, initial)])[0]
+    return _tune_lockstep(ctx, [(spec, max_factor, initial)])[0]
 
 
 def autotune_pooling_many(
@@ -160,15 +160,10 @@ def autotune_pooling_many(
     max_factor: int = 8,
     initial: int = 2,
     context: SimulationContext | None = None,
-    jobs: int | str | None = None,
 ) -> list[TuneResult]:
-    """Tune several pooling layers, optionally across worker processes.
-
-    One hill-climb is inherently sequential (each step depends on the
-    previous timing), so the parallel axis is the *layer list* — exactly the
-    shape of the Fig. 12 benchmark.  Results are identical to calling
-    :func:`autotune_pooling` per spec in order, for any ``jobs``.
+    """Tune several pooling layers in lockstep — exactly the shape of the
+    Fig. 12 benchmark.  Results are identical to calling
+    :func:`autotune_pooling` per spec in order.
     """
     ctx = context or default_context(device)
-    tasks = [(spec, max_factor, initial) for spec in specs]
-    return map_chunks(_tune_chunk, tasks, ctx, jobs=jobs)
+    return _tune_lockstep(ctx, [(spec, max_factor, initial) for spec in specs])

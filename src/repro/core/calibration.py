@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..gpusim.device import DeviceSpec
-from ..gpusim.exec import evaluate_cells, map_chunks
+from ..gpusim.exec import evaluate_cells
 from ..gpusim.session import SimulationContext, default_context
 from ..obs.tracer import span as obs_span
 from ..layers.base import ConvSpec
@@ -59,7 +59,7 @@ class CalibrationResult:
         return "\n".join(lines)
 
 
-def _time_both_chunk(
+def _time_both(
     context: SimulationContext, specs: list[ConvSpec]
 ) -> list[tuple[float, float]]:
     """CHWN (direct) and NCHW (im2col) times of every sweep point, both
@@ -87,7 +87,6 @@ def calibrate(
     n_values: tuple[int, ...] = N_SWEEP,
     c_values: tuple[int, ...] = C_SWEEP,
     context: SimulationContext | None = None,
-    jobs: int | str | None = None,
 ) -> CalibrationResult:
     """Recover (Ct, Nt) for a device from the Fig. 4 style sweeps.
 
@@ -97,8 +96,8 @@ def calibrate(
       batch *below* Nt so the N-rule does not mask the C crossover.
 
     The two sweeps are sequential (the C sweep's batch size depends on the
-    N sweep's crossover) but the points *within* each sweep are independent
-    and fan out over ``jobs`` workers.
+    N sweep's crossover); the points *within* each sweep are independent
+    and go through one memoized evaluation.
     """
     ctx = context or default_context(device)
     profiling_ms = 0.0
@@ -108,7 +107,7 @@ def calibrate(
         "calibrate:n-sweep", "calibrate", device=device.name, points=len(n_sorted)
     ):
         n_specs = [replace(reference, n=n) for n in n_sorted]
-        n_times = map_chunks(_time_both_chunk, n_specs, ctx, jobs=jobs)
+        n_times = _time_both(ctx, n_specs)
     n_points = [
         SweepPoint(n, chwn, nchw) for n, (chwn, nchw) in zip(n_sorted, n_times)
     ]
@@ -121,7 +120,7 @@ def calibrate(
         "calibrate:c-sweep", "calibrate", device=device.name, points=len(c_sorted)
     ):
         c_specs = [replace(reference, ci=c, n=c_batch) for c in c_sorted]
-        c_times = map_chunks(_time_both_chunk, c_specs, ctx, jobs=jobs)
+        c_times = _time_both(ctx, c_specs)
     c_points = [
         SweepPoint(c, chwn, nchw) for c, (chwn, nchw) in zip(c_sorted, c_times)
     ]

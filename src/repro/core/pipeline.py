@@ -40,7 +40,7 @@ from math import prod
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..gpusim.device import DeviceSpec
-from ..gpusim.exec import evaluate_cells, map_chunks
+from ..gpusim.exec import evaluate_cells
 from ..gpusim.session import SimulationContext, default_context
 from ..obs.metrics import global_registry
 from ..obs.tracer import active_tracer
@@ -101,9 +101,6 @@ class PipelineOptions:
     #: offending pass.  Verification is observational: the planned result
     #: is byte-identical with it on or off.
     verify: bool = False
-    #: worker processes for the batched transform-cost precompute
-    #: (``"auto"`` = one per CPU); plans are identical for any value
-    jobs: int | str | None = None
 
     def __post_init__(self) -> None:
         if self.strategy not in _ALGORITHMS:
@@ -280,13 +277,6 @@ def _edge_desc(
     return dims, src, dst
 
 
-def _price_transform_chunk(
-    context: SimulationContext, models: list
-) -> "list":
-    """Module-level (picklable) chunk body for the transform precompute."""
-    return evaluate_cells(context, models, check_memory=False)
-
-
 class TransformCostTable:
     """Batched per-edge transform costs for one planning run.
 
@@ -304,7 +294,7 @@ class TransformCostTable:
         self.device = device
         self._ms: dict[tuple[tuple[int, ...], str, str], float] = {}
 
-    def precompute(self, graph: Graph, jobs: int | str | None = None) -> int:
+    def precompute(self, graph: Graph) -> int:
         """Batch-price every transform reachable on ``graph``'s edges.
 
         Returns the number of distinct transform kernels evaluated.
@@ -330,11 +320,10 @@ class TransformCostTable:
             # context; the memoized batch does the same so cache/metrics
             # accounting lands in the same place — and repeat plannings of
             # the same shapes skip the analytic stack entirely.
-            outcomes = map_chunks(
-                _price_transform_chunk,
-                list(pending.values()),
+            outcomes = evaluate_cells(
                 default_context(self.device),
-                jobs=jobs,
+                list(pending.values()),
+                check_memory=False,
             )
             for key, outcome in zip(pending, outcomes):
                 if isinstance(outcome, Exception):
@@ -477,9 +466,7 @@ class AssignLayouts(Pass):
             )
             for node in graph
         }
-        self.stats["edge_kernels_batched"] = ctx.edge_costs.precompute(
-            graph, jobs=opts.jobs
-        )
+        self.stats["edge_kernels_batched"] = ctx.edge_costs.precompute(graph)
         prefs = self._preferences(graph, opts.thresholds or thresholds_for(ctx.device))
         if opts.strategy == "single":
             assign = {node.name: opts.single_layout for node in graph}

@@ -29,14 +29,7 @@ _EXPORTS = {
         "register_device",
     ),
     "dram": ("MemoryServiceTimes", "memory_service_time"),
-    "exec": (
-        "adaptive_chunk_size",
-        "evaluate_cells",
-        "map_chunks",
-        "pool_workers",
-        "resolve_jobs",
-        "shutdown_pool",
-    ),
+    "exec": ("evaluate_cells", "map_chunks", "shutdown_pool"),
     "session": (
         "GpuOutOfMemoryError",
         "SequenceStats",

@@ -1,110 +1,51 @@
-"""Sweep execution engine: memoized, warm-pooled grid evaluation.
+"""Sweep execution engine: memoized grid evaluation.
 
 This is the one runtime path between the grid producers
 (:mod:`repro.analysis.sweeps`, :mod:`repro.core.calibration`,
 :mod:`repro.core.autotune`, the pipeline's transform pricing, the figure
 drivers) and the evaluator (:func:`repro.gpusim.batch.evaluate_models`,
-which times each cell with the scalar model).  It has two layers:
+which times each cell with the scalar model).  :func:`evaluate_cells`
+consults the session's structural timing cache (the same
+:func:`~repro.gpusim.session.structural_key` space
+:meth:`SimulationContext.run` uses) before evaluating anything, and dedups
+structurally-equal cells within a grid, so each distinct (kernel shape,
+device) cell is evaluated exactly once per context no matter how many
+sweep grids revisit it.  This is where the end-to-end time lives: a traced
+NCHW pooling profile costs ~1000x a closed-form candidate, and the figure
+suite re-prices the same pooling layers grid after grid.
 
-* **cross-grid memoization** — :func:`evaluate_cells` consults the
-  session's structural timing cache (the same
-  :func:`~repro.gpusim.session.structural_key` space
-  :meth:`SimulationContext.run` uses) before evaluating anything, and
-  dedups structurally-equal cells within a grid, so each distinct
-  (kernel shape, device) cell is evaluated exactly once per process no
-  matter how many sweep grids revisit it.  This is where the end-to-end
-  time lives: a traced NCHW pooling profile costs ~1000x a closed-form
-  candidate, and the figure suite re-prices the same pooling layers grid
-  after grid.
-* **a persistent warm worker pool** — :func:`map_chunks` hands each
-  producer chunk of cells to one call of the producer's chunk function:
-  serially that is one call over the whole grid; with ``--jobs`` the
-  chunks go to a process pool that is created once, keeps a warm per-worker
-  :class:`~repro.gpusim.session.SimulationContext` per (device, OOM mode)
-  across submissions, ships only cache *deltas* home
-  (:meth:`SimulationContext.export_delta` → :meth:`absorb`), and sizes
-  chunks adaptively from the measured per-cell cost.
-
-Everything stays byte-identical to the scalar model
-(:meth:`SimulationContext.run`, the tests' oracle): a memoized value is
-the value the same model computed the first time, results are
-reassembled in submission order, and a warm worker computes exactly what
-a cold one would.  The ``--jobs`` knob (:func:`resolve_jobs`) remains a
-pure wall-clock knob.
+Every grid runs serially, in one call, in the caller's
+:class:`~repro.gpusim.session.SimulationContext`.  Everything stays
+byte-identical to the scalar model (:meth:`SimulationContext.run`, the
+tests' oracle): a memoized value is the value the same model computed the
+first time.
 
 Instrumentation (``repro.obs``): ``exec.cache.{hit,miss,dedup,error_hit}``
-counters, the ``exec.batch.size`` histogram, ``exec.pool.{reuse,chunks}``
-counters, one ``exec`` span per grid, and ``exec.jobs.clamped`` from
-:func:`resolve_jobs`.
-
+counters, the ``exec.batch.size`` histogram and one ``exec`` span per grid.
 Metric *counts* can differ between a memoized and a cold run (that is the
 point); every value derived from kernel stats is identical.
 """
 
 from __future__ import annotations
 
-import atexit
-import os
-import time
-from math import ceil
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import Any, Callable, Sequence
 
-from ..obs.metrics import MetricsRegistry, global_registry, reset_global_registry
-from ..obs.tracer import (
-    Span,
-    TraceEvent,
-    Tracer,
-    active_tracer,
-    install_tracer,
-    span as obs_span,
-    uninstall_tracer,
-)
+from ..obs.metrics import global_registry
+from ..obs.tracer import span as obs_span
 from .batch import evaluate_models
-from .device import DeviceSpec
 from .kernel import ComposedKernel, KernelModel
 from .session import (
     GpuOutOfMemoryError,
-    SimStats,
     SimulationContext,
     _kind_of,
     structural_key,
 )
 from .timing import KernelStats
 
-if TYPE_CHECKING:
-    from concurrent.futures import Future, ProcessPoolExecutor
+__all__ = ["evaluate_cells", "map_chunks", "shutdown_pool"]
 
-__all__ = [
-    "adaptive_chunk_size",
-    "evaluate_cells",
-    "map_chunks",
-    "pool_workers",
-    "resolve_jobs",
-    "shutdown_pool",
-]
-
-#: ``fn`` for :func:`map_chunks`: one *chunk* of grid cells per call (not
-#: one cell), so the whole chunk goes through one ``evaluate_cells`` call.
-ChunkFn = Callable[[SimulationContext, list], list]
-
-#: What one warm worker ships back per submission: chunk results, the
-#: cache *delta* since its last shipment, per-chunk session counters,
-#: span/event streams, the worker's per-chunk global metrics, and whether
-#: the warm context was reused.
-ChunkShipment = tuple[
-    list[Any],
-    "dict[str, KernelStats]",
-    SimStats,
-    "tuple[Span, ...]",
-    "tuple[TraceEvent, ...]",
-    MetricsRegistry,
-    bool,
-]
-
-
-# ---------------------------------------------------------------------------
-# Layer 1: cross-grid memoization
-# ---------------------------------------------------------------------------
+#: perfbench's client reads this name; there is no pool.
+_POOL = None
 
 
 def _fit_error(
@@ -230,276 +171,17 @@ def evaluate_cells(
     return results  # type: ignore[return-value]
 
 
-# ---------------------------------------------------------------------------
-# Worker count and adaptive chunk sizing
-# ---------------------------------------------------------------------------
-
-#: Smallest default chunk: a pool submission costs a result pickle
-#: round-trip, so shipping fewer cells than this loses to evaluating them
-#: in an existing chunk (singleton chunks on small grids were pure IPC).
-DEFAULT_MIN_CHUNK = 4
-
-
-def resolve_jobs(jobs: int | str | None) -> int:
-    """Normalize a ``--jobs`` value: None/0/1 mean serial, ``"auto"`` and
-    negative values mean one worker per available CPU.
-
-    Requests beyond ``os.cpu_count()`` clamp to the CPU count — the
-    simulation is pure CPU work, so oversubscribing only adds process
-    spawn and scheduling overhead (``--jobs 4`` on a 1-CPU box once *lost*
-    35% end to end).  A clamp bumps the ``exec.jobs.clamped`` counter so
-    ``--metrics`` surfaces it.
-    """
-    cpus = os.cpu_count() or 1
-    if jobs is None:
-        return 1
-    if isinstance(jobs, str):
-        if jobs.strip().lower() == "auto":
-            return cpus
-        jobs = int(jobs)
-    if jobs == 0:
-        return 1
-    if jobs < 0:
-        return cpus
-    if jobs > cpus:
-        global_registry().counter("exec.jobs.clamped").inc()
-        return cpus
-    return jobs
-
-
-#: Aim each shipped chunk at roughly this much worker wall time: large
-#: enough to amortize the pickle round-trip, small enough that expensive
-#: cells (traced profiles) still load-balance across workers.
-TARGET_CHUNK_S = 0.05
-
-_EWMA_ALPHA = 0.5
-_cell_cost_s: float | None = None
-
-
-def _observe_cell_cost(cells: int, wall_s: float) -> None:
-    """Fold one grid's measured per-cell cost into the running estimate."""
-    global _cell_cost_s
-    if cells <= 0 or wall_s <= 0.0:
-        return
-    cost = wall_s / cells
-    _cell_cost_s = (
-        cost
-        if _cell_cost_s is None
-        else _EWMA_ALPHA * cost + (1.0 - _EWMA_ALPHA) * _cell_cost_s
-    )
-
-
-def adaptive_chunk_size(
-    n: int, jobs: int, cost_s: float | None = None
-) -> int:
-    """Chunk size for an ``n``-cell grid over ``jobs`` workers.
-
-    Starts from the even one-chunk-per-worker split, then refines with the
-    measured per-cell cost when one is available: cells expensive enough
-    that :data:`TARGET_CHUNK_S` holds fewer of them get *smaller* chunks
-    (more of them than workers), so a straggler chunk cannot serialize the
-    grid.  Never below :data:`DEFAULT_MIN_CHUNK`
-    (or the grid size, if smaller) — singleton chunks are pure IPC.
-    """
-    if n <= 0:
-        return 1
-    size = ceil(n / max(1, jobs))
-    if cost_s is not None and cost_s > 0.0:
-        by_cost = max(1, int(TARGET_CHUNK_S / cost_s))
-        size = min(size, by_cost)
-    return max(size, min(n, DEFAULT_MIN_CHUNK))
-
-
-# ---------------------------------------------------------------------------
-# Layer 2: the persistent warm worker pool
-# ---------------------------------------------------------------------------
-
-_POOL: ProcessPoolExecutor | None = None
-_POOL_WORKERS = 0
-
-
-def _get_pool(workers: int) -> ProcessPoolExecutor:
-    """The process-wide executor, created once and grown on demand.
-
-    Growing (a later call wants more workers than the pool was born with)
-    recreates the executor; shrinking just leaves spare workers idle.
-    """
-    global _POOL, _POOL_WORKERS
-    if _POOL is not None and workers > _POOL_WORKERS:
-        shutdown_pool()
-    if _POOL is None:
-        # Imported here: concurrent.futures.process pulls in multiprocessing,
-        # which serial commands never need.
-        from concurrent.futures import ProcessPoolExecutor
-
-        _POOL = ProcessPoolExecutor(max_workers=workers)
-        _POOL_WORKERS = workers
-    return _POOL
-
-
+# perfbench's client calls this after every run; there is no pool to stop.
 def shutdown_pool() -> None:
-    """Tear down the warm pool and wait for its workers to exit (test
-    isolation; also runs at interpreter exit).
-
-    Waiting matters: an executor shut down without it keeps a manager
-    thread closing its wake-up pipe, and the interpreter's exit hook for
-    executors can write to that pipe mid-close (``OSError: [Errno 9]``).
-    """
-    global _POOL, _POOL_WORKERS
-    if _POOL is not None:
-        _POOL.shutdown(wait=True, cancel_futures=True)
-        _POOL = None
-        _POOL_WORKERS = 0
+    """No-op."""
 
 
-def pool_workers() -> int:
-    """Current pool width (0 when no pool has been spawned)."""
-    return _POOL_WORKERS if _POOL is not None else 0
-
-
-atexit.register(shutdown_pool)
-
-
-# -- worker-process side ----------------------------------------------------
-
-#: one warm simulation session per (device, OOM mode), reused across
-#: submissions for the life of the worker process
-_WORKER_CONTEXTS: "dict[tuple[DeviceSpec, bool], SimulationContext]" = {}
-#: cache-size watermark of the last shipment per warm context
-_WORKER_SHIPPED: "dict[tuple[DeviceSpec, bool], int]" = {}
-
-
-def _warm_chunk(
-    device: DeviceSpec,
-    check_memory: bool,
-    fn: ChunkFn,
-    chunk: list,
-    trace: bool,
-) -> ChunkShipment:
-    """Worker body: run one chunk against the warm per-process context.
-
-    The context's timing cache persists across submissions (that is the
-    warmth); metrics and stats are swapped fresh per chunk so each
-    shipment covers exactly one submission, and only cache entries newer
-    than the last shipment travel home.
-    """
-    key = (device, check_memory)
-    ctx = _WORKER_CONTEXTS.get(key)
-    reused = ctx is not None
-    if ctx is None:
-        ctx = SimulationContext(device, check_memory=check_memory)
-        _WORKER_CONTEXTS[key] = ctx
-        _WORKER_SHIPPED[key] = 0
-
-    reset_global_registry()
-    ctx.metrics = MetricsRegistry()
-    ctx.stats = SimStats(ctx.metrics)
-    if reused:
-        global_registry().counter("exec.pool.reuse").inc()
-
-    tracer = install_tracer(Tracer(f"exec-worker-{os.getpid()}")) if trace else None
-    try:
-        if tracer is None:
-            results = fn(ctx, chunk)
-        else:
-            with tracer.span("chunk", "exec.pool", items=len(chunk), warm=reused):
-                results = fn(ctx, chunk)
-    finally:
-        if trace:
-            uninstall_tracer()
-
-    delta = ctx.export_delta(_WORKER_SHIPPED[key])
-    _WORKER_SHIPPED[key] = ctx.cache_size
-    spans = tracer.spans() if tracer is not None else ()
-    events = tracer.events() if tracer is not None else ()
-    return list(results), delta, ctx.stats, spans, events, global_registry(), reused
-
-
-# -- parent side ------------------------------------------------------------
-
-
+# perfbench's traced runs wrap this name; the program calls its grid
+# functions directly.
 def map_chunks(
-    fn: ChunkFn,
+    fn: Callable[[SimulationContext, list], list],
     cells: Sequence[Any],
     context: SimulationContext,
-    jobs: int | str | None = None,
-    chunk_size: int | None = None,
 ) -> list:
-    """Run ``fn(context, chunk)`` over ``cells`` and flatten, in cell order.
-
-    The grid-consumer entry point: ``fn`` receives a contiguous *chunk* of
-    cells and returns one result per cell, so a serial run (resolved
-    ``jobs`` <= 1) is exactly one call with the whole grid — zero
-    chunking overhead.  With workers available the grid splits
-    into adaptively-sized chunks over the persistent warm pool; worker
-    cache deltas, counters, metrics, and (when tracing) span streams fold
-    into ``context`` on join, and results are reassembled in submission
-    order.  Both paths return identical results for deterministic ``fn``.
-    """
-    cells = list(cells)
-    jobs_n = resolve_jobs(jobs)
-    if jobs_n <= 1 or len(cells) <= 1:
-        started = time.perf_counter()
-        out = list(fn(context, cells))
-        _observe_cell_cost(len(cells), time.perf_counter() - started)
-        return out
-
-    size = (
-        chunk_size
-        if chunk_size is not None
-        else adaptive_chunk_size(len(cells), jobs_n, _cell_cost_s)
-    )
-    if size <= 0:
-        raise ValueError("chunk_size must be positive")
-    chunks = [cells[i : i + size] for i in range(0, len(cells), size)]
-    if len(chunks) <= 1:
-        started = time.perf_counter()
-        out = list(fn(context, cells))
-        _observe_cell_cost(len(cells), time.perf_counter() - started)
-        return out
-
-    tracer = active_tracer()
-    registry = global_registry()
-    out = []
-    started = time.perf_counter()
-    with obs_span(
-        "exec:pool", "exec.pool", cells=len(cells), chunks=len(chunks), jobs=jobs_n
-    ):
-        pool = _get_pool(jobs_n)
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            futures: list[Future[ChunkShipment]] = [
-                pool.submit(
-                    _warm_chunk,
-                    context.device,
-                    context.check_memory,
-                    fn,
-                    chunk,
-                    tracer is not None,
-                )
-                for chunk in chunks
-            ]
-            # Submission order, not completion order: deterministic output.
-            for future in futures:
-                results, delta, stats, spans, events, metrics, reused = (
-                    future.result()
-                )
-                context.absorb(delta, stats)
-                registry.merge(metrics)
-                if tracer is not None:
-                    tracer.absorb(spans, events)
-                    tracer.event(
-                        "worker-merge",
-                        "exec.pool",
-                        spans=len(spans),
-                        results=len(results),
-                        warm=reused,
-                    )
-                out.extend(results)
-        except BrokenProcessPool:
-            shutdown_pool()
-            raise
-        registry.counter("exec.pool.chunks").inc(len(chunks))
-    _observe_cell_cost(len(cells), time.perf_counter() - started)
-    return out
+    """``fn(context, cells)`` over the whole grid, as a list."""
+    return list(fn(context, list(cells)))

@@ -26,7 +26,6 @@ from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from functools import lru_cache
 from hashlib import sha256
-from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable
@@ -204,7 +203,7 @@ def _counter_property(metric: str, as_int: bool = True) -> property:
     """A SimStats attribute backed by one registry counter.
 
     Keeps the historical mutable-field interface (``stats.hits``,
-    ``stats.merged_contexts += 1``) while the registry remains the single
+    ``stats.stale_rejected += 1``) while the registry remains the single
     source of truth, so ``--sim-stats`` and ``--metrics`` cannot disagree.
     """
 
@@ -226,8 +225,7 @@ class SimStats:
     model; ``hits`` are queries served from the structural cache (including
     entries loaded from an on-disk cache file).  Every counter reads and
     writes a ``sim.*`` metric in the backing registry, so the metrics
-    exporters and the ``--sim-stats`` report always agree; the registry
-    travels with the stats through pickling (worker merge-back).
+    exporters and the ``--sim-stats`` report always agree.
     """
 
     def __init__(self, registry: "MetricsRegistry | None" = None) -> None:
@@ -239,10 +237,6 @@ class SimStats:
     #: cache files refused because another model (or none) stamped them
     stale_rejected = _counter_property("sim.cache.stale_rejected")
     sim_wall_s = _counter_property("sim.wall_s", as_int=False)
-    #: worker sessions whose caches were folded into this one, and how many
-    #: of their entries were new here (see ``SimulationContext.absorb``)
-    merged_contexts = _counter_property("sim.merged.contexts")
-    merged_entries = _counter_property("sim.merged.entries")
 
     @property
     def by_kind(self) -> dict[str, KindStats]:
@@ -305,11 +299,6 @@ class SimStats:
             f"  kernels timed  : {self.kernels_timed}",
             f"  sim wall time  : {self.sim_wall_s * 1e3:.1f} ms",
         ]
-        if self.merged_contexts:
-            lines.append(
-                f"  merged workers : {self.merged_contexts} contexts, "
-                f"{self.merged_entries} new entries"
-            )
         if self.loaded_from_disk:
             lines.append(f"  disk entries   : {self.loaded_from_disk} loaded")
         for kind in sorted(self.by_kind):
@@ -413,9 +402,8 @@ class SimulationContext:
         self.cache_path = Path(cache_path) if cache_path is not None else None
         self._cache: dict[str, KernelStats] = {}
         #: failed evaluations (OOM, launch validation) memoized by the
-        #: sweep execution engine under the same structural keys; kept
-        #: process-local — exception instances with required constructor
-        #: args don't survive pickling, and re-deriving a failure is cheap
+        #: sweep execution engine under the same structural keys; never
+        #: saved with the timing cache, since re-deriving a failure is cheap
         self.exec_errors: dict[str, Exception] = {}
         if self.cache_path is not None and self.cache_path.exists():
             self.load_cache(self.cache_path)
@@ -544,46 +532,13 @@ class SimulationContext:
         """Insert a timing the execution engine computed under its
         structural key.
 
-        First write wins, mirroring :meth:`absorb`: the engine times each
-        cell with the same scalar model as :meth:`run`, so an existing
-        entry already holds the same value.
+        First write wins: the engine times each cell with the same scalar
+        model as :meth:`run`, so an existing entry already holds the same
+        value.
         """
         if key not in self._cache:
             self._cache[key] = stats
             self.metrics.gauge("sim.cache.entries").set(len(self._cache))
-
-    def export_delta(self, since: int = 0) -> dict[str, KernelStats]:
-        """Timing-cache entries added after the first ``since`` insertions.
-
-        The warm worker pool keeps one context alive across submissions and
-        must not re-ship the whole cache every time; dict insertion order is
-        stable and workers never :meth:`absorb` (only the parent does), so a
-        plain insertion-count watermark identifies exactly the entries the
-        parent has not seen yet.
-        """
-        if since <= 0:
-            return dict(self._cache)
-        return dict(islice(self._cache.items(), since, None))
-
-    def absorb(
-        self, cache: dict[str, KernelStats], stats: SimStats | None = None
-    ) -> int:
-        """Fold a worker session's cache (and counters) into this one.
-
-        Entries already present locally win — both sides computed them from
-        the same structural key, so the values are identical and keeping the
-        local one is merely cheaper.  Returns the number of new entries.
-        """
-        new = 0
-        for key, value in cache.items():
-            if key not in self._cache:
-                self._cache[key] = value
-                new += 1
-        if stats is not None:
-            self.stats.merge(stats)
-        self.stats.merged_contexts += 1
-        self.stats.merged_entries += new
-        return new
 
     def save_cache(self, path: str | Path | None = None) -> Path:
         """Persist the timing cache as JSON for cross-process reuse."""

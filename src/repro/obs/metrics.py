@@ -4,12 +4,9 @@ Where :mod:`repro.obs.tracer` answers *when and where* time went, this
 module answers *how much of what happened*: kernel-cache hit counts, cache
 replay calls, DRAM bound-mechanism tallies, per-kernel timing distributions.
 
-A :class:`MetricsRegistry` is a picklable bag of named metrics, so worker
-processes can ship theirs back across a process boundary for
-:meth:`MetricsRegistry.merge` — the same merge-on-join discipline as the
-simulator's structural cache.  The registry that backs a
-:class:`~repro.gpusim.session.SimStats` travels inside it through
-``absorb`` unchanged.
+A :class:`MetricsRegistry` is a picklable bag of named metrics;
+:meth:`MetricsRegistry.merge` folds one into another.  The registry that
+backs a :class:`~repro.gpusim.session.SimStats` is one of them.
 
 :func:`aggregate_metrics` assembles the full process picture: the global
 registry plus every registry announced by a provider (the simulation
@@ -226,7 +223,7 @@ def global_registry() -> MetricsRegistry:
 
 
 def reset_global_registry() -> None:
-    """Zero the process-wide registry (test isolation, worker reuse)."""
+    """Zero the process-wide registry (test isolation)."""
     _GLOBAL.reset()
 
 

@@ -6,7 +6,7 @@ module gives every subsystem one shared way to record where time went:
 
 * :class:`Span` — one timed region (name, category, wall-clock interval,
   process/thread ids, free-form attributes, parent link for nesting);
-* :class:`TraceEvent` — an instant marker (planner decisions, cache merges);
+* :class:`TraceEvent` — an instant marker (planner decisions);
 * :class:`Tracer` — the per-process collector.  ``tracer.span(...)`` is a
   context manager; spans opened inside it become children via a
   thread-local stack, so concurrent threads never cross-link parents.
@@ -17,10 +17,7 @@ identity is asserted by ``tests/obs/test_determinism.py``).  When no tracer
 is installed the module-level :func:`span` helper costs one global read.
 
 Timestamps are wall-clock microseconds anchored once per tracer
-(``time.time`` origin advanced by ``time.perf_counter`` deltas), so spans
-recorded by worker processes line up with the parent's on a common axis
-when their streams are folded back with :meth:`Tracer.absorb` — the tracing
-analog of the simulator's ``export_delta``/``absorb`` cache merge.
+(``time.time`` origin advanced by ``time.perf_counter`` deltas).
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
 __all__ = [
     "Span",
@@ -47,8 +44,7 @@ __all__ = [
 class Span:
     """One completed timed region.
 
-    ``span_id`` is unique within the recording process; the pair
-    ``(pid, span_id)`` is unique across a whole merged trace.  ``attrs``
+    ``span_id`` is unique within the recording tracer.  ``attrs``
     must hold JSON-safe values (they become Chrome-trace ``args``).
     """
 
@@ -184,7 +180,7 @@ class Tracer:
             self._events.append(ev)
         return ev
 
-    # -- access + merging ---------------------------------------------------
+    # -- access -------------------------------------------------------------
     def spans(self) -> tuple[Span, ...]:
         with self._lock:
             return tuple(self._spans)
@@ -192,20 +188,6 @@ class Tracer:
     def events(self) -> tuple[TraceEvent, ...]:
         with self._lock:
             return tuple(self._events)
-
-    def absorb(
-        self, spans: Sequence[Span], events: Sequence[TraceEvent] = ()
-    ) -> int:
-        """Fold a worker process's span/event streams into this tracer.
-
-        Worker spans keep their own pid/tid/span ids — ids are only unique
-        per process, and exporters key rows on ``(pid, tid)`` — so the
-        merge is a plain extend.  Returns the number of spans absorbed.
-        """
-        with self._lock:
-            self._spans.extend(spans)
-            self._events.extend(events)
-        return len(spans)
 
     def clear(self) -> None:
         with self._lock:

@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from repro.analysis import Severity, lint_netdef, lint_network
+from repro.analysis import LintConfig, Severity, lint_netdef, lint_network
 from repro.cli import main
 from repro.framework.netdef import (
     ConvDef,
@@ -76,6 +76,14 @@ class TestConcatMismatch:
         report = lint_network(TITAN_BLACK, parse_netdef(CONCAT_MISMATCH))
         assert [(d.rule_id, d.subject) for d in report.errors] == [("N010", "cat")]
         assert report.failed()
+
+    def test_lint_network_does_not_plan_with_the_shape_rule_disabled(self):
+        """The walk's problem, not the selected rules' errors, stops the
+        pipeline, which would raise on the mismatched concat."""
+        config = LintConfig(disabled=frozenset({"N010"}))
+        report = lint_network(TITAN_BLACK, parse_netdef(CONCAT_MISMATCH), config=config)
+        assert all(d.rule_id.startswith("N") for d in report.diagnostics)
+        assert not any(d.rule_id == "N010" for d in report.diagnostics)
 
 
 class TestWalk:

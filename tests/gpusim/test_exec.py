@@ -1,11 +1,10 @@
-"""Sweep execution engine: memoization, dedup, warm pool.
+"""Sweep execution engine: memoization and dedup.
 
-The contract of :mod:`repro.gpusim.exec` is that ``--jobs N``,
-memoization, dedup, chunking, and worker warmth are all *pure wall-clock
-knobs*: every grid consumer's output — sweep grids, calibration
-thresholds, tuned factors, CLI output — is byte-identical to a serial,
-cold run no matter how many times a cell has been priced before, which
-process priced it, or how the grid was chunked.
+The contract of :mod:`repro.gpusim.exec` is that memoization and dedup are
+*pure wall-clock knobs*: every grid consumer's output — sweep grids,
+calibration thresholds, tuned factors, CLI output — is byte-identical to a
+cold run no matter how many times a cell has been priced before.  The CLI's
+``--jobs`` flag is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -24,23 +23,11 @@ from repro.analysis.sweeps import sweep_conv, sweep_pool
 from repro.cli import main
 from repro.core.autotune import autotune_pooling, autotune_pooling_many
 from repro.core.calibration import calibrate
-from repro.gpusim import (
-    SimStats,
-    SimulationContext,
-    map_chunks,
-    shutdown_pool,
-)
+from repro.gpusim import SimStats, SimulationContext, map_chunks
 from repro.gpusim.batch import evaluate_models
 from repro.gpusim.kernel import ComposedKernel
 from repro.gpusim.session import GpuOutOfMemoryError
-from repro.gpusim.exec import (
-    DEFAULT_MIN_CHUNK,
-    TARGET_CHUNK_S,
-    adaptive_chunk_size,
-    evaluate_cells,
-    pool_workers,
-    resolve_jobs,
-)
+from repro.gpusim.exec import evaluate_cells
 from repro.layers import make_pool_kernel
 from repro.layers.base import ConvSpec
 from repro.layers.conv_kernels import make_conv_kernel
@@ -237,62 +224,7 @@ class TestDedupProperty:
 
 
 # ---------------------------------------------------------------------------
-# Worker count and adaptive chunking
-# ---------------------------------------------------------------------------
-
-
-class TestResolveJobs:
-    @pytest.fixture(autouse=True)
-    def _eight_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-
-    @pytest.mark.parametrize("jobs,expected", [(None, 1), (0, 1), (1, 1), (3, 3)])
-    def test_explicit(self, jobs, expected):
-        assert resolve_jobs(jobs) == expected
-
-    def test_negative_means_all_cpus(self):
-        assert resolve_jobs(-1) == 8
-
-    def test_auto_means_all_cpus(self):
-        assert resolve_jobs("auto") == 8
-        assert resolve_jobs(" AUTO ") == 8
-
-    def test_numeric_strings_accepted(self):
-        assert resolve_jobs("3") == 3
-
-    def test_oversubscription_clamps_and_warns(self):
-        before = global_registry().value("exec.jobs.clamped") or 0
-        assert resolve_jobs(64) == 8
-        assert global_registry().value("exec.jobs.clamped") == before + 1
-
-    def test_cpu_count_request_not_clamped(self):
-        before = global_registry().value("exec.jobs.clamped") or 0
-        assert resolve_jobs(8) == 8
-        assert (global_registry().value("exec.jobs.clamped") or 0) == before
-
-
-class TestAdaptiveChunkSize:
-    def test_even_split_by_default(self):
-        assert adaptive_chunk_size(100, 4, None) == 25
-
-    def test_floor_prevents_singletons(self):
-        assert adaptive_chunk_size(6, 6, None) == min(6, DEFAULT_MIN_CHUNK)
-        assert adaptive_chunk_size(2, 8, None) == 2
-
-    def test_expensive_cells_shrink_chunks(self):
-        # Cells costing half the target each: chunks of 2 would be ideal
-        # but the floor wins; cells cheap enough never shrink below the
-        # even split.
-        cost = TARGET_CHUNK_S / 2
-        assert adaptive_chunk_size(100, 2, cost) == DEFAULT_MIN_CHUNK
-        assert adaptive_chunk_size(100, 2, TARGET_CHUNK_S / 1000) == 50
-
-    def test_empty_grid(self):
-        assert adaptive_chunk_size(0, 4, None) == 1
-
-
-# ---------------------------------------------------------------------------
-# map_chunks: serial fusion, warm pool, delta merge-back
+# map_chunks: one call over the whole grid
 # ---------------------------------------------------------------------------
 
 
@@ -306,7 +238,7 @@ class TestMapChunksSerial:
         ref = evaluate_models(_fresh(device), models, check_memory=False)
         ctx = _fresh(device)
         sizes0 = (global_registry().histogram("exec.batch.size").values or [])[:]
-        out = map_chunks(_eval_chunk, models, ctx, jobs=1)
+        out = map_chunks(_eval_chunk, models, ctx)
         assert out == ref
         sizes = global_registry().histogram("exec.batch.size").values
         # Exactly one new batch observation: the whole grid was fused.
@@ -314,174 +246,95 @@ class TestMapChunksSerial:
         assert sizes[-1] == len(models)
 
 
-class TestMapChunksPool:
-    @pytest.fixture(autouse=True)
-    def _four_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        yield
-        shutdown_pool()
-
-    def test_pool_results_byte_identical(self, device, small_pool):
-        models = _pool_models(small_pool, (4, 8, 16, 32))
-        ref = evaluate_models(_fresh(device), models, check_memory=False)
-        ctx = _fresh(device)
-        out = map_chunks(_eval_chunk, models, ctx, jobs=4, chunk_size=2)
-        assert out == ref
-        # Every worker delta merged home: the parent can serve all cells.
-        assert ctx.cache_size == len(models)
-        assert pool_workers() == 4
-
-    def test_delta_merge_back_under_pool_reuse(self, device, small_pool):
-        first = _pool_models(small_pool, (4, 8))
-        more = _pool_models(small_pool, (4, 8, 16, 32))
-        ref = evaluate_models(_fresh(device), more, check_memory=False)
-        ctx = _fresh(device)
-        map_chunks(_eval_chunk, first, ctx, jobs=4, chunk_size=2)
-        reuse0 = global_registry().value("exec.pool.reuse") or 0
-        out = map_chunks(_eval_chunk, more, ctx, jobs=4, chunk_size=2)
-        assert out == ref
-        assert ctx.cache_size == len(more)
-        # Same pool, second submission: warm workers were reused and the
-        # already-shipped entries were not re-shipped (the parent cache
-        # grew by exactly the new cells).
-        assert (global_registry().value("exec.pool.reuse") or 0) > reuse0
-
-    def test_pool_then_serial_hits(self, device, small_pool):
-        models = _pool_models(small_pool, (4, 8, 16, 32))
-        ctx = _fresh(device)
-        out_pool = map_chunks(_eval_chunk, models, ctx, jobs=4, chunk_size=2)
-        hits0 = global_registry().value("exec.cache.hit") or 0
-        out_serial = map_chunks(_eval_chunk, models, ctx, jobs=1)
-        assert out_serial == out_pool
-        assert global_registry().value("exec.cache.hit") == hits0 + len(models)
-
-
 # ---------------------------------------------------------------------------
-# Grid consumers: memoized vs fresh-context, jobs 1 and 4
+# Grid consumers: memoized vs fresh-context
 # ---------------------------------------------------------------------------
 
 
 class TestConsumerByteIdentity:
-    @pytest.fixture(autouse=True)
-    def _four_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        yield
-        shutdown_pool()
-
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_sweep_pool_memoized(self, device, small_pool, jobs):
+    def test_sweep_pool_memoized(self, device, small_pool):
         fresh = sweep_pool(
-            device, small_pool, "c", (4, 8, 16),
-            context=_fresh(device), jobs=jobs,
+            device, small_pool, "c", (4, 8, 16), context=_fresh(device)
         )
         warm = _fresh(device)
-        first = sweep_pool(
-            device, small_pool, "c", (4, 8, 16), context=warm, jobs=jobs
-        )
-        again = sweep_pool(
-            device, small_pool, "c", (4, 8, 16), context=warm, jobs=jobs
-        )
+        first = sweep_pool(device, small_pool, "c", (4, 8, 16), context=warm)
+        again = sweep_pool(device, small_pool, "c", (4, 8, 16), context=warm)
         assert first == fresh
         assert again == fresh
 
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_sweep_conv_memoized(self, device, small_conv, jobs):
+    def test_sweep_conv_memoized(self, device, small_conv):
         values = (3, 16, 64)
         fresh = sweep_conv(
-            device, small_conv, "ci", values,
-            context=SimulationContext(device), jobs=jobs,
+            device, small_conv, "ci", values, context=SimulationContext(device)
         )
         warm = SimulationContext(device)
-        first = sweep_conv(device, small_conv, "ci", values, context=warm, jobs=jobs)
-        again = sweep_conv(device, small_conv, "ci", values, context=warm, jobs=jobs)
+        first = sweep_conv(device, small_conv, "ci", values, context=warm)
+        again = sweep_conv(device, small_conv, "ci", values, context=warm)
         assert first == fresh
         assert again == fresh
 
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_calibrate_memoized(self, device, jobs):
-        fresh = calibrate(device, context=SimulationContext(device), jobs=jobs)
+    def test_calibrate_memoized(self, device):
+        fresh = calibrate(device, context=SimulationContext(device))
         warm = SimulationContext(device)
-        first = calibrate(device, context=warm, jobs=jobs)
-        again = calibrate(device, context=warm, jobs=jobs)
+        first = calibrate(device, context=warm)
+        again = calibrate(device, context=warm)
         assert first == fresh
         assert again == fresh
 
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_autotune_memoized(self, device, small_pool, jobs):
+    def test_autotune_memoized(self, device, small_pool):
         specs = [replace(small_pool, c=c) for c in (4, 8, 16)]
         fresh = autotune_pooling_many(
-            device, specs, context=SimulationContext(device), jobs=jobs
+            device, specs, context=SimulationContext(device)
         )
         warm = SimulationContext(device)
-        first = autotune_pooling_many(device, specs, context=warm, jobs=jobs)
-        again = autotune_pooling_many(device, specs, context=warm, jobs=jobs)
+        first = autotune_pooling_many(device, specs, context=warm)
+        again = autotune_pooling_many(device, specs, context=warm)
         assert first == fresh
         assert again == fresh
 
 
 # ---------------------------------------------------------------------------
-# jobs=N vs jobs=1, and the session counters the pool merges home
+# --jobs is accepted and ignored; lockstep tuning equals one-by-one
 # ---------------------------------------------------------------------------
 
 
 class TestJobsDeterminism:
-    """jobs=N output equals jobs=1, value-for-value and byte-for-byte."""
-
-    @pytest.fixture(autouse=True)
-    def _four_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        yield
-        shutdown_pool()
-
-    def test_sweep_pool(self, device, small_pool):
-        serial = sweep_pool(
-            device, small_pool, "c", (4, 8, 16),
-            context=SimulationContext(device, check_memory=False), jobs=1,
-        )
-        parallel = sweep_pool(
-            device, small_pool, "c", (4, 8, 16),
-            context=SimulationContext(device, check_memory=False), jobs=2,
-        )
-        assert serial == parallel
+    """Output with ``jobs`` given equals output without it, byte for byte."""
 
     def test_sweep_conv_with_unrunnable_cells(self, device, small_conv):
-        # ci=1 is unsupported by im2col? regardless: any per-cell failure
-        # must be encoded as a None point identically in both modes.
+        # Any per-cell failure is encoded as a None point, and the ignored
+        # ``jobs`` keyword changes nothing.
         values = (3, 16, 64)
-        serial = sweep_conv(
-            device, small_conv, "ci", values,
-            context=SimulationContext(device), jobs=1,
+        plain = sweep_conv(
+            device, small_conv, "ci", values, context=SimulationContext(device)
         )
-        parallel = sweep_conv(
+        with_jobs = sweep_conv(
             device, small_conv, "ci", values,
             context=SimulationContext(device), jobs=2,
         )
-        assert serial == parallel
-
-    def test_calibrate(self, device):
-        serial = calibrate(device, context=SimulationContext(device), jobs=1)
-        parallel = calibrate(device, context=SimulationContext(device), jobs=4)
-        assert serial == parallel
+        assert plain == with_jobs
 
     def test_autotune_many(self, device, small_pool):
         specs = [replace(small_pool, c=c) for c in (4, 8, 16)]
-        serial = [autotune_pooling(device, s) for s in specs]
-        parallel = autotune_pooling_many(
-            device, specs, context=SimulationContext(device), jobs=2
+        one_by_one = [autotune_pooling(device, s) for s in specs]
+        lockstep = autotune_pooling_many(
+            device, specs, context=SimulationContext(device)
         )
-        assert serial == parallel
+        assert one_by_one == lockstep
 
     def test_cli_sweep_stdout_byte_identical(self, capsys):
-        args = ["sweep", "--layer", "CV7", "--dim", "n", "--values", "16,32,64"]
-        assert main([*args, "--jobs", "1"]) == 0
-        serial_out = capsys.readouterr().out
-        assert main([*args, "--jobs", "4"]) == 0
-        parallel_out = capsys.readouterr().out
-        assert serial_out == parallel_out
+        for args in (
+            ["sweep", "--layer", "CV7", "--dim", "n", "--values", "16,32,64"],
+            ["calibrate"],
+        ):
+            assert main([*args, "--jobs", "1"]) == 0
+            serial_out = capsys.readouterr().out
+            assert main([*args, "--jobs", "4"]) == 0
+            assert capsys.readouterr().out == serial_out, args
 
     def test_cli_sweep_with_jobs_exits_cleanly(self):
-        """The warm pool is torn down at exit without the executor's exit
-        hook tripping over it (``Exception ignored ... Errno 9``)."""
+        """``--jobs 2`` is accepted, and the command exits cleanly with
+        nothing on stderr about interpreter shutdown."""
         src = Path(__file__).resolve().parents[2] / "src"
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
@@ -499,23 +352,19 @@ class TestSimStatsCounters:
     def test_merge_folds_new_counters(self):
         a, b = SimStats(), SimStats()
         b.record_miss("pool", 0.5)
-        b.merged_contexts = 2
-        b.merged_entries = 7
+        b.loaded_from_disk = 7
+        b.stale_rejected = 2
         a.merge(b)
-        assert a.merged_contexts == 2
-        assert a.merged_entries == 7
-
-    def test_summary_mentions_workers(self):
-        s = SimStats()
-        s.record_miss("pool", 0.5)
-        s.merged_contexts = 1
-        s.merged_entries = 4
-        assert "merged workers : 1 contexts, 4 new entries" in s.summary()
+        assert a.misses == 1
+        assert a.loaded_from_disk == 7
+        assert a.stale_rejected == 2
 
     def test_reset_clears_new_counters(self):
         s = SimStats()
         s.record_miss("pool", 0.5)
-        s.merged_contexts = 1
+        s.loaded_from_disk = 4
+        s.stale_rejected = 1
         s.reset()
-        assert s.merged_contexts == 0
-        assert s.merged_entries == 0
+        assert s.misses == 0
+        assert s.loaded_from_disk == 0
+        assert s.stale_rejected == 0

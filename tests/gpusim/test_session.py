@@ -62,6 +62,11 @@ def _stats_dict(stats):
     return entry
 
 
+def _entries(ctx):
+    """Every timing-cache entry of ``ctx``, key to ``KernelStats``."""
+    return dict(ctx._cache)
+
+
 def _saved_toy_cache(device, tmp_path):
     ctx = SimulationContext(device)
     ctx.run(ToyKernel())
@@ -414,7 +419,7 @@ class TestPersistence:
         hot = SimulationContext(device)
         hot.run(make_pool_kernel(spec, "nchw-linear"), check_memory=False)
         entries = {}
-        for key, stats in hot.export_delta().items():
+        for key, stats in _entries(hot).items():
             entry = _stats_dict(stats)
             entry["traced_l2_hit_rate"] = 0.5
             entries[key] = entry
@@ -433,7 +438,7 @@ class TestPersistence:
         stale: nothing loads and the session re-times cold."""
         hot = SimulationContext(device)
         hot.run(ToyKernel())
-        entries = {k: _stats_dict(v) for k, v in hot.export_delta().items()}
+        entries = {k: _stats_dict(v) for k, v in _entries(hot).items()}
         target = tmp_path / "cache.json"
         target.write_text(
             json.dumps({"version": 2, "entries": entries}, indent=1, sort_keys=True)
@@ -567,7 +572,7 @@ class TestPersistence:
         first = hot.save_cache(tmp_path / "first.json")
         cold = SimulationContext(TITAN_BLACK, cache_path=first)
         assert cold.cache_size == hot.cache_size > 20
-        assert cold.export_delta() == hot.export_delta()
+        assert _entries(cold) == _entries(hot)
         second = cold.save_cache(tmp_path / "second.json")
         assert second.read_bytes() == first.read_bytes()
 

@@ -3,10 +3,10 @@
 Every hot consumer threaded through ``evaluate_cells`` — the layer
 sweeps, device calibration, the pooling autotuner, and the layout
 pipeline's transform pricing — must produce byte-identical results to a
-scalar oracle, serial and with worker fan-out.  The oracle is
+scalar oracle.  The oracle is
 :func:`scalar_evaluate_cells`: one ``context.run`` per model with in-slot
 error capture, patched over the consumer module's ``evaluate_cells``
-binding and run serially on a fresh context.  Pipeline transform prices are held to
+binding and run on a fresh context.  Pipeline transform prices are held to
 the scalar per-edge oracle :func:`edge_transform_ms` the same way.  These tests
 pin the contract the ``bench_planner_perf`` CI gate also enforces end to
 end.
@@ -78,7 +78,7 @@ class ScalarEdgeCosts:
     def __init__(self, device):
         self.device = device
 
-    def precompute(self, graph, jobs=None):
+    def precompute(self, graph):
         return 0
 
     def edge_ms(self, producer, consumer, src, dst):
@@ -86,11 +86,11 @@ class ScalarEdgeCosts:
 
 
 def _oracle(monkeypatch, module, run):
-    """``run(jobs=1)`` with ``module``'s ``evaluate_cells`` replaced by the
-    scalar oracle (serial, so no warm worker sees the patch)."""
+    """``run()`` with ``module``'s ``evaluate_cells`` replaced by the scalar
+    oracle."""
     with monkeypatch.context() as patch:
         patch.setattr(module, "evaluate_cells", scalar_evaluate_cells)
-        return run(jobs=1)
+        return run()
 
 
 @pytest.fixture(params=[False, True], ids=["scalar", "batched"])
@@ -106,53 +106,46 @@ POOL_SPECS = [
 
 
 class TestSweepIdentity:
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_conv_sweep(self, jobs, monkeypatch):
+    def test_conv_sweep(self, monkeypatch):
         base = CONV_LAYERS["CV3"]
 
-        def run(jobs):
+        def run():
             return sweep_conv(
                 TITAN_BLACK, base, "n", (1, 16, 64, 256),
-                context=SimulationContext(TITAN_BLACK), jobs=jobs,
+                context=SimulationContext(TITAN_BLACK),
             )
 
-        assert _oracle(monkeypatch, sweeps, run) == run(jobs)
+        assert _oracle(monkeypatch, sweeps, run) == run()
 
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_pool_sweep(self, jobs, monkeypatch):
-        def run(jobs):
+    def test_pool_sweep(self, monkeypatch):
+        def run():
             return sweep_pool(
                 TITAN_X, POOL_SPECS[0], "c", (8, 32, 96),
-                context=SimulationContext(TITAN_X), jobs=jobs,
+                context=SimulationContext(TITAN_X),
             )
 
-        assert _oracle(monkeypatch, sweeps, run) == run(jobs)
+        assert _oracle(monkeypatch, sweeps, run) == run()
 
 
 class TestCalibrationIdentity:
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_calibrate(self, jobs, monkeypatch):
-        def run(jobs):
-            return calibrate(
-                TITAN_BLACK, context=SimulationContext(TITAN_BLACK), jobs=jobs
-            )
+    def test_calibrate(self, monkeypatch):
+        def run():
+            return calibrate(TITAN_BLACK, context=SimulationContext(TITAN_BLACK))
 
-        ref, out = _oracle(monkeypatch, calibration, run), run(jobs)
+        ref, out = _oracle(monkeypatch, calibration, run), run()
         # profiling_ms is summed *simulated* time, so even it must match
         assert ref == out
         assert ref.thresholds == out.thresholds
 
 
 class TestAutotuneIdentity:
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_pooling_many(self, jobs, monkeypatch):
-        def run(jobs):
+    def test_pooling_many(self, monkeypatch):
+        def run():
             return autotune_pooling_many(
-                TITAN_BLACK, POOL_SPECS,
-                context=SimulationContext(TITAN_BLACK), jobs=jobs,
+                TITAN_BLACK, POOL_SPECS, context=SimulationContext(TITAN_BLACK)
             )
 
-        ref, out = _oracle(monkeypatch, autotune, run), run(jobs)
+        ref, out = _oracle(monkeypatch, autotune, run), run()
         # full trace equality: same hill-climb visits in the same order
         assert ref == out
 
@@ -186,8 +179,7 @@ def test_profile_digest_reports_batches(batching):
     reports none."""
     before = aggregate_metrics().value("batch.eval.batches") or 0
     sweep_pool(
-        TITAN_BLACK, POOL_SPECS[0], "c", (8, 32),
-        context=SimulationContext(TITAN_BLACK), jobs=1,
+        TITAN_BLACK, POOL_SPECS[0], "c", (8, 32), context=SimulationContext(TITAN_BLACK)
     )
     after = aggregate_metrics().value("batch.eval.batches") or 0
     if batching:

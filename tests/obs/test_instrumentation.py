@@ -1,7 +1,7 @@
 """Observability is observational: instrumented paths compute identical
 results with tracing on or off, and the span/metrics streams actually cover
 the subsystems the tentpole promises (pipeline passes, kernel dispatch,
-cache replay, planner decisions, parallel workers)."""
+cache replay, planner decisions)."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from repro.obs import (
     install_tracer,
     uninstall_tracer,
 )
-from repro.obs.metrics import global_registry, reset_global_registry
+from repro.obs.metrics import reset_global_registry
 
 
 @pytest.fixture(autouse=True)
@@ -42,12 +42,11 @@ def _traced(fn):
 class TestByteIdentity:
     """Tracing must never change what gets computed."""
 
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_sweep_identical_with_and_without_tracing(self, device, small_pool, jobs):
+    def test_sweep_identical_with_and_without_tracing(self, device, small_pool):
         def run():
             return sweep_pool(
                 device, small_pool, "c", (4, 8, 16),
-                context=SimulationContext(device, check_memory=False), jobs=jobs,
+                context=SimulationContext(device, check_memory=False),
             )
 
         plain = run()
@@ -131,52 +130,6 @@ class TestCoverage:
         )
         replays = [s for s in tracer.spans() if s.category == "sim.cache"]
         assert [s.attrs["accesses"] for s in replays] == [stream.size]
-
-    def test_parallel_workers_ship_spans_home(self, device, small_pool, monkeypatch):
-        import os
-
-        from repro.gpusim import shutdown_pool
-
-        # A 1-CPU box would clamp --jobs to serial; pretend it is wider,
-        # and sweep enough cells that the grid splits into several chunks
-        # (the chunk floor keeps tiny grids serial on purpose).
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-
-        def run():
-            return sweep_pool(
-                device, small_pool, "c", (4, 6, 8, 10, 12, 16, 24, 32),
-                context=SimulationContext(device, check_memory=False), jobs=4,
-            )
-
-        try:
-            _, tracer = _traced(run)
-        finally:
-            shutdown_pool()
-        pids = {s.pid for s in tracer.spans()}
-        assert len(pids) > 1, "worker spans should carry worker pids"
-        chunk_spans = [s for s in tracer.spans() if s.name == "chunk"]
-        assert chunk_spans and all(s.pid != os.getpid() for s in chunk_spans)
-        merges = [e for e in tracer.events() if e.name == "worker-merge"]
-        assert len(merges) == len(chunk_spans)  # one merge per shipped chunk
-
-    def test_worker_metrics_merge_into_global(self, device, small_pool, monkeypatch):
-        import os
-
-        # A 1-CPU box would clamp --jobs to serial; pretend it is wider.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-
-        def run():
-            return sweep_pool(
-                device, small_pool, "c", (4, 8, 16),
-                context=SimulationContext(device, check_memory=False), jobs=2,
-            )
-
-        _traced(run)
-        registry = global_registry()
-        assert registry.value("exec.pool.chunks") > 1
-        # The parent evaluates no cell of a pooled grid, so every candidate
-        # counted here was counted in a worker and merged home.
-        assert registry.value("batch.eval.candidates") > 0
 
 
 class TestCliSurface:

@@ -1,4 +1,4 @@
-"""Span recording: nesting, ordering, threading, merge, and the null path."""
+"""Span recording: nesting, ordering, threading, and the null path."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import threading
 import pytest
 
 from repro.obs import (
-    Span,
     TraceEvent,
     Tracer,
     active_tracer,
@@ -163,37 +162,6 @@ class TestThreading:
         ids = [s.span_id for s in tracer.spans()]
         assert len(ids) == 200
         assert len(set(ids)) == 200
-
-
-class TestAbsorb:
-    def test_absorb_extends_streams(self):
-        parent = Tracer("parent")
-        worker = Tracer("worker")
-        with worker.span("chunk", "parallel"):
-            pass
-        worker.event("mark", "parallel")
-        n = parent.absorb(worker.spans(), worker.events())
-        assert n == 1
-        assert [s.name for s in parent.spans()] == ["chunk"]
-        assert [e.name for e in parent.events()] == ["mark"]
-
-    def test_absorbed_spans_keep_identity(self):
-        parent = Tracer()
-        foreign = Span(
-            name="remote",
-            category="parallel",
-            start_us=1.0,
-            duration_us=2.0,
-            pid=99999,
-            tid=7,
-            span_id=1,
-        )
-        parent.absorb([foreign])
-        with parent.span("local"):
-            pass
-        spans = parent.spans()
-        assert spans[0].pid == 99999
-        assert spans[1].pid == os.getpid()
 
 
 class TestModuleLevelSpan:

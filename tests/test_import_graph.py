@@ -66,6 +66,11 @@ def _cli(*argv: str) -> str:
             "concurrent.futures",
             id="repro plan --network lenet-concurrent.futures",
         ),
+        pytest.param(
+            _cli("sweep", "--layer", "CV7", "--jobs", "2"),
+            "concurrent.futures.process",
+            id="repro sweep --jobs 2-concurrent.futures.process",
+        ),
     ],
 )
 def test_import_does_not_load(statement, module):
