@@ -247,50 +247,66 @@ class TestMapChunksSerial:
 
 
 # ---------------------------------------------------------------------------
-# Grid consumers: memoized vs fresh-context
+# Grid consumers: memoized vs fresh-context, one and four re-runs
 # ---------------------------------------------------------------------------
 
 
 class TestConsumerByteIdentity:
-    def test_sweep_pool_memoized(self, device, small_pool):
+    """A warm context prices the grid once, then serves ``reruns`` more
+    passes from its memo; every pass equals a fresh-context run."""
+
+    @pytest.mark.parametrize("reruns", [1, 4])
+    def test_sweep_pool_memoized(self, device, small_pool, reruns):
         fresh = sweep_pool(
             device, small_pool, "c", (4, 8, 16), context=_fresh(device)
         )
         warm = _fresh(device)
         first = sweep_pool(device, small_pool, "c", (4, 8, 16), context=warm)
-        again = sweep_pool(device, small_pool, "c", (4, 8, 16), context=warm)
+        again = [
+            sweep_pool(device, small_pool, "c", (4, 8, 16), context=warm)
+            for _ in range(reruns)
+        ]
         assert first == fresh
-        assert again == fresh
+        assert again == [fresh] * reruns
 
-    def test_sweep_conv_memoized(self, device, small_conv):
+    @pytest.mark.parametrize("reruns", [1, 4])
+    def test_sweep_conv_memoized(self, device, small_conv, reruns):
         values = (3, 16, 64)
         fresh = sweep_conv(
             device, small_conv, "ci", values, context=SimulationContext(device)
         )
         warm = SimulationContext(device)
         first = sweep_conv(device, small_conv, "ci", values, context=warm)
-        again = sweep_conv(device, small_conv, "ci", values, context=warm)
+        again = [
+            sweep_conv(device, small_conv, "ci", values, context=warm)
+            for _ in range(reruns)
+        ]
         assert first == fresh
-        assert again == fresh
+        assert again == [fresh] * reruns
 
-    def test_calibrate_memoized(self, device):
+    @pytest.mark.parametrize("reruns", [1, 4])
+    def test_calibrate_memoized(self, device, reruns):
         fresh = calibrate(device, context=SimulationContext(device))
         warm = SimulationContext(device)
         first = calibrate(device, context=warm)
-        again = calibrate(device, context=warm)
+        again = [calibrate(device, context=warm) for _ in range(reruns)]
         assert first == fresh
-        assert again == fresh
+        assert again == [fresh] * reruns
 
-    def test_autotune_memoized(self, device, small_pool):
+    @pytest.mark.parametrize("reruns", [1, 4])
+    def test_autotune_memoized(self, device, small_pool, reruns):
         specs = [replace(small_pool, c=c) for c in (4, 8, 16)]
         fresh = autotune_pooling_many(
             device, specs, context=SimulationContext(device)
         )
         warm = SimulationContext(device)
         first = autotune_pooling_many(device, specs, context=warm)
-        again = autotune_pooling_many(device, specs, context=warm)
+        again = [
+            autotune_pooling_many(device, specs, context=warm)
+            for _ in range(reruns)
+        ]
         assert first == fresh
-        assert again == fresh
+        assert again == [fresh] * reruns
 
 
 # ---------------------------------------------------------------------------

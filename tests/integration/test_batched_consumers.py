@@ -3,7 +3,8 @@
 Every hot consumer threaded through ``evaluate_cells`` — the layer
 sweeps, device calibration, the pooling autotuner, and the layout
 pipeline's transform pricing — must produce byte-identical results to a
-scalar oracle.  The oracle is
+scalar oracle, on a fresh context and on passes replayed from a warm
+one.  The oracle is
 :func:`scalar_evaluate_cells`: one ``context.run`` per model with in-slot
 error capture, patched over the consumer module's ``evaluate_cells``
 binding and run on a fresh context.  Pipeline transform prices are held to
@@ -105,49 +106,63 @@ POOL_SPECS = [
 ]
 
 
+def _warm_passes(run, device, passes):
+    """``passes`` runs of ``run`` on one shared context: the first prices
+    every cell, the rest are served from its memo."""
+    context = SimulationContext(device)
+    return [run(context) for _ in range(passes)]
+
+
 class TestSweepIdentity:
-    def test_conv_sweep(self, monkeypatch):
+    @pytest.mark.parametrize("passes", [1, 4])
+    def test_conv_sweep(self, passes, monkeypatch):
         base = CONV_LAYERS["CV3"]
 
-        def run():
+        def run(context):
             return sweep_conv(
-                TITAN_BLACK, base, "n", (1, 16, 64, 256),
-                context=SimulationContext(TITAN_BLACK),
+                TITAN_BLACK, base, "n", (1, 16, 64, 256), context=context
             )
 
-        assert _oracle(monkeypatch, sweeps, run) == run()
+        ref = _oracle(monkeypatch, sweeps, lambda: run(SimulationContext(TITAN_BLACK)))
+        assert _warm_passes(run, TITAN_BLACK, passes) == [ref] * passes
 
-    def test_pool_sweep(self, monkeypatch):
-        def run():
+    @pytest.mark.parametrize("passes", [1, 4])
+    def test_pool_sweep(self, passes, monkeypatch):
+        def run(context):
             return sweep_pool(
-                TITAN_X, POOL_SPECS[0], "c", (8, 32, 96),
-                context=SimulationContext(TITAN_X),
+                TITAN_X, POOL_SPECS[0], "c", (8, 32, 96), context=context
             )
 
-        assert _oracle(monkeypatch, sweeps, run) == run()
+        ref = _oracle(monkeypatch, sweeps, lambda: run(SimulationContext(TITAN_X)))
+        assert _warm_passes(run, TITAN_X, passes) == [ref] * passes
 
 
 class TestCalibrationIdentity:
-    def test_calibrate(self, monkeypatch):
-        def run():
-            return calibrate(TITAN_BLACK, context=SimulationContext(TITAN_BLACK))
+    @pytest.mark.parametrize("passes", [1, 4])
+    def test_calibrate(self, passes, monkeypatch):
+        def run(context):
+            return calibrate(TITAN_BLACK, context=context)
 
-        ref, out = _oracle(monkeypatch, calibration, run), run()
+        ref = _oracle(
+            monkeypatch, calibration, lambda: run(SimulationContext(TITAN_BLACK))
+        )
+        outs = _warm_passes(run, TITAN_BLACK, passes)
         # profiling_ms is summed *simulated* time, so even it must match
-        assert ref == out
-        assert ref.thresholds == out.thresholds
+        assert outs == [ref] * passes
+        assert [out.thresholds for out in outs] == [ref.thresholds] * passes
 
 
 class TestAutotuneIdentity:
-    def test_pooling_many(self, monkeypatch):
-        def run():
-            return autotune_pooling_many(
-                TITAN_BLACK, POOL_SPECS, context=SimulationContext(TITAN_BLACK)
-            )
+    @pytest.mark.parametrize("passes", [1, 4])
+    def test_pooling_many(self, passes, monkeypatch):
+        def run(context):
+            return autotune_pooling_many(TITAN_BLACK, POOL_SPECS, context=context)
 
-        ref, out = _oracle(monkeypatch, autotune, run), run()
+        ref = _oracle(
+            monkeypatch, autotune, lambda: run(SimulationContext(TITAN_BLACK))
+        )
         # full trace equality: same hill-climb visits in the same order
-        assert ref == out
+        assert _warm_passes(run, TITAN_BLACK, passes) == [ref] * passes
 
 
 class TestPipelineIdentity:

@@ -42,12 +42,18 @@ def _traced(fn):
 class TestByteIdentity:
     """Tracing must never change what gets computed."""
 
-    def test_sweep_identical_with_and_without_tracing(self, device, small_pool):
+    @pytest.mark.parametrize("passes", [1, 4])
+    def test_sweep_identical_with_and_without_tracing(
+        self, device, small_pool, passes
+    ):
+        # Passes after the first replay the shared context's memo, so the
+        # cache-hit path is traced too.
         def run():
-            return sweep_pool(
-                device, small_pool, "c", (4, 8, 16),
-                context=SimulationContext(device, check_memory=False),
-            )
+            context = SimulationContext(device, check_memory=False)
+            return [
+                sweep_pool(device, small_pool, "c", (4, 8, 16), context=context)
+                for _ in range(passes)
+            ]
 
         plain = run()
         traced, tracer = _traced(run)
