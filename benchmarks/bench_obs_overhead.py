@@ -1,9 +1,10 @@
 """Tracing overhead: the observability layer must cost (almost) nothing.
 
-Builds the Fig. 6 pooling-layout figure twice — tracing off, then with a
-full span tracer installed — on fresh simulation contexts, checks the
-rendered tables are byte-identical (tracing is strictly observational),
-and reports the wall-clock overhead of the traced run.
+Plans every bundled network, heuristic and optimal, each on a fresh
+simulation context — once with tracing off, then with a full span tracer
+installed, which records every pass, planner decision and timed kernel —
+checks the plan summaries are byte-identical (tracing is strictly
+observational), and reports the wall-clock overhead of the traced run.
 
 Emits ``BENCH_obs.json``; with ``--check`` the exit status is nonzero if
 the traced run is more than ``--max-overhead`` (default 5%) slower than
@@ -17,34 +18,48 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 
-import bench_fig06_pooling_layouts as fig06
-
+from repro.core.pipeline import PipelineOptions, plan_network
 from repro.gpusim import TITAN_BLACK, SimulationContext
+from repro.networks import NETWORK_BUILDERS, build_network
 from repro.obs import Tracer, install_tracer, uninstall_tracer
+
+STRATEGIES = ("heuristic", "optimal")
 
 
 def _build(device) -> tuple[float, str]:
-    ctx = SimulationContext(device, check_memory=False)
+    """Cold plans of every bundled network under both strategies; the
+    summaries, one per plan, joined."""
+    netdefs = [build_network(name) for name in sorted(NETWORK_BUILDERS)]
     t0 = time.perf_counter()
-    table = fig06.build_figure(device, context=ctx)
-    return time.perf_counter() - t0, table.render()
+    summaries = [
+        plan_network(
+            device,
+            netdef,
+            PipelineOptions(strategy=strategy),
+            context=SimulationContext(device, check_memory=False),
+        ).summary()
+        for netdef in netdefs
+        for strategy in STRATEGIES
+    ]
+    return time.perf_counter() - t0, "\n".join(summaries)
 
 
 def run_overhead(device, repeat: int) -> dict:
-    """Best-of-``repeat`` wall times for the fig06 sweep, untraced vs
-    traced.  Best-of (not mean) because the baseline and traced runs do
-    identical simulation work — the minimum is the least-noise estimate."""
+    """Best-of-``repeat`` wall times for the plans, untraced vs traced.
+    Best-of (not mean) because the baseline and traced runs do identical
+    simulation work — the minimum is the least-noise estimate.  One
+    uncounted build first fills the device's shared transform-cost memo,
+    so every counted round does the same work."""
     untraced: list[float] = []
     traced: list[float] = []
-    reference = None
-    span_count = 0
+    reference = _build(device)[1]
+    spans: list = []
     for _ in range(repeat):
         seconds, rendered = _build(device)
         untraced.append(seconds)
-        if reference is None:
-            reference = rendered
-        elif rendered != reference:
+        if rendered != reference:
             raise AssertionError("untraced runs disagree with each other")
         tracer = install_tracer(Tracer("bench-obs"))
         try:
@@ -52,18 +67,21 @@ def run_overhead(device, repeat: int) -> dict:
         finally:
             uninstall_tracer()
         traced.append(seconds)
-        span_count = len(tracer.spans())
+        spans = tracer.spans()
         if rendered != reference:
-            raise AssertionError("traced Fig. 6 differs from untraced")
+            raise AssertionError("traced plan summaries differ from untraced")
 
     best_untraced = min(untraced)
     best_traced = min(traced)
+    categories = Counter(sp.category for sp in spans)
     return {
-        "figure": "fig06_pooling_layouts",
+        "workload": f"plan_network x {len(NETWORK_BUILDERS)} networks x "
+        f"{len(STRATEGIES)} strategies, cold contexts",
         "repeat": repeat,
         "untraced_s": best_untraced,
         "traced_s": best_traced,
-        "spans_recorded": span_count,
+        "spans_recorded": len(spans),
+        "spans_by_category": dict(sorted(categories.items())),
         "overhead": best_traced / best_untraced - 1.0,
         "identical": True,
     }
@@ -102,10 +120,10 @@ def main(argv=None) -> int:
     }
     o = results["overhead"]
     print(
-        f"fig06 sweep (best of {o['repeat']}): "
+        f"{o['workload']} (best of {o['repeat']}): "
         f"untraced {o['untraced_s']:.3f}s, traced {o['traced_s']:.3f}s "
         f"-> {o['overhead']:+.1%} overhead, {o['spans_recorded']} spans, "
-        f"tables identical"
+        f"summaries identical"
     )
 
     with open(args.output, "w") as fh:
@@ -122,14 +140,16 @@ def main(argv=None) -> int:
 
 
 def test_obs_overhead(device):
-    """Tier-agnostic smoke: traced == untraced tables, overhead bounded.
+    """Tier-agnostic smoke: traced == untraced summaries, the trace
+    covers passes and kernels, overhead bounded.
 
     The bound here is loose (50%) because CI machines are noisy; the
     ``--check`` entry point applies the honest 5% gate on quiet hardware.
     """
     result = run_overhead(device, repeat=2)
     assert result["identical"]
-    assert result["spans_recorded"] > 0
+    assert result["spans_by_category"].get("pipeline.pass", 0) > 0
+    assert result["spans_by_category"].get("sim.kernel", 0) > 0
     assert result["overhead"] < 0.5
 
 

@@ -4,7 +4,7 @@ The pass pipeline annotates every node with shapes, a layout, and the
 edge transforms that reconcile disagreeing layouts.  These checks *prove*
 the annotations consistent by abstract interpretation: a forward dataflow
 propagates the layout each producer actually delivers (carried through
-classifiers the same way ``core.pipeline._insert_transforms`` carries it),
+classifiers the same way ``core.pipeline.InsertTransforms`` carries it),
 and every node's annotations are compared against the facts arriving on
 its real edges.  These checks run on arbitrary DAGs and are shared by the
 ``D0xx`` lint rules, :func:`~repro.analysis.dataflow.verify.verify_graph`,
@@ -342,8 +342,8 @@ def check_transform_annotations(graph: Graph) -> Iterator[Finding]:
 def check_inverse_pairs(graph: Graph) -> Iterator[Finding]:
     """A layout-agnostic node whose relabeling would cancel *all* of its
     incident layout disagreements hosts an uneliminated transform-inverse
-    pair: ``EliminateRedundantTransforms`` should have relabeled it (the
-    relabel removes transforms and adds none, a strict win)."""
+    pair: the layout assignment should have relabeled it (the relabel
+    removes transforms and adds none, a strict win)."""
     if not _structurally_sound(graph):
         return
     result = propagate_layouts(graph)

@@ -89,8 +89,9 @@ def transform_fact_mismatch(scope: GraphScope) -> Iterator[Finding]:
     "transform-inverse pair not eliminated across a layout-agnostic node",
     rationale="A layout-agnostic node (LRN, concat) relabeled to its "
     "neighbours' layout drops its incident transforms at zero kernel "
-    "cost; a surviving cancellable pair means "
-    "EliminateRedundantTransforms missed a strict win.",
+    "cost; a surviving cancellable pair means the layout assignment "
+    "(the heuristic fine-tune's agnostic-node relabel, or the min cut) "
+    "missed a strict win.",
     example="CHWN branches joining an NCHW-labeled concat whose only "
     "consumer immediately transforms back to CHWN",
 )

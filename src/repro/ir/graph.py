@@ -120,8 +120,6 @@ class GraphNode:
     coarsening: tuple[int, int] | None = None
     #: layout transforms on this node's input edges
     transforms: tuple[EdgeTransform, ...] = ()
-    #: fusion pattern that claimed this node, if any
-    fused: str | None = None
 
     @property
     def transform_ms(self) -> float:
@@ -149,7 +147,6 @@ class GraphNode:
             "layer_ms": self.layer_ms,
             "coarsening": list(self.coarsening) if self.coarsening else None,
             "transforms": [t.to_dict() for t in self.transforms],
-            "fused": self.fused,
         }
 
     @classmethod
@@ -169,7 +166,6 @@ class GraphNode:
             transforms=tuple(
                 EdgeTransform.from_dict(t) for t in data.get("transforms", ())
             ),
-            fused=data.get("fused"),
         )
 
 

@@ -77,6 +77,19 @@ class TestVerifyGraphFile:
         out = capsys.readouterr().out
         assert "D001" in out
 
+    def test_graph_with_fused_annotation_still_loads(
+        self, tmp_path, capsys, plan_payload
+    ):
+        """Graphs written before nodes lost their ``fused`` annotation
+        carry a ``"fused"`` key on every node; it is ignored."""
+        graph = plan_payload["graph"]
+        for node in graph["nodes"]:
+            node["fused"] = "softmax-fuse" if node["name"] == "prob" else None
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(graph))
+        assert main(["verify", "--graph", str(path)]) == 0
+        assert "0 error(s)" in capsys.readouterr().out
+
     def test_unreadable_file_is_usage_error(self, tmp_path, capsys):
         assert main(["verify", "--graph", str(tmp_path / "missing.json")]) == 2
 

@@ -12,18 +12,25 @@ from repro.core.pipeline import (
     run_pipeline,
 )
 from repro.ir.build import lower_netdef
-from repro.networks import build_network
+from repro.networks import NETWORK_BUILDERS, build_network
 from repro.tensors import CHWN, NCHW
 
 
 class TestVerifiedPipeline:
-    def test_all_default_passes_hold_their_contracts(self, device):
-        for strategy in ("heuristic", "optimal"):
-            plan_network(
-                device,
-                build_network("inception"),
-                PipelineOptions(strategy=strategy, verify=True),
-            )  # no PassContractError
+    def test_all_default_passes_hold_their_contracts(self, device, titan_x):
+        """Every bundled network on both devices under both strategies,
+        ``InsertTransforms``' ``no-inverse-pairs`` claim (lint rule D005)
+        included.  D005 flags only a node whose relabel would cancel every
+        incident disagreement; the fine-tune's partial win at inception's
+        concat is pinned by ``TestBranchingNetwork`` and the golden plans."""
+        for dev in (device, titan_x):
+            for network in sorted(NETWORK_BUILDERS):
+                for strategy in ("heuristic", "optimal"):
+                    plan_network(
+                        dev,
+                        build_network(network),
+                        PipelineOptions(strategy=strategy, verify=True),
+                    )  # no PassContractError
 
     def test_plan_identical_with_verification_on(self, device):
         """Verification is observational: the planned result is
@@ -55,7 +62,7 @@ class TestAttribution:
     def test_shape_corruption_names_the_offending_pass(self, device):
         class BreakShapes(Pass):
             name = "BreakShapes"
-            default_contracts = ("structure", "shapes")
+            contracts = ("structure", "shapes")
 
             def run(self, graph, ctx):
                 graph.topological()[1].in_dims = (1, 1, 1, 1)
@@ -83,7 +90,7 @@ class TestAttribution:
     def test_layout_break_after_insert_transforms_is_attributed(self, device):
         class BreakLayouts(Pass):
             name = "BreakLayouts"
-            default_contracts = ("layout-coherent",)
+            contracts = ("layout-coherent",)
 
             def run(self, graph, ctx):
                 # flip one conv's layout without touching its transforms
@@ -93,9 +100,9 @@ class TestAttribution:
                         break
                 return graph
 
-        # after InsertTransforms (index 3 in the default pipeline)
+        # right after InsertTransforms (index 2 in the default pipeline)
         with pytest.raises(PassContractError) as exc:
-            self._run(device, BreakLayouts(), position=4)
+            self._run(device, BreakLayouts(), position=3)
         assert exc.value.pass_name == "BreakLayouts"
 
     def test_unverified_run_does_not_check(self, device):
@@ -122,16 +129,16 @@ class TestContractDeclarations:
         for p in default_passes():
             assert "structure" in p.contracts, p.name
 
-    def test_no_inverse_pairs_is_elimination_only(self):
-        """A pass list without the elimination claims nothing about
-        inverse pairs, so verifying it raises no false violation."""
+    def test_no_inverse_pairs_is_insertion_only(self):
+        """Only the first pass whose output carries transforms claims
+        anything about inverse pairs."""
         claims = [p.name for p in default_passes() if "no-inverse-pairs" in p.contracts]
-        assert claims == ["EliminateRedundantTransforms"]
+        assert claims == ["InsertTransforms"]
 
     def test_unknown_contract_name_is_rejected(self, device):
         class BadDeclaration(Pass):
             name = "BadDeclaration"
-            default_contracts = ("structure", "no-such-contract")
+            contracts = ("structure", "no-such-contract")
 
             def run(self, graph, ctx):
                 return graph

@@ -114,7 +114,6 @@ class TestSerialization:
         g["join"].transforms = (
             EdgeTransform(src="a", from_layout=CHWN, to_layout=NCHW, ms=0.1),
         )
-        g["join"].fused = "softmax-fuse"
 
         back = Graph.from_json(g.to_json())
         assert [n.name for n in back] == [n.name for n in g]
@@ -126,7 +125,6 @@ class TestSerialization:
         join = back["join"]
         assert join.transforms == g["join"].transforms
         assert join.transform_ms == pytest.approx(0.1)
-        assert join.fused == "softmax-fuse"
 
     def test_round_trip_empty_annotations(self):
         g = chain_graph()

@@ -13,7 +13,7 @@ from repro.analysis.sweeps import sweep_pool
 from repro.cli import main
 from repro.core.pipeline import PipelineOptions, plan_network
 from repro.gpusim import SimulationContext, get_device
-from repro.networks import build_network
+from repro.networks import NETWORK_BUILDERS, build_network
 from repro.obs import (
     Tracer,
     install_tracer,
@@ -125,6 +125,25 @@ class TestCoverage:
         for ev in decisions:
             assert "layout" in ev.attrs
             assert "algorithm" in ev.attrs
+
+    def test_decision_events_match_the_plan(self, device, titan_x):
+        """Each decision event names the layout its node ends with in the
+        plan, on every bundled network, device and strategy."""
+        for dev in (device, titan_x):
+            for network in sorted(NETWORK_BUILDERS):
+                for strategy in ("heuristic", "optimal"):
+                    options = PipelineOptions(strategy=strategy)
+                    netdef = build_network(network)
+                    result, tracer = _traced(
+                        lambda: plan_network(dev, netdef, options)
+                    )
+                    decided = {
+                        e.attrs["node"]: e.attrs["layout"]
+                        for e in tracer.events()
+                        if e.category == "pipeline.decision"
+                    }
+                    planned = {n.name: str(n.layout) for n in result.graph}
+                    assert decided == planned, (dev.name, network, strategy)
 
     def test_cache_replay_spans(self, device):
         from repro.gpusim import SetAssociativeCache, strided_pattern, transaction_stream

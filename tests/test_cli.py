@@ -52,8 +52,12 @@ class TestCommands:
     def test_plan_explain_prints_pass_table(self, capsys):
         assert main(["plan", "--network", "cifar", "--explain"]) == 0
         out = capsys.readouterr().out
-        assert "EliminateRedundantTransforms" in out
-        assert "SelectImplementations" in out
+        for name in (
+            "ResolveShapes", "AssignLayouts", "InsertTransforms",
+            "SelectImplementations",
+        ):
+            assert name in out
+        assert "FuseKernels" not in out
 
     def test_plan_branching_network(self, capsys):
         assert main(["plan", "--network", "inception"]) == 0
