@@ -6,9 +6,11 @@ installed, which records every pass, planner decision and timed kernel —
 checks the plan summaries are byte-identical (tracing is strictly
 observational), and reports the wall-clock overhead of the traced run.
 
-Emits ``BENCH_obs.json``; with ``--check`` the exit status is nonzero if
-the traced run is more than ``--max-overhead`` (default 5%) slower than
-the untraced baseline over the best of ``--repeat`` rounds.
+Untraced and traced builds run in interleaved pairs, so host drift lands
+on both sides of a pair alike; the overhead is the median of the pairs'
+traced/untraced ratios, less one.  Emits ``BENCH_obs.json``; with
+``--check`` the exit status is nonzero if that overhead exceeds
+``--max-overhead`` (default 5%) over ``--repeat`` pairs (default 10).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 from collections import Counter
@@ -46,17 +49,16 @@ def _build(device) -> tuple[float, str]:
     return time.perf_counter() - t0, "\n".join(summaries)
 
 
-def run_overhead(device, repeat: int) -> dict:
-    """Best-of-``repeat`` wall times for the plans, untraced vs traced.
-    Best-of (not mean) because the baseline and traced runs do identical
-    simulation work — the minimum is the least-noise estimate.  One
+def run_overhead(device, pairs: int) -> dict:
+    """Wall times for the plans in ``pairs`` interleaved untraced/traced
+    pairs; the overhead is the median per-pair ratio, less one.  One
     uncounted build first fills the device's shared transform-cost memo,
-    so every counted round does the same work."""
+    so every counted build does the same work."""
     untraced: list[float] = []
     traced: list[float] = []
     reference = _build(device)[1]
     spans: list = []
-    for _ in range(repeat):
+    for _ in range(pairs):
         seconds, rendered = _build(device)
         untraced.append(seconds)
         if rendered != reference:
@@ -71,18 +73,18 @@ def run_overhead(device, repeat: int) -> dict:
         if rendered != reference:
             raise AssertionError("traced plan summaries differ from untraced")
 
-    best_untraced = min(untraced)
-    best_traced = min(traced)
+    ratios = [t / u for t, u in zip(traced, untraced)]
     categories = Counter(sp.category for sp in spans)
     return {
         "workload": f"plan_network x {len(NETWORK_BUILDERS)} networks x "
         f"{len(STRATEGIES)} strategies, cold contexts",
-        "repeat": repeat,
-        "untraced_s": best_untraced,
-        "traced_s": best_traced,
+        "pairs": pairs,
+        "untraced_s": statistics.median(untraced),
+        "traced_s": statistics.median(traced),
+        "pair_ratios": ratios,
         "spans_recorded": len(spans),
         "spans_by_category": dict(sorted(categories.items())),
-        "overhead": best_traced / best_untraced - 1.0,
+        "overhead": statistics.median(ratios) - 1.0,
         "identical": True,
     }
 
@@ -92,8 +94,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--repeat",
         type=int,
-        default=3,
-        help="measurement rounds; the best (fastest) of each mode is kept",
+        default=10,
+        help="interleaved untraced/traced pairs; the median ratio decides",
     )
     parser.add_argument(
         "--max-overhead",
@@ -120,7 +122,7 @@ def main(argv=None) -> int:
     }
     o = results["overhead"]
     print(
-        f"{o['workload']} (best of {o['repeat']}): "
+        f"{o['workload']} (medians of {o['pairs']} pairs): "
         f"untraced {o['untraced_s']:.3f}s, traced {o['traced_s']:.3f}s "
         f"-> {o['overhead']:+.1%} overhead, {o['spans_recorded']} spans, "
         f"summaries identical"
@@ -146,7 +148,7 @@ def test_obs_overhead(device):
     The bound here is loose (50%) because CI machines are noisy; the
     ``--check`` entry point applies the honest 5% gate on quiet hardware.
     """
-    result = run_overhead(device, repeat=2)
+    result = run_overhead(device, pairs=2)
     assert result["identical"]
     assert result["spans_by_category"].get("pipeline.pass", 0) > 0
     assert result["spans_by_category"].get("sim.kernel", 0) > 0

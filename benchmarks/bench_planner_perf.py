@@ -1,20 +1,15 @@
-"""Sweep execution engine vs the scalar oracle, end to end.
+"""The session memo end to end: fresh versus warm figure builds.
 
-The scalar leg runs :func:`scalar_evaluate_cells`, a bench-local oracle
-that evaluates one model at a time through ``context.run`` (the model's
-definition).  The Fig. 4 sensitivity grid and the Fig. 6 pooling figure
-are built with that oracle patched over the figures' ``evaluate_cells``
-(scalar evaluation) and through the sweep execution engine:
-memoized-serial (fresh contexts) and a warm shared-context rebuild (the
-steady state of a long-lived session).
-Rendered tables are compared byte for byte across every mode before any
-timing is reported, and the scalar/serial passes are interleaved over
-rounds with the cleanest round reported beside the median and
-interquartile range of the per-round ratios.
+The Fig. 4 sensitivity grid and the Fig. 6 pooling figure are built on
+fresh simulation contexts (every cell timed once, repeats within a build
+served from the memo) and rebuilt on a warm shared context (the steady
+state of a long-lived session: every cell a memo hit).  Rendered tables
+are compared byte for byte between the two before any timing is
+reported; fresh builds are timed over several rounds and reported as the
+median and interquartile range.
 
-Emits ``BENCH_planner.json`` (CI uploads it as an artifact); with
-``--check`` the exit status is nonzero when the memoized-serial build is
-slower than the scalar path on the cleanest round.
+Emits ``BENCH_planner.json`` (CI uploads it as an artifact); the exit
+status is nonzero when a warm table differs from the fresh one.
 """
 
 from __future__ import annotations
@@ -25,44 +20,17 @@ import os
 import statistics
 import sys
 import time
-from contextlib import contextmanager
 
 import bench_fig04_sensitivity as fig04
 import bench_fig06_pooling_layouts as fig06
 
-from repro.gpusim import GpuOutOfMemoryError, SimulationContext, TITAN_BLACK
+from repro.gpusim import SimulationContext, TITAN_BLACK
 
 E2E_REPEATS = 5
-#: memoized-serial must at least match the scalar path end to end
-E2E_GATE = 1.0
-
-
-def _scalar_eval(context, model, check_memory):
-    try:
-        return context.run(model, check_memory=check_memory)
-    except (GpuOutOfMemoryError, ValueError) as exc:
-        return exc
-
-
-def scalar_evaluate_cells(context, models, check_memory=None):
-    """Scalar oracle for ``evaluate_cells``: one ``context.run`` per model,
-    no memo probe."""
-    return [_scalar_eval(context, m, check_memory) for m in models]
-
-
-@contextmanager
-def scalar_figures():
-    """Serve the figure builders' ``evaluate_cells`` with the oracle."""
-    saved = fig04.evaluate_cells, fig06.evaluate_cells
-    fig04.evaluate_cells = fig06.evaluate_cells = scalar_evaluate_cells
-    try:
-        yield
-    finally:
-        fig04.evaluate_cells, fig06.evaluate_cells = saved
 
 
 def round_spread(rounds: list[float]) -> tuple[float, float]:
-    """(median, interquartile range) of the per-round ratios."""
+    """(median, interquartile range) of the per-round timings."""
     q1, median, q3 = statistics.quantiles(rounds, n=4, method="inclusive")
     return median, q3 - q1
 
@@ -84,38 +52,18 @@ def _figure_renders(
 
 
 def run_end_to_end(device) -> dict:
-    def scalar_pass():
-        with scalar_figures():
-            return _figure_renders(device)
+    # One untimed fresh build first: process-global warmup (lazy imports)
+    # lands on no timed round, and it is the identity reference.
+    ref_tables = _figure_renders(device)
 
-    def serial_pass():
-        return _figure_renders(device)
-
-    # One untimed pass per mode first: process-global warmup (lazy imports)
-    # lands on no timed side, and the pair doubles as the byte-identity
-    # check.
-    ref_tables = scalar_pass()
-    if serial_pass() != ref_tables:
-        raise AssertionError("engine figures differ from the scalar reference")
-
-    # Interleave scalar/memoized-serial timed rounds and report the
-    # cleanest one: noise only ever slows a pass, so the best paired
-    # ratio is the estimate closest to the true speedup.  Every pass
-    # builds fresh contexts — neither side warms across repeats.
-    scalar_s = serial_s = float("inf")
     rounds = []
     for _ in range(E2E_REPEATS):
         t0 = time.perf_counter()
-        scalar_pass()
-        round_scalar_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        serial_pass()
-        round_serial_s = time.perf_counter() - t0
-        rounds.append(round_scalar_s / round_serial_s)
-        scalar_s = min(scalar_s, round_scalar_s)
-        serial_s = min(serial_s, round_serial_s)
-    serial_speedup = max(rounds)
-    serial_median, serial_iqr = round_spread(rounds)
+        tables = _figure_renders(device)
+        rounds.append(time.perf_counter() - t0)
+        if tables != ref_tables:
+            raise AssertionError("fresh figure builds disagree with each other")
+    fresh_median, fresh_iqr = round_spread(rounds)
 
     # Warm shared-context rebuild: the steady state of a long session
     # re-sweeping shapes it has already priced — every cell a memo hit.
@@ -128,18 +76,15 @@ def run_end_to_end(device) -> dict:
     warm_again = _figure_renders(device, contexts=contexts)
     warm_s = time.perf_counter() - t0
     if warm_tables != ref_tables or warm_again != ref_tables:
-        raise AssertionError("warm-context figures differ from the scalar reference")
+        raise AssertionError("warm-context figures differ from the fresh build")
 
     return {
         "figures": ["fig04_sensitivity", "fig06_pooling_layouts"],
-        "scalar_s": scalar_s,
-        "batched_serial_s": serial_s,
+        "round_fresh_s": rounds,
+        "fresh_s": fresh_median,
+        "fresh_iqr_s": fresh_iqr,
         "warm_s": warm_s,
-        "round_serial_speedups": rounds,
-        "serial_speedup": serial_speedup,
-        "serial_speedup_median": serial_median,
-        "serial_speedup_iqr": serial_iqr,
-        "warm_speedup": scalar_s / warm_s if warm_s else float("inf"),
+        "warm_speedup": fresh_median / warm_s if warm_s else float("inf"),
         "identical": True,
     }
 
@@ -151,12 +96,6 @@ def main(argv=None) -> int:
         default="BENCH_planner.json",
         help="where to write the results JSON",
     )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help=f"exit nonzero if the end-to-end memoized-serial build is "
-        f"slower than the scalar path (below {E2E_GATE}x)",
-    )
     args = parser.parse_args(argv)
 
     end_to_end = run_end_to_end(TITAN_BLACK)
@@ -164,23 +103,14 @@ def main(argv=None) -> int:
     e = end_to_end
     print(
         f"end-to-end ({', '.join(e['figures'])}): "
-        f"scalar {e['scalar_s']:.3f}s, memoized serial "
-        f"{e['batched_serial_s']:.3f}s ({e['serial_speedup']:.2f}x; median "
-        f"{e['serial_speedup_median']:.2f}x, IQR {e['serial_speedup_iqr']:.2f}), "
-        f"warm context {e['warm_s']:.3f}s ({e['warm_speedup']:.1f}x), "
-        f"tables identical"
+        f"fresh {e['fresh_s']:.3f}s (median of {E2E_REPEATS}, "
+        f"IQR {e['fresh_iqr_s']:.3f}s), warm context {e['warm_s']:.3f}s "
+        f"({e['warm_speedup']:.1f}x), tables identical"
     )
 
     with open(args.output, "w") as fh:
         json.dump(results, fh, indent=1, sort_keys=True)
     print(f"wrote {args.output}")
-
-    if args.check and e["serial_speedup"] < E2E_GATE:
-        print(
-            f"CHECK FAILED: end-to-end memoized-serial build only "
-            f"{e['serial_speedup']:.2f}x the scalar path (gate: {E2E_GATE}x)"
-        )
-        return 1
     return 0
 
 

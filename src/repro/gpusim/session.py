@@ -13,7 +13,10 @@ baselines, sweeps, CLI) times kernels through one
   spent simulating, per-kind breakdown) that any session can print;
 * :class:`SimulationContext` — the session object owning the cache, the
   stats, and the OOM/``tensor_bytes_resident`` accounting, with optional
-  JSON persistence for cross-process reuse by benchmarks;
+  JSON persistence for cross-process reuse by benchmarks; its
+  :meth:`~SimulationContext.run` is the one memoized evaluation, which
+  grid consumers reach one cell at a time through
+  :func:`repro.gpusim.exec.evaluate_cells`;
 * :func:`default_context` — a per-device shared session, so callers that
   pass no context still share one hot cache.
 """
@@ -272,16 +275,10 @@ class SimStats:
         reg.counter(f"sim.kind.{kind}.misses").inc()
         reg.histogram("sim.kernel_sim_ms").observe(wall_s * 1e3)
 
+    # perfbench's traced runs wrap this name; nothing in the program calls it.
     def record_batch(self, kind_counts: dict[str, int], wall_s: float) -> None:
-        """Record one grid evaluation: every candidate counts as a miss
-        (all were timed, none served from the structural cache), but the
-        wall time lands as one aggregate increment and the per-kernel
-        ``sim.kernel_sim_ms`` histogram is not observed."""
-        reg = self.registry
-        reg.counter("sim.queries.misses").inc(sum(kind_counts.values()))
-        reg.counter("sim.wall_s").inc(wall_s)
-        for kind, count in kind_counts.items():
-            reg.counter(f"sim.kind.{kind}.misses").inc(count)
+        """No-op: every query records itself through :meth:`record_hit`
+        or :meth:`record_miss`."""
 
     def merge(self, other: "SimStats") -> None:
         """Fold another session's counters into this one (for aggregation)."""
@@ -401,10 +398,9 @@ class SimulationContext:
         self.stats = SimStats(self.metrics)
         self.cache_path = Path(cache_path) if cache_path is not None else None
         self._cache: dict[str, KernelStats] = {}
-        #: failed evaluations (OOM, launch validation) memoized by the
-        #: sweep execution engine under the same structural keys; never
-        #: saved with the timing cache, since re-deriving a failure is cheap
-        self.exec_errors: dict[str, Exception] = {}
+        #: launch and spec errors memoized under their structural keys;
+        #: never saved with the timing cache
+        self._errors: dict[str, ValueError] = {}
         if self.cache_path is not None and self.cache_path.exists():
             self.load_cache(self.cache_path)
 
@@ -419,40 +415,21 @@ class SimulationContext:
         the cache; raises :class:`GpuOutOfMemoryError` when enabled checks
         find the workspace plus resident tensors exceed device memory.
 
-        Every dispatch records a ``sim.kernel`` span on the active tracer
+        The memo unit is the model passed in: a composed kernel is one
+        entry under its own key, its stages timed uncached and folded as
+        one sequence.  Every stage's fit check runs before the lookup,
+        since whether a kernel fits depends on the flags in force now.  A
+        launch or spec ``ValueError`` is memoized under the key as well,
+        for this context only: it is never saved with the timing cache.
+
+        Every query records a ``sim.kernel`` span on the active tracer
         (when one is installed) carrying the kernel name, family, whether
         the query was served from cache, and the modelled GPU time."""
-        if isinstance(model, ComposedKernel):
-            tracer = active_tracer()
-            if tracer is None:
-                seq = self.run_sequence(
-                    model.kernels,
-                    name=model.name,
-                    check_memory=check_memory,
-                    tensor_bytes_resident=tensor_bytes_resident,
-                )
-                return _collapse_sequence(seq, self.device)
-            with tracer.span(
-                f"sim:{model.name}",
-                "sim.kernel",
-                kernel=model.name,
-                kind=_kind_of(model),
-                composed=True,
-            ) as sp:
-                seq = self.run_sequence(
-                    model.kernels,
-                    name=model.name,
-                    check_memory=check_memory,
-                    tensor_bytes_resident=tensor_bytes_resident,
-                )
-                stats = _collapse_sequence(seq, self.device)
-                sp.attrs["time_ms"] = stats.time_ms
-            return stats
         self._check_fit(model, check_memory, tensor_bytes_resident)
+        key = structural_key(model, self.device)
         tracer = active_tracer()
         if tracer is None:
-            return self._timed(model)
-        key = structural_key(model, self.device)
+            return self._timed(model, key)
         with tracer.span(
             f"sim:{model.name}",
             "sim.kernel",
@@ -464,16 +441,22 @@ class SimulationContext:
             sp.attrs["time_ms"] = stats.time_ms
         return stats
 
-    def _timed(self, model: KernelModel, key: str | None = None) -> KernelStats:
-        """The cache-or-time core of :meth:`run` (tracing-agnostic)."""
-        if key is None:
-            key = structural_key(model, self.device)
+    def _timed(self, model: KernelModel, key: str) -> KernelStats:
+        """The memo core of :meth:`run` (tracing-agnostic)."""
         hit = self._cache.get(key)
         if hit is not None:
             self.stats.record_hit(_kind_of(model))
             return hit
+        error = self._errors.get(key)
+        if error is not None:
+            # one traceback per raise, not one more frame per re-raise
+            raise error.with_traceback(None)
         start = time.perf_counter()
-        stats = time_model(self.device, model)
+        try:
+            stats = _time_stages(self.device, model)
+        except ValueError as exc:
+            self._errors[key] = exc
+            raise
         self.stats.record_miss(_kind_of(model), time.perf_counter() - start)
         self._cache[key] = stats
         self.metrics.gauge("sim.cache.entries").set(len(self._cache))
@@ -502,6 +485,8 @@ class SimulationContext:
         check_memory: bool | None,
         tensor_bytes_resident: float | None,
     ) -> None:
+        """Raise the OOM of the first stage, in sequence order, whose
+        workspace plus resident tensors exceed device memory."""
         enabled = self.check_memory if check_memory is None else check_memory
         if not enabled:
             return
@@ -510,6 +495,10 @@ class SimulationContext:
             if tensor_bytes_resident is None
             else tensor_bytes_resident
         )
+        if isinstance(model, ComposedKernel):
+            for stage in model.kernels:
+                self._check_fit(stage, True, resident)
+            return
         required = model.workspace_bytes() + resident
         if required > self.device.dram_bytes:
             raise GpuOutOfMemoryError(model.name, required, self.device.dram_bytes)
@@ -521,24 +510,7 @@ class SimulationContext:
 
     def clear_cache(self) -> None:
         self._cache.clear()
-        self.exec_errors.clear()
-
-    def cache_lookup(self, key: str) -> "KernelStats | None":
-        """The cached stats under a :func:`structural_key`, if any (the
-        sweep execution engine consults this before evaluating a cell)."""
-        return self._cache.get(key)
-
-    def cache_store(self, key: str, stats: KernelStats) -> None:
-        """Insert a timing the execution engine computed under its
-        structural key.
-
-        First write wins: the engine times each cell with the same scalar
-        model as :meth:`run`, so an existing entry already holds the same
-        value.
-        """
-        if key not in self._cache:
-            self._cache[key] = stats
-            self.metrics.gauge("sim.cache.entries").set(len(self._cache))
+        self._errors.clear()
 
     def save_cache(self, path: str | Path | None = None) -> Path:
         """Persist the timing cache as JSON for cross-process reuse."""
@@ -640,6 +612,18 @@ class SequenceStats:
     @property
     def effective_bandwidth_gbs(self) -> float:
         return self.useful_bytes / (self.time_ms * 1e6) if self.time_ms else 0.0
+
+
+def _time_stages(device: DeviceSpec, model: KernelModel) -> KernelStats:
+    """``time_model`` of a leaf; a composed kernel's stages (nested ones
+    included) timed in order and folded as one sequence."""
+    if isinstance(model, ComposedKernel):
+        seq = SequenceStats(
+            name=model.name,
+            kernels=tuple(_time_stages(device, stage) for stage in model.kernels),
+        )
+        return _collapse_sequence(seq, device)
+    return time_model(device, model)
 
 
 def _collapse_sequence(seq: SequenceStats, device: DeviceSpec) -> KernelStats:

@@ -1,9 +1,9 @@
-"""The grid evaluator equals ``SimulationContext.run`` slot for slot.
+"""Grid evaluation equals ``SimulationContext.run`` slot for slot.
 
-:func:`evaluate_models` times each leaf with the scalar model, so every
-slot must match ``context.run`` field for field — or hold the exception
-``context.run`` raises — on randomized grids of plain and composed
-kernels.
+:func:`~repro.gpusim.exec.evaluate_cells` on a cold context must fill
+every slot with what a ``context.run`` per model gives — field for field,
+or the exception ``context.run`` raises — on randomized grids of plain,
+composed and nested composed kernels, with OOM and launch-error slots.
 """
 
 from __future__ import annotations
@@ -13,17 +13,17 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpusim import SimulationContext, TITAN_BLACK
-from repro.gpusim.batch import evaluate_models
+from repro.gpusim import ComposedKernel, SimulationContext, TITAN_BLACK
+from repro.gpusim.exec import evaluate_cells
 from repro.gpusim.occupancy import LaunchValidationError
 from repro.gpusim.session import GpuOutOfMemoryError
 from repro.layers import DirectConvCHWN, Im2colGemmNCHW, make_pool_kernel
-from repro.layers.base import PoolSpec
+from repro.layers.base import ConvSpec, PoolSpec
 from repro.networks import CONV_LAYERS
 
 
 def _scalar_eval(context, model, check_memory):
-    """``context.run`` with the error capture of :func:`evaluate_models`."""
+    """``context.run`` with the error capture of :func:`evaluate_cells`."""
     try:
         return context.run(model, check_memory=check_memory)
     except (GpuOutOfMemoryError, ValueError) as exc:
@@ -34,7 +34,7 @@ def _assert_identical(ref, out, label=""):
     """Field-for-field equality: frozen dataclasses compare by value, and
     every field is a Python scalar, so ``==`` is exact bit identity."""
     assert not isinstance(out, Exception), f"{label}: evaluator returned {out!r}"
-    assert ref == out, f"{label}:\n  context.run     {ref}\n  evaluate_models {out}"
+    assert ref == out, f"{label}:\n  context.run    {ref}\n  evaluate_cells {out}"
 
 
 conv_specs = st.builds(
@@ -53,31 +53,71 @@ pool_specs = st.builds(
     stride=st.sampled_from([1, 2]),
 )
 
-models = st.one_of(
+plain = st.one_of(
     conv_specs.map(DirectConvCHWN),
-    conv_specs.map(Im2colGemmNCHW),  # composed: im2col staging + GEMM
     st.tuples(pool_specs, st.sampled_from(["chwn", "nchw-linear"])).map(
         lambda t: make_pool_kernel(*t)
     ),
 )
 
+#: an im2col whose staging buffer fits no bundled device
+HUGE = ConvSpec(n=4096, ci=512, h=256, w=256, co=512, fh=3, fw=3)
+
+leaves = st.one_of(
+    plain,
+    conv_specs.map(Im2colGemmNCHW),  # composed: im2col staging + GEMM
+    st.just(HUGE).map(Im2colGemmNCHW),
+)
+
+#: a composed kernel over leaves, nested composed ones included
+nested = st.lists(leaves, min_size=1, max_size=3).map(
+    lambda ks: ComposedKernel(kernels=ks, name="conv-seq")
+)
+models = st.one_of(
+    leaves,
+    nested,
+    st.lists(st.one_of(leaves, nested), min_size=1, max_size=2).map(
+        lambda ks: ComposedKernel(kernels=ks, name="conv-nest")
+    ),
+)
+
+
+def _unlaunchable(model):
+    """``model`` with a block no device can launch."""
+    launch = model.launch_config(TITAN_BLACK)
+    object.__setattr__(
+        model, "launch_config", lambda device: replace(launch, block=(2048, 1))
+    )
+    return model
+
 
 class TestModelEquivalence:
-    @given(ms=st.lists(models, min_size=1, max_size=12))
+    @given(
+        ms=st.lists(
+            st.one_of(models, plain.map(_unlaunchable)), min_size=1, max_size=12
+        ),
+        check_memory=st.booleans(),
+    )
     @settings(max_examples=50, deadline=None)
-    def test_mixed_model_grid_matches_context_run(self, ms):
+    def test_mixed_model_grid_matches_context_run(self, ms, check_memory):
+        """Cold ``evaluate_cells`` against one ``context.run`` per model on
+        another cold context; with the check on, every model holding the
+        huge im2col fills an OOM slot."""
         device = TITAN_BLACK
         scalar_ctx = SimulationContext(device, check_memory=False)
-        refs = [scalar_ctx.run(m, check_memory=False) for m in ms]
-        out = evaluate_models(
-            SimulationContext(device, check_memory=False), ms, check_memory=False
+        refs = [_scalar_eval(scalar_ctx, m, check_memory) for m in ms]
+        out = evaluate_cells(
+            SimulationContext(device, check_memory=False), ms, check_memory
         )
         for m, ref, o in zip(ms, refs, out):
-            _assert_identical(ref, o, m.name)
+            if isinstance(ref, Exception):
+                assert type(o) is type(ref) and o.args == ref.args, m.name
+            else:
+                _assert_identical(ref, o, m.name)
 
     def test_scalar_oracle_matches_batch(self):
         """The error-capturing ``context.run`` oracle fills every slot
-        exactly as ``evaluate_models`` does."""
+        exactly as ``evaluate_cells`` does."""
         ms = [
             DirectConvCHWN(replace(CONV_LAYERS["CV7"], n=8)),
             make_pool_kernel(
@@ -91,7 +131,7 @@ class TestModelEquivalence:
         ]
         ctx = SimulationContext(device, check_memory=False)
         scalar = [_scalar_eval(ctx, m, check_memory=False) for m in ms]
-        batched = evaluate_models(
+        batched = evaluate_cells(
             SimulationContext(device, check_memory=False), ms, check_memory=False
         )
         assert refs == scalar == batched
@@ -100,12 +140,8 @@ class TestModelEquivalence:
         """An unlaunchable model occupies its slot with the scalar error
         while the rest of the grid still evaluates."""
         good = DirectConvCHWN(replace(CONV_LAYERS["CV7"], n=8))
-        bad = DirectConvCHWN(replace(CONV_LAYERS["CV7"], n=8))
-        launch = good.launch_config(TITAN_BLACK)
-        object.__setattr__(
-            bad, "launch_config", lambda device: replace(launch, block=(2048, 1))
-        )
-        out = evaluate_models(
+        bad = _unlaunchable(DirectConvCHWN(replace(CONV_LAYERS["CV7"], n=8)))
+        out = evaluate_cells(
             SimulationContext(TITAN_BLACK, check_memory=False),
             [good, bad, good],
             check_memory=False,

@@ -1,10 +1,10 @@
-"""Sweep execution engine: memoization and dedup.
+"""Grid evaluation through the session memo.
 
-The contract of :mod:`repro.gpusim.exec` is that memoization and dedup are
-*pure wall-clock knobs*: every grid consumer's output — sweep grids,
-calibration thresholds, tuned factors, CLI output — is byte-identical to a
-cold run no matter how many times a cell has been priced before.  The CLI's
-``--jobs`` flag is accepted and ignored.
+The contract of :mod:`repro.gpusim.exec` is that the memo is a *pure
+wall-clock knob*: every grid consumer's output — sweep grids, calibration
+thresholds, tuned factors, CLI output — is byte-identical to a cold run no
+matter how many times a cell has been priced before.  The CLI's ``--jobs``
+flag is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,18 +25,32 @@ from repro.cli import main
 from repro.core.autotune import autotune_pooling, autotune_pooling_many
 from repro.core.calibration import calibrate
 from repro.gpusim import SimStats, SimulationContext, map_chunks
-from repro.gpusim.batch import evaluate_models
+from repro.gpusim import session as session_module
 from repro.gpusim.kernel import ComposedKernel
+from repro.gpusim.occupancy import LaunchValidationError
 from repro.gpusim.session import GpuOutOfMemoryError
 from repro.gpusim.exec import evaluate_cells
 from repro.layers import make_pool_kernel
 from repro.layers.base import ConvSpec
 from repro.layers.conv_kernels import make_conv_kernel
-from repro.obs.metrics import global_registry
+from repro.layers.pooling_kernels import PoolingNCHWLinear
 
 
 def _fresh(device):
     return SimulationContext(device, check_memory=False)
+
+
+def _oracle(device, models, check_memory):
+    """One ``context.run`` per model on a cold context, with each error
+    captured in its slot."""
+    context = _fresh(device)
+    slots = []
+    for model in models:
+        try:
+            slots.append(context.run(model, check_memory=check_memory))
+        except (GpuOutOfMemoryError, ValueError) as exc:
+            slots.append(exc)
+    return slots
 
 
 def _pool_models(small_pool, channels=(4, 8, 16)):
@@ -47,14 +62,14 @@ def _pool_models(small_pool, channels=(4, 8, 16)):
 
 
 # ---------------------------------------------------------------------------
-# evaluate_cells: memoization + dedup
+# evaluate_cells: memoization
 # ---------------------------------------------------------------------------
 
 
 class TestEvaluateCells:
     def test_matches_fresh_context_batch(self, device, small_pool):
         models = _pool_models(small_pool)
-        ref = evaluate_models(_fresh(device), models, check_memory=False)
+        ref = _oracle(device, models, False)
         got = evaluate_cells(_fresh(device), models, check_memory=False)
         assert got == ref
 
@@ -73,10 +88,9 @@ class TestEvaluateCells:
         kernel = make_pool_kernel(small_pool, "chwn")
         ctx = _fresh(device)
         scalar = ctx.run(kernel, check_memory=False)
-        hits0 = global_registry().value("exec.cache.hit") or 0
         [engine] = evaluate_cells(ctx, [kernel], check_memory=False)
         assert engine == scalar
-        assert global_registry().value("exec.cache.hit") == hits0 + 1
+        assert (ctx.stats.misses, ctx.stats.hits) == (1, 1)
 
     def test_engine_primes_the_scalar_cache(self, device, small_pool):
         kernel = make_pool_kernel(small_pool, "chwn")
@@ -90,13 +104,14 @@ class TestEvaluateCells:
         a = make_pool_kernel(small_pool, "chwn")
         b = make_pool_kernel(small_pool, "nchw-linear")
         models = [a, b, a, a, b]
-        ref = evaluate_models(_fresh(device), models, check_memory=False)
-        dedup0 = global_registry().value("exec.cache.dedup") or 0
-        got = evaluate_cells(_fresh(device), models, check_memory=False)
+        ref = _oracle(device, models, False)
+        ctx = _fresh(device)
+        got = evaluate_cells(ctx, models, check_memory=False)
         assert got == ref
-        assert got[0] == got[2] == got[3]
-        assert got[1] == got[4]
-        assert global_registry().value("exec.cache.dedup") == dedup0 + 3
+        assert got[0] is got[2] is got[3]
+        assert got[1] is got[4]
+        # each distinct cell is timed once; its repeats are memo hits
+        assert (ctx.stats.misses, ctx.stats.hits) == (2, 3)
 
     def test_nested_composed_is_memoized(self, device, small_pool):
         # A composed kernel inside a composed kernel evaluates like any
@@ -115,9 +130,10 @@ class TestEvaluateCells:
         ref = _fresh(device).run(outer, check_memory=False)
         ctx = _fresh(device)
         assert evaluate_cells(ctx, [outer], check_memory=False) == [ref]
-        hits0 = global_registry().value("exec.cache.hit") or 0
         assert evaluate_cells(ctx, [outer], check_memory=False) == [ref]
-        assert global_registry().value("exec.cache.hit") == hits0 + 1
+        # the outer model is the memo unit: one entry, one miss, one hit
+        assert ctx.cache_size == 1
+        assert (ctx.stats.misses, ctx.stats.hits) == (1, 1)
 
     def test_empty_grid(self, device):
         assert evaluate_cells(_fresh(device), []) == []
@@ -148,8 +164,8 @@ class TestErrorMemoization:
         # exactly what the scalar path does, where _check_fit runs
         # before the cache lookup.
         models = self._models()
-        ref_on = evaluate_models(_fresh(device), models, check_memory=True)
-        ref_off = evaluate_models(_fresh(device), models, check_memory=False)
+        ref_on = _oracle(device, models, True)
+        ref_off = _oracle(device, models, False)
         ctx = _fresh(device)
         assert self._shape(
             evaluate_cells(ctx, models, check_memory=False)
@@ -163,7 +179,7 @@ class TestErrorMemoization:
 
     def test_oom_hit_after_oom_miss(self, device):
         models = self._models()
-        ref = evaluate_models(_fresh(device), models, check_memory=True)
+        ref = _oracle(device, models, True)
         ctx = _fresh(device)
         first = evaluate_cells(ctx, models, check_memory=True)
         again = evaluate_cells(ctx, models, check_memory=True)
@@ -171,24 +187,100 @@ class TestErrorMemoization:
         assert self._shape(again) == self._shape(ref)
         assert isinstance(again[1], GpuOutOfMemoryError)
 
+    def test_composed_kernel_fit_checks_every_stage_before_timing(
+        self, device, monkeypatch
+    ):
+        # The fitting first stage is not timed when a later stage OOMs.
+        timed = []
+        original = session_module.time_model
+        monkeypatch.setattr(
+            session_module,
+            "time_model",
+            lambda dev, model: timed.append(model.name) or original(dev, model),
+        )
+        huge = make_conv_kernel(self.HUGE, "im2col")  # composed itself
+        composed = ComposedKernel(
+            kernels=[make_conv_kernel(self.SMALL, "direct"), huge],
+            name="conv-pair",
+        )
+        ctx = _fresh(device)
+        with pytest.raises(GpuOutOfMemoryError) as info:
+            ctx.run(composed, check_memory=True)
+        assert info.value.kernel in {stage.name for stage in huge.kernels}
+        [slot] = evaluate_cells(ctx, [composed], check_memory=True)
+        assert isinstance(slot, GpuOutOfMemoryError)
+        assert timed == []
+        assert ctx.stats.queries == 0
+        [slot] = evaluate_cells(ctx, [composed], check_memory=False)
+        assert timed == [composed.kernels[0].name, *(k.name for k in huge.kernels)]
+        assert ctx.stats.misses == 1
+
+
+class _WideBlockNCHWPooling(PoolingNCHWLinear):
+    """Traced NCHW pooling with a block no device can launch."""
+
+    name = "pool-nchw-wide"
+
+    def launch_config(self, device):
+        return replace(super().launch_config(device), block=(2048, 1, 1))
+
+
+class TestLaunchErrorMemo:
+    def test_traced_profile_built_once_per_context(
+        self, device, small_pool, monkeypatch
+    ):
+        builds = []
+        original = PoolingNCHWLinear._build_profile
+        monkeypatch.setattr(
+            PoolingNCHWLinear,
+            "_build_profile",
+            lambda self, dev: builds.append(dev.name) or original(self, dev),
+        )
+        # structurally equal but separate models: no per-instance profile
+        ctx = _fresh(device)
+        with pytest.raises(LaunchValidationError) as info:
+            ctx.run(_WideBlockNCHWPooling(small_pool))
+        first = evaluate_cells(
+            ctx, [_WideBlockNCHWPooling(small_pool) for _ in range(3)]
+        )
+        again = evaluate_cells(ctx, [_WideBlockNCHWPooling(small_pool)])
+        assert info.value is first[0] is first[1] is first[2] is again[0]
+        assert len(builds) == 1
+        assert ctx.stats.queries == 0
+        evaluate_cells(_fresh(device), [_WideBlockNCHWPooling(small_pool)])
+        assert len(builds) == 2
+
+    def test_reraise_does_not_grow_the_traceback(self, device, small_pool):
+        ctx = _fresh(device)
+        errors, depths = [], []
+        for _ in range(3):
+            with pytest.raises(LaunchValidationError) as info:
+                ctx.run(_WideBlockNCHWPooling(small_pool))
+            errors.append(info.value)
+            depths.append(len(list(traceback.walk_tb(info.value.__traceback__))))
+        assert errors[0] is errors[1] is errors[2]
+        assert depths[1] == depths[2] <= depths[0]
+
+    def test_errors_are_not_saved(self, device, small_pool, tmp_path):
+        ctx = _fresh(device)
+        evaluate_cells(ctx, [_WideBlockNCHWPooling(small_pool)])
+        path = ctx.save_cache(tmp_path / "cache.json")
+        assert SimulationContext(device, cache_path=path).cache_size == 0
+
 
 # ---------------------------------------------------------------------------
-# Hypothesis: dedup never drops or reorders grid cells
+# Hypothesis: the memo never drops or reorders grid cells
 # ---------------------------------------------------------------------------
 
 
 BASE_CHANNELS = (4, 6, 8)
-BASE_IMPLS = ("chwn", "nchw-linear")
 
 
 @pytest.fixture(scope="module")
 def dedup_reference(device, small_pool):
     """The distinct cell pool and its scalar-priced reference values."""
     models = _pool_models(small_pool, BASE_CHANNELS)
-    stats = evaluate_models(
-        SimulationContext(device, check_memory=False), models, check_memory=False
-    )
-    return models, stats
+    return models, _oracle(device, models, False)
 
 
 class TestDedupProperty:
@@ -228,22 +320,22 @@ class TestDedupProperty:
 # ---------------------------------------------------------------------------
 
 
-def _eval_chunk(context, models):
-    return evaluate_cells(context, models, check_memory=False)
-
-
 class TestMapChunksSerial:
     def test_single_fused_call(self, device, small_pool):
         models = _pool_models(small_pool)
-        ref = evaluate_models(_fresh(device), models, check_memory=False)
+        ref = _oracle(device, models, False)
         ctx = _fresh(device)
-        sizes0 = (global_registry().histogram("exec.batch.size").values or [])[:]
-        out = map_chunks(_eval_chunk, models, ctx)
+        calls = []
+
+        def eval_chunk(context, cells):
+            calls.append(len(cells))
+            return evaluate_cells(context, cells, check_memory=False)
+
+        out = map_chunks(eval_chunk, models, ctx)
         assert out == ref
-        sizes = global_registry().histogram("exec.batch.size").values
-        # Exactly one new batch observation: the whole grid was fused.
-        assert len(sizes) == len(sizes0) + 1
-        assert sizes[-1] == len(models)
+        # one call over the whole grid, every cell timed once
+        assert calls == [len(models)]
+        assert ctx.stats.misses == len(models)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from repro.gpusim import (
     structural_key,
 )
 from repro.core.pipeline import PipelineOptions, plan_network
-from repro.gpusim import exec as exec_module
 from repro.gpusim import session as session_module
 from repro.gpusim.device import TITAN_BLACK, TITAN_X, ArchProfile, DeviceSpec
 from repro.gpusim.occupancy import Occupancy
@@ -215,7 +214,6 @@ def _recorded_keys(build):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(session_module, "structural_key", recording)
-        mp.setattr(exec_module, "structural_key", recording)
         build()
     return [(stage, device) for model, device in pairs for stage in _stages(model)]
 
@@ -363,22 +361,26 @@ class TestCache:
         ctx.run(ToyKernel())
         assert ctx.stats.misses == 2
 
-    def test_composed_kernel_caches_stages(self, device):
+    def test_composed_kernel_is_one_entry(self, device):
+        """A composed kernel is one memo entry under its own key: one
+        miss, then one hit, and its stages are never entries of their own."""
         ctx = SimulationContext(device)
-        composed = ComposedKernel(
-            kernels=[ToyKernel(name="a"), ToyKernel(name="b", flops=2e9)],
-            name="ab",
-        )
-        cold = ctx.run(composed)
-        warm = ctx.run(
-            ComposedKernel(
+
+        def build():
+            return ComposedKernel(
                 kernels=[ToyKernel(name="a"), ToyKernel(name="b", flops=2e9)],
                 name="ab",
             )
-        )
-        assert warm.time_ms == pytest.approx(cold.time_ms)
-        assert ctx.stats.misses == 2  # the two stages, timed once each
-        assert ctx.stats.hits == 2  # served from cache on the second pass
+
+        cold = ctx.run(build())
+        assert (ctx.stats.misses, ctx.stats.hits) == (1, 0)
+        warm = ctx.run(build())
+        assert warm is cold
+        assert (ctx.stats.misses, ctx.stats.hits) == (1, 1)
+        assert ctx.cache_size == 1
+        stages = [ctx.run(stage) for stage in build().kernels]
+        assert ctx.stats.misses == 3  # the stages were not cached by the run
+        assert cold.time_ms == sum(s.time_ms for s in stages)
 
 
 class TestPersistence:

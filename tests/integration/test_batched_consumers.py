@@ -8,9 +8,7 @@ one.  The oracle is
 :func:`scalar_evaluate_cells`: one ``context.run`` per model with in-slot
 error capture, patched over the consumer module's ``evaluate_cells``
 binding and run on a fresh context.  Pipeline transform prices are held to
-the scalar per-edge oracle :func:`edge_transform_ms` the same way.  These tests
-pin the contract the ``bench_planner_perf`` CI gate also enforces end to
-end.
+the scalar per-edge oracle :func:`edge_transform_ms` the same way.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from repro.gpusim.session import GpuOutOfMemoryError
 from repro.ir.graph import NodeKind
 from repro.layers.base import PoolSpec
 from repro.networks import CONV_LAYERS, build_network
-from repro.obs.metrics import aggregate_metrics
 from repro.tensors import TensorDesc
 from repro.tensors.transform_kernels import transform_time_ms
 
@@ -189,15 +186,12 @@ class TestPipelineIdentity:
 
 
 def test_profile_digest_reports_batches(batching):
-    """Smoke for the CLI digest source: the engine's batches show up in
-    the ``batch.eval`` counters after a consumer runs; the scalar oracle
-    reports none."""
-    before = aggregate_metrics().value("batch.eval.batches") or 0
-    sweep_pool(
-        TITAN_BLACK, POOL_SPECS[0], "c", (8, 32), context=SimulationContext(TITAN_BLACK)
-    )
-    after = aggregate_metrics().value("batch.eval.batches") or 0
-    if batching:
-        assert after > before
-    else:
-        assert after == before
+    """The ``--sim-stats`` digest source counts a grid's cells the same
+    way through the engine and the scalar oracle: one miss per distinct
+    cell on a cold context, one hit per cell on a warm one."""
+    context = SimulationContext(TITAN_BLACK)
+    sweep_pool(TITAN_BLACK, POOL_SPECS[0], "c", (8, 32), context=context)
+    cells = context.stats.misses
+    assert cells > 0 and context.stats.hits == 0
+    sweep_pool(TITAN_BLACK, POOL_SPECS[0], "c", (8, 32), context=context)
+    assert (context.stats.misses, context.stats.hits) == (cells, cells)

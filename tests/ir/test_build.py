@@ -8,7 +8,6 @@ from repro.framework.netdef import (
     ConvDef,
     FCDef,
     NetworkDef,
-    PoolDef,
     SoftmaxDef,
 )
 from repro.ir import NodeKind, infer_shapes, lower_netdef

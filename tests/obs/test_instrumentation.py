@@ -12,7 +12,7 @@ import pytest
 from repro.analysis.sweeps import sweep_pool
 from repro.cli import main
 from repro.core.pipeline import PipelineOptions, plan_network
-from repro.gpusim import SimulationContext, get_device
+from repro.gpusim import SimulationContext
 from repro.networks import NETWORK_BUILDERS, build_network
 from repro.obs import (
     Tracer,

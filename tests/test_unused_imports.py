@@ -1,4 +1,4 @@
-"""No module in ``src/repro`` keeps an import it never uses.
+"""No module in ``src/repro`` or ``tests`` keeps an import it never uses.
 
 Deleting a function tends to orphan the imports only it needed.  Package
 ``__init__`` modules are skipped: their imports are the re-exports.  A
@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+TESTS = ROOT / "tests"
 _TOKEN = re.compile(r"[A-Za-z_]\w*")
 
 
@@ -53,7 +55,7 @@ def unused_imports(path: Path) -> list[str]:
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used_names(tree)
     return [
-        f"{path.relative_to(SRC.parent)}:{line}: {name}"
+        f"{path.relative_to(ROOT)}:{line}: {name}"
         for name, line in _module_imports(tree)
         if name not in used
     ]
@@ -65,4 +67,13 @@ def unused_imports(path: Path) -> list[str]:
     ids=lambda p: str(p.relative_to(SRC)),
 )
 def test_no_unused_module_imports(path):
+    assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in TESTS.rglob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: str(p.relative_to(TESTS)),
+)
+def test_no_unused_test_imports(path):
     assert unused_imports(path) == []
