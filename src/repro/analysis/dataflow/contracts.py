@@ -10,7 +10,7 @@ pass that introduced it".
 
 Contracts are registered by name so passes (including third-party ones
 added around :func:`repro.core.pipeline.default_passes`) can declare any
-subset.  The checks reuse the same dataflow analyses as the D-rules; a
+subset.  The checks reuse the same dataflow sweeps as the D-rules; a
 contract violation is a verification failure, so severity is uniform.
 """
 
@@ -104,8 +104,9 @@ def _layout_coherent(graph: Graph) -> Iterator[Finding]:
 
 @contract(
     "no-inverse-pairs",
-    "no layout-agnostic node hosts a transform-inverse pair that "
-    "relabeling would cancel at zero cost",
+    "no layout-agnostic node sits between neighbours that all share one "
+    "other layout (relabeling it would cancel every incident transform); "
+    "relabels that only win on cost are not checked",
 )
 def _no_inverse_pairs(graph: Graph) -> Iterator[Finding]:
     yield from check_inverse_pairs(graph)

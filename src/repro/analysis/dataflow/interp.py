@@ -2,13 +2,14 @@
 
 The pass pipeline annotates every node with shapes, a layout, and the
 edge transforms that reconcile disagreeing layouts.  These checks *prove*
-the annotations consistent by abstract interpretation: a forward dataflow
-propagates the layout each producer actually delivers (carried through
-classifiers the same way ``core.pipeline.InsertTransforms`` carries it),
-and every node's annotations are compared against the facts arriving on
-its real edges.  These checks run on arbitrary DAGs and are shared by the
-``D0xx`` lint rules, :func:`~repro.analysis.dataflow.verify.verify_graph`,
-and the pass-contract verifier.
+the annotations consistent.  :func:`delivered_layouts` computes the
+layout each producer actually delivers in one topological sweep (carried
+through classifiers the same way ``core.pipeline.InsertTransforms``
+carries it), and every node's annotations are compared against the facts
+arriving on its real edges.  These checks run on arbitrary graphs and are
+shared by the ``D0xx`` lint rules,
+:func:`~repro.analysis.dataflow.verify.verify_graph`, and the
+pass-contract verifier.
 
 Check functions return :class:`~repro.analysis.rules.base.Finding` records
 (the rule registry stamps IDs/severities onto them) and never raise on
@@ -24,62 +25,48 @@ from ...ir.graph import Dims, Graph, GraphNode, NodeKind
 from ...layers.base import ConvSpec, FCSpec, PoolSpec
 from ...tensors.layout import DataLayout
 from ..rules.base import Finding
-from .framework import DataflowAnalysis, DataflowResult, run_analysis
 
-#: lattice top/conflict sentinel for the layout domain
+#: the fact where disagreeing layouts meet
 CONFLICT = DataLayout.__new__(DataLayout)
 object.__setattr__(CONFLICT, "order", "????")
 
 LayoutFact = DataLayout | None  # None = unknown / not yet assigned
 
 
-class LayoutPropagation(DataflowAnalysis[LayoutFact]):
-    """Forward analysis: the effective storage layout each node delivers.
-
-    Classifier nodes flatten the data and never change the carried
-    layout; every other node delivers its assigned ``layout``.  An edge
-    transform rewrites the fact on that edge alone.  Facts that disagree
-    at a join become :data:`CONFLICT`.
-    """
-
-    name = "layout-propagation"
-    direction = "forward"
-
-    def boundary(self, graph: Graph) -> LayoutFact:
-        return None
-
-    def join(self, a: LayoutFact, b: LayoutFact) -> LayoutFact:
-        if a is None:
-            return b
-        if b is None or a == b:
-            return a
-        return CONFLICT
-
-    def transfer(self, graph: Graph, node: GraphNode, fact: LayoutFact) -> LayoutFact:
-        if node.kind is NodeKind.CLASSIFIER:
-            return fact
-        return node.layout if node.layout is not None else fact
-
-    def edge_transfer(
-        self, graph: Graph, producer: GraphNode, consumer: GraphNode, fact: LayoutFact
-    ) -> LayoutFact:
-        for t in consumer.transforms:
-            if t.src == producer.name:
-                return t.to_layout
-        return fact
-
-
-def propagate_layouts(graph: Graph) -> DataflowResult[LayoutFact]:
-    """Run the layout propagation to fixpoint."""
-    return run_analysis(graph, LayoutPropagation())
-
-
-def _arriving_layout(
-    result: DataflowResult[LayoutFact], producer: GraphNode, consumer: GraphNode
+def _edge_layout(
+    delivered: dict[str, LayoutFact], producer: str, consumer: GraphNode
 ) -> LayoutFact:
-    """Layout delivered on one edge: producer's effective out fact, after
-    the edge's transform (if any)."""
-    return result.fact_on_edge(producer.name, consumer.name)
+    """Layout arriving on one edge: the transform's target if the edge
+    has one, else what the producer delivers (``None`` while unknown)."""
+    for t in consumer.transforms:
+        if t.src == producer:
+            return t.to_layout
+    return delivered.get(producer)
+
+
+def delivered_layouts(graph: Graph) -> dict[str, LayoutFact]:
+    """The storage layout each node delivers, in one topological sweep.
+
+    A non-classifier node with a layout delivers it; a classifier (which
+    flattens the data) or an unassigned node delivers the join of the
+    facts arriving on its edges: unknown yields to known, and facts that
+    disagree join to :data:`CONFLICT`.  A producer the sweep has not
+    reached yet — a forward reference, which D006 reports — is unknown.
+    """
+    delivered: dict[str, LayoutFact] = {}
+    for node in graph.topological():
+        if node.layout is not None and node.kind is not NodeKind.CLASSIFIER:
+            delivered[node.name] = node.layout
+            continue
+        fact: LayoutFact = None
+        for src in node.inputs:
+            arriving = _edge_layout(delivered, src, node)
+            if fact is None:
+                fact = arriving
+            elif arriving is not None and arriving != fact:
+                fact = CONFLICT
+        delivered[node.name] = fact
+    return delivered
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +241,12 @@ def check_layout_coherence(graph: Graph) -> Iterator[Finding]:
     edge (after its transform, if any) must equal the consumer's layout."""
     if not _structurally_sound(graph):
         return
-    result = propagate_layouts(graph)
+    delivered = delivered_layouts(graph)
     for node in graph.topological():
         if node.kind is NodeKind.CLASSIFIER or node.layout is None:
             continue  # flattened data / unassigned: nothing to check yet
         for producer in graph.producers(node.name):
-            arriving = _arriving_layout(result, producer, node)
+            arriving = _edge_layout(delivered, producer.name, node)
             if arriving is None:
                 continue
             if arriving is CONFLICT:
@@ -289,25 +276,21 @@ def check_transform_annotations(graph: Graph) -> Iterator[Finding]:
     what the consumer runs in."""
     if not _structurally_sound(graph):
         return
-    result = propagate_layouts(graph)
+    delivered = delivered_layouts(graph)
     for node in graph.topological():
         for t in node.transforms:
             if t.src not in graph.nodes:
                 continue  # structural check reports dangling sources
-            delivered = result.out_facts.get(t.src)
-            if (
-                delivered is not None
-                and delivered is not CONFLICT
-                and delivered != t.from_layout
-            ):
+            source = delivered[t.src]
+            if source is not None and source is not CONFLICT and source != t.from_layout:
                 yield Finding(
                     node.name,
                     f"transform on the edge from {t.src!r} reads "
-                    f"{t.from_layout} but the producer delivers {delivered}",
+                    f"{t.from_layout} but the producer delivers {source}",
                     {
                         "edge": t.src,
                         "transform_source": str(t.from_layout),
-                        "producer": str(delivered),
+                        "producer": str(source),
                     },
                 )
             if (
@@ -340,60 +323,37 @@ def check_transform_annotations(graph: Graph) -> Iterator[Finding]:
 
 
 def check_inverse_pairs(graph: Graph) -> Iterator[Finding]:
-    """A layout-agnostic node whose relabeling would cancel *all* of its
-    incident layout disagreements hosts an uneliminated transform-inverse
-    pair: the layout assignment should have relabeled it (the relabel
-    removes transforms and adds none, a strict win)."""
+    """A layout-agnostic node whose neighbours all share one layout other
+    than its own hosts an uneliminated transform-inverse pair: relabeling
+    it cancels every incident disagreement and adds none.
+
+    Only that all-or-nothing case is visible here.  A relabel that wins on
+    cost while leaving some disagreement in place (the fine-tune's strict
+    cost wins, e.g. heuristic inception's ``concat``) is not flagged; the
+    golden plan tests guard those."""
     if not _structurally_sound(graph):
         return
-    result = propagate_layouts(graph)
-    consumers: dict[str, list[GraphNode]] = {name: [] for name in graph.nodes}
-    for node in graph:
-        for src in node.inputs:
-            consumers[src].append(node)
-
+    delivered = delivered_layouts(graph)
     for node in graph.topological():
         if not node.kind.layout_agnostic or node.layout is None:
             continue
-
-        def mismatches(candidate: DataLayout) -> int:
-            count = 0
-            for producer in graph.producers(node.name):
-                delivered = result.out_facts.get(producer.name)
-                if delivered is None or delivered is CONFLICT:
-                    continue
-                if delivered != candidate:
-                    count += 1
-            for consumer in consumers[node.name]:
-                if consumer.kind is NodeKind.CLASSIFIER or consumer.layout is None:
-                    continue
-                if consumer.layout != candidate:
-                    count += 1
-            return count
-
-        current = mismatches(node.layout)
-        if current == 0:
-            continue
-        candidates: set[DataLayout] = set()
-        for producer in graph.producers(node.name):
-            delivered = result.out_facts.get(producer.name)
-            if delivered is not None and delivered is not CONFLICT:
-                candidates.add(delivered)
-        for consumer in consumers[node.name]:
-            if consumer.kind is not NodeKind.CLASSIFIER and consumer.layout is not None:
-                candidates.add(consumer.layout)
-        for candidate in sorted(candidates, key=str):
-            if candidate != node.layout and mismatches(candidate) == 0:
-                yield Finding(
-                    node.name,
-                    f"layout-agnostic node labeled {node.layout} sits between "
-                    f"{candidate} neighbours on every side; relabeling it to "
-                    f"{candidate} cancels the transform-inverse pair at zero "
-                    f"cost",
-                    {
-                        "current": str(node.layout),
-                        "candidate": str(candidate),
-                        "mismatched_edges": current,
-                    },
-                )
-                break
+        arriving = [delivered[p.name] for p in graph.producers(node.name)]
+        neighbours = [f for f in arriving if f is not None and f is not CONFLICT] + [
+            c.layout
+            for c in graph.consumers(node.name)
+            if c.kind is not NodeKind.CLASSIFIER and c.layout is not None
+        ]
+        if len(set(neighbours)) == 1 and neighbours[0] != node.layout:
+            candidate = neighbours[0]
+            yield Finding(
+                node.name,
+                f"layout-agnostic node labeled {node.layout} sits between "
+                f"{candidate} neighbours on every side; relabeling it to "
+                f"{candidate} cancels the transform-inverse pair at zero "
+                f"cost",
+                {
+                    "current": str(node.layout),
+                    "candidate": str(candidate),
+                    "mismatched_edges": len(neighbours),
+                },
+            )

@@ -8,11 +8,9 @@ allocator that frees each buffer after its *last use* (interval liveness,
 as in Demmel & Dinh's communication-optimal analysis and cuDNN workspace
 accounting) peaks much lower.  This module computes that model:
 
-* :class:`LivenessAnalysis` — a backward dataflow whose fact is the set
-  of buffers still needed (a buffer is named by its producing node; ``""``
-  is the network input);
 * :func:`buffer_intervals` — first-def/last-use schedule intervals per
-  buffer, derived from the fixpoint;
+  buffer (a buffer is named by its producing node; ``""`` is the network
+  input), in one sweep over the schedule;
 * :func:`liveness_footprint` — the step-by-step live-byte curve and its
   peak, directly comparable to ``network_footprint(graph).peak_bytes``
   (both models size buffers, weights, workspaces and transform scratch
@@ -36,33 +34,8 @@ from ...framework.memory import (
 )
 from ...ir.graph import Graph, GraphNode
 from ..rules.base import Finding
-from .framework import DataflowAnalysis, run_analysis
 
 INPUT_BUFFER = ""  # the network-input pseudo buffer
-
-
-class LivenessAnalysis(DataflowAnalysis[frozenset[str]]):
-    """Backward analysis: which buffers are still needed before a node.
-
-    ``live_in(n) = (live_out(n) - {n}) | uses(n)`` — the classic liveness
-    equations with each node defining exactly one buffer (its output) and
-    using its input edges' buffers.
-    """
-
-    name = "liveness"
-    direction = "backward"
-
-    def boundary(self, graph: Graph) -> frozenset[str]:
-        return frozenset()
-
-    def join(self, a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
-        return a | b
-
-    def transfer(
-        self, graph: Graph, node: GraphNode, fact: frozenset[str]
-    ) -> frozenset[str]:
-        uses = frozenset(node.inputs) if node.inputs else frozenset({INPUT_BUFFER})
-        return (fact - {node.name}) | uses
 
 
 @dataclass(frozen=True)
@@ -82,30 +55,22 @@ class BufferInterval:
 def buffer_intervals(graph: Graph) -> dict[str, BufferInterval]:
     """First-def/last-use intervals for every buffer, in schedule order.
 
-    Derived from the :class:`LivenessAnalysis` fixpoint: a buffer's
-    interval runs from its defining step to the last step whose live-in
-    set still contains it (a linear-schedule allocator cannot free it
-    earlier).  A buffer with no consumers ends at its defining step; the
-    network input starts at -1 — live before the first node runs.
+    A buffer's interval runs from its defining step to the last step that
+    lists it as an input (a linear-schedule allocator cannot free it
+    earlier).  A buffer with no consumers ends at its defining step.  The
+    network input starts at -1 — live before the first node runs — and is
+    read by the nodes with no inputs.
     """
     order = graph.topological()
-    position = {node.name: i for i, node in enumerate(order)}
-    result = run_analysis(graph, LivenessAnalysis())
     last_use: dict[str, int] = {INPUT_BUFFER: -1}
-    for node in order:
-        # out_facts is the backward-transfer output: live *entering* the
-        # node in execution order, i.e. the buffers it or a later
-        # consumer still reads.
-        for buffer in result.out_facts.get(node.name, frozenset()):
-            last_use[buffer] = max(
-                last_use.get(buffer, -1), position[node.name]
-            )
+    for step, node in enumerate(order):
+        for buffer in node.inputs or (INPUT_BUFFER,):
+            last_use[buffer] = step
     intervals: dict[str, BufferInterval] = {}
     intervals[INPUT_BUFFER] = BufferInterval(
         INPUT_BUFFER, -1, last_use[INPUT_BUFFER], _input_bytes(graph)
     )
-    for node in order:
-        start = position[node.name]
+    for start, node in enumerate(order):
         intervals[node.name] = BufferInterval(
             node.name,
             start,

@@ -87,11 +87,13 @@ def transform_fact_mismatch(scope: GraphScope) -> Iterator[Finding]:
     "D005",
     Severity.WARNING,
     "transform-inverse pair not eliminated across a layout-agnostic node",
-    rationale="A layout-agnostic node (LRN, concat) relabeled to its "
-    "neighbours' layout drops its incident transforms at zero kernel "
-    "cost; a surviving cancellable pair means the layout assignment "
-    "(the heuristic fine-tune's agnostic-node relabel, or the min cut) "
-    "missed a strict win.",
+    rationale="A layout-agnostic node (LRN, concat) whose neighbours all "
+    "share one other layout drops every incident transform when relabeled "
+    "to it, at zero kernel cost; such a surviving pair means the layout "
+    "assignment missed a free win.  Only that all-or-nothing case is "
+    "checked: a relabel that wins on cost while leaving some disagreement "
+    "(the heuristic fine-tune's strict cost wins, such as inception's "
+    "concat) is invisible here, and the golden plan tests guard those.",
     example="CHWN branches joining an NCHW-labeled concat whose only "
     "consumer immediately transforms back to CHWN",
 )

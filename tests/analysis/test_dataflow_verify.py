@@ -2,8 +2,10 @@
 coherent graphs — random or pipeline-produced — are ERROR-silent."""
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.analysis import Severity, verify_graph
+from repro.analysis import Severity, liveness_footprint, verify_graph
+from repro.analysis.dataflow import CONTRACTS
 from repro.analysis.lint import LintConfig
 from repro.core.pipeline import PipelineOptions, plan_network
 from repro.ir.graph import EdgeTransform, Graph, GraphNode, NodeKind
@@ -79,6 +81,17 @@ class TestCorruptions:
         g["pool"].layout = NCHW  # conv delivers CHWN, no transform recorded
         diags = verify_graph(g)
         assert "D003" in ids_of(diags)
+
+    def test_conflicting_facts_into_a_conv_are_d003(self):
+        g = Graph("conflict", batch=2, in_channels=3, in_h=8, in_w=8)
+        g.add(GraphNode("left", NodeKind.CONV, layout=CHWN))
+        g.add(GraphNode("right", NodeKind.CONV, layout=NCHW))
+        # an unassigned concat carries both layouts on: its fact is CONFLICT
+        g.add(GraphNode("cat", NodeKind.CONCAT, inputs=("left", "right")))
+        g.add(GraphNode("conv", NodeKind.CONV, inputs=("cat",), layout=CHWN))
+        d003 = [d for d in verify_graph(g) if d.rule_id == "D003"]
+        assert [d.subject for d in d003] == ["conv"]
+        assert "conflicting layout facts" in d003[0].message
 
     def test_layout_mismatched_transform_is_d004(self):
         g = chain_graph()
@@ -156,3 +169,23 @@ class TestCoherentGraphsAreSilent:
             )
             diags = verify_graph(result.graph, device, network=name)
             assert diags == [], [d.format() for d in diags]
+
+
+class TestRewiredGraphsDoNotCrash:
+    """A verifier that raises on the graphs it exists to reject is useless:
+    rewiring one node's inputs (forward references, cycles, self-loops,
+    duplicate and dangling edges) must yield diagnostics, not exceptions."""
+
+    @given(annotated_graphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_check_returns(self, graph, data):
+        names = list(graph.nodes)
+        victim = data.draw(st.sampled_from(names))
+        graph[victim].inputs = tuple(
+            data.draw(st.lists(st.sampled_from(names + ["ghost"]), max_size=3))
+        )
+        verify_graph(graph)
+        for contract in CONTRACTS.values():
+            list(contract.check(graph))
+        for training in (False, True):
+            liveness_footprint(graph, training=training)
