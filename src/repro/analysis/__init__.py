@@ -6,7 +6,6 @@ from .._lazy import lazy_exports
 
 _EXPORTS = {
     "attribution": ("GainAttribution", "attribute_gains"),
-    "dataflow.contracts": ("ContractViolation", "check_contracts"),
     "dataflow.liveness": (
         "BufferInterval",
         "LivenessFootprint",

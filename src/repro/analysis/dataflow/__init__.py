@@ -1,23 +1,16 @@
 """Dataflow verification layer over the network-graph IR.
 
-Three checks, each one sweep over the graph in topological order:
-abstract shape/layout interpretation (:mod:`.interp`), buffer liveness
-with the interval-based peak-memory model (:mod:`.liveness`), and the
-pass-contract invariants (:mod:`.contracts`).  :mod:`.verify` exposes
-them as :func:`verify_graph` / :func:`verify_network`, surfaced on the
-CLI as ``repro verify`` and as the ``D0xx`` rules of ``repro lint``.
+Two analyses, each one sweep over the graph in topological order:
+abstract shape/layout interpretation (:mod:`.interp`) and buffer liveness
+with the interval-based peak-memory model (:mod:`.liveness`).  The
+``D0xx`` rules of ``repro lint`` wrap their checks; :mod:`.verify` runs
+those rules as :func:`verify_graph` / :func:`verify_network`, surfaced on
+the CLI as ``repro verify`` and between pipeline passes.
 """
 
 from ..._lazy import lazy_exports
 
 _EXPORTS = {
-    "contracts": (
-        "CONTRACTS",
-        "Contract",
-        "ContractViolation",
-        "check_contracts",
-        "contract",
-    ),
     "interp": (
         "CONFLICT",
         "check_inverse_pairs",

@@ -6,10 +6,10 @@ the annotations consistent.  :func:`delivered_layouts` computes the
 layout each producer actually delivers in one topological sweep (carried
 through classifiers the same way ``core.pipeline.InsertTransforms``
 carries it), and every node's annotations are compared against the facts
-arriving on its real edges.  These checks run on arbitrary graphs and are
-shared by the ``D0xx`` lint rules,
-:func:`~repro.analysis.dataflow.verify.verify_graph`, and the
-pass-contract verifier.
+arriving on its real edges.  These checks run on arbitrary graphs and
+back the ``D0xx`` lint rules, which
+:func:`~repro.analysis.dataflow.verify.verify_graph` runs for
+``repro verify`` and between pipeline passes.
 
 Check functions return :class:`~repro.analysis.rules.base.Finding` records
 (the rule registry stamps IDs/severities onto them) and never raise on

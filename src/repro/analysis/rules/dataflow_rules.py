@@ -6,7 +6,8 @@ abstract-interpretation and liveness analyses from
 edges, so they are sound on branching (Inception/ResNet-style) networks.
 They back three surfaces with one implementation: ``repro lint`` (this
 registry), ``repro verify`` / :func:`~repro.analysis.dataflow.verify.verify_graph`,
-and the pass-contract verifier between pipeline passes.
+and the verifier between pipeline passes, where each pass's ``contracts``
+name the D-rules its output graph must pass.
 """
 
 from __future__ import annotations
@@ -126,3 +127,22 @@ def use_outside_interval(scope: GraphScope) -> Iterator[Finding]:
 )
 def double_count_hazard(scope: GraphScope) -> Iterator[Finding]:
     yield from check_double_counts(scope.graph)
+
+
+@rule(
+    "D008",
+    Severity.ERROR,
+    "layout-bearing node carries no layout",
+    rationale="A conv or pooling kernel reads one specific 4-D order, so "
+    "every such node must carry an assigned layout; D003 skips unassigned "
+    "nodes, so without this rule a plan missing a layout verifies clean.",
+    example='a serialized plan whose conv node has "layout": null',
+)
+def unassigned_layout(scope: GraphScope) -> Iterator[Finding]:
+    for node in scope.graph.topological():
+        if node.kind.layout_bearing and node.layout is None:
+            yield Finding(
+                node.name,
+                f"{node.kind.value} node has no layout",
+                {"kind": node.kind.value},
+            )

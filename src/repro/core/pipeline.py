@@ -59,6 +59,7 @@ from .heuristic import (
 from .planner import PLAN_LAYOUTS, _LayerCosts, _node_costs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..analysis.rules.base import Diagnostic
     from ..framework.netdef import NetworkDef
 
 __all__ = [
@@ -92,8 +93,8 @@ class PipelineOptions:
     tune_pooling: bool = True
     allow_fft: bool = True
     thresholds: LayoutThresholds | None = None
-    #: run each pass's declared contracts on its output graph and raise
-    #: :class:`PassContractError` attributing the first violation to the
+    #: run each pass's declared D-rules on its output graph and raise
+    #: :class:`PassContractError` attributing the first failure to the
     #: offending pass.  Verification is observational: the planned result
     #: is byte-identical with it on or off.
     verify: bool = False
@@ -139,22 +140,21 @@ class PassTrace:
 
 
 class PassContractError(RuntimeError):
-    """A pass produced a graph violating an invariant it declared.
+    """A pass produced a graph that fails a D-rule it declared.
 
     ``pass_name`` attributes the failure to the offending pass;
-    ``violations`` holds the
-    :class:`~repro.analysis.dataflow.contracts.ContractViolation` records
-    the checker collected for it.
+    ``diagnostics`` holds every finding of its declared rules, whatever
+    the rule's severity.
     """
 
-    def __init__(self, pass_name: str, violations: Sequence[object]) -> None:
+    def __init__(self, pass_name: str, diagnostics: Sequence[Diagnostic]) -> None:
         self.pass_name = pass_name
-        self.violations = tuple(violations)
+        self.diagnostics = tuple(diagnostics)
         lines = [
             f"pass {pass_name!r} violated its contracts "
-            f"({len(self.violations)} finding(s)):"
+            f"({len(self.diagnostics)} finding(s)):"
         ]
-        lines += [f"  {v.format()}" for v in self.violations]  # type: ignore[attr-defined]
+        lines += [f"  {d.format()}" for d in self.diagnostics]
         super().__init__("\n".join(lines))
 
 
@@ -162,15 +162,16 @@ class Pass:
     """A named graph transformation.  Subclasses mutate and return the
     graph; anything worth reporting goes into ``self.stats``.
 
-    ``contracts`` names the invariants (see
-    :mod:`repro.analysis.dataflow.contracts`) that must hold on the
-    graph this pass returns; the verifying :class:`PassManager` checks
-    them after the pass runs.
+    ``contracts`` names the D-rules (``repro lint --list-rules``) that
+    must pass on the graph this pass returns; the verifying
+    :class:`PassManager` runs them after the pass.  Every pass keeps the
+    structural three: no dangling edge (D002), no read outside a buffer's
+    liveness interval (D006), no duplicate edge (D007).
     """
 
     name = "pass"
-    #: invariant names guaranteed on this pass's output graph
-    contracts: tuple[str, ...] = ("structure",)
+    #: D-rule ids that hold on this pass's output graph
+    contracts: tuple[str, ...] = ("D002", "D006", "D007")
 
     def __init__(self) -> None:
         self.stats: dict[str, object] = {}
@@ -189,8 +190,8 @@ class PassManager:
     trace is available from every caller (``repro plan --trace``), not
     just the ``--explain`` table.
 
-    With ``verify=True`` each pass's declared contracts are checked on
-    its output graph and the first violation raises
+    With ``verify=True`` each pass's declared D-rules run on its output
+    graph and the first pass with a finding raises
     :class:`PassContractError` naming that pass — a compiler-style
     "verify between passes" mode (``repro plan --verify``).
     """
@@ -230,12 +231,19 @@ class PassManager:
     @staticmethod
     def _check(graph: Graph, p: Pass) -> None:
         # Imported lazily: the analysis layer depends on this module, so
-        # the contract checker cannot be a module-level import here.
-        from ..analysis.dataflow.contracts import check_contracts
+        # the verifier cannot be a module-level import here.
+        from ..analysis.dataflow.verify import verify_graph
+        from ..analysis.lint import LintConfig
 
-        violations = check_contracts(graph, p.contracts, pass_name=p.name)
-        if violations:
-            raise PassContractError(p.name, violations)
+        not_graph = [rule_id for rule_id in p.contracts if rule_id[:1] != "D"]
+        if not_graph:
+            raise ValueError(f"{p.name}: contracts {not_graph} are not D-rule ids")
+        # LintConfig rejects an unregistered id; the user's --select and
+        # --disable never reach this check.
+        config = LintConfig(selected=frozenset(p.contracts))
+        diagnostics = verify_graph(graph, config=config)
+        if diagnostics:
+            raise PassContractError(p.name, diagnostics)
 
 
 def _attr_safe(value: object) -> object:
@@ -277,16 +285,18 @@ class TransformCostTable:
 
     ``precompute`` enumerates every distinct (dims, src layout, dst layout)
     transform the planner can query on a graph — edges × planning layouts²
-    collapse to a handful of unique tensor shapes — and prices them all in
-    one vectorized evaluation.  ``edge_ms`` is then a dict probe; a query
-    outside the precomputed set raises.
-    ``tests/integration/test_batched_consumers.py`` prices
-    every edge with a scalar oracle and checks that the plans are
-    byte-identical to this table's.
+    collapse to a handful of unique tensor shapes — and prices them all on
+    the run's simulation context (``PassContext.engine``), so they land in
+    that context's memo, counters and persisted cache like every other
+    kernel of the plan.  ``edge_ms`` is then a dict probe; a query outside
+    the precomputed set raises.
+    ``tests/integration/test_batched_consumers.py`` prices every edge with
+    a scalar oracle and checks that the plans are byte-identical to this
+    table's.
     """
 
-    def __init__(self, device: DeviceSpec) -> None:
-        self.device = device
+    def __init__(self, context: SimulationContext) -> None:
+        self.context = context
         self._ms: dict[tuple[tuple[int, ...], str, str], float] = {}
 
     def precompute(self, graph: Graph) -> int:
@@ -311,14 +321,8 @@ class TransformCostTable:
                             TensorDesc(*dims, layout=src_l), dst_l, method="auto"
                         )
         if pending:
-            # transform_time_ms prices transforms on the device's default
-            # context; the memoized batch does the same so cache/metrics
-            # accounting lands in the same place — and repeat plannings of
-            # the same shapes skip the analytic stack entirely.
             outcomes = evaluate_cells(
-                default_context(self.device),
-                list(pending.values()),
-                check_memory=False,
+                self.context, list(pending.values()), check_memory=False
             )
             for key, outcome in zip(pending, outcomes):
                 if isinstance(outcome, Exception):
@@ -365,7 +369,7 @@ class ResolveShapes(Pass):
     """
 
     name = "ResolveShapes"
-    contracts = ("structure", "shapes")
+    contracts = ("D001", "D002", "D006", "D007")
 
     def run(self, graph: Graph, ctx: PassContext) -> Graph:
         if len(graph) and all(n.defn is not None for n in graph):
@@ -412,7 +416,7 @@ class AssignLayouts(Pass):
     """
 
     name = "AssignLayouts"
-    contracts = ("structure", "shapes", "layouts-assigned")
+    contracts = ("D001", "D002", "D006", "D007", "D008")
 
     def run(self, graph: Graph, ctx: PassContext) -> Graph:
         opts = ctx.options
@@ -665,10 +669,7 @@ class InsertTransforms(Pass):
     """
 
     name = "InsertTransforms"
-    contracts = (
-        "structure", "shapes", "layouts-assigned", "layout-coherent",
-        "no-inverse-pairs",
-    )
+    contracts = ("D001", "D002", "D003", "D004", "D005", "D006", "D007", "D008")
 
     def run(self, graph: Graph, ctx: PassContext) -> Graph:
         count, total = 0, 0.0
@@ -712,9 +713,7 @@ class SelectImplementations(Pass):
     """Bind each node to the fastest implementation under its layout."""
 
     name = "SelectImplementations"
-    contracts = (
-        "structure", "shapes", "layouts-assigned", "layout-coherent",
-    )
+    contracts = ("D001", "D002", "D003", "D004", "D006", "D007", "D008")
 
     def run(self, graph: Graph, ctx: PassContext) -> Graph:
         histogram: dict[str, int] = {}
@@ -811,11 +810,12 @@ def run_pipeline(
     strategy = options.strategy_name()
     if len(graph) == 0:
         return PipelineResult(graph, (), device.name, strategy)
+    engine = context or default_context(device)
     ctx = PassContext(
         device=device,
         options=options,
-        engine=context or default_context(device),
-        edge_costs=TransformCostTable(device),
+        engine=engine,
+        edge_costs=TransformCostTable(engine),
     )
     manager = PassManager(
         passes if passes is not None else default_passes(),

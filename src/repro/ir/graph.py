@@ -26,7 +26,7 @@ the plan every consumer reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Any, Iterator
 
@@ -133,11 +133,18 @@ class GraphNode:
         return self.layout if self.kind.layout_bearing else None
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable view (annotations included, specs by repr)."""
+        """JSON-serializable view, annotations included.  The resolved spec
+        (a flat dataclass of scalars) is written as its class name under
+        ``"type"`` plus its fields; the source ``defn`` is not written."""
+        spec = self.spec
         return {
             "name": self.name,
             "kind": self.kind.value,
             "inputs": list(self.inputs),
+            "spec": None if spec is None else {
+                "type": type(spec).__name__,
+                **{f.name: getattr(spec, f.name) for f in fields(spec)},
+            },
             "in_dims": list(self.in_dims) if self.in_dims else None,
             "out_dims": list(self.out_dims) if self.out_dims else None,
             "out_features": self.out_features,
@@ -151,10 +158,26 @@ class GraphNode:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "GraphNode":
+        """Rebuild a node from :meth:`to_dict`'s view; a node written
+        without a ``"spec"`` loads with none."""
+        spec = None
+        if data.get("spec"):
+            # Imported here so that importing the IR loads no layer module
+            # (LRNSpec's module imports NumPy).
+            from ..layers.base import ConvSpec, FCSpec, PoolSpec, SoftmaxSpec
+            from ..layers.elementwise import LRNSpec
+
+            spec_types = {
+                t.__name__: t
+                for t in (ConvSpec, FCSpec, LRNSpec, PoolSpec, SoftmaxSpec)
+            }
+            spec_fields = dict(data["spec"])
+            spec = spec_types[spec_fields.pop("type")](**spec_fields)
         return cls(
             name=data["name"],
             kind=NodeKind(data["kind"]),
             inputs=tuple(data.get("inputs", ())),
+            spec=spec,
             in_dims=tuple(data["in_dims"]) if data.get("in_dims") else None,
             out_dims=tuple(data["out_dims"]) if data.get("out_dims") else None,
             out_features=data.get("out_features"),

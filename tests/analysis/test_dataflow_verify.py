@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import Severity, liveness_footprint, verify_graph
-from repro.analysis.dataflow import CONTRACTS
 from repro.analysis.lint import LintConfig
 from repro.core.pipeline import PipelineOptions, plan_network
 from repro.ir.graph import EdgeTransform, Graph, GraphNode, NodeKind
@@ -143,6 +142,13 @@ class TestCorruptions:
         diags = verify_graph(g)
         assert "D007" in ids_of(diags)
 
+    def test_unassigned_layout_bearing_node_is_d008(self):
+        g = chain_graph()
+        g["conv"].layout = None  # D003 skips a node with no layout
+        d008 = [d for d in verify_graph(g) if d.rule_id == "D008"]
+        assert [d.subject for d in d008] == ["conv"]
+        assert d008[0].severity is Severity.ERROR
+
     def test_select_runs_only_named_rules(self):
         g = chain_graph()
         g["pool"].inputs = ("ghost",)          # D002
@@ -185,7 +191,5 @@ class TestRewiredGraphsDoNotCrash:
             data.draw(st.lists(st.sampled_from(names + ["ghost"]), max_size=3))
         )
         verify_graph(graph)
-        for contract in CONTRACTS.values():
-            list(contract.check(graph))
         for training in (False, True):
             liveness_footprint(graph, training=training)

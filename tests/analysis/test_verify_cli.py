@@ -77,6 +77,26 @@ class TestVerifyGraphFile:
         out = capsys.readouterr().out
         assert "D001" in out
 
+    def test_corrupted_spec_fails_d001(self, tmp_path, capsys, plan_payload):
+        """Specs round-trip, so a spec edited against its edge is caught."""
+        graph = plan_payload["graph"]
+        conv2 = next(n for n in graph["nodes"] if n["name"] == "conv2")
+        conv2["spec"]["ci"] *= 2
+        path = tmp_path / "bad_spec.json"
+        path.write_text(json.dumps(graph))
+        assert main(["verify", "--graph", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "D001" in out and "conv2" in out
+
+    def test_conv_without_layout_fails_d008(self, tmp_path, capsys, plan_payload):
+        graph = plan_payload["graph"]
+        conv = next(n for n in graph["nodes"] if n["kind"] == "conv")
+        conv["layout"] = None
+        path = tmp_path / "no_layout.json"
+        path.write_text(json.dumps(graph))
+        assert main(["verify", "--graph", str(path)]) == 1
+        assert "D008" in capsys.readouterr().out
+
     def test_graph_with_fused_annotation_still_loads(
         self, tmp_path, capsys, plan_payload
     ):

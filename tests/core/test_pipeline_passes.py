@@ -13,6 +13,8 @@ from repro.core.pipeline import (
 )
 from repro.core.planner import _LayerCosts
 from repro.framework import Net, Trainer
+from repro.gpusim import SimulationContext
+from repro.gpusim.session import global_sim_stats, reset_default_contexts
 from repro.ir.graph import EdgeTransform, Graph, GraphNode, NodeKind
 from repro.networks import build_network
 from repro.tensors import CHWN, NCHW
@@ -106,12 +108,22 @@ JOIN_MS = {"a": (1.0, 9.0), "b": (9.0, 1.0), "concat": (0.5, 0.5), "pool": (1.0,
 class TestTransformCostTable:
     def test_unpriced_edge_raises_naming_it(self, device):
         g = sandwich_graph()
-        table = TransformCostTable(device)
+        table = TransformCostTable(SimulationContext(device))
         with pytest.raises(KeyError, match="conv1->lrn: transform CHWN->NCHW"):
             table.edge_ms(g["conv1"], g["lrn"], CHWN, NCHW)
         assert table.precompute(g) == 2  # one shape, both directions
         assert table.edge_ms(g["conv1"], g["lrn"], CHWN, NCHW) > 0
         assert table.edge_ms(g["conv1"], g["lrn"], NCHW, NCHW) == 0.0
+
+    def test_transforms_are_priced_on_the_plan_context(self, device):
+        """A caller's context times and counts the plan's transforms, so
+        no other session (the device's default one included) sees them."""
+        reset_default_contexts()
+        context = SimulationContext(device)
+        result = plan_network(device, build_network("alexnet"), context=context)
+        assert any(node.transforms for node in result.graph)
+        assert context.stats.by_kind["transform"].misses > 0
+        assert global_sim_stats().queries == 0
 
 
 class TestAgnosticRelabel:

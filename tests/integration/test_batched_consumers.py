@@ -73,8 +73,8 @@ class ScalarEdgeCosts:
     """Oracle for ``TransformCostTable``: every edge priced on demand by
     :func:`edge_transform_ms`, nothing precomputed."""
 
-    def __init__(self, device):
-        self.device = device
+    def __init__(self, context):
+        self.device = context.device
 
     def precompute(self, graph):
         return 0
@@ -170,7 +170,7 @@ class TestPipelineIdentity:
         opts = PipelineOptions(strategy=strategy)
 
         def run():
-            # transform prices land on the default context: start it cold
+            # transform prices land on the plan's context: start it cold
             reset_default_contexts()
             ctx = default_context(TITAN_BLACK)
             return plan_network(TITAN_BLACK, net, opts, context=ctx)

@@ -132,6 +132,11 @@ class TestSerialization:
         assert back["conv1"].layout is None
         assert back["fc"].inputs == ("pool1",)
 
+    def test_node_without_spec_key_loads(self):
+        node = GraphNode("conv", NodeKind.CONV, in_dims=(1, 3, 8, 8)).to_dict()
+        del node["spec"]
+        assert GraphNode.from_dict(node).spec is None
+
     def test_summary_mentions_wiring(self):
         text = branch_graph().summary()
         assert "a,b" in text and "(input)" in text
