@@ -41,7 +41,7 @@ from ..framework.netdef import NetworkDef, parse_netdef
 from ..ir.build import lower_netdef
 from ..ir.graph import Graph, GraphNode, NodeKind
 from ..gpusim.device import DeviceSpec
-from ..gpusim.kernel import KernelModel
+from ..gpusim.kernel import ComposedKernel, KernelModel
 from ..gpusim.session import SimulationContext
 from ..layers.base import ConvSpec, PoolSpec
 from ..layers.conv_kernels import make_conv_kernel
@@ -177,9 +177,22 @@ def lint_kernel(
     config: LintConfig = DEFAULT_CONFIG,
     network: str = "",
 ) -> list[Diagnostic]:
-    """Run the K0xx rules over one kernel model on one device."""
-    scope = KernelScope(device=device, kernel=kernel, owner=owner)
-    return _run_scope("kernel", scope, config, network=network)
+    """Run the K0xx rules over one kernel model on one device.
+
+    A composed kernel is linted launch by launch, each stage on its own
+    and owned by ``owner/stage`` (``node[impl/stage]`` for ``node[impl]``).
+    """
+    if not isinstance(kernel, ComposedKernel):
+        scope = KernelScope(device=device, kernel=kernel, owner=owner)
+        return _run_scope("kernel", scope, config, network=network)
+    head, bracket = (owner[:-1], "]") if owner.endswith("]") else (owner, "")
+    diagnostics = []
+    for stage in kernel.kernels:
+        stage_owner = f"{head}/{stage.name}{bracket}" if owner else ""
+        diagnostics += lint_kernel(
+            device, stage, owner=stage_owner, config=config, network=network
+        )
+    return diagnostics
 
 
 # ---------------------------------------------------------------------------

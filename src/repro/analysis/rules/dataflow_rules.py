@@ -22,6 +22,8 @@ from ..dataflow.interp import (
     check_transform_annotations,
 )
 from ..dataflow.liveness import check_double_counts, check_liveness
+from ...ir.graph import NodeKind
+from ...layers.base import ConvSpec, PoolSpec
 from .base import Finding, GraphScope, Severity, rule
 
 
@@ -145,4 +147,29 @@ def unassigned_layout(scope: GraphScope) -> Iterator[Finding]:
                 node.name,
                 f"{node.kind.value} node has no layout",
                 {"kind": node.kind.value},
+            )
+
+
+#: the spec class each spec-bearing node kind must carry
+_SPEC_OF_KIND = {NodeKind.CONV: ConvSpec, NodeKind.POOL: PoolSpec}
+
+
+@rule(
+    "D009",
+    Severity.ERROR,
+    "conv or pool node has no spec of its kind",
+    rationale="A conv or pooling node's spec sizes its kernel, its "
+    "weights and its workspace; D001's geometry checks and the footprint "
+    "skip a node without one, so a plan missing a spec verifies clean and "
+    "under-reports its memory.",
+    example='a serialized plan whose conv node has "spec": null',
+)
+def missing_spec(scope: GraphScope) -> Iterator[Finding]:
+    for node in scope.graph.topological():
+        expected = _SPEC_OF_KIND.get(node.kind)
+        if expected is not None and not isinstance(node.spec, expected):
+            yield Finding(
+                node.name,
+                f"{node.kind.value} node has no {expected.__name__}",
+                {"kind": node.kind.value, "spec": type(node.spec).__name__},
             )

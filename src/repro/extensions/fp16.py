@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from ..gpusim.device import ArchProfile, DeviceSpec, register_device
 from ..gpusim.kernel import KernelModel
 from ..gpusim.session import SimulationContext, default_context
-from ..layers.backward_kernels import ScaledKernel
+from ..layers.backward_kernels import scaled
 from ..layers.base import ConvSpec
 from ..layers.conv_kernels import make_conv_kernel
 from ..networks.table1 import CONV_LAYERS
@@ -77,15 +77,7 @@ def as_fp16(kernel: KernelModel, math_only: bool = False) -> KernelModel:
     Multi-pass implementations stay multi-pass: composed kernels are
     converted stage by stage so the engine still times them additively.
     """
-    from ..gpusim.kernel import ComposedKernel
-
-    if isinstance(kernel, ComposedKernel):
-        return ComposedKernel(
-            kernels=[as_fp16(k, math_only) for k in kernel.kernels],
-            name=f"{kernel.name}-fp16",
-        )
-    mem_scale = 1.0 if math_only else 0.5
-    return ScaledKernel(kernel, f"{kernel.name}-fp16", mem_scale=mem_scale)
+    return scaled(kernel, "-fp16", mem_scale=1.0 if math_only else 0.5)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ _EXPORTS = {
     "exec": ("evaluate_cells", "map_chunks", "shutdown_pool"),
     "session": (
         "GpuOutOfMemoryError",
-        "SequenceStats",
         "SimStats",
         "SimulationContext",
         "default_context",

@@ -18,6 +18,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from math import prod
+from typing import NoReturn
 
 from .device import DeviceSpec
 
@@ -152,9 +153,10 @@ class KernelModel(ABC):
     """One modelled GPU kernel.
 
     Subclasses describe *what the kernel does to the memory system*; the
-    engine turns that into time.  ``n_launches`` > 1 models multi-pass
-    implementations (the 5-kernel softmax, FFT's transform/product/inverse
-    passes) where each pass pays a launch overhead.
+    engine turns that into time.  ``n_launches`` > 1 models a leaf that
+    folds several passes into one description (FFT's transform/product/
+    inverse passes, Winograd's transforms), each paying a launch overhead;
+    a :class:`ComposedKernel` counts the launches of its stages.
     """
 
     #: human-readable kernel name used in reports
@@ -202,46 +204,38 @@ class KernelModel(ABC):
 
 @dataclass
 class ComposedKernel(KernelModel):
-    """A fixed sequence of kernels reported as a single logical operation.
+    """A fixed, flat sequence of leaf kernel launches run as one layer call.
 
     Used for implementations the paper treats as one layer call made of
-    several passes (im2col + GEMM, the FFT pipeline, naive multi-kernel
-    softmax).  Timing composes additively in the engine; this class only
-    aggregates the static description for reporting.
+    several passes (im2col + GEMM, the NHWC repacks around it, the naive
+    multi-kernel softmax).  It is not itself a launch: the session times
+    it, and the linter checks it, stage by stage, so it has no launch
+    geometry, FLOP count or memory profile of its own.  Nested composed
+    stages are flattened at construction.
     """
 
     kernels: list[KernelModel] = field(default_factory=list)
     name: str = "composed"
 
     def __post_init__(self) -> None:
+        self.kernels = [
+            leaf
+            for stage in self.kernels
+            for leaf in (
+                stage.kernels if isinstance(stage, ComposedKernel) else [stage]
+            )
+        ]
         if not self.kernels:
             raise ValueError("ComposedKernel needs at least one kernel")
         self.n_launches = sum(k.n_launches for k in self.kernels)
 
-    def launch_config(self, device: DeviceSpec) -> LaunchConfig:
-        return self.kernels[0].launch_config(device)
-
-    def flop_count(self) -> float:
-        return sum(k.flop_count() for k in self.kernels)
-
-    def memory_profile(self, device: DeviceSpec) -> MemoryProfile:
-        profiles = [k.memory_profile(device) for k in self.kernels]
-        total_loads = sum(p.load_transactions for p in profiles)
-        hit = (
-            sum(p.l2_hit_rate * p.load_transactions for p in profiles) / total_loads
-            if total_loads
-            else 0.0
+    def _per_stage(self, *args: object) -> NoReturn:
+        raise TypeError(
+            f"{self.name}: a composed kernel is timed and linted stage by "
+            "stage; it has no single-launch description"
         )
-        return MemoryProfile(
-            load_bytes=sum(p.load_bytes for p in profiles),
-            store_bytes=sum(p.store_bytes for p in profiles),
-            load_transactions=total_loads,
-            store_transactions=sum(p.store_transactions for p in profiles),
-            l2_hit_rate=hit,
-            dependent_iterations=max(p.dependent_iterations for p in profiles),
-            smem_conflict_degree=max(p.smem_conflict_degree for p in profiles),
-            access_bytes=min(p.access_bytes for p in profiles),
-        )
+
+    launch_config = flop_count = memory_profile = alu_efficiency = _per_stage
 
     def workspace_bytes(self) -> float:
         return max(k.workspace_bytes() for k in self.kernels)

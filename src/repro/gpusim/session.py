@@ -416,8 +416,8 @@ class SimulationContext:
         find the workspace plus resident tensors exceed device memory.
 
         The memo unit is the model passed in: a composed kernel is one
-        entry under its own key, its stages timed uncached and folded as
-        one sequence.  Every stage's fit check runs before the lookup,
+        entry under its own key, each of its stages timed uncached and the
+        results folded.  Every stage's fit check runs before the lookup,
         since whether a kernel fits depends on the flags in force now.  A
         launch or spec ``ValueError`` is memoized under the key as well,
         for this context only: it is never saved with the timing cache.
@@ -462,23 +462,6 @@ class SimulationContext:
         self.metrics.gauge("sim.cache.entries").set(len(self._cache))
         return stats
 
-    def run_sequence(
-        self,
-        models: list[KernelModel],
-        name: str = "sequence",
-        check_memory: bool | None = None,
-        tensor_bytes_resident: float | None = None,
-    ) -> "SequenceStats":
-        """Time a dependent sequence of kernels (no overlap between them:
-        the paper's inter-kernel data passes through off-chip memory, so the
-        next kernel cannot start early)."""
-        return SequenceStats(
-            name=name,
-            kernels=tuple(
-                self.run(m, check_memory, tensor_bytes_resident) for m in models
-            ),
-        )
-
     def _check_fit(
         self,
         model: KernelModel,
@@ -495,13 +478,10 @@ class SimulationContext:
             if tensor_bytes_resident is None
             else tensor_bytes_resident
         )
-        if isinstance(model, ComposedKernel):
-            for stage in model.kernels:
-                self._check_fit(stage, True, resident)
-            return
-        required = model.workspace_bytes() + resident
-        if required > self.device.dram_bytes:
-            raise GpuOutOfMemoryError(model.name, required, self.device.dram_bytes)
+        for stage in _stages(model):
+            required = stage.workspace_bytes() + resident
+            if required > self.device.dram_bytes:
+                raise GpuOutOfMemoryError(stage.name, required, self.device.dram_bytes)
 
     # -- cache management --------------------------------------------------
     @property
@@ -574,79 +554,48 @@ class SimulationContext:
 
 
 # ---------------------------------------------------------------------------
-# Sequence aggregation
+# Composed kernels: one timing per stage
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SequenceStats:
-    """Aggregated stats for a sequence of kernel launches."""
-
-    name: str
-    kernels: tuple[KernelStats, ...]
-
-    @property
-    def time_ms(self) -> float:
-        return sum(k.time_ms for k in self.kernels)
-
-    @property
-    def flops(self) -> float:
-        return sum(k.flops for k in self.kernels)
-
-    @property
-    def dram_bytes(self) -> float:
-        return sum(k.dram_bytes for k in self.kernels)
-
-    @property
-    def useful_bytes(self) -> float:
-        return sum(k.useful_bytes for k in self.kernels)
-
-    @property
-    def achieved_gflops(self) -> float:
-        return self.flops / (self.time_ms * 1e6) if self.time_ms else 0.0
-
-    @property
-    def achieved_bandwidth_gbs(self) -> float:
-        return self.dram_bytes / (self.time_ms * 1e6) if self.time_ms else 0.0
-
-    @property
-    def effective_bandwidth_gbs(self) -> float:
-        return self.useful_bytes / (self.time_ms * 1e6) if self.time_ms else 0.0
+def _stages(model: KernelModel) -> list[KernelModel]:
+    """The leaf launches of ``model``: a composed kernel's stages, else itself."""
+    return model.kernels if isinstance(model, ComposedKernel) else [model]
 
 
 def _time_stages(device: DeviceSpec, model: KernelModel) -> KernelStats:
-    """``time_model`` of a leaf; a composed kernel's stages (nested ones
-    included) timed in order and folded as one sequence."""
+    """``time_model`` of a leaf; a composed kernel's stages timed in order
+    and folded into one result."""
     if isinstance(model, ComposedKernel):
-        seq = SequenceStats(
-            name=model.name,
-            kernels=tuple(_time_stages(device, stage) for stage in model.kernels),
-        )
-        return _collapse_sequence(seq, device)
+        stages = tuple(time_model(device, stage) for stage in model.kernels)
+        return _collapse_sequence(model.name, stages, device)
     return time_model(device, model)
 
 
-def _collapse_sequence(seq: SequenceStats, device: DeviceSpec) -> KernelStats:
-    """Fold a sequence into a single KernelStats for uniform reporting."""
-    first = seq.kernels[0]
+def _collapse_sequence(
+    name: str, stages: tuple[KernelStats, ...], device: DeviceSpec
+) -> KernelStats:
+    """Fold back-to-back launches into one KernelStats (no overlap between
+    them: each stage's output passes through off-chip memory)."""
+    time_ms = sum(k.time_ms for k in stages)
+    flops = sum(k.flops for k in stages)
     return KernelStats(
-        name=seq.name,
+        name=name,
         device=device.name,
-        time_ms=seq.time_ms,
-        compute_ms=sum(k.compute_ms for k in seq.kernels),
-        memory_ms=sum(k.memory_ms for k in seq.kernels),
-        launch_ms=sum(k.launch_ms for k in seq.kernels),
-        flops=seq.flops,
-        dram_bytes=seq.dram_bytes,
-        useful_bytes=seq.useful_bytes,
-        transactions=sum(k.transactions for k in seq.kernels),
-        occupancy=first.occupancy,
-        bound=max(seq.kernels, key=lambda k: k.time_ms).bound,
-        alu_utilization=seq.flops
-        / (seq.time_ms * 1e6 * device.peak_gflops)
-        if seq.time_ms
+        time_ms=time_ms,
+        compute_ms=sum(k.compute_ms for k in stages),
+        memory_ms=sum(k.memory_ms for k in stages),
+        launch_ms=sum(k.launch_ms for k in stages),
+        flops=flops,
+        dram_bytes=sum(k.dram_bytes for k in stages),
+        useful_bytes=sum(k.useful_bytes for k in stages),
+        transactions=sum(k.transactions for k in stages),
+        occupancy=stages[0].occupancy,
+        bound=max(stages, key=lambda k: k.time_ms).bound,
+        alu_utilization=flops / (time_ms * 1e6 * device.peak_gflops)
+        if time_ms
         else 0.0,
-        n_launches=sum(k.n_launches for k in seq.kernels),
+        n_launches=sum(k.n_launches for k in stages),
     )
 
 

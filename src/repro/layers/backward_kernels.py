@@ -2,7 +2,10 @@
 
 The paper's footnote 1 says the backward pass uses "the same data structure
 and convolution operation" — so backward kernels inherit the forward
-kernels' access patterns and layout preferences.  Concretely:
+kernels' access patterns and layout preferences.  Each backward kernel is
+the forward kernel with every leaf launch scaled by :class:`ScaledKernel`:
+a composed forward kernel (im2col + GEMM, the five-kernel softmax) keeps
+its stages, each scaled and timed as its own launch.  Concretely:
 
 * conv backward = two convolution-shaped kernels (gradient w.r.t. data and
   w.r.t. filters), each with the forward kernel's FLOP count and a slightly
@@ -10,8 +13,8 @@ kernels' access patterns and layout preferences.  Concretely:
 * pooling backward = a mask read plus an input-sized scatter, same layout
   behaviour as the forward kernel;
 * FC backward = two GEMMs (dX and dW) plus a bias reduction;
-* softmax backward folds into the fused kernel (cross-entropy's
-  ``p - onehot`` needs one extra pass at most).
+* softmax backward = cross-entropy's ``p - onehot`` over the forward
+  kernel's passes.
 
 These models feed the ``training=True`` mode of the whole-network schemes.
 """
@@ -19,20 +22,21 @@ These models feed the ``training=True`` mode of the whole-network schemes.
 from __future__ import annotations
 
 from ..gpusim.device import DeviceSpec
-from ..gpusim.kernel import KernelModel, LaunchConfig, MemoryProfile
+from ..gpusim.kernel import ComposedKernel, KernelModel, LaunchConfig, MemoryProfile
 from .base import ConvSpec, FCSpec, PoolSpec, SoftmaxSpec
 from .conv_kernels import make_conv_kernel
-from .fc import make_fc_kernel
 from .gemm import GemmKernel
 from .pooling_kernels import make_pool_kernel
 from .softmax_kernels import make_softmax_kernel
 
 
 class ScaledKernel(KernelModel):
-    """A kernel derived from another by scaling work and traffic.
+    """A leaf kernel derived from another by scaling work and traffic.
 
     Used for backward passes that share the forward kernel's structure:
     same launch geometry and access pattern, different constant factors.
+    A composed kernel has no launch to scale; :func:`scaled` scales each
+    of its stages instead.
     """
 
     def __init__(
@@ -42,8 +46,11 @@ class ScaledKernel(KernelModel):
         flop_scale: float = 1.0,
         mem_scale: float = 1.0,
         eff_scale: float = 1.0,
-        n_launches: int | None = None,
     ) -> None:
+        if isinstance(base, ComposedKernel):
+            raise TypeError(
+                f"{base.name}: scale a composed kernel stage by stage (scaled())"
+            )
         if min(flop_scale, mem_scale, eff_scale) <= 0:
             raise ValueError("scales must be positive")
         self.base = base
@@ -51,7 +58,7 @@ class ScaledKernel(KernelModel):
         self.flop_scale = flop_scale
         self.mem_scale = mem_scale
         self.eff_scale = eff_scale
-        self.n_launches = base.n_launches if n_launches is None else n_launches
+        self.n_launches = base.n_launches
 
     def launch_config(self, device: DeviceSpec) -> LaunchConfig:
         return self.base.launch_config(device)
@@ -69,6 +76,19 @@ class ScaledKernel(KernelModel):
         return self.base.workspace_bytes()
 
 
+def scaled(kernel: KernelModel, suffix: str, **scales: float) -> KernelModel:
+    """``kernel`` with every leaf launch wrapped in a :class:`ScaledKernel`;
+    the kernel and each of its stages are renamed with ``suffix``."""
+
+    def scale(leaf: KernelModel) -> KernelModel:
+        return ScaledKernel(leaf, f"{leaf.name}{suffix}", **scales)
+
+    if isinstance(kernel, ComposedKernel):
+        stages = [scale(k) for k in kernel.kernels]
+        return ComposedKernel(kernels=stages, name=f"{kernel.name}{suffix}")
+    return scale(kernel)
+
+
 def conv_backward_kernels(
     spec: ConvSpec, implementation: str
 ) -> list[KernelModel]:
@@ -80,8 +100,8 @@ def conv_backward_kernels(
     """
     fwd = make_conv_kernel(spec, implementation)
     return [
-        ScaledKernel(fwd, f"{fwd.name}-bwd-data", eff_scale=0.95),
-        ScaledKernel(fwd, f"{fwd.name}-bwd-filter", eff_scale=0.85, mem_scale=1.1),
+        scaled(fwd, "-bwd-data", eff_scale=0.95),
+        scaled(fwd, "-bwd-filter", eff_scale=0.85, mem_scale=1.1),
     ]
 
 
@@ -92,25 +112,24 @@ def pool_backward_kernel(
     pooling), scatter an input-sized gradient — about 1.5x the forward
     traffic with the same access pattern."""
     fwd = make_pool_kernel(spec, implementation, coarsen)
-    return ScaledKernel(fwd, f"{fwd.name}-bwd", flop_scale=1.0, mem_scale=1.5)
+    return scaled(fwd, "-bwd", mem_scale=1.5)
 
 
 def fc_backward_kernels(spec: FCSpec) -> list[KernelModel]:
     """dX = dY @ W^T and dW = X^T @ dY, plus the dB reduction folded into
     the second GEMM's epilogue."""
-    del_fwd = make_fc_kernel(spec)  # keeps naming consistent
     dx = GemmKernel(m=spec.in_features, n=spec.n, k=spec.out_features, name="fc-bwd-dx")
     dw = GemmKernel(
         m=spec.in_features, n=spec.out_features, k=spec.n, name="fc-bwd-dw"
     )
-    del del_fwd
     return [dx, dw]
 
 
 def softmax_backward_kernel(spec: SoftmaxSpec, implementation: str) -> KernelModel:
-    """Cross-entropy + softmax backward is one streaming pass over (N, C)."""
-    fwd = make_softmax_kernel(spec, implementation)
-    return ScaledKernel(fwd, f"{fwd.name}-bwd", mem_scale=1.0, n_launches=1)
+    """Cross-entropy + softmax backward: the forward kernel's passes over
+    (N, C) again, at the same cost.  A fused softmax stays one launch; the
+    five-kernel baseline pays its five launches."""
+    return scaled(make_softmax_kernel(spec, implementation), "-bwd")
 
 
 #: time multiplier applied to layout transforms in training mode: the

@@ -12,19 +12,27 @@ slightly different ones).
 from hypothesis import strategies as st
 
 from repro.ir.graph import EdgeTransform, Graph, GraphNode, NodeKind
+from repro.layers import ConvSpec, PoolSpec
 from repro.tensors import CHWN, NCHW
 
 LAYOUTS = (CHWN, NCHW)
+
+
+def _conv_spec(in_dims, co: int) -> ConvSpec:
+    """A 3x3, unit-padded conv: it keeps the input's H/W."""
+    return ConvSpec(*in_dims, co=co, fh=3, fw=3, pad=1)
 
 
 @st.composite
 def annotated_graphs(draw, min_nodes: int = 2, max_nodes: int = 9) -> Graph:
     """A random coherent DAG with shape, layout and transform annotations.
 
-    Nodes keep a constant H/W so any pair of them is concat-compatible;
-    layout-agnostic nodes inherit their first producer's layout (the same
-    policy the pipeline's elimination pass converges to, so no
-    inverse-pair warnings are baked in by construction).
+    Nodes keep a constant H/W so any pair of them is concat-compatible
+    (convs are 3x3 with unit padding, pools 1x1 windows), and each conv
+    and pool carries the spec its dims imply.  Layout-agnostic nodes
+    inherit their first producer's layout (the same policy the pipeline's
+    elimination pass converges to, so no inverse-pair warnings are baked
+    in by construction).
     """
     batch = draw(st.sampled_from([2, 4]))
     hw = draw(st.sampled_from([4, 8]))
@@ -43,6 +51,7 @@ def annotated_graphs(draw, min_nodes: int = 2, max_nodes: int = 9) -> Graph:
             in_dims=(batch, channels, hw, hw),
             out_dims=entry_out,
             layout=first_layout,
+            spec=_conv_spec((batch, channels, hw, hw), entry_out[1]),
         )
     )
     out_dims["n0"] = entry_out
@@ -92,6 +101,12 @@ def annotated_graphs(draw, min_nodes: int = 2, max_nodes: int = 9) -> Graph:
                     if kind is NodeKind.POOL
                     else layout_of[src]
                 )
+        if kind is NodeKind.CONV:
+            spec = _conv_spec(in_dims, dims[1])
+        elif kind is NodeKind.POOL:
+            spec = PoolSpec(*in_dims, window=1, stride=1)
+        else:
+            spec = None
         g.add(
             GraphNode(
                 name,
@@ -100,6 +115,7 @@ def annotated_graphs(draw, min_nodes: int = 2, max_nodes: int = 9) -> Graph:
                 in_dims=in_dims,
                 out_dims=dims,
                 layout=layout,
+                spec=spec,
             )
         )
         out_dims[name] = dims

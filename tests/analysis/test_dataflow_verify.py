@@ -8,6 +8,7 @@ from repro.analysis import Severity, liveness_footprint, verify_graph
 from repro.analysis.lint import LintConfig
 from repro.core.pipeline import PipelineOptions, plan_network
 from repro.ir.graph import EdgeTransform, Graph, GraphNode, NodeKind
+from repro.layers import ConvSpec, PoolSpec
 from repro.networks import NETWORK_BUILDERS, build_network
 from repro.tensors import CHWN, NCHW
 
@@ -28,6 +29,7 @@ def chain_graph() -> Graph:
             in_dims=(2, 3, 8, 8),
             out_dims=(2, 4, 8, 8),
             layout=CHWN,
+            spec=ConvSpec(n=2, ci=3, h=8, w=8, co=4, fh=3, fw=3, pad=1),
         )
     )
     g.add(
@@ -38,6 +40,7 @@ def chain_graph() -> Graph:
             in_dims=(2, 4, 8, 8),
             out_dims=(2, 4, 8, 8),
             layout=CHWN,
+            spec=PoolSpec(n=2, c=4, h=8, w=8, window=1, stride=1),
         )
     )
     g.add(
@@ -148,6 +151,14 @@ class TestCorruptions:
         d008 = [d for d in verify_graph(g) if d.rule_id == "D008"]
         assert [d.subject for d in d008] == ["conv"]
         assert d008[0].severity is Severity.ERROR
+
+    def test_missing_or_foreign_spec_is_d009(self):
+        g = chain_graph()
+        g["conv"].spec = None
+        g["pool"].spec = ConvSpec(n=2, ci=4, h=8, w=8, co=4, fh=1, fw=1)
+        d009 = [d for d in verify_graph(g) if d.rule_id == "D009"]
+        assert [d.subject for d in d009] == ["conv", "pool"]
+        assert all(d.severity is Severity.ERROR for d in d009)
 
     def test_select_runs_only_named_rules(self):
         g = chain_graph()

@@ -169,3 +169,38 @@ class TestNetworkTransformKernels:
             # b2b's output (128 channels), not the 256-channel joined tensor
             (f"concat[{kernel}]", (64, 128, 28, 28), "NCHW", "CHWN"),
         ]
+
+
+class TestComposedKernelStages:
+    """A composed kernel is linted launch by launch: each stage is checked
+    against the device on its own geometry and profile."""
+
+    def test_heuristic_inception_lints_every_im2col_stage(self, monkeypatch, device):
+        import repro.analysis.lint as lint
+        from repro.networks import build_network
+
+        seen = []
+        lint_kernel_through = lint.lint_kernel
+
+        def record(device, kernel, owner="", **kwargs):
+            seen.append((owner, kernel.name))
+            return lint_kernel_through(device, kernel, owner=owner, **kwargs)
+
+        monkeypatch.setattr(lint, "lint_kernel", record)
+        lint.lint_network(device, build_network("inception"), strategy="heuristic")
+        im2col = sorted(owner for owner, name in seen if name == "conv-mm-nchw")
+        assert im2col == ["b1[im2col]", "b2a[im2col]", "b4[im2col]", "conv2[im2col]"]
+        for node in ("conv2", "b1", "b2a", "b4"):
+            for stage in ("conv-im2col-unroll", "conv-gemm"):
+                assert (f"{node}[im2col/{stage}]", stage) in seen
+
+    def test_stage_diagnostics_name_the_stage(self, device):
+        from repro.gpusim.kernel import ComposedKernel
+
+        wide = StubKernel(launch(threads=2048))
+        wide.name = "wide"
+        composed = ComposedKernel(kernels=[StubKernel(launch()), wide], name="pair")
+        diags = lint_kernel(device, composed, owner="conv9[pair]")
+        assert {d.subject for d in diags if d.rule_id == "K001"} == {
+            "conv9[pair/wide]"
+        }

@@ -97,6 +97,17 @@ class TestVerifyGraphFile:
         assert main(["verify", "--graph", str(path)]) == 1
         assert "D008" in capsys.readouterr().out
 
+    def test_conv_without_spec_fails_d009(self, tmp_path, capsys, plan_payload):
+        """A null spec would drop the conv's weights from the footprint."""
+        graph = plan_payload["graph"]
+        for node in graph["nodes"]:
+            if node["kind"] == "conv":
+                node["spec"] = None
+        path = tmp_path / "no_spec.json"
+        path.write_text(json.dumps(graph))
+        assert main(["verify", "--graph", str(path)]) == 1
+        assert "D009" in capsys.readouterr().out
+
     def test_graph_with_fused_annotation_still_loads(
         self, tmp_path, capsys, plan_payload
     ):

@@ -34,13 +34,19 @@ class TestDevice:
 
 class TestFp16Kernels:
     def test_halves_traffic(self, device):
+        """Composed kernels convert stage by stage: each launch keeps its
+        FLOPs over half its bytes."""
         base = make_conv_kernel(CONV_LAYERS["CV7"], "im2col")
         half = as_fp16(base)
-        assert (
-            half.memory_profile(device).load_bytes
-            == 0.5 * base.memory_profile(device).load_bytes
-        )
-        assert half.flop_count() == base.flop_count()
+        assert half.name == f"{base.name}-fp16"
+        assert len(half.kernels) == len(base.kernels)
+        for b, h in zip(base.kernels, half.kernels):
+            assert h.name == f"{b.name}-fp16"
+            assert (
+                h.memory_profile(device).load_bytes
+                == 0.5 * b.memory_profile(device).load_bytes
+            )
+            assert h.flop_count() == b.flop_count()
 
     def test_bandwidth_bound_layers_speed_up_about_2x(self):
         """Pooling is pure bandwidth: FP16 halves its time."""

@@ -77,7 +77,7 @@ class TestSequences:
     def test_sequence_time_is_additive(self, device):
         engine = default_context(device)
         kernels = [ToyKernel(name=f"k{i}") for i in range(3)]
-        seq = engine.run_sequence(kernels, name="pipeline")
+        seq = engine.run(ComposedKernel(kernels=kernels, name="pipeline"))
         assert seq.time_ms == pytest.approx(
             sum(engine.run(k).time_ms for k in kernels)
         )
@@ -99,7 +99,22 @@ class TestSequences:
 
     def test_sequence_bandwidth_properties(self, device):
         engine = default_context(device)
-        seq = engine.run_sequence([ToyKernel()])
+        seq = engine.run(ComposedKernel(kernels=[ToyKernel()], name="one"))
         assert seq.achieved_bandwidth_gbs > 0
         assert seq.effective_bandwidth_gbs > 0
         assert seq.achieved_gflops > 0
+
+    def test_nested_composed_kernels_flatten(self):
+        inner = ComposedKernel(kernels=[ToyKernel(name="a"), ToyKernel(name="b")])
+        outer = ComposedKernel(kernels=[inner, ToyKernel(name="c")], name="abc")
+        assert [k.name for k in outer.kernels] == ["a", "b", "c"]
+        assert outer.n_launches == 3
+
+    @pytest.mark.parametrize(
+        "slot", ["launch_config", "flop_count", "memory_profile", "alu_efficiency"]
+    )
+    def test_composed_has_no_single_launch_description(self, device, slot):
+        composed = ComposedKernel(kernels=[ToyKernel()], name="one")
+        args = () if slot == "flop_count" else (device,)
+        with pytest.raises(TypeError, match="stage by stage"):
+            getattr(composed, slot)(*args)

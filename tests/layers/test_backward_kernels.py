@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.baselines import compare_schemes, time_network
-from repro.gpusim import default_context
-from repro.layers import FCSpec, SoftmaxSpec, make_conv_kernel
+from repro.baselines import SCHEMES, compare_schemes, time_network
+from repro.gpusim import TITAN_BLACK, TITAN_X, SimulationContext, default_context
+from repro.layers import FCSpec, SoftmaxSpec, make_conv_kernel, make_softmax_kernel
 from repro.layers.backward_kernels import (
     ScaledKernel,
     TRAINING_TRANSFORM_FACTOR,
@@ -13,7 +13,12 @@ from repro.layers.backward_kernels import (
     pool_backward_kernel,
     softmax_backward_kernel,
 )
-from repro.networks import CONV_LAYERS, POOL_LAYERS, build_network
+from repro.layers.conv_kernels import CONV_IMPLEMENTATIONS, ConvUnsupportedError
+from repro.networks import CONV_LAYERS, NETWORK_BUILDERS, POOL_LAYERS, build_network
+
+BOTH_DEVICES = pytest.mark.parametrize(
+    "gpu", [TITAN_BLACK, TITAN_X], ids=lambda d: d.name
+)
 
 
 class TestScaledKernel:
@@ -35,6 +40,12 @@ class TestScaledKernel:
         base = make_conv_kernel(CONV_LAYERS["CV7"], "direct")
         with pytest.raises(ValueError):
             ScaledKernel(base, "bad", flop_scale=0.0)
+
+    def test_composed_base_is_rejected(self):
+        """A composed kernel has no single launch to scale."""
+        base = make_conv_kernel(CONV_LAYERS["CV7"], "im2col")
+        with pytest.raises(TypeError, match="stage by stage"):
+            ScaledKernel(base, "bad")
 
 
 class TestBackwardKernels:
@@ -84,6 +95,40 @@ class TestBackwardKernels:
         k = softmax_backward_kernel(SoftmaxSpec(128, 1000), "opt")
         assert default_context(device).run(k).n_launches == 1
 
+    def test_five_kernel_softmax_backward_pays_five_launches(self, device):
+        spec = SoftmaxSpec(128, 1000)
+        k = softmax_backward_kernel(spec, "5kernel")
+        fwd = make_softmax_kernel(spec, "5kernel")
+        assert [s.name for s in k.kernels] == [f"{s.name}-bwd" for s in fwd.kernels]
+        assert default_context(device).run(k).n_launches == 5
+
+    def test_composed_backward_scales_each_stage(self):
+        spec = CONV_LAYERS["CV7"]
+        fwd = make_conv_kernel(spec, "im2col")
+        data, filt = conv_backward_kernels(spec, "im2col")
+        assert data.name == f"{fwd.name}-bwd-data"
+        assert [s.name for s in filt.kernels] == [
+            f"{s.name}-bwd-filter" for s in fwd.kernels
+        ]
+
+    @BOTH_DEVICES
+    def test_gradients_no_faster_than_forward(self, gpu):
+        """Every gradient kernel does the forward pass's work at no better
+        efficiency, so on every Table-1 layer and implementation that runs
+        it is modelled no faster than the forward kernel."""
+        ctx = SimulationContext(gpu, check_memory=False)
+        checked = 0
+        for name, spec in CONV_LAYERS.items():
+            for impl in CONV_IMPLEMENTATIONS:
+                try:
+                    fwd = ctx.run(make_conv_kernel(spec, impl)).time_ms
+                except ConvUnsupportedError:
+                    continue
+                for k in conv_backward_kernels(spec, impl):
+                    assert ctx.run(k).time_ms >= fwd, (name, impl, k.name)
+                    checked += 1
+        assert checked >= 2 * 4 * len(CONV_LAYERS)
+
 
 class TestTrainingMode:
     @pytest.fixture(scope="class")
@@ -121,3 +166,13 @@ class TestTrainingMode:
         opt = results["opt"].total_ms
         assert opt <= results["cudnn-mm"].total_ms
         assert opt <= results["cuda-convnet"].total_ms
+
+    @BOTH_DEVICES
+    def test_opt_fastest_on_every_network(self, gpu):
+        ctx = SimulationContext(gpu)
+        for name in NETWORK_BUILDERS:
+            results = compare_schemes(
+                build_network(name), gpu, SCHEMES, training=True, context=ctx
+            )
+            fastest = min(SCHEMES, key=lambda s: results[s].total_ms)
+            assert results["opt"].total_ms == results[fastest].total_ms, name

@@ -26,9 +26,12 @@ class TestFiveKernelBaseline:
 
     def test_intermediates_roundtrip_memory(self, device):
         spec = SoftmaxSpec(128, 1000)
-        base = five_kernel_softmax(spec).memory_profile(device)
+        base = sum(
+            k.memory_profile(device).useful_bytes
+            for k in five_kernel_softmax(spec).kernels
+        )
         fused = FusedSoftmax(spec).memory_profile(device)
-        assert base.useful_bytes > 3 * fused.useful_bytes
+        assert base > 3 * fused.useful_bytes
 
     def test_latency_bound_with_128_threads(self, device):
         """Paper: 'the number of threads for the kernel is only 128' —
