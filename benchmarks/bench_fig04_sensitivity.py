@@ -11,7 +11,6 @@ from dataclasses import replace
 from figutil import FigureTable
 
 from repro.gpusim import SimulationContext, default_context
-from repro.gpusim.exec import evaluate_cells
 from repro.layers import DirectConvCHWN, Im2colGemmNCHW
 from repro.networks import CONV_LAYERS
 
@@ -21,21 +20,14 @@ C_VALUES = (16, 32, 64, 128, 256)
 
 def _gflops(context: SimulationContext, specs) -> list[tuple[float, float]]:
     """CHWN (cuda-convnet) and NCHW (cuDNN) GFLOPS of every sweep point,
-    both layouts in one memoized vectorized evaluation."""
-    models = []
-    for spec in specs:
-        models.append(DirectConvCHWN(spec))
-        models.append(Im2colGemmNCHW(spec))
-    outcomes = evaluate_cells(context, models, check_memory=False)
-    pairs = []
-    for i in range(len(specs)):
-        g_c, g_m = outcomes[2 * i], outcomes[2 * i + 1]
-        if isinstance(g_c, Exception):
-            raise g_c
-        if isinstance(g_m, Exception):
-            raise g_m
-        pairs.append((g_c.achieved_gflops, g_m.achieved_gflops))
-    return pairs
+    each priced through the context's memo."""
+    return [
+        (
+            context.run(DirectConvCHWN(spec), check_memory=False).achieved_gflops,
+            context.run(Im2colGemmNCHW(spec), check_memory=False).achieved_gflops,
+        )
+        for spec in specs
+    ]
 
 
 def build_figure(

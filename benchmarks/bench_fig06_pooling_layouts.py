@@ -10,7 +10,6 @@ from __future__ import annotations
 from figutil import FigureTable, geomean
 
 from repro.gpusim import SimulationContext, default_context
-from repro.gpusim.exec import evaluate_cells
 from repro.layers import make_pool_kernel
 from repro.networks import POOL_LAYERS
 
@@ -20,17 +19,6 @@ _IMPLS = ("chwn", "nchw-linear", "nchw-rowblock")
 def effective_bw(spec, time_ms: float) -> float:
     useful = spec.in_desc().nbytes + spec.out_desc().nbytes
     return useful / (time_ms * 1e6)
-
-
-def _times(context: SimulationContext, tasks) -> list[float]:
-    """Every (layer, layout) cell priced in one memoized evaluation."""
-    models = [make_pool_kernel(spec, impl) for _, spec, impl in tasks]
-    times = []
-    for out in evaluate_cells(context, models, check_memory=False):
-        if isinstance(out, Exception):
-            raise out
-        times.append(out.time_ms)
-    return times
 
 
 def build_figure(
@@ -44,13 +32,11 @@ def build_figure(
         "achieved GB/s",
         ["layer", "convnet_bw", "caffe_rel", "cudnn_rel", "caffe_bw", "cudnn_bw"],
     )
-    tasks = [
-        (name, spec, impl)
+    grid = {
+        (name, impl): ctx.run(make_pool_kernel(spec, impl), check_memory=False).time_ms
         for name, spec in POOL_LAYERS.items()
         for impl in _IMPLS
-    ]
-    times = _times(ctx, tasks)
-    grid = dict(zip([(t[0], t[2]) for t in tasks], times))
+    }
     for name, spec in POOL_LAYERS.items():
         t_conv = grid[(name, "chwn")]
         t_caffe = grid[(name, "nchw-linear")]

@@ -27,8 +27,7 @@ def build_figure(
         "(speedup normalized to cuda-convnet)",
         ["layer", "caffe", "cudnn", "opt", "factors", "dram_saved_pct", "opt_bw"],
     )
-    # The hill-climbs are per-layer independent: tune them all up front,
-    # in lockstep.
+    # The hill-climbs are per-layer independent: tune them all up front.
     tuned_by_name = dict(
         zip(
             POOL_LAYERS,

@@ -14,13 +14,18 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from ..gpusim.device import DeviceSpec
-from ..gpusim.exec import evaluate_cells
-from ..gpusim.session import SimulationContext, default_context
+from ..gpusim.session import GpuOutOfMemoryError, SimulationContext, default_context
 from ..obs.tracer import span as obs_span
 from ..layers.base import ConvSpec, PoolSpec, SoftmaxSpec
 from ..layers.conv_kernels import ConvUnsupportedError, make_conv_kernel
 from ..layers.pooling_kernels import make_pool_kernel
 from ..layers.softmax_kernels import make_softmax_kernel
+
+_MAKERS = {
+    "conv": make_conv_kernel,
+    "pool": make_pool_kernel,
+    "softmax": make_softmax_kernel,
+}
 
 
 @dataclass(frozen=True)
@@ -72,61 +77,28 @@ def crossovers(result: SweepResult) -> list[tuple[int, str, str]]:
     return out
 
 
-@dataclass(frozen=True)
-class _Cell:
-    """One grid cell: enough to rebuild and time its kernel."""
-
-    kind: str  # "conv" | "pool" | "softmax"
-    base: Any
-    dimension: str
-    value: int
-    implementation: str
-    check_memory: bool
-
-
-def _cell_kernel(cell: _Cell) -> Any:
-    spec = replace(cell.base, **{cell.dimension: cell.value})
-    if cell.dimension == "h" and cell.kind != "softmax":
-        spec = replace(spec, w=cell.value)
-    if cell.kind == "conv":
-        return make_conv_kernel(spec, cell.implementation)
-    if cell.kind == "pool":
-        return make_pool_kernel(spec, cell.implementation)
-    return make_softmax_kernel(spec, cell.implementation)
-
-
-def _eval_cells(context: SimulationContext, cells: list[_Cell]) -> list[SweepPoint]:
-    """One memoized, fused evaluation of the whole grid.
-
-    Kernel-construction failures (unsupported shapes) and per-candidate
-    evaluation failures (OOM, launch validation) become failed points
-    (``time_ms`` None).  Cells whose structural key is
-    already cached skip the analytic stack entirely (see
-    :func:`repro.gpusim.exec.evaluate_cells`).
-    """
-    points: list[SweepPoint | None] = [None] * len(cells)
-    models = []
-    owners = []
-    for i, cell in enumerate(cells):
-        try:
-            models.append(_cell_kernel(cell))
-        except (ConvUnsupportedError, ValueError):
-            points[i] = SweepPoint(cell.value, cell.implementation, None, None)
-            continue
-        owners.append(i)
-    check_memory = cells[0].check_memory if cells else False
-    for i, outcome in zip(owners, evaluate_cells(context, models, check_memory)):
-        cell = cells[i]
-        if isinstance(outcome, Exception):
-            points[i] = SweepPoint(cell.value, cell.implementation, None, None)
-        else:
-            points[i] = SweepPoint(
-                cell.value,
-                cell.implementation,
-                outcome.time_ms,
-                outcome.achieved_gflops,
-            )
-    return [p for p in points if p is not None]
+def _point(
+    context: SimulationContext,
+    kind: str,
+    base: Any,
+    dimension: str,
+    value: int,
+    implementation: str,
+    check_memory: bool,
+) -> SweepPoint:
+    """One grid point, priced through the context's memo.  An unsupported
+    shape, an OOM or a launch failure makes a failed point (``time_ms``
+    None)."""
+    # Caught here, not in the grid loop: the context memoizes a launch
+    # error, and its traceback then holds this frame, not the grid's.
+    try:
+        spec = replace(base, **{dimension: value})
+        if dimension == "h" and kind != "softmax":
+            spec = replace(spec, w=value)
+        stats = context.run(_MAKERS[kind](spec, implementation), check_memory)
+    except (ConvUnsupportedError, GpuOutOfMemoryError, ValueError):
+        return SweepPoint(value, implementation, None, None)
+    return SweepPoint(value, implementation, stats.time_ms, stats.achieved_gflops)
 
 
 def _run_grid(
@@ -138,25 +110,24 @@ def _run_grid(
     values: tuple[int, ...],
     implementations: tuple[str, ...],
 ) -> SweepResult:
-    cells = [
-        _Cell(kind, base, dimension, value, impl, check_memory)
-        for value in values
-        for impl in implementations
-    ]
     with obs_span(
         f"sweep:{kind}:{dimension}",
         "sweep",
         kind=kind,
         dimension=dimension,
-        cells=len(cells),
+        cells=len(values) * len(implementations),
         implementations=list(implementations),
     ):
-        points = _eval_cells(context, cells)
+        points = tuple(
+            _point(context, kind, base, dimension, value, impl, check_memory)
+            for value in values
+            for impl in implementations
+        )
     return SweepResult(
         dimension=dimension,
         values=tuple(values),
         implementations=tuple(implementations),
-        points=tuple(points),
+        points=points,
     )
 
 

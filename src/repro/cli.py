@@ -61,28 +61,6 @@ def _add_device(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _parse_jobs(value: str) -> int | str:
-    """``--jobs`` argument: an integer or the literal ``auto``."""
-    if value.strip().lower() == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {value!r}"
-        ) from None
-
-
-def _add_jobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=_parse_jobs,
-        default=1,
-        help="accepted for compatibility and ignored: every grid runs "
-        "serially (an integer or 'auto')",
-    )
-
-
 def _add_obs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace",
@@ -604,7 +582,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="derive the (Ct, Nt) layout thresholds")
     _add_device(p)
-    _add_jobs(p)
     _add_obs(p)
 
     p = sub.add_parser("plan", help="plan layouts for a network")
@@ -627,7 +604,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     _add_device(p)
     _add_obs(p)
-    _add_jobs(p)
     p.add_argument("network", choices=sorted(NETWORK_BUILDERS))
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--strategy", choices=("heuristic", "optimal"), default="optimal")
@@ -645,7 +621,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sensitivity sweep over one conv dimension")
     _add_device(p)
-    _add_jobs(p)
     _add_obs(p)
     p.add_argument("--layer", required=True, help="CV1..CV12 base shape")
     p.add_argument("--dim", default="n", help="ConvSpec field to vary (n, ci, co, h)")

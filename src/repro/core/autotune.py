@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..gpusim.device import DeviceSpec
-from ..gpusim.exec import evaluate_cells
 from ..gpusim.session import SimulationContext, default_context
-from ..gpusim.timing import KernelStats
 from ..layers.base import PoolSpec
 from ..layers.pooling_kernels import PoolingCHWN, PoolingCoarsenedCHWN
 
@@ -39,99 +37,13 @@ class TuneResult:
         return self.baseline_ms / self.time_ms if self.time_ms else 0.0
 
 
-@dataclass
-class _ClimbState:
-    """One spec's position in the lockstep hill-climb."""
-
-    spec: PoolSpec
-    max_factor: int
-    trace: list[tuple[int, int, float]]
-    baseline: float = 0.0
-    best_u: tuple[int, int] = (1, 1)
-    best_t: float = 0.0
-    improving: bool = False
-
-
-def _batch_times(
-    context: SimulationContext, requests: list[tuple[PoolSpec, tuple[int, int]]]
-) -> list[float]:
-    """Memoized simulated times (ms) of (spec, (ux, uy)) pairs; (1, 1) is
-    the plain CHWN kernel."""
-    models = [
+def _time_ms(context: SimulationContext, spec: PoolSpec, u: tuple[int, int]) -> float:
+    """Memoized simulated time (ms) of ``spec`` at factors ``u``; (1, 1)
+    is the plain CHWN kernel."""
+    model = (
         PoolingCHWN(spec) if u == (1, 1) else PoolingCoarsenedCHWN(spec, ux=u[0], uy=u[1])
-        for spec, u in requests
-    ]
-    times = []
-    for outcome in evaluate_cells(context, models, check_memory=False):
-        if isinstance(outcome, Exception):
-            raise outcome
-        assert isinstance(outcome, KernelStats)
-        times.append(outcome.time_ms)
-    return times
-
-
-def _tune_lockstep(
-    context: SimulationContext, tasks: list[tuple[PoolSpec, int, int]]
-) -> list[TuneResult]:
-    """Tune several pooling layers in lockstep.
-
-    Each hill-climb is sequential, but at every step all layers' pending
-    evaluations go through one ``evaluate_cells`` call.  Each spec's
-    evaluation order — baseline, start, then (ux, uy) proposals per round
-    — does not depend on the other layers, so a layer's trace and result
-    are the same alone or tuned with others.
-    """
-    for _, max_factor, initial in tasks:
-        if max_factor < 1 or initial < 1:
-            raise ValueError("factors must be at least 1")
-
-    states = [_ClimbState(spec, max_factor, []) for spec, max_factor, _ in tasks]
-    baselines = _batch_times(context, [(s.spec, (1, 1)) for s in states])
-    for state, t in zip(states, baselines):
-        state.baseline = state.best_t = t
-        state.trace.append((1, 1, t))
-
-    starts = _batch_times(
-        context, [(s.spec, (initial, initial)) for s, (_, _, initial) in zip(states, tasks)]
     )
-    active: list[_ClimbState] = []
-    for state, (_, _, initial), t in zip(states, tasks, starts):
-        state.trace.append((initial, initial, t))
-        if t < state.best_t:
-            state.best_u, state.best_t = (initial, initial), t
-            active.append(state)
-
-    while active:
-        for state in active:
-            state.improving = False
-        for dim in (0, 1):
-            proposals: list[tuple[_ClimbState, tuple[int, int]]] = []
-            for state in active:
-                candidate = list(state.best_u)
-                candidate[dim] = min(state.max_factor, candidate[dim] + 1)
-                cand = (candidate[0], candidate[1])
-                if cand != state.best_u:
-                    proposals.append((state, cand))
-            if not proposals:
-                continue
-            times = _batch_times(context, [(s.spec, u) for s, u in proposals])
-            for (state, cand), t in zip(proposals, times):
-                state.trace.append((*cand, t))
-                if t < state.best_t:
-                    state.best_u, state.best_t = cand, t
-                    state.improving = True
-        active = [s for s in active if s.improving]
-
-    return [
-        TuneResult(
-            ux=s.best_u[0],
-            uy=s.best_u[1],
-            time_ms=s.best_t,
-            baseline_ms=s.baseline,
-            evaluations=tuple(s.trace),
-        )
-        for s in states
-    ]
+    return context.run(model, check_memory=False).time_ms
 
 
 def autotune_pooling(
@@ -150,8 +62,38 @@ def autotune_pooling(
     happens for non-overlapped pooling where there is no shared data to
     reuse.
     """
+    if max_factor < 1 or initial < 1:
+        raise ValueError("factors must be at least 1")
     ctx = context or default_context(device)
-    return _tune_lockstep(ctx, [(spec, max_factor, initial)])[0]
+    baseline = _time_ms(ctx, spec, (1, 1))
+    trace = [(1, 1, baseline)]
+    best_u, best_t = (1, 1), baseline
+    start = (initial, initial)
+    t = _time_ms(ctx, spec, start)
+    trace.append((*start, t))
+    improving = t < best_t
+    if improving:
+        best_u, best_t = start, t
+    while improving:
+        improving = False
+        for dim in (0, 1):
+            grown = list(best_u)
+            grown[dim] = min(max_factor, grown[dim] + 1)
+            cand = (grown[0], grown[1])
+            if cand == best_u:
+                continue
+            t = _time_ms(ctx, spec, cand)
+            trace.append((*cand, t))
+            if t < best_t:
+                best_u, best_t = cand, t
+                improving = True
+    return TuneResult(
+        ux=best_u[0],
+        uy=best_u[1],
+        time_ms=best_t,
+        baseline_ms=baseline,
+        evaluations=tuple(trace),
+    )
 
 
 def autotune_pooling_many(
@@ -161,9 +103,7 @@ def autotune_pooling_many(
     initial: int = 2,
     context: SimulationContext | None = None,
 ) -> list[TuneResult]:
-    """Tune several pooling layers in lockstep — exactly the shape of the
-    Fig. 12 benchmark.  Results are identical to calling
-    :func:`autotune_pooling` per spec in order.
-    """
+    """:func:`autotune_pooling` of each spec in order, on one context — the
+    shape of the Fig. 12 benchmark."""
     ctx = context or default_context(device)
-    return _tune_lockstep(ctx, [(spec, max_factor, initial) for spec in specs])
+    return [autotune_pooling(device, spec, max_factor, initial, ctx) for spec in specs]

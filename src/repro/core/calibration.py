@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..gpusim.device import DeviceSpec
-from ..gpusim.exec import evaluate_cells
 from ..gpusim.session import SimulationContext, default_context
 from ..obs.tracer import span as obs_span
 from ..layers.base import ConvSpec
@@ -62,23 +61,16 @@ class CalibrationResult:
 def _time_both(
     context: SimulationContext, specs: list[ConvSpec]
 ) -> list[tuple[float, float]]:
-    """CHWN (direct) and NCHW (im2col) times of every sweep point, both
-    layouts in one memoized vectorized evaluation (calibration points never
-    fail, so any in-slot exception is a real error and re-raises)."""
-    models = []
-    for spec in specs:
-        models.append(make_conv_kernel(spec, "direct"))
-        models.append(make_conv_kernel(spec, "im2col"))
-    outcomes = evaluate_cells(context, models, check_memory=False)
-    times: list[tuple[float, float]] = []
-    for i in range(len(specs)):
-        chwn, nchw = outcomes[2 * i], outcomes[2 * i + 1]
-        if isinstance(chwn, Exception):
-            raise chwn
-        if isinstance(nchw, Exception):
-            raise nchw
-        times.append((chwn.time_ms, nchw.time_ms))
-    return times
+    """CHWN (direct) and NCHW (im2col) times of every sweep point, each
+    priced through the context's memo (calibration points never fail, so
+    any error propagates)."""
+    return [
+        (
+            context.run(make_conv_kernel(spec, "direct"), check_memory=False).time_ms,
+            context.run(make_conv_kernel(spec, "im2col"), check_memory=False).time_ms,
+        )
+        for spec in specs
+    ]
 
 
 def calibrate(
@@ -95,9 +87,8 @@ def calibrate(
     * **Ct** — smallest swept C where the NCHW path wins, measured at a
       batch *below* Nt so the N-rule does not mask the C crossover.
 
-    The two sweeps are sequential (the C sweep's batch size depends on the
-    N sweep's crossover); the points *within* each sweep are independent
-    and go through one memoized evaluation.
+    The two sweeps are sequential: the C sweep's batch size depends on the
+    N sweep's crossover.
     """
     ctx = context or default_context(device)
     profiling_ms = 0.0

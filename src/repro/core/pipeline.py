@@ -37,7 +37,6 @@ from math import prod
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..gpusim.device import DeviceSpec
-from ..gpusim.exec import evaluate_cells
 from ..gpusim.session import SimulationContext, default_context
 from ..obs.metrics import global_registry
 from ..obs.tracer import active_tracer
@@ -281,7 +280,7 @@ def _edge_desc(
 
 
 class TransformCostTable:
-    """Batched per-edge transform costs for one planning run.
+    """Per-edge transform costs for one planning run.
 
     ``precompute`` enumerates every distinct (dims, src layout, dst layout)
     transform the planner can query on a graph — edges × planning layouts²
@@ -300,11 +299,11 @@ class TransformCostTable:
         self._ms: dict[tuple[tuple[int, ...], str, str], float] = {}
 
     def precompute(self, graph: Graph) -> int:
-        """Batch-price every transform reachable on ``graph``'s edges.
+        """Price every transform reachable on ``graph``'s edges.
 
         Returns the number of distinct transform kernels evaluated.
         """
-        pending: dict[tuple[tuple[int, ...], str, str], object] = {}
+        priced = 0
         for node in graph:
             for src_name in node.inputs:
                 producer = graph[src_name]
@@ -315,20 +314,16 @@ class TransformCostTable:
                             continue
                         dims, src_l, dst_l = desc
                         key = (dims, str(src_l), str(dst_l))
-                        if key in self._ms or key in pending:
+                        if key in self._ms:
                             continue
-                        pending[key] = make_transform_kernel(
+                        kernel = make_transform_kernel(
                             TensorDesc(*dims, layout=src_l), dst_l, method="auto"
                         )
-        if pending:
-            outcomes = evaluate_cells(
-                self.context, list(pending.values()), check_memory=False
-            )
-            for key, outcome in zip(pending, outcomes):
-                if isinstance(outcome, Exception):
-                    raise outcome
-                self._ms[key] = outcome.time_ms
-        return len(pending)
+                        self._ms[key] = self.context.run(
+                            kernel, check_memory=False
+                        ).time_ms
+                        priced += 1
+        return priced
 
     def edge_ms(
         self,

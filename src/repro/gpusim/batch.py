@@ -1,7 +1,7 @@
 """A stub kept for the whole-stack benchmark.
 
-Grids are priced by :func:`repro.gpusim.exec.evaluate_cells`, one
-:meth:`SimulationContext.run` per cell; there is no second evaluator.
+Every grid is a loop of :meth:`SimulationContext.run`; there is no second
+evaluator.
 """
 
 from __future__ import annotations

@@ -1,25 +1,18 @@
-"""Grid evaluation: one slot per cell, each priced through the session memo.
+"""Stubs kept for the whole-stack benchmark (ROADMAP item 1).
 
-This is the one runtime path between the grid producers
-(:mod:`repro.analysis.sweeps`, :mod:`repro.core.calibration`,
-:mod:`repro.core.autotune`, the pipeline's transform pricing, the figure
-drivers) and the simulator.  :func:`evaluate_cells` asks
-:meth:`SimulationContext.run` for each cell, so a cell priced by any
-earlier grid, or by a plain ``context.run``, is served from the session's
-structural timing cache, and structurally-equal cells within one grid are
-timed once.  Every grid runs serially, in one call, in the caller's
-:class:`~repro.gpusim.session.SimulationContext`.
-
-Instrumentation (``repro.obs``): one ``exec`` span per grid, with each
-cell's ``sim.kernel`` span nested under it; the session's ``sim.queries.*``
-counters count the hits and misses.
+Nothing in the program calls these names.  Every grid — the layer sweeps,
+calibration, the pooling autotuner, the pipeline's transform pricing and
+the figure drivers — is a plain loop of :meth:`SimulationContext.run`,
+which serves any kernel priced before from the session's structural
+timing cache.  perfbench's traced runs wrap :func:`evaluate_cells` and
+:func:`map_chunks`, and its client reads ``_POOL`` and calls
+:func:`shutdown_pool`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-from ..obs.tracer import span as obs_span
 from .kernel import KernelModel
 from .session import GpuOutOfMemoryError, SimulationContext
 from .timing import KernelStats
@@ -30,24 +23,16 @@ __all__ = ["evaluate_cells", "map_chunks", "shutdown_pool"]
 _POOL = None
 
 
+# perfbench's traced runs wrap this name; nothing in the program calls it.
 def evaluate_cells(
     context: SimulationContext,
     models: Sequence[KernelModel],
     check_memory: bool | None = None,
 ) -> "list[KernelStats | Exception]":
-    """Price a grid of kernel models on ``context``, one slot per model.
-
-    Each slot holds what ``context.run(model, check_memory)`` returns, or
-    the exception it raises (``GpuOutOfMemoryError`` or a ``ValueError``
-    such as ``LaunchValidationError``), so grid consumers keep their
-    per-candidate error handling while the rest of the grid evaluates;
-    any other exception is a bug and propagates.
-    """
-    models = list(models)
-    if not models:
-        return []
-    with obs_span("exec:grid", "exec", cells=len(models)):
-        return [_slot(context, model, check_memory) for model in models]
+    """``context.run(model, check_memory)`` of each model, one slot per
+    model; a slot holds the ``GpuOutOfMemoryError`` or ``ValueError`` its
+    run raises instead.  Any other exception propagates."""
+    return [_slot(context, model, check_memory) for model in models]
 
 
 def _slot(
@@ -66,8 +51,7 @@ def shutdown_pool() -> None:
     """No-op."""
 
 
-# perfbench's traced runs wrap this name; the program calls its grid
-# functions directly.
+# perfbench's traced runs wrap this name; nothing in the program calls it.
 def map_chunks(
     fn: Callable[[SimulationContext, list], list],
     cells: Sequence[Any],

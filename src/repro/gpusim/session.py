@@ -14,9 +14,9 @@ baselines, sweeps, CLI) times kernels through one
 * :class:`SimulationContext` — the session object owning the cache, the
   stats, and the OOM/``tensor_bytes_resident`` accounting, with optional
   JSON persistence for cross-process reuse by benchmarks; its
-  :meth:`~SimulationContext.run` is the one memoized evaluation, which
-  grid consumers reach one cell at a time through
-  :func:`repro.gpusim.exec.evaluate_cells`;
+  :meth:`~SimulationContext.run` is the one memoized evaluation, and
+  every grid (sweeps, calibration, autotuning, transform pricing) is a
+  loop of it;
 * :func:`default_context` — a per-device shared session, so callers that
   pass no context still share one hot cache.
 """
@@ -576,9 +576,11 @@ def _collapse_sequence(
     name: str, stages: tuple[KernelStats, ...], device: DeviceSpec
 ) -> KernelStats:
     """Fold back-to-back launches into one KernelStats (no overlap between
-    them: each stage's output passes through off-chip memory)."""
+    them: each stage's output passes through off-chip memory).  Occupancy
+    and bound are the dominant stage's: the one with the largest time."""
     time_ms = sum(k.time_ms for k in stages)
     flops = sum(k.flops for k in stages)
+    dominant = max(stages, key=lambda k: k.time_ms)
     return KernelStats(
         name=name,
         device=device.name,
@@ -590,8 +592,8 @@ def _collapse_sequence(
         dram_bytes=sum(k.dram_bytes for k in stages),
         useful_bytes=sum(k.useful_bytes for k in stages),
         transactions=sum(k.transactions for k in stages),
-        occupancy=stages[0].occupancy,
-        bound=max(stages, key=lambda k: k.time_ms).bound,
+        occupancy=dominant.occupancy,
+        bound=dominant.bound,
         alu_utilization=flops / (time_ms * 1e6 * device.peak_gflops)
         if time_ms
         else 0.0,

@@ -8,9 +8,12 @@ from repro.gpusim import (
     KernelModel,
     LaunchConfig,
     MemoryProfile,
+    TITAN_BLACK,
     SimulationContext,
     default_context,
 )
+from repro.layers.conv_kernels import make_conv_kernel
+from repro.networks import CONV_LAYERS
 
 
 class ToyKernel(KernelModel):
@@ -92,6 +95,20 @@ class TestSequences:
         assert stats.name == "ab"
         assert stats.n_launches == 2
         assert stats.time_ms == pytest.approx(2 * engine.run(ToyKernel()).time_ms)
+
+    def test_composed_reports_the_dominant_stage_occupancy(self):
+        # CV7 im2col on the Titan Black: the GEMM (8.04 of 8.59 ms) sets
+        # occupancy and bound, not the unroll launched first (64 warps/SM
+        # limited by threads, over 811.2 waves)
+        kernel = make_conv_kernel(CONV_LAYERS["CV7"], "im2col")
+        stats = SimulationContext(TITAN_BLACK).run(kernel, check_memory=False)
+        occ = stats.occupancy
+        assert (occ.active_warps_per_sm, occ.max_warps_per_sm) == (40, 64)
+        assert occ.limiter == "registers"
+        assert occ.waves == pytest.approx(13.52)
+        assert stats.bound == "compute"
+        gemm = SimulationContext(TITAN_BLACK).run(kernel.kernels[-1])
+        assert gemm.name == "conv-gemm" and gemm.occupancy == occ
 
     def test_composed_requires_kernels(self):
         with pytest.raises(ValueError):

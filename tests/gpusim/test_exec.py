@@ -1,20 +1,17 @@
-"""Grid evaluation through the session memo.
+"""Grids through the session memo.
 
-The contract of :mod:`repro.gpusim.exec` is that the memo is a *pure
-wall-clock knob*: every grid consumer's output — sweep grids, calibration
-thresholds, tuned factors, CLI output — is byte-identical to a cold run no
-matter how many times a cell has been priced before.  The CLI's ``--jobs``
-flag is accepted and ignored.
+The memo of :meth:`SimulationContext.run` is a *pure wall-clock knob*:
+every grid consumer's output — sweep grids, calibration thresholds, tuned
+factors, CLI output — is byte-identical to a cold run no matter how many
+times a cell has been priced before.  :mod:`repro.gpusim.exec` keeps
+``evaluate_cells`` and ``map_chunks`` only as stubs for the whole-stack
+benchmark; their tests here hold them to one ``context.run`` per slot.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 import traceback
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +21,12 @@ from repro.analysis.sweeps import sweep_conv, sweep_pool
 from repro.cli import main
 from repro.core.autotune import autotune_pooling, autotune_pooling_many
 from repro.core.calibration import calibrate
-from repro.gpusim import SimStats, SimulationContext, map_chunks
+from repro.gpusim import (
+    SimStats,
+    SimulationContext,
+    map_chunks,
+    reset_default_contexts,
+)
 from repro.gpusim import session as session_module
 from repro.gpusim.kernel import ComposedKernel
 from repro.gpusim.occupancy import LaunchValidationError
@@ -40,10 +42,8 @@ def _fresh(device):
     return SimulationContext(device, check_memory=False)
 
 
-def _oracle(device, models, check_memory):
-    """One ``context.run`` per model on a cold context, with each error
-    captured in its slot."""
-    context = _fresh(device)
+def _slots(context, models, check_memory=None):
+    """One ``context.run`` per model, with each error captured in its slot."""
     slots = []
     for model in models:
         try:
@@ -51,6 +51,11 @@ def _oracle(device, models, check_memory):
         except (GpuOutOfMemoryError, ValueError) as exc:
             slots.append(exc)
     return slots
+
+
+def _oracle(device, models, check_memory):
+    """:func:`_slots` on a cold context."""
+    return _slots(_fresh(device), models, check_memory)
 
 
 def _pool_models(small_pool, channels=(4, 8, 16)):
@@ -62,7 +67,8 @@ def _pool_models(small_pool, channels=(4, 8, 16)):
 
 
 # ---------------------------------------------------------------------------
-# evaluate_cells: memoization
+# evaluate_cells, a stub for the whole-stack benchmark: one context.run per
+# slot, sharing the context's memo
 # ---------------------------------------------------------------------------
 
 
@@ -167,22 +173,16 @@ class TestErrorMemoization:
         ref_on = _oracle(device, models, True)
         ref_off = _oracle(device, models, False)
         ctx = _fresh(device)
-        assert self._shape(
-            evaluate_cells(ctx, models, check_memory=False)
-        ) == self._shape(ref_off)
-        assert self._shape(
-            evaluate_cells(ctx, models, check_memory=True)
-        ) == self._shape(ref_on)
-        assert self._shape(
-            evaluate_cells(ctx, models, check_memory=False)
-        ) == self._shape(ref_off)
+        assert self._shape(_slots(ctx, models, False)) == self._shape(ref_off)
+        assert self._shape(_slots(ctx, models, True)) == self._shape(ref_on)
+        assert self._shape(_slots(ctx, models, False)) == self._shape(ref_off)
 
     def test_oom_hit_after_oom_miss(self, device):
         models = self._models()
         ref = _oracle(device, models, True)
         ctx = _fresh(device)
-        first = evaluate_cells(ctx, models, check_memory=True)
-        again = evaluate_cells(ctx, models, check_memory=True)
+        first = _slots(ctx, models, True)
+        again = _slots(ctx, models, True)
         assert self._shape(first) == self._shape(ref)
         assert self._shape(again) == self._shape(ref)
         assert isinstance(again[1], GpuOutOfMemoryError)
@@ -207,11 +207,11 @@ class TestErrorMemoization:
         with pytest.raises(GpuOutOfMemoryError) as info:
             ctx.run(composed, check_memory=True)
         assert info.value.kernel in {stage.name for stage in huge.kernels}
-        [slot] = evaluate_cells(ctx, [composed], check_memory=True)
-        assert isinstance(slot, GpuOutOfMemoryError)
+        with pytest.raises(GpuOutOfMemoryError):
+            ctx.run(composed, check_memory=True)
         assert timed == []
         assert ctx.stats.queries == 0
-        [slot] = evaluate_cells(ctx, [composed], check_memory=False)
+        ctx.run(composed, check_memory=False)
         assert timed == [composed.kernels[0].name, *(k.name for k in huge.kernels)]
         assert ctx.stats.misses == 1
 
@@ -240,14 +240,12 @@ class TestLaunchErrorMemo:
         ctx = _fresh(device)
         with pytest.raises(LaunchValidationError) as info:
             ctx.run(_WideBlockNCHWPooling(small_pool))
-        first = evaluate_cells(
-            ctx, [_WideBlockNCHWPooling(small_pool) for _ in range(3)]
-        )
-        again = evaluate_cells(ctx, [_WideBlockNCHWPooling(small_pool)])
+        first = _slots(ctx, [_WideBlockNCHWPooling(small_pool) for _ in range(3)])
+        again = _slots(ctx, [_WideBlockNCHWPooling(small_pool)])
         assert info.value is first[0] is first[1] is first[2] is again[0]
         assert len(builds) == 1
         assert ctx.stats.queries == 0
-        evaluate_cells(_fresh(device), [_WideBlockNCHWPooling(small_pool)])
+        _slots(_fresh(device), [_WideBlockNCHWPooling(small_pool)])
         assert len(builds) == 2
 
     def test_reraise_does_not_grow_the_traceback(self, device, small_pool):
@@ -263,13 +261,14 @@ class TestLaunchErrorMemo:
 
     def test_errors_are_not_saved(self, device, small_pool, tmp_path):
         ctx = _fresh(device)
-        evaluate_cells(ctx, [_WideBlockNCHWPooling(small_pool)])
+        with pytest.raises(LaunchValidationError):
+            ctx.run(_WideBlockNCHWPooling(small_pool))
         path = ctx.save_cache(tmp_path / "cache.json")
         assert SimulationContext(device, cache_path=path).cache_size == 0
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis: the memo never drops or reorders grid cells
+# Hypothesis: a grid priced through the memo never drops or reorders cells
 # ---------------------------------------------------------------------------
 
 
@@ -296,7 +295,7 @@ class TestDedupProperty:
         expected = [stats[i] for i in picks]
         # A warm shared context across examples *and* a fresh one: both
         # must reproduce the reference slot for slot.
-        got = evaluate_cells(_fresh(device), grid, check_memory=False)
+        got = _slots(_fresh(device), grid, check_memory=False)
         assert got == expected
 
     @settings(max_examples=15, deadline=None)
@@ -310,13 +309,13 @@ class TestDedupProperty:
         if not hasattr(self, "_warm"):
             self._warm = _fresh(device)
         grid = [models[i] for i in picks]
-        assert evaluate_cells(self._warm, grid, check_memory=False) == [
+        assert _slots(self._warm, grid, check_memory=False) == [
             stats[i] for i in picks
         ]
 
 
 # ---------------------------------------------------------------------------
-# map_chunks: one call over the whole grid
+# map_chunks, a stub for the whole-stack benchmark: one call over the grid
 # ---------------------------------------------------------------------------
 
 
@@ -329,7 +328,7 @@ class TestMapChunksSerial:
 
         def eval_chunk(context, cells):
             calls.append(len(cells))
-            return evaluate_cells(context, cells, check_memory=False)
+            return _slots(context, cells, check_memory=False)
 
         out = map_chunks(eval_chunk, models, ctx)
         assert out == ref
@@ -402,12 +401,14 @@ class TestConsumerByteIdentity:
 
 
 # ---------------------------------------------------------------------------
-# --jobs is accepted and ignored; lockstep tuning equals one-by-one
+# sweep_conv's unused ``jobs`` keyword; tuning many equals one-by-one; a
+# warm CLI run prints what a cold one does
 # ---------------------------------------------------------------------------
 
 
 class TestJobsDeterminism:
-    """Output with ``jobs`` given equals output without it, byte for byte."""
+    """Output is byte-identical with or without ``jobs``, tuned together or
+    one by one, cold or warm."""
 
     def test_sweep_conv_with_unrunnable_cells(self, device, small_conv):
         # Any per-cell failure is encoded as a None point, and the ignored
@@ -425,35 +426,22 @@ class TestJobsDeterminism:
     def test_autotune_many(self, device, small_pool):
         specs = [replace(small_pool, c=c) for c in (4, 8, 16)]
         one_by_one = [autotune_pooling(device, s) for s in specs]
-        lockstep = autotune_pooling_many(
+        together = autotune_pooling_many(
             device, specs, context=SimulationContext(device)
         )
-        assert one_by_one == lockstep
+        assert one_by_one == together
 
     def test_cli_sweep_stdout_byte_identical(self, capsys):
+        # the second run in one process is served from the memo
         for args in (
             ["sweep", "--layer", "CV7", "--dim", "n", "--values", "16,32,64"],
             ["calibrate"],
         ):
-            assert main([*args, "--jobs", "1"]) == 0
-            serial_out = capsys.readouterr().out
-            assert main([*args, "--jobs", "4"]) == 0
-            assert capsys.readouterr().out == serial_out, args
-
-    def test_cli_sweep_with_jobs_exits_cleanly(self):
-        """``--jobs 2`` is accepted, and the command exits cleanly with
-        nothing on stderr about interpreter shutdown."""
-        src = Path(__file__).resolve().parents[2] / "src"
-        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "sweep", "--layer", "CV7", "--jobs", "2"],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert out.returncode == 0, out.stderr
-        assert "Exception ignored" not in out.stderr
+            reset_default_contexts()
+            assert main(args) == 0
+            cold_out = capsys.readouterr().out
+            assert main(args) == 0
+            assert capsys.readouterr().out == cold_out, args
 
 
 class TestSimStatsCounters:

@@ -1,23 +1,27 @@
-"""Batched evaluation is invisible to its consumers.
+"""The memo is invisible to the grid consumers.
 
-Every hot consumer threaded through ``evaluate_cells`` — the layer
-sweeps, device calibration, the pooling autotuner, and the layout
-pipeline's transform pricing — must produce byte-identical results to a
-scalar oracle, on a fresh context and on passes replayed from a warm
-one.  The oracle is
-:func:`scalar_evaluate_cells`: one ``context.run`` per model with in-slot
-error capture, patched over the consumer module's ``evaluate_cells``
-binding and run on a fresh context.  Pipeline transform prices are held to
-the scalar per-edge oracle :func:`edge_transform_ms` the same way.
+Every grid consumer prices its kernels one ``context.run`` at a time —
+the layer sweeps, device calibration, the pooling autotuner, and the
+layout pipeline's transform pricing — and must produce byte-identical
+results on a fresh context and on passes replayed from a warm one.  The
+sweep, calibration and autotuner outputs are held to frozen values in
+``golden/grids.json`` on both bundled devices (regenerate with
+``python -m tests.integration.test_batched_consumers`` from the repository
+root, with ``src`` on ``PYTHONPATH``, only for a declared model change).
+Pipeline transform prices are held to the scalar per-edge oracle
+:func:`edge_transform_ms`.
 """
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict, is_dataclass
+from pathlib import Path
+
 import pytest
 
-from repro.analysis import sweeps
 from repro.analysis.sweeps import sweep_conv, sweep_pool
-from repro.core import autotune, calibration, pipeline
+from repro.core import pipeline
 from repro.core.autotune import autotune_pooling_many
 from repro.core.calibration import calibrate
 from repro.core.pipeline import PipelineOptions, plan_network
@@ -28,25 +32,92 @@ from repro.gpusim import (
     default_context,
     reset_default_contexts,
 )
-from repro.gpusim.session import GpuOutOfMemoryError
 from repro.ir.graph import NodeKind
 from repro.layers.base import PoolSpec
+from repro.layers.conv_kernels import CONV_IMPLEMENTATIONS
 from repro.networks import CONV_LAYERS, build_network
 from repro.tensors import TensorDesc
 from repro.tensors.transform_kernels import transform_time_ms
 
+GOLDEN_PATH = Path(__file__).parent / "golden" / "grids.json"
+DEVICES = (TITAN_BLACK, TITAN_X)
 
-def _scalar_eval(context, model, check_memory):
-    try:
-        return context.run(model, check_memory=check_memory)
-    except (GpuOutOfMemoryError, ValueError) as exc:
-        return exc
+POOL_SPECS = [
+    PoolSpec(n=64, c=c, h=27, w=27, window=3, stride=2) for c in (16, 64, 128)
+]
+
+#: each grid consumer's output on one device and context, by fixture key
+CASES = {
+    "sweep_conv": lambda device, context: sweep_conv(
+        device, CONV_LAYERS["CV3"], "n", (1, 16, 64, 256), context=context
+    ),
+    # h=2 cannot hold the filter, h=224 runs FFT out of memory and
+    # winograd does not support CV3: every kind of unrunnable cell
+    "sweep_conv_unrunnable": lambda device, context: sweep_conv(
+        device,
+        CONV_LAYERS["CV3"],
+        "h",
+        (2, 13, 224),
+        CONV_IMPLEMENTATIONS,
+        context=context,
+    ),
+    "sweep_pool": lambda device, context: sweep_pool(
+        device, POOL_SPECS[0], "c", (8, 32, 96), context=context
+    ),
+    "calibrate": lambda device, context: calibrate(device, context=context),
+    "autotune": lambda device, context: autotune_pooling_many(
+        device, POOL_SPECS, context=context
+    ),
+    "autotune_from_1": lambda device, context: autotune_pooling_many(
+        device, POOL_SPECS, max_factor=3, initial=1, context=context
+    ),
+}
 
 
-def scalar_evaluate_cells(context, models, check_memory=None):
-    """Scalar oracle for ``evaluate_cells``: one ``context.run`` per model,
-    no memo probe."""
-    return [_scalar_eval(context, m, check_memory) for m in models]
+def _plain(result):
+    """``result`` as the JSON value the fixture stores."""
+    if isinstance(result, list):
+        return [_plain(r) for r in result]
+    assert is_dataclass(result)
+    return json.loads(json.dumps(asdict(result)))
+
+
+def _write_golden() -> None:
+    """Write every case on a fresh context per device, one line each."""
+    rows = [
+        f"  {json.dumps(f'{device.name}/{case}')}: "
+        + json.dumps(_plain(run(device, SimulationContext(device))))
+        for device in DEVICES
+        for case, run in CASES.items()
+    ]
+    source = (
+        "tests/integration/test_batched_consumers.py CASES, each on a fresh "
+        "SimulationContext per device"
+    )
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(
+        '{\n "commit": "eff5a4d",\n'
+        f' "source": {json.dumps(source)},\n'
+        ' "grids": {\n' + ",\n".join(rows) + "\n }\n}\n"
+    )
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())["grids"]
+
+
+def _warm_passes(case, device, passes):
+    """``passes`` runs of ``case`` on one shared context: the first prices
+    every cell, the rest are served from its memo."""
+    context = SimulationContext(device)
+    return [_plain(CASES[case](device, context)) for _ in range(passes)]
+
+
+def _assert_frozen(golden, case, passes):
+    for device in DEVICES:
+        ref = golden[f"{device.name}/{case}"]
+        assert _warm_passes(case, device, passes) == [ref] * passes, device.name
 
 
 def edge_transform_ms(device, producer, consumer, src, dst):
@@ -83,83 +154,37 @@ class ScalarEdgeCosts:
         return edge_transform_ms(self.device, producer, consumer, src, dst)
 
 
-def _oracle(monkeypatch, module, run):
-    """``run()`` with ``module``'s ``evaluate_cells`` replaced by the scalar
-    oracle."""
-    with monkeypatch.context() as patch:
-        patch.setattr(module, "evaluate_cells", scalar_evaluate_cells)
-        return run()
-
-
-@pytest.fixture(params=[False, True], ids=["scalar", "batched"])
-def batching(request, monkeypatch):
-    if not request.param:
-        monkeypatch.setattr(sweeps, "evaluate_cells", scalar_evaluate_cells)
-    return request.param
-
-
-POOL_SPECS = [
-    PoolSpec(n=64, c=c, h=27, w=27, window=3, stride=2) for c in (16, 64, 128)
-]
-
-
-def _warm_passes(run, device, passes):
-    """``passes`` runs of ``run`` on one shared context: the first prices
-    every cell, the rest are served from its memo."""
-    context = SimulationContext(device)
-    return [run(context) for _ in range(passes)]
-
-
 class TestSweepIdentity:
     @pytest.mark.parametrize("passes", [1, 4])
-    def test_conv_sweep(self, passes, monkeypatch):
-        base = CONV_LAYERS["CV3"]
-
-        def run(context):
-            return sweep_conv(
-                TITAN_BLACK, base, "n", (1, 16, 64, 256), context=context
-            )
-
-        ref = _oracle(monkeypatch, sweeps, lambda: run(SimulationContext(TITAN_BLACK)))
-        assert _warm_passes(run, TITAN_BLACK, passes) == [ref] * passes
+    def test_conv_sweep(self, passes, golden):
+        _assert_frozen(golden, "sweep_conv", passes)
 
     @pytest.mark.parametrize("passes", [1, 4])
-    def test_pool_sweep(self, passes, monkeypatch):
-        def run(context):
-            return sweep_pool(
-                TITAN_X, POOL_SPECS[0], "c", (8, 32, 96), context=context
-            )
+    def test_pool_sweep(self, passes, golden):
+        _assert_frozen(golden, "sweep_pool", passes)
 
-        ref = _oracle(monkeypatch, sweeps, lambda: run(SimulationContext(TITAN_X)))
-        assert _warm_passes(run, TITAN_X, passes) == [ref] * passes
+    def test_conv_sweep_unrunnable_cells(self, golden):
+        _assert_frozen(golden, "sweep_conv_unrunnable", 2)
+        points = golden[f"{TITAN_BLACK.name}/sweep_conv_unrunnable"]["points"]
+        failed = [p for p in points if p["time_ms"] is None]
+        assert 0 < len(failed) < len(points)
 
 
 class TestCalibrationIdentity:
     @pytest.mark.parametrize("passes", [1, 4])
-    def test_calibrate(self, passes, monkeypatch):
-        def run(context):
-            return calibrate(TITAN_BLACK, context=context)
-
-        ref = _oracle(
-            monkeypatch, calibration, lambda: run(SimulationContext(TITAN_BLACK))
-        )
-        outs = _warm_passes(run, TITAN_BLACK, passes)
+    def test_calibrate(self, passes, golden):
         # profiling_ms is summed *simulated* time, so even it must match
-        assert outs == [ref] * passes
-        assert [out.thresholds for out in outs] == [ref.thresholds] * passes
+        _assert_frozen(golden, "calibrate", passes)
 
 
 class TestAutotuneIdentity:
     @pytest.mark.parametrize("passes", [1, 4])
-    def test_pooling_many(self, passes, monkeypatch):
-        def run(context):
-            return autotune_pooling_many(TITAN_BLACK, POOL_SPECS, context=context)
-
-        ref = _oracle(
-            monkeypatch, autotune, lambda: run(SimulationContext(TITAN_BLACK))
-        )
+    def test_pooling_many(self, passes, golden):
         # full trace equality: same hill-climb visits in the same order
-        assert _warm_passes(run, TITAN_BLACK, passes) == [ref] * passes
+        _assert_frozen(golden, "autotune", passes)
+
+    def test_pooling_many_from_initial_1(self, golden):
+        _assert_frozen(golden, "autotune_from_1", 2)
 
 
 class TestPipelineIdentity:
@@ -179,19 +204,34 @@ class TestPipelineIdentity:
             patch.setattr(pipeline, "TransformCostTable", ScalarEdgeCosts)
             ref = run()
         out = run()
-        # the trace carries batch-only stats; the contract is the plan
+        # the trace carries the table's stats; the contract is the plan
         assert ref.graph.to_json() == out.graph.to_json()
         assert ref.summary() == out.summary()
         assert ref.graph == out.graph
 
 
-def test_profile_digest_reports_batches(batching):
-    """The ``--sim-stats`` digest source counts a grid's cells the same
-    way through the engine and the scalar oracle: one miss per distinct
-    cell on a cold context, one hit per cell on a warm one."""
+@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
+def test_profile_digest_reports_batches(batched):
+    """The ``--sim-stats`` digest source counts a grid's cells the same way
+    whether the grid is swept in one call or one value per call: one miss
+    per distinct cell on a cold context, one hit per cell on a warm one."""
+    values = (8, 32)
+    batches = [values] if batched else [(v,) for v in values]
+
+    def sweep(context):
+        for batch in batches:
+            sweep_pool(TITAN_BLACK, POOL_SPECS[0], "c", batch, context=context)
+
     context = SimulationContext(TITAN_BLACK)
-    sweep_pool(TITAN_BLACK, POOL_SPECS[0], "c", (8, 32), context=context)
+    sweep(context)
     cells = context.stats.misses
     assert cells > 0 and context.stats.hits == 0
-    sweep_pool(TITAN_BLACK, POOL_SPECS[0], "c", (8, 32), context=context)
+    reference = SimulationContext(TITAN_BLACK)
+    sweep_pool(TITAN_BLACK, POOL_SPECS[0], "c", values, context=reference)
+    assert cells == reference.stats.misses
+    sweep(context)
     assert (context.stats.misses, context.stats.hits) == (cells, cells)
+
+
+if __name__ == "__main__":
+    _write_golden()

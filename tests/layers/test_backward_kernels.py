@@ -167,12 +167,21 @@ class TestTrainingMode:
         assert opt <= results["cudnn-mm"].total_ms
         assert opt <= results["cuda-convnet"].total_ms
 
-    @BOTH_DEVICES
-    def test_opt_fastest_on_every_network(self, gpu):
+    @pytest.mark.parametrize(
+        "gpu, training",
+        [
+            pytest.param(
+                gpu, training, id=gpu.name if training else f"{gpu.name}-inference"
+            )
+            for training in (True, False)
+            for gpu in (TITAN_BLACK, TITAN_X)
+        ],
+    )
+    def test_opt_fastest_on_every_network(self, gpu, training):
         ctx = SimulationContext(gpu)
         for name in NETWORK_BUILDERS:
             results = compare_schemes(
-                build_network(name), gpu, SCHEMES, training=True, context=ctx
+                build_network(name), gpu, SCHEMES, training=training, context=ctx
             )
             fastest = min(SCHEMES, key=lambda s: results[s].total_ms)
             assert results["opt"].total_ms == results[fastest].total_ms, name

@@ -67,9 +67,9 @@ def _cli(*argv: str) -> str:
             id="repro plan --network lenet-concurrent.futures",
         ),
         pytest.param(
-            _cli("sweep", "--layer", "CV7", "--jobs", "2"),
+            _cli("sweep", "--layer", "CV7"),
             "concurrent.futures.process",
-            id="repro sweep --jobs 2-concurrent.futures.process",
+            id="repro sweep-concurrent.futures.process",
         ),
     ],
 )
