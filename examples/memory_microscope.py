@@ -30,10 +30,10 @@ def main() -> None:
     desc_chwn = TensorDesc(128, 96, 55, 55, CHWN)
     desc_nchw = desc_chwn.with_layout(NCHW)
     # A pooling warp walks 32 consecutive outputs; its loads stride by the
-    # layout's stride along the dimension the warp spans.
+    # layout's stride (in floats) along the dimension the warp spans.
     for label, stride in (
-        ("CHWN (warp along N, stride 4 B)", desc_chwn.stride_bytes("N")),
-        ("NCHW (warp along W, stride = pool stride * 4 B)", 2 * desc_nchw.stride_bytes("W")),
+        ("CHWN (warp along N, stride 4 B)", desc_chwn.stride_bytes("N") // 4),
+        ("NCHW (warp along W, stride = pool stride * 4 B)", 2 * desc_nchw.stride_bytes("W") // 4),
     ):
         report = analyze_warps(strided_pattern(64, stride, device), device)
         print(

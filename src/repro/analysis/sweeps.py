@@ -63,12 +63,15 @@ class SweepResult:
         return min(candidates, key=lambda p: p.time_ms).implementation
 
     def winners(self) -> list[tuple[int, str]]:
-        return [(v, self.winner(v)) for v in self.values]
+        """(value, winner) at every sweep value where some implementation
+        ran; values where none could run are skipped."""
+        ran = {p.value for p in self.points if p.time_ms is not None}
+        return [(v, self.winner(v)) for v in self.values if v in ran]
 
 
 def crossovers(result: SweepResult) -> list[tuple[int, str, str]]:
     """(value, old winner, new winner) at every change of the fastest
-    implementation along the sweep."""
+    implementation along the sweep, over the values where one ran."""
     out: list[tuple[int, str, str]] = []
     winners = result.winners()
     for (_, prev), (value, cur) in zip(winners, winners[1:]):
@@ -89,8 +92,6 @@ def _point(
     """One grid point, priced through the context's memo.  An unsupported
     shape, an OOM or a launch failure makes a failed point (``time_ms``
     None)."""
-    # Caught here, not in the grid loop: the context memoizes a launch
-    # error, and its traceback then holds this frame, not the grid's.
     try:
         spec = replace(base, **{dimension: value})
         if dimension == "h" and kind != "softmax":

@@ -6,9 +6,9 @@ distinct 32-byte segments a warp touches is therefore the fundamental
 measure of access efficiency: a fully coalesced float32 warp load touches 4
 segments; a stride-N load can touch up to 32, over-fetching 8x.
 
-This module converts per-warp byte addresses into transaction counts.  It is
-pure NumPy and fully vectorized so the engine can push millions of sampled
-addresses through it cheaply.
+This module converts per-warp element indices into transaction counts.  It
+is pure NumPy and fully vectorized so the engine can push millions of
+sampled indices through it cheaply.
 """
 
 from __future__ import annotations
@@ -57,119 +57,110 @@ class CoalescingReport:
         return self.fetched_bytes / self.useful_bytes if self.useful_bytes else 0.0
 
 
-def _warp_segments(
-    addresses: np.ndarray, segment_bytes: int, access_bytes: int
-) -> np.ndarray:
-    """The segments each warp of a ``(warps, lanes)`` trace touches.
+def _warp_segments(indices: np.ndarray, segment_items: int) -> np.ndarray:
+    """The segments each warp of a ``(warps, lanes)`` item trace touches.
 
     Returns an int64 array with one row per warp, sorted ascending: the
-    ids (``address // segment_bytes``) of every segment an active lane's
-    ``[addr, addr + access_bytes)`` covers, with ``-1`` for inactive lanes
-    (negative addresses).  A segment touched by several lanes repeats, so
-    its copies sit side by side.  The row holds one entry per lane, widened
-    to two per lane only when some active access straddles a segment
-    boundary.
+    segment id (``index // segment_items``) of every lane, negative for
+    inactive lanes (negative indices).  An item never straddles a segment
+    (global accesses are naturally aligned and an item divides a segment),
+    so one id per lane covers the access.  A segment touched by several
+    lanes repeats, so its copies sit side by side.
     """
-    if not 1 <= access_bytes <= segment_bytes:
-        raise ValueError(
-            f"access_bytes must be in [1, {segment_bytes}], got {access_bytes}"
-        )
-    inactive = addresses < 0
-    segments = addresses // segment_bytes
-    spill: np.ndarray | None = None
-    if access_bytes > 1:
-        last = addresses + (access_bytes - 1)
-        last //= segment_bytes
-        straddle = last != segments
-        straddle &= ~inactive
-        if straddle.any():
-            spill = np.where(straddle, segments + 1, np.int64(-1))
-    np.copyto(segments, -1, where=inactive)
-    if spill is not None:
-        segments = np.concatenate([segments, spill], axis=1)
+    segments = indices // segment_items
     segments.sort(axis=1)
     return segments
 
 
-def _distinct_per_warp(segments: np.ndarray) -> np.ndarray:
-    """Distinct non-negative ids per row of a row-sorted segment array."""
-    new = segments >= 0
-    new[:, 1:] &= segments[:, 1:] != segments[:, :-1]
-    return new.sum(axis=1)
+def _first_of_segment(segments: np.ndarray) -> np.ndarray:
+    """Mask of the first copy of each non-negative id in a row-sorted
+    segment array."""
+    first = segments >= 0
+    first[:, 1:] &= segments[:, 1:] != segments[:, :-1]
+    return first
 
 
-def _warp_trace(addresses: np.ndarray, device: DeviceSpec) -> np.ndarray:
-    """``addresses`` as an int64 ``(warps, lanes)`` array, shape-checked."""
-    addr = np.asarray(addresses, dtype=np.int64)
-    if addr.ndim != 2:
-        raise ValueError(f"expected (warps, lanes) addresses, got shape {addr.shape}")
-    if addr.shape[1] > device.warp_size:
+def _segment_items(device: DeviceSpec, item_bytes: int) -> int:
+    """Items per transaction segment; ``item_bytes`` must divide it."""
+    if item_bytes <= 0 or device.transaction_bytes % item_bytes:
         raise ValueError(
-            f"{addr.shape[1]} lanes exceeds warp size {device.warp_size}"
+            f"item_bytes must divide the {device.transaction_bytes}-byte "
+            f"transaction, got {item_bytes}"
         )
-    return addr
+    return device.transaction_bytes // item_bytes
+
+
+def _warp_trace(indices: np.ndarray, device: DeviceSpec) -> np.ndarray:
+    """``indices`` as an int64 ``(warps, lanes)`` array, shape-checked."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.ndim != 2:
+        raise ValueError(f"expected (warps, lanes) indices, got shape {idx.shape}")
+    if idx.shape[1] > device.warp_size:
+        raise ValueError(
+            f"{idx.shape[1]} lanes exceeds warp size {device.warp_size}"
+        )
+    return idx
 
 
 def warp_transactions(
-    addresses: np.ndarray, device: DeviceSpec, access_bytes: int = 4
+    indices: np.ndarray, device: DeviceSpec, item_bytes: int = 4
 ) -> np.ndarray:
-    """Count transactions per warp for a ``(warps, warp_size)`` address array.
+    """Count transactions per warp for a ``(warps, warp_size)`` item trace.
 
     Parameters
     ----------
-    addresses:
-        Integer byte addresses, shape ``(n_warps, warp_size)``.  Negative
-        addresses mark inactive lanes (predicated-off threads) and are
-        ignored.
+    indices:
+        Integer element indices, shape ``(n_warps, warp_size)``: lane
+        ``l`` of warp ``w`` accesses bytes ``[i * item_bytes, (i + 1) *
+        item_bytes)`` for ``i = indices[w, l]``.  Negative indices mark
+        inactive lanes (predicated-off threads) and are ignored.
     device:
         Device supplying the transaction segment size.
-    access_bytes:
-        Size of each thread's access (4 for float, 8 for float2), at most
-        one segment.
+    item_bytes:
+        Size of each element (4 for float, 8 for float2); it must divide
+        the device's transaction size.
 
     Returns
     -------
     np.ndarray
         ``(n_warps,)`` int64 array of transaction counts: the distinct
-        segments the warp's active accesses cover.
+        segments the warp's active accesses touch.
     """
-    addr = _warp_trace(addresses, device)
-    segments = _warp_segments(addr, device.transaction_bytes, access_bytes)
-    return _distinct_per_warp(segments)
+    segment_items = _segment_items(device, item_bytes)
+    idx = _warp_trace(indices, device)
+    return _first_of_segment(_warp_segments(idx, segment_items)).sum(axis=1)
 
 
 def analyze_warps(
-    addresses: np.ndarray, device: DeviceSpec, access_bytes: int = 4
+    indices: np.ndarray, device: DeviceSpec, item_bytes: int = 4
 ) -> CoalescingReport:
-    """Run the coalescing unit over sampled warps and aggregate statistics."""
-    addr = _warp_trace(addresses, device)
-    segments = _warp_segments(addr, device.transaction_bytes, access_bytes)
-    active = int(np.count_nonzero(addr >= 0))
-    transactions = int(_distinct_per_warp(segments).sum())
+    """Run the coalescing unit over sampled warps' item indices and
+    aggregate statistics."""
+    segment_items = _segment_items(device, item_bytes)
+    idx = _warp_trace(indices, device)
+    segments = _warp_segments(idx, segment_items)
+    active = int(np.count_nonzero(segments >= 0))
+    transactions = int(np.count_nonzero(_first_of_segment(segments)))
     return CoalescingReport(
-        warps=addr.shape[0],
+        warps=idx.shape[0],
         transactions=transactions,
-        useful_bytes=active * access_bytes,
+        useful_bytes=active * item_bytes,
         fetched_bytes=transactions * device.transaction_bytes,
     )
 
 
 def strided_pattern(
-    n_warps: int,
-    stride_bytes: int,
-    device: DeviceSpec,
-    base: int = 0,
-    access_bytes: int = 4,
+    n_warps: int, stride: int, device: DeviceSpec, base: int = 0
 ) -> np.ndarray:
-    """Build a synthetic ``(n_warps, warp_size)`` strided address pattern.
+    """Build a synthetic ``(n_warps, warp_size)`` strided item-index pattern.
 
-    Each warp ``w`` starts at ``base + w * warp_size * stride_bytes`` and its
-    lanes step by ``stride_bytes``.  Stride equal to ``access_bytes`` yields a
-    fully coalesced pattern; larger strides model the NCHW pooling and naive
-    transpose access patterns the paper identifies as inefficient.
+    Each warp ``w`` starts at item ``base + w * warp_size * stride`` and its
+    lanes step by ``stride`` items.  Stride 1 yields a fully coalesced
+    pattern; larger strides model the NCHW pooling and naive transpose
+    access patterns the paper identifies as inefficient.
     """
     if n_warps <= 0:
         raise ValueError("n_warps must be positive")
     lanes = np.arange(device.warp_size, dtype=np.int64)
     warps = np.arange(n_warps, dtype=np.int64)[:, None]
-    return base + (warps * device.warp_size + lanes) * stride_bytes
+    return base + (warps * device.warp_size + lanes) * stride

@@ -354,6 +354,14 @@ _stats_row = attrgetter(*(f.name for f in fields(KernelStats)))
 _occupancy_row = attrgetter(*(f.name for f in fields(Occupancy)))
 
 
+def _detached(error: ValueError) -> ValueError:
+    """A copy of ``error`` with its type, args and attributes but no
+    traceback, cause or context: holding it keeps no frame alive."""
+    copy = type(error).__new__(type(error), *error.args)
+    copy.__dict__.update(error.__dict__)
+    return copy
+
+
 def _shape(row: Any) -> tuple[str | None, ...] | None:
     """The JSON shape of a loaded row (None when it is not a list)."""
     if type(row) is not list:
@@ -449,13 +457,14 @@ class SimulationContext:
             return hit
         error = self._errors.get(key)
         if error is not None:
-            # one traceback per raise, not one more frame per re-raise
-            raise error.with_traceback(None)
+            # a fresh copy per raise, so the stored error never gains a
+            # traceback (whose frames would hold this context)
+            raise _detached(error)
         start = time.perf_counter()
         try:
             stats = _time_stages(self.device, model)
         except ValueError as exc:
-            self._errors[key] = exc
+            self._errors[key] = _detached(exc)
             raise
         self.stats.record_miss(_kind_of(model), time.perf_counter() - start)
         self._cache[key] = stats

@@ -1,17 +1,18 @@
 """Address-trace utilities: turn per-thread addresses into per-warp arrays.
 
-Kernel models for the memory-bound layers (pooling, softmax, the layout
-transforms) generate the byte addresses their threads touch; these helpers
-reshape the flat per-thread streams into the ``(warps, lanes)`` arrays the
-coalescing unit consumes, and sample blocks so that large grids stay cheap
-to analyse.
+Traced kernel models (NCHW pooling, the naive layout transform) generate
+the element indices their threads touch; these helpers reshape flat
+per-thread streams into the ``(warps, lanes)`` arrays the coalescing unit
+consumes, turn a byte-address warp trace into the transaction stream the
+L2 model replays, and sample blocks so that large grids stay cheap to
+analyse.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .coalescing import _warp_segments
+from .coalescing import _first_of_segment, _warp_segments
 
 
 def warps_from_threads(
@@ -61,13 +62,12 @@ def transaction_stream(warp_addresses: np.ndarray, segment_bytes: int) -> np.nda
         addr = addr[None, :]
     elif addr.ndim != 2:
         raise ValueError(f"expected 1-D or 2-D addresses, got shape {addr.shape}")
-    segments = _warp_segments(addr, segment_bytes, access_bytes=1)
-    keep = segments >= 0
-    keep[:, 1:] &= segments[:, 1:] != segments[:, :-1]
-    return segments[keep] * segment_bytes
+    # byte addresses are indices of 1-byte items
+    segments = _warp_segments(addr, segment_bytes)
+    return segments[_first_of_segment(segments)] * segment_bytes
 
 
-def sample_indices(total: int, max_samples: int, rng_seed: int = 0) -> np.ndarray:
+def sample_indices(total: int, max_samples: int) -> np.ndarray:
     """Deterministically choose up to ``max_samples`` indices out of ``total``.
 
     Uses an evenly spaced stride so that sampled blocks cover the whole

@@ -36,6 +36,10 @@ from .pooling import tile_footprint
 
 _ITEM = 4
 
+#: per thread: feature map (``n * C + c``), output row and column, and
+#: whether the thread runs
+_Lanes = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
 
 class _PoolingKernelBase(KernelModel):
     structural_exclude = frozenset({"_profile_cache"})
@@ -150,56 +154,45 @@ class PoolingCoarsenedCHWN(_PoolingKernelBase):
 
 
 class _TracedNCHWPooling(_PoolingKernelBase):
-    """Shared traced-load machinery for the NCHW kernels."""
+    """Shared traced-load machinery for the NCHW kernels: a subclass maps
+    its threads to output positions, this class traces their window loads."""
 
     max_sample_warps = 512
     writes_mask = False
 
-    def _thread_coords(self, thread_ids: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Map flat thread ids to (n, c, ho, wo); subclasses override for
-        their block shape."""
-        s = self.spec
-        wo = thread_ids % s.out_w
-        rest = thread_ids // s.out_w
-        ho = rest % s.out_h
-        rest //= s.out_h
-        c = rest % s.c
-        n = rest // s.c
-        return n, c, ho, wo
+    def _threads(self, device: DeviceSpec) -> int:
+        """Threads the launch runs, in warp order."""
+        raise NotImplementedError
+
+    def _lanes(self, tid: np.ndarray, device: DeviceSpec) -> _Lanes:
+        """``(map, ho, wo, active)`` of each thread id."""
+        raise NotImplementedError
 
     def _stacked_loads(self, device: DeviceSpec) -> tuple[np.ndarray, int, int]:
         """(sampled warp-load trace, grid warps, sampled warps).
 
-        The trace has one warp instruction per window tap — shape
-        ``(sampled_warps * taps, lanes)`` — with inactive lanes at -1.
+        The trace holds input element indices, one warp instruction per
+        window tap in tap-major order — shape ``(taps * sampled_warps,
+        lanes)`` — with inactive lanes at -1.
         """
         s = self.spec
-        total_threads = s.out_elements
         warp = device.warp_size
-        n_warps = ceil(total_threads / warp)
+        n_warps = ceil(self._threads(device) / warp)
         sampled = sample_indices(n_warps, self.max_sample_warps)
-        lanes = np.arange(warp, dtype=np.int64)
-        tid = sampled[:, None] * warp + lanes
-        valid = tid < total_threads
-        tid = np.where(valid, tid, 0)
-        n, c, ho, wo = self._thread_coords(tid)
-        taps = [
-            (fy, fx) for fy in range(s.window) for fx in range(s.window)
-        ]
-        rows = []
-        for fy, fx in taps:
-            # ceil-mode windows clip at the input edge (inactive taps)
-            hi = np.minimum(ho * s.stride + fy, s.h - 1)
-            wi = np.minimum(wo * s.stride + fx, s.w - 1)
-            addr = (((n * s.c + c) * s.h + hi) * s.w + wi) * _ITEM
-            rows.append(np.where(valid, addr, np.int64(-1)))
-        # One warp instruction per tap: (warps * taps, lanes).
-        return np.concatenate(rows, axis=0), n_warps, len(sampled)
+        tid = sampled[:, None] * warp + np.arange(warp, dtype=np.int64)
+        fmap, ho, wo, active = self._lanes(tid, device)
+        taps = np.arange(s.window, dtype=np.int64)[:, None, None]
+        # ceil-mode windows clip at the input edge; (tap, warp, lane) each
+        hi = np.minimum(ho * s.stride + taps, s.h - 1)
+        wi = np.minimum(wo * s.stride + taps, s.w - 1)
+        index = (fmap * s.h + hi)[:, None] * s.w + wi  # (fy, fx, warp, lane)
+        np.copyto(index, -1, where=~active)
+        return index.reshape(-1, warp), n_warps, len(sampled)
 
     def _build_profile(self, device: DeviceSpec) -> MemoryProfile:
         s = self.spec
         stacked, n_warps, n_sampled = self._stacked_loads(device)
-        report = analyze_warps(stacked, device, access_bytes=_ITEM)
+        report = analyze_warps(stacked, device, item_bytes=_ITEM)
         load_trans = report.transactions * (n_warps / n_sampled)
         loads = float(s.out_elements * s.window * s.window * _ITEM)
         store_factor = 2.0 if self.writes_mask else 1.0
@@ -229,6 +222,14 @@ class PoolingNCHWLinear(_TracedNCHWPooling):
         return LaunchConfig(
             grid=(ceil(total / 512), 1, 1), block=(512, 1, 1), regs_per_thread=24
         )
+
+    def _threads(self, device: DeviceSpec) -> int:
+        return self.spec.out_elements
+
+    def _lanes(self, tid: np.ndarray, device: DeviceSpec) -> _Lanes:
+        s = self.spec
+        plane = s.out_h * s.out_w
+        return tid // plane, tid % plane // s.out_w, tid % s.out_w, tid < s.out_elements
 
 
 class PoolingNCHWBlockPerRow(_TracedNCHWPooling):
@@ -261,31 +262,16 @@ class PoolingNCHWBlockPerRow(_TracedNCHWPooling):
             active_lane_fraction=self._plane() / padded,
         )
 
-    def _stacked_loads(self, device: DeviceSpec) -> tuple[np.ndarray, int, int]:
+    def _threads(self, device: DeviceSpec) -> int:
+        return self.spec.n * self.spec.c * self._padded_plane(device)
+
+    def _lanes(self, tid: np.ndarray, device: DeviceSpec) -> _Lanes:
         # Thread t covers map t // padded_plane, output t % padded_plane
         # (lanes beyond the plane are predicated off).
-        s = self.spec
         padded = self._padded_plane(device)
-        total_threads = s.n * s.c * padded
-        warp = device.warp_size
-        n_warps = ceil(total_threads / warp)
-        sampled = sample_indices(n_warps, self.max_sample_warps)
-        lanes = np.arange(warp, dtype=np.int64)
-        tid = sampled[:, None] * warp + lanes
-        plane_idx = tid % padded
-        active = plane_idx < self._plane()
-        plane_idx = np.minimum(plane_idx, self._plane() - 1)
-        map_idx = np.minimum(tid // padded, s.n * s.c - 1)
-        wo = plane_idx % s.out_w
-        ho = plane_idx // s.out_w
-        rows = []
-        for fy in range(s.window):
-            for fx in range(s.window):
-                hi = np.minimum(ho * s.stride + fy, s.h - 1)
-                wi = np.minimum(wo * s.stride + fx, s.w - 1)
-                addr = ((map_idx * s.h + hi) * s.w + wi) * _ITEM
-                rows.append(np.where(active, addr, np.int64(-1)))
-        return np.concatenate(rows, axis=0), n_warps, len(sampled)
+        out = tid % padded
+        w = self.spec.out_w
+        return tid // padded, out // w, out % w, out < self._plane()
 
 
 POOL_IMPLEMENTATIONS = ("chwn", "chwn-coarsened", "nchw-linear", "nchw-rowblock")

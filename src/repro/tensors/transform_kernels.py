@@ -82,8 +82,7 @@ class NaiveTransformKernel(_TransformKernelBase):
         dst_idx[valid] = relayout_linear_indices(
             self.desc, self.target, thread_ids[valid]
         )
-        store_addr = np.where(valid, dst_idx * _ITEM, np.int64(-1))
-        report = analyze_warps(store_addr, device, access_bytes=_ITEM)
+        report = analyze_warps(dst_idx, device, item_bytes=_ITEM)
         scale = n_warps / len(sampled)
         store_transactions = report.transactions * scale
         store_bytes = nbytes

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import crossovers, sweep_conv, sweep_pool, sweep_softmax
+from repro.cli import main
 from repro.layers import PoolSpec, SoftmaxSpec
 from repro.networks import CONV_LAYERS
 
@@ -34,6 +35,20 @@ class TestConvSweeps:
         assert all(p.time_ms is None for p in result.points)
         with pytest.raises(ValueError):
             result.winner(32)
+        # values where nothing runs have no winner and no crossover
+        assert result.winners() == []
+        assert crossovers(result) == []
+
+    def test_cli_sweep_with_an_unrunnable_value(self, capsys):
+        argv = [
+            "sweep", "--layer", "CV3", "--dim", "h", "--values", "2,13,224",
+            "--impls", "direct,im2col,im2col-nhwc,fft,fft-tiled,winograd",
+        ]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0].split()[0] == "h"
+        assert rows[1].split() == ["2"] + ["n/a"] * 6 + ["-"]
+        assert [row.split()[0] for row in rows[2:4]] == ["13", "224"]
 
     def test_spatial_sweep_keeps_square_shapes(self, device):
         result = sweep_conv(

@@ -10,7 +10,9 @@ benchmark; their tests here hold them to one ``context.run`` per slot.
 
 from __future__ import annotations
 
+import gc
 import traceback
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -242,7 +244,10 @@ class TestLaunchErrorMemo:
             ctx.run(_WideBlockNCHWPooling(small_pool))
         first = _slots(ctx, [_WideBlockNCHWPooling(small_pool) for _ in range(3)])
         again = _slots(ctx, [_WideBlockNCHWPooling(small_pool)])
-        assert info.value is first[0] is first[1] is first[2] is again[0]
+        for error in first + again:
+            assert type(error) is LaunchValidationError
+            assert error.args == info.value.args
+            assert error.violations == info.value.violations
         assert len(builds) == 1
         assert ctx.stats.queries == 0
         _slots(_fresh(device), [_WideBlockNCHWPooling(small_pool)])
@@ -254,10 +259,35 @@ class TestLaunchErrorMemo:
         for _ in range(3):
             with pytest.raises(LaunchValidationError) as info:
                 ctx.run(_WideBlockNCHWPooling(small_pool))
-            errors.append(info.value)
+            errors.append((type(info.value), str(info.value)))
             depths.append(len(list(traceback.walk_tb(info.value.__traceback__))))
-        assert errors[0] is errors[1] is errors[2]
+        assert errors[0] == errors[1] == errors[2]
         assert depths[1] == depths[2] <= depths[0]
+
+    def test_memoized_error_does_not_keep_the_context_alive(
+        self, device, small_pool
+    ):
+        # Without the cycle collector only reference counts free the
+        # context, so nothing it stores may hold a frame that holds it.
+        def raise_twice(context):
+            raised = []
+            for _ in range(2):
+                try:
+                    context.run(_WideBlockNCHWPooling(small_pool))
+                except LaunchValidationError as exc:
+                    raised.append((type(exc), str(exc)))
+            return raised
+
+        gc.disable()
+        try:
+            ctx = _fresh(device)
+            first, second = raise_twice(ctx)
+            assert first == second
+            alive = weakref.ref(ctx)
+            del ctx
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_errors_are_not_saved(self, device, small_pool, tmp_path):
         ctx = _fresh(device)

@@ -74,8 +74,8 @@ class TestStrideFormula:
         segment = TITAN_BLACK.transaction_bytes
         expected = lanes if stride >= segment else (lanes - 1) * stride // segment + 1
         lanes_idx = np.arange(32, dtype=np.int64)
-        addr = np.where(lanes_idx < lanes, lanes_idx * stride, -1)[None, :]
-        assert warp_transactions(addr, TITAN_BLACK)[0] == expected
+        idx = np.where(lanes_idx < lanes, lanes_idx * stride_floats, -1)[None, :]
+        assert warp_transactions(idx, TITAN_BLACK)[0] == expected
 
 
 def _l2_hit_rate(trace, device):
@@ -85,12 +85,12 @@ def _l2_hit_rate(trace, device):
 
 class TestAnalyzeTrace:
     def test_no_l2_reuse_for_disjoint_warps(self, device):
-        trace = strided_pattern(32, 4, device)
-        assert _l2_hit_rate(trace, device) == 0.0
-        assert analyze_warps(trace, device).efficiency == pytest.approx(1.0)
+        indices = strided_pattern(32, 1, device)
+        assert _l2_hit_rate(indices * 4, device) == 0.0
+        assert analyze_warps(indices, device).efficiency == pytest.approx(1.0)
 
     def test_repeat_warps_hit_l2(self, device):
-        one = strided_pattern(1, 4, device)
+        one = strided_pattern(1, 1, device) * 4
         trace = np.concatenate([one, one, one], axis=0)
         assert _l2_hit_rate(trace, device) == pytest.approx(2 / 3)
 

@@ -1,8 +1,19 @@
 """Pooling kernel models: Fig. 6 layout dominance, Fig. 12 coarsening."""
 
+from math import ceil
+
+import numpy as np
 import pytest
 
-from repro.gpusim import SetAssociativeCache, default_context, transaction_stream
+from repro.gpusim import (
+    TITAN_BLACK,
+    TITAN_X,
+    SetAssociativeCache,
+    default_context,
+    sample_indices,
+    transaction_stream,
+)
+from repro.layers import PoolSpec
 from repro.layers import (
     PoolingCHWN,
     PoolingCoarsenedCHWN,
@@ -142,8 +153,9 @@ class TestTracedL2Diagnostic:
 
     @staticmethod
     def _replayed_hit_rate(kernel, device):
-        trace, _, _ = kernel._stacked_loads(device)
-        stream = transaction_stream(trace, device.transaction_bytes)
+        indices, _, _ = kernel._stacked_loads(device)
+        # float byte addresses; inactive lanes stay negative
+        stream = transaction_stream(indices * 4, device.transaction_bytes)
         return float(SetAssociativeCache.l2_for(device).access_stream(stream).mean())
 
     @pytest.mark.parametrize("impl", ["nchw-linear", "nchw-rowblock"])
@@ -162,3 +174,47 @@ class TestTracedL2Diagnostic:
         charge to DRAM above forgoes."""
         kernel = PoolingNCHWLinear(POOL_LAYERS["PL5"])
         assert self._replayed_hit_rate(kernel, device) > 0.3
+
+
+def _reference_trace(kernel, device):
+    """An NCHW kernel's load trace built one window tap at a time, as it
+    was first written: the reference for the tap broadcast."""
+    s = kernel.spec
+    warp = device.warp_size
+    plane = s.out_h * s.out_w
+    padded = ceil(plane / warp) * warp
+    rowblock = isinstance(kernel, PoolingNCHWBlockPerRow)
+    threads = s.n * s.c * padded if rowblock else s.out_elements
+    n_warps = ceil(threads / warp)
+    sampled = sample_indices(n_warps, kernel.max_sample_warps)
+    tid = sampled[:, None] * warp + np.arange(warp)
+    if rowblock:
+        fmap, pos, active = tid // padded, tid % padded, tid % padded < plane
+    else:
+        fmap, pos, active = tid // plane, tid % plane, tid < threads
+    ho, wo = pos // s.out_w, pos % s.out_w
+    rows = []
+    for fy in range(s.window):
+        for fx in range(s.window):
+            hi = np.minimum(ho * s.stride + fy, s.h - 1)
+            wi = np.minimum(wo * s.stride + fx, s.w - 1)
+            rows.append(np.where(active, (fmap * s.h + hi) * s.w + wi, -1))
+    return np.concatenate(rows), n_warps, len(sampled)
+
+
+class TestTracedLoads:
+    """The tap broadcast builds the per-tap reference trace exactly:
+    same indices, same tap-major row order, same warp counts."""
+
+    #: ceil-mode windows clipped at the input edge, a partial last warp
+    CLIPPED = PoolSpec(n=3, c=5, h=14, w=14, window=3, stride=2)
+
+    @pytest.mark.parametrize("kernel_cls", [PoolingNCHWLinear, PoolingNCHWBlockPerRow])
+    @pytest.mark.parametrize("device", [TITAN_BLACK, TITAN_X], ids=lambda d: d.name)
+    def test_matches_per_tap_reference(self, kernel_cls, device):
+        for spec in [*POOL_LAYERS.values(), self.CLIPPED]:
+            kernel = kernel_cls(spec)
+            trace, n_warps, n_sampled = kernel._stacked_loads(device)
+            ref, ref_warps, ref_sampled = _reference_trace(kernel, device)
+            np.testing.assert_array_equal(trace, ref, str(spec))
+            assert (n_warps, n_sampled) == (ref_warps, ref_sampled)

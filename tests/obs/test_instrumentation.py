@@ -148,7 +148,7 @@ class TestCoverage:
     def test_cache_replay_spans(self, device):
         from repro.gpusim import SetAssociativeCache, strided_pattern, transaction_stream
 
-        trace = strided_pattern(8, 8, device)
+        trace = strided_pattern(8, 2, device) * 4
         stream = transaction_stream(trace, device.transaction_bytes)
         _, tracer = _traced(
             lambda: SetAssociativeCache.l2_for(device).access_stream(stream)
