@@ -23,11 +23,9 @@ def sweep(ctx, spec) -> dict[tuple[int, int], float]:
     for ux in FACTORS:
         for uy in FACTORS:
             if (ux, uy) == (1, 1):
-                times[(1, 1)] = ctx.run(PoolingCHWN(spec), check_memory=False).time_ms
+                times[(1, 1)] = ctx.run(PoolingCHWN(spec)).time_ms
             else:
-                times[(ux, uy)] = ctx.run(
-                    PoolingCoarsenedCHWN(spec, ux, uy), check_memory=False
-                ).time_ms
+                times[(ux, uy)] = ctx.run(PoolingCoarsenedCHWN(spec, ux, uy)).time_ms
     return times
 
 
@@ -68,8 +66,8 @@ def test_tradeoff_surface_has_interior_optimum(device):
     throttles occupancy and time goes back up."""
     ctx = default_context(device)
     spec = POOL_LAYERS["PL8"]
-    t2 = ctx.run(PoolingCoarsenedCHWN(spec, 2, 2), check_memory=False).time_ms
-    t8 = ctx.run(PoolingCoarsenedCHWN(spec, 8, 8), check_memory=False).time_ms
+    t2 = ctx.run(PoolingCoarsenedCHWN(spec, 2, 2)).time_ms
+    t8 = ctx.run(PoolingCoarsenedCHWN(spec, 8, 8)).time_ms
     t_best = autotune_pooling(device, spec, max_factor=8).time_ms
     assert t_best <= min(t2, t8)
     assert t8 > t_best  # the extreme tile regressed

@@ -31,8 +31,8 @@ def build_figure(devices=DEVICES) -> FigureTable:
         chwn_wins = sum(
             1
             for spec in CONV_LAYERS.values()
-            if ctx.run(DirectConvCHWN(spec), check_memory=False).time_ms
-            < ctx.run(Im2colGemmNCHW(spec), check_memory=False).time_ms
+            if ctx.run(DirectConvCHWN(spec)).time_ms
+            < ctx.run(Im2colGemmNCHW(spec)).time_ms
         )
         speedups = []
         for name in ("lenet", "vgg"):

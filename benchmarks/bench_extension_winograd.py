@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from figutil import FigureTable
 
-from repro.gpusim import GpuOutOfMemoryError, default_context
+from repro.gpusim import GpuOutOfMemoryError, check_fit, default_context
 from repro.layers import ConvUnsupportedError, make_conv_kernel
 from repro.networks import CONV_LAYERS
 
@@ -29,7 +29,9 @@ def build_figure(device) -> FigureTable:
         times = {}
         for impl in ("direct", "im2col", "fft", "winograd"):
             try:
-                times[impl] = ctx.run(make_conv_kernel(spec, impl)).time_ms
+                kernel = make_conv_kernel(spec, impl)
+                check_fit(device, kernel)
+                times[impl] = ctx.run(kernel).time_ms
             except (ConvUnsupportedError, GpuOutOfMemoryError):
                 times[impl] = float("nan")
         winner = min(

@@ -23,12 +23,12 @@ def build_figure(device) -> FigureTable:
         ["layer", "chwn_ms", "nchw_ms", "nchw_norm"],
     )
     for i, (name, spec) in enumerate(ALEXNET_CONV.items(), start=1):
-        chwn = best_conv_for_layout(ctx, spec, CHWN, check_memory=False).time_ms
-        nchw = cudnn_mode_conv(ctx, spec, "best", check_memory=False).time_ms
+        chwn = best_conv_for_layout(ctx, spec, CHWN).time_ms
+        nchw = cudnn_mode_conv(ctx, spec, "best").time_ms
         table.add(f"CV{i}", chwn, nchw, nchw / chwn)
     for i, (name, spec) in enumerate(ALEXNET_POOL.items(), start=1):
-        chwn = ctx.run(make_pool_kernel(spec, "chwn"), check_memory=False).time_ms
-        nchw = ctx.run(make_pool_kernel(spec, "nchw-rowblock"), check_memory=False).time_ms
+        chwn = ctx.run(make_pool_kernel(spec, "chwn")).time_ms
+        nchw = ctx.run(make_pool_kernel(spec, "nchw-rowblock")).time_ms
         table.add(f"PL{i}", chwn, nchw, nchw / chwn)
     table.note("paper: pooling NCHW up to 6.9x slower; conv layout up to 2.3x")
     return table

@@ -23,8 +23,8 @@ def _gflops(context: SimulationContext, specs) -> list[tuple[float, float]]:
     each priced through the context's memo."""
     return [
         (
-            context.run(DirectConvCHWN(spec), check_memory=False).achieved_gflops,
-            context.run(Im2colGemmNCHW(spec), check_memory=False).achieved_gflops,
+            context.run(DirectConvCHWN(spec)).achieved_gflops,
+            context.run(Im2colGemmNCHW(spec)).achieved_gflops,
         )
         for spec in specs
     ]

@@ -9,14 +9,16 @@ from __future__ import annotations
 
 from figutil import FigureTable
 
-from repro.gpusim import GpuOutOfMemoryError, default_context
+from repro.gpusim import GpuOutOfMemoryError, check_fit, default_context
 from repro.layers import ConvUnsupportedError, make_conv_kernel
 from repro.networks import CONV_LAYERS
 
 
 def _speedup(ctx, spec, impl, baseline_ms):
     try:
-        return baseline_ms / ctx.run(make_conv_kernel(spec, impl)).time_ms
+        kernel = make_conv_kernel(spec, impl)
+        check_fit(ctx.device, kernel)
+        return baseline_ms / ctx.run(kernel).time_ms
     except (ConvUnsupportedError, GpuOutOfMemoryError):
         return float("nan")
 

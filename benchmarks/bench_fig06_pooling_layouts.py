@@ -33,7 +33,7 @@ def build_figure(
         ["layer", "convnet_bw", "caffe_rel", "cudnn_rel", "caffe_bw", "cudnn_bw"],
     )
     grid = {
-        (name, impl): ctx.run(make_pool_kernel(spec, impl), check_memory=False).time_ms
+        (name, impl): ctx.run(make_pool_kernel(spec, impl)).time_ms
         for name, spec in POOL_LAYERS.items()
         for impl in _IMPLS
     }

@@ -22,8 +22,8 @@ def build_figure(device) -> FigureTable:
         ["layer", "opt", "opt_naive_t", "opt_fast_t"],
     )
     for name, spec in CONV_LAYERS.items():
-        t_chwn = ctx.run(DirectConvCHWN(spec), check_memory=False).time_ms
-        t_nchw = ctx.run(Im2colGemmNCHW(spec), check_memory=False).time_ms
+        t_chwn = ctx.run(DirectConvCHWN(spec)).time_ms
+        t_nchw = ctx.run(Im2colGemmNCHW(spec)).time_ms
         best, alt = min(t_chwn, t_nchw), max(t_chwn, t_nchw)
         # Running this one layer in its preferred layout inside a network
         # kept in the alternative layout costs two relayouts: the input into

@@ -31,7 +31,7 @@ def build_figure(device) -> FigureTable:
             except ValueError:
                 bws.append(float("nan"))  # Opt2 needs N >= 64
                 continue
-            stats = ctx.run(kernel, check_memory=False)
+            stats = ctx.run(kernel)
             bws.append(2 * desc.nbytes / (stats.time_ms * 1e6))
         table.add(name, *bws)
     table.note("paper: Opt2 n/a for CV9-CV12 (N=32); CV6 reaches 97.6% of 235 GB/s")

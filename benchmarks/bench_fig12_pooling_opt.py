@@ -35,20 +35,16 @@ def build_figure(
         )
     )
     for name, spec in POOL_LAYERS.items():
-        t_conv = ctx.run(PoolingCHWN(spec), check_memory=False).time_ms
-        t_caffe = ctx.run(
-            make_pool_kernel(spec, "nchw-linear"), check_memory=False
-        ).time_ms
-        t_cudnn = ctx.run(
-            make_pool_kernel(spec, "nchw-rowblock"), check_memory=False
-        ).time_ms
+        t_conv = ctx.run(PoolingCHWN(spec)).time_ms
+        t_caffe = ctx.run(make_pool_kernel(spec, "nchw-linear")).time_ms
+        t_cudnn = ctx.run(make_pool_kernel(spec, "nchw-rowblock")).time_ms
         tuned = tuned_by_name[name]
         if (tuned.ux, tuned.uy) == (1, 1):
             opt_kernel = PoolingCHWN(spec)
         else:
             opt_kernel = PoolingCoarsenedCHWN(spec, tuned.ux, tuned.uy)
-        opt_stats = ctx.run(opt_kernel, check_memory=False)
-        base_dram = ctx.run(PoolingCHWN(spec), check_memory=False).dram_bytes
+        opt_stats = ctx.run(opt_kernel)
+        base_dram = ctx.run(PoolingCHWN(spec)).dram_bytes
         saved = 100.0 * (1 - opt_stats.dram_bytes / base_dram)
         useful = spec.in_desc().nbytes + spec.out_desc().nbytes
         table.add(

@@ -24,11 +24,11 @@ def build_figure(device) -> FigureTable:
     )
     for name, spec in FIG13_SOFTMAX.items():
         baselines = [
-            ctx.run(make_softmax_kernel(spec, impl), check_memory=False).time_ms
+            ctx.run(make_softmax_kernel(spec, impl)).time_ms
             for impl in ("5kernel", "cudnn")
         ]
         bl_best = min(baselines)
-        opt = ctx.run(make_softmax_kernel(spec, "opt"), check_memory=False).time_ms
+        opt = ctx.run(make_softmax_kernel(spec, "opt")).time_ms
         rep = fusion_report(spec, device)
         bw = lambda ms: 2 * spec.nbytes / (ms * 1e6)  # noqa: E731
         table.add(name, bw(bl_best), bw(opt), rep.fusion_speedup, rep.parallel_speedup)

@@ -41,7 +41,7 @@ def _build(device) -> tuple[float, str]:
             device,
             netdef,
             PipelineOptions(strategy=strategy),
-            context=SimulationContext(device, check_memory=False),
+            context=SimulationContext(device),
         ).summary()
         for netdef in netdefs
         for strategy in STRATEGIES

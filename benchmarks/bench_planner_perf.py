@@ -41,8 +41,8 @@ def _figure_renders(
 ) -> list[str]:
     """Render the Fig. 4 + Fig. 6 tables; fresh contexts unless given."""
     ctx4, ctx6 = contexts or (
-        SimulationContext(device, check_memory=False),
-        SimulationContext(device, check_memory=False),
+        SimulationContext(device),
+        SimulationContext(device),
     )
     tables = []
     for table in fig04.build_figure(device, context=ctx4):
@@ -68,8 +68,8 @@ def run_end_to_end(device) -> dict:
     # Warm shared-context rebuild: the steady state of a long session
     # re-sweeping shapes it has already priced — every cell a memo hit.
     contexts = (
-        SimulationContext(device, check_memory=False),
-        SimulationContext(device, check_memory=False),
+        SimulationContext(device),
+        SimulationContext(device),
     )
     warm_tables = _figure_renders(device, contexts=contexts)
     t0 = time.perf_counter()

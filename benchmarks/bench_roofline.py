@@ -28,25 +28,22 @@ def build_figure(device) -> FigureTable:
     )
     for name, spec in CONV_LAYERS.items():
         best = min(
-            (
-                best_conv_for_layout(ctx, spec, lo, check_memory=False)
-                for lo in (CHWN, NCHW)
-            ),
+            (best_conv_for_layout(ctx, spec, lo) for lo in (CHWN, NCHW)),
             key=lambda c: c.time_ms,
         )
-        stats = ctx.run(best.kernel, check_memory=False)
+        stats = ctx.run(best.kernel)
         p = roofline_point(device, stats)
         table.add(
             name, best.implementation, p.arithmetic_intensity,
             stats.achieved_gflops, p.roof_gflops, stats.bound,
         )
     for name, spec in POOL_LAYERS.items():
-        stats = ctx.run(make_pool_kernel(spec, "chwn"), check_memory=False)
+        stats = ctx.run(make_pool_kernel(spec, "chwn"))
         p = roofline_point(device, stats)
         table.add(name, "chwn", p.arithmetic_intensity, stats.achieved_gflops,
                   p.roof_gflops, stats.bound)
     for name, spec in CLASS_LAYERS.items():
-        stats = ctx.run(make_softmax_kernel(spec, "opt"), check_memory=False)
+        stats = ctx.run(make_softmax_kernel(spec, "opt"))
         p = roofline_point(device, stats)
         table.add(name, "softmax-opt", p.arithmetic_intensity,
                   stats.achieved_gflops, p.roof_gflops, stats.bound)

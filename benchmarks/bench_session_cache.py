@@ -19,7 +19,7 @@ def build_figure(device) -> FigureTable:
         "Session cache: AlexNet planned twice in one context",
         ["pass", "plan_ms", "queries", "hits", "timed", "hit_rate"],
     )
-    ctx = SimulationContext(device, check_memory=False)
+    ctx = SimulationContext(device)
     for label in ("cold", "warm"):
         before_hits = ctx.stats.hits
         before_timed = ctx.stats.kernels_timed

@@ -23,19 +23,19 @@ def build_figure(device) -> FigureTable:
         ["layer", "chwn_ms", "nchw_ms", "preferred"],
     )
     for name, spec in CONV_LAYERS.items():
-        chwn = best_conv_for_layout(ctx, spec, CHWN, check_memory=False).time_ms
-        nchw = best_conv_for_layout(ctx, spec, NCHW, check_memory=False).time_ms
+        chwn = best_conv_for_layout(ctx, spec, CHWN).time_ms
+        nchw = best_conv_for_layout(ctx, spec, NCHW).time_ms
         table.add(name, chwn, nchw, "CHWN" if chwn < nchw else "NCHW")
     for name, spec in POOL_LAYERS.items():
-        chwn = ctx.run(make_pool_kernel(spec, "chwn"), check_memory=False).time_ms
-        nchw = ctx.run(make_pool_kernel(spec, "nchw-linear"), check_memory=False).time_ms
+        chwn = ctx.run(make_pool_kernel(spec, "chwn")).time_ms
+        nchw = ctx.run(make_pool_kernel(spec, "nchw-linear")).time_ms
         table.add(name, chwn, nchw, "CHWN" if chwn < nchw else "NCHW")
     for name, spec in CLASS_LAYERS.items():
         best_base = min(
-            ctx.run(make_softmax_kernel(spec, impl), check_memory=False).time_ms
+            ctx.run(make_softmax_kernel(spec, impl)).time_ms
             for impl in ("5kernel", "cudnn")
         )
-        opt = ctx.run(make_softmax_kernel(spec, "opt"), check_memory=False).time_ms
+        opt = ctx.run(make_softmax_kernel(spec, "opt")).time_ms
         table.add(name, opt, best_base, "opt")
     return table
 

@@ -38,7 +38,7 @@ def main() -> None:
     for name in ("CV7", "CV10", "CV11", "CV12"):
         layer = CONV_LAYERS[name]
         times = {
-            impl: ctx.run(make_conv_kernel(layer, impl), check_memory=False).time_ms
+            impl: ctx.run(make_conv_kernel(layer, impl)).time_ms
             for impl in ("im2col", "fft", "winograd")
         }
         winner = min(times, key=lambda k: times[k])

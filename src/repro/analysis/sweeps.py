@@ -14,7 +14,12 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from ..gpusim.device import DeviceSpec
-from ..gpusim.session import GpuOutOfMemoryError, SimulationContext, default_context
+from ..gpusim.session import (
+    GpuOutOfMemoryError,
+    SimulationContext,
+    check_fit,
+    default_context,
+)
 from ..obs.tracer import span as obs_span
 from ..layers.base import ConvSpec, PoolSpec, SoftmaxSpec
 from ..layers.conv_kernels import ConvUnsupportedError, make_conv_kernel
@@ -87,16 +92,17 @@ def _point(
     dimension: str,
     value: int,
     implementation: str,
-    check_memory: bool,
 ) -> SweepPoint:
     """One grid point, priced through the context's memo.  An unsupported
-    shape, an OOM or a launch failure makes a failed point (``time_ms``
-    None)."""
+    shape, a kernel that does not fit the card or a launch failure makes a
+    failed point (``time_ms`` None)."""
     try:
         spec = replace(base, **{dimension: value})
         if dimension == "h" and kind != "softmax":
             spec = replace(spec, w=value)
-        stats = context.run(_MAKERS[kind](spec, implementation), check_memory)
+        kernel = _MAKERS[kind](spec, implementation)
+        check_fit(context.device, kernel)
+        stats = context.run(kernel)
     except (ConvUnsupportedError, GpuOutOfMemoryError, ValueError):
         return SweepPoint(value, implementation, None, None)
     return SweepPoint(value, implementation, stats.time_ms, stats.achieved_gflops)
@@ -106,7 +112,6 @@ def _run_grid(
     context: SimulationContext,
     kind: str,
     base: Any,
-    check_memory: bool,
     dimension: str,
     values: tuple[int, ...],
     implementations: tuple[str, ...],
@@ -120,7 +125,7 @@ def _run_grid(
         implementations=list(implementations),
     ):
         points = tuple(
-            _point(context, kind, base, dimension, value, impl, check_memory)
+            _point(context, kind, base, dimension, value, impl)
             for value in values
             for impl in implementations
         )
@@ -146,7 +151,7 @@ def sweep_conv(
         raise ValueError(f"ConvSpec has no dimension {dimension!r}")
     ctx = context or default_context(device)
     return _run_grid(
-        ctx, "conv", base, True, dimension, tuple(values), tuple(implementations)
+        ctx, "conv", base, dimension, tuple(values), tuple(implementations)
     )
 
 
@@ -163,7 +168,7 @@ def sweep_pool(
         raise ValueError(f"PoolSpec has no dimension {dimension!r}")
     ctx = context or default_context(device)
     return _run_grid(
-        ctx, "pool", base, False, dimension, tuple(values), tuple(implementations)
+        ctx, "pool", base, dimension, tuple(values), tuple(implementations)
     )
 
 
@@ -180,5 +185,5 @@ def sweep_softmax(
         raise ValueError(f"SoftmaxSpec has no dimension {dimension!r}")
     ctx = context or default_context(device)
     return _run_grid(
-        ctx, "softmax", base, False, dimension, tuple(values), tuple(implementations)
+        ctx, "softmax", base, dimension, tuple(values), tuple(implementations)
     )

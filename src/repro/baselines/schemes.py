@@ -105,25 +105,19 @@ def _backward_ms(
         impl = {"direct": "direct", "im2col": "im2col"}.get(
             implementation, implementation
         )
-        return sum(
-            context.run(k, check_memory=False).time_ms
-            for k in conv_backward_kernels(spec, impl)
-        )
+        return sum(context.run(k).time_ms for k in conv_backward_kernels(spec, impl))
     if isinstance(spec, PoolSpec):
         kernel = pool_backward_kernel(spec, implementation, coarsen or (2, 2))
-        return context.run(kernel, check_memory=False).time_ms
+        return context.run(kernel).time_ms
     if isinstance(spec, SoftmaxSpec):
         impl = implementation.removeprefix("softmax-")
         kernel = softmax_backward_kernel(spec, impl)
-        return context.run(kernel, check_memory=False).time_ms
+        return context.run(kernel).time_ms
     if isinstance(spec, FCSpec):
-        return sum(
-            context.run(k, check_memory=False).time_ms
-            for k in fc_backward_kernels(spec)
-        )
+        return sum(context.run(k).time_ms for k in fc_backward_kernels(spec))
     if isinstance(spec, LRNSpec):
         kernel = make_lrn_kernel(prod(layer.in_dims), spec)
-        return context.run(kernel, check_memory=False).time_ms
+        return context.run(kernel).time_ms
     raise TypeError(f"no backward model for spec {type(spec)!r}")
 
 
@@ -162,15 +156,11 @@ def _library_scheme(
         if layer.kind is NodeKind.CONV:
             assert isinstance(layer.spec, ConvSpec)
             if mode is not None:
-                choice = cudnn_mode_conv(ctx, layer.spec, mode, check_memory=False)
+                choice = cudnn_mode_conv(ctx, layer.spec, mode)
             elif layout == CHWN:
-                choice = best_conv_for_layout(
-                    ctx, layer.spec, CHWN, check_memory=False
-                )
+                choice = best_conv_for_layout(ctx, layer.spec, CHWN)
             else:
-                choice = best_conv_for_layout(
-                    ctx, layer.spec, NCHW, allow_fft=False, check_memory=False
-                )
+                choice = best_conv_for_layout(ctx, layer.spec, NCHW, allow_fft=False)
             bwd = (
                 _backward_ms(ctx, layer, choice.implementation)
                 if training
@@ -184,9 +174,7 @@ def _library_scheme(
             )
         elif layer.kind is NodeKind.POOL:
             assert isinstance(layer.spec, PoolSpec)
-            stats = ctx.run(
-                make_pool_kernel(layer.spec, pool_impl), check_memory=False
-            )
+            stats = ctx.run(make_pool_kernel(layer.spec, pool_impl))
             bwd = _backward_ms(ctx, layer, pool_impl) if training else 0.0
             rows.append(
                 LayerTiming(
@@ -195,9 +183,7 @@ def _library_scheme(
                 )
             )
         elif layer.kind is NodeKind.CLASSIFIER and isinstance(layer.spec, SoftmaxSpec):
-            stats = ctx.run(
-                make_softmax_kernel(layer.spec, softmax_impl), check_memory=False
-            )
+            stats = ctx.run(make_softmax_kernel(layer.spec, softmax_impl))
             bwd = (
                 _backward_ms(ctx, layer, f"softmax-{softmax_impl}")
                 if training

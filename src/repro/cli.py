@@ -225,7 +225,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _bench_layers(device, which: str) -> int:
-    from .gpusim.session import GpuOutOfMemoryError, default_context
+    from .gpusim.session import GpuOutOfMemoryError, check_fit, default_context
     from .layers.conv_kernels import ConvUnsupportedError, make_conv_kernel
     from .layers.pooling_kernels import make_pool_kernel
     from .layers.softmax_kernels import make_softmax_kernel
@@ -237,7 +237,9 @@ def _bench_layers(device, which: str) -> int:
         for name, spec in CONV_LAYERS.items():
             for impl in ("direct", "im2col", "fft", "fft-tiled"):
                 try:
-                    s = ctx.run(make_conv_kernel(spec, impl))
+                    kernel = make_conv_kernel(spec, impl)
+                    check_fit(device, kernel)
+                    s = ctx.run(kernel)
                     print(f"{name:5s}  {impl:11s} {s.time_ms:9.3f} {s.achieved_gflops:8.0f}")
                 except (ConvUnsupportedError, GpuOutOfMemoryError) as exc:
                     print(f"{name:5s}  {impl:11s}      FAIL  ({exc})")
@@ -313,7 +315,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     from .gpusim.reporting import comparison_table, kernel_report
-    from .gpusim.session import GpuOutOfMemoryError, default_context
+    from .gpusim.session import default_context
     from .layers.conv_kernels import ConvUnsupportedError, make_conv_kernel
     from .layers.pooling_kernels import make_pool_kernel
     from .networks.table1 import CONV_LAYERS, POOL_LAYERS
@@ -327,8 +329,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         for impl in ("direct", "im2col", "im2col-nhwc", "fft", "fft-tiled"):
             try:
                 kernel = make_conv_kernel(spec, impl)
-                entries.append((impl, ctx.run(kernel, check_memory=False)))
-            except (ConvUnsupportedError, GpuOutOfMemoryError) as exc:
+                entries.append((impl, ctx.run(kernel)))
+            except ConvUnsupportedError as exc:
                 print(f"{impl}: unavailable ({exc})")
         print(comparison_table(device, entries))
         if args.verbose:
@@ -338,7 +340,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     elif name in POOL_LAYERS:
         spec = POOL_LAYERS[name]
         entries = [
-            (impl, ctx.run(make_pool_kernel(spec, impl), check_memory=False))
+            (impl, ctx.run(make_pool_kernel(spec, impl)))
             for impl in ("chwn", "chwn-coarsened", "nchw-linear", "nchw-rowblock")
         ]
         print(comparison_table(device, entries))

@@ -43,7 +43,7 @@ def _time_ms(context: SimulationContext, spec: PoolSpec, u: tuple[int, int]) -> 
     model = (
         PoolingCHWN(spec) if u == (1, 1) else PoolingCoarsenedCHWN(spec, ux=u[0], uy=u[1])
     )
-    return context.run(model, check_memory=False).time_ms
+    return context.run(model).time_ms
 
 
 def autotune_pooling(

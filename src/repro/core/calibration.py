@@ -66,8 +66,8 @@ def _time_both(
     any error propagates)."""
     return [
         (
-            context.run(make_conv_kernel(spec, "direct"), check_memory=False).time_ms,
-            context.run(make_conv_kernel(spec, "im2col"), check_memory=False).time_ms,
+            context.run(make_conv_kernel(spec, "direct")).time_ms,
+            context.run(make_conv_kernel(spec, "im2col")).time_ms,
         )
         for spec in specs
     ]

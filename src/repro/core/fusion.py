@@ -78,9 +78,9 @@ def fusion_report(
     """Apply the pass stage by stage and measure each stage's effect."""
     ctx = context or default_context(device)
     chain = five_kernel_softmax(spec)
-    baseline = ctx.run(chain, check_memory=False)
-    fused = ctx.run(FusedSoftmax(spec), check_memory=False)
-    parallel = ctx.run(FusedParallelSoftmax(spec), check_memory=False)
+    baseline = ctx.run(chain)
+    fused = ctx.run(FusedSoftmax(spec))
+    parallel = ctx.run(FusedParallelSoftmax(spec))
     # Each interior step boundary costs one spill (the producer stores its
     # output) and one reload (the consumer re-reads it) through DRAM; fusion
     # keeps that traffic in shared memory/registers.  Derived from the actual

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from ..gpusim.device import DeviceSpec
 from ..gpusim.session import SimulationContext, default_context
 from ..obs.metrics import global_registry
-from ..obs.tracer import active_tracer
+from ..obs.tracer import active_tracer, json_safe
 from ..obs.tracer import span as obs_span
 from ..ir.build import infer_shapes, lower_netdef
 from ..ir.graph import EdgeTransform, Graph, GraphNode, NodeKind
@@ -209,9 +209,7 @@ class PassManager:
                 graph = p.run(graph, ctx)
                 if sp is not None:
                     sp.attrs["nodes_after"] = len(graph)
-                    sp.attrs.update(
-                        {k: _attr_safe(v) for k, v in p.stats.items()}
-                    )
+                    sp.attrs.update({k: json_safe(v) for k, v in p.stats.items()})
             elapsed_ms = (time.perf_counter() - started) * 1e3
             registry.histogram(f"pipeline.pass_ms.{p.name}").observe(elapsed_ms)
             traces.append(
@@ -243,17 +241,6 @@ class PassManager:
         diagnostics = verify_graph(graph, config=config)
         if diagnostics:
             raise PassContractError(p.name, diagnostics)
-
-
-def _attr_safe(value: object) -> object:
-    """Pass stats → span attributes (JSON-safe scalars/containers only)."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_attr_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _attr_safe(v) for k, v in value.items()}
-    return repr(value)
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +306,7 @@ class TransformCostTable:
                         kernel = make_transform_kernel(
                             TensorDesc(*dims, layout=src_l), dst_l, method="auto"
                         )
-                        self._ms[key] = self.context.run(
-                            kernel, check_memory=False
-                        ).time_ms
+                        self._ms[key] = self.context.run(kernel).time_ms
                         priced += 1
         return priced
 
@@ -384,7 +369,7 @@ class ResolveShapes(Pass):
                 kernel = ElementwiseKernel(prod(node.out_dims), name="concat")
             else:
                 continue
-            node.fixed_ms = ctx.engine.run(kernel, check_memory=False).time_ms
+            node.fixed_ms = ctx.engine.run(kernel).time_ms
             timed += 1
         self.stats["fixed_cost_nodes"] = timed
         return graph

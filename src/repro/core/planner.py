@@ -82,7 +82,7 @@ def _node_costs(
         assert isinstance(node.spec, ConvSpec)
         for layout in PLAN_LAYOUTS:
             choice = best_conv_for_layout(
-                context, node.spec, layout, allow_fft=allow_fft, check_memory=False
+                context, node.spec, layout, allow_fft=allow_fft
             )
             costs.per_layout[str(layout)] = (choice.time_ms, choice.implementation, None)
     elif node.kind is NodeKind.POOL:
@@ -97,9 +97,7 @@ def _node_costs(
                 "chwn-coarsened" if coarsen != (1, 1) else "chwn"
             )
         else:
-            chwn_ms = context.run(
-                make_pool_kernel(node.spec, "chwn"), check_memory=False
-            ).time_ms
+            chwn_ms = context.run(make_pool_kernel(node.spec, "chwn")).time_ms
             coarsen, impl = None, "chwn"
         costs.per_layout[str(CHWN)] = (chwn_ms, impl, coarsen)
         # When a pool stays out of CHWN (transform not worth it), the
@@ -107,9 +105,7 @@ def _node_costs(
         # kernels.
         nchw_ms, nchw_impl = min(
             (
-                context.run(
-                    make_pool_kernel(node.spec, impl_name), check_memory=False
-                ).time_ms,
+                context.run(make_pool_kernel(node.spec, impl_name)).time_ms,
                 impl_name,
             )
             for impl_name in ("nchw-linear", "nchw-rowblock")
@@ -123,9 +119,7 @@ def _node_costs(
             costs.per_layout[str(layout)] = (node.fixed_ms, "concat", None)
     else:  # CLASSIFIER
         if isinstance(node.spec, SoftmaxSpec):
-            ms = context.run(
-                make_softmax_kernel(node.spec, "opt"), check_memory=False
-            ).time_ms
+            ms = context.run(make_softmax_kernel(node.spec, "opt")).time_ms
             impl = "softmax-opt"
         else:
             ms, impl = node.fixed_ms, "gemm"

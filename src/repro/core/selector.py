@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..gpusim.kernel import KernelModel
-from ..gpusim.session import GpuOutOfMemoryError, SimulationContext
+from ..gpusim.session import SimulationContext
 from ..layers.base import ConvSpec
 from ..layers.conv_kernels import ConvUnsupportedError, make_conv_kernel
 from ..tensors.layout import CHWN, NCHW, NHWC, DataLayout
@@ -58,15 +58,13 @@ def try_conv_time(
     context: SimulationContext,
     spec: ConvSpec,
     implementation: str,
-    check_memory: bool | None = None,
 ) -> tuple[float, KernelModel] | None:
-    """Simulated time for one implementation, or None if it cannot run
-    (unsupported configuration or device OOM).  ``check_memory`` is
-    forwarded to :meth:`SimulationContext.run`."""
+    """Simulated time for one implementation, or None if its configuration
+    is unsupported."""
     try:
         kernel = make_conv_kernel(spec, implementation)
-        stats = context.run(kernel, check_memory=check_memory)
-    except (ConvUnsupportedError, GpuOutOfMemoryError):
+        stats = context.run(kernel)
+    except ConvUnsupportedError:
         return None
     return stats.time_ms, kernel
 
@@ -76,7 +74,6 @@ def best_conv_for_layout(
     spec: ConvSpec,
     layout: DataLayout,
     allow_fft: bool = True,
-    check_memory: bool | None = None,
 ) -> ConvChoice:
     """Fastest valid implementation of ``spec`` under ``layout``."""
     key = str(layout)
@@ -90,7 +87,7 @@ def best_conv_for_layout(
         candidates = tuple(c for c in candidates if not c.startswith("fft"))
     best: ConvChoice | None = None
     for impl in candidates:
-        result = try_conv_time(context, spec, impl, check_memory)
+        result = try_conv_time(context, spec, impl)
         if result is None:
             continue
         time_ms, kernel = result
@@ -107,22 +104,19 @@ def cudnn_mode_conv(
     context: SimulationContext,
     spec: ConvSpec,
     mode: str,
-    check_memory: bool | None = None,
 ) -> ConvChoice:
     """Model one cuDNN execution mode with MM fallback.
 
     ``mode`` is ``mm``, ``fft``, ``fft-tiled`` or ``best``.
     """
     if mode == "best":
-        return best_conv_for_layout(
-            context, spec, NCHW, allow_fft=True, check_memory=check_memory
-        )
+        return best_conv_for_layout(context, spec, NCHW, allow_fft=True)
     impl = {"mm": "im2col", "fft": "fft", "fft-tiled": "fft-tiled"}.get(mode)
     if impl is None:
         raise ValueError(f"unknown cuDNN mode {mode!r}")
-    result = try_conv_time(context, spec, impl, check_memory)
+    result = try_conv_time(context, spec, impl)
     if result is None:  # fall back to MM, as the paper's schemes do
-        result = try_conv_time(context, spec, "im2col", check_memory)
+        result = try_conv_time(context, spec, "im2col")
         impl = "im2col"
     if result is None:
         raise ConvUnsupportedError(f"cuDNN fallback failed for {spec}")

@@ -109,15 +109,11 @@ def compare_layouts_fp16(
     out: list[Fp16LayerComparison] = []
     for name, spec in layers.items():
         t32 = {
-            impl: ctx32.run(
-                make_conv_kernel(spec, impl), check_memory=False
-            ).time_ms
+            impl: ctx32.run(make_conv_kernel(spec, impl)).time_ms
             for impl in ("direct", "im2col")
         }
         t16 = {
-            impl: ctx16.run(
-                as_fp16(make_conv_kernel(spec, impl)), check_memory=False
-            ).time_ms
+            impl: ctx16.run(as_fp16(make_conv_kernel(spec, impl))).time_ms
             for impl in ("direct", "im2col")
         }
         w32 = min(t32, key=lambda k: t32[k])
@@ -147,11 +143,10 @@ def memory_bound_share(
     if fp16:
         ctx = default_context(fp16_device(device))
         stats = ctx.run(
-            as_fp16(make_conv_kernel(spec, implementation), math_only=math_only),
-            check_memory=False,
+            as_fp16(make_conv_kernel(spec, implementation), math_only=math_only)
         )
     else:
         ctx = context or default_context(device)
-        stats = ctx.run(make_conv_kernel(spec, implementation), check_memory=False)
+        stats = ctx.run(make_conv_kernel(spec, implementation))
     denom = stats.memory_ms + stats.compute_ms
     return stats.memory_ms / denom if denom else 0.0

@@ -154,10 +154,13 @@ def plan_within_memory(
     """Plan layouts subject to the card's memory capacity.
 
     The unconstrained optimum may pick FFT convolutions whose frequency-
-    domain workspace, *combined with the resident activations*, exceeds
-    device memory (each kernel fits alone — the paper's per-layer OOM check
-    passes — but a training run would still die).  When that happens the
-    plan is re-derived without FFT implementations.
+    domain workspace, combined with the resident activations, exceeds
+    device memory.  When that happens the plan is re-derived without FFT
+    implementations.  The planner does not ask the per-kernel
+    :func:`~repro.gpusim.session.check_fit`, so a picked kernel need not
+    fit even alone: on the 6 GiB Titan Black the VGG optimum binds FFT
+    kernels needing 6.75-9.89 GiB, and it is the network footprint that
+    drops them here.
     """
     from ..core.pipeline import PipelineOptions, plan_network
 

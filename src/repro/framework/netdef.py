@@ -210,12 +210,30 @@ def format_netdef(net: NetworkDef) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _kv(tokens: list[str], line_no: int) -> dict[str, str]:
+#: the keys each line kind accepts; every layer but a concat also reads
+#: ``bottom``
+_KEYS: dict[str, tuple[str, ...]] = {
+    "network": ("batch", "input"),
+    "conv": ("co", "f", "stride", "pad", "relu", "groups", "bottom"),
+    "pool": ("window", "stride", "op", "bottom"),
+    "lrn": ("depth", "bottom"),
+    "fc": ("out", "relu", "bottom"),
+    "softmax": ("bottom",),
+    "concat": ("inputs",),
+}
+
+
+def _kv(kind: str, tokens: list[str], line_no: int) -> dict[str, str]:
     out: dict[str, str] = {}
     for tok in tokens:
         if "=" not in tok:
             raise ValueError(f"line {line_no}: expected key=value, got {tok!r}")
         key, value = tok.split("=", 1)
+        if key not in _KEYS[kind]:
+            raise ValueError(
+                f"line {line_no}: unknown key {key!r} for {kind}; "
+                f"expected one of {', '.join(_KEYS[kind])}"
+            )
         out[key] = value
     return out
 
@@ -233,7 +251,7 @@ def parse_netdef(text: str) -> NetworkDef:
             if header is not None:
                 raise ValueError(f"line {line_no}: duplicate network header")
             name, *tokens = rest
-            kv = _kv(tokens, line_no)
+            kv = _kv(kind, tokens, line_no)
             c, h, w = (int(v) for v in kv["input"].split("x"))
             header = NetworkDef(
                 name=name, batch=int(kv["batch"]), in_channels=c, in_h=h, in_w=w
@@ -241,8 +259,10 @@ def parse_netdef(text: str) -> NetworkDef:
             continue
         if header is None:
             raise ValueError(f"line {line_no}: layer before network header")
+        if kind not in _KEYS:
+            raise ValueError(f"line {line_no}: unknown layer kind {kind!r}")
         name, *tokens = rest
-        kv = _kv(tokens, line_no)
+        kv = _kv(kind, tokens, line_no)
         bottom = kv.get("bottom")
         if kind == "conv":
             layers.append(
@@ -282,12 +302,10 @@ def parse_netdef(text: str) -> NetworkDef:
             )
         elif kind == "softmax":
             layers.append(SoftmaxDef(name=name, bottom=bottom))
-        elif kind == "concat":
+        else:  # concat
             layers.append(
                 ConcatDef(name=name, inputs=tuple(kv["inputs"].split(",")))
             )
-        else:
-            raise ValueError(f"line {line_no}: unknown layer kind {kind!r}")
     if header is None:
         raise ValueError("missing network header line")
     return NetworkDef(

@@ -34,6 +34,7 @@ _EXPORTS = {
         "GpuOutOfMemoryError",
         "SimStats",
         "SimulationContext",
+        "check_fit",
         "default_context",
         "global_sim_stats",
         "reset_default_contexts",

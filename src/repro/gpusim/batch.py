@@ -12,6 +12,6 @@ __all__ = ["evaluate_models"]
 
 
 # perfbench's traced runs wrap this name; nothing in the program calls it.
-def evaluate_models(context, models, check_memory=None):
+def evaluate_models(context, models):
     """:func:`~repro.gpusim.exec.evaluate_cells`."""
-    return evaluate_cells(context, models, check_memory)
+    return evaluate_cells(context, models)

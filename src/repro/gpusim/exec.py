@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from .kernel import KernelModel
-from .session import GpuOutOfMemoryError, SimulationContext
+from .session import SimulationContext
 from .timing import KernelStats
 
 __all__ = ["evaluate_cells", "map_chunks", "shutdown_pool"]
@@ -27,22 +27,19 @@ _POOL = None
 def evaluate_cells(
     context: SimulationContext,
     models: Sequence[KernelModel],
-    check_memory: bool | None = None,
 ) -> "list[KernelStats | Exception]":
-    """``context.run(model, check_memory)`` of each model, one slot per
-    model; a slot holds the ``GpuOutOfMemoryError`` or ``ValueError`` its
-    run raises instead.  Any other exception propagates."""
-    return [_slot(context, model, check_memory) for model in models]
+    """``context.run(model)`` of each model, one slot per model; a slot
+    holds the ``ValueError`` its run raises instead.  Any other exception
+    propagates."""
+    return [_slot(context, model) for model in models]
 
 
-def _slot(
-    context: SimulationContext, model: KernelModel, check_memory: bool | None
-) -> "KernelStats | Exception":
+def _slot(context: SimulationContext, model: KernelModel) -> "KernelStats | Exception":
     # Caught here, not in the grid loop: an error's traceback then holds
     # this frame, not one that holds the whole grid and its results.
     try:
-        return context.run(model, check_memory)
-    except (GpuOutOfMemoryError, ValueError) as exc:
+        return context.run(model)
+    except ValueError as exc:
         return exc
 
 

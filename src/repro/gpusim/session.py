@@ -11,12 +11,13 @@ baselines, sweeps, CLI) times kernels through one
   equal models built independently share one timing;
 * :class:`SimStats` — instrumentation counters (hits, misses, wall-clock
   spent simulating, per-kind breakdown) that any session can print;
-* :class:`SimulationContext` — the session object owning the cache, the
-  stats, and the OOM/``tensor_bytes_resident`` accounting, with optional
-  JSON persistence for cross-process reuse by benchmarks; its
-  :meth:`~SimulationContext.run` is the one memoized evaluation, and
-  every grid (sweeps, calibration, autotuning, transform pricing) is a
-  loop of it;
+* :class:`SimulationContext` — the session object owning the cache and
+  the stats, with optional JSON persistence for cross-process reuse by
+  benchmarks; its :meth:`~SimulationContext.run` is the one memoized
+  evaluation, and every grid (sweeps, calibration, autotuning, transform
+  pricing) is a loop of it;
+* :func:`check_fit` — the paper's per-kernel OOM rule, asked separately
+  by the callers that model the card's memory limit (``run`` only times);
 * :func:`default_context` — a per-device shared session, so callers that
   pass no context still share one hot cache.
 """
@@ -52,6 +53,15 @@ class GpuOutOfMemoryError(RuntimeError):
             f"{kernel}: requires {required / 2**30:.2f} GiB device memory, "
             f"card has {available / 2**30:.2f} GiB"
         )
+
+
+def check_fit(device: DeviceSpec, model: KernelModel) -> None:
+    """Raise the OOM of the first stage, in sequence order, whose
+    workspace exceeds the device's DRAM (the paper's execution failures)."""
+    for stage in _stages(model):
+        required = stage.workspace_bytes()
+        if required > device.dram_bytes:
+            raise GpuOutOfMemoryError(stage.name, required, device.dram_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -380,27 +390,15 @@ class SimulationContext:
     ----------
     device:
         The simulated GPU.
-    check_memory:
-        Default OOM-checking behaviour for :meth:`run`; individual calls
-        may override it.
-    tensor_bytes_resident:
-        Bytes already resident on the device, counted against capacity by
-        the OOM check.
     cache_path:
         Optional JSON file for cross-process cache reuse.  Loaded eagerly
         when it exists; written by :meth:`save_cache`.
     """
 
     def __init__(
-        self,
-        device: DeviceSpec,
-        check_memory: bool = True,
-        tensor_bytes_resident: float = 0.0,
-        cache_path: str | Path | None = None,
+        self, device: DeviceSpec, cache_path: str | Path | None = None
     ) -> None:
         self.device = device
-        self.check_memory = check_memory
-        self.tensor_bytes_resident = tensor_bytes_resident
         #: the session's metrics; ``stats`` is the SimStats view over it
         self.metrics = MetricsRegistry()
         self.stats = SimStats(self.metrics)
@@ -413,27 +411,20 @@ class SimulationContext:
             self.load_cache(self.cache_path)
 
     # -- simulation --------------------------------------------------------
-    def run(
-        self,
-        model: KernelModel,
-        check_memory: bool | None = None,
-        tensor_bytes_resident: float | None = None,
-    ) -> KernelStats:
+    def run(self, model: KernelModel) -> KernelStats:
         """Time one kernel model, serving structurally-equal repeats from
-        the cache; raises :class:`GpuOutOfMemoryError` when enabled checks
-        find the workspace plus resident tensors exceed device memory.
+        the cache.  Whether the kernel fits the card is not asked here:
+        callers that model the memory limit call :func:`check_fit` first.
 
         The memo unit is the model passed in: a composed kernel is one
         entry under its own key, each of its stages timed uncached and the
-        results folded.  Every stage's fit check runs before the lookup,
-        since whether a kernel fits depends on the flags in force now.  A
-        launch or spec ``ValueError`` is memoized under the key as well,
-        for this context only: it is never saved with the timing cache.
+        results folded.  A launch or spec ``ValueError`` is memoized under
+        the key as well, for this context only: it is never saved with the
+        timing cache.
 
         Every query records a ``sim.kernel`` span on the active tracer
         (when one is installed) carrying the kernel name, family, whether
         the query was served from cache, and the modelled GPU time."""
-        self._check_fit(model, check_memory, tensor_bytes_resident)
         key = structural_key(model, self.device)
         tracer = active_tracer()
         if tracer is None:
@@ -470,27 +461,6 @@ class SimulationContext:
         self._cache[key] = stats
         self.metrics.gauge("sim.cache.entries").set(len(self._cache))
         return stats
-
-    def _check_fit(
-        self,
-        model: KernelModel,
-        check_memory: bool | None,
-        tensor_bytes_resident: float | None,
-    ) -> None:
-        """Raise the OOM of the first stage, in sequence order, whose
-        workspace plus resident tensors exceed device memory."""
-        enabled = self.check_memory if check_memory is None else check_memory
-        if not enabled:
-            return
-        resident = (
-            self.tensor_bytes_resident
-            if tensor_bytes_resident is None
-            else tensor_bytes_resident
-        )
-        for stage in _stages(model):
-            required = stage.workspace_bytes() + resident
-            if required > self.device.dram_bytes:
-                raise GpuOutOfMemoryError(stage.name, required, self.device.dram_bytes)
 
     # -- cache management --------------------------------------------------
     @property
@@ -623,7 +593,7 @@ def default_context(device: DeviceSpec) -> SimulationContext:
     """
     ctx = _DEFAULT_CONTEXTS.get(device)
     if ctx is None:
-        ctx = SimulationContext(device, check_memory=True)
+        ctx = SimulationContext(device)
         _DEFAULT_CONTEXTS[device] = ctx
     return ctx
 

@@ -288,8 +288,8 @@ class FFTConvNCHW(KernelModel):
     def workspace_bytes(self) -> float:
         # 4.5x is the Titan Black ArchProfile's fft_workspace_factor; kept
         # as a plain default here because workspace is checked before the
-        # device is known in some planner paths.  The engine applies the
-        # check against the actual card capacity.
+        # device is known in some planner paths.  ``check_fit`` compares it
+        # with the actual card capacity.
         in_maps, filt_maps, out_maps = self._map_counts()
         per_map = self.geometry.points * 8.0  # complex64
         streaming_factor = 0.5 if self.tiled else 1.0  # tiling streams batches

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .metrics import MetricsRegistry, aggregate_metrics
-from .tracer import Span, TraceEvent, Tracer
+from .tracer import Span, TraceEvent, Tracer, json_safe
 
 __all__ = [
     "chrome_trace",
@@ -38,17 +38,6 @@ __all__ = [
 ]
 
 _TRACE_VERSION = 1
-
-
-def _json_safe(value: Any) -> Any:
-    """Coerce attribute values to something ``json.dumps`` accepts."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    return repr(value)
 
 
 def chrome_trace(
@@ -94,7 +83,7 @@ def chrome_trace(
                 "dur": round(s.duration_us, 3),
                 "pid": s.pid,
                 "tid": s.tid,
-                "args": _json_safe(
+                "args": json_safe(
                     {**s.attrs, "span_id": s.span_id, "parent_id": s.parent_id}
                 ),
             }
@@ -109,7 +98,7 @@ def chrome_trace(
                 "pid": e.pid,
                 "tid": e.tid,
                 "s": "t",  # thread-scoped instant
-                "args": _json_safe(e.attrs),
+                "args": json_safe(e.attrs),
             }
         )
     return {
@@ -152,7 +141,7 @@ def write_jsonl(path: str | Path, tracer: Tracer) -> Path:
                 "tid": s.tid,
                 "span_id": s.span_id,
                 "parent_id": s.parent_id,
-                "attrs": _json_safe(s.attrs),
+                "attrs": json_safe(s.attrs),
             }
         )
     for e in sorted(tracer.events(), key=lambda e: (e.timestamp_us, e.pid)):
@@ -164,7 +153,7 @@ def write_jsonl(path: str | Path, tracer: Tracer) -> Path:
                 "timestamp_us": e.timestamp_us,
                 "pid": e.pid,
                 "tid": e.tid,
-                "attrs": _json_safe(e.attrs),
+                "attrs": json_safe(e.attrs),
             }
         )
     target = Path(path)

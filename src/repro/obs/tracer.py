@@ -35,6 +35,7 @@ __all__ = [
     "Tracer",
     "active_tracer",
     "install_tracer",
+    "json_safe",
     "span",
     "uninstall_tracer",
 ]
@@ -244,3 +245,16 @@ def span(name: str, category: str = "repro", **attrs: Any) -> Any:
     if tracer is None:
         return _NULL_SPAN
     return tracer.span(name, category, **attrs)
+
+
+def json_safe(value: Any) -> Any:
+    """Coerce an attribute value to something ``json.dumps`` accepts:
+    scalars as they are, lists and tuples as lists, dicts with string
+    keys, anything else as its ``repr``."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): json_safe(v) for k, v in value.items()}
+    return repr(value)

@@ -234,7 +234,7 @@ def transform_stats(
     from ..gpusim.session import default_context
 
     kernel = make_transform_kernel(desc, target, method)
-    return default_context(device).run(kernel, check_memory=False)
+    return default_context(device).run(kernel)
 
 
 def transform_time_ms(

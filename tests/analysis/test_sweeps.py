@@ -1,11 +1,22 @@
 """Sensitivity-analysis toolkit."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import crossovers, sweep_conv, sweep_pool, sweep_softmax
 from repro.cli import main
-from repro.layers import PoolSpec, SoftmaxSpec
-from repro.networks import CONV_LAYERS
+from repro.gpusim import SimulationContext
+from repro.layers import (
+    POOL_IMPLEMENTATIONS,
+    SOFTMAX_IMPLEMENTATIONS,
+    PoolSpec,
+    SoftmaxSpec,
+    make_conv_kernel,
+    make_pool_kernel,
+    make_softmax_kernel,
+)
+from repro.networks import CLASS_LAYERS, CONV_LAYERS, FIG13_SOFTMAX, POOL_LAYERS
 
 
 class TestConvSweeps:
@@ -50,6 +61,20 @@ class TestConvSweeps:
         assert rows[1].split() == ["2"] + ["n/a"] * 6 + ["-"]
         assert [row.split()[0] for row in rows[2:4]] == ["13", "224"]
 
+    def test_kernel_too_big_for_the_card_is_a_failed_point(self, device):
+        """CV7's FFT at n = 2048 needs 10.63 GiB of workspace: on the 6 GiB
+        Titan Black that point cannot run, even when the context has timed
+        the kernel before."""
+        ctx = SimulationContext(device)
+        ctx.run(make_conv_kernel(replace(CONV_LAYERS["CV7"], n=2048), "fft"))
+        result = sweep_conv(
+            device, CONV_LAYERS["CV7"], "n", (128, 2048),
+            implementations=("im2col", "fft"), context=ctx,
+        )
+        assert result.time(2048, "fft") is None
+        assert result.time(128, "fft") is not None
+        assert result.winner(2048) == "im2col"
+
     def test_spatial_sweep_keeps_square_shapes(self, device):
         result = sweep_conv(
             device, CONV_LAYERS["CV7"], "h", (13, 27), implementations=("im2col",)
@@ -65,6 +90,20 @@ class TestConvSweeps:
 
 
 class TestPoolAndSoftmaxSweeps:
+    def test_pool_and_softmax_kernels_need_no_workspace(self):
+        """Why a sweep may fit-check every kind: no pooling or softmax
+        kernel allocates a workspace, so none can fail the check."""
+        kernels = [
+            make_pool_kernel(spec, impl)
+            for spec in POOL_LAYERS.values()
+            for impl in POOL_IMPLEMENTATIONS
+        ] + [
+            make_softmax_kernel(spec, impl)
+            for spec in (*FIG13_SOFTMAX.values(), *CLASS_LAYERS.values())
+            for impl in SOFTMAX_IMPLEMENTATIONS
+        ]
+        assert {k.workspace_bytes() for k in kernels} == {0}
+
     def test_chwn_wins_pooling_at_every_channel_count(self, device):
         base = PoolSpec(n=128, c=32, h=27, w=27, window=3, stride=2)
         result = sweep_pool(device, base, "c", (16, 64, 256))

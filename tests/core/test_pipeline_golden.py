@@ -34,7 +34,7 @@ GOLDEN = json.loads((Path(__file__).parent / "golden" / "plans.json").read_text(
 def ctx(device):
     """One shared timing cache for every planner run in this module."""
     assert device.name == GOLDEN["device"]
-    return SimulationContext(device, check_memory=False)
+    return SimulationContext(device)
 
 
 def _layout(value):

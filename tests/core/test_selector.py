@@ -22,12 +22,6 @@ class TestTryConvTime:
     def test_unsupported_returns_none(self, engine):
         assert try_conv_time(engine, CONV_LAYERS["CV5"], "fft") is None
 
-    def test_oom_returns_none(self, engine):
-        from dataclasses import replace
-
-        huge = replace(CONV_LAYERS["CV5"], stride=1)
-        assert try_conv_time(engine, huge, "fft") is None
-
 
 class TestBestForLayout:
     def test_chwn_uses_direct(self, engine):

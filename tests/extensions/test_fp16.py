@@ -53,9 +53,9 @@ class TestFp16Kernels:
         ctx32 = default_context(TESLA_P100)
         ctx16 = default_context(fp16_device(TESLA_P100))
         spec = POOL_LAYERS["PL5"]
-        t32 = ctx32.run(make_pool_kernel(spec, "chwn"), check_memory=False).time_ms
+        t32 = ctx32.run(make_pool_kernel(spec, "chwn")).time_ms
         half = as_fp16(make_pool_kernel(spec, "chwn"))
-        t16 = ctx16.run(half, check_memory=False).time_ms
+        t16 = ctx16.run(half).time_ms
         assert 1.6 < t32 / t16 < 2.2
 
 

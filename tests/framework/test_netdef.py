@@ -66,6 +66,52 @@ class TestParse:
             parse_netdef(text)
 
 
+HEADER = "network a batch=1 input=3x8x8\nconv c0 co=4 f=3\n"
+
+
+class TestUnknownKeys:
+    """A misspelled key is an error, not a silent default."""
+
+    @pytest.mark.parametrize(
+        "line,key",
+        [
+            ("conv c1 co=10 f=3 strid=2", "strid"),
+            ("pool p1 window=2 stride=2 opp=avg", "opp"),
+            ("fc f1 out=10 rleu=0", "rleu"),
+            ("lrn n1 dept=3", "dept"),
+            ("softmax s1 relu=0", "relu"),
+            ("concat j1 inputs=c0,c1 bottom=c0", "bottom"),
+        ],
+    )
+    def test_layer_rejects_keys_of_no_kind(self, line, key):
+        text = HEADER + "conv c1 co=4 f=3\n" * ("concat" in line) + line + "\n"
+        last = len(text.splitlines())
+        with pytest.raises(ValueError, match=f"line {last}: unknown key '{key}'"):
+            parse_netdef(text)
+
+    def test_header_rejects_unknown_keys(self):
+        with pytest.raises(ValueError, match="line 1: unknown key 'bach'"):
+            parse_netdef("network a bach=1 batch=1 input=3x8x8\n")
+
+    def test_every_layer_kind_reads_bottom(self):
+        text = HEADER + (
+            "conv c1 co=4 f=3 bottom=c0\n"
+            "pool p1 window=2 stride=2 bottom=c0\n"
+            "lrn n1 bottom=c0\n"
+            "fc f1 out=10 bottom=c0\n"
+            "softmax s1 bottom=f1\n"
+        )
+        net = parse_netdef(text)
+        assert [layer.bottom for layer in net.layers[1:]] == ["c0"] * 4 + ["f1"]
+
+    def test_lint_reports_the_typo_as_n000(self):
+        from repro.analysis.lint import lint_netdef_text
+
+        (d,) = lint_netdef_text(HEADER + "conv c1 co=10 f=3 strid=2\n")
+        assert d.rule_id == "N000"
+        assert "unknown key 'strid'" in d.message
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["lenet", "cifar", "alexnet", "zfnet", "vgg"])
     def test_builtin_networks_roundtrip(self, name):

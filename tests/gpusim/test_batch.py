@@ -3,7 +3,7 @@
 :func:`~repro.gpusim.exec.evaluate_cells` on a cold context must fill
 every slot with what a ``context.run`` per model gives — field for field,
 or the exception ``context.run`` raises — on randomized grids of plain,
-composed and nested composed kernels, with OOM and launch-error slots.
+composed and nested composed kernels, with launch-error slots.
 """
 
 from __future__ import annotations
@@ -16,17 +16,16 @@ from hypothesis import strategies as st
 from repro.gpusim import ComposedKernel, SimulationContext, TITAN_BLACK
 from repro.gpusim.exec import evaluate_cells
 from repro.gpusim.occupancy import LaunchValidationError
-from repro.gpusim.session import GpuOutOfMemoryError
 from repro.layers import DirectConvCHWN, Im2colGemmNCHW, make_pool_kernel
 from repro.layers.base import ConvSpec, PoolSpec
 from repro.networks import CONV_LAYERS
 
 
-def _scalar_eval(context, model, check_memory):
+def _scalar_eval(context, model):
     """``context.run`` with the error capture of :func:`evaluate_cells`."""
     try:
-        return context.run(model, check_memory=check_memory)
-    except (GpuOutOfMemoryError, ValueError) as exc:
+        return context.run(model)
+    except ValueError as exc:
         return exc
 
 
@@ -96,19 +95,15 @@ class TestModelEquivalence:
         ms=st.lists(
             st.one_of(models, plain.map(_unlaunchable)), min_size=1, max_size=12
         ),
-        check_memory=st.booleans(),
     )
     @settings(max_examples=50, deadline=None)
-    def test_mixed_model_grid_matches_context_run(self, ms, check_memory):
+    def test_mixed_model_grid_matches_context_run(self, ms):
         """Cold ``evaluate_cells`` against one ``context.run`` per model on
-        another cold context; with the check on, every model holding the
-        huge im2col fills an OOM slot."""
+        another cold context."""
         device = TITAN_BLACK
-        scalar_ctx = SimulationContext(device, check_memory=False)
-        refs = [_scalar_eval(scalar_ctx, m, check_memory) for m in ms]
-        out = evaluate_cells(
-            SimulationContext(device, check_memory=False), ms, check_memory
-        )
+        scalar_ctx = SimulationContext(device)
+        refs = [_scalar_eval(scalar_ctx, m) for m in ms]
+        out = evaluate_cells(SimulationContext(device), ms)
         for m, ref, o in zip(ms, refs, out):
             if isinstance(ref, Exception):
                 assert type(o) is type(ref) and o.args == ref.args, m.name
@@ -125,15 +120,10 @@ class TestModelEquivalence:
             ),
         ]
         device = TITAN_BLACK
-        refs = [
-            SimulationContext(device, check_memory=False).run(m, check_memory=False)
-            for m in ms
-        ]
-        ctx = SimulationContext(device, check_memory=False)
-        scalar = [_scalar_eval(ctx, m, check_memory=False) for m in ms]
-        batched = evaluate_cells(
-            SimulationContext(device, check_memory=False), ms, check_memory=False
-        )
+        refs = [SimulationContext(device).run(m) for m in ms]
+        ctx = SimulationContext(device)
+        scalar = [_scalar_eval(ctx, m) for m in ms]
+        batched = evaluate_cells(SimulationContext(device), ms)
         assert refs == scalar == batched
 
     def test_error_slots_match_scalar_exceptions(self):
@@ -141,13 +131,7 @@ class TestModelEquivalence:
         while the rest of the grid still evaluates."""
         good = DirectConvCHWN(replace(CONV_LAYERS["CV7"], n=8))
         bad = _unlaunchable(DirectConvCHWN(replace(CONV_LAYERS["CV7"], n=8)))
-        out = evaluate_cells(
-            SimulationContext(TITAN_BLACK, check_memory=False),
-            [good, bad, good],
-            check_memory=False,
-        )
-        ref = SimulationContext(TITAN_BLACK, check_memory=False).run(
-            good, check_memory=False
-        )
+        out = evaluate_cells(SimulationContext(TITAN_BLACK), [good, bad, good])
+        ref = SimulationContext(TITAN_BLACK).run(good)
         assert out[0] == ref and out[2] == ref
         assert isinstance(out[1], LaunchValidationError)

@@ -1,4 +1,4 @@
-"""Simulating through a context: sequencing, OOM checks, memoization."""
+"""Simulating through a context: sequencing, the fit check, memoization."""
 
 import pytest
 
@@ -10,6 +10,7 @@ from repro.gpusim import (
     MemoryProfile,
     TITAN_BLACK,
     SimulationContext,
+    check_fit,
     default_context,
 )
 from repro.layers.conv_kernels import make_conv_kernel
@@ -60,20 +61,9 @@ class TestRun:
 
 class TestOom:
     def test_oversized_workspace_raises(self, device):
-        engine = default_context(device)
         with pytest.raises(GpuOutOfMemoryError) as err:
-            engine.run(ToyKernel(workspace=7 * 2**30))
+            check_fit(device, ToyKernel(workspace=7 * 2**30))
         assert err.value.required_bytes == 7 * 2**30
-
-    def test_resident_tensors_count_against_capacity(self, device):
-        engine = SimulationContext(device, tensor_bytes_resident=5 * 2**30)
-        with pytest.raises(GpuOutOfMemoryError):
-            engine.run(ToyKernel(workspace=2 * 2**30))
-
-    def test_check_can_be_disabled(self, device):
-        engine = default_context(device)
-        stats = engine.run(ToyKernel(workspace=7 * 2**30), check_memory=False)
-        assert stats.time_ms > 0
 
 
 class TestSequences:
@@ -101,7 +91,7 @@ class TestSequences:
         # occupancy and bound, not the unroll launched first (64 warps/SM
         # limited by threads, over 811.2 waves)
         kernel = make_conv_kernel(CONV_LAYERS["CV7"], "im2col")
-        stats = SimulationContext(TITAN_BLACK).run(kernel, check_memory=False)
+        stats = SimulationContext(TITAN_BLACK).run(kernel)
         occ = stats.occupancy
         assert (occ.active_warps_per_sm, occ.max_warps_per_sm) == (40, 64)
         assert occ.limiter == "registers"

@@ -32,7 +32,7 @@ from repro.gpusim import (
 from repro.gpusim import session as session_module
 from repro.gpusim.kernel import ComposedKernel
 from repro.gpusim.occupancy import LaunchValidationError
-from repro.gpusim.session import GpuOutOfMemoryError
+from repro.gpusim.session import GpuOutOfMemoryError, check_fit
 from repro.gpusim.exec import evaluate_cells
 from repro.layers import make_pool_kernel
 from repro.layers.base import ConvSpec
@@ -41,23 +41,23 @@ from repro.layers.pooling_kernels import PoolingNCHWLinear
 
 
 def _fresh(device):
-    return SimulationContext(device, check_memory=False)
+    return SimulationContext(device)
 
 
-def _slots(context, models, check_memory=None):
+def _slots(context, models):
     """One ``context.run`` per model, with each error captured in its slot."""
     slots = []
     for model in models:
         try:
-            slots.append(context.run(model, check_memory=check_memory))
-        except (GpuOutOfMemoryError, ValueError) as exc:
+            slots.append(context.run(model))
+        except ValueError as exc:
             slots.append(exc)
     return slots
 
 
-def _oracle(device, models, check_memory):
+def _oracle(device, models):
     """:func:`_slots` on a cold context."""
-    return _slots(_fresh(device), models, check_memory)
+    return _slots(_fresh(device), models)
 
 
 def _pool_models(small_pool, channels=(4, 8, 16)):
@@ -77,15 +77,15 @@ def _pool_models(small_pool, channels=(4, 8, 16)):
 class TestEvaluateCells:
     def test_matches_fresh_context_batch(self, device, small_pool):
         models = _pool_models(small_pool)
-        ref = _oracle(device, models, False)
-        got = evaluate_cells(_fresh(device), models, check_memory=False)
+        ref = _oracle(device, models)
+        got = evaluate_cells(_fresh(device), models)
         assert got == ref
 
     def test_memoized_rerun_is_identical(self, device, small_pool):
         models = _pool_models(small_pool)
         ctx = _fresh(device)
-        first = evaluate_cells(ctx, models, check_memory=False)
-        again = evaluate_cells(ctx, models, check_memory=False)
+        first = evaluate_cells(ctx, models)
+        again = evaluate_cells(ctx, models)
         assert again == first
         # Second pass is all cache hits: no new entries appeared.
         assert ctx.cache_size == len(models)
@@ -95,26 +95,26 @@ class TestEvaluateCells:
         # two share one structural key space.
         kernel = make_pool_kernel(small_pool, "chwn")
         ctx = _fresh(device)
-        scalar = ctx.run(kernel, check_memory=False)
-        [engine] = evaluate_cells(ctx, [kernel], check_memory=False)
+        scalar = ctx.run(kernel)
+        [engine] = evaluate_cells(ctx, [kernel])
         assert engine == scalar
         assert (ctx.stats.misses, ctx.stats.hits) == (1, 1)
 
     def test_engine_primes_the_scalar_cache(self, device, small_pool):
         kernel = make_pool_kernel(small_pool, "chwn")
         ctx = _fresh(device)
-        [engine] = evaluate_cells(ctx, [kernel], check_memory=False)
+        [engine] = evaluate_cells(ctx, [kernel])
         hits_before = ctx.stats.hits
-        assert ctx.run(kernel, check_memory=False) == engine
+        assert ctx.run(kernel) == engine
         assert ctx.stats.hits == hits_before + 1
 
     def test_duplicates_collapse_but_fan_back_out(self, device, small_pool):
         a = make_pool_kernel(small_pool, "chwn")
         b = make_pool_kernel(small_pool, "nchw-linear")
         models = [a, b, a, a, b]
-        ref = _oracle(device, models, False)
+        ref = _oracle(device, models)
         ctx = _fresh(device)
-        got = evaluate_cells(ctx, models, check_memory=False)
+        got = evaluate_cells(ctx, models)
         assert got == ref
         assert got[0] is got[2] is got[3]
         assert got[1] is got[4]
@@ -135,10 +135,10 @@ class TestEvaluateCells:
             kernels=[inner, make_pool_kernel(replace(small_pool, c=8), "chwn")],
             name="pool-nested",
         )
-        ref = _fresh(device).run(outer, check_memory=False)
+        ref = _fresh(device).run(outer)
         ctx = _fresh(device)
-        assert evaluate_cells(ctx, [outer], check_memory=False) == [ref]
-        assert evaluate_cells(ctx, [outer], check_memory=False) == [ref]
+        assert evaluate_cells(ctx, [outer]) == [ref]
+        assert evaluate_cells(ctx, [outer]) == [ref]
         # the outer model is the memo unit: one entry, one miss, one hit
         assert ctx.cache_size == 1
         assert (ctx.stats.misses, ctx.stats.hits) == (1, 1)
@@ -148,7 +148,7 @@ class TestEvaluateCells:
 
 
 class TestErrorMemoization:
-    #: a conv too large for any bundled device once check_memory is on
+    #: a conv too large for any bundled device
     HUGE = ConvSpec(n=4096, ci=512, h=256, w=256, co=512, fh=3, fw=3)
     SMALL = ConvSpec(n=8, ci=16, h=15, w=15, co=16, fh=3, fw=3)
 
@@ -159,40 +159,26 @@ class TestErrorMemoization:
             make_conv_kernel(self.SMALL, "direct"),
         ]
 
-    @staticmethod
-    def _shape(results):
-        return [
-            (type(r).__name__, r.args) if isinstance(r, Exception) else r
-            for r in results
-        ]
-
-    def test_oom_depends_on_the_flag_not_the_memo(self, device):
-        # Prime the memo with the check OFF (everything prices fine),
-        # then ask with the check ON: the big conv must still OOM —
-        # exactly what the scalar path does, where _check_fit runs
-        # before the cache lookup.
-        models = self._models()
-        ref_on = _oracle(device, models, True)
-        ref_off = _oracle(device, models, False)
-        ctx = _fresh(device)
-        assert self._shape(_slots(ctx, models, False)) == self._shape(ref_off)
-        assert self._shape(_slots(ctx, models, True)) == self._shape(ref_on)
-        assert self._shape(_slots(ctx, models, False)) == self._shape(ref_off)
-
     def test_oom_hit_after_oom_miss(self, device):
-        models = self._models()
-        ref = _oracle(device, models, True)
+        # The fit check is asked apart from the memo: it answers the same
+        # before the kernel is timed and after its timing is a memo hit.
+        huge = make_conv_kernel(self.HUGE, "im2col")
+        with pytest.raises(GpuOutOfMemoryError) as cold:
+            check_fit(device, huge)
         ctx = _fresh(device)
-        first = _slots(ctx, models, True)
-        again = _slots(ctx, models, True)
-        assert self._shape(first) == self._shape(ref)
-        assert self._shape(again) == self._shape(ref)
-        assert isinstance(again[1], GpuOutOfMemoryError)
+        assert _slots(ctx, self._models()) == _oracle(device, self._models())
+        _slots(ctx, [huge])
+        assert ctx.stats.hits == 2  # the repeated small conv, then the huge one
+        with pytest.raises(GpuOutOfMemoryError) as warm:
+            check_fit(device, huge)
+        assert warm.value.args == cold.value.args
 
     def test_composed_kernel_fit_checks_every_stage_before_timing(
         self, device, monkeypatch
     ):
-        # The fitting first stage is not timed when a later stage OOMs.
+        # check_fit walks a composed kernel's stages in sequence order,
+        # raises for the first oversize one and times nothing; run of the
+        # same model still times every stage.
         timed = []
         original = session_module.time_model
         monkeypatch.setattr(
@@ -201,20 +187,20 @@ class TestErrorMemoization:
             lambda dev, model: timed.append(model.name) or original(dev, model),
         )
         huge = make_conv_kernel(self.HUGE, "im2col")  # composed itself
+        later = make_conv_kernel(replace(self.HUGE, ci=1024), "im2col")
         composed = ComposedKernel(
-            kernels=[make_conv_kernel(self.SMALL, "direct"), huge],
-            name="conv-pair",
+            kernels=[make_conv_kernel(self.SMALL, "direct"), huge, later],
+            name="conv-triple",
         )
-        ctx = _fresh(device)
         with pytest.raises(GpuOutOfMemoryError) as info:
-            ctx.run(composed, check_memory=True)
-        assert info.value.kernel in {stage.name for stage in huge.kernels}
-        with pytest.raises(GpuOutOfMemoryError):
-            ctx.run(composed, check_memory=True)
+            check_fit(device, composed)
+        assert info.value.kernel == huge.kernels[0].name
+        assert info.value.required_bytes == huge.kernels[0].workspace_bytes()
         assert timed == []
-        assert ctx.stats.queries == 0
-        ctx.run(composed, check_memory=False)
-        assert timed == [composed.kernels[0].name, *(k.name for k in huge.kernels)]
+        ctx = _fresh(device)
+        stats = ctx.run(composed)
+        assert timed == [stage.name for stage in composed.kernels]
+        assert stats.n_launches == 5
         assert ctx.stats.misses == 1
 
 
@@ -309,7 +295,7 @@ BASE_CHANNELS = (4, 6, 8)
 def dedup_reference(device, small_pool):
     """The distinct cell pool and its scalar-priced reference values."""
     models = _pool_models(small_pool, BASE_CHANNELS)
-    return models, _oracle(device, models, False)
+    return models, _oracle(device, models)
 
 
 class TestDedupProperty:
@@ -325,7 +311,7 @@ class TestDedupProperty:
         expected = [stats[i] for i in picks]
         # A warm shared context across examples *and* a fresh one: both
         # must reproduce the reference slot for slot.
-        got = _slots(_fresh(device), grid, check_memory=False)
+        got = _slots(_fresh(device), grid)
         assert got == expected
 
     @settings(max_examples=15, deadline=None)
@@ -339,7 +325,7 @@ class TestDedupProperty:
         if not hasattr(self, "_warm"):
             self._warm = _fresh(device)
         grid = [models[i] for i in picks]
-        assert _slots(self._warm, grid, check_memory=False) == [
+        assert _slots(self._warm, grid) == [
             stats[i] for i in picks
         ]
 
@@ -352,13 +338,13 @@ class TestDedupProperty:
 class TestMapChunksSerial:
     def test_single_fused_call(self, device, small_pool):
         models = _pool_models(small_pool)
-        ref = _oracle(device, models, False)
+        ref = _oracle(device, models)
         ctx = _fresh(device)
         calls = []
 
         def eval_chunk(context, cells):
             calls.append(len(cells))
-            return _slots(context, cells, check_memory=False)
+            return _slots(context, cells)
 
         out = map_chunks(eval_chunk, models, ctx)
         assert out == ref

@@ -20,6 +20,7 @@ from repro.gpusim import (
     MemoryProfile,
     SimStats,
     SimulationContext,
+    check_fit,
     default_context,
     reset_default_contexts,
     structural_key,
@@ -419,7 +420,7 @@ class TestPersistence:
         re-times cold."""
         spec = PoolSpec(n=4, c=6, h=13, w=13, window=3, stride=2)
         hot = SimulationContext(device)
-        hot.run(make_pool_kernel(spec, "nchw-linear"), check_memory=False)
+        hot.run(make_pool_kernel(spec, "nchw-linear"))
         entries = {}
         for key, stats in _entries(hot).items():
             entry = _stats_dict(stats)
@@ -431,7 +432,7 @@ class TestPersistence:
         )
         ctx = SimulationContext(device)
         assert ctx.load_cache(target) == 0
-        ctx.run(make_pool_kernel(spec, "nchw-linear"), check_memory=False)
+        ctx.run(make_pool_kernel(spec, "nchw-linear"))
         assert ctx.stats.misses == 1
         assert ctx.stats.hits == 0
 
@@ -621,31 +622,22 @@ class TestPersistence:
 
 class TestOom:
     def test_oversized_workspace_raises(self, device):
-        ctx = SimulationContext(device)
         with pytest.raises(GpuOutOfMemoryError) as err:
-            ctx.run(ToyKernel(workspace=7 * 2**30))
+            check_fit(device, ToyKernel(workspace=7 * 2**30))
         assert err.value.required_bytes == 7 * 2**30
+        assert err.value.available_bytes == device.dram_bytes
 
-    def test_resident_tensors_count_against_capacity(self, device):
-        ctx = SimulationContext(device, tensor_bytes_resident=5 * 2**30)
-        with pytest.raises(GpuOutOfMemoryError):
-            ctx.run(ToyKernel(workspace=2 * 2**30))
+    def test_workspace_at_capacity_fits(self, device):
+        check_fit(device, ToyKernel(workspace=device.dram_bytes))
 
     def test_oom_fires_even_on_cache_hits(self, device):
         """Caching a timing must not cache away the capacity check."""
-        ctx = SimulationContext(device, check_memory=False)
-        ctx.run(ToyKernel(workspace=7 * 2**30))  # timed, unchecked
-        with pytest.raises(GpuOutOfMemoryError):
-            ctx.run(ToyKernel(workspace=7 * 2**30), check_memory=True)
-
-    def test_per_call_resident_override(self, device):
         ctx = SimulationContext(device)
-        ctx.run(ToyKernel(workspace=2 * 2**30))  # fits alone
+        ctx.run(ToyKernel(workspace=7 * 2**30))  # run only times
+        ctx.run(ToyKernel(workspace=7 * 2**30))
+        assert ctx.stats.hits == 1
         with pytest.raises(GpuOutOfMemoryError):
-            ctx.run(
-                ToyKernel(workspace=2 * 2**30),
-                tensor_bytes_resident=5 * 2**30,
-            )
+            check_fit(device, ToyKernel(workspace=7 * 2**30))
 
 
 class TestDefaultContexts:

@@ -27,7 +27,7 @@ def _steps(plan):
 
 class TestColdVsWarm:
     def test_optimal_plan_invariant_under_caching(self, alexnet, device):
-        ctx = SimulationContext(device, check_memory=False)
+        ctx = SimulationContext(device)
         cold = plan_optimal(device, alexnet, context=ctx)
         timed_cold = ctx.stats.kernels_timed
         assert timed_cold > 0
@@ -42,7 +42,7 @@ class TestColdVsWarm:
         assert warm.total_ms == pytest.approx(cold.total_ms)
 
     def test_heuristic_plan_invariant_under_caching(self, alexnet, device):
-        ctx = SimulationContext(device, check_memory=False)
+        ctx = SimulationContext(device)
         cold = plan_with_heuristic(device, alexnet, context=ctx)
         timed_cold = ctx.stats.kernels_timed
 
@@ -54,8 +54,8 @@ class TestColdVsWarm:
     def test_fresh_contexts_agree_with_each_other(self, alexnet, device):
         """Two independent sessions must reach the same plan — the cache is
         an accelerator, never an input."""
-        a = SimulationContext(device, check_memory=False)
-        b = SimulationContext(device, check_memory=False)
+        a = SimulationContext(device)
+        b = SimulationContext(device)
         plan_a = plan_optimal(device, alexnet, context=a)
         plan_b = plan_optimal(device, alexnet, context=b)
         assert _steps(plan_a) == _steps(plan_b)
@@ -67,11 +67,11 @@ class TestPersistedSessions:
         self, alexnet, device, tmp_path
     ):
         path = tmp_path / "alexnet-cache.json"
-        first = SimulationContext(device, check_memory=False, cache_path=path)
+        first = SimulationContext(device, cache_path=path)
         cold = plan_optimal(device, alexnet, context=first)
         first.save_cache()
 
-        second = SimulationContext(device, check_memory=False, cache_path=path)
+        second = SimulationContext(device, cache_path=path)
         assert second.stats.loaded_from_disk == first.cache_size
         warm = plan_optimal(device, alexnet, context=second)
         assert second.stats.kernels_timed == 0

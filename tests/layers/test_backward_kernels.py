@@ -63,17 +63,11 @@ class TestBackwardKernels:
         for name, impls in (("CV1", ("direct", "im2col")), ("CV11", ("direct", "im2col"))):
             spec = CONV_LAYERS[name]
             times = {
-                impl: sum(
-                    ctx.run(k, check_memory=False).time_ms
-                    for k in conv_backward_kernels(spec, impl)
-                )
+                impl: sum(ctx.run(k).time_ms for k in conv_backward_kernels(spec, impl))
                 for impl in impls
             }
             fwd_winner = min(
-                impls,
-                key=lambda i: ctx.run(
-                    make_conv_kernel(spec, i), check_memory=False
-                ).time_ms,
+                impls, key=lambda i: ctx.run(make_conv_kernel(spec, i)).time_ms
             )
             bwd_winner = min(impls, key=lambda i: times[i])
             assert fwd_winner == bwd_winner, name
@@ -116,7 +110,7 @@ class TestBackwardKernels:
         """Every gradient kernel does the forward pass's work at no better
         efficiency, so on every Table-1 layer and implementation that runs
         it is modelled no faster than the forward kernel."""
-        ctx = SimulationContext(gpu, check_memory=False)
+        ctx = SimulationContext(gpu)
         checked = 0
         for name, spec in CONV_LAYERS.items():
             for impl in CONV_IMPLEMENTATIONS:

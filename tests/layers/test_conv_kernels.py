@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.gpusim import GpuOutOfMemoryError, default_context
+from repro.gpusim import GpuOutOfMemoryError, check_fit, default_context
 from repro.layers import (
     ConvSpec,
     ConvUnsupportedError,
@@ -118,9 +118,8 @@ class TestFFT:
         """Even without the stride rule, a CV5-sized stride-1 layer blows the
         6 GB card (the paper's memory explanation)."""
         huge = replace(CONV_LAYERS["CV5"], stride=1)
-        engine = default_context(device)
         with pytest.raises(GpuOutOfMemoryError):
-            engine.run(FFTConvNCHW(huge))
+            check_fit(device, FFTConvNCHW(huge))
 
     def test_tiling_reduces_workspace(self):
         spec = CONV_LAYERS["CV10"]

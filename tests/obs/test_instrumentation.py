@@ -49,7 +49,7 @@ class TestByteIdentity:
         # Passes after the first replay the shared context's memo, so the
         # cache-hit path is traced too.
         def run():
-            context = SimulationContext(device, check_memory=False)
+            context = SimulationContext(device)
             return [
                 sweep_pool(device, small_pool, "c", (4, 8, 16), context=context)
                 for _ in range(passes)
@@ -213,7 +213,7 @@ class TestStatsMetricsAgreement:
     def test_sim_stats_counters_equal_metrics(self, device):
         from repro.gpusim.session import SimulationContext
 
-        ctx = SimulationContext(device, check_memory=False)
+        ctx = SimulationContext(device)
         from repro.layers import make_pool_kernel
         from repro.layers.base import PoolSpec
 
