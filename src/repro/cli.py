@@ -30,6 +30,7 @@ of the package: ``info`` and ``--help`` never import NumPy.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
@@ -694,6 +695,9 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # No command does BLAS work, but OpenBLAS's idle threads (one per core)
+    # cost CPU time; handlers load NumPy later, and a user's count still wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = make_parser().parse_args(argv)
     handlers = {
         "info": _cmd_info,

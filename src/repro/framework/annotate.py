@@ -81,7 +81,6 @@ def parse_annotated_netdef(
     from .netdef import parse_netdef
 
     annotations: dict[str, LayerAnnotation] = {}
-    plain_lines: list[str] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if stripped.startswith("#@"):
@@ -103,9 +102,8 @@ def parse_annotated_netdef(
                 implementation=fields["impl"],
                 coarsening=coarsen,
             )
-        else:
-            plain_lines.append(raw)
-    net = parse_netdef("\n".join(plain_lines))
+    # annotation lines are comments to the parser, so its line numbers hold
+    net = parse_netdef(text)
     known = {layer.name for layer in net.layers}
     unknown = set(annotations) - known
     if unknown:

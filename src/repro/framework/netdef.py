@@ -18,7 +18,7 @@ axis, which is what lets a definition describe branching
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 
@@ -139,6 +139,24 @@ class ConcatDef:
 LayerDef = Union[ConvDef, PoolDef, LRNDef, FCDef, SoftmaxDef, ConcatDef]
 
 
+def _check_wiring(layer: LayerDef, seen: set[str], network: str) -> None:
+    """Check that ``layer`` has a new name and reads only layers named in
+    ``seen``, then add its name to ``seen``."""
+    if layer.name in seen:
+        raise ValueError(f"duplicate layer name {layer.name!r} in {network}")
+    if isinstance(layer, ConcatDef):
+        refs: tuple[str, ...] = layer.inputs
+    else:
+        refs = (layer.bottom,) if layer.bottom is not None else ()
+    for ref in refs:
+        if ref not in seen:
+            raise ValueError(
+                f"{layer.name}: bottom {ref!r} does not name an "
+                f"earlier layer of {network}"
+            )
+    seen.add(layer.name)
+
+
 @dataclass(frozen=True)
 class NetworkDef:
     """A complete network: input geometry plus an ordered layer stack."""
@@ -153,22 +171,9 @@ class NetworkDef:
     def __post_init__(self) -> None:
         if min(self.batch, self.in_channels, self.in_h, self.in_w) <= 0:
             raise ValueError("network input dims must be positive")
-        names = [layer.name for layer in self.layers]
-        if len(names) != len(set(names)):
-            raise ValueError(f"duplicate layer names in {self.name}: {names}")
         seen: set[str] = set()
         for layer in self.layers:
-            if isinstance(layer, ConcatDef):
-                refs: tuple[str, ...] = layer.inputs
-            else:
-                refs = (layer.bottom,) if layer.bottom is not None else ()
-            for ref in refs:
-                if ref not in seen:
-                    raise ValueError(
-                        f"{layer.name}: bottom {ref!r} does not name an "
-                        f"earlier layer of {self.name}"
-                    )
-            seen.add(layer.name)
+            _check_wiring(layer, seen, self.name)
 
     def with_batch(self, batch: int) -> "NetworkDef":
         return NetworkDef(
@@ -223,96 +228,103 @@ _KEYS: dict[str, tuple[str, ...]] = {
 }
 
 
-def _kv(kind: str, tokens: list[str], line_no: int) -> dict[str, str]:
+def _fields(kind: str, rest: list[str]) -> tuple[str, dict[str, str]]:
+    """A line's name and its ``key=value`` fields."""
+    if not rest or "=" in rest[0]:
+        raise ValueError(f"{kind} line needs a name before its keys")
+    name, *tokens = rest
     out: dict[str, str] = {}
     for tok in tokens:
         if "=" not in tok:
-            raise ValueError(f"line {line_no}: expected key=value, got {tok!r}")
+            raise ValueError(f"expected key=value, got {tok!r}")
         key, value = tok.split("=", 1)
         if key not in _KEYS[kind]:
             raise ValueError(
-                f"line {line_no}: unknown key {key!r} for {kind}; "
+                f"unknown key {key!r} for {kind}; "
                 f"expected one of {', '.join(_KEYS[kind])}"
             )
         out[key] = value
-    return out
+    return name, out
+
+
+def _int(kv: dict[str, str], key: str, default: int | None = None) -> int:
+    """``kv[key]`` as an int; a KeyError unless a default is given."""
+    value = kv[key] if default is None else kv.get(key, default)
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+
+
+def _layer(kind: str, name: str, kv: dict[str, str]) -> LayerDef:
+    bottom = kv.get("bottom")
+    if kind == "conv":
+        return ConvDef(
+            name=name,
+            co=_int(kv, "co"),
+            f=_int(kv, "f"),
+            stride=_int(kv, "stride", 1),
+            pad=_int(kv, "pad", 0),
+            relu=bool(_int(kv, "relu", 1)),
+            groups=_int(kv, "groups", 1),
+            bottom=bottom,
+        )
+    if kind == "pool":
+        return PoolDef(
+            name=name,
+            window=_int(kv, "window"),
+            stride=_int(kv, "stride"),
+            op=kv.get("op", "max"),
+            bottom=bottom,
+        )
+    if kind == "lrn":
+        return LRNDef(name=name, depth=_int(kv, "depth", 5), bottom=bottom)
+    if kind == "fc":
+        return FCDef(
+            name=name,
+            out_features=_int(kv, "out"),
+            relu=bool(_int(kv, "relu", 1)),
+            bottom=bottom,
+        )
+    if kind == "softmax":
+        return SoftmaxDef(name=name, bottom=bottom)
+    return ConcatDef(name=name, inputs=tuple(kv["inputs"].split(",")))
 
 
 def parse_netdef(text: str) -> NetworkDef:
-    """Parse the text form.  Unknown keys and layer kinds raise ValueError."""
+    """Parse the text form.  A malformed line raises a ValueError whose
+    message starts with ``line N:``."""
     header: NetworkDef | None = None
     layers: list[LayerDef] = []
+    seen: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         kind, *rest = line.split()
-        if kind == "network":
-            if header is not None:
-                raise ValueError(f"line {line_no}: duplicate network header")
-            name, *tokens = rest
-            kv = _kv(kind, tokens, line_no)
-            c, h, w = (int(v) for v in kv["input"].split("x"))
-            header = NetworkDef(
-                name=name, batch=int(kv["batch"]), in_channels=c, in_h=h, in_w=w
-            )
-            continue
-        if header is None:
-            raise ValueError(f"line {line_no}: layer before network header")
-        if kind not in _KEYS:
-            raise ValueError(f"line {line_no}: unknown layer kind {kind!r}")
-        name, *tokens = rest
-        kv = _kv(kind, tokens, line_no)
-        bottom = kv.get("bottom")
-        if kind == "conv":
-            layers.append(
-                ConvDef(
-                    name=name,
-                    co=int(kv["co"]),
-                    f=int(kv["f"]),
-                    stride=int(kv.get("stride", 1)),
-                    pad=int(kv.get("pad", 0)),
-                    relu=bool(int(kv.get("relu", 1))),
-                    groups=int(kv.get("groups", 1)),
-                    bottom=bottom,
-                )
-            )
-        elif kind == "pool":
-            layers.append(
-                PoolDef(
-                    name=name,
-                    window=int(kv["window"]),
-                    stride=int(kv["stride"]),
-                    op=kv.get("op", "max"),
-                    bottom=bottom,
-                )
-            )
-        elif kind == "lrn":
-            layers.append(
-                LRNDef(name=name, depth=int(kv.get("depth", 5)), bottom=bottom)
-            )
-        elif kind == "fc":
-            layers.append(
-                FCDef(
-                    name=name,
-                    out_features=int(kv["out"]),
-                    relu=bool(int(kv.get("relu", 1))),
-                    bottom=bottom,
-                )
-            )
-        elif kind == "softmax":
-            layers.append(SoftmaxDef(name=name, bottom=bottom))
-        else:  # concat
-            layers.append(
-                ConcatDef(name=name, inputs=tuple(kv["inputs"].split(",")))
-            )
+        try:
+            if kind == "network":
+                if header is not None:
+                    raise ValueError("duplicate network header")
+                name, kv = _fields(kind, rest)
+                try:
+                    c, h, w = (int(d) for d in kv["input"].split("x"))
+                except ValueError:
+                    raise ValueError(f"input={kv['input']} is not CxHxW") from None
+                header = NetworkDef(name, _int(kv, "batch"), c, h, w)
+                continue
+            if header is None:
+                raise ValueError("layer before network header")
+            if kind not in _KEYS:
+                raise ValueError(f"unknown layer kind {kind!r}")
+            layer = _layer(kind, *_fields(kind, rest))
+            _check_wiring(layer, seen, header.name)
+        except KeyError as exc:
+            missing = f"missing required key {exc.args[0]}="
+            raise ValueError(f"line {line_no}: {missing}") from None
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
+        layers.append(layer)
     if header is None:
         raise ValueError("missing network header line")
-    return NetworkDef(
-        header.name,
-        header.batch,
-        header.in_channels,
-        header.in_h,
-        header.in_w,
-        tuple(layers),
-    )
+    return replace(header, layers=tuple(layers))

@@ -1,11 +1,11 @@
 """Address-trace utilities: turn per-thread addresses into per-warp arrays.
 
-Traced kernel models (NCHW pooling, the naive layout transform) generate
-the element indices their threads touch; these helpers reshape flat
-per-thread streams into the ``(warps, lanes)`` arrays the coalescing unit
-consumes, turn a byte-address warp trace into the transaction stream the
-L2 model replays, and sample blocks so that large grids stay cheap to
-analyse.
+Traced kernel models (the naive layout transform) generate the element
+indices their threads touch; these helpers reshape flat per-thread
+streams into the ``(warps, lanes)`` arrays the coalescing unit consumes,
+turn a byte-address warp trace into the transaction stream the L2 model
+replays, and sample blocks (NCHW pooling samples its warps here too) so
+that large grids stay cheap to analyse.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ Four implementations:
   L2 (short reuse distance between adjacent output warps).
 * :class:`PoolingNCHWLinear` — Caffe: flat thread indexing over
   (N, C, Ho, Wo).  Warp lanes step the W dimension with the pooling stride,
-  so loads are strided/un-coalesced; the traced coalescing unit counts the
-  resulting transaction inflation.  Caffe's training kernel also stores an
+  so loads are strided/un-coalesced; a count over sampled warps measures
+  the resulting transaction inflation.  Caffe's training kernel also stores an
   argmax mask, doubling store traffic.
 * :class:`PoolingNCHWBlockPerRow` — cuDNN v4 era: one block per output row
   (blockDim.x = Wo).  The tiny blocks cap resident warps far below the
@@ -27,7 +27,6 @@ from math import ceil
 
 import numpy as np
 
-from ..gpusim.coalescing import analyze_warps
 from ..gpusim.device import DeviceSpec
 from ..gpusim.kernel import KernelModel, LaunchConfig, MemoryProfile
 from ..gpusim.trace import sample_indices
@@ -36,9 +35,8 @@ from .pooling import tile_footprint
 
 _ITEM = 4
 
-#: per thread: feature map (``n * C + c``), output row and column, and
-#: whether the thread runs
-_Lanes = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: per thread: feature map (``n * C + c``), output row and column
+_Lanes = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class _PoolingKernelBase(KernelModel):
@@ -155,7 +153,7 @@ class PoolingCoarsenedCHWN(_PoolingKernelBase):
 
 class _TracedNCHWPooling(_PoolingKernelBase):
     """Shared traced-load machinery for the NCHW kernels: a subclass maps
-    its threads to output positions, this class traces their window loads."""
+    its threads to output positions, this class counts their loads."""
 
     max_sample_warps = 512
     writes_mask = False
@@ -165,35 +163,41 @@ class _TracedNCHWPooling(_PoolingKernelBase):
         raise NotImplementedError
 
     def _lanes(self, tid: np.ndarray, device: DeviceSpec) -> _Lanes:
-        """``(map, ho, wo, active)`` of each thread id."""
+        """``(map, ho, wo)`` per thread id, idle ones on the last running lane."""
         raise NotImplementedError
 
-    def _stacked_loads(self, device: DeviceSpec) -> tuple[np.ndarray, int, int]:
-        """(sampled warp-load trace, grid warps, sampled warps).
-
-        The trace holds input element indices, one warp instruction per
-        window tap in tap-major order — shape ``(taps * sampled_warps,
-        lanes)`` — with inactive lanes at -1.
-        """
+    def _load_transactions(self, device: DeviceSpec) -> float:
+        """The grid's load transactions, counted on sampled warps: one warp
+        load per window tap.  Running lanes are a prefix of each warp and
+        their addresses never decrease across lanes (lanes go in ``(map,
+        ho, wo)`` order, and ceil mode clips only the last output row or
+        column, as ``(out - 2) * stride + window - 1 < extent - 1``).  So
+        with idle lanes on the last running lane, a warp load touches one
+        segment plus one per lane whose segment differs from its
+        predecessor's."""
         s = self.spec
         warp = device.warp_size
         n_warps = ceil(self._threads(device) / warp)
         sampled = sample_indices(n_warps, self.max_sample_warps)
-        tid = sampled[:, None] * warp + np.arange(warp, dtype=np.int64)
-        fmap, ho, wo, active = self._lanes(tid, device)
-        taps = np.arange(s.window, dtype=np.int64)[:, None, None]
-        # ceil-mode windows clip at the input edge; (tap, warp, lane) each
-        hi = np.minimum(ho * s.stride + taps, s.h - 1)
-        wi = np.minimum(wo * s.stride + taps, s.w - 1)
-        index = (fmap * s.h + hi)[:, None] * s.w + wi  # (fy, fx, warp, lane)
-        np.copyto(index, -1, where=~active)
-        return index.reshape(-1, warp), n_warps, len(sampled)
+        # Thread ids, window origins ((out - 1) * stride < extent) and
+        # element indices all stay below this bound; int32 halves the
+        # arrays (docs/PERFORMANCE.md measures the difference).
+        bound = max(n_warps * warp, s.n * s.c * s.h * s.w + max(s.h, s.w), s.stride)
+        dtype = np.int32 if bound < 2**31 else np.int64
+        # lane-major, so that neighbouring lanes compare as whole rows
+        lane = np.arange(warp, dtype=dtype)[:, None]
+        fmap, ho, wo = self._lanes(lane + (sampled * warp).astype(dtype), device)
+        taps = np.arange(s.window, dtype=dtype)[:, None]
+        hi = np.minimum((ho * s.stride)[:, None] + taps, s.h - 1)  # (lane, fy, warp)
+        wi = np.minimum((wo * s.stride)[:, None] + taps, s.w - 1)  # (lane, fx, warp)
+        rows = ((fmap * s.h)[:, None] + hi) * s.w  # each input row's first item
+        segment = rows[:, :, None] + wi[:, None]  # (lane, fy, fx, warp)
+        segment //= device.transaction_bytes // _ITEM
+        changes = int(np.count_nonzero(segment[1:] != segment[:-1]))
+        return (s.window**2 * len(sampled) + changes) * (n_warps / len(sampled))
 
     def _build_profile(self, device: DeviceSpec) -> MemoryProfile:
         s = self.spec
-        stacked, n_warps, n_sampled = self._stacked_loads(device)
-        report = analyze_warps(stacked, device, item_bytes=_ITEM)
-        load_trans = report.transactions * (n_warps / n_sampled)
         loads = float(s.out_elements * s.window * s.window * _ITEM)
         store_factor = 2.0 if self.writes_mask else 1.0
         stores = float(s.out_desc().nbytes) * store_factor
@@ -204,7 +208,7 @@ class _TracedNCHWPooling(_PoolingKernelBase):
         return MemoryProfile(
             load_bytes=loads,
             store_bytes=stores,
-            load_transactions=load_trans,
+            load_transactions=self._load_transactions(device),
             store_transactions=stores / 32.0,
             l2_hit_rate=0.0,
         )
@@ -228,8 +232,9 @@ class PoolingNCHWLinear(_TracedNCHWPooling):
 
     def _lanes(self, tid: np.ndarray, device: DeviceSpec) -> _Lanes:
         s = self.spec
+        tid = np.minimum(tid, s.out_elements - 1)  # idle threads are the tail
         plane = s.out_h * s.out_w
-        return tid // plane, tid % plane // s.out_w, tid % s.out_w, tid < s.out_elements
+        return tid // plane, tid % plane // s.out_w, tid % s.out_w
 
 
 class PoolingNCHWBlockPerRow(_TracedNCHWPooling):
@@ -267,11 +272,11 @@ class PoolingNCHWBlockPerRow(_TracedNCHWPooling):
 
     def _lanes(self, tid: np.ndarray, device: DeviceSpec) -> _Lanes:
         # Thread t covers map t // padded_plane, output t % padded_plane
-        # (lanes beyond the plane are predicated off).
+        # (lanes beyond the plane are predicated off); no warp spans two maps.
         padded = self._padded_plane(device)
-        out = tid % padded
+        out = np.minimum(tid % padded, self._plane() - 1)
         w = self.spec.out_w
-        return tid // padded, out // w, out % w, out < self._plane()
+        return tid // padded, out // w, out % w
 
 
 POOL_IMPLEMENTATIONS = ("chwn", "chwn-coarsened", "nchw-linear", "nchw-rowblock")

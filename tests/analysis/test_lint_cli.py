@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -67,6 +69,22 @@ class TestNetdefFile:
         )
         assert main(["lint", "--netdef", str(bad)]) == 1
         assert "N000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("network bad batch=64 input=3x32x32\nconv c1 f=3\n", 2),
+            ("network bad batch=64 input=1x3x32x32\nconv c1 co=8 f=3\n", 1),
+            ("network bad batch=64 input=3x32x32\nconv c1 co=8 f=3\nfc co=4\n", 3),
+            ("network bad batch=64 input=3x32x32\npool p1 window=two stride=2\n", 2),
+        ],
+    )
+    def test_malformed_line_is_n000_naming_it(self, tmp_path, capsys, text, line):
+        bad = tmp_path / "bad.netdef"
+        bad.write_text(text)
+        assert main(["lint", "--netdef", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert f"N000: line {line}:" in out
 
     def test_clean_file_exits_zero(self, tmp_path, capsys):
         good = tmp_path / "ok.netdef"

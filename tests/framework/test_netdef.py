@@ -112,6 +112,57 @@ class TestUnknownKeys:
         assert "unknown key 'strid'" in d.message
 
 
+class TestLineNumbers:
+    """Every malformed line is a ValueError that names the line."""
+
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            # a required key is missing
+            (HEADER + "conv c1 f=3\n", "line 3: missing required key co="),
+            (HEADER + "pool p1 stride=2\n", "line 3: missing required key window="),
+            (HEADER + "fc f1\n", "line 3: missing required key out="),
+            (HEADER + "concat j1\n", "line 3: missing required key inputs="),
+            ("network a batch=1\n", "line 1: missing required key input="),
+            ("network a input=3x8x8\n", "line 1: missing required key batch="),
+            # the layer or network name is missing
+            (HEADER + "conv co=4 f=3\n", "line 3: conv line needs a name"),
+            (HEADER + "softmax\n", "line 3: softmax line needs a name"),
+            ("network batch=1 input=3x8x8\n", "line 1: network line needs a name"),
+            # a value is not an integer
+            (HEADER + "conv c1 co=four f=3\n", "line 3: co must be an integer, got 'four'"),
+            (HEADER + "fc f1 out=10 relu=yes\n", "line 3: relu must be an integer"),
+            ("network a batch=x input=3x8x8\n", "line 1: batch must be an integer"),
+            # a malformed input=
+            ("network a batch=1 input=1x3x32x32\n", "line 1: input=1x3x32x32 is not CxHxW"),
+            ("network a batch=1 input=3x8\n", "line 1: input=3x8 is not CxHxW"),
+            ("network a batch=1 input=3xax8\n", "line 1: input=3xax8 is not CxHxW"),
+            # a value the layer or network rejects
+            (HEADER + "conv c1 co=0 f=3\n", "line 3: c1: output maps"),
+            ("network a batch=0 input=3x8x8\n", "line 1: network input dims must be positive"),
+            # wiring across lines
+            (HEADER + "conv c1 co=4 f=3 bottom=ghost\n", "line 3: c1: bottom 'ghost'"),
+            (HEADER + "conv c0 co=4 f=3\n", "line 3: duplicate layer name 'c0'"),
+            (HEADER + "concat j1 inputs=c0,c9\n", "line 3: j1: bottom 'c9'"),
+        ],
+    )
+    def test_error_names_its_line(self, text, match):
+        with pytest.raises(ValueError, match=f"^{match}"):
+            parse_netdef(text)
+
+    def test_comments_and_blank_lines_count(self):
+        text = "# header next\n\n" + HEADER + "conv c1 f=3\n"
+        with pytest.raises(ValueError, match="^line 5: missing required key co="):
+            parse_netdef(text)
+
+    def test_annotated_netdef_keeps_line_numbers(self):
+        from repro.framework.annotate import parse_annotated_netdef
+
+        text = HEADER + "#@ c0 layout=CHWN impl=direct\nconv c1 f=3\n"
+        with pytest.raises(ValueError, match="^line 4: missing required key co="):
+            parse_annotated_netdef(text)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["lenet", "cifar", "alexnet", "zfnet", "vgg"])
     def test_builtin_networks_roundtrip(self, name):

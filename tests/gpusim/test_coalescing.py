@@ -15,6 +15,7 @@ from repro.gpusim import (
 )
 from repro.layers import PoolingNCHWBlockPerRow, PoolingNCHWLinear
 from repro.networks import POOL_LAYERS
+from tests.oracles.pooling_trace import reference_trace
 
 
 def _oracle_transactions(idx: np.ndarray, segment: int, item_bytes: int) -> list[int]:
@@ -158,11 +159,11 @@ class TestTransactionStream:
     @pytest.mark.parametrize("kernel_cls", [PoolingNCHWLinear, PoolingNCHWBlockPerRow])
     @pytest.mark.parametrize("device", [TITAN_BLACK, TITAN_X], ids=lambda d: d.name)
     def test_pooling_stream_unchanged(self, kernel_cls, device):
-        """On the pooling kernels' own load traces, as float byte
+        """On the pooling kernels' reference load traces, as float byte
         addresses, the stream equals the first-byte stream."""
         seg = device.transaction_bytes
         for name, spec in POOL_LAYERS.items():
-            indices, _, _ = kernel_cls(spec)._stacked_loads(device)
+            indices, _, _ = reference_trace(kernel_cls(spec), device)
             trace = indices * 4  # inactive lanes stay negative
             np.testing.assert_array_equal(
                 transaction_stream(trace, seg), _first_byte_stream(trace, seg), name

@@ -1,16 +1,16 @@
 """Pooling kernel models: Fig. 6 layout dominance, Fig. 12 coarsening."""
 
-from math import ceil
-
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.gpusim import (
     TITAN_BLACK,
     TITAN_X,
     SetAssociativeCache,
+    analyze_warps,
     default_context,
-    sample_indices,
     transaction_stream,
 )
 from repro.layers import PoolSpec
@@ -22,6 +22,7 @@ from repro.layers import (
     make_pool_kernel,
 )
 from repro.networks import POOL_LAYERS
+from tests.oracles.pooling_trace import reference_trace
 
 
 def useful_bytes(spec):
@@ -153,7 +154,7 @@ class TestTracedL2Diagnostic:
 
     @staticmethod
     def _replayed_hit_rate(kernel, device):
-        indices, _, _ = kernel._stacked_loads(device)
+        indices, _, _ = reference_trace(kernel, device)
         # float byte addresses; inactive lanes stay negative
         stream = transaction_stream(indices * 4, device.transaction_bytes)
         return float(SetAssociativeCache.l2_for(device).access_stream(stream).mean())
@@ -176,45 +177,86 @@ class TestTracedL2Diagnostic:
         assert self._replayed_hit_rate(kernel, device) > 0.3
 
 
-def _reference_trace(kernel, device):
-    """An NCHW kernel's load trace built one window tap at a time, as it
-    was first written: the reference for the tap broadcast."""
-    s = kernel.spec
-    warp = device.warp_size
-    plane = s.out_h * s.out_w
-    padded = ceil(plane / warp) * warp
-    rowblock = isinstance(kernel, PoolingNCHWBlockPerRow)
-    threads = s.n * s.c * padded if rowblock else s.out_elements
-    n_warps = ceil(threads / warp)
-    sampled = sample_indices(n_warps, kernel.max_sample_warps)
-    tid = sampled[:, None] * warp + np.arange(warp)
-    if rowblock:
-        fmap, pos, active = tid // padded, tid % padded, tid % padded < plane
-    else:
-        fmap, pos, active = tid // plane, tid % plane, tid < threads
-    ho, wo = pos // s.out_w, pos % s.out_w
-    rows = []
-    for fy in range(s.window):
-        for fx in range(s.window):
-            hi = np.minimum(ho * s.stride + fy, s.h - 1)
-            wi = np.minimum(wo * s.stride + fx, s.w - 1)
-            rows.append(np.where(active, (fmap * s.h + hi) * s.w + wi, -1))
-    return np.concatenate(rows), n_warps, len(sampled)
+@st.composite
+def _pool_specs(draw):
+    window = draw(st.integers(1, 6))
+    return PoolSpec(
+        n=draw(st.integers(1, 64)),
+        c=draw(st.integers(1, 64)),
+        h=draw(st.integers(window, 48)),
+        w=draw(st.integers(window, 48)),
+        window=window,
+        stride=draw(st.integers(1, 12)),
+    )
 
 
-class TestTracedLoads:
-    """The tap broadcast builds the per-tap reference trace exactly:
-    same indices, same tap-major row order, same warp counts."""
+#: one spec per edge the count must get right, each for both kernels on
+#: both devices
+EDGE_SPECS = (
+    # stride >= 8 and > window, a plane of 5 x 4 (< 32), ceil-clipped rows
+    PoolSpec(n=2, c=3, h=38, w=30, window=3, stride=9),
+    # stride > window with a 1-wide window
+    PoolSpec(n=2, c=2, h=9, w=9, window=1, stride=8),
+    # ceil-clipped 7 x 7 planes (49: not a multiple of 32), partial last warp
+    PoolSpec(n=3, c=5, h=14, w=14, window=3, stride=2),
+    # 3 x 3 clipped planes, 63 threads
+    PoolSpec(n=1, c=7, h=5, w=5, window=2, stride=2),
+    # sampled: more than 512 warps, clipped 14 x 14 planes
+    PoolSpec(n=64, c=48, h=28, w=28, window=3, stride=2),
+)
 
-    #: ceil-mode windows clipped at the input edge, a partial last warp
-    CLIPPED = PoolSpec(n=3, c=5, h=14, w=14, window=3, stride=2)
+#: n*c*h*w >= 2**31, so the count runs in int64; the second one's extent
+#: alone passes the int32 range
+WIDE_SPECS = (
+    PoolSpec(n=128, c=512, h=192, w=192, window=3, stride=2),
+    PoolSpec(n=1, c=1, h=2**31 + 8, w=1, window=1, stride=8),
+)
 
-    @pytest.mark.parametrize("kernel_cls", [PoolingNCHWLinear, PoolingNCHWBlockPerRow])
-    @pytest.mark.parametrize("device", [TITAN_BLACK, TITAN_X], ids=lambda d: d.name)
-    def test_matches_per_tap_reference(self, kernel_cls, device):
-        for spec in [*POOL_LAYERS.values(), self.CLIPPED]:
-            kernel = kernel_cls(spec)
-            trace, n_warps, n_sampled = kernel._stacked_loads(device)
-            ref, ref_warps, ref_sampled = _reference_trace(kernel, device)
-            np.testing.assert_array_equal(trace, ref, str(spec))
-            assert (n_warps, n_sampled) == (ref_warps, ref_sampled)
+_KERNELS = (PoolingNCHWLinear, PoolingNCHWBlockPerRow)
+_DEVICES = (TITAN_BLACK, TITAN_X)
+
+
+def _edge_examples(test):
+    for spec in EDGE_SPECS:
+        for kernel_cls in _KERNELS:
+            for device in _DEVICES:
+                test = example(spec=spec, kernel_cls=kernel_cls, device=device)(test)
+    return test
+
+
+class TestTracedCount:
+    """The NCHW kernels count their load transactions without building a
+    trace; the per-tap reference trace, counted by ``analyze_warps`` and
+    scaled to the grid, is their oracle."""
+
+    @staticmethod
+    def _check(spec, kernel_cls, device):
+        kernel = kernel_cls(spec)
+        ref, n_warps, n_sampled = reference_trace(kernel, device)
+        running = ref >= 0
+        # the facts the direct count rests on: running lanes are a prefix
+        # of each warp, and their addresses never decrease across lanes
+        assert running[:, 0].all()
+        assert not (running[:, 1:] & ~running[:, :-1]).any()
+        assert ((np.diff(ref, axis=1) >= 0) | ~running[:, 1:]).all()
+        report = analyze_warps(ref, device, item_bytes=4)
+        expected = report.transactions * (n_warps / n_sampled)
+        got = kernel._build_profile(device).load_transactions
+        assert repr(got) == repr(expected), spec
+
+    @given(
+        spec=_pool_specs(),
+        kernel_cls=st.sampled_from(_KERNELS),
+        device=st.sampled_from(_DEVICES),
+    )
+    @_edge_examples
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_matches_reference_trace(self, spec, kernel_cls, device):
+        self._check(spec, kernel_cls, device)
+
+    @pytest.mark.parametrize("spec", WIDE_SPECS, ids=("batch", "extent"))
+    @pytest.mark.parametrize("kernel_cls", _KERNELS, ids=lambda k: k.name)
+    @pytest.mark.parametrize("device", _DEVICES, ids=lambda d: d.name)
+    def test_wide_specs_matchreference_trace(self, spec, kernel_cls, device):
+        assert spec.n * spec.c * spec.h * spec.w >= 2**31
+        self._check(spec, kernel_cls, device)

@@ -115,6 +115,28 @@ def test_numeric_fft_conv_loads_scipy_on_first_call():
     assert _loaded_after(run_fft, "scipy")
 
 
+@pytest.mark.parametrize("user_value, expected", [(None, "1"), ("3", "3")])
+def test_cli_caps_openblas_threads_unless_the_user_chose(user_value, expected):
+    """NumPy, loaded after a CLI command starts, sees one OpenBLAS thread by
+    default and the user's count when one is set; importing the CLI alone
+    leaves the environment as it was."""
+    chosen = (
+        f"os.environ['OPENBLAS_NUM_THREADS'] = {user_value!r}"
+        if user_value
+        else "os.environ.pop('OPENBLAS_NUM_THREADS', None)"
+    )
+    probe = (
+        f"import os, sys\n{chosen}\n"
+        "import repro.cli\n"
+        f"assert os.environ.get('OPENBLAS_NUM_THREADS') == {user_value!r}\n"
+        "repro.cli.main(['info'])\n"
+        "assert 'numpy' not in sys.modules\n"
+        "import numpy\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])"
+    )
+    assert _run(probe) == expected
+
+
 def _module_level_imports(name: str) -> set[str]:
     """The ``repro`` modules that importing ``name`` runs directly: its
     module-level imports outside ``if TYPE_CHECKING:``, and the packages
