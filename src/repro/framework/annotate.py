@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from ..ir.graph import Graph
 from ..tensors.layout import DataLayout, parse_layout
-from .netdef import NetworkDef
+from .netdef import NetworkDef, _fields, parse_netdef
 
 
 @dataclass(frozen=True)
@@ -74,38 +74,52 @@ def format_annotated_netdef(
     return "\n".join(out) + "\n"
 
 
+#: the keys an annotation line accepts
+_ANNOTATION_KEYS = ("layout", "impl", "coarsen")
+
+
+def _annotation(tokens: list[str]) -> tuple[str, LayerAnnotation]:
+    """One ``#@`` line's layer name and fields."""
+    name, fields = _fields("annotation", tokens, _ANNOTATION_KEYS)
+    if "layout" not in fields or "impl" not in fields:
+        raise ValueError("annotation needs layout= and impl=")
+    coarsening = None
+    if "coarsen" in fields:
+        ux, _, uy = fields["coarsen"].partition("x")
+        if not (ux.isdecimal() and uy.isdecimal() and int(ux) and int(uy)):
+            raise ValueError(
+                f"coarsen={fields['coarsen']} is not UXxUY with positive integers"
+            )
+        coarsening = (int(ux), int(uy))
+    return name, LayerAnnotation(
+        parse_layout(fields["layout"]), fields["impl"], coarsening
+    )
+
+
 def parse_annotated_netdef(
     text: str,
 ) -> tuple[NetworkDef, dict[str, LayerAnnotation]]:
-    """Parse a network plus its layout annotations."""
-    from .netdef import parse_netdef
-
-    annotations: dict[str, LayerAnnotation] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped.startswith("#@"):
-            tokens = stripped[2:].split()
-            if len(tokens) < 2:
-                raise ValueError(f"line {line_no}: malformed annotation")
-            name, *kvs = tokens
-            fields = dict(kv.split("=", 1) for kv in kvs)
-            if "layout" not in fields or "impl" not in fields:
-                raise ValueError(
-                    f"line {line_no}: annotation needs layout= and impl="
-                )
-            coarsen = None
-            if "coarsen" in fields:
-                ux, uy = fields["coarsen"].split("x")
-                coarsen = (int(ux), int(uy))
-            annotations[name] = LayerAnnotation(
-                layout=parse_layout(fields["layout"]),
-                implementation=fields["impl"],
-                coarsening=coarsen,
-            )
+    """Parse a network plus its layout annotations.  A malformed line,
+    annotation lines included, raises a ValueError whose message starts
+    with ``line N:``."""
     # annotation lines are comments to the parser, so its line numbers hold
     net = parse_netdef(text)
     known = {layer.name for layer in net.layers}
-    unknown = set(annotations) - known
-    if unknown:
-        raise ValueError(f"annotations for unknown layers: {sorted(unknown)}")
+    annotations: dict[str, LayerAnnotation] = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped.startswith("#@"):
+            continue
+        try:
+            name, annotation = _annotation(stripped[2:].split())
+            if name not in known:
+                raise ValueError(
+                    f"no layer named {name!r} (annotations for unknown layers "
+                    "are not allowed)"
+                )
+            if name in annotations:
+                raise ValueError(f"duplicate annotation for {name!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
+        annotations[name] = annotation
     return net, annotations

@@ -228,8 +228,10 @@ _KEYS: dict[str, tuple[str, ...]] = {
 }
 
 
-def _fields(kind: str, rest: list[str]) -> tuple[str, dict[str, str]]:
-    """A line's name and its ``key=value`` fields."""
+def _fields(
+    kind: str, rest: list[str], keys: tuple[str, ...]
+) -> tuple[str, dict[str, str]]:
+    """A line's name and its ``key=value`` fields, each one of ``keys``."""
     if not rest or "=" in rest[0]:
         raise ValueError(f"{kind} line needs a name before its keys")
     name, *tokens = rest
@@ -238,10 +240,9 @@ def _fields(kind: str, rest: list[str]) -> tuple[str, dict[str, str]]:
         if "=" not in tok:
             raise ValueError(f"expected key=value, got {tok!r}")
         key, value = tok.split("=", 1)
-        if key not in _KEYS[kind]:
+        if key not in keys:
             raise ValueError(
-                f"unknown key {key!r} for {kind}; "
-                f"expected one of {', '.join(_KEYS[kind])}"
+                f"unknown key {key!r} for {kind}; expected one of {', '.join(keys)}"
             )
         out[key] = value
     return name, out
@@ -306,7 +307,7 @@ def parse_netdef(text: str) -> NetworkDef:
             if kind == "network":
                 if header is not None:
                     raise ValueError("duplicate network header")
-                name, kv = _fields(kind, rest)
+                name, kv = _fields(kind, rest, _KEYS[kind])
                 try:
                     c, h, w = (int(d) for d in kv["input"].split("x"))
                 except ValueError:
@@ -317,7 +318,7 @@ def parse_netdef(text: str) -> NetworkDef:
                 raise ValueError("layer before network header")
             if kind not in _KEYS:
                 raise ValueError(f"unknown layer kind {kind!r}")
-            layer = _layer(kind, *_fields(kind, rest))
+            layer = _layer(kind, *_fields(kind, rest, _KEYS[kind]))
             _check_wiring(layer, seen, header.name)
         except KeyError as exc:
             missing = f"missing required key {exc.args[0]}="

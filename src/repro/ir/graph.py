@@ -292,8 +292,17 @@ class Graph:
         }
 
     @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "Graph":
-        inp = data.get("input", {})
+    def from_json(cls, data: Any) -> "Graph":
+        """Rebuild a graph from :meth:`to_json`'s view.  A value that is not
+        an object, lacks a ``"nodes"`` list or holds a node that is not an
+        object raises TypeError; ``"nodes": []`` is an empty graph."""
+        if not isinstance(data, dict):
+            raise TypeError(f"a graph is a JSON object, not {type(data).__name__}")
+        nodes, inp = data.get("nodes"), data.get("input", {})
+        if not isinstance(nodes, list):
+            raise TypeError('a graph needs a "nodes" list')
+        if not isinstance(inp, dict):
+            raise TypeError('a graph\'s "input" must be an object')
         graph = cls(
             name=data["name"],
             batch=int(inp.get("batch", 0)),
@@ -301,7 +310,9 @@ class Graph:
             in_h=int(inp.get("h", 0)),
             in_w=int(inp.get("w", 0)),
         )
-        for node_data in data.get("nodes", ()):
+        for index, node_data in enumerate(nodes):
+            if not isinstance(node_data, dict):
+                raise TypeError(f"node {index} is not a JSON object")
             graph.add(GraphNode.from_dict(node_data))
         return graph
 

@@ -174,26 +174,40 @@ class _TracedNCHWPooling(_PoolingKernelBase):
         column, as ``(out - 2) * stride + window - 1 < extent - 1``).  So
         with idle lanes on the last running lane, a warp load touches one
         segment plus one per lane whose segment differs from its
-        predecessor's."""
+        predecessor's.  The count runs one tap at a time over ``(lane,
+        warp)`` arrays, so the working set stays that of one warp load."""
         s = self.spec
         warp = device.warp_size
         n_warps = ceil(self._threads(device) / warp)
         sampled = sample_indices(n_warps, self.max_sample_warps)
         # Thread ids, window origins ((out - 1) * stride < extent) and
-        # element indices all stay below this bound; int32 halves the
-        # arrays (docs/PERFORMANCE.md measures the difference).
+        # element indices all stay below this bound.  In int32 a (lane,
+        # warp) array is 64 KiB, under glibc's 128 KiB mmap threshold, so
+        # freed blocks are reused instead of faulted in afresh
+        # (docs/PERFORMANCE.md measures the difference).
         bound = max(n_warps * warp, s.n * s.c * s.h * s.w + max(s.h, s.w), s.stride)
         dtype = np.int32 if bound < 2**31 else np.int64
         # lane-major, so that neighbouring lanes compare as whole rows
         lane = np.arange(warp, dtype=dtype)[:, None]
         fmap, ho, wo = self._lanes(lane + (sampled * warp).astype(dtype), device)
-        taps = np.arange(s.window, dtype=dtype)[:, None]
-        hi = np.minimum((ho * s.stride)[:, None] + taps, s.h - 1)  # (lane, fy, warp)
-        wi = np.minimum((wo * s.stride)[:, None] + taps, s.w - 1)  # (lane, fx, warp)
-        rows = ((fmap * s.h)[:, None] + hi) * s.w  # each input row's first item
-        segment = rows[:, :, None] + wi[:, None]  # (lane, fy, fx, warp)
-        segment //= device.transaction_bytes // _ITEM
-        changes = int(np.count_nonzero(segment[1:] != segment[:-1]))
+        per_segment = device.transaction_bytes // _ITEM
+        # Scaled in place, and the taps write into two reused buffers: no
+        # tap allocates a (lane, warp) array.
+        fmap *= s.h  # each lane's map, as its first input row
+        ho *= s.stride  # each lane's window origin
+        wo *= s.stride
+        cols = [np.minimum(wo + fx, s.w - 1) for fx in range(s.window)]
+        row, segment = np.empty_like(fmap), np.empty_like(fmap)
+        changes = 0
+        for fy in range(s.window):
+            np.add(ho, fy, out=row)
+            np.minimum(row, s.h - 1, out=row)
+            row += fmap
+            row *= s.w  # each lane's input row at this tap, as its first item
+            for col in cols:
+                np.add(row, col, out=segment)
+                segment //= per_segment
+                changes += int(np.count_nonzero(segment[1:] != segment[:-1]))
         return (s.window**2 * len(sampled) + changes) * (n_warps / len(sampled))
 
     def _build_profile(self, device: DeviceSpec) -> MemoryProfile:

@@ -129,6 +129,37 @@ class TestVerifyGraphFile:
         path.write_text("{not json")
         assert main(["verify", "--graph", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "payload,reason",
+        [
+            ([1, 2], "a graph is a JSON object, not list"),
+            ("lenet", "a graph is a JSON object, not str"),
+            ({"name": "g", "nodes": [5]}, "node 0 is not a JSON object"),
+            ({"name": "g", "nodes": {}}, 'a graph needs a "nodes" list'),
+            ({"name": "g"}, 'a graph needs a "nodes" list'),
+            ({"graph": [1]}, "a graph is a JSON object, not list"),
+            ({"name": "g", "nodes": [], "input": []}, '"input" must be an object'),
+        ],
+        ids=(
+            "list", "string", "node", "nodes-object", "no-nodes", "graph-list", "input"
+        ),
+    )
+    def test_wrongly_shaped_graph_is_usage_error(
+        self, tmp_path, capsys, payload, reason
+    ):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(payload))
+        assert main(["verify", "--graph", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"malformed graph {path}: " in err
+        assert reason in err
+
+    def test_explicitly_empty_graph_verifies(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"name": "g", "nodes": []}))
+        assert main(["verify", "--graph", str(path)]) == 0
+        assert "0 error(s)" in capsys.readouterr().out
+
 
 class TestPlanVerifyFlag:
     def test_plan_verify_output_is_byte_identical(self, capsys):

@@ -73,6 +73,42 @@ class TestRoundTrip:
             parse_annotated_netdef(text)
 
 
+class TestAnnotationLineNumbers:
+    """Every malformed ``#@`` line is a ValueError that names the line."""
+
+    NET = "network x batch=2 input=1x8x8\nconv c0 co=2 f=3\n"
+
+    @pytest.mark.parametrize(
+        "annotation,match",
+        [
+            ("#@ c0 layout", "expected key=value, got 'layout'"),
+            ("#@ c0 layout=CHWN impl=direct coarsen=2", "coarsen=2 is not UXxUY"),
+            ("#@ c0 layout=CHWN impl=direct coarsen=axb", "coarsen=axb is not UXxUY"),
+            ("#@ c0 layout=CHWN impl=direct coarsen=0x2", "coarsen=0x2 is not UXxUY"),
+            ("#@ c0 layout=zzz impl=direct", "layout must be a permutation"),
+            ("#@ nosuch layout=CHWN impl=direct", "no layer named 'nosuch'"),
+            ("#@ c0 impl=direct", "annotation needs layout= and impl="),
+            ("#@ layout=CHWN impl=direct", "annotation line needs a name"),
+            ("#@", "annotation line needs a name"),
+            ("#@ c0 layout=CHWN impl=direct ux=2", "unknown key 'ux' for annotation"),
+        ],
+    )
+    def test_error_names_its_line(self, annotation, match):
+        text = self.NET + "\n" + annotation + "\n"
+        with pytest.raises(ValueError, match=f"^line 4: {match}"):
+            parse_annotated_netdef(text)
+
+    def test_duplicate_annotation_names_second_line(self):
+        text = self.NET + "#@ c0 layout=CHWN impl=direct\n#@ c0 layout=NCHW impl=mm\n"
+        with pytest.raises(ValueError, match="^line 4: duplicate annotation for 'c0'"):
+            parse_annotated_netdef(text)
+
+    def test_well_formed_coarsening_parses(self):
+        text = self.NET + "#@ c0 layout=chwn impl=direct coarsen=2x3\n"
+        _, ann = parse_annotated_netdef(text)
+        assert ann == {"c0": LayerAnnotation(CHWN, "direct", (2, 3))}
+
+
 class TestAnnotatedExecution:
     def test_annotations_drive_numeric_execution(self, device):
         """Baked-in layout fields reproduce the planned execution exactly."""

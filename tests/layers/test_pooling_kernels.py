@@ -1,5 +1,7 @@
 """Pooling kernel models: Fig. 6 layout dominance, Fig. 12 coarsening."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -260,3 +262,27 @@ class TestTracedCount:
     def test_wide_specs_matchreference_trace(self, spec, kernel_cls, device):
         assert spec.n * spec.c * spec.h * spec.w >= 2**31
         self._check(spec, kernel_cls, device)
+
+
+class TestTracedCountWorkingSet:
+    """The count walks the window one tap at a time over ``(lane, warp)``
+    arrays, so its peak memory barely grows with the window.  A count
+    that broadcasts every tap at once holds a ``window**2`` times larger
+    segment array (4.7x from window 2 to 6 on this spec)."""
+
+    @staticmethod
+    def _peak_bytes(kernel_cls, window):
+        kernel = kernel_cls(PoolSpec(128, 96, 55, 55, window, 2))
+        tracemalloc.start()
+        try:
+            kernel.memory_profile(TITAN_BLACK)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("kernel_cls", _KERNELS, ids=lambda k: k.name)
+    def test_peak_barely_grows_with_window(self, kernel_cls):
+        # any one-time set-up runs before the traced calls
+        kernel_cls(PoolSpec(8, 8, 9, 9, 3, 2)).memory_profile(TITAN_BLACK)
+        small, large = (self._peak_bytes(kernel_cls, w) for w in (2, 6))
+        assert large < 2 * small, (small, large)
