@@ -163,10 +163,13 @@ class KernelModel(ABC):
     name: str = "kernel"
     #: number of back-to-back kernel launches this model represents
     n_launches: int = 1
-    #: instance attributes that are derived memo caches, not structure —
-    #: excluded from :meth:`structural_state` so a used kernel hashes the
-    #: same as a freshly built one
-    structural_exclude: frozenset[str] = frozenset()
+    #: instance attributes that are not structure, excluded from
+    #: :meth:`structural_state`: anything computed from the rest of the
+    #: state (a memo cache, so a used kernel hashes the same as a freshly
+    #: built one; a geometry or a list of stages its constructor derives),
+    #: and the ``name`` and ``n_launches`` the key's header already writes.
+    #: Subclasses extend it with ``KernelModel.structural_exclude | {...}``.
+    structural_exclude: frozenset[str] = frozenset({"name", "n_launches"})
 
     @abstractmethod
     def launch_config(self, device: DeviceSpec) -> LaunchConfig:
@@ -195,11 +198,10 @@ class KernelModel(ABC):
         basis of the structural cache key in :mod:`repro.gpusim.session`:
         two models of the same class with equal structural state produce
         identical stats and may share one cache entry.  Subclasses with
-        derived memo attributes list them in ``structural_exclude``.
+        derived attributes list them in ``structural_exclude``.
         """
-        return {
-            k: v for k, v in vars(self).items() if k not in self.structural_exclude
-        }
+        exclude = self.structural_exclude
+        return {k: v for k, v in vars(self).items() if k not in exclude}
 
 
 @dataclass

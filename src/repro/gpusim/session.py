@@ -28,7 +28,7 @@ import json
 import time
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from hashlib import sha256
 from operator import attrgetter
 from pathlib import Path
@@ -72,9 +72,9 @@ def check_fit(device: DeviceSpec, model: KernelModel) -> None:
 def _key_text(obj: Any) -> str:
     """The canonical JSON text of ``obj``'s structural description.
 
-    Kernel models are described by their class plus :meth:`structural_state`
-    (instance attributes minus derived memo caches); dataclasses (specs,
-    layouts, geometry records) by their fields; floats by their full
+    Kernel models are described by their class, name and launch count plus
+    :meth:`structural_state` (instance attributes minus derived ones);
+    dataclasses (specs, layouts, devices) by their fields; floats by their full
     precision ``repr``; anything else by a class-tagged ``repr``.  The
     description determines the timing result, so equal descriptions may
     share one cache entry.  The text is what ``json.dumps(...,
@@ -96,8 +96,11 @@ _json_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 def _raw_text(value: Any) -> str:
     """JSON for a value written as-is, not described (a kernel's name and
-    launch count); plain ints skip the encoder's per-call set-up."""
-    return int.__repr__(value) if type(value) is int else _json_encode(value)
+    launch count); plain ints and strings skip the encoder's per-call
+    set-up."""
+    if type(value) is int:
+        return int.__repr__(value)
+    return _json_str(value) if type(value) is str else _json_encode(value)
 
 
 def _key_writer(cls: type) -> Callable[[Any], str]:
@@ -131,11 +134,17 @@ def _key_writer(cls: type) -> Callable[[Any], str]:
             f"{cls.__module__}.{cls.__qualname__}"
         )
         labels = [(f"{_json_str(n)}:", n) for n in sorted(f.name for f in fields(cls))]
-        return lambda obj: (
-            head
-            + ",".join([label + _key_text(getattr(obj, n)) for label, n in labels])
-            + "}}"
-        )
+
+        def write(obj: Any) -> str:
+            return (
+                head
+                + ",".join([label + _key_text(getattr(obj, n)) for label, n in labels])
+                + "}}"
+            )
+
+        if cls.__dataclass_params__.frozen and cls.__hash__ is not None:
+            return partial(_memoized_text, write)
+        return write
     if issubclass(cls, Enum):
         return lambda obj: '{"__enum__":%s}' % _json_str(
             f"{cls.__qualname__}.{obj.name}"
@@ -157,19 +166,42 @@ def _mapping_text(mapping: dict[Any, Any]) -> str:
     """A mapping keyed by ``str(key)``, in key-text order; of two keys with
     one text, the later in key order wins."""
     items = sorted(mapping.items())
-    if any(type(k) is not str for k, _ in items):
-        items = sorted({str(k): v for k, v in items}.items())
+    for key, _ in items:
+        if type(key) is not str:
+            items = sorted({str(k): v for k, v in items}.items())
+            break
     return "{" + ",".join([f"{_json_str(k)}:{_key_text(v)}" for k, v in items]) + "}"
 
 
-@lru_cache(maxsize=16)
-def _device_json(device: DeviceSpec) -> str:
-    """The serialized description of one device.
+#: the text of frozen dataclass values (devices, specs, layouts) seen
+#: lately, by value; cleared whole when it reaches ``_TEXT_MEMO_SIZE``
+_TEXT_MEMO: dict[Any, str] = {}
+_TEXT_MEMO_SIZE = 512
 
-    Memoized by value: ``DeviceSpec`` is a frozen, hashable dataclass, so a
-    spec rebuilt with a changed field is a new entry, never a stale one.
+
+def _memoized_text(write: Callable[[Any], str], obj: Any) -> str:
+    """``write(obj)``, shared by every equal value of ``obj``'s class.
+
+    A frozen dataclass never changes, so a value rebuilt with a changed
+    field is a new entry, never a stale one.  Sharing is exact because
+    equal values write equal text: the specs refuse an integer field that
+    is not an ``int`` (``2 == 2.0 == True`` but their texts differ).
+    The text never depends on the memo's hash order.
     """
-    return _key_text(device)
+    try:
+        text = _TEXT_MEMO.get(obj)
+    except TypeError:  # a field holds an unhashable value
+        return write(obj)
+    if text is None:
+        if len(_TEXT_MEMO) >= _TEXT_MEMO_SIZE:
+            _TEXT_MEMO.clear()
+        text = _TEXT_MEMO[obj] = write(obj)
+    return text
+
+
+#: the device keyed last (a frozen value, so compared by identity) and the
+#: sha256 state after the payload's text up to the kernel's description
+_payload_head: tuple[DeviceSpec | None, Any] = (None, None)
 
 
 def structural_key(model: KernelModel, device: DeviceSpec) -> str:
@@ -180,10 +212,16 @@ def structural_key(model: KernelModel, device: DeviceSpec) -> str:
     a name but differ in, say, bandwidth must not share timings).
     """
     # The canonical JSON of {"device": ..., "kernel": ...}: sorted keys put
-    # the device first, so its memoized text splices in byte for byte.
-    payload = f'{{"device":{_device_json(device)},"kernel":{_key_text(model)}}}'
-    digest = sha256(payload.encode()).hexdigest()[:32]
-    return f"{model.name}@{device.name}#{digest}"
+    # the device first, so the hash of the payload up to the kernel's text
+    # is taken once per device and copied.
+    global _payload_head
+    last, head = _payload_head
+    if last is not device:
+        head = sha256(f'{{"device":{_key_text(device)},"kernel":'.encode())
+        _payload_head = (device, head)
+    digest = head.copy()
+    digest.update(f"{_key_text(model)}}}".encode())
+    return f"{model.name}@{device.name}#{digest.hexdigest()[:32]}"
 
 
 def _kind_of(model: KernelModel) -> str:

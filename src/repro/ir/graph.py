@@ -28,11 +28,65 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Any, Iterator
+from functools import partial
+from typing import Any, Callable, Iterator
 
 from ..tensors.layout import DataLayout
 
 Dims = tuple[int, int, int, int]
+
+
+def _is_str(value: Any) -> bool:
+    return isinstance(value, str)
+
+
+def _is_list(value: Any) -> bool:
+    return isinstance(value, list)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _ints(count: int) -> Callable[[Any], bool]:
+    return lambda value: (
+        isinstance(value, list) and len(value) == count and all(map(_is_int, value))
+    )
+
+
+def _field(
+    data: dict[str, Any],
+    owner: str,
+    key: str,
+    expected: str,
+    accept: Callable[[Any], bool],
+    load: Callable[[Any], Any] | None = None,
+    required: bool = False,
+) -> Any:
+    """``load(data[key])``, or None for a missing or null key (an error when
+    ``required``).  A value that ``accept`` refuses, or that ``load``
+    rejects, raises an error that names ``owner`` and ``key``."""
+    value = data.get(key)
+    if value is None:
+        if required:
+            raise TypeError(f"{owner}: no {key!r}")
+        return None
+    if not accept(value):
+        raise TypeError(
+            f"{owner}: {key!r} must be {expected}, "
+            f"not {type(value).__name__} {value!r}"
+        )
+    if load is None:
+        return value
+    try:
+        return load(value)
+    except (KeyError, TypeError, ValueError) as exc:
+        error = TypeError if isinstance(exc, TypeError) else ValueError
+        raise error(f"{owner}: {key!r}: {exc}") from None
 
 
 class NodeKind(Enum):
@@ -79,12 +133,20 @@ class EdgeTransform:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "EdgeTransform":
+    def from_dict(
+        cls, data: dict[str, Any], owner: str = "transform"
+    ) -> "EdgeTransform":
+        """Rebuild a transform from :meth:`to_dict`'s view; a missing or
+        wrongly typed key raises an error that names ``owner`` and the key."""
+        if not isinstance(data, dict):
+            raise TypeError(f"{owner} is not a JSON object")
+
+        read = partial(_field, data, owner, required=True)
         return cls(
-            src=data["src"],
-            from_layout=DataLayout(data["from"]),
-            to_layout=DataLayout(data["to"]),
-            ms=float(data["ms"]),
+            src=read("src", "a string", _is_str),
+            from_layout=read("from", "a layout", _is_str, DataLayout),
+            to_layout=read("to", "a layout", _is_str, DataLayout),
+            ms=read("ms", "a number", _is_number, float),
         )
 
 
@@ -159,37 +221,59 @@ class GraphNode:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "GraphNode":
         """Rebuild a node from :meth:`to_dict`'s view; a node written
-        without a ``"spec"`` loads with none."""
-        spec = None
-        if data.get("spec"):
-            # Imported here so that importing the IR loads no layer module
-            # (LRNSpec's module imports NumPy).
-            from ..layers.base import ConvSpec, FCSpec, PoolSpec, SoftmaxSpec
-            from ..layers.elementwise import LRNSpec
-
-            spec_types = {
-                t.__name__: t
-                for t in (ConvSpec, FCSpec, LRNSpec, PoolSpec, SoftmaxSpec)
-            }
-            spec_fields = dict(data["spec"])
-            spec = spec_types[spec_fields.pop("type")](**spec_fields)
+        without a ``"spec"`` loads with none.  A missing name or kind, or a
+        key of the wrong type, raises an error that names the node and the
+        key."""
+        name = _field(data, "a node", "name", "a string", _is_str, required=True)
+        read = partial(_field, data, f"node {name!r}")
         return cls(
-            name=data["name"],
-            kind=NodeKind(data["kind"]),
-            inputs=tuple(data.get("inputs", ())),
-            spec=spec,
-            in_dims=tuple(data["in_dims"]) if data.get("in_dims") else None,
-            out_dims=tuple(data["out_dims"]) if data.get("out_dims") else None,
-            out_features=data.get("out_features"),
-            fixed_ms=float(data.get("fixed_ms", 0.0)),
-            layout=DataLayout(data["layout"]) if data.get("layout") else None,
-            implementation=data.get("implementation"),
-            layer_ms=float(data.get("layer_ms", 0.0)),
-            coarsening=tuple(data["coarsening"]) if data.get("coarsening") else None,
-            transforms=tuple(
-                EdgeTransform.from_dict(t) for t in data.get("transforms", ())
-            ),
+            name=name,
+            kind=read("kind", "a string", _is_str, NodeKind, required=True),
+            inputs=read(
+                "inputs", "a list of node names",
+                lambda v: _is_list(v) and all(map(_is_str, v)), tuple,
+            ) or (),
+            spec=read("spec", "an object", lambda v: isinstance(v, dict), _load_spec),
+            in_dims=read("in_dims", "a list of 4 ints", _ints(4), tuple),
+            out_dims=read("out_dims", "a list of 4 ints", _ints(4), tuple),
+            out_features=read("out_features", "an int", _is_int),
+            fixed_ms=read("fixed_ms", "a number", _is_number, float) or 0.0,
+            layout=read("layout", "a layout", _is_str, DataLayout),
+            implementation=read("implementation", "a string", _is_str),
+            layer_ms=read("layer_ms", "a number", _is_number, float) or 0.0,
+            coarsening=read("coarsening", "a list of 2 ints", _ints(2), tuple),
+            transforms=read("transforms", "a list", _is_list, _load_transforms)
+            or (),
         )
+
+
+def _load_transforms(items: list[Any]) -> tuple[EdgeTransform, ...]:
+    return tuple(
+        EdgeTransform.from_dict(item, f"transform {i}") for i, item in enumerate(items)
+    )
+
+
+def _load_spec(data: dict[str, Any]) -> object | None:
+    """The spec a node's ``"spec"`` object describes (None when empty)."""
+    if not data:
+        return None
+    # Imported here so that importing the IR loads no layer module
+    # (LRNSpec's module imports NumPy).
+    from ..layers.base import ConvSpec, FCSpec, PoolSpec, SoftmaxSpec
+    from ..layers.elementwise import LRNSpec
+
+    spec_types = {
+        t.__name__: t for t in (ConvSpec, FCSpec, LRNSpec, PoolSpec, SoftmaxSpec)
+    }
+    spec_fields = dict(data)
+    kind = spec_fields.pop("type", None)
+    if not isinstance(kind, str) or kind not in spec_types:
+        raise ValueError(f"unknown spec type {kind!r}")
+    known = {f.name for f in fields(spec_types[kind])}
+    unknown = sorted(set(spec_fields) - known)
+    if unknown:
+        raise TypeError(f"{kind} has no field {unknown[0]!r}")
+    return spec_types[kind](**spec_fields)
 
 
 class GraphError(ValueError):

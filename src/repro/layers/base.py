@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..tensors.layout import DataLayout, NCHW
-from ..tensors.tensor import TensorDesc
+from ..tensors.tensor import TensorDesc, require_int_fields
 
 
 def conv_out_extent(extent: int, filt: int, stride: int, pad: int) -> int:
@@ -57,6 +57,7 @@ class ConvSpec:
     groups: int = 1
 
     def __post_init__(self) -> None:
+        require_int_fields(self)
         if min(self.n, self.ci, self.h, self.w, self.co, self.fh, self.fw) <= 0:
             raise ValueError("all convolution dimensions must be positive")
         if self.stride <= 0 or self.pad < 0:
@@ -126,6 +127,7 @@ class PoolSpec:
     op: str = "max"
 
     def __post_init__(self) -> None:
+        require_int_fields(self)
         if min(self.n, self.c, self.h, self.w, self.window, self.stride) <= 0:
             raise ValueError("all pooling dimensions must be positive")
         if self.op not in ("max", "avg"):
@@ -170,6 +172,7 @@ class SoftmaxSpec:
     categories: int
 
     def __post_init__(self) -> None:
+        require_int_fields(self)
         if self.n <= 0 or self.categories <= 0:
             raise ValueError("batch and category counts must be positive")
 
@@ -196,6 +199,7 @@ class FCSpec:
     out_features: int
 
     def __post_init__(self) -> None:
+        require_int_fields(self)
         if min(self.n, self.in_features, self.out_features) <= 0:
             raise ValueError("all dimensions must be positive")
 

@@ -180,6 +180,9 @@ def im2col_gemm_kernels(spec: ConvSpec) -> list[KernelModel]:
 class Im2colGemmNCHW(ComposedKernel):
     """Caffe/cuDNN matrix-multiplication convolution on NCHW."""
 
+    #: the stages are built from ``spec``
+    structural_exclude = ComposedKernel.structural_exclude | {"kernels"}
+
     def __init__(self, spec: ConvSpec) -> None:
         super().__init__(kernels=im2col_gemm_kernels(spec), name="conv-mm-nchw")
         self.spec = spec
@@ -210,6 +213,8 @@ class FFTConvNCHW(KernelModel):
 
     #: 32x32 frequency tiles, as in cuDNN v4's FFT-Tiling option
     tile_extent = 32
+    #: the geometry is computed from ``spec`` and ``tiled``
+    structural_exclude = KernelModel.structural_exclude | {"geometry"}
 
     def __init__(self, spec: ConvSpec, tiled: bool = False) -> None:
         if spec.stride != 1:
@@ -333,6 +338,9 @@ class Im2colGemmNHWC(ComposedKernel):
     outperforms its NHWC layout"): NHWC pays the NCHW cost plus two tensor
     round trips.
     """
+
+    #: the stages are built from ``spec``
+    structural_exclude = ComposedKernel.structural_exclude | {"kernels"}
 
     def __init__(self, spec: ConvSpec) -> None:
         kernels: list[KernelModel] = [

@@ -40,7 +40,7 @@ _Lanes = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class _PoolingKernelBase(KernelModel):
-    structural_exclude = frozenset({"_profile_cache"})
+    structural_exclude = KernelModel.structural_exclude | {"_profile_cache"}
 
     def __init__(self, spec: PoolSpec) -> None:
         self.spec = spec

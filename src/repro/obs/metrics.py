@@ -143,6 +143,11 @@ class MetricsRegistry:
 
     # -- access -------------------------------------------------------------
     def _get(self, name: str, factory: type) -> Any:
+        # An existing metric is never replaced, only dropped by ``reset``,
+        # so it is read without the lock; only a new name takes it.
+        metric = self._metrics.get(name)
+        if type(metric) is factory:
+            return metric
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:

@@ -9,13 +9,36 @@ moves memory — the numeric twin of the paper's transformation kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cache
 
 import numpy as np
 
 from .layout import CHWN, NCHW, DataLayout
 
 _FLOAT = np.float32
+
+
+@cache
+def _int_fields(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.type in ("int", int))
+
+
+def require_int_fields(spec: object) -> None:
+    """Raise ``TypeError`` naming the first ``int`` field of the dataclass
+    ``spec`` that holds no ``int``.
+
+    A float, a ``bool`` or a NumPy integer is refused even when it equals
+    an int: it would describe the spec differently in a structural cache
+    key, and equal specs share one key text.
+    """
+    for name in _int_fields(type(spec)):
+        value = getattr(spec, name)
+        if type(value) is not int:
+            raise TypeError(
+                f"{type(spec).__name__}.{name} must be an int, "
+                f"not {type(value).__name__} {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -30,6 +53,7 @@ class TensorDesc:
     itemsize: int = 4
 
     def __post_init__(self) -> None:
+        require_int_fields(self)
         if min(self.n, self.c, self.h, self.w) <= 0:
             raise ValueError(f"tensor dims must be positive, got {self.dims}")
 

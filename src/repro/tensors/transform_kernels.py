@@ -106,6 +106,8 @@ class _TiledBase(_TransformKernelBase):
     """Shared logic for the tiled (Opt1/Opt2) kernels."""
 
     tile: int = 32
+    #: the transpose groups are computed from ``desc`` and ``target``
+    structural_exclude = KernelModel.structural_exclude | {"groups"}
 
     def __init__(self, desc: TensorDesc, target: DataLayout) -> None:
         super().__init__(desc, target)

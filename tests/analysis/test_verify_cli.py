@@ -154,6 +154,74 @@ class TestVerifyGraphFile:
         assert f"malformed graph {path}: " in err
         assert reason in err
 
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            ("kind", 5, "'kind' must be a string, not int 5"),
+            ("kind", "conv3d", "'kind': 'conv3d' is not a valid NodeKind"),
+            ("inputs", 5, "'inputs' must be a list of node names"),
+            ("inputs", "data", "'inputs' must be a list of node names, not str"),
+            ("spec", "x", "'spec' must be an object, not str 'x'"),
+            ("in_dims", 5, "'in_dims' must be a list of 4 ints, not int 5"),
+            ("out_dims", [1, 2], "'out_dims' must be a list of 4 ints"),
+            ("out_features", "x", "'out_features' must be an int"),
+            ("fixed_ms", "1.5", "'fixed_ms' must be a number, not str"),
+            ("layout", 5, "'layout' must be a layout, not int 5"),
+            ("layout", "zzz", "'layout': layout must be a permutation"),
+            ("implementation", 5, "'implementation' must be a string"),
+            ("layer_ms", [1], "'layer_ms' must be a number, not list"),
+            ("coarsening", 5, "'coarsening' must be a list of 2 ints"),
+            ("transforms", 5, "'transforms' must be a list, not int 5"),
+            ("transforms", [5], "'transforms': transform 0 is not a JSON object"),
+            (
+                "transforms",
+                [{"src": "", "to": "NCHW", "ms": 0.0}],
+                "'transforms': transform 0: no 'from'",
+            ),
+            (
+                "transforms",
+                [{"src": "", "from": "CHWN", "to": "NCHW", "ms": "0"}],
+                "'transforms': transform 0: 'ms' must be a number",
+            ),
+        ],
+    )
+    def test_wrongly_typed_node_field_is_named(
+        self, tmp_path, capsys, plan_payload, key, value, reason
+    ):
+        """A retyped field exits 2 with a message naming node and field."""
+        graph = plan_payload["graph"]
+        conv = next(n for n in graph["nodes"] if n["kind"] == "conv")
+        conv[key] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(graph))
+        assert main(["verify", "--graph", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"malformed graph {path}: node {conv['name']!r}: {reason}" in err
+
+    def test_node_without_a_string_name_is_malformed(
+        self, tmp_path, capsys, plan_payload
+    ):
+        graph = plan_payload["graph"]
+        graph["nodes"][0]["name"] = 5
+        path = tmp_path / "name.json"
+        path.write_text(json.dumps(graph))
+        assert main(["verify", "--graph", str(path)]) == 2
+        assert "'name' must be a string, not int 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [2.5, True, "2"])
+    def test_non_integer_spec_dimension_is_malformed(
+        self, tmp_path, capsys, plan_payload, bad
+    ):
+        """Loading used to accept ``"n": 2.5`` and report it as D001."""
+        graph = plan_payload["graph"]
+        conv = next(n for n in graph["nodes"] if n["kind"] == "conv")
+        conv["spec"]["n"] = bad
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(graph))
+        assert main(["verify", "--graph", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"node {conv['name']!r}: 'spec': ConvSpec.n must be an int" in err
+
     def test_explicitly_empty_graph_verifies(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"name": "g", "nodes": []}))

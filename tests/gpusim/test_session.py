@@ -1,10 +1,11 @@
 """Simulation sessions: structural cache, counters, persistence, OOM."""
 
+import inspect
 import json
 import os
 import subprocess
 import sys
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum, IntEnum
 from hashlib import sha256
 from pathlib import Path
@@ -29,10 +30,15 @@ from repro.core.pipeline import PipelineOptions, plan_network
 from repro.gpusim import session as session_module
 from repro.gpusim.device import TITAN_BLACK, TITAN_X, ArchProfile, DeviceSpec
 from repro.gpusim.occupancy import Occupancy
+from repro.gpusim.session import _key_text
 from repro.gpusim.timing import KernelStats
 from repro.analysis import sweep_conv, sweep_pool
 from repro.layers import PoolSpec
-from repro.layers.conv_kernels import CONV_IMPLEMENTATIONS
+from repro.layers.conv_kernels import (
+    CONV_IMPLEMENTATIONS,
+    ConvUnsupportedError,
+    make_conv_kernel,
+)
 from repro.layers.softmax_kernels import SOFTMAX_IMPLEMENTATIONS, make_softmax_kernel
 from repro.networks.definitions import NETWORK_BUILDERS, build_network
 from repro.networks.table1 import CLASS_LAYERS, CONV_LAYERS, POOL_LAYERS
@@ -327,6 +333,86 @@ class TestStructuralKeyBytes:
             assert structural_key(model, device) == _reference_key(model, device)
 
 
+class TestKeyWork:
+    """What a key costs: derived attributes stay out of the description,
+    and a spec's text is written once per value."""
+
+    @staticmethod
+    def _kernels():
+        desc = TensorDesc(64, 96, 27, 27, NCHW)
+        for spec in CONV_LAYERS.values():
+            for impl in CONV_IMPLEMENTATIONS:
+                try:
+                    yield make_conv_kernel(spec, impl)
+                except ConvUnsupportedError:
+                    pass
+        for method in ("naive", "opt1", "opt2"):
+            yield make_transform_kernel(desc, CHWN, method)
+
+    def test_excluded_attributes_are_derived(self):
+        """A kernel rebuilt from its kept state alone (its constructor's
+        arguments all live there) has equal excluded attributes."""
+        rebuilt_classes = set()
+        for kernel in self._kernels():
+            cls = type(kernel)
+            kept = kernel.structural_state()
+            derived = set(vars(kernel)) - set(kept)
+            assert derived <= cls.structural_exclude
+            params = list(inspect.signature(cls.__init__).parameters)[1:]
+            rebuilt = cls(**{p: kept[p] for p in params})
+            for name in derived:
+                assert _key_text(getattr(rebuilt, name)) == _key_text(
+                    getattr(kernel, name)
+                ), f"{cls.__name__}.{name}"
+            if derived - KernelModel.structural_exclude:
+                rebuilt_classes.add(cls.__name__)
+        assert rebuilt_classes == {
+            "Im2colGemmNCHW", "Im2colGemmNHWC", "FFTConvNCHW",
+            "TiledTransformKernel", "VectorTransformKernel",
+        }
+
+    def test_memo_stays_within_its_cap(self):
+        base = CONV_LAYERS["CV7"]
+        for n in range(1, 2001):
+            structural_key(make_conv_kernel(replace(base, n=n), "direct"), TITAN_BLACK)
+            assert len(session_module._TEXT_MEMO) <= session_module._TEXT_MEMO_SIZE
+
+    def test_unhashable_frozen_value_is_written_unmemoized(self, device):
+        """A frozen dataclass holding a list cannot key the memo; it is
+        written in full, byte for byte as the reference formula writes it."""
+
+        @dataclass(frozen=True)
+        class Shape:
+            dims: list
+
+        kernel = ToyKernel()
+        kernel.shape = Shape([4, 8])
+        assert structural_key(kernel, device) == _reference_key(kernel, device)
+        assert all(type(k) is not Shape for k in session_module._TEXT_MEMO)
+
+    def test_im2col_writes_its_spec_once(self, monkeypatch):
+        """Keyed twice, an im2col kernel describes its ConvSpec's fields
+        once, and never describes its stages (they derive from the spec)."""
+        monkeypatch.setattr(session_module, "_TEXT_MEMO", {})
+        monkeypatch.setattr(session_module, "_payload_head", (None, None))
+        described = []
+        real = session_module._key_text
+
+        def recording(obj):
+            described.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(session_module, "_key_text", recording)
+        spec = CONV_LAYERS["CV7"]
+        kernel = make_conv_kernel(spec, "im2col")
+        first = structural_key(kernel, TITAN_BLACK)
+        firsts, described[:] = described[:], []
+        assert structural_key(kernel, TITAN_BLACK) == first
+        assert [type(o) for o in described] == [type(kernel), type(spec)]
+        assert sum(type(o) is type(spec) for o in firsts) == 1
+        assert [o for o in firsts if isinstance(o, KernelModel)] == [kernel]
+
+
 class TestCache:
     def test_separately_built_equal_models_share_one_timing(self, device):
         """Regression for the dead ``id(model)`` memoization: two
@@ -500,6 +586,48 @@ class TestPersistence:
             env={**os.environ, "PYTHONPATH": _pythonpath()},
         )
         assert out.stdout.strip() == "0"
+
+    def test_keys_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """Two interpreters with different hash seeds key one alexnet
+        plan's kernels alike, and each loads every entry the other saved."""
+        script = (
+            "import json, sys\n"
+            "from repro.core.pipeline import PipelineOptions, plan_network\n"
+            "from repro.gpusim import SimulationContext, session\n"
+            "from repro.gpusim.device import TITAN_BLACK\n"
+            "from repro.networks.definitions import build_network\n"
+            "keys = []\n"
+            "real = session.structural_key\n"
+            "session.structural_key = lambda m, d: keys.append(real(m, d)) or keys[-1]\n"
+            "ctx = SimulationContext(TITAN_BLACK)\n"
+            "loaded = ctx.load_cache(sys.argv[1]) if sys.argv[2] == 'load' else 0\n"
+            "plan_network(TITAN_BLACK, build_network('alexnet'), PipelineOptions(),"
+            " context=ctx)\n"
+            "ctx.save_cache(sys.argv[1] + '.' + sys.argv[2])\n"
+            "print(json.dumps({'keys': keys, 'loaded': loaded,"
+            " 'misses': ctx.stats.misses, 'entries': ctx.cache_size}))\n"
+        )
+
+        def run(seed, mode, path):
+            out = subprocess.run(
+                [sys.executable, "-c", script, str(path), mode],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={**os.environ, "PYTHONPATH": _pythonpath(), "PYTHONHASHSEED": seed},
+            )
+            return json.loads(out.stdout.splitlines()[-1])
+
+        path = tmp_path / "cache.json"
+        first = run("1", "save", path)
+        (tmp_path / "cache.json.save").rename(path)
+        second = run("2", "load", path)
+        assert len(first["keys"]) > 50
+        assert second["keys"] == first["keys"]
+        assert second["loaded"] == first["entries"] == second["entries"]
+        assert second["misses"] == 0
+        back = run("3", "load", tmp_path / "cache.json.load")
+        assert back["loaded"] == first["entries"] and back["misses"] == 0
 
     def test_truncated_file_loads_nothing(self, device, tmp_path):
         target = _saved_toy_cache(device, tmp_path)

@@ -109,6 +109,29 @@ class TestRegistry:
         with pytest.raises(TypeError):
             r.histogram("a")
 
+    def test_kind_conflict_raises_once_the_name_exists(self):
+        """An existing name is read without the lock; asking for it as
+        another kind still raises, and leaves the metric in place."""
+        r = MetricsRegistry()
+        counter = r.counter("a")
+        counter.inc()
+        for _ in range(2):
+            with pytest.raises(TypeError, match="is a Counter, not a Gauge"):
+                r.gauge("a")
+        assert r.counter("a") is counter and r.value("a") == 1.0
+
+    def test_metric_requested_after_reset_starts_at_zero(self):
+        r = MetricsRegistry()
+        old = r.counter("sim.hits")
+        old.inc(4)
+        r.histogram("sim.ms").observe(1.0)
+        r.reset("sim.")
+        fresh = r.counter("sim.hits")
+        assert fresh is not old and fresh.value == 0.0
+        assert r.histogram("sim.ms").count == 0
+        fresh.inc()
+        assert r.value("sim.hits") == 1.0 and old.value == 4.0
+
     def test_value_of_histogram_raises(self):
         r = MetricsRegistry()
         r.histogram("h").observe(1.0)
