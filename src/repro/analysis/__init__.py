@@ -6,13 +6,9 @@ from .._lazy import lazy_exports
 
 _EXPORTS = {
     "attribution": ("GainAttribution", "attribute_gains"),
-    "dataflow.liveness": (
-        "BufferInterval",
-        "LivenessFootprint",
-        "buffer_intervals",
-        "liveness_footprint",
-    ),
     "dataflow.verify": ("verify_graph", "verify_network"),
+    # the interval choice of the one footprint model (repro.framework.memory)
+    ".framework.memory": ("BufferInterval", "buffer_intervals", "liveness_footprint"),
     "lint": (
         "DEFAULT_CONFIG",
         "LintConfig",

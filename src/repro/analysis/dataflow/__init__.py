@@ -1,11 +1,13 @@
 """Dataflow verification layer over the network-graph IR.
 
 Two analyses, each one sweep over the graph in topological order:
-abstract shape/layout interpretation (:mod:`.interp`) and buffer liveness
-with the interval-based peak-memory model (:mod:`.liveness`).  The
-``D0xx`` rules of ``repro lint`` wrap their checks; :mod:`.verify` runs
-those rules as :func:`verify_graph` / :func:`verify_network`, surfaced on
-the CLI as ``repro verify`` and between pipeline passes.
+abstract shape/layout interpretation (:mod:`.interp`) and buffer-liveness
+hazards (:mod:`.liveness`).  The ``D0xx`` rules of ``repro lint`` wrap
+their checks; :mod:`.verify` runs those rules as :func:`verify_graph` /
+:func:`verify_network`, surfaced on the CLI as ``repro verify`` and
+between pipeline passes.  The peak-memory curve ``repro verify`` prints
+is the last-use interval choice of the one footprint model in
+``framework.memory``, re-exported here as :func:`liveness_footprint`.
 """
 
 from ..._lazy import lazy_exports
@@ -20,14 +22,9 @@ _EXPORTS = {
         "check_transform_annotations",
         "delivered_layouts",
     ),
-    "liveness": (
-        "BufferInterval",
-        "LivenessFootprint",
-        "buffer_intervals",
-        "check_double_counts",
-        "check_liveness",
-        "liveness_footprint",
-    ),
+    "liveness": ("check_double_counts", "check_liveness"),
+    # the interval choice of the one footprint model (repro.framework.memory)
+    "..framework.memory": ("BufferInterval", "buffer_intervals", "liveness_footprint"),
     "verify": ("verify_graph", "verify_network"),
 }
 

@@ -11,13 +11,13 @@ provably consistent and what does it really peak at?".
 
 from __future__ import annotations
 
+from ...framework.memory import MemoryFootprint, liveness_footprint
 from ...framework.netdef import NetworkDef
 from ...gpusim.device import DeviceSpec
 from ...gpusim.session import SimulationContext
 from ...ir.graph import Graph
 from ..lint import DEFAULT_CONFIG, LintConfig, LintReport, _run_scope
 from ..rules.base import Diagnostic, GraphScope
-from .liveness import LivenessFootprint, liveness_footprint
 
 
 def verify_graph(
@@ -42,7 +42,7 @@ def verify_network(
     config: LintConfig = DEFAULT_CONFIG,
     context: SimulationContext | None = None,
     training: bool = False,
-) -> tuple[LintReport, LivenessFootprint]:
+) -> tuple[LintReport, MemoryFootprint]:
     """Plan one network with pass-contract verification on, then verify
     the final graph and compute its liveness footprint.
 

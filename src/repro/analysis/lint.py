@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..core.heuristic import LayoutThresholds, thresholds_for
 from ..core.pipeline import PipelineOptions, run_pipeline
 from ..framework.netdef import NetworkDef, parse_netdef
 from ..ir.build import lower_netdef
@@ -151,7 +150,6 @@ def lint_netdef_text(
 def lint_plan(
     device: DeviceSpec,
     graph: Graph,
-    thresholds: LayoutThresholds | None = None,
     config: LintConfig = DEFAULT_CONFIG,
     network: str = "",
 ) -> list[Diagnostic]:
@@ -164,7 +162,6 @@ def lint_plan(
     scope = PlanScope(
         device=device,
         graph=graph,
-        thresholds=thresholds,
         margin=config.margin,
     )
     return _run_scope("plan", scope, config, network=network)
@@ -309,10 +306,7 @@ def lint_network(
         device, lower_netdef(netdef), options, context=context
     )
     graph = result.graph
-    thresholds = thresholds_for(device)
-    report.diagnostics += lint_plan(
-        device, graph, thresholds, config, network=netdef.name
-    )
+    report.diagnostics += lint_plan(device, graph, config, network=netdef.name)
     # The D-rules, as verify_graph runs them (that module imports this one).
     report.diagnostics += _run_scope(
         "graph", GraphScope(graph=graph, device=device), config, network=netdef.name

@@ -20,7 +20,6 @@ from functools import cached_property
 from importlib import import_module
 from typing import Any
 
-from ...core.heuristic import LayoutThresholds
 from ...framework.netdef import NetworkDef
 from ...gpusim.device import DeviceSpec
 from ...gpusim.kernel import KernelModel, LaunchConfig, MemoryProfile
@@ -107,8 +106,8 @@ class NetdefScope:
 
 @dataclass
 class PlanScope:
-    """A planned network graph under analysis, with the device's heuristic
-    thresholds.
+    """A planned network graph under analysis on one device (rule L003
+    reads the device's heuristic thresholds, ``thresholds_for(device)``).
 
     The edge-walking rule (L002) follows the graph's real
     producer/consumer edges, the only sound reading for branching
@@ -116,7 +115,6 @@ class PlanScope:
 
     device: DeviceSpec
     graph: Graph
-    thresholds: LayoutThresholds | None = None
     #: +/- range around (Ct, Nt) treated as the ambiguous region (L003)
     margin: int = 1
 

@@ -69,7 +69,7 @@ def redundant_transform_pair(scope: PlanScope) -> Iterator[Finding]:
     example="a conv with C equal to Ct, or N one below Nt",
 )
 def threshold_ambiguity(scope: PlanScope) -> Iterator[Finding]:
-    thresholds = scope.thresholds or thresholds_for(scope.device)
+    thresholds = thresholds_for(scope.device)
     for node in scope.nodes:
         if node.kind is not NodeKind.CONV or not isinstance(node.spec, ConvSpec):
             continue

@@ -39,8 +39,8 @@ from .gpusim.device import DeviceSpec, get_device, list_devices
 from .networks.definitions import NETWORK_BUILDERS, build_network
 
 if TYPE_CHECKING:
-    from .analysis.dataflow.liveness import LivenessFootprint
     from .analysis.lint import LintConfig, LintReport
+    from .framework.memory import MemoryFootprint
     from .ir.graph import GraphNode
 
 
@@ -385,7 +385,7 @@ def _parse_rule_ids(values: list[str] | None) -> frozenset[str]:
 
 
 #: one checked target: its report and, for ``repro verify``, its footprint
-_Checked = tuple["LintReport", "LivenessFootprint | None"]
+_Checked = tuple["LintReport", "MemoryFootprint | None"]
 
 
 def _run_checks(
@@ -449,7 +449,7 @@ def _run_checks(
     return 1 if failed else 0
 
 
-def _footprint_dict(fp: LivenessFootprint | None) -> dict[str, object] | None:
+def _footprint_dict(fp: MemoryFootprint | None) -> dict[str, object] | None:
     if fp is None:
         return None
     return {
@@ -496,10 +496,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     import json
 
-    from .analysis.dataflow.liveness import liveness_footprint
     from .analysis.dataflow.verify import verify_graph, verify_network
     from .analysis.lint import LintReport
     from .core.pipeline import PassContractError
+    from .framework.memory import liveness_footprint
     from .ir.graph import Graph
 
     def collect(device: DeviceSpec, config: LintConfig) -> list[_Checked] | int:
@@ -526,7 +526,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             footprint = None
             if not report.errors:
                 # A structurally broken graph has no well-defined liveness.
-                footprint = liveness_footprint(graph, training=args.training)
+                try:
+                    footprint = liveness_footprint(graph, training=args.training)
+                except ValueError as exc:  # a conv names an unknown implementation
+                    print(f"verify: malformed graph {args.graph}: {exc}", file=sys.stderr)
+                    return 2
             return [(report, footprint)]
         results: list[_Checked] = []
         names = [args.network] if args.network else sorted(NETWORK_BUILDERS)

@@ -42,19 +42,14 @@ from ..obs.metrics import global_registry
 from ..obs.tracer import active_tracer, json_safe
 from ..obs.tracer import span as obs_span
 from ..ir.build import infer_shapes, lower_netdef
-from ..ir.graph import EdgeTransform, Graph, GraphNode, NodeKind
+from ..ir.graph import EdgeTransform, Graph, GraphNode, NodeKind, edge_dims
 from ..layers.base import FCSpec
 from ..layers.elementwise import ElementwiseKernel, LRNSpec, make_lrn_kernel
 from ..layers.fc import make_fc_kernel
 from ..tensors.layout import CHWN, NCHW, DataLayout
 from ..tensors.tensor import TensorDesc
 from ..tensors.transform_kernels import make_transform_kernel
-from .heuristic import (
-    LayoutThresholds,
-    preferred_conv_layout,
-    preferred_pool_layout,
-    thresholds_for,
-)
+from .heuristic import preferred_conv_layout, preferred_pool_layout, thresholds_for
 from .planner import PLAN_LAYOUTS, _LayerCosts, _node_costs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -91,7 +86,6 @@ class PipelineOptions:
     single_layout: DataLayout | None = None
     tune_pooling: bool = True
     allow_fft: bool = True
-    thresholds: LayoutThresholds | None = None
     #: run each pass's declared D-rules on its output graph and raise
     #: :class:`PassContractError` attributing the first failure to the
     #: offending pass.  Verification is observational: the planned result
@@ -257,10 +251,7 @@ def _edge_desc(
     when the edge is free (same layout, classifier consumer, unknown dims)."""
     if src == dst or consumer.kind is NodeKind.CLASSIFIER:
         return None
-    if len(consumer.inputs) > 1:
-        dims = producer.out_dims
-    else:
-        dims = consumer.in_dims
+    dims = edge_dims(producer, consumer)
     if dims is None:
         return None
     return dims, src, dst
@@ -319,9 +310,8 @@ class TransformCostTable:
     ) -> float:
         """Transform cost on one producer→consumer edge, from the table.
 
-        On single-input consumers the transformed tensor is the consumer's
-        input; on multi-input consumers (concat) it is the individual
-        producer's output, not the joined tensor.
+        The transformed tensor is the producer's output (on a concat, one
+        branch, not the joined tensor).
         """
         desc = _edge_desc(producer, consumer, src, dst)
         if desc is None:
@@ -407,7 +397,7 @@ class AssignLayouts(Pass):
             for node in graph
         }
         self.stats["edge_kernels_batched"] = ctx.edge_costs.precompute(graph)
-        prefs = self._preferences(graph, opts.thresholds or thresholds_for(ctx.device))
+        prefs = self._preferences(graph, ctx.device)
         if opts.strategy == "single":
             assign = {node.name: opts.single_layout for node in graph}
         elif opts.strategy == "heuristic":
@@ -470,11 +460,12 @@ class AssignLayouts(Pass):
     # -- shared preference seeding ------------------------------------------
     @staticmethod
     def _preferences(
-        graph: Graph, thresholds: LayoutThresholds
+        graph: Graph, device: DeviceSpec
     ) -> dict[str, DataLayout]:
-        """Per-node (Ct, Nt)/pooling preferences; non-layout-bearing nodes
-        inherit their first producer's (the chain planner's ``preferred[-1]``
-        generalized to DAGs)."""
+        """Per-node (Ct, Nt)/pooling preferences under the device's
+        thresholds; non-layout-bearing nodes inherit their first producer's
+        (the chain planner's ``preferred[-1]`` generalized to DAGs)."""
+        thresholds = thresholds_for(device)
         prefs: dict[str, DataLayout] = {}
         for node in graph.topological():
             if node.kind is NodeKind.CONV:

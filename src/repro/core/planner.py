@@ -42,7 +42,6 @@ from ..layers.base import ConvSpec, PoolSpec, SoftmaxSpec
 from ..layers.softmax_kernels import make_softmax_kernel
 from ..tensors.layout import CHWN, NCHW, DataLayout
 from .autotune import autotune_pooling
-from .heuristic import LayoutThresholds
 from .selector import best_conv_for_layout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -153,7 +152,6 @@ def plan_single_layout(
 def plan_with_heuristic(
     device: DeviceSpec,
     net: NetworkDef,
-    thresholds: LayoutThresholds | None = None,
     tune_pooling: bool = True,
     allow_fft: bool = True,
     context: SimulationContext | None = None,
@@ -172,7 +170,6 @@ def plan_with_heuristic(
 
     options = PipelineOptions(
         strategy="heuristic",
-        thresholds=thresholds,
         tune_pooling=tune_pooling,
         allow_fft=allow_fft,
     )

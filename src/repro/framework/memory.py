@@ -6,16 +6,28 @@ compared to the memory footprint of around 3 GB.  Furthermore, the
 additional memory ... is freed right after the layout transformation is
 completed."
 
-The footprint model matches a Caffe-style allocator: every layer's input
-and output activations are live for the whole run (training keeps them for
-the backward pass), weights are resident, and the transient peak adds the
-largest single workspace (im2col buffer, FFT frequency tensors, or a layout
-transform's destination buffer — whichever the plan actually uses).
+There is one footprint model: the step-by-step live-byte curve of a
+planned graph under a choice of buffer intervals.  :func:`_footprint`
+applies the training multipliers and the scratch rule and walks the
+schedule; the two allocators differ only in the intervals they pass it:
+
+* :func:`network_footprint` — the Caffe allocator the paper measured
+  against.  Every blob is allocated before the first layer runs and kept
+  for the whole run, so every buffer lives over [-1, last step]; the peak
+  is the resident activations and weights plus the largest single scratch.
+* :func:`liveness_footprint` — a last-use-free allocator (interval
+  liveness, as in Demmel & Dinh's communication-optimal analysis and
+  cuDNN workspace accounting): each buffer lives over its
+  :func:`buffer_intervals` interval, from its defining step to its last
+  reader.  Training pins every interval to the last step, since the
+  backward pass re-reads every activation.
+
+A buffer is named by its producing node; ``""`` is the network input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import prod
 from typing import TYPE_CHECKING
 
@@ -29,23 +41,40 @@ from .netdef import NetworkDef
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.pipeline import PipelineResult
 
+INPUT_BUFFER = ""  # the network-input pseudo buffer
+
+
+@dataclass(frozen=True)
+class BufferInterval:
+    """One buffer's life in schedule order: defined at ``start`` (the
+    producing step; -1 for the network input), last used at ``end``."""
+
+    buffer: str
+    start: int
+    end: int
+    nbytes: int
+
+    def live_at(self, step: int) -> bool:
+        return self.start <= step <= self.end
+
 
 @dataclass(frozen=True)
 class MemoryFootprint:
-    """Byte-level accounting for one network under one plan."""
+    """One network's memory under one plan and one allocator."""
 
-    activations_bytes: int
+    #: (step name, live bytes while that step executes), in schedule order
+    curve: tuple[tuple[str, int], ...]
+    peak_bytes: int
+    peak_step: str  # "" when the peak is the allocation before the first step
+    activations_bytes: int  # every activation buffer, gradients included
     weights_bytes: int
-    workspace_bytes: int  # largest transient buffer (freed after use)
+    workspace_bytes: int  # largest im2col/FFT workspace (freed after use)
     transform_bytes: int  # largest transform destination buffer
+    intervals: dict[str, BufferInterval]
 
     @property
     def resident_bytes(self) -> int:
         return self.activations_bytes + self.weights_bytes
-
-    @property
-    def peak_bytes(self) -> int:
-        return self.resident_bytes + max(self.workspace_bytes, self.transform_bytes)
 
     @property
     def transform_overhead_fraction(self) -> float:
@@ -55,13 +84,19 @@ class MemoryFootprint:
     def fits(self, device: DeviceSpec) -> bool:
         return self.peak_bytes <= device.dram_bytes
 
+    def summary(self) -> str:
+        mib = 1 << 20
+        lines = [
+            f"liveness peak {self.peak_bytes / mib:.1f} MiB at {self.peak_step} "
+            f"(weights {self.weights_bytes / mib:.1f} MiB resident)"
+        ]
+        for name, live in self.curve:
+            bar = "#" * max(1, int(40 * live / self.peak_bytes)) if self.peak_bytes else ""
+            lines.append(f"  {name:14s} {live / mib:9.1f} MiB {bar}")
+        return "\n".join(lines)
 
-# -- buffer sizing (shared with the liveness model in analysis.dataflow) -----
 
-
-def _input_bytes(graph: Graph) -> int:
-    """Bytes of the network input buffer (fp32)."""
-    return 4 * prod(graph.in_dims)
+# -- sizing ------------------------------------------------------------------
 
 
 def _buffer_bytes(graph: Graph, node: GraphNode) -> int:
@@ -87,16 +122,20 @@ def _weights_bytes(node: GraphNode) -> int:
 
 def _workspace_bytes(node: GraphNode) -> int:
     """A conv node's im2col/FFT workspace under its selected implementation
-    (im2col when the graph is unplanned); 0 for every other node."""
+    (im2col when the graph is unplanned); 0 for every other node.
+
+    A spec the implementation cannot run (FFT with stride > 1 raises
+    :class:`ConvUnsupportedError`) contributes no workspace; an unknown
+    implementation raises :class:`ValueError` naming the node.
+    """
     if node.kind is not NodeKind.CONV or not isinstance(node.spec, ConvSpec):
         return 0
     try:
         kernel = make_conv_kernel(node.spec, node.implementation or "im2col")
     except ConvUnsupportedError:
-        # The spec can't run under this implementation (e.g. FFT with
-        # stride > 1) — it contributes no workspace.  Any other failure is
-        # a real bug and must propagate.
         return 0
+    except ValueError as exc:
+        raise ValueError(f"node {node.name!r}: {exc}") from None
     return int(kernel.workspace_bytes())
 
 
@@ -115,33 +154,111 @@ def _transform_bytes(graph: Graph, node: GraphNode) -> int:
     return largest
 
 
+# -- the two interval choices ------------------------------------------------
+
+
+def buffer_intervals(graph: Graph) -> dict[str, BufferInterval]:
+    """First-def/last-use intervals for every buffer, in schedule order.
+
+    A buffer's interval runs from its defining step to the last step that
+    lists it as an input (a linear-schedule allocator cannot free it
+    earlier).  A buffer with no consumers ends at its defining step.  The
+    network input starts at -1 — live before the first node runs — and is
+    read by the nodes with no inputs.
+    """
+    order = graph.topological()
+    last_use: dict[str, int] = {INPUT_BUFFER: -1}
+    for step, node in enumerate(order):
+        for buffer in node.inputs or (INPUT_BUFFER,):
+            last_use[buffer] = step
+    intervals: dict[str, BufferInterval] = {}
+    intervals[INPUT_BUFFER] = BufferInterval(
+        INPUT_BUFFER, -1, last_use[INPUT_BUFFER], 4 * prod(graph.in_dims)
+    )
+    for start, node in enumerate(order):
+        intervals[node.name] = BufferInterval(
+            node.name,
+            start,
+            max(last_use.get(node.name, start), start),
+            _buffer_bytes(graph, node),
+        )
+    return intervals
+
+
 def network_footprint(graph: Graph, training: bool = False) -> MemoryFootprint:
-    """Compute the footprint of running (or training) a resolved graph.
+    """The footprint under the Caffe allocator: every buffer is allocated
+    before the first layer runs and lives to the last step.
 
     The graph's annotations are the plan: each conv's selected
     implementation sizes its workspace and each edge transform its
     scratch.  An unplanned graph (shapes only) assumes the conservative
-    NCHW/im2col path with no transforms.  Training doubles the activation
-    residency (gradients mirror every activation) and triples weight
-    residency (gradient + momentum).
+    NCHW/im2col path with no transforms.
     """
-    activations = _input_bytes(graph)
-    weights = workspace = transform = 0
-    for node in graph:
-        activations += _buffer_bytes(graph, node)
-        weights += _weights_bytes(node)
-        workspace = max(workspace, _workspace_bytes(node))
-        transform = max(transform, _transform_bytes(graph, node))
+    last = len(graph) - 1
+    intervals = {
+        name: replace(iv, start=-1, end=last)
+        for name, iv in buffer_intervals(graph).items()
+    }
+    return _footprint(graph, intervals, training)
 
+
+def liveness_footprint(graph: Graph, training: bool = False) -> MemoryFootprint:
+    """The footprint under a last-use-free allocator: each buffer lives
+    over its :func:`buffer_intervals` interval, or to the last step under
+    training (the backward pass re-reads every activation)."""
+    intervals = buffer_intervals(graph)
     if training:
-        activations *= 2  # gradients mirror activations
-        weights *= 3  # parameter + gradient + momentum buffers
+        last = len(graph) - 1
+        intervals = {name: replace(iv, end=last) for name, iv in intervals.items()}
+    return _footprint(graph, intervals, training)
 
+
+def _footprint(
+    graph: Graph, intervals: dict[str, BufferInterval], training: bool
+) -> MemoryFootprint:
+    """The live-byte curve of ``graph`` with each buffer live over its
+    interval.
+
+    While a step executes the live set is the resident weights, every
+    activation buffer whose interval covers the step, and the step's
+    scratch: the larger of its conv workspace and its largest transform
+    destination buffer.  The two never coexist — a transform's scratch is
+    freed before the kernel launches.  Training doubles activations
+    (gradients mirror them) and triples weights (parameter, gradient and
+    momentum buffers).
+    """
+    act_scale, weight_scale = (2, 3) if training else (1, 1)
+    order = graph.topological()
+    weights = weight_scale * sum(_weights_bytes(node) for node in order)
+
+    def live_at(step: int) -> int:
+        return weights + act_scale * sum(
+            iv.nbytes for iv in intervals.values() if iv.live_at(step)
+        )
+
+    # Before the first step the allocator already holds the weights and
+    # every buffer that starts at -1; a network with no steps peaks there.
+    peak, peak_step = live_at(-1), ""
+    curve: list[tuple[str, int]] = []
+    workspace = transform = 0
+    for step, node in enumerate(order):
+        node_workspace = _workspace_bytes(node)
+        node_transform = _transform_bytes(graph, node)
+        workspace = max(workspace, node_workspace)
+        transform = max(transform, node_transform)
+        live = live_at(step) + max(node_workspace, node_transform)
+        curve.append((node.name, live))
+        if live > peak:
+            peak, peak_step = live, node.name
     return MemoryFootprint(
-        activations_bytes=int(activations),
-        weights_bytes=int(weights),
-        workspace_bytes=int(workspace),
-        transform_bytes=int(transform),
+        curve=tuple(curve),
+        peak_bytes=peak,
+        peak_step=peak_step,
+        activations_bytes=act_scale * sum(iv.nbytes for iv in intervals.values()),
+        weights_bytes=weights,
+        workspace_bytes=workspace,
+        transform_bytes=transform,
+        intervals=intervals,
     )
 
 

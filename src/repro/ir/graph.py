@@ -276,6 +276,17 @@ def _load_spec(data: dict[str, Any]) -> object | None:
     return spec_types[kind](**spec_fields)
 
 
+def edge_dims(producer: GraphNode | None, consumer: GraphNode) -> Dims | None:
+    """Dims of the tensor a layout transform on an edge into ``consumer``
+    relays: the producer's output (one branch of a concat, not the joined
+    tensor), or ``consumer``'s input on an edge from the network input
+    (``producer`` is ``None``).  The planner prices transforms, and the
+    footprint and lint size them, by this one rule."""
+    if producer is not None:
+        return producer.out_dims
+    return consumer.in_dims
+
+
 class GraphError(ValueError):
     """The graph is structurally invalid (bad edge, cycle, duplicate)."""
 
@@ -331,12 +342,9 @@ class Graph:
         return iter(self.topological())
 
     def transform_dims(self, node: GraphNode, transform: EdgeTransform) -> Dims | None:
-        """Dims of the tensor ``transform`` relays into ``node``: its
-        producer's output (one branch of a concat, not the joined tensor),
-        or ``node``'s input when the edge comes from the network input."""
-        if transform.src in self.nodes:
-            return self.nodes[transform.src].out_dims
-        return node.in_dims
+        """Dims of the tensor ``transform`` relays into ``node``
+        (:func:`edge_dims` of its edge)."""
+        return edge_dims(self.nodes.get(transform.src), node)
 
     def is_chain(self) -> bool:
         """True when every node feeds exactly the next one — the shape the

@@ -7,7 +7,7 @@ from repro.analysis.dataflow import (
     delivered_layouts,
     liveness_footprint,
 )
-from repro.analysis.dataflow.liveness import INPUT_BUFFER
+from repro.framework.memory import INPUT_BUFFER
 from repro.ir.graph import EdgeTransform, Graph, GraphNode, NodeKind
 from repro.tensors import CHWN, NCHW
 

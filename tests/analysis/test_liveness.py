@@ -7,7 +7,7 @@ from repro.analysis.dataflow import (
     buffer_intervals,
     liveness_footprint,
 )
-from repro.analysis.dataflow.liveness import INPUT_BUFFER
+from repro.framework.memory import INPUT_BUFFER
 from repro.core.pipeline import PipelineOptions, plan_network
 from repro.framework import network_footprint
 from repro.ir.graph import Graph, GraphNode, NodeKind

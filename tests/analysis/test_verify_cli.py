@@ -108,6 +108,21 @@ class TestVerifyGraphFile:
         assert main(["verify", "--graph", str(path)]) == 1
         assert "D009" in capsys.readouterr().out
 
+    def test_unknown_conv_implementation_is_malformed(
+        self, tmp_path, capsys, plan_payload
+    ):
+        """No D-rule reads the implementation; the footprint's workspace
+        sizing refuses it, naming the node, and the command exits 2."""
+        graph = plan_payload["graph"]
+        conv = next(n for n in graph["nodes"] if n["kind"] == "conv")
+        conv["implementation"] = "bogus"
+        path = tmp_path / "bogus.json"
+        path.write_text(json.dumps(graph))
+        assert main(["verify", "--graph", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"malformed graph {path}: node {conv['name']!r}: " in err
+        assert "unknown implementation 'bogus'" in err
+
     def test_graph_with_fused_annotation_still_loads(
         self, tmp_path, capsys, plan_payload
     ):
@@ -226,7 +241,10 @@ class TestVerifyGraphFile:
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"name": "g", "nodes": []}))
         assert main(["verify", "--graph", str(path)]) == 0
-        assert "0 error(s)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "0 error(s)" in out
+        # no nodes and no "input" key: not even an input buffer is live
+        assert "liveness peak 0.0 MiB" in out
 
 
 class TestPlanVerifyFlag:

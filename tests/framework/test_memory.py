@@ -1,19 +1,22 @@
 """Network memory-footprint accounting (paper Section VI.A)."""
 
+from math import prod
+
 import pytest
 
 from repro.analysis.dataflow import liveness_footprint
 from repro.core.pipeline import PipelineOptions, plan_network
 from repro.framework import ConvDef, Net, NetworkDef
 from repro.framework.memory import (
-    MemoryFootprint,
     format_footprint,
     network_footprint,
     plan_within_memory,
 )
 from repro.framework.netdef import ConcatDef
+from repro.gpusim import TITAN_BLACK, TITAN_X
+from repro.gpusim.session import SimulationContext
 from repro.ir.graph import EdgeTransform
-from repro.networks import build_network
+from repro.networks import NETWORK_BUILDERS, build_network
 from repro.tensors import CHWN, NCHW
 
 
@@ -51,15 +54,79 @@ class TestFootprint:
         assert fp.peak_bytes < 200 * 2**20
 
     def test_peak_includes_largest_transient(self):
-        fp = MemoryFootprint(
-            activations_bytes=100, weights_bytes=50,
-            workspace_bytes=30, transform_bytes=70,
-        )
-        assert fp.peak_bytes == 220
+        """Each step adds its own scratch to the resident bytes: the join
+        its transform buffer, conv ``b`` the largest im2col workspace,
+        which sets the peak."""
+        graph = TestTransformScratch.concat_graph()
+        fp = network_footprint(graph)
+        assert 0 < fp.transform_bytes < fp.workspace_bytes
+        curve = dict(fp.curve)
+        assert curve["join"] == fp.resident_bytes + fp.transform_bytes
+        assert fp.peak_step == "b"
+        assert fp.peak_bytes == curve["b"] == fp.resident_bytes + fp.workspace_bytes
 
     def test_format(self, alexnet_graph):
         text = format_footprint(network_footprint(alexnet_graph))
         assert "MiB" in text and "%" in text
+
+
+def _activation_bytes(graph) -> int:
+    """The input buffer plus every node's output buffer (fp32)."""
+    total = 4 * prod(graph.in_dims)
+    for node in graph:
+        if node.out_dims is not None:
+            total += 4 * prod(node.out_dims)
+        elif node.out_features is not None:
+            total += 4 * node.spec.n * node.out_features
+    return total
+
+
+@pytest.fixture(scope="module")
+def optimal_graphs():
+    """Each bundled network's optimal plan on both devices, planned once."""
+    graphs = {}
+    for device in (TITAN_BLACK, TITAN_X):
+        context = SimulationContext(device)
+        for name in NETWORK_BUILDERS:
+            graphs[device.name, name] = plan_network(
+                device, build_network(name), context=context
+            ).graph
+    return graphs
+
+
+class TestCaffeAllocatorOracle:
+    """The Caffe allocator's curve peaks where the separate summation it
+    replaced did: all activations and weights resident, plus the largest
+    single scratch."""
+
+    @pytest.mark.parametrize("device", [TITAN_BLACK, TITAN_X], ids=lambda d: d.name)
+    @pytest.mark.parametrize("name", sorted(NETWORK_BUILDERS))
+    @pytest.mark.parametrize("training", [False, True], ids=["inference", "training"])
+    def test_peak_is_resident_plus_largest_scratch(
+        self, optimal_graphs, device, name, training
+    ):
+        graph = optimal_graphs[device.name, name]
+        fp = network_footprint(graph, training=training)
+        assert fp.peak_bytes == fp.resident_bytes + max(
+            fp.workspace_bytes, fp.transform_bytes
+        )
+        scale = 2 if training else 1
+        assert fp.activations_bytes == scale * _activation_bytes(graph)
+
+    def test_every_buffer_lives_from_before_the_first_step_to_the_last(self):
+        graph = TestTransformScratch.concat_graph()
+        last = len(graph) - 1
+        for training in (False, True):
+            intervals = network_footprint(graph, training).intervals
+            assert {(iv.start, iv.end) for iv in intervals.values()} == {(-1, last)}
+
+    def test_empty_network_peaks_at_its_input_buffer(self, device):
+        """No steps: the peak is what the allocator holds before the first
+        one, the 4x3x8x8 fp32 input."""
+        empty = NetworkDef("empty", 4, 3, 8, 8, ())
+        result, fp = plan_within_memory(device, empty)
+        assert fp.peak_bytes == 3072 and fp.curve == ()
+        assert liveness_footprint(result.graph).peak_bytes == 3072
 
 
 class TestPlanAlignment:
